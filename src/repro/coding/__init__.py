@@ -9,12 +9,16 @@ The pipeline:
   or fragmented digests; multiple hash instantiations).
 * :class:`RawDecoder` / :class:`HashDecoder` / :class:`FragmentDecoder`
   -- peeling decoders for the Inference Module.
+* :class:`PathQueryContext` -- what all flows of one path query share
+  (universe, per-``k`` scheme and hashes) and the batched replay of
+  the per-packet encoder decisions.
 * :class:`LNCEncoder` / :class:`LNCDecoder` -- the Linear Network Coding
   comparator.
 * :mod:`repro.coding.simulate` -- Monte-Carlo harnesses producing the
   Fig. 5 / Fig. 10 quantities.
 """
 
+from repro.coding.context import BatchDecisions, PathQueryContext
 from repro.coding.decoder import (
     FragmentDecoder,
     HashDecoder,
@@ -68,6 +72,8 @@ __all__ = [
     "improved_multilayer_scheme",
     "PathEncoder",
     "CodecContext",
+    "PathQueryContext",
+    "BatchDecisions",
     "RAW",
     "HASH",
     "FRAGMENT",

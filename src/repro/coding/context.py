@@ -1,0 +1,199 @@
+"""What every flow of one path query shares, and its batched replay.
+
+A sink decodes thousands of flows under *one* query: the same switch
+universe, digest width, hash seed and digest representation, and --
+per path length ``k`` -- the same coding scheme and derived hashes.
+:class:`PathQueryContext` holds that once per sink; the per-flow
+decoders (:mod:`repro.coding.decoder`) keep a reference and own only
+what differs between flows: decoded hops, narrowed candidate sets and
+pending XOR digests.  Building a flow's decoder therefore costs a few
+empty containers instead of a universe sort, a scheme construction and
+half a dozen string-hashed :class:`~repro.hashing.GlobalHash` keys.
+
+The context is also where the per-packet encoder decisions are
+replayed for a batch (:meth:`PathQueryContext.replay`).  The decision
+hashes derive from the root seed only, never from the flow or its path
+length, so one pass serves rows of any mix of flows: the columnar
+decode engine hands it the rows of every still-converging flow of a
+batch at once (:func:`repro.collector.batchdecode.decode_path_groups`)
+and a lone decoder's ``observe_batch`` hands it its own rows.
+"""
+
+from __future__ import annotations
+
+from typing import Dict, Iterable, List, Optional, Sequence, Set
+
+import numpy as np
+
+from repro.coding.encoder import HASH, CodecContext
+from repro.coding.schemes import XOR, CodingScheme, multilayer_scheme
+from repro.hashing import reservoir_carrier_zip, xor_acting_zip
+
+#: Cap on the elements of one block of the (rows x universe) hash
+#: matrix in :meth:`PathQueryContext.match_universe`; bounds the
+#: temporaries to a few MiB whatever the batch and universe sizes.
+_MATCH_BLOCK = 1 << 18
+
+
+class BatchDecisions:
+    """The rows of one (sub-)batch with their replayed decisions.
+
+    ``pids``/``reps`` are the uint64 packet-id column and the
+    ``(n, num_hashes)`` unpacked digest matrix.  After
+    :meth:`PathQueryContext.replay`: ``layer_idx`` and ``carriers`` are
+    int64 columns (carrier 0 on XOR rows), ``acting[i]`` is the list
+    of 1-based acting hops of XOR row ``i`` and None on Baseline rows.
+    ``masks[i]``, set by :meth:`PathQueryContext.match_universe`, is a
+    boolean row over the universe: the values whose hashes equal row
+    ``i``'s digest under every rep.  The ``*_list`` fields are the
+    same columns as Python lists, for the in-order peeling loops.
+    """
+
+    __slots__ = (
+        "pids", "reps", "layer_idx", "carriers", "acting", "masks",
+        "pid_list", "rep_rows", "carrier_list",
+    )
+
+    def __init__(self, pids: np.ndarray, reps: np.ndarray) -> None:
+        self.pids = pids
+        self.reps = reps
+        self.layer_idx = self.carriers = np.empty(0, dtype=np.int64)
+        self.acting: List[Optional[List[int]]] = []
+        self.masks: List[Optional[np.ndarray]] = []
+        self.pid_list: List[int] = []
+        self.rep_rows: List[List[int]] = []
+        self.carrier_list: List[int] = []
+
+
+class PathQueryContext:
+    """Immutable per-sink state shared by every flow's path decoder.
+
+    Parameters mirror the decoders': ``universe`` is the switch-id
+    universe V (kept as a sorted, de-duplicated, read-only ``int64``
+    array; empty for raw and fragment digests, which need none),
+    ``scheme`` pins one coding scheme for every path length (None:
+    Algorithm 1's ``multilayer_scheme(k)`` per length, matching
+    encoders tuned to each flow's path), ``value_bits`` is the
+    fragment layout width, ``adjacency`` the optional topology map of
+    :class:`~repro.coding.decoder.HashDecoder` and ``mode`` the digest
+    representation.  The only state that grows after construction is
+    the per-``k`` cache of schemes and :class:`CodecContext` s, filled
+    on first use of a path length.
+    """
+
+    def __init__(
+        self,
+        universe: Iterable[int] = (),
+        digest_bits: int = 8,
+        num_hashes: int = 1,
+        seed: int = 0,
+        scheme: Optional[CodingScheme] = None,
+        value_bits: Optional[int] = None,
+        adjacency: Optional[Dict[int, Set[int]]] = None,
+        mode: str = HASH,
+    ) -> None:
+        uni = np.asarray(sorted({int(v) for v in universe}), dtype=np.int64)
+        uni.setflags(write=False)
+        self.universe = uni
+        self.digest_bits = digest_bits
+        self.num_hashes = num_hashes
+        self.seed = seed
+        self.scheme = scheme
+        self.value_bits = value_bits
+        self.adjacency = adjacency
+        self.mode = mode
+        self._codecs: Dict[int, CodecContext] = {}
+
+    def scheme_for(self, k: int) -> CodingScheme:
+        """The coding scheme flows of path length ``k`` are decoded under."""
+        return self.scheme if self.scheme is not None else multilayer_scheme(k)
+
+    def codec_for(self, k: int) -> CodecContext:
+        """The derived hashes for path length ``k`` (built once per ``k``)."""
+        codec = self._codecs.get(k)
+        if codec is None:
+            codec = CodecContext(
+                self.scheme_for(k), self.digest_bits, self.num_hashes,
+                self.seed,
+            )
+            self._codecs[k] = codec
+        return codec
+
+    def replay(
+        self, pids: np.ndarray, reps: np.ndarray, ks: np.ndarray
+    ) -> BatchDecisions:
+        """Replay every row's encoder decisions; ``ks`` is its path length.
+
+        What the scalar ``observe`` derives per packet -- the layer,
+        the reservoir carrier (Baseline rows) and the XOR acting set
+        (XOR rows) -- in one pass over rows that may belong to any mix
+        of flows and path lengths: one layer-selection hash, then one
+        carrier or acting replay per layer index, each row against its
+        own ``k`` and its own scheme's XOR probability.  Lane for lane
+        equal to the scalar decisions (the hashes are keyed on the
+        root seed and the layer index only).  ``pids`` must be
+        non-empty.
+        """
+        out = BatchDecisions(pids, reps)
+        n = int(pids.shape[0])
+        lengths = np.unique(ks).tolist()
+        codecs = [self.codec_for(k) for k in lengths]
+        uniforms = codecs[0].select.uniform_array(pids)
+        layer_idx = np.empty(n, dtype=np.int64)
+        # Per-row XOR probability; 0 marks Baseline rows.
+        xor_p = np.zeros(n, dtype=np.float64)
+        for codec, k in zip(codecs, lengths):
+            at_k = ks == k
+            idx = codec.layer_of_uniforms(uniforms[at_k])
+            layer_idx[at_k] = idx
+            layer_p = np.asarray([
+                layer.xor_p if layer.kind == XOR else 0.0
+                for layer in codec.scheme.layers
+            ])
+            xor_p[at_k] = layer_p[idx]
+        carriers = np.zeros(n, dtype=np.int64)
+        acting: List[Optional[List[int]]] = [None] * n
+        for idx in range(int(layer_idx.max()) + 1):
+            g = next(c.g[idx] for c in codecs if len(c.g) > idx)
+            lane = layer_idx == idx
+            base = np.flatnonzero(lane & (xor_p == 0.0))
+            if base.size:
+                carriers[base] = reservoir_carrier_zip(g, pids[base], ks[base])
+            xor = np.flatnonzero(lane & (xor_p > 0.0))
+            if xor.size:
+                acts = xor_acting_zip(g, pids[xor], ks[xor], xor_p[xor])
+                for row, hops in zip(xor.tolist(), acts.tolist()):
+                    acting[row] = [h + 1 for h, a in enumerate(hops) if a]
+        out.layer_idx = layer_idx
+        out.carriers = carriers
+        out.acting = acting
+        out.masks = [None] * n
+        out.pid_list = pids.tolist()
+        out.rep_rows = reps.tolist()
+        out.carrier_list = carriers.tolist()
+        return out
+
+    def match_universe(self, out: BatchDecisions, rows: Sequence[int]) -> None:
+        """Fill ``out.masks`` for ``rows``: the universe values matching
+        each row's digest.
+
+        The candidate filter a digest applies to a hop nobody
+        narrowed yet, for many rows (of many flows) at once: one
+        ``(rows x |universe|)`` hash matrix per rep instead of one
+        ``bits_array`` call per row.  Row for row the mask
+        ``HashDecoder._constrain`` computes over the full universe.
+        """
+        # Any cached codec serves: the value hashes do not depend on k.
+        h = next(iter(self._codecs.values())).h
+        block = max(1, _MATCH_BLOCK // max(1, int(self.universe.size)))
+        for lo in range(0, len(rows), block):
+            sel = np.asarray(rows[lo:lo + block], dtype=np.int64)
+            pids = out.pids[sel]
+            ok = np.ones((sel.size, self.universe.size), dtype=bool)
+            for rep in range(self.num_hashes):
+                hashed = h[rep].bits_outer(
+                    self.digest_bits, pids, self.universe
+                )
+                ok &= hashed == out.reps[sel, rep][:, None]
+            for row, mask in zip(rows[lo:lo + block], ok):
+                out.masks[row] = mask

@@ -14,14 +14,22 @@ paper's Recording/Inference modules do, and then run *peeling*: an XOR
 digest whose acting set contains a single unknown hop reveals (raw mode)
 or constrains (hash mode) that hop, which may unlock further digests.
 
+Everything flows of one query have in common -- universe, widths, seed,
+per-``k`` scheme and hashes -- lives in a
+:class:`~repro.coding.context.PathQueryContext` the decoders only
+reference: a sink builds one and creates each flow's decoder with
+``from_context``; the plain constructors build a private one.
+
 Every decoder also exposes ``observe_batch(packet_ids, reps)`` -- the
 columnar entry point of the sink's batch-decode engine
 (:mod:`repro.collector.batchdecode`).  It is bit-identical to feeding
 the rows to ``observe`` in order, but replays all per-packet hash
 decisions (layer, reservoir carrier, XOR acting set) in vectorised
-passes, and -- once the decoder is complete -- collapses whole column
-slices into a single consistency scan, which is where the sink's §4
-decoding cost concentrates.
+passes (:meth:`PathQueryContext.replay`), and -- once the decoder is
+complete -- collapses whole column slices into a single consistency
+scan, which is where the sink's §4 decoding cost concentrates.
+``observe_rows(decisions, lo, hi)`` is the same walk over rows whose
+decisions were already replayed, possibly together with other flows'.
 """
 
 from __future__ import annotations
@@ -30,7 +38,8 @@ from typing import Dict, List, Optional, Set, Tuple
 
 import numpy as np
 
-from repro.coding.encoder import CodecContext
+from repro.coding.context import BatchDecisions, PathQueryContext
+from repro.coding.encoder import FRAGMENT, HASH, RAW
 from repro.coding.message import DistributedMessage
 from repro.coding.schemes import BASELINE, CodingScheme
 from repro.exceptions import DecodingError
@@ -38,7 +47,6 @@ from repro.hashing import (
     reservoir_carrier,
     reservoir_carrier_array,
     xor_acting_hops,
-    xor_acting_matrix,
 )
 
 
@@ -59,35 +67,6 @@ def _normalize_batch_reps(packet_ids, reps, num_hashes: int):
     return pids, mat.astype(np.uint64)
 
 
-def _batch_decisions(ctx: CodecContext, k: int, pids: np.ndarray):
-    """Vectorised replay of the per-packet encoder decisions.
-
-    One pass over the batch computes what the scalar ``observe`` derives
-    per packet: the layer index, the reservoir carrier (baseline
-    layers, zero elsewhere) and the XOR acting set (xor layers).  The
-    arrays come back whole so a decoder that completes mid-batch can
-    hand the unconsumed suffix's decisions straight to its consistency
-    scan instead of recomputing them.
-    """
-    layer_idx = ctx.layer_of_array(pids)
-    n = len(pids)
-    carriers = np.zeros(n, dtype=np.int64)
-    acting: List[Optional[List[int]]] = [None] * n
-    for idx, layer in enumerate(ctx.scheme.layers):
-        lane = layer_idx == idx
-        if not lane.any():
-            continue
-        g = ctx.g[idx]
-        if layer.kind == BASELINE:
-            carriers[lane] = reservoir_carrier_array(g, pids[lane], k)
-        else:
-            acts = xor_acting_matrix(g, pids[lane], k, layer.xor_p)
-            rows = np.flatnonzero(lane).tolist()
-            for r, row in zip(rows, acts.tolist()):
-                acting[r] = [h + 1 for h, a in enumerate(row) if a]
-    return layer_idx, carriers, acting
-
-
 class _PendingXor:
     """An undecodable XOR digest waiting for more hops to resolve."""
 
@@ -101,7 +80,131 @@ class _PendingXor:
         self.unknown = unknown
 
 
-class RawDecoder:
+class _ContextBound:
+    """Decoders are built either standalone or against a shared context."""
+
+    @classmethod
+    def from_context(cls, context: PathQueryContext, k: int):
+        """A decoder for one ``k``-hop flow of ``context``'s query.
+
+        The sink-side constructor: nothing query-wide is rebuilt, the
+        decoder only references ``context``.
+        """
+        self = cls.__new__(cls)
+        self._bind(context, k)
+        return self
+
+
+class _PeelingDecoder(_ContextBound):
+    """What the raw and hash peeling decoders share.
+
+    State common to both: the decoded hops, the pending XOR digests
+    and -- per still-unknown hop, created on first use -- the pending
+    entries that reference it.  Subclasses supply ``observe``, the
+    in-order walk over replayed rows (``_peel_rows``) and the
+    complete-decoder consistency scan (``_verify_complete``).
+    """
+
+    def _bind(self, context: PathQueryContext, k: int) -> None:
+        if k < 1:
+            raise ValueError("k must be >= 1")
+        self.k = k
+        self.context = context
+        self.ctx = context.codec_for(k)
+        self.decoded: Dict[int, int] = {}
+        self.inconsistencies = 0
+        self.packets_seen = 0
+        self._pending: List[_PendingXor] = []
+        #: unknown hop -> pending digests that reference it.
+        self._hop_refs: Dict[int, List[_PendingXor]] = {}
+        #: Decoded blocks as a (k,) array, built lazily once complete
+        #: (decoded values never change afterwards) for the batched
+        #: consistency scans.
+        self._decoded_arr: Optional[np.ndarray] = None
+
+    @property
+    def missing(self) -> int:
+        """Hops still unknown."""
+        return self.k - len(self.decoded)
+
+    @property
+    def is_complete(self) -> bool:
+        """True when every hop's block has been recovered."""
+        return len(self.decoded) == self.k
+
+    def observe_batch(self, packet_ids, reps) -> None:
+        """Feed a digest column at once; bit-identical to in-order observe.
+
+        ``reps`` is the ``(n, num_hashes)`` unpacked digest matrix (see
+        :func:`~repro.coding.encoder.unpack_reps_array`; raw digests
+        are 1-tuples).  All per-packet hash replays run as array
+        passes, and rows past the completion point reduce to one
+        vectorised consistency scan.  A digest that contradicts the
+        candidate sets raises :class:`DecodingError` exactly where the
+        scalar loop would; the exception carries a ``batch_pos``
+        attribute (the offending row) so callers can reset and resume
+        behind it.
+        """
+        pids, mat = _normalize_batch_reps(packet_ids, reps, self.ctx.num_hashes)
+        n = len(pids)
+        if n == 0:
+            return
+        if self.is_complete:
+            self._verify_complete(pids, mat)
+            return
+        ks = np.full(n, self.k, dtype=np.int64)
+        self.observe_rows(self.context.replay(pids, mat, ks), 0, n)
+
+    def observe_rows(self, decisions: BatchDecisions, lo: int, hi: int) -> None:
+        """Feed rows ``[lo, hi)`` of an already-replayed batch, in order.
+
+        Peels until the decoder completes, then hands the unconsumed
+        suffix -- decisions included -- to the consistency scan.  The
+        rows' decisions must have been replayed with this decoder's
+        ``k``; a :class:`DecodingError` carries the offending row of
+        ``decisions`` in ``batch_pos``.
+        """
+        stop = self._peel_rows(decisions, lo, hi)
+        if stop < hi:
+            self._verify_complete(
+                decisions.pids[stop:hi], decisions.reps[stop:hi],
+                decisions.layer_idx[stop:hi], decisions.carriers[stop:hi],
+            )
+
+    def _decoded_column(self) -> np.ndarray:
+        """The decoded blocks as a uint64 (k,) array (complete only)."""
+        if self._decoded_arr is None:
+            self._decoded_arr = np.asarray(
+                [self.decoded[h] for h in range(1, self.k + 1)],
+                dtype=np.int64,
+            ).astype(np.uint64)
+        return self._decoded_arr
+
+    def _park(self, packet_id: int, residual: List[int], unknown: Set[int]) -> None:
+        """Keep an XOR digest with several unknown hops for later peeling."""
+        entry = _PendingXor(packet_id, residual, unknown)
+        self._pending.append(entry)
+        for hop in unknown:
+            self._hop_refs.setdefault(hop, []).append(entry)
+
+    def known_blocks(self) -> Dict[int, int]:
+        """Hops decoded so far (1-based) -- the partial-decode answer.
+
+        Well-defined at any point of the stream: loss leaves hops
+        missing, duplicates only re-confirm, so a sink can always
+        report *which* hops it knows even when the flow never
+        completes (the decode-under-loss contract).
+        """
+        return dict(self.decoded)
+
+    def path(self) -> List[int]:
+        """The recovered message, hop 1 first (raises if incomplete)."""
+        if not self.is_complete:
+            raise DecodingError(f"{self.missing} hops still unknown")
+        return [self.decoded[h] for h in range(1, self.k + 1)]
+
+
+class RawDecoder(_PeelingDecoder):
     """Decoder for raw digests (block value fits the budget).
 
     Baseline packets reveal their carrier hop's block outright; XOR
@@ -117,30 +220,9 @@ class RawDecoder:
         digest_bits: int = 8,
         seed: int = 0,
     ) -> None:
-        if k < 1:
-            raise ValueError("k must be >= 1")
-        self.k = k
-        self.ctx = CodecContext(scheme, digest_bits, 1, seed)
-        self.decoded: Dict[int, int] = {}
-        self.inconsistencies = 0
-        self.packets_seen = 0
-        self._pending: List[_PendingXor] = []
-        #: hop -> indices into _pending that reference it.
-        self._hop_refs: Dict[int, List[_PendingXor]] = {h: [] for h in range(1, k + 1)}
-        #: Decoded blocks as a (k,) array, built lazily once complete
-        #: (decoded values never change afterwards) for the batched
-        #: consistency scans.
-        self._decoded_arr: Optional[np.ndarray] = None
-
-    @property
-    def missing(self) -> int:
-        """Hops still unknown."""
-        return self.k - len(self.decoded)
-
-    @property
-    def is_complete(self) -> bool:
-        """True when every hop's block has been recovered."""
-        return not self.missing
+        self._bind(
+            PathQueryContext((), digest_bits, 1, seed, scheme, mode=RAW), k
+        )
 
     def observe(self, packet_id: int, digest: Tuple[int, ...]) -> None:
         """Feed one collected digest (1-tuple in raw mode)."""
@@ -157,7 +239,12 @@ class RawDecoder:
                 return
             self._resolve(carrier, value)
             return
-        acting = xor_acting_hops(g, packet_id, self.k, layer.xor_p)
+        self._peel_xor(
+            packet_id, value, xor_acting_hops(g, packet_id, self.k, layer.xor_p)
+        )
+
+    def _peel_xor(self, packet_id: int, value: int, acting: List[int]) -> None:
+        """One XOR digest: strip the known hops, resolve or park the rest."""
         residual = value
         unknown: Set[int] = set()
         for hop in acting:
@@ -170,80 +257,31 @@ class RawDecoder:
         if len(unknown) == 1:
             self._resolve(unknown.pop(), residual)
             return
-        entry = _PendingXor(packet_id, [residual], unknown)
-        self._pending.append(entry)
-        for hop in unknown:
-            self._hop_refs[hop].append(entry)
+        self._park(packet_id, [residual], unknown)
 
-    def observe_batch(self, packet_ids, reps) -> None:
-        """Feed a digest column at once; bit-identical to in-order observe.
+    def _peel_rows(self, d: BatchDecisions, lo: int, hi: int) -> int:
+        """In-order walk over replayed rows, until complete.
 
-        ``reps`` is the ``(n, 1)`` unpacked digest matrix (raw digests
-        are 1-tuples).  All per-packet hash replays run as array
-        passes, and rows past the completion point reduce to one
-        vectorised consistency scan.
+        Same state transitions as :meth:`observe`, minus all per-packet
+        hashing; returns the first unconsumed row.
         """
-        pids, mat = _normalize_batch_reps(packet_ids, reps, 1)
-        n = len(pids)
-        if n == 0:
-            return
-        if self.is_complete:
-            self._verify_complete(pids, mat)
-            return
-        start, layer_idx, carriers = self._observe_prefix(pids, mat)
-        if start < n:
-            self._verify_complete(
-                pids[start:], mat[start:],
-                layer_idx[start:], carriers[start:],
-            )
-
-    def _observe_prefix(self, pids: np.ndarray, reps: np.ndarray):
-        """In-order replay with precomputed decisions, until complete.
-
-        Returns ``(first unconsumed row, layer indices, carriers)`` --
-        the decision arrays ride along so the caller's consistency
-        scan over the suffix does not recompute them.  Same state
-        transitions as :meth:`observe`, minus all per-packet hashing.
-        """
-        layers = self.ctx.scheme.layers
-        layer_idx, carriers, acting = _batch_decisions(self.ctx, self.k, pids)
-        layer_list = layer_idx.tolist()
-        carrier_list = carriers.tolist()
-        values = reps[:, 0].tolist()
-        n = len(values)
-        stop = n
-        for i in range(n):
+        carriers = d.carrier_list
+        for i in range(lo, hi):
             if self.is_complete:
-                stop = i
-                break
+                return i
             self.packets_seen += 1
-            value = values[i]
-            layer = layers[layer_list[i]]
-            if layer.kind == BASELINE:
-                carrier = carrier_list[i]
-                if carrier in self.decoded:
-                    if self.decoded[carrier] != value:
-                        self.inconsistencies += 1
-                    continue
-                self._resolve(carrier, value)
+            value = d.rep_rows[i][0]
+            acting = d.acting[i]
+            if acting is not None:
+                self._peel_xor(d.pid_list[i], value, acting)
                 continue
-            residual = value
-            unknown: Set[int] = set()
-            for hop in acting[i]:
-                if hop in self.decoded:
-                    residual ^= self.decoded[hop]
-                else:
-                    unknown.add(hop)
-            if not unknown:
+            carrier = carriers[i]
+            if carrier in self.decoded:
+                if self.decoded[carrier] != value:
+                    self.inconsistencies += 1
                 continue
-            if len(unknown) == 1:
-                self._resolve(unknown.pop(), residual)
-                continue
-            entry = _PendingXor(int(pids[i]), [residual], unknown)
-            self._pending.append(entry)
-            for hop in unknown:
-                self._hop_refs[hop].append(entry)
-        return stop, layer_idx, carriers
+            self._resolve(carrier, value)
+        return hi
 
     def _verify_complete(
         self,
@@ -262,11 +300,7 @@ class RawDecoder:
         """
         ctx = self.ctx
         self.packets_seen += len(pids)
-        if self._decoded_arr is None:
-            self._decoded_arr = np.asarray(
-                [self.decoded[h] for h in range(1, self.k + 1)],
-                dtype=np.int64,
-            ).astype(np.uint64)
+        decoded = self._decoded_column()
         if layer_idx is None:
             layer_idx = ctx.layer_of_array(pids)
         bad = 0
@@ -282,24 +316,20 @@ class RawDecoder:
                 )
             else:
                 lane_carriers = carriers[lane]
-            expected = self._decoded_arr[lane_carriers - 1]
+            expected = decoded[lane_carriers - 1]
             bad += int((reps[lane, 0] != expected).sum())
         self.inconsistencies += bad
 
     def state_bytes(self) -> int:
-        """Rough resident-state estimate (decoded map + pending digests)."""
-        arr = self._decoded_arr.nbytes if self._decoded_arr is not None else 0
-        return 16 * len(self.decoded) + 64 * len(self._pending) + arr
+        """Rough resident-state estimate (decoded map + pending digests).
 
-    def known_blocks(self) -> Dict[int, int]:
-        """Hops decoded so far (1-based) -- the partial-decode answer.
-
-        Well-defined at any point of the stream: loss leaves hops
-        missing, duplicates only re-confirm, so a sink can always
-        report *which* hops it knows even when the flow never
-        completes (the decode-under-loss contract).
+        Content-based: a complete decoder counts its ``8 * k``-byte
+        decoded column whether or not a batched scan has materialised
+        it yet, so identical state reports identical bytes however the
+        records were fed.
         """
-        return dict(self.decoded)
+        arr = 8 * self.k if self.is_complete else 0
+        return 16 * len(self.decoded) + 64 * len(self._pending) + arr
 
     def _resolve(self, hop: int, value: int) -> None:
         """Record a decoded hop and peel any digests it unblocks."""
@@ -311,7 +341,7 @@ class RawDecoder:
                     self.inconsistencies += 1
                 continue
             self.decoded[hop] = value
-            for entry in self._hop_refs[hop]:
+            for entry in self._hop_refs.pop(hop, ()):
                 if hop not in entry.unknown:
                     continue
                 entry.unknown.discard(hop)
@@ -320,16 +350,9 @@ class RawDecoder:
                     last = next(iter(entry.unknown))
                     entry.unknown.clear()
                     worklist.append((last, entry.residual[0]))
-            self._hop_refs[hop] = []
-
-    def path(self) -> List[int]:
-        """The recovered message, hop 1 first (raises if incomplete)."""
-        if not self.is_complete:
-            raise DecodingError(f"{self.missing} hops still unknown")
-        return [self.decoded[h] for h in range(1, self.k + 1)]
 
 
-class HashDecoder:
+class HashDecoder(_PeelingDecoder):
     """Decoder for hash-compressed digests over a known universe V.
 
     Maintains a candidate set per hop (NumPy array of universe values);
@@ -337,7 +360,9 @@ class HashDecoder:
     ``h(v, packet) == digest`` -- an expected ``2^-b`` shrink per hash
     instantiation.  XOR digests join the peeling pool: once all acting
     hops but one are decoded, the leftover behaves like a Baseline
-    packet for that hop (paper §4.2).
+    packet for that hop (paper §4.2).  A hop no digest has narrowed yet
+    holds no array of its own: its candidates are the context's shared
+    universe.
     """
 
     def __init__(
@@ -350,16 +375,21 @@ class HashDecoder:
         seed: int = 0,
         adjacency: Optional[Dict[int, Set[int]]] = None,
     ) -> None:
-        if k < 1:
-            raise ValueError("k must be >= 1")
-        uni = np.asarray(sorted(set(int(v) for v in universe)), dtype=np.int64)
-        if uni.size < 1:
+        self._bind(
+            PathQueryContext(
+                universe, digest_bits, num_hashes, seed, scheme,
+                adjacency=adjacency, mode=HASH,
+            ),
+            k,
+        )
+
+    def _bind(self, context: PathQueryContext, k: int) -> None:
+        super()._bind(context, k)
+        if context.universe.size < 1:
             raise ValueError("universe must be non-empty")
-        self.k = k
-        self.ctx = CodecContext(scheme, digest_bits, num_hashes, seed)
-        self._candidates: Dict[int, np.ndarray] = {
-            hop: uni for hop in range(1, k + 1)
-        }
+        #: hop -> narrowed candidate array; a missing hop still has the
+        #: whole universe.
+        self._candidates: Dict[int, np.ndarray] = {}
         #: Optional topology knowledge: value -> possible neighbouring
         #: values.  When set, decoding a hop restricts the candidate
         #: sets of the adjacent hops to the decoded switch's graph
@@ -368,31 +398,21 @@ class HashDecoder:
         #: natural extension the paper's path-conformance use case
         #: implies, and it slashes the packets needed on sparse
         #: topologies (see bench_ext_adjacency.py).
-        self.adjacency = adjacency
-        self.decoded: Dict[int, int] = {}
-        self.inconsistencies = 0
-        self.packets_seen = 0
-        self._pending: List[_PendingXor] = []
-        self._hop_refs: Dict[int, List[_PendingXor]] = {h: [] for h in range(1, k + 1)}
-        #: Decoded values as a (k,) array, built lazily once complete
-        #: for the batched consistency scans.
-        self._decoded_arr: Optional[np.ndarray] = None
+        self.adjacency = context.adjacency
 
-    @property
-    def missing(self) -> int:
-        """Hops still unknown."""
-        return self.k - len(self.decoded)
-
-    @property
-    def is_complete(self) -> bool:
-        """True when every hop has a unique candidate left."""
-        return not self.missing
+    def _candidates_of(self, hop: int) -> np.ndarray:
+        """The hop's candidate array (the shared universe if untouched)."""
+        return self._candidates.get(hop, self.context.universe)
 
     def candidates_left(self, hop: int) -> int:
         """Size of the hop's remaining candidate set (1 when decoded)."""
         if hop in self.decoded:
             return 1
-        return int(self._candidates[hop].size)
+        return int(self._candidates_of(hop).size)
+
+    def untouched(self, hop: int) -> bool:
+        """True while no digest has narrowed ``hop``'s candidates."""
+        return hop not in self._candidates
 
     def observe(self, packet_id: int, digest: Tuple[int, ...]) -> None:
         """Feed one collected digest (``num_hashes`` entries)."""
@@ -406,11 +426,29 @@ class HashDecoder:
             carrier = reservoir_carrier(g, packet_id, self.k)
             self._constrain(carrier, packet_id, list(digest))
             return
-        acting = xor_acting_hops(g, packet_id, self.k, layer.xor_p)
-        residual = list(digest)
+        self._peel_xor(
+            packet_id, list(digest),
+            xor_acting_hops(g, packet_id, self.k, layer.xor_p),
+        )
+
+    def _peel_xor(
+        self,
+        packet_id: int,
+        residual: List[int],
+        acting: List[int],
+        universe_mask: Optional[np.ndarray] = None,
+    ) -> None:
+        """One XOR digest: strip the known hops, constrain or park the rest.
+
+        ``universe_mask`` is the digest's precomputed match against
+        the universe (see :meth:`_constrain`); it is dropped as soon
+        as a known hop is stripped, since the residual then differs
+        from the digest it was computed for.
+        """
         unknown: Set[int] = set()
         for hop in acting:
             if hop in self.decoded:
+                universe_mask = None
                 for rep in range(self.ctx.num_hashes):
                     residual[rep] ^= self.ctx.value_digest(
                         rep, packet_id, self.decoded[hop]
@@ -420,89 +458,37 @@ class HashDecoder:
         if not unknown:
             return
         if len(unknown) == 1:
-            self._constrain(unknown.pop(), packet_id, residual)
+            self._constrain(unknown.pop(), packet_id, residual, universe_mask)
             return
-        entry = _PendingXor(packet_id, residual, unknown)
-        self._pending.append(entry)
-        for hop in unknown:
-            self._hop_refs[hop].append(entry)
+        self._park(packet_id, residual, unknown)
 
-    def observe_batch(self, packet_ids, reps) -> None:
-        """Feed a digest column at once; bit-identical to in-order observe.
-
-        ``reps`` is the ``(n, num_hashes)`` unpacked digest matrix (see
-        :func:`~repro.coding.encoder.unpack_reps_array`).  A digest
-        that contradicts the candidate sets raises
-        :class:`DecodingError` exactly where the scalar loop would; the
-        exception carries a ``batch_pos`` attribute (the offending row)
-        so callers can reset and resume behind it.
-        """
-        pids, mat = _normalize_batch_reps(packet_ids, reps, self.ctx.num_hashes)
-        n = len(pids)
-        if n == 0:
-            return
-        if self.is_complete:
-            self._verify_complete(pids, mat)
-            return
-        start, layer_idx, carriers = self._observe_prefix(pids, mat)
-        if start < n:
-            self._verify_complete(
-                pids[start:], mat[start:],
-                layer_idx[start:], carriers[start:],
-            )
-
-    def _observe_prefix(self, pids: np.ndarray, reps: np.ndarray):
-        """In-order replay with precomputed decisions, until complete.
+    def _peel_rows(self, d: BatchDecisions, lo: int, hi: int) -> int:
+        """In-order walk over replayed rows, until complete.
 
         Same state transitions as :meth:`observe`, minus the per-packet
-        layer/carrier/acting hashing; returns ``(first unconsumed row,
-        layer indices, carriers)`` so the caller's consistency scan
-        over the suffix reuses the decision arrays.
+        layer/carrier/acting hashing -- and, where the row carries a
+        universe mask, minus the first candidate filter; returns the
+        first unconsumed row.
         """
-        layers = self.ctx.scheme.layers
-        num_hashes = self.ctx.num_hashes
-        layer_idx, carriers, acting = _batch_decisions(self.ctx, self.k, pids)
-        layer_list = layer_idx.tolist()
-        carrier_list = carriers.tolist()
-        rows = reps.tolist()
-        pl = pids.tolist()
-        n = len(pl)
-        stop = n
-        for i in range(n):
+        carriers = d.carrier_list
+        for i in range(lo, hi):
             if self.is_complete:
-                stop = i
-                break
+                return i
             self.packets_seen += 1
-            pid = pl[i]
-            digest = rows[i]
-            layer = layers[layer_list[i]]
+            acting = d.acting[i]
             try:
-                if layer.kind == BASELINE:
-                    self._constrain(carrier_list[i], pid, digest)
-                    continue
-                residual = digest
-                unknown: Set[int] = set()
-                for hop in acting[i]:
-                    if hop in self.decoded:
-                        for rep in range(num_hashes):
-                            residual[rep] ^= self.ctx.value_digest(
-                                rep, pid, self.decoded[hop]
-                            )
-                    else:
-                        unknown.add(hop)
-                if not unknown:
-                    continue
-                if len(unknown) == 1:
-                    self._constrain(unknown.pop(), pid, residual)
-                    continue
-                entry = _PendingXor(pid, residual, unknown)
-                self._pending.append(entry)
-                for hop in unknown:
-                    self._hop_refs[hop].append(entry)
+                if acting is None:
+                    self._constrain(
+                        carriers[i], d.pid_list[i], d.rep_rows[i], d.masks[i]
+                    )
+                else:
+                    self._peel_xor(
+                        d.pid_list[i], d.rep_rows[i], acting, d.masks[i]
+                    )
             except DecodingError as err:
                 err.batch_pos = i
                 raise
-        return stop, layer_idx, carriers
+        return hi
 
     def _verify_complete(
         self,
@@ -522,11 +508,7 @@ class HashDecoder:
         """
         ctx = self.ctx
         self.packets_seen += len(pids)
-        if self._decoded_arr is None:
-            self._decoded_arr = np.asarray(
-                [self.decoded[h] for h in range(1, self.k + 1)],
-                dtype=np.int64,
-            ).astype(np.uint64)
+        decoded = self._decoded_column()
         if layer_idx is None:
             layer_idx = ctx.layer_of_array(pids)
         bad = 0
@@ -543,7 +525,7 @@ class HashDecoder:
                 )
             else:
                 lane_carriers = carriers[lane]
-            values = self._decoded_arr[lane_carriers - 1]
+            values = decoded[lane_carriers - 1]
             lane_reps = reps[lane]
             ok = np.ones(len(lane_pids), dtype=bool)
             for rep in range(ctx.num_hashes):
@@ -556,8 +538,19 @@ class HashDecoder:
 
     # -- internals -------------------------------------------------------
 
-    def _constrain(self, hop: int, packet_id: int, needed: List[int]) -> None:
-        """Keep only candidates of ``hop`` whose hash matches ``needed``."""
+    def _constrain(
+        self,
+        hop: int,
+        packet_id: int,
+        needed: List[int],
+        universe_mask: Optional[np.ndarray] = None,
+    ) -> None:
+        """Keep only candidates of ``hop`` whose hash matches ``needed``.
+
+        ``universe_mask`` is the match already computed against the
+        whole universe (:meth:`PathQueryContext.match_universe`); it
+        applies only while the hop is untouched.
+        """
         if hop in self.decoded:
             value = self.decoded[hop]
             ok = all(
@@ -567,14 +560,19 @@ class HashDecoder:
             if not ok:
                 self.inconsistencies += 1
             return
-        cands = self._candidates[hop]
-        mask = np.ones(cands.size, dtype=bool)
-        for rep in range(self.ctx.num_hashes):
-            hashed = self.ctx.h[rep].bits_array(
-                self.ctx.digest_bits, cands, packet_id
-            )
-            mask &= hashed == np.uint64(needed[rep])
-        remaining = cands[mask]
+        cands = self._candidates.get(hop)
+        if cands is None and universe_mask is not None:
+            remaining = self.context.universe[universe_mask]
+        else:
+            if cands is None:
+                cands = self.context.universe
+            mask = np.ones(cands.size, dtype=bool)
+            for rep in range(self.ctx.num_hashes):
+                hashed = self.ctx.h[rep].bits_array(
+                    self.ctx.digest_bits, cands, packet_id
+                )
+                mask &= hashed == np.uint64(needed[rep])
+            remaining = cands[mask]
         if remaining.size == 0:
             raise DecodingError(
                 f"hop {hop}: no candidate matches digest (corrupt input "
@@ -593,7 +591,7 @@ class HashDecoder:
                 continue
             self.decoded[hop] = value
             self._candidates[hop] = np.asarray([value], dtype=np.int64)
-            for entry in self._hop_refs[hop]:
+            for entry in self._hop_refs.pop(hop, ()):
                 if hop not in entry.unknown:
                     continue
                 entry.unknown.discard(hop)
@@ -606,10 +604,9 @@ class HashDecoder:
                     entry.unknown.clear()
                     before = self.decoded.get(last)
                     self._constrain(last, entry.packet_id, entry.residual)
-                    after_cands = self._candidates[last]
+                    after_cands = self._candidates_of(last)
                     if before is None and after_cands.size == 1 and last not in self.decoded:
                         worklist.append((last, int(after_cands[0])))
-            self._hop_refs[hop] = []
             if self.adjacency is not None:
                 for nbr_hop in (hop - 1, hop + 1):
                     if not 1 <= nbr_hop <= self.k or nbr_hop in self.decoded:
@@ -617,7 +614,7 @@ class HashDecoder:
                     allowed = self.adjacency.get(value)
                     if allowed is None:
                         continue
-                    cands = self._candidates[nbr_hop]
+                    cands = self._candidates_of(nbr_hop)
                     narrowed = cands[np.isin(cands, list(allowed))]
                     if narrowed.size == 0:
                         raise DecodingError(
@@ -629,29 +626,24 @@ class HashDecoder:
                         if narrowed.size == 1 and nbr_hop not in self.decoded:
                             worklist.append((nbr_hop, int(narrowed[0])))
 
-    def path(self) -> List[int]:
-        """The recovered message, hop 1 first (raises if incomplete)."""
-        if not self.is_complete:
-            raise DecodingError(f"{self.missing} hops still unknown")
-        return [self.decoded[h] for h in range(1, self.k + 1)]
-
-    def known_blocks(self) -> Dict[int, int]:
-        """Hops with a unique candidate so far (the partial decode)."""
-        return dict(self.decoded)
-
     def state_bytes(self) -> int:
         """Rough resident-state estimate (candidate arrays dominate).
 
-        Kept next to the state it measures so memory-accounting callers
+        Content-based, so identical state reports identical bytes
+        however the records were fed: only *narrowed* candidate arrays
+        count (untouched hops alias the context's one universe array),
+        and a complete decoder counts its ``8 * k``-byte decoded column
+        whether or not a batched scan has materialised it yet.  Kept
+        next to the state it measures so memory-accounting callers
         (e.g. the collector's snapshots) need no knowledge of decoder
         internals.
         """
         cand = sum(arr.nbytes for arr in self._candidates.values())
-        arr = self._decoded_arr.nbytes if self._decoded_arr is not None else 0
+        arr = 8 * self.k if self.is_complete else 0
         return cand + 64 * len(self._pending) + arr
 
 
-class FragmentDecoder:
+class FragmentDecoder(_ContextBound):
     """Decoder for fragment mode: F independent raw sub-problems.
 
     Each packet carries fragment ``f = frag(packet) in {0..F-1}`` of its
@@ -669,15 +661,25 @@ class FragmentDecoder:
         digest_bits: int = 8,
         seed: int = 0,
     ) -> None:
-        if value_bits < 1:
+        self._bind(
+            PathQueryContext(
+                (), digest_bits, 1, seed, scheme, value_bits, mode=FRAGMENT
+            ),
+            k,
+        )
+
+    def _bind(self, context: PathQueryContext, k: int) -> None:
+        value_bits = context.value_bits
+        if value_bits is None or value_bits < 1:
             raise ValueError("value_bits must be >= 1")
         self.k = k
+        self.context = context
         self.value_bits = value_bits
-        self.digest_bits = digest_bits
-        self.num_fragments = -(-value_bits // digest_bits)
-        self.ctx = CodecContext(scheme, digest_bits, 1, seed)
+        self.digest_bits = context.digest_bits
+        self.num_fragments = -(-value_bits // context.digest_bits)
+        self.ctx = context.codec_for(k)
         self._subdecoders = [
-            RawDecoder(k, scheme, digest_bits, seed)
+            RawDecoder.from_context(context, k)
             for _ in range(self.num_fragments)
         ]
         self.packets_seen = 0
@@ -710,10 +712,19 @@ class FragmentDecoder:
         loop.
         """
         pids, mat = _normalize_batch_reps(packet_ids, reps, 1)
-        n = len(pids)
-        if n == 0:
+        self.observe_rows(BatchDecisions(pids, mat), 0, len(pids))
+
+    def observe_rows(self, decisions: BatchDecisions, lo: int, hi: int) -> None:
+        """Scatter rows ``[lo, hi)`` of a batch to the sub-problems.
+
+        Only the columns of ``decisions`` are read: each sub-problem
+        replays the decisions of its own lane.
+        """
+        if hi <= lo:
             return
-        self.packets_seen += n
+        pids = decisions.pids[lo:hi]
+        mat = decisions.reps[lo:hi]
+        self.packets_seen += hi - lo
         frags = self.ctx.frag.choice_array(self.num_fragments, pids)
         for frag in range(self.num_fragments):
             lane = frags == frag
@@ -767,8 +778,6 @@ def make_decoder(
     seed straight from the encoder so the pair cannot drift apart.
     ``adjacency`` enables topology-aware inference (hash mode only).
     """
-    from repro.coding.encoder import HASH, RAW
-
     msg = message if message is not None else encoder.message
     ctx = encoder.ctx
     if encoder.mode == HASH:

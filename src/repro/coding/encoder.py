@@ -142,10 +142,18 @@ class CodecContext:
         last layer); shared by the batch encoder and the batch
         decoders so their layer replays cannot drift apart.
         """
-        idx = cumulative_select_array(
-            self.select.uniform_array(np.asarray(packet_ids)),
-            self.scheme.shares,
+        return self.layer_of_uniforms(
+            self.select.uniform_array(np.asarray(packet_ids))
         )
+
+    def layer_of_uniforms(self, uniforms: np.ndarray) -> np.ndarray:
+        """Layer indices from already-drawn selection uniforms.
+
+        The cumulative walk of :meth:`layer_of_array` on its own, for
+        callers that draw the (scheme-independent) selection hash once
+        for rows decoded under several schemes.
+        """
+        idx = cumulative_select_array(uniforms, self.scheme.shares)
         idx[idx < 0] = len(self.scheme.shares) - 1
         return idx
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import List
 
 from repro.analysis.iterated import (
@@ -118,11 +119,14 @@ def hybrid_scheme(d: int, tau: float = 0.75) -> CodingScheme:
     )
 
 
+@lru_cache(maxsize=1024)
 def multilayer_scheme(d: int) -> CodingScheme:
     """Algorithm 1: Baseline layer + L XOR layers with tower probabilities.
 
     tau = loglog*d / (1 + loglog*d); the remaining (1 - tau) is split
     evenly across layers l = 1..L with p_l = (e ↑↑ (l-1)) / d.
+    Pure in ``d`` with an immutable result, so memoised: sinks,
+    encoders and the sim ask for the same few path lengths per flow.
     """
     if d < 1:
         raise ValueError("d must be >= 1")

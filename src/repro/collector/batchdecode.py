@@ -29,7 +29,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.coding.encoder import unpack_reps_array
+from repro.coding.context import BatchDecisions
+from repro.coding.encoder import FRAGMENT, HASH, unpack_reps_array
 from repro.exceptions import DecodingError
 from repro.hashing import GlobalHash, reservoir_carrier_zip
 
@@ -73,31 +74,112 @@ def decode_path_columns(consumer, pids, hop_counts, digests) -> None:
     """Feed one flow's column slice through its peeling decoder.
 
     Bit-identical to the scalar per-record loop, including reset
-    semantics: a digest that contradicts the candidate sets makes the
-    decoder raise :class:`DecodingError` with the offending row in
-    ``batch_pos``; the consumer's error counter bumps, the decoder is
-    rebuilt from the *next* row's hop count, and decoding resumes
-    behind the conflict -- the same re-convergence a reroute triggers
-    on the scalar path.
+    semantics (see :func:`decode_path_groups`, of which this is the
+    one-flow case).  A flow whose decoder is already complete skips
+    the decision replay: its rows only need the consistency scan.
     """
     pids = np.asarray(pids)
-    hops = np.asarray(hop_counts)
-    digs = np.asarray(digests)
     n = int(pids.shape[0])
     if n == 0:
         return
-    reps = unpack_reps_array(digs, consumer.digest_bits, consumer.num_hashes)
-    start = 0
-    while start < n:
-        if consumer._decoder is None:
-            consumer._ensure_decoder(int(hops[start]))
-        try:
-            consumer._decoder.observe_batch(pids[start:], reps[start:])
-            return
-        except DecodingError as err:
-            consumer.decode_errors += 1
-            consumer._decoder = None
-            start += getattr(err, "batch_pos", 0) + 1
+    if consumer.is_complete:
+        context = consumer.context
+        reps = unpack_reps_array(
+            np.asarray(digests), context.digest_bits, context.num_hashes
+        )
+        consumer._decoder.observe_batch(pids, reps)
+        return
+    decode_path_groups(
+        consumer.context, [(consumer, 0, n)], pids,
+        np.asarray(hop_counts), np.asarray(digests),
+    )
+
+
+def decode_path_groups(context, groups, pids, hop_counts, digests) -> None:
+    """Decode several flows' slices of one batch in one cross-flow pass.
+
+    ``groups`` holds ``(consumer, lo, hi)`` -- rows ``[lo, hi)`` of the
+    columns belong to that path consumer -- and every consumer
+    references ``context``.  The rows of all groups are gathered into
+    one sub-batch and their encoder decisions are replayed once
+    (:meth:`PathQueryContext.replay`: layer, reservoir carrier, XOR
+    acting set, each row against its own flow's path length); in hash
+    mode the rows whose digest lands whole on a hop nobody narrowed
+    yet also get their candidate filter from one hash matrix over the
+    universe (:meth:`PathQueryContext.match_universe`).  Each flow then walks
+    its own rows in order, so per-flow state is bit-identical to the
+    scalar per-record loop, including reset semantics: a digest that
+    contradicts the candidate sets makes the decoder raise
+    :class:`DecodingError` with the offending row in ``batch_pos``;
+    the consumer's error counter bumps, the decoder is rebuilt from
+    the *next* row's hop count, and decoding resumes behind the
+    conflict -- the same re-convergence a reroute triggers on the
+    scalar path.
+
+    A flow is decoded against its *decoder's* path length (the first
+    record's hop count), whatever later rows claim; only a rebuild can
+    change it, and then the rest of that flow's rows are replayed
+    again on their own.
+    """
+    los = np.asarray([g[1] for g in groups], dtype=np.int64)
+    sizes = np.asarray([g[2] for g in groups], dtype=np.int64) - los
+    starts = np.cumsum(sizes) - sizes
+    # Sub-batch row i of group j is column row los[j] + (i - starts[j]).
+    rows = np.repeat(los - starts, sizes) + np.arange(int(sizes.sum()))
+    spans = list(zip(starts.tolist(), sizes.tolist()))
+    sub_pids = pids[rows].astype(np.uint64)
+    reps = unpack_reps_array(
+        digests[rows], context.digest_bits, context.num_hashes
+    )
+    first_hops = hop_counts[los].tolist()
+    ks = [
+        g[0]._decoder.k if g[0]._decoder is not None else first_hops[j]
+        for j, g in enumerate(groups)
+    ]
+    if context.mode == FRAGMENT:
+        # Fragment sub-problems replay the decisions of their own lanes.
+        decisions = BatchDecisions(sub_pids, reps)
+    else:
+        decisions = context.replay(
+            sub_pids, reps, np.repeat(np.asarray(ks, dtype=np.int64), sizes)
+        )
+    if context.mode == HASH:
+        # Rows whose digest lands whole on one hop -- Baseline rows on
+        # their carrier, XOR rows with a single acting hop -- filter
+        # that hop's candidates; where nobody narrowed the hop yet the
+        # filter runs over the full universe, for all such rows at once.
+        targets = [
+            carrier if hops is None else hops[0] if len(hops) == 1 else 0
+            for carrier, hops in zip(decisions.carrier_list, decisions.acting)
+        ]
+        first_touch: list = []
+        for (consumer, _, _), (a, size) in zip(groups, spans):
+            decoder = consumer._decoder
+            for i in range(a, a + size):
+                hop = targets[i]
+                if hop and (decoder is None or decoder.untouched(hop)):
+                    first_touch.append(i)
+        if first_touch:
+            context.match_universe(decisions, first_touch)
+    for (consumer, lo, hi), (a, size), k in zip(groups, spans, ks):
+        b = a + size
+        while a < b:
+            decoder = consumer._ensure_decoder(k)
+            try:
+                decoder.observe_rows(decisions, a, b)
+                break
+            except DecodingError as err:
+                consumer.decode_errors += 1
+                consumer._decoder = None
+                resume = err.batch_pos + 1
+                lo += resume - a
+                a = resume
+                if a < b and int(hop_counts[lo]) != k:
+                    decode_path_groups(
+                        context, [(consumer, lo, hi)], pids, hop_counts,
+                        digests,
+                    )
+                    break
 
 
 def decode_latency_slice(

@@ -31,7 +31,11 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
-from repro.collector.consumers import ConsumerFactory, DigestConsumer
+from repro.collector.consumers import (
+    ConsumerFactory,
+    DigestConsumer,
+    consume_groups,
+)
 from repro.collector.records import Column, normalize_batch
 from repro.collector.shard import Shard, ShardRouter
 from repro.collector.snapshot import Snapshot
@@ -303,12 +307,13 @@ class Collector:
         with self._sp_consume:
             shards = self.shards
             touched = set()
+            groups = []
             for idx, fid in enumerate(group_fids):
                 sid = group_sids[idx]
-                shards[sid].ingest_group(
-                    fid, sps, shops, sdigs, t, bounds[idx], bounds[idx + 1]
-                )
+                lo, hi = bounds[idx], bounds[idx + 1]
+                groups.append((shards[sid].touch_group(fid, hi - lo, t), lo, hi))
                 touched.add(sid)
+            consume_groups(groups, sps, shops, sdigs)
             for sid in touched:
                 shards[sid].batches += 1
                 shards[sid].table.maybe_expire(t)
@@ -332,7 +337,9 @@ class Collector:
         *table* operations only -- touch, capacity eviction, amortised
         TTL sweep -- so eviction victims and counters are exactly those
         of record-at-a-time ingestion, then folds each surviving flow
-        incarnation's contiguous slice into its consumer in one call.
+        incarnation's contiguous slice into its consumer
+        (:func:`~repro.collector.consumers.consume_groups`, like the
+        per-group fast path).
         Records that preceded a mid-batch eviction of their flow are
         dropped without consumer work: the scalar path folds them into
         a consumer that is then discarded, so skipping the fold is
@@ -344,6 +351,7 @@ class Collector:
         """
         slice_of = {}
         by_shard: dict = {}
+        groups = []
         for idx, fid in enumerate(group_fids):
             slice_of[fid] = (bounds[idx], bounds[idx + 1])
             by_shard.setdefault(group_sids[idx], []).append(fid)
@@ -383,11 +391,10 @@ class Collector:
                 if entry is None:
                     continue  # evicted after its last record
                 lo, hi = slice_of[f]
-                entry.consumer.consume_slice(
-                    sps, shops, sdigs, lo + start_at.get(f, 0), hi
-                )
+                groups.append((entry.consumer, lo + start_at.get(f, 0), hi))
             shard.records += int(sub.shape[0])
             shard.batches += 1
+        consume_groups(groups, sps, shops, sdigs)
 
     # -- queries -----------------------------------------------------------
 
@@ -398,13 +405,22 @@ class Collector:
         return entry.consumer if entry is not None else None
 
     def flows(self, flow_ids) -> List[Optional[DigestConsumer]]:
-        """Bulk :meth:`flow`, in input order.
+        """Bulk :meth:`flow`, in input order, routed with one hash pass.
 
-        Trivial in-process; exists so callers scoring many flows can
-        treat serial and parallel collectors alike (the parallel bulk
-        form batches one RPC per worker).
+        Callers scoring many flows can treat serial and parallel
+        collectors alike (the parallel bulk form batches one RPC per
+        worker).
         """
-        return [self.flow(int(f)) for f in flow_ids]
+        fids = np.asarray(flow_ids, dtype=np.int64)
+        if fids.size == 0:
+            return []
+        out: List[Optional[DigestConsumer]] = []
+        tables = [shard.table for shard in self.shards]
+        sids = self.router.shard_of_array(fids).tolist()
+        for fid, sid in zip(fids.tolist(), sids):
+            entry = tables[sid].get(fid)
+            out.append(entry.consumer if entry is not None else None)
+        return out
 
     def result(self, flow_id: int):
         """The flow's query answer, or None (unknown flow / undecoded)."""

@@ -33,9 +33,13 @@ import numpy as np
 from repro.apps.congestion import UtilizationCodec
 from repro.apps.latency import HopLatencyStore, LatencyCompressor
 from repro.coding import (
+    FRAGMENT,
+    HASH,
+    RAW,
     CodingScheme,
     FragmentDecoder,
     HashDecoder,
+    PathQueryContext,
     RawDecoder,
     multilayer_scheme,
     unpack_reps,
@@ -45,6 +49,7 @@ from repro.collector.batchdecode import (
     decode_latency_columns,
     decode_latency_slice,
     decode_path_columns,
+    decode_path_groups,
 )
 from repro.exceptions import DecodingError
 from repro.hashing import GlobalHash, reservoir_carrier
@@ -58,6 +63,11 @@ class DigestConsumer:
 
     #: Human-readable query kind, surfaced in snapshots.
     kind = "abstract"
+
+    #: Per-sink state the flow shares with its siblings, or None when
+    #: it decodes alone.  Still-converging flows of one context are
+    #: decoded together (see :func:`consume_groups`).
+    context = None
 
     def consume(self, pid: int, hop_count: int, digest: int) -> None:
         """Fold one packet's digest into the flow state."""
@@ -158,70 +168,40 @@ class PathDigestConsumer(DigestConsumer):
         mode: str = "hash",
         value_bits: Optional[int] = None,
     ) -> None:
-        if mode not in ("raw", "hash", "fragment"):
-            raise ValueError(
-                f"mode must be 'raw', 'hash' or 'fragment', got {mode!r}"
-            )
-        if mode != "hash" and num_hashes != 1:
-            raise ValueError("multiple hash instantiations need hash mode")
-        self.universe = tuple(universe)
-        self.digest_bits = digest_bits
-        self.num_hashes = num_hashes
-        self.seed = seed
-        self.mode = mode
-        # Fragment layout width: the universe-wide block width unless
-        # the caller pins it (must match the encoders' value_bits).
-        if value_bits is None and self.universe:
-            value_bits = max(1, max(self.universe).bit_length())
-        if mode == "fragment" and value_bits is None:
-            raise ValueError(
-                "fragment mode needs value_bits (or a non-empty "
-                "universe to derive it from)"
-            )
-        self.value_bits = value_bits
-        # Scheme resolution: explicit scheme > tuned-for-d scheme >
-        # (default) per-flow scheme derived from the observed hop
-        # count, for sinks whose encoders tune to each flow's length.
-        if scheme is not None:
-            self.scheme: Optional[CodingScheme] = scheme
-        elif d is not None:
-            self.scheme = multilayer_scheme(d)
-        else:
-            self.scheme = None
-        self.adjacency = adjacency
+        self._bind(path_query_context(
+            universe, digest_bits, num_hashes, seed, scheme, d, adjacency,
+            mode, value_bits,
+        ))
+
+    @classmethod
+    def from_context(cls, context: PathQueryContext) -> "PathDigestConsumer":
+        """One flow's consumer on a sink-wide ``context``.
+
+        What :func:`path_consumer_factory` calls per flow: the query's
+        parameters were validated and derived once, in
+        :func:`path_query_context`; the flow only references them.
+        """
+        self = cls.__new__(cls)
+        self._bind(context)
+        return self
+
+    def _bind(self, context: PathQueryContext) -> None:
+        #: The query's shared parameters (universe, widths, seed, mode,
+        #: pinned scheme, ...); read them off here.
+        self.context = context
         self.decode_errors = 0
-        self._decoder: Optional[HashDecoder] = None
+        self._decoder = None
 
     def _unpack(self, digest: int) -> tuple:
-        return unpack_reps(digest, self.digest_bits, self.num_hashes)
+        context = self.context
+        return unpack_reps(digest, context.digest_bits, context.num_hashes)
 
     def _ensure_decoder(self, hop_count: int):
         """Build the flow's mode-matching decoder from a hop count."""
         if self._decoder is None:
-            scheme = (
-                self.scheme
-                if self.scheme is not None
-                else multilayer_scheme(hop_count)
+            self._decoder = _DECODERS[self.context.mode].from_context(
+                self.context, hop_count
             )
-            if self.mode == "raw":
-                self._decoder = RawDecoder(
-                    hop_count, scheme, self.digest_bits, self.seed
-                )
-            elif self.mode == "fragment":
-                self._decoder = FragmentDecoder(
-                    hop_count, self.value_bits, scheme,
-                    self.digest_bits, self.seed,
-                )
-            else:
-                self._decoder = HashDecoder(
-                    hop_count,
-                    self.universe,
-                    scheme,
-                    self.digest_bits,
-                    self.num_hashes,
-                    self.seed,
-                    adjacency=self.adjacency,
-                )
         return self._decoder
 
     def consume(self, pid: int, hop_count: int, digest: int) -> None:
@@ -527,9 +507,87 @@ class CongestionDigestConsumer(DigestConsumer):
         return sys.getsizeof(self)
 
 
+#: Digest representation -> the decoder class that peels it.
+_DECODERS = {RAW: RawDecoder, HASH: HashDecoder, FRAGMENT: FragmentDecoder}
+
+
+def path_query_context(
+    universe: Sequence[int],
+    digest_bits: int = 8,
+    num_hashes: int = 1,
+    seed: int = 0,
+    scheme: Optional[CodingScheme] = None,
+    d: Optional[int] = None,
+    adjacency=None,
+    mode: str = "hash",
+    value_bits: Optional[int] = None,
+) -> PathQueryContext:
+    """Validate a path query's parameters into its shared context.
+
+    Takes :class:`PathDigestConsumer`'s constructor arguments; done
+    once per sink by :func:`path_consumer_factory` and once per
+    consumer by the standalone constructor.
+    """
+    if mode not in _DECODERS:
+        raise ValueError(
+            f"mode must be 'raw', 'hash' or 'fragment', got {mode!r}"
+        )
+    if mode != HASH and num_hashes != 1:
+        raise ValueError("multiple hash instantiations need hash mode")
+    universe = tuple(universe)
+    # Fragment layout width: the universe-wide block width unless
+    # the caller pins it (must match the encoders' value_bits).
+    if value_bits is None and universe:
+        value_bits = max(1, max(universe).bit_length())
+    if mode == FRAGMENT and value_bits is None:
+        raise ValueError(
+            "fragment mode needs value_bits (or a non-empty "
+            "universe to derive it from)"
+        )
+    # Scheme resolution: explicit scheme > tuned-for-d scheme >
+    # (default) per-flow scheme derived from the observed hop
+    # count, for sinks whose encoders tune to each flow's length.
+    if scheme is None and d is not None:
+        scheme = multilayer_scheme(d)
+    return PathQueryContext(
+        universe, digest_bits, num_hashes, seed, scheme, value_bits,
+        adjacency, mode,
+    )
+
+
 def path_consumer_factory(universe: Sequence[int], **kwargs) -> ConsumerFactory:
-    """Factory of :class:`PathDigestConsumer`, one per flow."""
-    return lambda flow_id: PathDigestConsumer(universe, **kwargs)
+    """Factory of :class:`PathDigestConsumer`, one per flow.
+
+    All flows share one :class:`~repro.coding.PathQueryContext`, built
+    here: the sorted universe, the widths and -- per path length, on
+    first use -- the coding scheme and derived hashes exist once per
+    sink, not once per flow.
+    """
+    context = path_query_context(universe, **kwargs)
+    return lambda flow_id: PathDigestConsumer.from_context(context)
+
+
+def consume_groups(groups, pids, hop_counts, digests) -> None:
+    """Fold every flow group of one batch into its consumer.
+
+    ``groups`` holds ``(consumer, lo, hi)``: rows ``[lo, hi)`` of the
+    (flow-grouped) columns belong to ``consumer``.  A flow whose answer
+    is complete only needs its own rows checked against it, which its
+    :meth:`~DigestConsumer.consume_slice` does in one vectorised scan.
+    The flows still converging on a shared context (new ones included)
+    are decoded together, one cross-flow pass per context
+    (:func:`repro.collector.batchdecode.decode_path_groups`) -- so the
+    shared work scales with *their* rows, not with the batch.
+    """
+    converging: Dict[PathQueryContext, list] = {}
+    for group in groups:
+        consumer, lo, hi = group
+        if consumer.context is None or consumer.is_complete:
+            consumer.consume_slice(pids, hop_counts, digests, lo, hi)
+        else:
+            converging.setdefault(consumer.context, []).append(group)
+    for context, members in converging.items():
+        decode_path_groups(context, members, pids, hop_counts, digests)
 
 
 def latency_consumer_factory(**kwargs) -> ConsumerFactory:

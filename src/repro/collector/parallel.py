@@ -1362,8 +1362,9 @@ class ParallelCollector:
         if not self._procs or not ids:
             return out
         by_worker: dict = {}
-        for pos, fid in enumerate(ids):
-            by_worker.setdefault(self._owner(fid), []).append((pos, fid))
+        owners = self.router.shard_of_array(np.asarray(ids)) % self.workers
+        for pos, (fid, w) in enumerate(zip(ids, owners.tolist())):
+            by_worker.setdefault(w, []).append((pos, fid))
         items = list(by_worker.items())
         if self._supervised:
             for w, pairs in items:

@@ -49,7 +49,10 @@ from repro.exceptions import CheckpointError, CheckpointVersionError
 
 #: Bump on any change to the pickled state layout.  A restore across
 #: versions must fail loudly (CheckpointVersionError), never misread.
-CHECKPOINT_VERSION = 1
+#: v2: path consumers and decoders pickle a reference to their sink's
+#: one shared PathQueryContext (once per blob) instead of carrying
+#: universe, scheme and hashes per flow.
+CHECKPOINT_VERSION = 2
 
 _MAGIC = b"PCKP"
 _HEADER = struct.Struct("<4sHII")  # magic, version, payload len, crc32

@@ -85,32 +85,19 @@ class Shard:
         self.table.maybe_expire(now)
         return entry
 
-    def ingest_group(
-        self,
-        flow_id: int,
-        pids: np.ndarray,
-        hop_counts: np.ndarray,
-        digests: np.ndarray,
-        now: float,
-        lo: int = 0,
-        hi: Optional[int] = None,
-    ) -> FlowEntry:
-        """Fold one flow's rows ``[lo, hi)`` of whole batch columns.
+    def touch_group(self, flow_id: int, records: int, now: float):
+        """Account one flow's ``records`` rows of a batch; return its consumer.
 
-        The flow-table touch and the consumer dispatch are paid once
-        per (batch, flow) instead of once per record -- the batching
-        win the front door's grouping exists to unlock.  Columns are
-        passed whole with bounds so consumers slice only what they
-        read (see :meth:`DigestConsumer.consume_slice`).
+        The flow-table touch and the counters are paid once per
+        (batch, flow) instead of once per record -- the batching win
+        the front door's grouping exists to unlock.  Folding the rows
+        into the consumer is the caller's job: the front door decodes
+        the still-converging flows of a batch together.
         """
-        if hi is None:
-            hi = len(pids)
         entry = self.table.touch(flow_id, now)
-        n = hi - lo
-        entry.records += n
-        entry.consumer.consume_slice(pids, hop_counts, digests, lo, hi)
-        self.records += n
-        return entry
+        entry.records += records
+        self.records += records
+        return entry.consumer
 
     def expire(self, now: float) -> int:
         """TTL sweep of this shard's table."""

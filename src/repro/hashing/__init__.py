@@ -18,7 +18,7 @@ from repro.hashing.global_hash import (
     reservoir_carrier_zip,
     reservoir_write,
     xor_acting_hops,
-    xor_acting_matrix,
+    xor_acting_zip,
 )
 from repro.hashing.bitvector import (
     acting_hops_fast,
@@ -36,7 +36,7 @@ __all__ = [
     "reservoir_carrier_array",
     "reservoir_carrier_zip",
     "xor_acting_hops",
-    "xor_acting_matrix",
+    "xor_acting_zip",
     "acting_hops_fast",
     "acting_mask",
     "random_bitvector",

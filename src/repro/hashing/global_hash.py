@@ -169,6 +169,23 @@ class GlobalHash:
             64 - width
         )
 
+    def bits_outer(
+        self, width: int, first_parts: np.ndarray, second_parts: np.ndarray
+    ) -> np.ndarray:
+        """Every (first, second) pairing: ``out[i, j] = h(first_i, second_j)``.
+
+        Entry for entry equal to ``bits(width, first_parts[i],
+        second_parts[j])`` -- the shape needed to hash many packets
+        each against a whole value universe (the first-touch candidate
+        filter of a batch of new flows).
+        """
+        if not 1 <= width <= 64:
+            raise ValueError("width must be in [1, 64]")
+        accs = mix.fold_array(mix.begin(self._key), np.asarray(first_parts))
+        return mix.fold_zip(
+            accs[:, None], np.asarray(second_parts)[None, :]
+        ) >> np.uint64(64 - width)
+
     def uniform_lanes(self, lane_parts: np.ndarray, part: Part) -> np.ndarray:
         """Per-lane first part, shared second part, mapped onto [0, 1).
 
@@ -284,18 +301,25 @@ def xor_acting_hops(
     return [i for i in range(1, path_len + 1) if g.uniform(i, packet_id) < p]
 
 
-def xor_acting_matrix(
-    g: GlobalHash, packet_ids: np.ndarray, path_len: int, p: float
+def xor_acting_zip(
+    g: GlobalHash,
+    packet_ids: np.ndarray,
+    path_lens: np.ndarray,
+    probs: np.ndarray,
 ) -> np.ndarray:
-    """Vectorised :func:`xor_acting_hops` over many packet ids.
+    """Vectorised :func:`xor_acting_hops` with per-lane lengths and ``p``.
 
-    Returns a ``(n, path_len)`` boolean matrix whose column ``i - 1``
-    says whether hop ``i`` acts; row ``j``'s set bits are exactly
-    ``xor_acting_hops(g, packet_ids[j], path_len, p)``, so the batch
-    decoders replay the scalar acting sets bit-for-bit.
+    Row ``j`` of the ``(n, max(path_lens))`` boolean matrix has exactly
+    the bits ``xor_acting_hops(g, packet_ids[j], path_lens[j],
+    probs[j])`` sets (columns past a lane's own length stay False), so
+    the batch decoders replay the scalar acting sets bit-for-bit -- in
+    the shape a column mixing flows of several path lengths, each with
+    its own scheme's XOR probability, needs.
     """
     pids = np.asarray(packet_ids)
-    out = np.empty((len(pids), path_len), dtype=bool)
-    for hop in range(1, path_len + 1):
-        out[:, hop - 1] = g.uniform_array(pids, hop) < p
+    lens = np.asarray(path_lens)
+    top = int(lens.max()) if lens.size else 0
+    out = np.empty((len(pids), top), dtype=bool)
+    for hop in range(1, top + 1):
+        out[:, hop - 1] = (g.uniform_array(pids, hop) < probs) & (lens >= hop)
     return out

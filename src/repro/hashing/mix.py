@@ -19,6 +19,8 @@ Property tests assert that the two styles agree bit-for-bit.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
 #: Mask for 64-bit wrap-around arithmetic in pure Python.
@@ -139,12 +141,15 @@ def to_unit_array(x: np.ndarray) -> np.ndarray:
     return (x.astype(np.uint64) >> np.uint64(11)) * _INV53
 
 
+@lru_cache(maxsize=4096)
 def string_to_int(text: str) -> int:
     """Deterministically fold a string into a 64-bit integer.
 
     Used so that hash *names* ("layer-select", "xor-0", ...) derive
     independent sub-keys in a platform-stable way (``hash()`` is salted
-    per process and therefore unusable).
+    per process and therefore unusable).  Memoised (bounded): every
+    :class:`~repro.hashing.GlobalHash` construction folds its name,
+    and a program uses a handful of names.
     """
     acc = 0
     for byte in text.encode("utf-8"):

@@ -813,8 +813,8 @@ class ReplayDriver:
             # whole column in one table gather (bit-identical to the
             # per-flow scalar decode this loop used to make).
             codes, truths = [], []
-            for fid, truth in zip(fids[starts].tolist(), group_max.tolist()):
-                consumer = cong_sink.flow(int(fid))
+            consumers = cong_sink.flows(fids[starts])
+            for consumer, truth in zip(consumers, group_max.tolist()):
                 if consumer is not None and consumer.max_code >= 0:
                     codes.append(consumer.max_code)
                     truths.append(truth)

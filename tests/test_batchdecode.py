@@ -36,7 +36,7 @@ from repro.hashing import (
     reservoir_carrier,
     reservoir_carrier_zip,
     xor_acting_hops,
-    xor_acting_matrix,
+    xor_acting_zip,
 )
 from repro.net import fat_tree
 
@@ -182,14 +182,19 @@ class TestVectorisedReplays:
                     int(digest), bits, reps
                 )
 
-    def test_xor_acting_matrix_matches_scalar(self):
+    def test_xor_acting_zip_matches_scalar(self):
         g = GlobalHash(3, "xor-test")
+        rng = np.random.default_rng(2)
         pids = np.arange(1, 300, dtype=np.int64)
-        for p in (0.1, 0.5, 1.0):
-            mat = xor_acting_matrix(g, pids, 7, p)
-            for i, pid in enumerate(pids):
-                hops = [h + 1 for h in np.flatnonzero(mat[i]).tolist()]
-                assert hops == xor_acting_hops(g, int(pid), 7, p)
+        lens = rng.integers(1, 9, size=len(pids))
+        probs = rng.choice([0.1, 0.5, 1.0], size=len(pids))
+        mat = xor_acting_zip(g, pids, lens, probs)
+        assert mat.shape == (len(pids), lens.max())
+        for i, pid in enumerate(pids):
+            hops = [h + 1 for h in np.flatnonzero(mat[i]).tolist()]
+            assert hops == xor_acting_hops(
+                g, int(pid), int(lens[i]), float(probs[i])
+            )
 
     def test_reservoir_carrier_zip_matches_scalar(self):
         g = GlobalHash(9, "carrier-test")

@@ -119,6 +119,32 @@ class TestCheckpointFormat:
         assert exc.value.version == CHECKPOINT_VERSION + 1
         assert exc.value.worker == 3
 
+    def test_v1_blob_rejected(self):
+        # v2 changed the pickled layout (consumers reference one shared
+        # PathQueryContext per sink); a blob framed by the previous
+        # release must fail loudly, never be misread.
+        blob = bytearray(encode_checkpoint({}))
+        blob[4:6] = (1).to_bytes(2, "little")
+        with pytest.raises(CheckpointVersionError) as exc:
+            decode_checkpoint(bytes(blob))
+        assert exc.value.version == 1
+        assert CHECKPOINT_VERSION == 2
+
+    def test_shared_context_is_pickled_once_per_blob(self):
+        """N one-packet path flows: the blob grows by the per-flow
+        state only, not by a universe/scheme/hash set per flow."""
+        def blob_bytes(flows):
+            col = Collector(FACTORIES["path"](), num_shards=2, seed=1)
+            ids = np.arange(1, flows + 1)
+            col.ingest_batch(
+                ids, ids + 1000, np.full(flows, 4), ids % 256, now=1.0
+            )
+            assert len(col) == flows
+            return len(capture_checkpoint(col))
+
+        small, large = blob_bytes(100), blob_bytes(600)
+        assert (large - small) / 500 < 300
+
     def test_truncated_payload_rejected(self):
         blob = encode_checkpoint({"k": list(range(100))})
         with pytest.raises(CheckpointError, match="truncated"):
