@@ -13,13 +13,6 @@ Two claims ride in this benchmark:
   1-core container is physics, not a regression -- and the JSON
   records both the core count and whether the bar was enforced.
 
-* **Transport.**  At the same worker count, the shared-memory ring
-  scatter (``transport="shm"``, the default) sustains >= 2x the
-  pickled-pipe scatter on a transport-bound workload (cheap
-  congestion consumers, large batches).  Gated on usable cores like
-  the throughput bar, with the same ``speedup_asserted`` /
-  ``speedup_skip_reason`` bookkeeping.
-
 * **Equivalence.**  For every registered replay scenario, a serial
   collector and a 4-worker parallel collector fed the identical
   encoded batches produce a bit-identical merged snapshot (every
@@ -86,7 +79,7 @@ def time_parallel(
     Workers are started before the clock (a collector is a long-lived
     service; fork cost is not an ingest cost) and the clock stops only
     after ``drain()`` confirms every scattered record was applied --
-    anything less would time the pipe write, not the work.
+    anything less would time the ring write, not the work.
     """
     fids, pids, hops, digs = cols
     n = len(fids)
@@ -102,67 +95,6 @@ def time_parallel(
             best = min(best, time.perf_counter() - start)
             assert col.snapshot().records == n
     return best
-
-
-def bench_transport(args, cores: int) -> dict:
-    """Shm ring vs pipe scatter at max workers, transport-bound.
-
-    Congestion consumers do trivial per-record work, so the scatter
-    transport dominates the measured rate -- exactly the cost the
-    shared-memory ring replaces.  The >=2x bar only arms with enough
-    usable cores (on fewer, both transports context-switch thrash and
-    the ratio measures the scheduler); the JSON carries the uniform
-    ``speedup_asserted``/``speedup_skip_reason`` pair either way so
-    the CI gate can tell "passed" from "never ran".
-    """
-    rng = np.random.default_rng(args.seed)
-    workers = max(args.workers)
-    batch = max(args.batch, 16384)
-    # Enough batches that steady-state scatter, not the final drain
-    # barrier, dominates the clock (cheap records: ~0.5s/leg).
-    n = max(args.records, 48 * batch)
-    cols = (
-        rng.integers(1, args.flows, n),
-        np.arange(1, n + 1),
-        rng.integers(2, 7, n),
-        rng.integers(0, 256, n),
-    )
-    factory = lambda: congestion_consumer_factory(seed=args.seed)
-    print(f"\ntransport: shm ring vs pipe, {n} cheap records, "
-          f"{workers} workers, batch={batch}")
-    rates = {}
-    for transport in ("pipe", "shm"):
-        secs = time_parallel(
-            lambda transport=transport: ParallelCollector(
-                factory(), workers=workers, num_shards=args.num_shards,
-                seed=args.seed, transport=transport,
-            ),
-            cols, batch, args.repeats,
-        )
-        rates[transport] = n / secs
-        print(f"  {transport:<5} {rates[transport]:>12,.0f} rec/s")
-    ratio = rates["shm"] / rates["pipe"]
-    enforce = cores >= workers
-    print(f"  shm/pipe ratio {ratio:.2f}x"
-          + ("" if enforce else "  (assertion skipped: too few cores)"))
-    if enforce:
-        assert ratio >= 2.0, (
-            f"shm transport only {ratio:.2f}x pipe at {workers} workers "
-            f"on {cores} cores (the ring must beat pickling + pipe "
-            "syscalls on a transport-bound workload)"
-        )
-    return {
-        "workers": workers,
-        "batch": batch,
-        "pipe_rps": round(rates["pipe"]),
-        "shm_rps": round(rates["shm"]),
-        "shm_over_pipe": round(ratio, 2),
-        "speedup_asserted": enforce,
-        "speedup_skip_reason": (
-            None if enforce else
-            f"only {cores} usable core(s) < {workers} workers"
-        ),
-    }
 
 
 def bench_throughput(args) -> dict:
@@ -318,7 +250,6 @@ def main() -> None:
           f"workers sweep {args.workers}")
 
     throughput = bench_throughput(args)
-    transport = bench_transport(args, cores)
     equivalence = bench_equivalence(args)
 
     target_workers = max(args.workers)
@@ -343,7 +274,6 @@ def main() -> None:
             None if enforce else
             f"only {cores} usable core(s) < {target_workers} workers"
         ),
-        "transport": transport,
         "equivalence": equivalence,
     }
     write_bench_json(args.json, payload)

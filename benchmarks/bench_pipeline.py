@@ -6,17 +6,16 @@ The replay→collector pipeline is measured in four places:
 * ``bench_collector_throughput.py``-> ``BENCH_ingest.json``   (ingest)
 * ``bench_decode_throughput.py``   -> ``BENCH_decode.json``   (decode)
 * ``bench_parallel_ingest.py``     -> ``BENCH_parallel.json`` (scale-out)
-* ``bench_shm_transport.py``       -> ``BENCH_shm.json``      (transport)
 
 Each file speaks its own schema; this tool flattens them into one
 ``BENCH_pipeline.json`` with uniform rows::
 
-    {"stage": "encode|ingest|decode|end_to_end|parallel|transport",
+    {"stage": "encode|ingest|decode|end_to_end|parallel",
      "config": "...",
      "scalar_rps": ..., "vector_rps": ..., "speedup": ...}
 
 so the bench trajectory accumulates comparable numbers per PR (the CI
-uploads all five files as one artifact).  Missing inputs are skipped
+uploads all of them as one artifact).  Missing inputs are skipped
 with a note -- run the stage benches first.
 
 Run:  PYTHONPATH=src python benchmarks/bench_pipeline.py
@@ -105,31 +104,6 @@ def parallel_rows(par: dict):
             "parallel", f"workers={workers}", serial, r["rps"],
             cores=par.get("cores"),
         )
-    transport = par.get("transport")
-    if transport is not None:
-        # scalar = the pipe scatter, vector = the shm ring: the
-        # speedup column reads as what the ring bought over pickling.
-        yield _row(
-            "transport", f"shm-vs-pipe workers={transport['workers']}",
-            transport["pipe_rps"], transport["shm_rps"],
-            cores=par.get("cores"),
-        )
-
-
-def shm_rows(shm: dict):
-    """Ring micro-rate and overlapped-replay rows from the shm bench."""
-    ring = shm.get("ring")
-    if ring is not None:
-        yield _row(
-            "transport", f"ring-micro slot={ring['slot_records']}",
-            None, ring["rps"],
-        )
-    overlap = shm.get("overlap")
-    if overlap is not None:
-        yield _row(
-            "end_to_end", "overlap=True", None, overlap["rps"],
-            wall_over_busiest=overlap.get("wall_over_busiest"),
-        )
 
 
 def main() -> None:
@@ -138,7 +112,6 @@ def main() -> None:
     parser.add_argument("--ingest", default="BENCH_ingest.json")
     parser.add_argument("--decode", default="BENCH_decode.json")
     parser.add_argument("--parallel", default="BENCH_parallel.json")
-    parser.add_argument("--shm", default="BENCH_shm.json")
     parser.add_argument("--json", default="BENCH_pipeline.json",
                         help="output path for the merged rows")
     args = parser.parse_args()
@@ -156,9 +129,6 @@ def main() -> None:
     parallel = _load(args.parallel)
     if parallel is not None:
         rows.extend(parallel_rows(parallel))
-    shm = _load(args.shm)
-    if shm is not None:
-        rows.extend(shm_rows(shm))
 
     payload = {"benchmark": "pipeline", "rows": rows}
     width = max((len(r["config"]) for r in rows), default=10)

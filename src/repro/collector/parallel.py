@@ -38,41 +38,43 @@ per-flow query answers are therefore bit-identical to a single-process
 collector fed the same batches -- asserted across all replay scenarios
 by ``benchmarks/bench_parallel_ingest.py``.
 
-Transport (``transport=``): the default ``"shm"`` carries batches in
-per-worker :class:`~repro.collector.shm.ShmRing` shared-memory rings
--- one vectorised column copy parent-side, zero-copy ``np.ndarray``
-views worker-side -- with the duplex pipe kept for sync RPCs and as
-the slow path for batches larger than a ring slot (each pipe data
+Transport: batches travel in per-worker :class:`~repro.collector.shm.
+ShmRing` shared-memory rings -- one vectorised column copy
+parent-side, zero-copy ``np.ndarray`` views worker-side -- and the
+duplex pipe carries sync RPCs plus the slow path for what a ring slot
+cannot hold (oversized batches, scalar ingests): each such pipe
 message is pinned into the stream by a ring tombstone, so the ring
 stays the single ordering spine and drain/FIFO semantics survive the
-split transport).  ``transport="pipe"`` keeps the original
-pickled-ndarray pipe data plane byte-for-byte.  Workers are spawned
-with the ``fork`` start method by default so consumer factories may be
-closures (the idiom throughout :mod:`repro.collector.consumers`); pass
-``start_method="spawn"`` with a picklable factory where fork is
-unavailable.
+split.  Workers are spawned with the ``fork`` start method by default
+so consumer factories may be closures (the idiom throughout
+:mod:`repro.collector.consumers`); pass ``start_method="spawn"`` with
+a picklable factory where fork is unavailable.
 
 Lifecycle: ``start()`` (or the first ingest) spawns workers;
 ``drain()`` barriers until every sent batch is applied; ``close()``
 stops and joins the workers.  The class is also a context manager.
 
-Supervision (``checkpoint_every=``): the parent stops *trusting*
-workers and starts *supervising* them.  Every worker serialises its
-full collector state into a versioned checkpoint blob on a message
-cadence (:mod:`repro.collector.recovery`); the parent journals every
+Worker loss: every sync reply is received by one pulse-watching wait
+(pipe poll + process sentinel + optional ``wedge_timeout``), and every
+full-ring push watches the same pulse, so a dead or wedged worker is
+always *noticed* in bounded time.  What happens next is policy, not a
+second code path.  Without ``checkpoint_every`` the loss is raised as
+:class:`~repro.exceptions.WorkerFailedError` (the shard state is
+gone).  With it, every worker serialises its full collector state
+into a versioned checkpoint blob on a message cadence
+(:mod:`repro.collector.recovery`) and the parent journals every
 message sent since the last accepted checkpoint in a bounded
-:class:`~repro.collector.recovery.BatchJournal`.  A worker death --
-detected by sentinel poll during any sync RPC, by broken pipe on a
-batch send, or proactively at the next ingest -- is then survivable:
-fork a replacement, restore the checkpoint, replay the journal,
-resume.  A SIGKILL mid-batch takes the partially-applied batch with
-it and the restore rewinds past it, so every message lands exactly
-once *by reconstruction* and the merged snapshot stays bit-identical
-to a fault-free run.  Only when the journal window was exceeded
-(checkpointing itself kept failing) does recovery degrade: the
-affected shards are marked ``degraded`` with records-lost accounting
-and the collector keeps serving.  Deterministic fault injection rides
-on :class:`repro.faults.FaultPlan`.
+:class:`~repro.collector.recovery.BatchJournal`, so the loss is
+survivable: fork a replacement, restore the checkpoint, replay the
+journal, re-issue the interrupted command.  A SIGKILL mid-batch takes
+the partially-applied batch with it and the restore rewinds past it,
+so every message lands exactly once *by reconstruction* and the
+merged snapshot stays bit-identical to a fault-free run.  Only when
+the journal window was exceeded (checkpointing itself kept failing)
+does recovery degrade: the affected shards are marked ``degraded``
+with records-lost accounting and the collector keeps serving.
+Deterministic fault injection rides on
+:class:`repro.faults.FaultPlan`.
 """
 
 from __future__ import annotations
@@ -106,21 +108,24 @@ from repro.exceptions import (
 )
 from repro.obs.metrics import NULL_REGISTRY, MetricsRegistry
 
-#: Commands a worker understands.  Batches are fire-and-forget; every
-#: other command is synchronous and gets exactly one ``("ok", value)``
-#: or ``("err", message)`` reply.  Pipes are FIFO, so a sync reply
-#: proves all earlier batches were applied -- that is the whole drain
-#: protocol.  ``_CHECKPOINT`` replies with the worker's framed state
-#: blob; ``_DEGRADE`` installs unreplayable-loss marks after a
-#: journal-window overrun.
+#: Messages a worker understands.  ``_BATCH``/``_INGEST`` tuples are
+#: fire-and-forget data: the shape the journal stores, written into
+#: the worker's ring when they fit a slot and wrapped in ``_SIDE``
+#: when they do not.  Every other command is synchronous, travels the
+#: pipe and gets exactly one ``("ok", value)`` or ``("err", message)``
+#: reply; the worker folds its whole ring backlog before answering,
+#: so a sync reply proves all earlier data was applied -- that is the
+#: whole drain protocol.  ``_CHECKPOINT`` replies with the worker's
+#: framed state blob; ``_DEGRADE`` installs unreplayable-loss marks
+#: after a journal-window overrun.
 _BATCH, _INGEST, _SNAPSHOT, _FLOW, _RESULT, _LEN, _EXPIRE, _EVICT, \
     _DRAIN, _STOP, _FLOWS, _CHECKPOINT, _DEGRADE = range(13)
-#: Shm-transport side channel: a fire-and-forget data message that
-#: cannot ride the ring (oversized batch, scalar ingest, journal
-#: replay of either) travels the pipe as ``(_SIDE, index, inner)``
-#: while a tombstone slot carrying ``index`` is pushed into the ring.
-#: The worker applies the inner message only when it consumes the
-#: tombstone, so the ring stays the single total order over all data.
+#: Side channel: a data message that cannot ride the ring (oversized
+#: batch, scalar ingest, journal replay of either) travels the pipe
+#: as ``(_SIDE, index, inner)`` while a tombstone slot carrying
+#: ``index`` is pushed into the ring.  The worker applies the inner
+#: message only when it consumes the tombstone, so the ring stays the
+#: single total order over all data.
 _SIDE = 13
 
 
@@ -144,14 +149,14 @@ def _worker_main(
     seed: int,
     router: Optional[ShardRouter],
     owned: List[int],
-    worker_id: int = 0,
-    obs_enabled: bool = False,
-    applied=None,
-    obs_labels: Optional[dict] = None,
-    restore: Optional[bytes] = None,
-    ring_spec: Optional[tuple] = None,
+    worker_id: int,
+    obs_enabled: bool,
+    applied,
+    obs_labels: dict,
+    restore: Optional[bytes],
+    ring_spec: tuple,
 ) -> None:
-    """One worker: a private Collector serving commands off a pipe.
+    """One worker: a private Collector fed by a ring, asked by a pipe.
 
     The worker builds the *full* shard layout (same router, same shard
     ids) but is only ever fed records of its ``owned`` shards, so the
@@ -182,17 +187,16 @@ def _worker_main(
     would be worse than dying again (the parent's ``max_restarts``
     bounds the retry storm).
 
-    ``ring_spec`` attaches the worker to its shared-memory data ring
-    (None keeps the pipe-only data plane).  With a ring, the worker
-    folds ring slots eagerly and polls the pipe only when the ring is
-    empty; a sync command first drains the entire ring backlog, which
-    restores the "a sync reply proves all earlier data was applied"
-    drain property across both transports (the parent sent the RPC
-    *after* those pushes, and its pipe write fences the shared-memory
-    stores).  A ``_SIDE`` pipe message is never applied on receipt --
-    it is parked until its tombstone slot comes up in the ring, which
-    is what keeps oversized-batch fallbacks ordered exactly where the
-    parent scattered them.
+    ``ring_spec`` attaches the worker to its shared-memory data ring.
+    The worker folds ring slots eagerly and polls the pipe only when
+    the ring is empty; a sync command is held until the ring is empty
+    again, which is what makes "a sync reply proves all earlier data
+    was applied" true (the parent sent the command *after* those
+    pushes, and its pipe write fences the shared-memory stores).  A
+    ``_SIDE`` pipe message is never applied on receipt -- it is parked
+    until its tombstone slot comes up in the ring, which is what keeps
+    oversized-batch fallbacks ordered exactly where the parent
+    scattered them.
     """
     obs = MetricsRegistry() if obs_enabled else None
     col = Collector(
@@ -203,7 +207,7 @@ def _worker_main(
         seed=seed,
         router=router,
         obs=obs,
-        obs_labels={**(obs_labels or {}), "worker": str(worker_id)},
+        obs_labels={**obs_labels, "worker": str(worker_id)},
     )
     if restore is not None:
         restore_collector(col, restore, worker=worker_id)
@@ -243,17 +247,16 @@ def _worker_main(
             # Count attempts, not successes: the parent's sent
             # counter has no idea a batch failed, and the backlog
             # gauge must return to zero either way.
-            if applied is not None:
-                applied.value += 1
+            applied.value += 1
 
     def apply_data(m) -> None:
-        """One pipe-borne data message (a _BATCH or _INGEST tuple)."""
+        """One side-channel data message (a _BATCH or _INGEST tuple)."""
         if m[0] == _BATCH:
             fold(col.ingest_batch, m[1], m[2], m[3], m[4], now=m[5])
         else:
             fold(col.ingest, m[1], m[2], m[3], m[4], now=m[5])
 
-    ring = ShmRing.attach(*ring_spec) if ring_spec is not None else None
+    ring = ShmRing.attach(*ring_spec)
     #: ``_SIDE`` messages received ahead of their tombstones, by side
     #: index.  Ordering lives in the ring; the pipe only carries the
     #: payloads a slot cannot.
@@ -280,60 +283,41 @@ def _worker_main(
         ring.advance()
         return True
 
-    def drain_ring() -> bool:
-        """Fold the whole ring backlog (before any sync command)."""
-        while True:
-            slot = ring.peek()
-            if slot is None:
-                return True
-            if not consume_slot(slot):
-                return False
-
+    #: A sync command read off the pipe, held until the ring is empty.
+    held: Optional[tuple] = None
     while True:
-        if ring is not None:
-            slot = ring.peek()
-            if slot is not None:
-                if not consume_slot(slot):
-                    break
-                continue
+        slot = ring.peek()
+        if slot is not None:
+            if not consume_slot(slot):
+                break
+            continue
+        if held is None:
             try:
                 if not conn.poll(0.001):
                     continue
                 msg = conn.recv()
             except (EOFError, OSError):
                 break
-        else:
-            try:
-                msg = conn.recv()
-            except (EOFError, OSError):
-                break
-        op = msg[0]
-        if op == _SIDE:
-            # Park it: the ring decides when it applies.  (The parent
-            # pushes the tombstone right after this send, but an
-            # earlier ring batch may still be invisible to this
-            # process; applying now could reorder the stream.)
-            pending_side[msg[1]] = msg[2]
-            continue
-        if op == _BATCH or op == _INGEST:
-            apply_data(msg)
-            continue
-        # Sync command: every data message the parent sent before it
-        # is already published to the ring (the pipe write fences the
-        # shared-memory stores), so folding the ring backlog first
-        # restores the drain protocol across both transports.
-        if ring is not None and not drain_ring():
-            break
-        if op == _STOP:
-            # Parked batch failures must not die with the worker: the
-            # stop reply is the last chance to surface them.
-            err = pop_errors()
-            if err is not None:
-                conn.send(("err", err))
+            if msg[0] == _SIDE:
+                # Park it: the ring decides when it applies.  (The
+                # parent pushes the tombstone right after this send,
+                # but an earlier ring batch may still be invisible to
+                # this process; applying now could reorder the stream.)
+                pending_side[msg[1]] = msg[2]
             else:
-                conn.send(("ok", None))
-            break
+                # Sync command: every data message the parent sent
+                # before it is already published to the ring (the pipe
+                # write fences the shared-memory stores), so one more
+                # pass over the ring before answering is the drain
+                # protocol.
+                held = msg
+            continue
+        msg, held = held, None
+        op = msg[0]
         try:
+            # Parked batch failures ride the next sync reply -- the
+            # stop reply included: it is the last chance to surface
+            # them before they die with the worker.
             err = pop_errors()
             if err is not None:
                 raise WorkerFailedError(
@@ -360,7 +344,7 @@ def _worker_main(
                 reply = col.expire(now=msg[1])
             elif op == _EVICT:
                 reply = col.evict(msg[1])
-            elif op == _DRAIN:
+            elif op == _DRAIN or op == _STOP:
                 reply = None
             elif op == _CHECKPOINT:
                 # Sync, so it queues behind every in-flight batch: the
@@ -384,8 +368,9 @@ def _worker_main(
             conn.send(("ok", reply))
         except Exception:
             conn.send(("err", traceback.format_exc()))
-    if ring is not None:
-        ring.close()
+        if op == _STOP:
+            break
+    ring.close()
     conn.close()
 
 
@@ -396,8 +381,9 @@ class ParallelCollector:
     ingest, query, expiry and snapshot methods, same clock-mode guard
     -- with ingestion and decode spread across worker processes.  Use
     it when per-record decode work (path peeling, sketch updates)
-    dominates; for trivially cheap consumers the pickled-column
-    transport costs more than it buys (see DESIGN.md section 5).
+    dominates; for trivially cheap consumers the scatter (one routing
+    hash and one column copy per batch) costs more than the workers
+    buy back (see DESIGN.md section 5).
 
     Parameters
     ----------
@@ -413,18 +399,12 @@ class ParallelCollector:
         ``multiprocessing`` start method.  The default ``fork``
         supports closure factories; ``spawn`` requires picklable
         arguments throughout.
-    transport:
-        ``"shm"`` (default) scatters batches through per-worker
-        shared-memory rings (:mod:`repro.collector.shm`) with the
-        pipe as the slow path for oversized batches and scalars;
-        ``"pipe"`` keeps the original pickled-ndarray pipe data
-        plane.  Results are bit-identical either way.
     ring_slots / ring_records:
         Shm-ring geometry: slots per ring (>= 2; generalised double
         buffering) and records per slot.  A batch over
-        ``ring_records`` records falls back to the pipe -- size it to
-        the scatter's per-worker sub-batch (``batch / workers``-ish)
-        to keep the fast path hot.  Ignored for ``transport="pipe"``.
+        ``ring_records`` records falls back to the pipe side channel
+        -- size it to the scatter's per-worker sub-batch
+        (``batch / workers``-ish) to keep the fast path hot.
     obs:
         Optional :class:`~repro.obs.metrics.MetricsRegistry`.  The
         parent registers scatter/drain spans, per-worker sent-batch
@@ -436,9 +416,10 @@ class ParallelCollector:
     checkpoint_every:
         Enables supervision: each worker is checkpointed after every
         ``checkpoint_every`` fire-and-forget messages, the parent
-        journals un-checkpointed messages, and worker deaths are
-        survived (restore + replay) instead of raised.  ``None``
-        (default) keeps the original die-loudly behaviour.
+        journals un-checkpointed messages, and a lost worker is
+        replaced (restore + replay) instead of raised.  ``None``
+        (default) raises :class:`~repro.exceptions.WorkerFailedError`
+        when a worker is lost.
     journal_batches:
         Per-worker journal capacity in messages; defaults to
         ``4 * checkpoint_every``.  With capacity >= ``checkpoint_every``
@@ -450,8 +431,10 @@ class ParallelCollector:
         its kill/wedge specs after the matching sends and applies its
         checkpoint specs to checkpoint replies (chaos testing).
     wedge_timeout:
-        Seconds a sync RPC may go unanswered by a *live* worker before
-        it is declared wedged and recovered (SIGSTOP survival).
+        Seconds a *live* worker may leave a sync RPC unanswered, or a
+        full ring undrained, before it is declared wedged and handled
+        like a dead one (SIGSTOP survival when supervised, a bounded
+        :class:`~repro.exceptions.WorkerFailedError` when not).
         ``None`` disables wedge detection -- death detection alone.
     max_restarts:
         Per-worker restart budget; exceeding it raises
@@ -474,6 +457,8 @@ class ParallelCollector:
         seed: int = 0,
         router: Optional[ShardRouter] = None,
         start_method: str = "fork",
+        # Accepted only because bench/stageloop.py:148 (frozen) passes
+        # it; delete with that call in the next benchmark PR.
         transport: str = "shm",
         ring_slots: int = 8,
         ring_records: int = 16384,
@@ -492,12 +477,11 @@ class ParallelCollector:
             raise ValueError("checkpoint_every must be >= 1")
         if checkpoint_every is None and (
             journal_batches is not None or faults is not None
-            or wedge_timeout is not None
         ):
             raise ValueError(
-                "journal_batches/faults/wedge_timeout require "
-                "checkpoint_every (supervision): without checkpoints "
-                "there is nothing to recover a worker to"
+                "journal_batches/faults require checkpoint_every "
+                "(supervision): without checkpoints there is nothing "
+                "to recover a worker to"
             )
         if journal_batches is not None and journal_batches < 1:
             raise ValueError("journal_batches must be >= 1")
@@ -514,9 +498,11 @@ class ParallelCollector:
                 f"({num_shards}): a worker with no shard never sees a "
                 "record"
             )
-        if transport not in ("shm", "pipe"):
+        if transport != "shm":
             raise ValueError(
-                f"transport must be 'shm' or 'pipe', got {transport!r}"
+                f"transport must be 'shm', got {transport!r}: the pipe "
+                "data plane was removed in PR 14 (the ring is the only "
+                "carrier of batch data)"
             )
         if ring_slots < 2:
             raise ValueError("ring_slots must be >= 2 (double buffering)")
@@ -533,10 +519,9 @@ class ParallelCollector:
         )
         self._ctx = mp.get_context(start_method)
         self._start_method = start_method
-        self.transport = transport
         self._ring_slots = ring_slots
         self._ring_records = ring_records
-        #: One ShmRing per worker (shm transport; empty for pipe).
+        #: One ShmRing per worker, created with it.
         self._rings: List[ShmRing] = []
         #: Side-channel messages sent per worker since its ring was
         #: created (the tombstone numbering; reset with a fresh ring).
@@ -552,7 +537,8 @@ class ParallelCollector:
         #: created at start()).  Their difference is the live backlog.
         self._sent: List[int] = [0] * workers
         self._applied: List = []
-        # -- supervision state (all inert when checkpoint_every=None) --
+        # -- supervision state (journal/checkpoint parts inert when
+        # checkpoint_every=None; wedge_timeout applies either way) --
         self._checkpoint_every = checkpoint_every
         self._journal_batches = (
             journal_batches if journal_batches is not None
@@ -597,7 +583,7 @@ class ParallelCollector:
         base = self._obs_labels
         self._sp_scatter = obs.span(
             "pint_parallel_scatter_seconds",
-            "Time routing + piping one batch to the workers.",
+            "Time routing + pushing one batch into the worker rings.",
             labels=base,
         )
         self._sp_drain = obs.span(
@@ -618,7 +604,7 @@ class ParallelCollector:
                 labels=labels,
             ).set_function(
                 lambda w=w: self._sent[w] - (
-                    self._applied[w].value if w < len(self._applied) else 0
+                    self._applied[w].value if self._procs else 0
                 )
             )
             obs.counter(
@@ -629,12 +615,11 @@ class ParallelCollector:
             obs.gauge(
                 "pint_parallel_ring_occupancy",
                 "Slots published to this worker's shm ring and not "
-                "yet consumed (0 for the pipe transport).",
+                "yet consumed.",
                 labels=labels,
             ).set_function(
                 lambda w=w: (
-                    self._rings[w].occupancy()
-                    if w < len(self._rings) else 0
+                    self._rings[w].occupancy() if self._procs else 0
                 )
             )
 
@@ -652,63 +637,39 @@ class ParallelCollector:
         if self._procs:
             return self
         for w in range(self.workers):
-            owned = list(range(w, self.num_shards, self.workers))
-            parent_conn, child_conn = self._ctx.Pipe(duplex=True)
-            applied = self._ctx.Value("L", 0, lock=False)
-            self._applied.append(applied)
-            ring_spec = None
-            if self.transport == "shm":
-                ring = ShmRing.create(self._ring_slots, self._ring_records)
-                self._rings.append(ring)
-                ring_spec = ring.spec(self._start_method)
-            proc = self._ctx.Process(
-                target=_worker_main,
-                args=(
-                    child_conn, *self._spec, owned,
-                    w, self.obs.enabled, applied, self._obs_labels,
-                    None, ring_spec,
-                ),
-                daemon=True,
-                name=f"collector-worker-{w}",
-            )
-            proc.start()
-            child_conn.close()
-            self._conns.append(parent_conn)
+            conn, proc, ring, applied = self._spawn(w, None, 0)
+            self._conns.append(conn)
             self._procs.append(proc)
+            self._rings.append(ring)
+            self._applied.append(applied)
         return self
 
-    def _broadcast(self, msg) -> list:
-        """One sync command to *every* worker: send all, then collect.
+    def _spawn(self, w: int, restore: Optional[bytes], applied: int):
+        """Fork worker ``w`` behind a fresh pipe and a fresh ring.
 
-        Sending to all workers before reading any reply makes barrier
-        waits cost the slowest worker's backlog instead of the sum of
-        backlogs (the workers fold their queues concurrently while the
-        parent collects).  Every reply is consumed even when one
-        carries an error, so a failure in one worker never leaves
-        another's reply stranded in its pipe to desync later RPCs.
-
-        Supervised, the round-trips run one worker at a time instead:
-        a death mid-barrier then recovers and retries just that worker
-        (workers still fold their already-sent backlogs concurrently;
-        only the tiny RPC replies serialise).
+        The one place a worker process is created -- at :meth:`start`
+        and again by :meth:`_recover_worker`, which passes the
+        checkpoint to ``restore`` and the applied-counter value the
+        backlog gauge should resume from.  Returns ``(conn, process,
+        ring, applied counter)`` for the caller to install.
         """
-        if self._supervised:
-            return [
-                self._call_supervised(w, msg)
-                for w in range(len(self._conns))
-            ]
-        for conn in self._conns:
-            self._send(conn, msg)
-        values = []
-        errors = []
-        for conn in self._conns:
-            try:
-                values.append(self._recv(conn))
-            except RuntimeError as exc:
-                errors.append(str(exc))
-        if errors:
-            raise WorkerFailedError("\n".join(errors))
-        return values
+        parent_conn, child_conn = self._ctx.Pipe(duplex=True)
+        ring = ShmRing.create(self._ring_slots, self._ring_records)
+        counter = self._ctx.Value("L", applied, lock=False)
+        proc = self._ctx.Process(
+            target=_worker_main,
+            args=(
+                child_conn, *self._spec,
+                list(range(w, self.num_shards, self.workers)),
+                w, self.obs.enabled, counter, self._obs_labels,
+                restore, ring.spec(self._start_method),
+            ),
+            daemon=True,
+            name=f"collector-worker-{w}",
+        )
+        proc.start()
+        child_conn.close()
+        return parent_conn, proc, ring, counter
 
     def _check_open(self) -> None:
         """A closed collector's state is gone: answering queries with
@@ -723,9 +684,9 @@ class ParallelCollector:
     def drain(self) -> None:
         """Barrier: return once every sent record has been applied.
 
-        Pipe FIFO ordering guarantees all earlier batches were folded
-        before the reply; any deferred worker-side ingest failure
-        surfaces here.
+        A worker answers only after folding its whole ring backlog,
+        so the replies prove every earlier batch was applied; any
+        deferred worker-side ingest failure surfaces here.
         """
         self._check_open()
         if not self._procs:
@@ -783,22 +744,15 @@ class ParallelCollector:
                 conn.close()
                 continue
             try:
-                if conn.poll(timeout):
-                    tag, value = conn.recv()
-                    if tag == "err":
-                        errors.append(value)
-                else:
-                    errors.append(
-                        f"worker {i} did not acknowledge stop within "
-                        f"{timeout}s and was terminated; queued batches "
-                        "(and any deferred ingest error) were lost"
-                    )
-            except (EOFError, OSError):
+                self._reply(i, timeout)
+            except _WorkerDied as exc:
                 errors.append(
-                    f"worker {i} died before acknowledging stop "
-                    "(broken pipe); its shard state and any deferred "
-                    "ingest error were lost"
+                    f"stop not acknowledged ({exc}); the worker was "
+                    "terminated and its queued batches (and any "
+                    "deferred ingest error) were lost"
                 )
+            except WorkerFailedError as exc:
+                errors.append(str(exc))
             conn.close()
         # Escalating shutdown: cooperative join, then SIGTERM, then --
         # for a worker that masks SIGTERM or is SIGSTOPped -- SIGKILL,
@@ -850,52 +804,21 @@ class ParallelCollector:
 
     # -- transport ---------------------------------------------------------
 
-    def _send(self, conn, msg) -> None:
-        try:
-            conn.send(msg)
-        except (BrokenPipeError, OSError) as exc:
-            raise WorkerFailedError(
-                "collector worker died (broken pipe); its shard state "
-                "is lost -- check the worker traceback on stderr"
-            ) from exc
-
-    def _recv(self, conn):
-        try:
-            tag, value = conn.recv()
-        except (EOFError, OSError) as exc:
-            raise WorkerFailedError(
-                "collector worker died before replying; its shard "
-                "state is lost -- check the worker traceback on stderr"
-            ) from exc
-        if tag == "err":
-            raise WorkerFailedError(f"collector worker failed:\n{value}")
-        return value
-
     def _transport_ff(self, w: int, msg: tuple) -> None:
         """Route one fire-and-forget data message to worker ``w``.
 
-        ``msg`` is always the legacy pipe-shaped tuple (``_BATCH`` or
-        ``_INGEST``) -- the journal stores exactly these, so replay
-        and live traffic share one path.  On the shm transport a
-        fitting batch is written into the ring; everything else (an
-        oversized batch, a scalar) goes over the pipe as a numbered
-        ``_SIDE`` message *followed by* its ring tombstone -- pipe
-        first, so a consumer blocking on the tombstone always finds
-        the message in flight, never a hole.  Raises
-        :class:`_WorkerDied` when the worker cannot take the message
-        (dead, or -- under ``wedge_timeout`` -- making no progress on
-        a full ring); callers decide whether that is recoverable.
+        ``msg`` is a ``_BATCH`` or ``_INGEST`` tuple -- the journal
+        stores exactly these, so replay and live traffic share this
+        one path.  A batch that fits a slot is written into the ring;
+        everything else (an oversized batch, a scalar) goes over the
+        pipe as a numbered ``_SIDE`` message *followed by* its ring
+        tombstone -- pipe first, so a consumer blocking on the
+        tombstone always finds the message in flight, never a hole.
+        Raises :class:`_WorkerDied` when the worker cannot take the
+        message (dead, or -- under ``wedge_timeout`` -- making no
+        progress on a full ring); callers decide what that means.
         """
-        ring = self._rings[w] if w < len(self._rings) else None
-        conn = self._conns[w]
-        if ring is None:
-            try:
-                conn.send(msg)
-            except (BrokenPipeError, OSError) as exc:
-                raise _WorkerDied(
-                    f"worker {w} pipe broken at batch"
-                ) from exc
-            return
+        ring = self._rings[w]
         alive = self._procs[w].is_alive
         if msg[0] == _BATCH and ring.fits(int(msg[1].shape[0])):
             fids, ps, hops, digs, t = msg[1], msg[2], msg[3], msg[4], msg[5]
@@ -903,70 +826,49 @@ class ParallelCollector:
             def attempt() -> bool:
                 return ring.try_push(fids, ps, hops, digs, t)
 
+        else:
+            idx = self._side_sent[w] + 1
             try:
-                ring.push_wait(attempt, alive, timeout=self._wedge_timeout)
-            except PeerGoneError as exc:
-                raise _WorkerDied(f"worker {w}: {exc}") from exc
-            return
-        idx = self._side_sent[w] + 1
-        try:
-            conn.send((_SIDE, idx, msg))
-        except (BrokenPipeError, OSError) as exc:
-            raise _WorkerDied(
-                f"worker {w} pipe broken at side message"
-            ) from exc
-        self._side_sent[w] = idx
+                self._conns[w].send((_SIDE, idx, msg))
+            except (BrokenPipeError, OSError) as exc:
+                raise _WorkerDied(
+                    f"worker {w} pipe broken at side message"
+                ) from exc
+            self._side_sent[w] = idx
 
-        def attempt_tombstone() -> bool:
-            return ring.try_push_tombstone(idx)
+            def attempt() -> bool:
+                return ring.try_push_tombstone(idx)
 
         try:
-            ring.push_wait(
-                attempt_tombstone, alive, timeout=self._wedge_timeout
-            )
+            ring.push_wait(attempt, alive, timeout=self._wedge_timeout)
         except PeerGoneError as exc:
             raise _WorkerDied(f"worker {w}: {exc}") from exc
 
-    def _send_ff(self, w: int, msg: tuple) -> None:
-        """Unsupervised fire-and-forget send: die loudly on a corpse."""
-        try:
-            self._transport_ff(w, msg)
-        except _WorkerDied as exc:
-            raise WorkerFailedError(
-                "collector worker died (broken pipe); its shard state "
-                "is lost -- check the worker traceback on stderr"
-            ) from exc
-        self._sent[w] += 1
+    def _request(self, w: int, msg: tuple) -> None:
+        """Send one sync command to worker ``w``.
 
-    def _call(self, worker: int, msg):
-        """One synchronous RPC round-trip to ``worker``.
-
-        Callers guard on :attr:`started`: queries against a collector
-        that never ingested answer "empty" locally rather than forking
-        worker processes as a side effect of a read-only probe.
+        A broken pipe is not raised here: the worker behind it is
+        dead, and :meth:`_reply` -- which follows every request --
+        reports exactly that.  Worker loss therefore has one detection
+        point, and a scatter can finish sending to the healthy
+        workers before it deals with the dead one.
         """
-        if self._supervised:
-            return self._call_supervised(worker, msg)
-        conn = self._conns[worker]
-        self._send(conn, msg)
-        return self._recv(conn)
+        try:
+            self._conns[w].send(msg)
+        except (BrokenPipeError, OSError):
+            pass
 
-    def _owner(self, flow_id: int) -> int:
-        return self.router.shard_of(flow_id) % self.workers
-
-    # -- supervision -------------------------------------------------------
-
-    def _recv_supervised(self, w: int):
+    def _reply(self, w: int, timeout: Optional[float]):
         """Receive one sync reply, watching the worker's pulse.
 
-        Unlike :meth:`_recv`, this never blocks on a corpse: it polls
-        the pipe on a short tick and checks the process sentinel in
-        between, so a worker that died mid-RPC surfaces as
-        :class:`_WorkerDied` (recoverable) instead of hanging the
-        parent.  A *live* worker that stays silent past
-        ``wedge_timeout`` is declared wedged -- SIGSTOP and
-        infinite-loop failures look identical from the pipe, and both
-        are cured by replacement.
+        Never blocks on a corpse: it polls the pipe on a short tick
+        and checks the process sentinel in between, so a worker that
+        died mid-RPC surfaces as :class:`_WorkerDied` instead of
+        hanging the parent.  A *live* worker that stays silent past
+        ``timeout`` (``wedge_timeout`` everywhere but :meth:`close`;
+        None waits as long as the worker lives) is declared wedged --
+        SIGSTOP and infinite-loop failures look identical from the
+        pipe, and both are cured by replacement.
         """
         conn = self._conns[w]
         proc = self._procs[w]
@@ -978,12 +880,12 @@ class ParallelCollector:
                     break
                 raise _WorkerDied(f"worker {w} died mid-RPC")
             if (
-                self._wedge_timeout is not None
-                and time.monotonic() - start >= self._wedge_timeout  # repro-lint: disable=R002 reason=wedge detection times a live child process, not simulated replay time
+                timeout is not None
+                and time.monotonic() - start >= timeout  # repro-lint: disable=R002 reason=wedge detection times a live child process, not simulated replay time
             ):
                 raise _WorkerDied(
-                    f"worker {w} wedged: no RPC reply in "
-                    f"{self._wedge_timeout}s with the process alive"
+                    f"worker {w} wedged: no RPC reply in {timeout}s "
+                    "with the process alive"
                 )
         try:
             tag, value = conn.recv()
@@ -993,34 +895,78 @@ class ParallelCollector:
             raise WorkerFailedError(f"collector worker failed:\n{value}")
         return value
 
-    def _call_supervised(self, w: int, msg):
-        """Sync RPC that survives the callee dying: recover and retry.
+    def _await(self, w: int, msg: tuple):
+        """The reply to ``msg``, already requested of worker ``w``.
 
-        Safe because every sync op is idempotent against restored
-        state -- queries are read-only, ``_EXPIRE``/``_EVICT`` converge
-        to the same table either way -- and the re-sent message lands
-        *after* the journal replay the recovery performed, exactly
-        where it would have landed on a healthy worker.
+        A worker lost mid-RPC is recovered and ``msg`` re-issued to
+        its replacement (unsupervised, :meth:`_recover_worker` raises
+        instead).  The retry is safe because every sync op is
+        idempotent against restored state -- queries are read-only,
+        ``_EXPIRE``/``_EVICT`` converge to the same table either way
+        -- and the re-sent message lands *after* the journal replay
+        the recovery performed, exactly where it would have landed on
+        a healthy worker.
         """
         while True:
             try:
-                try:
-                    self._conns[w].send(msg)
-                except (BrokenPipeError, OSError) as exc:
-                    raise _WorkerDied(
-                        f"worker {w} pipe broken at send"
-                    ) from exc
-                return self._recv_supervised(w)
+                return self._reply(w, self._wedge_timeout)
             except _WorkerDied as exc:
                 self._recover_worker(w, str(exc))
+                self._request(w, msg)
+
+    def _call(self, w: int, msg: tuple):
+        """One synchronous RPC round-trip to worker ``w``.
+
+        Callers guard on :attr:`started`: queries against a collector
+        that never ingested answer "empty" locally rather than forking
+        worker processes as a side effect of a read-only probe.
+        """
+        self._request(w, msg)
+        return self._await(w, msg)
+
+    def _gather(self, requests: Dict[int, tuple]) -> dict:
+        """Sync commands to several workers: send all, then collect.
+
+        Sending to every worker before reading any reply makes the
+        wait cost the slowest worker's backlog (or its largest reply
+        -- ``_FLOWS`` answers are pickled decoders) instead of the
+        sum: the workers fold and serialise concurrently while the
+        parent collects.  A worker lost meanwhile is recovered and
+        re-asked alone.  Every reply is consumed even when one
+        carries an error, so a failure in one worker never leaves
+        another's reply stranded in its pipe to desync later RPCs.
+        """
+        for w, msg in requests.items():
+            self._request(w, msg)
+        replies = {}
+        errors = []
+        for w, msg in requests.items():
+            try:
+                replies[w] = self._await(w, msg)
+            except WorkerFailedError as exc:
+                errors.append(str(exc))
+        if errors:
+            raise WorkerFailedError("\n".join(errors))
+        return replies
+
+    def _broadcast(self, msg: tuple) -> list:
+        """One sync command to *every* worker; replies in worker order."""
+        requests = dict.fromkeys(range(self.workers), msg)
+        return list(self._gather(requests).values())
+
+    def _owner(self, flow_id: int) -> int:
+        return self.router.shard_of(flow_id) % self.workers
+
+    # -- worker loss: recover or raise -------------------------------------
 
     def _reap(self) -> None:
-        """Proactive sentinel sweep: recover any silently dead worker.
+        """Proactive sentinel sweep: handle any silently dead worker.
 
-        Fire-and-forget sends only notice death once the pipe breaks,
-        which OS buffering can delay past many batches; sweeping at
-        ingest time keeps the recovery point (and thus the replay
-        volume) close to the death point.
+        A ring push only notices death once the ring fills, which can
+        be many batches late; sweeping at ingest time keeps the
+        recovery point (and thus the replay volume) close to the death
+        point -- and, unsupervised, stops the front door scattering
+        into a ring nobody reads.
         """
         for w, proc in enumerate(self._procs):
             if not proc.is_alive():
@@ -1040,14 +986,9 @@ class ParallelCollector:
         journal = self._journals[w]
         self._ckpt_ordinal[w] += 1
         ordinal = self._ckpt_ordinal[w]
+        self._request(w, (_CHECKPOINT,))
         try:
-            try:
-                self._conns[w].send((_CHECKPOINT,))
-            except (BrokenPipeError, OSError) as exc:
-                raise _WorkerDied(
-                    f"worker {w} pipe broken at checkpoint"
-                ) from exc
-            data = self._recv_supervised(w)
+            data = self._reply(w, self._wedge_timeout)
         except _WorkerDied as exc:
             self._recover_worker(w, str(exc))
             return
@@ -1074,19 +1015,29 @@ class ParallelCollector:
         self._rec["checkpoints_taken"] += 1
 
     def _recover_worker(self, w: int, reason: str) -> None:
-        """Replace a dead/wedged worker: restore + replay + resume.
+        """A worker is lost: replace it (restore + replay), or raise.
 
-        The replacement installs the last validated checkpoint before
-        reading its pipe, then the journal (every message since that
-        checkpoint's ACK) is replayed in FIFO order -- reconstruction,
-        not dedup, is what makes each message count exactly once.  If
-        the journal evicted entries since the checkpoint (its window
-        was exceeded), that *potential* loss now becomes actual: the
-        per-shard dropped counts are pinned onto the restored shards
-        as degraded marks.  The ledger is deliberately *not* cleared
-        here -- the checkpoint predates the marks, so a repeat death
-        before the next ACK must re-apply them after its own restore.
+        Without supervision there is no checkpoint to restore and no
+        journal to replay, so the loss is raised as
+        :class:`~repro.exceptions.WorkerFailedError` -- the one place
+        that policy lives.  Supervised, the replacement installs the
+        last validated checkpoint before reading its pipe, then the
+        journal (every message since that checkpoint's ACK) is
+        replayed in FIFO order -- reconstruction, not dedup, is what
+        makes each message count exactly once.  If the journal evicted
+        entries since the checkpoint (its window was exceeded), that
+        *potential* loss now becomes actual: the per-shard dropped
+        counts are pinned onto the restored shards as degraded marks.
+        The ledger is deliberately *not* cleared here -- the
+        checkpoint predates the marks, so a repeat death before the
+        next ACK must re-apply them after its own restore.
         """
+        if not self._supervised:
+            raise WorkerFailedError(
+                f"collector worker lost ({reason}); its shard state is "
+                "gone -- check the worker traceback on stderr, or set "
+                "checkpoint_every to survive worker loss"
+            )
         self._restarts[w] += 1
         self._rec["restarts"] += 1
         if self._restarts[w] > self._max_restarts:
@@ -1106,46 +1057,26 @@ class ParallelCollector:
             # cannot be blocked, caught or stopped.
             proc.kill()
         proc.join(timeout=5.0)
+        # The dead worker's ring may hold batches it never folded (the
+        # journal replays them) and its consumed index is frozen
+        # mid-stream: the replacement gets a fresh segment.  The old
+        # one is unlinked here -- a SIGKILLed worker cannot unmap
+        # anything, but the name must not outlive recovery.
+        self._rings[w].close()
+        self._rings[w].unlink()
         journal = self._journals[w]
-        owned = list(range(w, self.num_shards, self.workers))
-        parent_conn, child_conn = self._ctx.Pipe(duplex=True)
-        ring_spec = None
-        if w < len(self._rings):
-            # The dead worker's ring may hold batches it never folded
-            # (the journal replays them) and its consumed index is
-            # frozen mid-stream: replace the segment outright.  The
-            # old one is unlinked here -- a SIGKILLed worker cannot
-            # unmap anything, but the name must not outlive recovery.
-            old = self._rings[w]
-            old.close()
-            old.unlink()
-            ring = ShmRing.create(self._ring_slots, self._ring_records)
-            self._rings[w] = ring
-            ring_spec = ring.spec(self._start_method)
-            # Fresh ring, fresh pipe: side numbering restarts with it.
-            self._side_sent[w] = 0
         # The replacement's applied counter starts at sent-minus-replay
         # so the backlog gauge stays truthful: after the journal is
         # folded it reads zero again, exactly like a worker that never
         # died.
-        applied = self._ctx.Value(
-            "L", max(0, self._sent[w] - len(journal)), lock=False
+        (
+            self._conns[w], self._procs[w], self._rings[w],
+            self._applied[w],
+        ) = self._spawn(
+            w, self._checkpoints[w], max(0, self._sent[w] - len(journal))
         )
-        self._applied[w] = applied
-        new_proc = self._ctx.Process(
-            target=_worker_main,
-            args=(
-                child_conn, *self._spec, owned,
-                w, self.obs.enabled, applied, self._obs_labels,
-                self._checkpoints[w], ring_spec,
-            ),
-            daemon=True,
-            name=f"collector-worker-{w}",
-        )
-        new_proc.start()
-        child_conn.close()
-        self._conns[w] = parent_conn
-        self._procs[w] = new_proc
+        # Fresh ring, fresh pipe: side numbering restarts with them.
+        self._side_sent[w] = 0
         replay = journal.replay_messages()
         for m in replay:
             try:
@@ -1163,31 +1094,36 @@ class ParallelCollector:
         self._rec["replayed_batches"] += len(replay)
         self._rec["replayed_records"] += journal.records
         if journal.dropped_by_shard:
+            # Not _call: a retry after the recursive recovery (which
+            # marks for itself) would pin the same loss twice.
+            self._request(w, (_DEGRADE, dict(journal.dropped_by_shard)))
             try:
-                parent_conn.send((_DEGRADE, dict(journal.dropped_by_shard)))
-                self._recv_supervised(w)
+                self._reply(w, self._wedge_timeout)
             except _WorkerDied:
                 self._recover_worker(w, "replacement died at degrade mark")
 
-    def _post(
-        self, w: int, msg: tuple, records: int,
-        shard_counts: Dict[int, int],
-    ) -> None:
-        """Supervised fire-and-forget send: journal first, pipe second.
+    def _journal(self, w: int, msg: tuple, shard_ids: np.ndarray) -> None:
+        """Supervision's half of a send: make ``msg`` replayable first.
 
         Journal-before-send is the crash-safety ordering -- a message
-        the pipe ate (broken mid-send) is already replayable.  A full
-        journal first tries to make room the honest way (a checkpoint
-        barrier: backpressure, not loss); only if checkpointing is
-        itself failing does the append evict, and that eviction either
-        raises (``on_data_loss="raise"``) or accrues potential loss
-        the next recovery will materialise.  After the send, due
-        fault-plan kills/wedges fire, then the checkpoint cadence.
+        the transport ate (worker lost mid-push) is already
+        replayable.  ``shard_ids`` holds the shard of every record in
+        ``msg``: the journal accounts records per shard, the
+        granularity degraded marking needs.  A full journal first
+        tries to make room the honest way (a checkpoint barrier:
+        backpressure, not loss); only if checkpointing is itself
+        failing does the append evict, and that eviction either raises
+        (``on_data_loss="raise"``) or accrues potential loss the next
+        recovery will materialise.
         """
         journal = self._journals[w]
         if journal.full:
             self._checkpoint_worker(w)
-        evicted = journal.append(msg, records, shard_counts)
+        uniq, counts = np.unique(shard_ids, return_counts=True)
+        evicted = journal.append(
+            msg, int(shard_ids.shape[0]),
+            dict(zip(uniq.tolist(), counts.tolist())),
+        )
         if evicted is not None:
             self._rec["journal_dropped_batches"] += 1
             self._rec["journal_dropped_records"] += evicted.records
@@ -1200,12 +1136,21 @@ class ParallelCollector:
                     "checkpoint_every/journal_batches are mis-sized",
                     worker=w,
                 )
-        self._sent[w] += 1
         self._msgs_since_ckpt[w] += 1
+
+    def _post(self, w: int, msg: tuple) -> None:
+        """Send one live data message to worker ``w``.
+
+        Supervised (the caller journaled ``msg`` first), a worker lost
+        mid-send is replaced and the journal replay delivers this very
+        message; then due fault-plan kills/wedges fire, then the
+        checkpoint cadence.  Unsupervised, a lost worker raises out of
+        :meth:`_recover_worker` and the rest is inert.
+        """
+        self._sent[w] += 1
         try:
             self._transport_ff(w, msg)
         except _WorkerDied as exc:
-            # Already journaled: the replay delivers this very message.
             self._recover_worker(w, str(exc))
             return
         if self._faults is not None:
@@ -1216,7 +1161,10 @@ class ParallelCollector:
                     # assertions: the next supervision touchpoint must
                     # observe it, not race it.
                     self._procs[w].join(timeout=5.0)
-        if self._msgs_since_ckpt[w] >= self._checkpoint_every:
+        if (
+            self._supervised
+            and self._msgs_since_ckpt[w] >= self._checkpoint_every
+        ):
             self._checkpoint_worker(w)
 
     def recovery_stats(self, snapshot: Optional[Snapshot] = None):
@@ -1251,17 +1199,13 @@ class ParallelCollector:
         """Route one record to its owner worker (scalar path)."""
         self.start()
         t = self.clock.tick(now, 1)
+        self._reap()
+        sid = self.router.shard_of(flow_id)
+        w = sid % self.workers
+        msg = (_INGEST, flow_id, pid, hop_count, digest, t)
         if self._supervised:
-            self._reap()
-            sid = self.router.shard_of(flow_id)
-            self._post(
-                sid % self.workers,
-                (_INGEST, flow_id, pid, hop_count, digest, t),
-                1, {sid: 1},
-            )
-            return
-        owner = self._owner(flow_id)
-        self._send_ff(owner, (_INGEST, flow_id, pid, hop_count, digest, t))
+            self._journal(w, msg, np.asarray([sid]))
+        self._post(w, msg)
 
     def ingest_batch(
         self,
@@ -1277,9 +1221,9 @@ class ParallelCollector:
         most ``workers`` sub-batches (boolean masks preserve batch
         order, so per-flow streams stay sequential inside each worker).
         Sends are fire-and-forget: the call returns once the columns
-        are in the pipes, and :meth:`drain` (or any query) barriers
-        with the workers.  OS pipe backpressure bounds how far the
-        front door can run ahead.
+        are in the rings, and :meth:`drain` (or any query) barriers
+        with the workers.  A full ring is the back-pressure point: it
+        bounds how far the front door can run ahead of a worker.
         """
         self._check_open()
         fids, ps, hops, digs = normalize_batch(
@@ -1291,45 +1235,17 @@ class ParallelCollector:
         self.start()
         t = self.clock.tick(now, n)
         with self._sp_scatter:
-            if self._supervised:
-                self._reap()
-                # Shard ids (not just worker ids) are computed so the
-                # journal can account records per shard -- the
-                # granularity degraded marking needs.
-                sids = self.router.shard_of_array(fids)
-                wids = sids % self.workers
-                for w in range(self.workers):
-                    mask = wids == w
-                    if not mask.any():
-                        continue
-                    uniq, counts = np.unique(
-                        sids[mask], return_counts=True
-                    )
-                    self._post(
-                        w,
-                        (
-                            _BATCH, fids[mask], ps[mask], hops[mask],
-                            digs[mask], t,
-                        ),
-                        int(mask.sum()),
-                        {int(s): int(c) for s, c in zip(uniq, counts)},
-                    )
-                return n
-            if self.workers == 1:
-                self._send_ff(0, (_BATCH, fids, ps, hops, digs, t))
-                return n
-            wids = self.router.shard_of_array(fids) % self.workers
+            self._reap()
+            sids = self.router.shard_of_array(fids)
+            wids = sids % self.workers
             for w in range(self.workers):
                 mask = wids == w
                 if not mask.any():
                     continue
-                self._send_ff(
-                    w,
-                    (
-                        _BATCH, fids[mask], ps[mask], hops[mask],
-                        digs[mask], t,
-                    ),
-                )
+                msg = (_BATCH, fids[mask], ps[mask], hops[mask], digs[mask], t)
+                if self._supervised:
+                    self._journal(w, msg, sids[mask])
+                self._post(w, msg)
         return n
 
     # -- queries -----------------------------------------------------------
@@ -1351,9 +1267,10 @@ class ParallelCollector:
         """Point-in-time consumer copies for many flows, input order.
 
         The bulk form of :meth:`flow`: flows are grouped by owner
-        worker and fetched with *one* RPC round-trip per worker, so
-        scoring a replay over hundreds of flows pays per-worker
-        latency instead of per-flow (the shape
+        worker and fetched with *one* RPC per worker, all workers
+        asked before any is awaited, so scoring a replay over
+        hundreds of flows pays the slowest worker's pickling instead
+        of a round-trip per flow (the shape
         :meth:`ReplayDriver._score` reads decoders in).
         """
         self._check_open()
@@ -1361,34 +1278,17 @@ class ParallelCollector:
         out: List[Optional[DigestConsumer]] = [None] * len(ids)
         if not self._procs or not ids:
             return out
-        by_worker: dict = {}
+        by_worker: Dict[int, list] = {}
         owners = self.router.shard_of_array(np.asarray(ids)) % self.workers
         for pos, (fid, w) in enumerate(zip(ids, owners.tolist())):
             by_worker.setdefault(w, []).append((pos, fid))
-        items = list(by_worker.items())
-        if self._supervised:
-            for w, pairs in items:
-                reply = self._call_supervised(
-                    w, (_FLOWS, [fid for _, fid in pairs])
-                )
-                for (pos, _), consumer in zip(pairs, reply):
-                    out[pos] = consumer
-            return out
-        for w, pairs in items:
-            self._send(
-                self._conns[w], (_FLOWS, [fid for _, fid in pairs])
-            )
-        errors = []
-        for w, pairs in items:
-            try:
-                reply = self._recv(self._conns[w])
-            except RuntimeError as exc:
-                errors.append(str(exc))
-                continue
-            for (pos, _), consumer in zip(pairs, reply):
+        replies = self._gather({
+            w: (_FLOWS, [fid for _, fid in pairs])
+            for w, pairs in by_worker.items()
+        })
+        for w, pairs in by_worker.items():
+            for (pos, _), consumer in zip(pairs, replies[w]):
                 out[pos] = consumer
-        if errors:
-            raise WorkerFailedError("\n".join(errors))
         return out
 
     def result(self, flow_id: int):

@@ -1,14 +1,14 @@
 """Shared-memory ring-buffer transport for the parallel collector.
 
-The pickled-ndarray pipe transport costs a serialise, a kernel copy
-per 64 KiB pipe write, and a deserialise for every scattered batch --
-all parent-side, all serial.  This module replaces the *data plane*
-with one :class:`ShmRing` per worker: a ``multiprocessing.
+Pickling ndarrays over a pipe costs a serialise, a kernel copy per
+64 KiB write and a deserialise for every scattered batch -- all
+parent-side, all serial.  So the *data plane* is one
+:class:`ShmRing` per worker: a ``multiprocessing.
 shared_memory`` segment laid out as a fixed-slot SPSC ring, written
 once by the parent (vectorised column copies) and read zero-copy by
 the worker (``np.ndarray`` views straight over the segment).  The
 control plane -- sync RPCs, oversized batches, scalar ingests --
-stays on the existing duplex pipe.
+stays on the duplex pipe.
 
 Ring layout (one segment per worker)::
 

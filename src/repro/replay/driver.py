@@ -19,11 +19,10 @@ side by side.
 from __future__ import annotations
 
 import math
-import queue
-import threading
 import time
+from contextlib import ExitStack
 from dataclasses import asdict, dataclass, replace
-from typing import List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -105,16 +104,13 @@ class ScenarioReport:
     #: journal was sized to the checkpoint cadence.
     degraded_shards: int = 0
     records_lost: int = 0
-    #: True when the replay ran the staged-overlap pipeline (encode of
-    #: batch k+1 concurrent with ingest of batch k); stage_seconds are
-    #: then per-stage *busy* times and may sum past ``seconds``.
-    overlapped: bool = False
     #: Per-stage wall time of the replay loop, insertion-ordered
     #: ``(stage, seconds)`` pairs: where ``seconds`` actually went
     #: (select / encode / ingest / transport / decode, plus impair
-    #: when models ran).  Always measured -- the accumulator is two
-    #: clock reads per stage per batch -- so every report can answer
-    #: ROADMAP item 2's "which stage stalls the pipeline".
+    #: when models ran).  The stages run one after another and never
+    #: overlap, so the ``ingest`` share alone says whether the sink
+    #: is the bottleneck.  Always measured -- the accumulator is two
+    #: clock reads per stage per batch.
     stage_seconds: Tuple[Tuple[str, float], ...] = ()
 
     @property
@@ -202,82 +198,21 @@ class ScenarioReport:
         return "stages: " + "  ".join(parts)
 
 
-class _IngestPipeline:
-    """Bounded hand-off queue + one ingest thread (overlap mode).
+@dataclass
+class _Sink:
+    """One sink as :meth:`ReplayDriver.replay` drives it.
 
-    The producer half of the replay loop (plan selection, digest
-    encode, congestion compression) keeps the main thread; every
-    encoded sub-batch is handed through a bounded :class:`queue.Queue`
-    to a single consumer thread that runs the ingest callables.  One
-    consumer preserves the sequential loop's exact ingest order --
-    the bit-identity requirement -- while encode of batch ``k+1``
-    overlaps ingest (and, behind a parallel sink, worker decode) of
-    batch ``k``.  ``depth`` bounds how far encode may run ahead:
-    memory grows as ``depth x batch`` and no further.
-
-    Stage accounting: the consumer owns the ``ingest`` span, the
-    producer the ``handoff`` span (time blocked handing batches over
-    -- the signature of ingest being the slower stage).  Each span is
-    touched by exactly one thread.
-
-    Failure: the consumer parks the first exception, then keeps
-    *draining* the queue without running anything -- the producer's
-    ``put`` must never deadlock against a dead consumer -- and the
-    error surfaces at the next :meth:`submit` or at :meth:`result`,
-    after :meth:`close` has joined the thread.
+    ``ingest`` is the collector's own ``ingest_batch`` or -- behind a
+    wire transport -- the sender's ``send_batch`` (same signature by
+    design, so the replay loop never asks which); ``server``/``tx``
+    are set only on the wire path.
     """
 
-    _DONE = object()
-
-    def __init__(self, stages: StageTimes, depth: int) -> None:
-        self._q: queue.Queue = queue.Queue(maxsize=depth)
-        self._sp_ingest = stages.span("ingest")
-        self._sp_handoff = stages.span("handoff")
-        self._exc: Optional[BaseException] = None
-        self._closed = False
-        self._thread = threading.Thread(
-            target=self._run, name="replay-ingest", daemon=True
-        )
-        self._thread.start()
-
-    def depth(self) -> int:
-        """Live queue depth (the overlap back-pressure gauge)."""
-        return self._q.qsize()
-
-    def submit(self, fn, *args, **kwargs) -> None:
-        """Queue one ingest call; re-raises a parked consumer error."""
-        if self._exc is not None:
-            self.close()
-            self.result()
-        with self._sp_handoff:
-            self._q.put((fn, args, kwargs))
-
-    def _run(self) -> None:
-        while True:
-            item = self._q.get()
-            if item is self._DONE:
-                return
-            if self._exc is not None:
-                continue
-            fn, args, kwargs = item
-            try:
-                with self._sp_ingest:
-                    fn(*args, **kwargs)
-            except BaseException as exc:  # parked, surfaced in producer
-                self._exc = exc
-
-    def close(self) -> None:
-        """Flush the queue and join the thread (idempotent, no raise)."""
-        if not self._closed:
-            self._closed = True
-            self._q.put(self._DONE)
-        self._thread.join()
-
-    def result(self) -> None:
-        """Raise the parked consumer error, if any (after close())."""
-        if self._exc is not None:
-            exc, self._exc = self._exc, None
-            raise exc
+    collector: Union[Collector, ParallelCollector]
+    ingest: Callable[..., object]
+    server: Optional[CollectorServer] = None
+    tx: Union[ReliableUDPSender, TCPSender, None] = None
+    records: int = 0
 
 
 class ReplayDriver:
@@ -307,23 +242,6 @@ class ReplayDriver:
         costs exactly N extra processes, all spent on the
         decode-heavy query.  Results are bit-identical either way;
         the knob only moves where the decode work runs.
-    worker_transport:
-        Data plane of the ``workers=N`` path sink: ``"shm"``
-        (default) scatters through shared-memory rings, ``"pipe"``
-        keeps the pickled-pipe transport (see
-        :class:`~repro.collector.ParallelCollector`).
-    overlap:
-        ``False`` (default) runs the stages sequentially per batch.
-        ``True`` overlaps them: select/encode stay on the main
-        thread, ingest (or wire send) runs on a dedicated thread
-        behind a bounded hand-off queue of ``overlap_depth`` batches,
-        so end-to-end throughput tracks the slower of the two halves
-        instead of their sum.  Ingest order -- and therefore every
-        snapshot and per-flow answer -- is bit-identical to the
-        sequential loop; reports carry ``overlapped=True`` and a
-        ``handoff`` stage (producer time blocked on the full queue).
-    overlap_depth:
-        Bounded hand-off queue length (batches) for ``overlap=True``.
     mode:
         Path-digest representation the dataplane stamps and the sink
         decodes: "auto" (hash, since traces carry a universe), "raw",
@@ -359,6 +277,10 @@ class ReplayDriver:
         *always* measured, registry or not.
     """
 
+    # Read only by bench/stageloop.py:148 (frozen); not a constructor
+    # parameter.  Delete with that call in the next benchmark PR.
+    worker_transport = "shm"
+
     def __init__(
         self,
         digest_bits: int = 8,
@@ -370,9 +292,6 @@ class ReplayDriver:
         congestion_share: float = 0.2,
         congestion_bits: int = 8,
         workers: Optional[int] = None,
-        worker_transport: str = "shm",
-        overlap: bool = False,
-        overlap_depth: int = 4,
         mode: str = "auto",
         impairments: Optional[Sequence[ImpairmentModel]] = None,
         transport: Optional[str] = None,
@@ -407,17 +326,7 @@ class ReplayDriver:
                 f"workers ({workers}) must not exceed num_shards "
                 f"({num_shards}): a worker owns at least one shard"
             )
-        if worker_transport not in ("shm", "pipe"):
-            raise ValueError(
-                f"worker_transport must be 'shm' or 'pipe', "
-                f"got {worker_transport!r}"
-            )
-        if overlap_depth < 1:
-            raise ValueError("overlap_depth must be >= 1")
         self.workers = workers
-        self.worker_transport = worker_transport
-        self.overlap = bool(overlap)
-        self.overlap_depth = overlap_depth
         if workers is None and (
             checkpoint_every is not None or faults is not None
         ):
@@ -458,42 +367,54 @@ class ReplayDriver:
         """Ground-truth bottleneck utilisation per record, in (0, 1.5)."""
         return self._util_hash.uniform_array(trace.pid) * 1.5
 
-    def _make_sink(self, consumer_factory, sink_label: str):
-        """One sink collector: serial, or parallel when ``workers`` set.
+    def _make_sink(
+        self, stack: ExitStack, consumer_factory, sink_label: str,
+        workers: Optional[int],
+    ) -> _Sink:
+        """Build one sink and everything between it and the loop.
 
+        A serial collector, or a parallel one when ``workers`` is set;
+        behind ``transport``, additionally a loopback server plus the
+        matching sender.  Each piece's release is pushed on ``stack``
+        as it comes up, so a failure half-way -- or anywhere later in
+        the replay -- unwinds sender, server, collector in that order.
         ``sink_label`` keeps the two sinks' metric streams apart in
         the shared registry (``{"sink": "path"|"congestion"}``).
         """
         obs = None if not self.obs.enabled else self.obs
         labels = {"sink": sink_label}
-        if self.workers is None:
-            return Collector(
+        if workers is None:
+            collector = Collector(
                 consumer_factory, num_shards=self.num_shards, seed=self.seed,
                 obs=obs, obs_labels=labels,
             )
-        return ParallelCollector(
-            consumer_factory, workers=self.workers,
-            num_shards=self.num_shards, seed=self.seed,
-            transport=self.worker_transport,
-            obs=obs, obs_labels=labels,
-            checkpoint_every=self.checkpoint_every,
-            journal_batches=self.journal_batches,
-            faults=self.faults,
-        )
-
-    def _wire_sink(self, sink, sink_label: str):
-        """Stand a sink behind a loopback server; return (server, sender)."""
-        obs = None if not self.obs.enabled else self.obs
+        else:
+            collector = ParallelCollector(
+                consumer_factory, workers=workers,
+                num_shards=self.num_shards, seed=self.seed,
+                obs=obs, obs_labels=labels,
+                checkpoint_every=self.checkpoint_every,
+                journal_batches=self.journal_batches,
+                faults=self.faults,
+            )
+        stack.callback(collector.close)
+        if self.transport is None:
+            return _Sink(collector, collector.ingest_batch)
         if self.transport == "udp":
-            server = CollectorServer(sink, tcp_port=None).start()
-            sender = ReliableUDPSender(
-                "127.0.0.1", server.udp_port,
-                obs=obs, obs_labels={"sink": sink_label},
+            server = CollectorServer(collector, tcp_port=None).start()
+            stack.callback(server.close)
+            tx = ReliableUDPSender(
+                "127.0.0.1", server.udp_port, obs=obs, obs_labels=labels,
             )
         else:
-            server = CollectorServer(sink, udp_port=None).start()
-            sender = TCPSender("127.0.0.1", server.tcp_port)
-        return server, sender
+            server = CollectorServer(collector, udp_port=None).start()
+            stack.callback(server.close)
+            tx = TCPSender("127.0.0.1", server.tcp_port)
+        # Bare socket release, not tx.close(): the success path flushed
+        # already, and an error path must not spend a flush timeout
+        # re-offering frames nobody will score.
+        stack.callback(tx.sock.close)
+        return _Sink(collector, tx.send_batch, server, tx)
 
     def replay(
         self,
@@ -513,48 +434,32 @@ class ReplayDriver:
             mode=self.mode, seed=self.seed,
         )
         consumer_mode = "hash" if self.mode == "auto" else self.mode
-        path_sink = self._make_sink(
-            path_consumer_factory(
-                trace.universe, digest_bits=self.digest_bits,
-                num_hashes=self.num_hashes, seed=self.seed,
-                mode=consumer_mode, value_bits=dataplane.value_bits,
-            ),
-            "path",
-        )
-        cong_sink: Optional[Collector] = None
-        codec: Optional[UtilizationCodec] = None
-        if self.has_congestion:
-            # Always serial: the max-aggregation consumer is cheaper
-            # than the scatter transport, so workers would only burn
-            # cores the path sink needs (DESIGN.md section 5).
-            cong_sink = Collector(
-                congestion_consumer_factory(
-                    bits=self.congestion_bits, seed=self.seed,
+        with ExitStack() as stack:
+            path = self._make_sink(
+                stack,
+                path_consumer_factory(
+                    trace.universe, digest_bits=self.digest_bits,
+                    num_hashes=self.num_hashes, seed=self.seed,
+                    mode=consumer_mode, value_bits=dataplane.value_bits,
                 ),
-                num_shards=self.num_shards, seed=self.seed,
-                obs=None if not self.obs.enabled else self.obs,
-                obs_labels={"sink": "congestion"},
+                "path", self.workers,
             )
-            codec = UtilizationCodec(self.congestion_bits, seed=self.seed)
-        path_server = cong_server = None
-        path_tx = cong_tx = None
-        pipeline: Optional[_IngestPipeline] = None
-        try:
-            # The ingest callables: the sinks' own ingest_batch, or --
-            # behind a transport -- the matching sender's send_batch
-            # (same signature by design, so the loop below is shared).
-            path_ingest = path_sink.ingest_batch
-            cong_ingest = (
-                cong_sink.ingest_batch if cong_sink is not None else None
-            )
-            if self.transport is not None:
-                path_server, path_tx = self._wire_sink(path_sink, "path")
-                path_ingest = path_tx.send_batch
-                if cong_sink is not None:
-                    cong_server, cong_tx = self._wire_sink(
-                        cong_sink, "congestion"
-                    )
-                    cong_ingest = cong_tx.send_batch
+            sinks = [path]
+            cong: Optional[_Sink] = None
+            codec: Optional[UtilizationCodec] = None
+            if self.has_congestion:
+                # Always serial: the max-aggregation consumer is cheaper
+                # than the scatter transport, so workers would only burn
+                # cores the path sink needs (DESIGN.md section 5).
+                cong = self._make_sink(
+                    stack,
+                    congestion_consumer_factory(
+                        bits=self.congestion_bits, seed=self.seed,
+                    ),
+                    "congestion", None,
+                )
+                sinks.append(cong)
+                codec = UtilizationCodec(self.congestion_bits, seed=self.seed)
             hop_counts = trace.hop_counts
             utils = self.utilizations(trace) if self.has_congestion else None
             # Stage accounting: two clock reads per section per batch,
@@ -564,21 +469,6 @@ class ReplayDriver:
             sp_select = stages.span("select")
             sp_encode = stages.span("encode")
             sp_ingest = stages.span("ingest")
-            if self.overlap:
-                # Fork before thread: a parallel sink's workers must be
-                # spawned while this process is still single-threaded
-                # (forking a threaded parent is how locks get copied
-                # mid-acquisition).
-                starter = getattr(path_sink, "start", None)
-                if starter is not None:
-                    starter()
-                pipeline = _IngestPipeline(stages, self.overlap_depth)
-                if self.obs.enabled:
-                    self.obs.gauge(
-                        "pint_replay_overlap_depth",
-                        "Encoded batches queued for the overlapped "
-                        "ingest thread (bounded by overlap_depth).",
-                    ).set_function(pipeline.depth)
             # The delivery schedule is planned over the whole trace up
             # front: bursty-loss state and reorder displacement must
             # span batch boundaries, exactly as a network precedes the
@@ -593,8 +483,6 @@ class ReplayDriver:
                     )
             total = len(trace) if delivery is None else int(delivery.shape[0])
             batches = 0
-            path_records = 0
-            cong_records = 0
             start = time.perf_counter()
             for lo in range(0, total, self.batch_size):
                 hi = min(lo + self.batch_size, total)
@@ -613,24 +501,13 @@ class ReplayDriver:
                 if path_rows.size:
                     with sp_encode:
                         digests = dataplane.encode_rows(path_rows)
-                    # The gathered columns are fresh copies (fancy
-                    # indexing), so the overlapped thread never shares
-                    # a buffer with the next iteration's producer.
-                    if pipeline is not None:
-                        pipeline.submit(
-                            path_ingest, trace.flow_id[path_rows],
-                            trace.pid[path_rows], hop_counts[path_rows],
-                            digests, now=now,
+                    with sp_ingest:
+                        path.ingest(
+                            trace.flow_id[path_rows], trace.pid[path_rows],
+                            hop_counts[path_rows], digests, now=now,
                         )
-                    else:
-                        with sp_ingest:
-                            path_ingest(
-                                trace.flow_id[path_rows],
-                                trace.pid[path_rows],
-                                hop_counts[path_rows], digests, now=now,
-                            )
-                    path_records += int(path_rows.size)
-                if cong_sink is not None:
+                    path.records += int(path_rows.size)
+                if cong is not None:
                     cong_rows = rows[entry == 1]
                     if cong_rows.size:
                         with sp_encode:
@@ -638,56 +515,36 @@ class ReplayDriver:
                                 codec, utils[cong_rows], trace.pid[cong_rows],
                                 hop_counts[cong_rows],
                             )
-                        if pipeline is not None:
-                            pipeline.submit(
-                                cong_ingest, trace.flow_id[cong_rows],
-                                trace.pid[cong_rows], hop_counts[cong_rows],
-                                codes, now=now,
+                        with sp_ingest:
+                            cong.ingest(
+                                trace.flow_id[cong_rows], trace.pid[cong_rows],
+                                hop_counts[cong_rows], codes, now=now,
                             )
-                        else:
-                            with sp_ingest:
-                                cong_ingest(
-                                    trace.flow_id[cong_rows],
-                                    trace.pid[cong_rows],
-                                    hop_counts[cong_rows], codes, now=now,
-                                )
-                        cong_records += int(cong_rows.size)
+                        cong.records += int(cong_rows.size)
                 batches += 1
-            if pipeline is not None:
-                # Join the ingest thread before the flush/drain
-                # barriers below; a parked ingest error surfaces here
-                # rather than being discovered as missing records.
-                pipeline.close()
-                pipeline.result()
-            # Wire path: flush the retransmit queues, then wait for
-            # the last frame to clear socket, admission queue and
-            # ingest thread -- the wire is part of the measured path,
-            # so the clock keeps running until the sinks hold it all.
             with stages.span("transport"):
-                if path_tx is not None:
-                    path_tx.flush()
-                    path_server.wait_for_records(path_records)
-                    path_server.drain()
-                if cong_tx is not None:
-                    cong_tx.flush()
-                    cong_server.wait_for_records(cong_records)
-                    cong_server.drain()
+                # Wire path: flush the retransmit queues, then wait for
+                # the last frame to clear socket, admission queue and
+                # ingest thread -- the wire is part of the measured
+                # path, so the clock keeps running until the sinks hold
+                # it all.
+                for sink in sinks:
+                    if sink.tx is not None:
+                        sink.tx.flush()
+                        sink.server.wait_for_records(sink.records)
+                        sink.server.drain()
                 # The throughput clock stops only after every scattered
                 # batch is applied -- a no-op barrier on serial sinks,
                 # the honest accounting on parallel ones.
-                path_sink.drain()
-                if cong_sink is not None:
-                    cong_sink.drain()
+                for sink in sinks:
+                    sink.collector.drain()
             seconds = time.perf_counter() - start
             with stages.span("decode"):
                 report = self._score(
-                    trace, path_sink, cong_sink, codec, utils, batches,
-                    path_records, cong_records, seconds, delivery, models,
+                    trace, path, cong, codec, utils, batches, seconds,
+                    delivery, models,
                 )
-            report = replace(
-                report, stage_seconds=stages.items(),
-                overlapped=pipeline is not None,
-            )
+            report = replace(report, stage_seconds=stages.items())
             if self.obs.enabled:
                 for stage, secs in stages.items():
                     self.obs.histogram(
@@ -695,8 +552,10 @@ class ReplayDriver:
                         "Whole-replay wall time per pipeline stage.",
                         labels={"stage": stage},
                     ).observe(secs)
-            if getattr(path_sink, "_supervised", False):
-                rec = path_sink.recovery_stats(path_sink.snapshot())
+            if self.checkpoint_every is not None:
+                rec = path.collector.recovery_stats(
+                    path.collector.snapshot()
+                )
                 report = replace(
                     report, restarts=rec.restarts,
                     replayed_batches=rec.replayed_batches,
@@ -704,44 +563,21 @@ class ReplayDriver:
                     records_lost=rec.records_lost,
                 )
             if self.transport is not None:
-                frames = path_tx.frames_sent
-                retx = getattr(path_tx, "retransmits", 0)
-                if cong_tx is not None:
-                    frames += cong_tx.frames_sent
-                    retx += getattr(cong_tx, "retransmits", 0)
                 report = replace(
                     report, transport=self.transport,
-                    wire_frames=frames, wire_retransmits=retx,
+                    wire_frames=sum(s.tx.frames_sent for s in sinks),
+                    wire_retransmits=sum(s.tx.retransmits for s in sinks),
                 )
             return report
-        finally:
-            # The ingest thread holds sink references: it must be
-            # joined (idempotent) before anything below closes them.
-            if pipeline is not None:
-                pipeline.close()
-            # Bare socket release, not sender.close(): the success
-            # path flushed already, and an error path must not spend a
-            # flush timeout re-offering frames nobody will score.
-            for tx in (path_tx, cong_tx):
-                if tx is not None:
-                    tx.sock.close()
-            for server in (path_server, cong_server):
-                if server is not None:
-                    server.close()
-            path_sink.close()
-            if cong_sink is not None:
-                cong_sink.close()
 
     def _score(
         self,
         trace: Trace,
-        path_sink: Collector,
-        cong_sink: Optional[Collector],
+        path: _Sink,
+        cong: Optional[_Sink],
         codec: Optional[UtilizationCodec],
         utils: Optional[np.ndarray],
         batches: int,
-        path_records: int,
-        cong_records: int,
         seconds: float,
         delivery: Optional[np.ndarray] = None,
         models: Sequence[ImpairmentModel] = (),
@@ -776,7 +612,7 @@ class ReplayDriver:
         fid_list = path_flows.tolist()
         # Bulk fetch: one RPC per worker on a parallel sink instead of
         # one (decoder-pickling) round-trip per flow.
-        consumers = path_sink.flows(fid_list)
+        consumers = path.collector.flows(fid_list)
         for fid, consumer in zip(fid_list, consumers):
             if consumer is None:
                 continue
@@ -796,7 +632,7 @@ class ReplayDriver:
         )
         median_err = float("nan")
         cong_flows = 0
-        if cong_sink is not None and cong_records:
+        if cong is not None and cong.records:
             if delivered_rows is None:
                 sel = np.flatnonzero(entry == 1)
             else:
@@ -813,7 +649,7 @@ class ReplayDriver:
             # whole column in one table gather (bit-identical to the
             # per-flow scalar decode this loop used to make).
             codes, truths = [], []
-            consumers = cong_sink.flows(fids[starts])
+            consumers = cong.collector.flows(fids[starts])
             for consumer, truth in zip(consumers, group_max.tolist()):
                 if consumer is not None and consumer.max_code >= 0:
                     codes.append(consumer.max_code)
@@ -832,12 +668,12 @@ class ReplayDriver:
             flows=trace.num_flows,
             batches=batches,
             seconds=seconds,
-            path_records=path_records,
+            path_records=path.records,
             path_flows=int(path_flows.size),
             path_decoded=decoded,
             path_correct=correct,
             path_resets=resets,
-            congestion_records=cong_records,
+            congestion_records=cong.records if cong is not None else 0,
             congestion_flows=cong_flows,
             congestion_median_rel_err=median_err,
             offered_records=len(trace),

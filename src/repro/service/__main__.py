@@ -161,8 +161,8 @@ def cmd_send(args) -> int:
             "records": sender.records_sent,
             "batches": sender.batches_sent,
             "frames": sender.frames_sent,
-            "retransmits": getattr(sender, "retransmits", 0),
-            "acked_frames": getattr(sender, "acked_frames", 0),
+            "retransmits": sender.retransmits,
+            "acked_frames": sender.acked_frames,
             "seconds": seconds,
             "records_per_sec": (
                 sender.records_sent / seconds if seconds > 0 else 0.0

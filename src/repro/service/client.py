@@ -55,6 +55,10 @@ class _SenderBase:
         self.frames_sent = 0      # transmissions, retransmits included
         self.records_sent = 0
         self.batches_sent = 0
+        #: Only the reliable-UDP sender ever moves these two; every
+        #: sender carries them so reports read attributes, not probes.
+        self.retransmits = 0
+        self.acked_frames = 0
 
     def _frames(self, flow_ids, pids, hop_counts, digests, now,
                 reliable: bool) -> List[bytes]:
@@ -221,8 +225,6 @@ class ReliableUDPSender(_SenderBase):
         self.drop_fn = drop_fn
         self.srtt: Optional[float] = None
         self.rttvar = 0.0
-        self.acked_frames = 0
-        self.retransmits = 0
         self.inflight: Dict[int, _InFlight] = {}
         self.sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
         self.sock.setblocking(False)

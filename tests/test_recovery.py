@@ -51,6 +51,7 @@ from repro.exceptions import (
     JournalOverflowError,
     RecoveryError,
     RestoreError,
+    WorkerFailedError,
 )
 from repro.faults import (
     FaultPlan,
@@ -428,9 +429,9 @@ class TestSupervisedRecovery:
         with pytest.raises(ValueError, match="checkpoint_every"):
             ParallelCollector(factory, workers=2, num_shards=4,
                               faults=FaultPlan())
-        with pytest.raises(ValueError, match="checkpoint_every"):
-            ParallelCollector(factory, workers=2, num_shards=4,
-                              wedge_timeout=1.0)
+        # wedge_timeout is detection, not recovery: legal on its own.
+        ParallelCollector(factory, workers=2, num_shards=4,
+                          wedge_timeout=1.0).close()
         with pytest.raises(ValueError):
             ParallelCollector(factory, workers=2, num_shards=4,
                               checkpoint_every=0)
@@ -469,6 +470,90 @@ class TestSupervisedRecovery:
             par.ingest_batch([1, 2, 3], [1, 2, 3], [3, 3, 3], [5, 6, 7])
             par.drain()
             assert par.snapshot().recovery is None
+
+
+# -- one RPC discipline: recover or raise -----------------------------------
+
+def owned_flow(par, worker, start=1):
+    """The first flow id >= ``start`` that ``worker`` owns."""
+    fid = start
+    while par._owner(fid) != worker:
+        fid += 1
+    return fid
+
+
+class TestWorkerLossMidRpc:
+    def test_supervised_gather_recovers_only_the_dead_worker(self):
+        # Worker 1 is killed with both workers' backlogs unfolded, so
+        # snapshot()/flows() have asked worker 0 (reply pending) when
+        # they meet the corpse: only worker 1 may be replaced and
+        # re-asked, and the answers must equal the serial collector's.
+        cols = make_cols()
+        factory = FACTORIES["path"]
+        serial = Collector(factory(), num_shards=8, seed=1)
+        feed(serial, cols)
+        fids = np.unique(cols[0]).tolist()
+        with ParallelCollector(
+            factory(), workers=2, num_shards=8, seed=1, checkpoint_every=4,
+        ) as par:
+            feed(par, cols)
+            os.kill(par._procs[1].pid, signal.SIGKILL)
+            snap = par.snapshot()
+            assert par._restarts == [0, 1]
+            os.kill(par._procs[1].pid, signal.SIGKILL)
+            consumers = par.flows(fids)
+            assert par._restarts == [0, 2]
+        assert snap.recovery.records_lost == 0
+        assert snap.as_dict() == serial.snapshot().as_dict()
+        for fid, consumer in zip(fids, consumers):
+            assert consumer.result() == serial.result(fid)
+
+    def test_unsupervised_death_mid_flows_raises_without_stranding(self):
+        par = ParallelCollector(
+            congestion_consumer_factory(), workers=2, num_shards=4,
+        ).start()
+        fids = list(range(1, 41))
+        par.ingest_batch(fids, fids, [3] * 40, [9] * 40)
+        par.drain()
+        os.kill(par._procs[1].pid, signal.SIGKILL)
+        start = time.monotonic()
+        with pytest.raises(WorkerFailedError, match="worker 1"):
+            par.flows(fids)
+        # Worker 0's reply was consumed, not stranded: its next RPC
+        # returns its own answer, and close() handshakes with it while
+        # reporting the corpse instead of hanging on either.
+        survivor = owned_flow(par, 0)
+        assert par.flow(survivor).max_code == 9
+        with pytest.raises(WorkerFailedError, match="worker 1"):
+            par.close(timeout=5.0)
+        assert time.monotonic() - start < 10.0
+
+    def test_unsupervised_wedge_timeout_bounds_every_wait(self):
+        # The bug: a SIGSTOPped worker is alive, so a blocking recv (or
+        # a full-ring spin) waited on it forever.  wedge_timeout alone
+        # now bounds drain(), flows() and the push, and names the worker.
+        par = ParallelCollector(
+            congestion_consumer_factory(), workers=2, num_shards=4,
+            wedge_timeout=0.5, ring_slots=2,
+        ).start()
+        victim = par._procs[0]
+        fid = owned_flow(par, 0)
+        try:
+            par.ingest_batch([fid], [1], [3], [9])
+            par.drain()
+            os.kill(victim.pid, signal.SIGSTOP)
+            start = time.monotonic()
+            with pytest.raises(WorkerFailedError, match="worker 0 wedged"):
+                par.drain()
+            with pytest.raises(WorkerFailedError, match="worker 0 wedged"):
+                par.flows([fid])
+            with pytest.raises(WorkerFailedError, match="worker 0.*wedged"):
+                for pid in range(2, 6):
+                    par.ingest_batch([fid], [pid], [3], [9])
+            assert time.monotonic() - start < 8.0
+        finally:
+            os.kill(victim.pid, signal.SIGCONT)
+            par.close(timeout=5.0)
 
 
 # -- close() escalation -----------------------------------------------------

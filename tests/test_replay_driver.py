@@ -107,71 +107,3 @@ class TestParallelReplay:
             # The driver honors num_shards rather than silently
             # widening it; more workers than shards cannot be served.
             ReplayDriver(num_shards=2, workers=4)
-
-    def test_pipe_transport_matches_shm_default(self):
-        trace = build_trace("incast", packets=2000, seed=0)
-        shm = ReplayDriver(batch_size=1024, seed=0, workers=2).replay(trace)
-        pipe = ReplayDriver(batch_size=1024, seed=0, workers=2,
-                            worker_transport="pipe").replay(trace)
-        for field in DECODE_FIELDS:
-            assert getattr(shm, field) == getattr(pipe, field), field
-
-
-DECODE_FIELDS = (
-    "records", "flows", "batches", "path_records", "path_flows",
-    "path_decoded", "path_correct", "path_resets",
-    "congestion_records", "congestion_flows",
-)
-
-
-class TestOverlappedReplay:
-    def test_overlap_bit_identical_to_sequential(self):
-        trace = build_trace("path-churn", packets=2500, seed=1)
-        seq = ReplayDriver(batch_size=512, seed=1).replay(trace)
-        lap = ReplayDriver(batch_size=512, seed=1, overlap=True).replay(trace)
-        assert not seq.overlapped
-        assert lap.overlapped
-        for field in DECODE_FIELDS:
-            assert getattr(seq, field) == getattr(lap, field), field
-        s_err = seq.congestion_median_rel_err
-        l_err = lap.congestion_median_rel_err
-        assert s_err == l_err or (s_err != s_err and l_err != l_err)
-
-    def test_overlap_report_carries_handoff_stage(self):
-        report = ReplayDriver(batch_size=512, seed=0, overlap=True) \
-            .run_scenario("incast", packets=2000, seed=0)
-        stages = dict(report.stage_seconds)
-        assert "handoff" in stages
-        assert "ingest" in stages
-        assert report.stage_summary()  # renders without error
-
-    def test_overlap_with_parallel_sink(self):
-        trace = build_trace("incast", packets=2500, seed=0)
-        seq = ReplayDriver(batch_size=1024, seed=0).replay(trace)
-        lap = ReplayDriver(batch_size=1024, seed=0, workers=2,
-                           overlap=True).replay(trace)
-        for field in DECODE_FIELDS:
-            assert getattr(seq, field) == getattr(lap, field), field
-
-    def test_pipeline_error_surfaces_in_producer(self):
-        from repro.obs.metrics import StageTimes
-        from repro.replay.driver import _IngestPipeline
-
-        pipe = _IngestPipeline(StageTimes(), depth=2)
-
-        def boom():
-            raise RuntimeError("ingest exploded")
-
-        pipe.submit(boom)
-        with pytest.raises(RuntimeError, match="ingest exploded"):
-            # The error is parked by the consumer; a later submit (or
-            # the end-of-replay result()) re-raises it producer-side.
-            for _ in range(16):
-                pipe.submit(lambda: None)
-        pipe.close()
-
-    def test_invalid_overlap_config_rejected(self):
-        with pytest.raises(ValueError):
-            ReplayDriver(overlap_depth=0)
-        with pytest.raises(ValueError):
-            ReplayDriver(worker_transport="carrier-pigeon")

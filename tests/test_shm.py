@@ -238,14 +238,13 @@ def run_equivalence(factory, cols, batch=333, **par_kw):
 
 class TestShmTransportEquivalence:
     def test_shm_matches_serial(self):
-        run_equivalence(path_factory, make_cols(), transport="shm")
+        run_equivalence(path_factory, make_cols())
 
     def test_tiny_ring_forces_fallback_everywhere(self):
         # slot_records=16 < every batch: the whole stream travels the
         # _SIDE/tombstone pipe fallback, in order.
         run_equivalence(
-            congestion_factory, make_cols(n=2000),
-            transport="shm", ring_records=16,
+            congestion_factory, make_cols(n=2000), ring_records=16,
         )
 
     def test_mixed_fit_and_fallback_batches(self):
@@ -256,7 +255,7 @@ class TestShmTransportEquivalence:
         fids, pids, hops, digs = make_cols(n=4000)
         with ParallelCollector(
             factory(), workers=2, num_shards=8, seed=1,
-            transport="shm", ring_records=256,
+            ring_records=256,
         ) as par:
             lo, now, step = 0, 0.0, 0
             while lo < len(fids):
@@ -275,7 +274,7 @@ class TestShmTransportEquivalence:
         factory = congestion_factory
         serial = Collector(factory(), num_shards=4, seed=1)
         with ParallelCollector(
-            factory(), workers=2, num_shards=4, seed=1, transport="shm",
+            factory(), workers=2, num_shards=4, seed=1,
         ) as par:
             for i in range(60):
                 serial.ingest(i % 9 + 1, i, 4, i % 256, now=float(i))
@@ -283,14 +282,15 @@ class TestShmTransportEquivalence:
             par.drain()
             assert par.snapshot().as_dict() == serial.snapshot().as_dict()
 
-    def test_pipe_transport_still_available(self):
-        run_equivalence(path_factory, make_cols(n=1500), transport="pipe")
-
     def test_transport_validation(self):
         factory = congestion_factory
         with pytest.raises(ValueError):
             ParallelCollector(factory(), workers=2, num_shards=4,
                               transport="socket")
+        # The pipe data plane is gone: "shm" is the one legal value.
+        with pytest.raises(ValueError, match="removed in PR 14"):
+            ParallelCollector(factory(), workers=2, num_shards=4,
+                              transport="pipe")
         with pytest.raises(ValueError):
             ParallelCollector(factory(), workers=2, num_shards=4,
                               ring_slots=1)
@@ -310,7 +310,7 @@ class TestShmFailureHygiene:
         plan = FaultPlan([kill_worker(1, at_batch=3)])
         par = ParallelCollector(
             factory(), workers=2, num_shards=8, seed=1,
-            checkpoint_every=4, faults=plan, transport="shm",
+            checkpoint_every=4, faults=plan,
         ).start()
         try:
             old_names = [r.name for r in par._rings]
@@ -339,7 +339,6 @@ class TestShmFailureHygiene:
     def test_close_unlinks_every_segment(self):
         par = ParallelCollector(
             congestion_factory(), workers=2, num_shards=4, seed=1,
-            transport="shm",
         ).start()
         names = [r.name for r in par._rings]
         assert len(names) == 2
@@ -361,7 +360,7 @@ class TestShmFailureHygiene:
             rng = np.random.default_rng(0)
             with ParallelCollector(
                 congestion_consumer_factory(seed=3), workers=2,
-                num_shards=4, seed=1, transport="shm",
+                num_shards=4, seed=1,
             ) as par:
                 for i in range(4):
                     par.ingest_batch(
