@@ -16,6 +16,13 @@ concurrent flows with Zipf-skewed packet counts):
   KLL sketches, scalar per-sample updates vs vectorised carrier
   replay + ``extend_array``.
 
+A third case times the *steady state* long flows spend almost all
+their packets in -- every flow of the batch already decoded, each
+record only a consistency check -- as a same-run ratio: the
+collector's one cross-flow verification pass per batch
+(``consume_groups``) against feeding the same flow groups one
+``consume_batch`` at a time (>= 2x asserted; machine-independent).
+
 Also times one end-to-end replay (scenario trace → vectorised encode →
 batched ingest → decoded paths) so the whole-pipeline number rides
 along.  Writes machine-readable ``BENCH_decode.json`` and asserts the
@@ -40,6 +47,7 @@ from repro.collector import (
     latency_consumer_factory,
     path_consumer_factory,
 )
+from repro.collector.consumers import consume_groups
 from repro.replay import ReplayDriver, build_trace
 
 
@@ -107,6 +115,75 @@ def bench_query(name, make_collector, cols, batches, repeats):
     print(f"{name:<8} scalar {scalar_rate:>10,.0f} rec/s   " + "  ".join(
         f"batch={b} {result['batched_rps'][str(b)]:,} rec/s" for b in batches
     ) + f"   best(>=1024) {result['big_batch_speedup']}x")
+    return result
+
+
+def bench_steady_state(flows: int, batch: int, batches: int, seed: int,
+                       repeats: int):
+    """Decoded flows only: one pass per batch vs one scan per flow."""
+    warm = 400 * flows
+    cols, universe, kwargs = make_path_workload(
+        warm + batch * batches, flows, seed
+    )
+    factory = path_consumer_factory(universe, **kwargs)
+
+    def flow_groups(consumers, lo, hi):
+        """Flow-grouped columns of rows [lo, hi), as ingest_batch cuts them."""
+        fids, pids, hops, digs = (c[lo:hi] for c in cols)
+        order = np.argsort(fids, kind="stable")
+        sf = fids[order]
+        cuts = np.flatnonzero(sf[1:] != sf[:-1]) + 1
+        bounds = np.concatenate(([0], cuts, [hi - lo])).tolist()
+        groups = [
+            (consumers[fid], a, b)
+            for fid, a, b in zip(sf[bounds[:-1]].tolist(), bounds, bounds[1:])
+        ]
+        return groups, pids[order], hops[order], digs[order]
+
+    def per_flow(groups, pids, hops, digs):
+        for consumer, a, b in groups:
+            consumer.consume_batch(pids[a:b], hops[a:b], digs[a:b])
+
+    def run(fold) -> tuple:
+        best = float("inf")
+        for _ in range(repeats):
+            consumers = {fid: factory(fid) for fid in range(1, flows + 1)}
+            consume_groups(*flow_groups(consumers, 0, warm))
+            assert all(c.is_complete for c in consumers.values()), (
+                "warm-up too short to decode every flow"
+            )
+            steady = [
+                flow_groups(consumers, lo, lo + batch)
+                for lo in range(warm, warm + batch * batches, batch)
+            ]
+            start = time.perf_counter()
+            for args in steady:
+                fold(*args)
+            best = min(best, time.perf_counter() - start)
+        counters = [
+            (c._decoder.packets_seen, c._decoder.inconsistencies)
+            for c in consumers.values()
+        ]
+        return best, counters
+
+    grouped_s, grouped_state = run(consume_groups)
+    per_flow_s, per_flow_state = run(per_flow)
+    assert grouped_state == per_flow_state, "the two paths must agree"
+    records = batch * batches
+    result = {
+        "flows": flows,
+        "batch": batch,
+        "records": records,
+        "cross_flow_rps": round(records / grouped_s),
+        "per_flow_rps": round(records / per_flow_s),
+        "cross_flow_speedup": round(per_flow_s / grouped_s, 2),
+    }
+    print(
+        f"steady   {flows} decoded flows, batch={batch}: one pass "
+        f"{result['cross_flow_rps']:,} rec/s vs per-flow scans "
+        f"{result['per_flow_rps']:,} rec/s = "
+        f"{result['cross_flow_speedup']}x"
+    )
     return result
 
 
@@ -185,6 +262,9 @@ def main() -> None:
             make_latency_workload(args.records, args.flows, args.seed),
             args.batches, args.repeats,
         ),
+        "steady_state": bench_steady_state(
+            48, 8192, 4 if args.quick else 12, args.seed, args.repeats
+        ),
         "end_to_end": bench_end_to_end(
             args.e2e_packets, max(args.batches), args.seed
         ),
@@ -212,6 +292,12 @@ def main() -> None:
         "(batch >= 1024 must amortise the per-record observe() loop)"
     )
     print("OK: columnar batch decode sustains >= 5x scalar consumer ingest")
+    steady = results["steady_state"]["cross_flow_speedup"]
+    assert steady >= 2.0, (
+        f"cross-flow verification pass only {steady}x the per-flow scans "
+        "(one pass per batch must amortise the per-group hash replays)"
+    )
+    print(f"OK: one verification pass per batch is {steady}x per-flow scans")
 
 
 if __name__ == "__main__":

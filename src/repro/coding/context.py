@@ -16,17 +16,20 @@ hashes derive from the root seed only, never from the flow or its path
 length, so one pass serves rows of any mix of flows: the columnar
 decode engine hands it the rows of every still-converging flow of a
 batch at once (:func:`repro.collector.batchdecode.decode_path_groups`)
-and a lone decoder's ``observe_batch`` hands it its own rows.
+and a lone decoder's ``observe_batch`` hands it its own rows.  Flows
+whose path is already decoded need far less -- only which hop a
+Baseline row carries -- and get a pass of their own
+(:meth:`PathQueryContext.verify`), shared across flows the same way.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Set
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
 from repro.coding.encoder import HASH, CodecContext
-from repro.coding.schemes import XOR, CodingScheme, multilayer_scheme
+from repro.coding.schemes import BASELINE, XOR, CodingScheme, multilayer_scheme
 from repro.hashing import reservoir_carrier_zip, xor_acting_zip
 
 #: Cap on the elements of one block of the (rows x universe) hash
@@ -40,8 +43,8 @@ class BatchDecisions:
 
     ``pids``/``reps`` are the uint64 packet-id column and the
     ``(n, num_hashes)`` unpacked digest matrix.  After
-    :meth:`PathQueryContext.replay`: ``layer_idx`` and ``carriers`` are
-    int64 columns (carrier 0 on XOR rows), ``acting[i]`` is the list
+    :meth:`PathQueryContext.replay`: ``carriers`` is an int64 column
+    (the carrier hop; 0 on XOR rows), ``acting[i]`` is the list
     of 1-based acting hops of XOR row ``i`` and None on Baseline rows.
     ``masks[i]``, set by :meth:`PathQueryContext.match_universe`, is a
     boolean row over the universe: the values whose hashes equal row
@@ -50,14 +53,14 @@ class BatchDecisions:
     """
 
     __slots__ = (
-        "pids", "reps", "layer_idx", "carriers", "acting", "masks",
+        "pids", "reps", "carriers", "acting", "masks",
         "pid_list", "rep_rows", "carrier_list",
     )
 
     def __init__(self, pids: np.ndarray, reps: np.ndarray) -> None:
         self.pids = pids
         self.reps = reps
-        self.layer_idx = self.carriers = np.empty(0, dtype=np.int64)
+        self.carriers = np.empty(0, dtype=np.int64)
         self.acting: List[Optional[List[int]]] = []
         self.masks: List[Optional[np.ndarray]] = []
         self.pid_list: List[int] = []
@@ -164,7 +167,6 @@ class PathQueryContext:
                 acts = xor_acting_zip(g, pids[xor], ks[xor], xor_p[xor])
                 for row, hops in zip(xor.tolist(), acts.tolist()):
                     acting[row] = [h + 1 for h, a in enumerate(hops) if a]
-        out.layer_idx = layer_idx
         out.carriers = carriers
         out.acting = acting
         out.masks = [None] * n
@@ -172,6 +174,95 @@ class PathQueryContext:
         out.rep_rows = reps.tolist()
         out.carrier_list = carriers.tolist()
         return out
+
+    def verify(
+        self,
+        pids: np.ndarray,
+        reps: np.ndarray,
+        owner: np.ndarray,
+        ks: Sequence[int],
+        columns: Sequence[np.ndarray],
+        carriers: Optional[np.ndarray] = None,
+    ) -> np.ndarray:
+        """Count, per flow, the rows that contradict its decoded path.
+
+        The consistency check of *complete* decoders (paper §7), for
+        rows of any mix of flows at once: ``owner[i]`` is the index of
+        row ``i``'s flow, ``ks[j]`` flow ``j``'s path length and
+        ``columns[j]`` its decoded blocks as a uint64 ``(k,)`` array.
+        A Baseline row must carry its carrier hop's decoded block --
+        compared outright for raw digests, re-hashed under every rep
+        for hash digests; a row failing any rep counts once.  XOR rows
+        of a complete decoder have no unknown hop left and are exact
+        no-ops, so they are never replayed: this is not :meth:`replay`
+        (no acting sets, no Python lists).  ``carriers`` accepts the
+        rows' already-replayed carrier column (0 on XOR rows), as
+        :meth:`replay` leaves it.  Returns the ``(len(ks),)`` counts.
+        """
+        lens = np.asarray(ks, dtype=np.int64)
+        if carriers is None:
+            base, hops = self._baseline_carriers(pids, owner, lens)
+        else:
+            base = np.flatnonzero(carriers)
+            hops = carriers[base]
+        flow = owner[base]
+        starts = np.cumsum(lens) - lens
+        expected = np.concatenate(columns)[starts[flow] + hops - 1]
+        got = reps[base]
+        if self.mode == HASH:
+            # Any codec serves: the value hashes do not depend on k.
+            h = self.codec_for(int(lens[0])).h
+            base_pids = pids[base]
+            bad = np.zeros(base.size, dtype=bool)
+            for rep in range(self.num_hashes):
+                hashed = h[rep].bits_zip(self.digest_bits, base_pids, expected)
+                bad |= hashed != got[:, rep]
+        else:
+            bad = got[:, 0] != expected
+        return np.bincount(flow[bad], minlength=lens.size)
+
+    def _baseline_carriers(
+        self, pids: np.ndarray, owner: np.ndarray, ks: np.ndarray
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """The rows on a Baseline layer and the hop each one carries.
+
+        One layer-selection hash over all rows; one cumulative walk per
+        distinct layer layout (path lengths whose schemes share their
+        selection shares and layer kinds walk together: the XOR
+        probabilities, the only other thing a length changes, do not
+        matter here); one ``reservoir_carrier_zip`` per Baseline layer
+        index over the Baseline rows only, each row against its own
+        flow's ``k``.  Lane for lane the scalar ``observe`` decisions.
+        """
+        row_ks = ks[owner]
+        codecs = {k: self.codec_for(k) for k in set(ks.tolist())}
+        uniforms = next(iter(codecs.values())).select.uniform_array(pids)
+        walks: Dict[tuple, List[int]] = {}
+        for k, codec in codecs.items():
+            scheme = codec.scheme
+            layout = (scheme.shares, tuple(x.kind for x in scheme.layers))
+            walks.setdefault(layout, []).append(k)
+        #: The row's layer index where that layer is Baseline, else -1.
+        base_layer = np.full(pids.shape[0], -1, dtype=np.int64)
+        for (_, kinds), lengths in walks.items():
+            walked = np.zeros(max(codecs) + 1, dtype=bool)
+            walked[lengths] = True
+            rows = np.flatnonzero(walked[row_ks])
+            idx = codecs[lengths[0]].layer_of_uniforms(uniforms[rows])
+            is_base = np.asarray([kind == BASELINE for kind in kinds])
+            base_layer[rows] = np.where(is_base[idx], idx, -1)
+        base = np.flatnonzero(base_layer >= 0)
+        base_layer = base_layer[base]
+        hops = np.empty(base.size, dtype=np.int64)
+        for idx in sorted({
+            i for _, kinds in walks for i, kind in enumerate(kinds)
+            if kind == BASELINE
+        }):
+            g = next(c.g[idx] for c in codecs.values() if len(c.g) > idx)
+            lane = np.flatnonzero(base_layer == idx)
+            rows = base[lane]
+            hops[lane] = reservoir_carrier_zip(g, pids[rows], row_ks[rows])
+        return base, hops
 
     def match_universe(self, out: BatchDecisions, rows: Sequence[int]) -> None:
         """Fill ``out.masks`` for ``rows``: the universe values matching

@@ -34,7 +34,7 @@ decisions were already replayed, possibly together with other flows'.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -43,11 +43,7 @@ from repro.coding.encoder import FRAGMENT, HASH, RAW
 from repro.coding.message import DistributedMessage
 from repro.coding.schemes import BASELINE, CodingScheme
 from repro.exceptions import DecodingError
-from repro.hashing import (
-    reservoir_carrier,
-    reservoir_carrier_array,
-    xor_acting_hops,
-)
+from repro.hashing import reservoir_carrier, xor_acting_hops
 
 
 def _normalize_batch_reps(packet_ids, reps, num_hashes: int):
@@ -65,6 +61,35 @@ def _normalize_batch_reps(packet_ids, reps, num_hashes: int):
             f"got {mat.shape}"
         )
     return pids, mat.astype(np.uint64)
+
+
+def verify_complete(
+    decoders: Sequence["_PeelingDecoder"],
+    sizes: Sequence[int],
+    pids: np.ndarray,
+    reps: np.ndarray,
+    carriers: Optional[np.ndarray] = None,
+) -> None:
+    """Consistency scan of complete decoders' rows (pure counting).
+
+    The rows are grouped by decoder -- ``sizes[j]`` consecutive rows of
+    the uint64 ``pids`` column and ``reps`` matrix belong to
+    ``decoders[j]`` -- and every decoder is complete and references the
+    same context.  One pass checks them all
+    (:meth:`PathQueryContext.verify`): a Baseline row whose digest
+    contradicts its carrier hop's decoded block counts one
+    inconsistency on its decoder, exactly like ``observe`` on a decoded
+    hop; XOR rows have no unknown hop and are no-ops.  ``carriers``
+    accepts the rows' already-replayed carrier column.
+    """
+    owner = np.repeat(np.arange(len(decoders)), sizes)
+    bad = decoders[0].context.verify(
+        pids, reps, owner, [d.k for d in decoders],
+        [d._decoded_column() for d in decoders], carriers,
+    )
+    for decoder, size, count in zip(decoders, sizes, bad.tolist()):
+        decoder.packets_seen += size
+        decoder.inconsistencies += count
 
 
 class _PendingXor:
@@ -101,8 +126,9 @@ class _PeelingDecoder(_ContextBound):
     State common to both: the decoded hops, the pending XOR digests
     and -- per still-unknown hop, created on first use -- the pending
     entries that reference it.  Subclasses supply ``observe``, the
-    in-order walk over replayed rows (``_peel_rows``) and the
-    complete-decoder consistency scan (``_verify_complete``).
+    in-order walk over replayed rows (``_peel_rows``); the
+    complete-decoder consistency scan is shared
+    (:func:`verify_complete`).
     """
 
     def _bind(self, context: PathQueryContext, k: int) -> None:
@@ -168,8 +194,22 @@ class _PeelingDecoder(_ContextBound):
         if stop < hi:
             self._verify_complete(
                 decisions.pids[stop:hi], decisions.reps[stop:hi],
-                decisions.layer_idx[stop:hi], decisions.carriers[stop:hi],
+                decisions.carriers[stop:hi],
             )
+
+    def _verify_complete(
+        self,
+        pids: np.ndarray,
+        reps: np.ndarray,
+        carriers: Optional[np.ndarray] = None,
+    ) -> None:
+        """Consistency scan of this (complete) decoder's rows.
+
+        The one-decoder case of :func:`verify_complete`.  ``carriers``
+        accepts the carrier column already replayed for these rows
+        (the mid-batch completion hand-off).
+        """
+        verify_complete([self], [len(pids)], pids, reps, carriers)
 
     def _decoded_column(self) -> np.ndarray:
         """The decoded blocks as a uint64 (k,) array (complete only)."""
@@ -282,43 +322,6 @@ class RawDecoder(_PeelingDecoder):
                 continue
             self._resolve(carrier, value)
         return hi
-
-    def _verify_complete(
-        self,
-        pids: np.ndarray,
-        reps: np.ndarray,
-        layer_idx: Optional[np.ndarray] = None,
-        carriers: Optional[np.ndarray] = None,
-    ) -> None:
-        """Consistency scan of a complete decoder (pure counting).
-
-        Baseline rows compare against the decoded carrier block; XOR
-        rows are exact no-ops (``observe`` computes a residual with no
-        unknown hops and returns without checking it).  ``layer_idx``
-        and ``carriers`` accept decisions already computed for these
-        rows (the mid-batch completion hand-off).
-        """
-        ctx = self.ctx
-        self.packets_seen += len(pids)
-        decoded = self._decoded_column()
-        if layer_idx is None:
-            layer_idx = ctx.layer_of_array(pids)
-        bad = 0
-        for idx, layer in enumerate(ctx.scheme.layers):
-            if layer.kind != BASELINE:
-                continue
-            lane = layer_idx == idx
-            if not lane.any():
-                continue
-            if carriers is None:
-                lane_carriers = reservoir_carrier_array(
-                    ctx.g[idx], pids[lane], self.k
-                )
-            else:
-                lane_carriers = carriers[lane]
-            expected = decoded[lane_carriers - 1]
-            bad += int((reps[lane, 0] != expected).sum())
-        self.inconsistencies += bad
 
     def state_bytes(self) -> int:
         """Rough resident-state estimate (decoded map + pending digests).
@@ -489,52 +492,6 @@ class HashDecoder(_PeelingDecoder):
                 err.batch_pos = i
                 raise
         return hi
-
-    def _verify_complete(
-        self,
-        pids: np.ndarray,
-        reps: np.ndarray,
-        layer_idx: Optional[np.ndarray] = None,
-        carriers: Optional[np.ndarray] = None,
-    ) -> None:
-        """Consistency scan of a complete decoder (pure counting).
-
-        Baseline rows re-hash the decoded carrier value against the
-        digest (one ``bits_zip`` pass per rep); a row failing any rep
-        counts one inconsistency, exactly like :meth:`_constrain` on a
-        decoded hop.  XOR rows have no unknown hops and are no-ops.
-        ``layer_idx`` and ``carriers`` accept decisions already
-        computed for these rows (the mid-batch completion hand-off).
-        """
-        ctx = self.ctx
-        self.packets_seen += len(pids)
-        decoded = self._decoded_column()
-        if layer_idx is None:
-            layer_idx = ctx.layer_of_array(pids)
-        bad = 0
-        for idx, layer in enumerate(ctx.scheme.layers):
-            if layer.kind != BASELINE:
-                continue
-            lane = layer_idx == idx
-            if not lane.any():
-                continue
-            lane_pids = pids[lane]
-            if carriers is None:
-                lane_carriers = reservoir_carrier_array(
-                    ctx.g[idx], lane_pids, self.k
-                )
-            else:
-                lane_carriers = carriers[lane]
-            values = decoded[lane_carriers - 1]
-            lane_reps = reps[lane]
-            ok = np.ones(len(lane_pids), dtype=bool)
-            for rep in range(ctx.num_hashes):
-                ok &= (
-                    ctx.h[rep].bits_zip(ctx.digest_bits, lane_pids, values)
-                    == lane_reps[:, rep]
-                )
-            bad += int((~ok).sum())
-        self.inconsistencies += bad
 
     # -- internals -------------------------------------------------------
 

@@ -30,6 +30,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.coding.context import BatchDecisions
+from repro.coding.decoder import verify_complete
 from repro.coding.encoder import FRAGMENT, HASH, unpack_reps_array
 from repro.exceptions import DecodingError
 from repro.hashing import GlobalHash, reservoir_carrier_zip
@@ -76,7 +77,8 @@ def decode_path_columns(consumer, pids, hop_counts, digests) -> None:
     Bit-identical to the scalar per-record loop, including reset
     semantics (see :func:`decode_path_groups`, of which this is the
     one-flow case).  A flow whose decoder is already complete skips
-    the decision replay: its rows only need the consistency scan.
+    the decision replay: its rows only need the consistency scan (the
+    one-flow case of :func:`verify_path_groups`).
     """
     pids = np.asarray(pids)
     n = int(pids.shape[0])
@@ -92,6 +94,45 @@ def decode_path_columns(consumer, pids, hop_counts, digests) -> None:
     decode_path_groups(
         consumer.context, [(consumer, 0, n)], pids,
         np.asarray(hop_counts), np.asarray(digests),
+    )
+
+
+def _group_rows(groups) -> tuple:
+    """Column rows of ``(consumer, lo, hi)`` groups, gathered in order.
+
+    Returns the groups' lower bounds, their sizes, each group's first
+    row in the gathered sub-batch and the column row of every
+    sub-batch row.
+    """
+    los = np.asarray([g[1] for g in groups], dtype=np.int64)
+    sizes = np.asarray([g[2] for g in groups], dtype=np.int64) - los
+    starts = np.cumsum(sizes) - sizes
+    # Sub-batch row i of group j is column row los[j] + (i - starts[j]).
+    rows = np.repeat(los - starts, sizes) + np.arange(int(sizes.sum()))
+    return los, sizes, starts, rows
+
+
+def verify_path_groups(context, groups, pids, digests) -> None:
+    """Check several complete flows' slices of one batch in one pass.
+
+    ``groups`` holds ``(consumer, lo, hi)`` as in
+    :func:`decode_path_groups`; every consumer references ``context``
+    and its (raw or hash) decoder is complete, so its rows can only
+    confirm or contradict the decoded path.  The rows of all groups
+    are gathered once and checked together
+    (:func:`repro.coding.decoder.verify_complete`), each against its
+    own decoder's path length -- a complete decoder ignores what later
+    rows claim as their hop count, like the scalar path.  Per-flow
+    ``packets_seen`` / ``inconsistencies`` end up exactly as if each
+    group had been scanned alone; nothing can raise.
+    """
+    _, sizes, _, rows = _group_rows(groups)
+    reps = unpack_reps_array(
+        digests[rows], context.digest_bits, context.num_hashes
+    )
+    verify_complete(
+        [g[0]._decoder for g in groups], sizes.tolist(),
+        pids[rows].astype(np.uint64), reps,
     )
 
 
@@ -121,11 +162,7 @@ def decode_path_groups(context, groups, pids, hop_counts, digests) -> None:
     change it, and then the rest of that flow's rows are replayed
     again on their own.
     """
-    los = np.asarray([g[1] for g in groups], dtype=np.int64)
-    sizes = np.asarray([g[2] for g in groups], dtype=np.int64) - los
-    starts = np.cumsum(sizes) - sizes
-    # Sub-batch row i of group j is column row los[j] + (i - starts[j]).
-    rows = np.repeat(los - starts, sizes) + np.arange(int(sizes.sum()))
+    los, sizes, starts, rows = _group_rows(groups)
     spans = list(zip(starts.tolist(), sizes.tolist()))
     sub_pids = pids[rows].astype(np.uint64)
     reps = unpack_reps_array(

@@ -50,6 +50,7 @@ from repro.collector.batchdecode import (
     decode_latency_slice,
     decode_path_columns,
     decode_path_groups,
+    verify_path_groups,
 )
 from repro.exceptions import DecodingError
 from repro.hashing import GlobalHash, reservoir_carrier
@@ -571,21 +572,30 @@ def consume_groups(groups, pids, hop_counts, digests) -> None:
     """Fold every flow group of one batch into its consumer.
 
     ``groups`` holds ``(consumer, lo, hi)``: rows ``[lo, hi)`` of the
-    (flow-grouped) columns belong to ``consumer``.  A flow whose answer
-    is complete only needs its own rows checked against it, which its
-    :meth:`~DigestConsumer.consume_slice` does in one vectorised scan.
-    The flows still converging on a shared context (new ones included)
-    are decoded together, one cross-flow pass per context
-    (:func:`repro.collector.batchdecode.decode_path_groups`) -- so the
-    shared work scales with *their* rows, not with the batch.
+    (flow-grouped) columns belong to ``consumer``.  Path flows sharing
+    a context are batched across flows, in two passes per context.  The
+    flows whose path is already decoded only need their rows checked
+    against it: one consistency pass over all of them
+    (:func:`repro.collector.batchdecode.verify_path_groups`).  The
+    flows still converging (new ones included) are decoded together
+    (:func:`repro.collector.batchdecode.decode_path_groups`), so that
+    heavier pass scales with *their* rows, not with the batch.
+    Context-less consumers and complete fragment-mode flows (several
+    sub-decoders per flow) fold their own slice.
     """
     converging: Dict[PathQueryContext, list] = {}
+    complete: Dict[PathQueryContext, list] = {}
     for group in groups:
         consumer, lo, hi = group
-        if consumer.context is None or consumer.is_complete:
+        context = consumer.context
+        if context is not None and not consumer.is_complete:
+            converging.setdefault(context, []).append(group)
+        elif context is None or context.mode == FRAGMENT:
             consumer.consume_slice(pids, hop_counts, digests, lo, hi)
         else:
-            converging.setdefault(consumer.context, []).append(group)
+            complete.setdefault(context, []).append(group)
+    for context, members in complete.items():
+        verify_path_groups(context, members, pids, digests)
     for context, members in converging.items():
         decode_path_groups(context, members, pids, hop_counts, digests)
 

@@ -79,14 +79,18 @@ def to_unit(x: int) -> float:
 
 
 def mix64_array(x: np.ndarray) -> np.ndarray:
-    """Vectorised splitmix64 finaliser over a ``uint64`` array."""
-    x = x.astype(np.uint64, copy=True)
-    with np.errstate(over="ignore"):
-        x ^= x >> np.uint64(30)
-        x *= np.uint64(_C1)
-        x ^= x >> np.uint64(27)
-        x *= np.uint64(_C2)
-        x ^= x >> np.uint64(31)
+    """Vectorised splitmix64 finaliser over a ``uint64`` array.
+
+    uint64 *array* arithmetic wraps silently (only NumPy scalar
+    arithmetic warns on overflow), so the in-place passes need no
+    ``np.errstate``; ``asarray`` keeps a 0-d input on the array path.
+    """
+    x = np.asarray(x).astype(np.uint64, copy=True)
+    x ^= x >> np.uint64(30)
+    x *= np.uint64(_C1)
+    x ^= x >> np.uint64(27)
+    x *= np.uint64(_C2)
+    x ^= x >> np.uint64(31)
     return x
 
 
@@ -96,10 +100,9 @@ def fold_array(acc: int, parts: np.ndarray) -> np.ndarray:
     Bit-for-bit identical to the scalar path:
     ``fold_array(acc, parts)[i] == fold(acc, parts[i])``.
     """
-    with np.errstate(over="ignore"):
-        lanes = (np.uint64(acc & MASK64) + np.uint64(GOLDEN)) ^ parts.astype(
-            np.uint64
-        )
+    # The one scalar sum: wrapped as a Python int, where uint64 scalar
+    # addition would warn on overflow.
+    lanes = np.uint64((acc + GOLDEN) & MASK64) ^ parts.astype(np.uint64)
     return mix64_array(lanes)
 
 
@@ -109,10 +112,9 @@ def fold_lanes(accs: np.ndarray, part: int) -> np.ndarray:
     Lane-for-lane identical to the scalar path:
     ``fold_lanes(accs, p)[i] == fold(accs[i], p)``.
     """
-    with np.errstate(over="ignore"):
-        lanes = (accs.astype(np.uint64) + np.uint64(GOLDEN)) ^ np.uint64(
-            part & MASK64
-        )
+    lanes = (np.asarray(accs).astype(np.uint64) + np.uint64(GOLDEN)) ^ (
+        np.uint64(part & MASK64)
+    )
     return mix64_array(lanes)
 
 
@@ -124,10 +126,9 @@ def fold_zip(accs: np.ndarray, parts: np.ndarray) -> np.ndarray:
     shape needed to hash many (packet, block) pairs at once when the
     block differs per lane (mixed-path batches).
     """
-    with np.errstate(over="ignore"):
-        lanes = (accs.astype(np.uint64) + np.uint64(GOLDEN)) ^ parts.astype(
-            np.uint64
-        )
+    lanes = (np.asarray(accs).astype(np.uint64) + np.uint64(GOLDEN)) ^ (
+        parts.astype(np.uint64)
+    )
     return mix64_array(lanes)
 
 

@@ -41,6 +41,7 @@ from repro.obs.metrics import NULL_REGISTRY, StageTimes
 from repro.replay.dataplane import TraceDataplane, compress_utilizations
 from repro.replay.impair import (
     ImpairmentModel,
+    delivered_mask,
     describe_models,
     plan_delivery,
     summarize_delivery,
@@ -600,9 +601,10 @@ class ReplayDriver:
         delivered_rows: Optional[np.ndarray] = None
         flows_with_drops = frozenset()
         if delivery is not None:
-            delivered_rows = np.unique(delivery)
+            delivered = delivered_mask(len(trace), delivery)
+            delivered_rows = np.flatnonzero(delivered)
             path_rows = np.flatnonzero(entry == 0)
-            dropped_path = path_rows[~np.isin(path_rows, delivered_rows)]
+            dropped_path = path_rows[~delivered[path_rows]]
             flows_with_drops = frozenset(
                 np.unique(trace.flow_id[dropped_path]).tolist()
             )

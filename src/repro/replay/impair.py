@@ -380,6 +380,18 @@ def _count_reordered(rows: np.ndarray, fids: np.ndarray) -> int:
     return int(inv.sum())
 
 
+def delivered_mask(n: int, rows: np.ndarray) -> np.ndarray:
+    """Boolean ``(n,)`` column: which offered records arrived at all.
+
+    A delivery schedule holds row indices in ``[0, n)``, so the
+    delivered *set* is one ``bincount`` -- O(n), where a generic
+    ``np.unique`` over the near-sorted million-row schedule costs two
+    orders of magnitude more.  ``np.flatnonzero`` of the mask is the
+    sorted set ``np.unique`` would return.
+    """
+    return np.bincount(rows, minlength=n) > 0
+
+
 def summarize_delivery(
     n: int,
     rows: np.ndarray,
@@ -387,7 +399,7 @@ def summarize_delivery(
 ) -> DeliverySummary:
     """Score a delivery schedule against the perfect ``arange(n)``."""
     rows = np.asarray(rows, dtype=np.int64)
-    unique = int(np.unique(rows).size) if rows.size else 0
+    unique = int(np.count_nonzero(delivered_mask(n, rows)))
     if flow_ids is not None and rows.size:
         fids = np.asarray(flow_ids)[rows]
     else:

@@ -31,6 +31,12 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 import numpy as np
 
 
+#: Hash slots of the (flow, path) sieve in :meth:`Trace.flow_paths`
+#: (a power of two); more pairs than slots only means more rows left
+#: to the exact loop.
+_SIEVE_SLOTS = 1 << 16
+
+
 class Trace:
     """An immutable columnar packet trace plus its interned path table.
 
@@ -120,11 +126,36 @@ class Trace:
         flow never used is a decode error.
         """
         out: Dict[int, List[int]] = {}
-        for fid, pid in zip(self.flow_id.tolist(), self.path_id.tolist()):
+        rows = self._pair_first_rows()
+        for fid, pid in zip(
+            self.flow_id[rows].tolist(), self.path_id[rows].tolist()
+        ):
             lst = out.setdefault(fid, [])
             if pid not in lst:
                 lst.append(pid)
         return {fid: tuple(lst) for fid, lst in out.items()}
+
+    def _pair_first_rows(self) -> np.ndarray:
+        """Ascending rows holding every first (flow, path) appearance.
+
+        A vectorised sieve in front of :meth:`flow_paths`' exact loop,
+        which only rows that *introduce* a (flow_id, path_id) pair can
+        change: pairs are hashed into ``_SIEVE_SLOTS`` slots, each
+        slot's first row is kept, and so is every row whose pair
+        differs from its slot's first (a collision -- possibly a first
+        appearance).  A later repeat of its slot's first pair is never a
+        first appearance, so the kept set is a superset of them, and
+        typically a few rows per pair instead of the whole trace.
+        """
+        fid, pid = self.flow_id, self.path_id
+        rows = np.arange(len(self))
+        slot = (fid * len(self.paths) + pid) & (_SIEVE_SLOTS - 1)
+        first = np.full(_SIEVE_SLOTS, len(self), dtype=np.int64)
+        np.minimum.at(first, slot, rows)
+        lead = first[slot]
+        return np.flatnonzero(
+            (lead == rows) | (fid != fid[lead]) | (pid != pid[lead])
+        )
 
     def batches(self, batch_size: int) -> Iterator[Tuple[int, int]]:
         """Yield ``[lo, hi)`` row bounds covering the trace in order."""

@@ -1,5 +1,7 @@
 """Tests for the low-level mixing primitives."""
 
+import warnings
+
 import numpy as np
 from hypothesis import given, strategies as st
 
@@ -74,6 +76,39 @@ class TestVectorisedAgreement:
     def test_mix64_array_matches_scalar(self, xs):
         arr = mix.mix64_array(np.array(xs, dtype=np.uint64))
         assert [int(v) for v in arr] == [mix.mix64(x) for x in xs]
+
+    def test_array_kernels_raise_no_overflow_warning(self):
+        """The kernels run without ``np.errstate``: uint64 array
+        arithmetic wraps silently, 0-d inputs included, and the one
+        scalar sum is taken as a masked Python int."""
+        top = np.array([mix.MASK64, mix.MASK64 - 1, 1 << 63], dtype=np.uint64)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert [int(v) for v in mix.mix64_array(top)] == [
+                mix.mix64(int(x)) for x in top
+            ]
+            for acc in (mix.MASK64, mix.MASK64 - mix.GOLDEN + 1, 0):
+                got = mix.fold_array(acc, top)
+                assert [int(v) for v in got] == [
+                    mix.fold(acc, int(x)) for x in top
+                ]
+                # 0-d parts and a NumPy scalar stay on the array path.
+                for one in (np.asarray(top[0]), top[0]):
+                    assert int(mix.fold_array(acc, one)) == mix.fold(
+                        acc, int(top[0])
+                    )
+            assert [int(v) for v in mix.fold_lanes(top, mix.MASK64)] == [
+                mix.fold(int(a), mix.MASK64) for a in top
+            ]
+            assert int(mix.fold_lanes(np.asarray(top[0]), 7)) == mix.fold(
+                int(top[0]), 7
+            )
+            assert [int(v) for v in mix.fold_zip(top, top[::-1])] == [
+                mix.fold(int(a), int(b)) for a, b in zip(top, top[::-1])
+            ]
+            assert int(mix.fold_zip(top[0], top[1])) == mix.fold(
+                int(top[0]), int(top[1])
+            )
 
     def test_to_unit_array(self):
         xs = np.array([0, 1 << 63, mix.MASK64], dtype=np.uint64)

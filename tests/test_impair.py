@@ -41,6 +41,8 @@ from repro.replay import (
     summarize_delivery,
 )
 
+from repro.replay.impair import delivered_mask
+
 BENCHMARKS = Path(__file__).resolve().parent.parent / "benchmarks"
 
 
@@ -193,6 +195,11 @@ class TestDeliverySummary:
             n, fids,
         )
         s = summarize_delivery(n, rows, fids)
+        # The O(n) delivered set is the sorted set np.unique returns.
+        delivered = delivered_mask(n, rows)
+        assert delivered.shape == (n,)
+        assert np.flatnonzero(delivered).tolist() == np.unique(rows).tolist()
+        assert s.unique_delivered == np.unique(rows).size
         assert s.delivered == rows.size
         assert s.unique_delivered + s.dropped == n
         assert s.delivered - s.duplicated == s.unique_delivered

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.replay import Trace
+from repro.replay import Trace, build_trace
+from repro.replay import trace as trace_mod
 
 
 def small_trace():
@@ -34,6 +35,42 @@ class TestTraceBasics:
     def test_flow_paths_ground_truth(self):
         t = small_trace()
         assert t.flow_paths() == {10: (0,), 11: (1,), 12: (2,)}
+
+    @staticmethod
+    def _flow_paths_loop(t):
+        """The record-at-a-time definition ``flow_paths`` vectorises."""
+        out = {}
+        for fid, pid in zip(t.flow_id.tolist(), t.path_id.tolist()):
+            lst = out.setdefault(fid, [])
+            if pid not in lst:
+                lst.append(pid)
+        return {fid: tuple(lst) for fid, lst in out.items()}
+
+    def test_flow_paths_matches_loop_on_path_churn(self):
+        """Multi-path flows: path order per flow and flow order alike."""
+        t = build_trace("path-churn", packets=30_000, seed=3)
+        got, want = t.flow_paths(), self._flow_paths_loop(t)
+        assert got == want
+        assert list(got) == list(want)
+        assert max(len(p) for p in got.values()) > 1
+
+    def test_flow_paths_survives_sieve_collisions(self):
+        """Pairs sharing a sieve slot, flows returning to an old path,
+        and huge / negative flow ids (the slot hash wraps) all fall
+        through to the exact loop."""
+        rng = np.random.default_rng(0)
+        n = 6000
+        slots = trace_mod._SIEVE_SLOTS
+        flow_pool = np.asarray(
+            [5, 5 + slots, 5 + 2 * slots, -7, 2**62 + 1, 2**62 + 1 + slots]
+        )
+        fids = flow_pool[rng.integers(0, len(flow_pool), n)]
+        pids = rng.integers(0, 4, n)
+        t = Trace(np.arange(n) * 1e-6, fids, np.arange(n), pids,
+                  np.full(n, 64), [(1,), (2,), (3,), (4,)])
+        got, want = t.flow_paths(), self._flow_paths_loop(t)
+        assert got == want
+        assert list(got) == list(want)
 
     def test_batches_cover_in_order(self):
         t = small_trace()
