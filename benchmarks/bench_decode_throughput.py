@@ -23,6 +23,15 @@ collector's one cross-flow verification pass per batch
 (``consume_groups``) against feeding the same flow groups one
 ``consume_batch`` at a time (>= 2x asserted; machine-independent).
 
+A fourth case times *converging* flows -- the first 60k ``web-search``
+records' path share, thousands of flows a few packets each, fed as
+8,192-row batches -- where every batch is one cross-flow fixpoint peel
+(``repro.coding.peel``): a same-run ratio against the scalar
+``Collector.ingest`` loop on the same rows (>= 12x asserted), and
+again with the switch universe padded to 2,000 ids, where each digest
+is matched against a 40x wider candidate table (>= 1.3x asserted: a
+large universe must not fall off a cliff).
+
 Also times one end-to-end replay (scenario trace → vectorised encode →
 batched ingest → decoded paths) so the whole-pipeline number rides
 along.  Writes machine-readable ``BENCH_decode.json`` and asserts the
@@ -49,6 +58,7 @@ from repro.collector import (
 )
 from repro.collector.consumers import consume_groups
 from repro.replay import ReplayDriver, build_trace
+from repro.replay.dataplane import TraceDataplane
 
 
 def make_latency_workload(records: int, flows: int, seed: int):
@@ -187,6 +197,52 @@ def bench_steady_state(flows: int, batch: int, batches: int, seed: int,
     return result
 
 
+def bench_converging(packets: int, batch: int, padded: int, seed: int,
+                     repeats: int):
+    """Converging flows: the fixpoint peel vs the scalar ingest loop."""
+    trace = build_trace("web-search", packets=packets, seed=seed)
+    driver = ReplayDriver(batch_size=batch, seed=seed)
+    rows = np.flatnonzero(driver.plan.select_array(trace.pid) == 0)
+    dataplane = TraceDataplane(
+        trace, digest_bits=driver.digest_bits, num_hashes=driver.num_hashes,
+        mode=driver.mode, seed=driver.seed,
+    )
+    cols = (
+        trace.flow_id[rows], trace.pid[rows], trace.hop_counts[rows],
+        dataplane.encode_rows(rows),
+    )
+    top = max(trace.universe)
+    wide = list(trace.universe) + list(
+        range(top + 1, top + 1 + padded - len(trace.universe))
+    )
+    result = {"records": len(rows), "flows": int(np.unique(cols[0]).size),
+              "batch": batch}
+    for label, universe in (("", trace.universe), ("padded_", wide)):
+        def make_collector():
+            return Collector(
+                path_consumer_factory(
+                    universe, digest_bits=driver.digest_bits,
+                    num_hashes=driver.num_hashes, seed=driver.seed,
+                ),
+                num_shards=driver.num_shards, seed=driver.seed,
+            )
+
+        scalar_s = time_scalar(make_collector, cols, repeats)
+        batched_s = time_batched(make_collector, cols, batch, repeats)
+        result[f"{label}universe"] = len(universe)
+        result[f"{label}scalar_rps"] = round(len(rows) / scalar_s)
+        result[f"{label}batched_rps"] = round(len(rows) / batched_s)
+        result[f"{label}speedup"] = round(scalar_s / batched_s, 2)
+        print(
+            f"converge {result['records']:,} rec / {result['flows']:,} "
+            f"flows, |V|={len(universe)}: peel "
+            f"{result[f'{label}batched_rps']:,} rec/s vs scalar "
+            f"{result[f'{label}scalar_rps']:,} rec/s = "
+            f"{result[f'{label}speedup']}x"
+        )
+    return result
+
+
 def bench_end_to_end(packets: int, batch: int, seed: int):
     """One replay→collector→decoded-paths run; the pipeline number."""
     trace = build_trace("web-search", packets=packets, seed=seed)
@@ -265,6 +321,9 @@ def main() -> None:
         "steady_state": bench_steady_state(
             48, 8192, 4 if args.quick else 12, args.seed, args.repeats
         ),
+        "converging": bench_converging(
+            60_000, 8192, 2000, args.seed, args.repeats
+        ),
         "end_to_end": bench_end_to_end(
             args.e2e_packets, max(args.batches), args.seed
         ),
@@ -298,6 +357,22 @@ def main() -> None:
         "(one pass per batch must amortise the per-group hash replays)"
     )
     print(f"OK: one verification pass per batch is {steady}x per-flow scans")
+    converging = results["converging"]
+    assert converging["speedup"] >= 12.0, (
+        f"fixpoint peel only {converging['speedup']}x the scalar ingest "
+        "loop on converging web-search flows (>= 12x expected)"
+    )
+    assert converging["padded_speedup"] >= 1.3, (
+        f"fixpoint peel only {converging['padded_speedup']}x the scalar "
+        f"loop against {converging['padded_universe']} switch ids "
+        "(a large universe must stay ahead of the scalar walk)"
+    )
+    print(
+        f"OK: one fixpoint peel per batch is {converging['speedup']}x the "
+        f"scalar loop on converging flows "
+        f"({converging['padded_speedup']}x at "
+        f"|V|={converging['padded_universe']})"
+    )
 
 
 if __name__ == "__main__":

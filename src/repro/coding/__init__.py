@@ -12,13 +12,15 @@ The pipeline:
 * :class:`PathQueryContext` -- what all flows of one path query share
   (universe, per-``k`` scheme and hashes) and the batched replay of
   the per-packet encoder decisions.
+* :mod:`repro.coding.peel` -- the fixpoint peel that decodes all
+  still-converging flows of a batch at once.
 * :class:`LNCEncoder` / :class:`LNCDecoder` -- the Linear Network Coding
   comparator.
 * :mod:`repro.coding.simulate` -- Monte-Carlo harnesses producing the
   Fig. 5 / Fig. 10 quantities.
 """
 
-from repro.coding.context import BatchDecisions, PathQueryContext
+from repro.coding.context import PathQueryContext
 from repro.coding.decoder import (
     FragmentDecoder,
     HashDecoder,
@@ -73,7 +75,6 @@ __all__ = [
     "PathEncoder",
     "CodecContext",
     "PathQueryContext",
-    "BatchDecisions",
     "RAW",
     "HASH",
     "FRAGMENT",

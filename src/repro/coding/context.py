@@ -13,12 +13,11 @@ half a dozen string-hashed :class:`~repro.hashing.GlobalHash` keys.
 The context is also where the per-packet encoder decisions are
 replayed for a batch (:meth:`PathQueryContext.replay`).  The decision
 hashes derive from the root seed only, never from the flow or its path
-length, so one pass serves rows of any mix of flows: the columnar
-decode engine hands it the rows of every still-converging flow of a
-batch at once (:func:`repro.collector.batchdecode.decode_path_groups`)
-and a lone decoder's ``observe_batch`` hands it its own rows.  Flows
-whose path is already decoded need far less -- only which hop a
-Baseline row carries -- and get a pass of their own
+length, so one pass serves rows of any mix of flows: the fixpoint peel
+(:mod:`repro.coding.peel`) hands it the rows of every still-converging
+flow of a batch at once, a lone decoder's ``observe_batch`` its own
+rows.  Flows whose path is already decoded need far less -- only which
+hop a Baseline row carries -- and get a pass of their own
 (:meth:`PathQueryContext.verify`), shared across flows the same way.
 """
 
@@ -31,41 +30,6 @@ import numpy as np
 from repro.coding.encoder import HASH, CodecContext
 from repro.coding.schemes import BASELINE, XOR, CodingScheme, multilayer_scheme
 from repro.hashing import reservoir_carrier_zip, xor_acting_zip
-
-#: Cap on the elements of one block of the (rows x universe) hash
-#: matrix in :meth:`PathQueryContext.match_universe`; bounds the
-#: temporaries to a few MiB whatever the batch and universe sizes.
-_MATCH_BLOCK = 1 << 18
-
-
-class BatchDecisions:
-    """The rows of one (sub-)batch with their replayed decisions.
-
-    ``pids``/``reps`` are the uint64 packet-id column and the
-    ``(n, num_hashes)`` unpacked digest matrix.  After
-    :meth:`PathQueryContext.replay`: ``carriers`` is an int64 column
-    (the carrier hop; 0 on XOR rows), ``acting[i]`` is the list
-    of 1-based acting hops of XOR row ``i`` and None on Baseline rows.
-    ``masks[i]``, set by :meth:`PathQueryContext.match_universe`, is a
-    boolean row over the universe: the values whose hashes equal row
-    ``i``'s digest under every rep.  The ``*_list`` fields are the
-    same columns as Python lists, for the in-order peeling loops.
-    """
-
-    __slots__ = (
-        "pids", "reps", "carriers", "acting", "masks",
-        "pid_list", "rep_rows", "carrier_list",
-    )
-
-    def __init__(self, pids: np.ndarray, reps: np.ndarray) -> None:
-        self.pids = pids
-        self.reps = reps
-        self.carriers = np.empty(0, dtype=np.int64)
-        self.acting: List[Optional[List[int]]] = []
-        self.masks: List[Optional[np.ndarray]] = []
-        self.pid_list: List[int] = []
-        self.rep_rows: List[List[int]] = []
-        self.carrier_list: List[int] = []
 
 
 class PathQueryContext:
@@ -123,8 +87,8 @@ class PathQueryContext:
         return codec
 
     def replay(
-        self, pids: np.ndarray, reps: np.ndarray, ks: np.ndarray
-    ) -> BatchDecisions:
+        self, pids: np.ndarray, ks: np.ndarray
+    ) -> Tuple[np.ndarray, np.ndarray]:
         """Replay every row's encoder decisions; ``ks`` is its path length.
 
         What the scalar ``observe`` derives per packet -- the layer,
@@ -134,10 +98,12 @@ class PathQueryContext:
         carrier or acting replay per layer index, each row against its
         own ``k`` and its own scheme's XOR probability.  Lane for lane
         equal to the scalar decisions (the hashes are keyed on the
-        root seed and the layer index only).  ``pids`` must be
-        non-empty.
+        root seed and the layer index only).  Returns the int64
+        carrier column (the carrier hop; 0 on XOR rows) and the
+        ``(n, max(ks))`` boolean acting matrix (row ``i``, column
+        ``h - 1``: hop ``h`` xor-ed into row ``i``; all False on
+        Baseline rows).  ``pids`` must be non-empty.
         """
-        out = BatchDecisions(pids, reps)
         n = int(pids.shape[0])
         lengths = np.unique(ks).tolist()
         codecs = [self.codec_for(k) for k in lengths]
@@ -155,7 +121,7 @@ class PathQueryContext:
             ])
             xor_p[at_k] = layer_p[idx]
         carriers = np.zeros(n, dtype=np.int64)
-        acting: List[Optional[List[int]]] = [None] * n
+        acting = np.zeros((n, int(lengths[-1])), dtype=bool)
         for idx in range(int(layer_idx.max()) + 1):
             g = next(c.g[idx] for c in codecs if len(c.g) > idx)
             lane = layer_idx == idx
@@ -165,15 +131,8 @@ class PathQueryContext:
             xor = np.flatnonzero(lane & (xor_p > 0.0))
             if xor.size:
                 acts = xor_acting_zip(g, pids[xor], ks[xor], xor_p[xor])
-                for row, hops in zip(xor.tolist(), acts.tolist()):
-                    acting[row] = [h + 1 for h, a in enumerate(hops) if a]
-        out.carriers = carriers
-        out.acting = acting
-        out.masks = [None] * n
-        out.pid_list = pids.tolist()
-        out.rep_rows = reps.tolist()
-        out.carrier_list = carriers.tolist()
-        return out
+                acting[xor, :acts.shape[1]] = acts
+        return carriers, acting
 
     def verify(
         self,
@@ -182,7 +141,6 @@ class PathQueryContext:
         owner: np.ndarray,
         ks: Sequence[int],
         columns: Sequence[np.ndarray],
-        carriers: Optional[np.ndarray] = None,
     ) -> np.ndarray:
         """Count, per flow, the rows that contradict its decoded path.
 
@@ -195,16 +153,10 @@ class PathQueryContext:
         for hash digests; a row failing any rep counts once.  XOR rows
         of a complete decoder have no unknown hop left and are exact
         no-ops, so they are never replayed: this is not :meth:`replay`
-        (no acting sets, no Python lists).  ``carriers`` accepts the
-        rows' already-replayed carrier column (0 on XOR rows), as
-        :meth:`replay` leaves it.  Returns the ``(len(ks),)`` counts.
+        (no acting sets).  Returns the ``(len(ks),)`` counts.
         """
         lens = np.asarray(ks, dtype=np.int64)
-        if carriers is None:
-            base, hops = self._baseline_carriers(pids, owner, lens)
-        else:
-            base = np.flatnonzero(carriers)
-            hops = carriers[base]
+        base, hops = self._baseline_carriers(pids, owner, lens)
         flow = owner[base]
         starts = np.cumsum(lens) - lens
         expected = np.concatenate(columns)[starts[flow] + hops - 1]
@@ -263,28 +215,3 @@ class PathQueryContext:
             rows = base[lane]
             hops[lane] = reservoir_carrier_zip(g, pids[rows], row_ks[rows])
         return base, hops
-
-    def match_universe(self, out: BatchDecisions, rows: Sequence[int]) -> None:
-        """Fill ``out.masks`` for ``rows``: the universe values matching
-        each row's digest.
-
-        The candidate filter a digest applies to a hop nobody
-        narrowed yet, for many rows (of many flows) at once: one
-        ``(rows x |universe|)`` hash matrix per rep instead of one
-        ``bits_array`` call per row.  Row for row the mask
-        ``HashDecoder._constrain`` computes over the full universe.
-        """
-        # Any cached codec serves: the value hashes do not depend on k.
-        h = next(iter(self._codecs.values())).h
-        block = max(1, _MATCH_BLOCK // max(1, int(self.universe.size)))
-        for lo in range(0, len(rows), block):
-            sel = np.asarray(rows[lo:lo + block], dtype=np.int64)
-            pids = out.pids[sel]
-            ok = np.ones((sel.size, self.universe.size), dtype=bool)
-            for rep in range(self.num_hashes):
-                hashed = h[rep].bits_outer(
-                    self.digest_bits, pids, self.universe
-                )
-                ok &= hashed == out.reps[sel, rep][:, None]
-            for row, mask in zip(rows[lo:lo + block], ok):
-                out.masks[row] = mask

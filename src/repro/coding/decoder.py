@@ -23,13 +23,19 @@ reference: a sink builds one and creates each flow's decoder with
 Every decoder also exposes ``observe_batch(packet_ids, reps)`` -- the
 columnar entry point of the sink's batch-decode engine
 (:mod:`repro.collector.batchdecode`).  It is bit-identical to feeding
-the rows to ``observe`` in order, but replays all per-packet hash
-decisions (layer, reservoir carrier, XOR acting set) in vectorised
-passes (:meth:`PathQueryContext.replay`), and -- once the decoder is
-complete -- collapses whole column slices into a single consistency
-scan, which is where the sink's §4 decoding cost concentrates.
-``observe_rows(decisions, lo, hi)`` is the same walk over rows whose
-decisions were already replayed, possibly together with other flows'.
+the rows to ``observe`` in order.  The scalar ``observe`` stays the
+specification; the batched execution has two kernels, each shared
+across any number of decoders of one context: :func:`peel_converging`
+(one fixpoint peel for decoders still converging,
+:mod:`repro.coding.peel`) and :func:`verify_complete` (one consistency
+scan for decoders already complete, which is where the sink's §4
+decoding cost concentrates).
+
+Peeling state is *open hops only*: a settled hop lives in ``decoded``
+and nowhere else (no singleton candidate array), and an XOR digest
+leaves the pending list the moment it comes down to one unknown hop --
+what remains is exactly the state the next digest can still change,
+and it does not depend on the order the digests arrived in.
 """
 
 from __future__ import annotations
@@ -38,12 +44,14 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
-from repro.coding.context import BatchDecisions, PathQueryContext
+from repro.coding.context import PathQueryContext
 from repro.coding.encoder import FRAGMENT, HASH, RAW
 from repro.coding.message import DistributedMessage
 from repro.coding.schemes import BASELINE, CodingScheme
 from repro.exceptions import DecodingError
+from repro.coding.peel import CONFLICT_REASONS, TABLE_BLOCK, FixpointPeel
 from repro.hashing import reservoir_carrier, xor_acting_hops
+from repro.hashing.mix import MASK64
 
 
 def _normalize_batch_reps(packet_ids, reps, num_hashes: int):
@@ -68,7 +76,6 @@ def verify_complete(
     sizes: Sequence[int],
     pids: np.ndarray,
     reps: np.ndarray,
-    carriers: Optional[np.ndarray] = None,
 ) -> None:
     """Consistency scan of complete decoders' rows (pure counting).
 
@@ -79,13 +86,12 @@ def verify_complete(
     (:meth:`PathQueryContext.verify`): a Baseline row whose digest
     contradicts its carrier hop's decoded block counts one
     inconsistency on its decoder, exactly like ``observe`` on a decoded
-    hop; XOR rows have no unknown hop and are no-ops.  ``carriers``
-    accepts the rows' already-replayed carrier column.
+    hop; XOR rows have no unknown hop and are no-ops.
     """
     owner = np.repeat(np.arange(len(decoders)), sizes)
     bad = decoders[0].context.verify(
         pids, reps, owner, [d.k for d in decoders],
-        [d._decoded_column() for d in decoders], carriers,
+        [d._decoded_column() for d in decoders],
     )
     for decoder, size, count in zip(decoders, sizes, bad.tolist()):
         decoder.packets_seen += size
@@ -93,7 +99,7 @@ def verify_complete(
 
 
 class _PendingXor:
-    """An undecodable XOR digest waiting for more hops to resolve."""
+    """An XOR digest still waiting on two or more unknown hops."""
 
     __slots__ = ("packet_id", "residual", "unknown")
 
@@ -103,6 +109,201 @@ class _PendingXor:
         self.residual = residual
         #: Acting hops whose block is still unknown.
         self.unknown = unknown
+
+
+#: Why :func:`peel_converging` leaves a topology-aware decoder to the
+#: scalar route (beside :data:`repro.coding.peel.CONFLICT_REASONS`):
+#: every settle also narrows the neighbouring hops through the
+#: adjacency map, which the fixpoint pass does not model.
+ADJACENCY = "adjacency"
+
+#: Every reason :func:`peel_converging` can give -- the ``reason``
+#: label of a sink's ``pint_collector_decode_fallback_flows_total``.
+FALLBACK_REASONS = (*CONFLICT_REASONS.values(), ADJACENCY)
+
+
+def peel_converging(
+    decoders: Sequence["_PeelingDecoder"],
+    sizes: Sequence[int],
+    pids: np.ndarray,
+    reps: np.ndarray,
+) -> List[Optional[str]]:
+    """Feed still-converging decoders their rows in one fixpoint peel.
+
+    Row layout as in :func:`verify_complete`; every decoder is a raw
+    or hash peeling decoder of the same context.  Entry ``j`` of the
+    result is None when ``decoders[j]`` now holds exactly the state
+    in-order ``observe`` of its rows would have left, or the reason
+    its rows were **not** applied -- a conflict among its digests
+    (:data:`~repro.coding.peel.CONFLICT_REASONS`) or
+    :data:`ADJACENCY`.  Such a decoder is untouched: the caller feeds
+    its rows through the scalar ``observe`` in order, the one place a
+    conflict's outcome (count it, or raise at that row) is defined.
+
+    Decoders are taken in runs whose candidate tables stay under
+    :data:`~repro.coding.peel.TABLE_BLOCK`; each run is one
+    :class:`~repro.coding.peel.FixpointPeel`.
+    """
+    context = decoders[0].context
+    if context.adjacency is not None:
+        return [ADJACENCY] * len(decoders)
+    ks = np.asarray([d.k for d in decoders], dtype=np.int64)
+    counts = np.asarray(sizes, dtype=np.int64)
+    slot_ends = np.cumsum(ks)
+    row_ends = np.cumsum(counts)
+    budget = max(1, TABLE_BLOCK // max(1, int(context.universe.size)))
+    reasons: List[Optional[str]] = []
+    lo = 0
+    while lo < len(decoders):
+        used = int(slot_ends[lo - 1]) if lo else 0
+        hi = max(
+            lo + 1, int(np.searchsorted(slot_ends, used + budget, "right"))
+        )
+        a = int(row_ends[lo - 1]) if lo else 0
+        b = int(row_ends[hi - 1])
+        reasons += _peel_run(
+            decoders[lo:hi], ks[lo:hi], counts[lo:hi], pids[a:b], reps[a:b]
+        )
+        lo = hi
+    return reasons
+
+
+def _peel_run(
+    decoders: Sequence["_PeelingDecoder"],
+    ks: np.ndarray,
+    sizes: np.ndarray,
+    pids: np.ndarray,
+    reps: np.ndarray,
+) -> List[Optional[str]]:
+    """One :class:`FixpointPeel`: load state, run, commit the clean flows."""
+    peel = FixpointPeel(decoders[0].context, ks)
+    _load_state(peel, decoders)
+    was_settled = peel.settled.copy()
+    peel.run(pids, reps, np.repeat(np.arange(len(decoders)), sizes))
+    _commit_state(peel, decoders, was_settled)
+    reasons: List[Optional[str]] = []
+    for decoder, size, code in zip(
+        decoders, sizes.tolist(), peel.conflict.tolist()
+    ):
+        if code:
+            reasons.append(CONFLICT_REASONS[code])
+        else:
+            decoder.packets_seen += size
+            reasons.append(None)
+    return reasons
+
+
+def _load_state(peel: FixpointPeel, decoders: Sequence["_PeelingDecoder"]) -> None:
+    """The decoders' open-hop state, as the peel's pre-batch arrays."""
+    starts = peel.starts.tolist()
+    known_slots: List[int] = []
+    known_blocks: List[int] = []
+    cand_slots: List[int] = []
+    cand_arrays: List[np.ndarray] = []
+    xor_flow: List[int] = []
+    xor_pids: List[int] = []
+    xor_residuals: List[List[int]] = []
+    todo_row: List[int] = []
+    todo_hop: List[int] = []
+    for j, decoder in enumerate(decoders):
+        before_first = starts[j] - 1
+        for hop, block in decoder.decoded.items():
+            known_slots.append(before_first + hop)
+            known_blocks.append(block)
+        if peel.hashed:
+            for hop, arr in decoder._candidates.items():
+                cand_slots.append(before_first + hop)
+                cand_arrays.append(arr)
+        for entry in decoder._pending:
+            for hop in entry.unknown:
+                todo_row.append(len(xor_flow))
+                todo_hop.append(hop - 1)
+            xor_flow.append(j)
+            xor_pids.append(entry.packet_id)
+            xor_residuals.append(entry.residual)
+    if known_slots:
+        # Switch ids are signed; raw blocks span the digest width.
+        peel.load_settled(
+            np.asarray(known_slots, dtype=np.int64),
+            np.asarray(
+                known_blocks, dtype=np.int64 if peel.hashed else np.uint64
+            ),
+        )
+    if cand_slots:
+        peel.load_candidates(
+            np.asarray(cand_slots, dtype=np.int64),
+            np.asarray([arr.size for arr in cand_arrays], dtype=np.int64),
+            np.concatenate(cand_arrays),
+        )
+    if xor_flow:
+        todo = np.zeros((len(xor_flow), peel.xor_todo.shape[1]), dtype=bool)
+        todo[todo_row, todo_hop] = True
+        peel.add_xor(
+            np.asarray(xor_flow, dtype=np.int64),
+            np.asarray(xor_pids, dtype=np.uint64),
+            np.asarray(xor_residuals, dtype=np.uint64),
+            todo,
+        )
+
+
+def _commit_state(
+    peel: FixpointPeel,
+    decoders: Sequence["_PeelingDecoder"],
+    was_settled: np.ndarray,
+) -> None:
+    """Write the fixpoint back -- to flows whose digests never conflicted.
+
+    Newly settled hops enter ``decoded`` (and give up their candidate
+    array), open hops a digest landed on get their surviving candidates,
+    and flows that held or received XOR digests get their pending list
+    rebuilt from the constraints still open, in arrival order.
+    """
+    clean = peel.conflict == 0
+    clean_slot = clean[peel.slot_flow]
+    fresh = np.flatnonzero(peel.settled & ~was_settled & clean_slot)
+    blocks = peel.values[fresh]
+    if peel.hashed:
+        blocks = blocks.astype(np.int64)
+    flows, hops = peel.hop_of(fresh)
+    for j, hop, block in zip(flows.tolist(), hops.tolist(), blocks.tolist()):
+        decoders[j].decoded[hop] = block
+        if peel.hashed:
+            decoders[j]._candidates.pop(hop, None)
+    if peel.hashed:
+        kept = np.flatnonzero(peel.narrowed & ~peel.settled & clean_slot)
+        standing = peel.table[kept]
+        members = peel.context.universe[np.nonzero(standing)[1]]
+        ends = np.cumsum(standing.sum(axis=1)).tolist()
+        flows, hops = peel.hop_of(kept)
+        lo = 0
+        for j, hop, hi in zip(flows.tolist(), hops.tolist(), ends):
+            # A copy: a view would pin the whole batch's member column.
+            decoders[j]._candidates[hop] = members[lo:hi].copy()
+            lo = hi
+    starts = peel.starts.tolist()
+    complete = np.bincount(
+        peel.slot_flow[peel.settled], minlength=len(decoders)
+    ) == peel.ks
+    for j in np.flatnonzero(complete & clean).tolist():
+        decoders[j]._decoded_arr = peel.values[
+            starts[j]:starts[j] + decoders[j].k
+        ].copy()
+    if peel.xor_flow.size:
+        held = np.unique(peel.xor_flow)
+        for j in held[clean[held]].tolist():
+            decoders[j]._pending = []
+            decoders[j]._hop_refs = {}
+        still = np.flatnonzero(peel.xor_open & clean[peel.xor_flow])
+        row, hop = np.nonzero(peel.xor_todo[still])
+        ends = np.cumsum(np.bincount(row, minlength=still.size)).tolist()
+        unknown = (hop + 1).tolist()
+        lo = 0
+        for j, pid, residual, hi in zip(
+            peel.xor_flow[still].tolist(), peel.xor_pids[still].tolist(),
+            peel.xor_residual[still].tolist(), ends,
+        ):
+            decoders[j]._park(pid, residual, set(unknown[lo:hi]))
+            lo = hi
 
 
 class _ContextBound:
@@ -124,11 +325,10 @@ class _PeelingDecoder(_ContextBound):
     """What the raw and hash peeling decoders share.
 
     State common to both: the decoded hops, the pending XOR digests
-    and -- per still-unknown hop, created on first use -- the pending
-    entries that reference it.  Subclasses supply ``observe``, the
-    in-order walk over replayed rows (``_peel_rows``); the
-    complete-decoder consistency scan is shared
-    (:func:`verify_complete`).
+    (those still waiting on two or more hops) and -- per unknown hop,
+    created on first use -- the pending entries that reference it.
+    Subclasses supply the scalar ``observe``; the batched kernels
+    (:func:`peel_converging`, :func:`verify_complete`) are shared.
     """
 
     def _bind(self, context: PathQueryContext, k: int) -> None:
@@ -137,6 +337,7 @@ class _PeelingDecoder(_ContextBound):
         self.k = k
         self.context = context
         self.ctx = context.codec_for(k)
+        #: hop -> block; insertion order carries no meaning.
         self.decoded: Dict[int, int] = {}
         self.inconsistencies = 0
         self.packets_seen = 0
@@ -163,53 +364,29 @@ class _PeelingDecoder(_ContextBound):
 
         ``reps`` is the ``(n, num_hashes)`` unpacked digest matrix (see
         :func:`~repro.coding.encoder.unpack_reps_array`; raw digests
-        are 1-tuples).  All per-packet hash replays run as array
-        passes, and rows past the completion point reduce to one
-        vectorised consistency scan.  A digest that contradicts the
-        candidate sets raises :class:`DecodingError` exactly where the
-        scalar loop would; the exception carries a ``batch_pos``
-        attribute (the offending row) so callers can reset and resume
-        behind it.
+        are 1-tuples).  A complete decoder's rows are one consistency
+        scan, a converging decoder's one fixpoint peel -- the
+        one-decoder cases of :func:`verify_complete` and
+        :func:`peel_converging`.  When the peel finds the rows in
+        conflict they go through ``observe`` one by one instead, so a
+        digest that contradicts the candidate sets raises
+        :class:`DecodingError` exactly where the scalar loop would; the
+        exception carries a ``batch_pos`` attribute (the offending
+        row) so callers can reset and resume behind it.
         """
         pids, mat = _normalize_batch_reps(packet_ids, reps, self.ctx.num_hashes)
         n = len(pids)
         if n == 0:
             return
         if self.is_complete:
-            self._verify_complete(pids, mat)
-            return
-        ks = np.full(n, self.k, dtype=np.int64)
-        self.observe_rows(self.context.replay(pids, mat, ks), 0, n)
-
-    def observe_rows(self, decisions: BatchDecisions, lo: int, hi: int) -> None:
-        """Feed rows ``[lo, hi)`` of an already-replayed batch, in order.
-
-        Peels until the decoder completes, then hands the unconsumed
-        suffix -- decisions included -- to the consistency scan.  The
-        rows' decisions must have been replayed with this decoder's
-        ``k``; a :class:`DecodingError` carries the offending row of
-        ``decisions`` in ``batch_pos``.
-        """
-        stop = self._peel_rows(decisions, lo, hi)
-        if stop < hi:
-            self._verify_complete(
-                decisions.pids[stop:hi], decisions.reps[stop:hi],
-                decisions.carriers[stop:hi],
-            )
-
-    def _verify_complete(
-        self,
-        pids: np.ndarray,
-        reps: np.ndarray,
-        carriers: Optional[np.ndarray] = None,
-    ) -> None:
-        """Consistency scan of this (complete) decoder's rows.
-
-        The one-decoder case of :func:`verify_complete`.  ``carriers``
-        accepts the carrier column already replayed for these rows
-        (the mid-batch completion hand-off).
-        """
-        verify_complete([self], [len(pids)], pids, reps, carriers)
+            verify_complete([self], [n], pids, mat)
+        elif peel_converging([self], [n], pids, mat)[0] is not None:
+            for i, (pid, row) in enumerate(zip(pids.tolist(), mat.tolist())):
+                try:
+                    self.observe(pid, tuple(row))
+                except DecodingError as err:
+                    err.batch_pos = i
+                    raise
 
     def _decoded_column(self) -> np.ndarray:
         """The decoded blocks as a uint64 (k,) array (complete only)."""
@@ -221,11 +398,29 @@ class _PeelingDecoder(_ContextBound):
         return self._decoded_arr
 
     def _park(self, packet_id: int, residual: List[int], unknown: Set[int]) -> None:
-        """Keep an XOR digest with several unknown hops for later peeling."""
-        entry = _PendingXor(packet_id, residual, unknown)
+        """Keep an XOR digest with several unknown hops for later peeling.
+
+        The packet id is kept in its 64-bit form (what every hash of it
+        reads), so scalar and batched feeding park equal entries.
+        """
+        entry = _PendingXor(packet_id & MASK64, residual, unknown)
         self._pending.append(entry)
         for hop in unknown:
             self._hop_refs.setdefault(hop, []).append(entry)
+
+    def _release(self, entry: _PendingXor) -> int:
+        """A pending digest is down to one unknown hop: it is state no
+        longer.  Drops it (its ``unknown`` left empty) and returns that
+        hop; the caller applies the residual to it."""
+        last = entry.unknown.pop()
+        self._pending.remove(entry)
+        # Absent while ``last`` itself is mid-settle further up the stack.
+        refs = self._hop_refs.get(last)
+        if refs is not None:
+            refs.remove(entry)
+            if not refs:
+                del self._hop_refs[last]
+        return last
 
     def known_blocks(self) -> Dict[int, int]:
         """Hops decoded so far (1-based) -- the partial-decode answer.
@@ -299,37 +494,13 @@ class RawDecoder(_PeelingDecoder):
             return
         self._park(packet_id, [residual], unknown)
 
-    def _peel_rows(self, d: BatchDecisions, lo: int, hi: int) -> int:
-        """In-order walk over replayed rows, until complete.
-
-        Same state transitions as :meth:`observe`, minus all per-packet
-        hashing; returns the first unconsumed row.
-        """
-        carriers = d.carrier_list
-        for i in range(lo, hi):
-            if self.is_complete:
-                return i
-            self.packets_seen += 1
-            value = d.rep_rows[i][0]
-            acting = d.acting[i]
-            if acting is not None:
-                self._peel_xor(d.pid_list[i], value, acting)
-                continue
-            carrier = carriers[i]
-            if carrier in self.decoded:
-                if self.decoded[carrier] != value:
-                    self.inconsistencies += 1
-                continue
-            self._resolve(carrier, value)
-        return hi
-
     def state_bytes(self) -> int:
         """Rough resident-state estimate (decoded map + pending digests).
 
-        Content-based: a complete decoder counts its ``8 * k``-byte
-        decoded column whether or not a batched scan has materialised
-        it yet, so identical state reports identical bytes however the
-        records were fed.
+        Content-based: only digests still pending count, and a complete
+        decoder counts its ``8 * k``-byte decoded column whether or not
+        a batched scan has materialised it yet, so identical state
+        reports identical bytes however the records were fed.
         """
         arr = 8 * self.k if self.is_complete else 0
         return 16 * len(self.decoded) + 64 * len(self._pending) + arr
@@ -345,14 +516,10 @@ class RawDecoder(_PeelingDecoder):
                 continue
             self.decoded[hop] = value
             for entry in self._hop_refs.pop(hop, ()):
-                if hop not in entry.unknown:
-                    continue
                 entry.unknown.discard(hop)
                 entry.residual[0] ^= value
                 if len(entry.unknown) == 1:
-                    last = next(iter(entry.unknown))
-                    entry.unknown.clear()
-                    worklist.append((last, entry.residual[0]))
+                    worklist.append((self._release(entry), entry.residual[0]))
 
 
 class HashDecoder(_PeelingDecoder):
@@ -363,9 +530,9 @@ class HashDecoder(_PeelingDecoder):
     ``h(v, packet) == digest`` -- an expected ``2^-b`` shrink per hash
     instantiation.  XOR digests join the peeling pool: once all acting
     hops but one are decoded, the leftover behaves like a Baseline
-    packet for that hop (paper §4.2).  A hop no digest has narrowed yet
-    holds no array of its own: its candidates are the context's shared
-    universe.
+    packet for that hop (paper §4.2).  Only *open, narrowed* hops hold
+    an array: a hop no digest has narrowed yet has the context's
+    shared universe, a settled hop has its entry in ``decoded``.
     """
 
     def __init__(
@@ -390,8 +557,8 @@ class HashDecoder(_PeelingDecoder):
         super()._bind(context, k)
         if context.universe.size < 1:
             raise ValueError("universe must be non-empty")
-        #: hop -> narrowed candidate array; a missing hop still has the
-        #: whole universe.
+        #: open hop -> narrowed candidate array; a missing hop is either
+        #: settled (see ``decoded``) or still has the whole universe.
         self._candidates: Dict[int, np.ndarray] = {}
         #: Optional topology knowledge: value -> possible neighbouring
         #: values.  When set, decoding a hop restricts the candidate
@@ -404,18 +571,15 @@ class HashDecoder(_PeelingDecoder):
         self.adjacency = context.adjacency
 
     def _candidates_of(self, hop: int) -> np.ndarray:
-        """The hop's candidate array (the shared universe if untouched)."""
+        """The hop's candidates: its block once settled, its narrowed
+        array while open, the shared universe if untouched."""
+        if hop in self.decoded:
+            return np.asarray([self.decoded[hop]], dtype=np.int64)
         return self._candidates.get(hop, self.context.universe)
 
     def candidates_left(self, hop: int) -> int:
         """Size of the hop's remaining candidate set (1 when decoded)."""
-        if hop in self.decoded:
-            return 1
         return int(self._candidates_of(hop).size)
-
-    def untouched(self, hop: int) -> bool:
-        """True while no digest has narrowed ``hop``'s candidates."""
-        return hop not in self._candidates
 
     def observe(self, packet_id: int, digest: Tuple[int, ...]) -> None:
         """Feed one collected digest (``num_hashes`` entries)."""
@@ -435,23 +599,12 @@ class HashDecoder(_PeelingDecoder):
         )
 
     def _peel_xor(
-        self,
-        packet_id: int,
-        residual: List[int],
-        acting: List[int],
-        universe_mask: Optional[np.ndarray] = None,
+        self, packet_id: int, residual: List[int], acting: List[int]
     ) -> None:
-        """One XOR digest: strip the known hops, constrain or park the rest.
-
-        ``universe_mask`` is the digest's precomputed match against
-        the universe (see :meth:`_constrain`); it is dropped as soon
-        as a known hop is stripped, since the residual then differs
-        from the digest it was computed for.
-        """
+        """One XOR digest: strip the known hops, constrain or park the rest."""
         unknown: Set[int] = set()
         for hop in acting:
             if hop in self.decoded:
-                universe_mask = None
                 for rep in range(self.ctx.num_hashes):
                     residual[rep] ^= self.ctx.value_digest(
                         rep, packet_id, self.decoded[hop]
@@ -461,53 +614,14 @@ class HashDecoder(_PeelingDecoder):
         if not unknown:
             return
         if len(unknown) == 1:
-            self._constrain(unknown.pop(), packet_id, residual, universe_mask)
+            self._constrain(unknown.pop(), packet_id, residual)
             return
         self._park(packet_id, residual, unknown)
 
-    def _peel_rows(self, d: BatchDecisions, lo: int, hi: int) -> int:
-        """In-order walk over replayed rows, until complete.
-
-        Same state transitions as :meth:`observe`, minus the per-packet
-        layer/carrier/acting hashing -- and, where the row carries a
-        universe mask, minus the first candidate filter; returns the
-        first unconsumed row.
-        """
-        carriers = d.carrier_list
-        for i in range(lo, hi):
-            if self.is_complete:
-                return i
-            self.packets_seen += 1
-            acting = d.acting[i]
-            try:
-                if acting is None:
-                    self._constrain(
-                        carriers[i], d.pid_list[i], d.rep_rows[i], d.masks[i]
-                    )
-                else:
-                    self._peel_xor(
-                        d.pid_list[i], d.rep_rows[i], acting, d.masks[i]
-                    )
-            except DecodingError as err:
-                err.batch_pos = i
-                raise
-        return hi
-
     # -- internals -------------------------------------------------------
 
-    def _constrain(
-        self,
-        hop: int,
-        packet_id: int,
-        needed: List[int],
-        universe_mask: Optional[np.ndarray] = None,
-    ) -> None:
-        """Keep only candidates of ``hop`` whose hash matches ``needed``.
-
-        ``universe_mask`` is the match already computed against the
-        whole universe (:meth:`PathQueryContext.match_universe`); it
-        applies only while the hop is untouched.
-        """
+    def _constrain(self, hop: int, packet_id: int, needed: List[int]) -> None:
+        """Keep only candidates of ``hop`` whose hash matches ``needed``."""
         if hop in self.decoded:
             value = self.decoded[hop]
             ok = all(
@@ -517,27 +631,23 @@ class HashDecoder(_PeelingDecoder):
             if not ok:
                 self.inconsistencies += 1
             return
-        cands = self._candidates.get(hop)
-        if cands is None and universe_mask is not None:
-            remaining = self.context.universe[universe_mask]
-        else:
-            if cands is None:
-                cands = self.context.universe
-            mask = np.ones(cands.size, dtype=bool)
-            for rep in range(self.ctx.num_hashes):
-                hashed = self.ctx.h[rep].bits_array(
-                    self.ctx.digest_bits, cands, packet_id
-                )
-                mask &= hashed == np.uint64(needed[rep])
-            remaining = cands[mask]
+        cands = self._candidates.get(hop, self.context.universe)
+        mask = np.ones(cands.size, dtype=bool)
+        for rep in range(self.ctx.num_hashes):
+            hashed = self.ctx.h[rep].bits_array(
+                self.ctx.digest_bits, cands, packet_id
+            )
+            mask &= hashed == np.uint64(needed[rep])
+        remaining = cands[mask]
         if remaining.size == 0:
             raise DecodingError(
                 f"hop {hop}: no candidate matches digest (corrupt input "
                 "or value outside the universe)"
             )
-        self._candidates[hop] = remaining
         if remaining.size == 1:
             self._settle(hop, int(remaining[0]))
+        else:
+            self._candidates[hop] = remaining
 
     def _settle(self, hop: int, value: int) -> None:
         """A hop reached a unique candidate; peel dependent XOR digests."""
@@ -547,9 +657,11 @@ class HashDecoder(_PeelingDecoder):
             if hop in self.decoded:
                 continue
             self.decoded[hop] = value
-            self._candidates[hop] = np.asarray([value], dtype=np.int64)
+            self._candidates.pop(hop, None)
             for entry in self._hop_refs.pop(hop, ()):
                 if hop not in entry.unknown:
+                    # Released further down the stack: a settle it
+                    # triggered got to this entry first.
                     continue
                 entry.unknown.discard(hop)
                 for rep in range(self.ctx.num_hashes):
@@ -557,13 +669,11 @@ class HashDecoder(_PeelingDecoder):
                         rep, entry.packet_id, value
                     )
                 if len(entry.unknown) == 1:
-                    last = next(iter(entry.unknown))
-                    entry.unknown.clear()
-                    before = self.decoded.get(last)
-                    self._constrain(last, entry.packet_id, entry.residual)
-                    after_cands = self._candidates_of(last)
-                    if before is None and after_cands.size == 1 and last not in self.decoded:
-                        worklist.append((last, int(after_cands[0])))
+                    # ``_constrain`` settles the hop itself the moment
+                    # it is down to one candidate.
+                    self._constrain(
+                        self._release(entry), entry.packet_id, entry.residual
+                    )
             if self.adjacency is not None:
                 for nbr_hop in (hop - 1, hop + 1):
                     if not 1 <= nbr_hop <= self.k or nbr_hop in self.decoded:
@@ -587,17 +697,18 @@ class HashDecoder(_PeelingDecoder):
         """Rough resident-state estimate (candidate arrays dominate).
 
         Content-based, so identical state reports identical bytes
-        however the records were fed: only *narrowed* candidate arrays
-        count (untouched hops alias the context's one universe array),
-        and a complete decoder counts its ``8 * k``-byte decoded column
-        whether or not a batched scan has materialised it yet.  Kept
-        next to the state it measures so memory-accounting callers
-        (e.g. the collector's snapshots) need no knowledge of decoder
-        internals.
+        however the records were fed: narrowed candidate arrays count
+        in full and a settled hop as its one 8-byte block (untouched
+        hops alias the context's one universe array), only digests
+        still pending count, and a complete decoder counts its
+        ``8 * k``-byte decoded column whether or not a batched scan has
+        materialised it yet.  Kept next to the state it measures so
+        memory-accounting callers (e.g. the collector's snapshots) need
+        no knowledge of decoder internals.
         """
         cand = sum(arr.nbytes for arr in self._candidates.values())
         arr = 8 * self.k if self.is_complete else 0
-        return cand + 64 * len(self._pending) + arr
+        return cand + 8 * len(self.decoded) + 64 * len(self._pending) + arr
 
 
 class FragmentDecoder(_ContextBound):
@@ -669,19 +780,9 @@ class FragmentDecoder(_ContextBound):
         loop.
         """
         pids, mat = _normalize_batch_reps(packet_ids, reps, 1)
-        self.observe_rows(BatchDecisions(pids, mat), 0, len(pids))
-
-    def observe_rows(self, decisions: BatchDecisions, lo: int, hi: int) -> None:
-        """Scatter rows ``[lo, hi)`` of a batch to the sub-problems.
-
-        Only the columns of ``decisions`` are read: each sub-problem
-        replays the decisions of its own lane.
-        """
-        if hi <= lo:
+        if not len(pids):
             return
-        pids = decisions.pids[lo:hi]
-        mat = decisions.reps[lo:hi]
-        self.packets_seen += hi - lo
+        self.packets_seen += len(pids)
         frags = self.ctx.frag.choice_array(self.num_fragments, pids)
         for frag in range(self.num_fragments):
             lane = frags == frag

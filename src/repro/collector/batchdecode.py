@@ -17,7 +17,9 @@ Layering contract (see DESIGN.md §4):
 * this *columnar execution layer* replays the same ``GlobalHash``
   decisions in array passes (layer selection, reservoir carriers, XOR
   acting sets, fragment scatter) and dispatches
-  ``observe_batch`` / ``extend_array`` / ``decode_array``;
+  ``peel_converging`` / ``verify_complete`` / ``extend_array`` /
+  ``decode_array``; a flow whose digests conflict is handed back to
+  the scalar layer, rows and all (:func:`decode_path_groups`);
 * equivalence tests pin the two layers together: path decode is
   bit-identical record-for-record (including ``DecodingError`` resets
   mid-column), latency decode is sample-identical in raw mode and
@@ -29,10 +31,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.coding.context import BatchDecisions
-from repro.coding.decoder import verify_complete
-from repro.coding.encoder import FRAGMENT, HASH, unpack_reps_array
-from repro.exceptions import DecodingError
+from repro.coding.decoder import peel_converging, verify_complete
+from repro.coding.encoder import FRAGMENT, unpack_reps_array
 from repro.hashing import GlobalHash, reservoir_carrier_zip
 
 
@@ -76,9 +76,9 @@ def decode_path_columns(consumer, pids, hop_counts, digests) -> None:
 
     Bit-identical to the scalar per-record loop, including reset
     semantics (see :func:`decode_path_groups`, of which this is the
-    one-flow case).  A flow whose decoder is already complete skips
-    the decision replay: its rows only need the consistency scan (the
-    one-flow case of :func:`verify_path_groups`).
+    one-flow case).  A flow whose decoder is already complete only
+    needs the consistency scan (the one-flow case of
+    :func:`verify_path_groups`).
     """
     pids = np.asarray(pids)
     n = int(pids.shape[0])
@@ -136,87 +136,59 @@ def verify_path_groups(context, groups, pids, digests) -> None:
     )
 
 
-def decode_path_groups(context, groups, pids, hop_counts, digests) -> None:
+def decode_path_groups(
+    context, groups, pids, hop_counts, digests, fallbacks=None
+) -> None:
     """Decode several flows' slices of one batch in one cross-flow pass.
 
     ``groups`` holds ``(consumer, lo, hi)`` -- rows ``[lo, hi)`` of the
     columns belong to that path consumer -- and every consumer
-    references ``context``.  The rows of all groups are gathered into
-    one sub-batch and their encoder decisions are replayed once
-    (:meth:`PathQueryContext.replay`: layer, reservoir carrier, XOR
-    acting set, each row against its own flow's path length); in hash
-    mode the rows whose digest lands whole on a hop nobody narrowed
-    yet also get their candidate filter from one hash matrix over the
-    universe (:meth:`PathQueryContext.match_universe`).  Each flow then walks
-    its own rows in order, so per-flow state is bit-identical to the
-    scalar per-record loop, including reset semantics: a digest that
-    contradicts the candidate sets makes the decoder raise
-    :class:`DecodingError` with the offending row in ``batch_pos``;
-    the consumer's error counter bumps, the decoder is rebuilt from
-    the *next* row's hop count, and decoding resumes behind the
-    conflict -- the same re-convergence a reroute triggers on the
-    scalar path.
+    references ``context`` and is still converging.  The rows of all
+    groups are gathered once and go through one fixpoint peel
+    (:func:`repro.coding.decoder.peel_converging`): each flow against
+    its *decoder's* path length -- the first record's hop count,
+    whatever later rows claim.  The peel leaves every flow whose
+    digests are mutually consistent in exactly the state the scalar
+    per-record loop reaches, and leaves the others untouched, naming
+    why (a hop without candidates, an XOR residual that does not
+    cancel, a topology-aware context).  Those flows' rows then take
+    the scalar reference itself, :meth:`PathDigestConsumer.consume`
+    row by row -- which owns the reset semantics: a contradicting
+    digest raises :class:`DecodingError` inside the decoder, the
+    consumer counts it, drops the decoder and rebuilds it from the
+    *next* row's hop count, the re-convergence a reroute triggers.
+    ``fallbacks`` maps each reason to a counter bumped once per flow
+    handed over.
 
-    A flow is decoded against its *decoder's* path length (the first
-    record's hop count), whatever later rows claim; only a rebuild can
-    change it, and then the rest of that flow's rows are replayed
-    again on their own.
+    Fragment-mode flows keep their own scatter: each decoder splits
+    its rows over its per-fragment raw sub-problems.
     """
     los, sizes, starts, rows = _group_rows(groups)
-    spans = list(zip(starts.tolist(), sizes.tolist()))
     sub_pids = pids[rows].astype(np.uint64)
     reps = unpack_reps_array(
         digests[rows], context.digest_bits, context.num_hashes
     )
-    first_hops = hop_counts[los].tolist()
-    ks = [
-        g[0]._decoder.k if g[0]._decoder is not None else first_hops[j]
-        for j, g in enumerate(groups)
+    decoders = [
+        group[0]._ensure_decoder(hops)
+        for group, hops in zip(groups, hop_counts[los].tolist())
     ]
     if context.mode == FRAGMENT:
-        # Fragment sub-problems replay the decisions of their own lanes.
-        decisions = BatchDecisions(sub_pids, reps)
-    else:
-        decisions = context.replay(
-            sub_pids, reps, np.repeat(np.asarray(ks, dtype=np.int64), sizes)
-        )
-    if context.mode == HASH:
-        # Rows whose digest lands whole on one hop -- Baseline rows on
-        # their carrier, XOR rows with a single acting hop -- filter
-        # that hop's candidates; where nobody narrowed the hop yet the
-        # filter runs over the full universe, for all such rows at once.
-        targets = [
-            carrier if hops is None else hops[0] if len(hops) == 1 else 0
-            for carrier, hops in zip(decisions.carrier_list, decisions.acting)
-        ]
-        first_touch: list = []
-        for (consumer, _, _), (a, size) in zip(groups, spans):
-            decoder = consumer._decoder
-            for i in range(a, a + size):
-                hop = targets[i]
-                if hop and (decoder is None or decoder.untouched(hop)):
-                    first_touch.append(i)
-        if first_touch:
-            context.match_universe(decisions, first_touch)
-    for (consumer, lo, hi), (a, size), k in zip(groups, spans, ks):
-        b = a + size
-        while a < b:
-            decoder = consumer._ensure_decoder(k)
-            try:
-                decoder.observe_rows(decisions, a, b)
-                break
-            except DecodingError as err:
-                consumer.decode_errors += 1
-                consumer._decoder = None
-                resume = err.batch_pos + 1
-                lo += resume - a
-                a = resume
-                if a < b and int(hop_counts[lo]) != k:
-                    decode_path_groups(
-                        context, [(consumer, lo, hi)], pids, hop_counts,
-                        digests,
-                    )
-                    break
+        for decoder, a, b in zip(
+            decoders, starts.tolist(), (starts + sizes).tolist()
+        ):
+            decoder.observe_batch(sub_pids[a:b], reps[a:b])
+        return
+    reasons = peel_converging(decoders, sizes.tolist(), sub_pids, reps)
+    for (consumer, lo, hi), reason in zip(groups, reasons):
+        if reason is None:
+            continue
+        if fallbacks is not None:
+            fallbacks[reason].inc()
+        for row in zip(
+            pids[lo:hi].tolist(), hop_counts[lo:hi].tolist(),
+            digests[lo:hi].tolist(),
+        ):
+            consumer.consume(*row)
 
 
 def decode_latency_slice(

@@ -31,6 +31,7 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
+from repro.coding.decoder import FALLBACK_REASONS
 from repro.collector.consumers import (
     ConsumerFactory,
     DigestConsumer,
@@ -178,6 +179,15 @@ class Collector:
             "pint_collector_consume_seconds",
             "Per-batch flow-table touch + consumer dispatch time", labels,
         )
+        self._m_fallbacks = {
+            reason: obs.counter(
+                "pint_collector_decode_fallback_flows_total",
+                "Converging flows the batched peel handed to the scalar "
+                "decoder, by reason",
+                {**labels, "reason": reason},
+            )
+            for reason in FALLBACK_REASONS
+        }
         # Totals that already live in the flow tables are *read* at
         # export time rather than double-counted on the hot path.
         shards = self.shards
@@ -313,7 +323,7 @@ class Collector:
                 lo, hi = bounds[idx], bounds[idx + 1]
                 groups.append((shards[sid].touch_group(fid, hi - lo, t), lo, hi))
                 touched.add(sid)
-            consume_groups(groups, sps, shops, sdigs)
+            consume_groups(groups, sps, shops, sdigs, self._m_fallbacks)
             for sid in touched:
                 shards[sid].batches += 1
                 shards[sid].table.maybe_expire(t)
@@ -394,7 +404,7 @@ class Collector:
                 groups.append((entry.consumer, lo + start_at.get(f, 0), hi))
             shard.records += int(sub.shape[0])
             shard.batches += 1
-        consume_groups(groups, sps, shops, sdigs)
+        consume_groups(groups, sps, shops, sdigs, self._m_fallbacks)
 
     # -- queries -----------------------------------------------------------
 

@@ -568,7 +568,7 @@ def path_consumer_factory(universe: Sequence[int], **kwargs) -> ConsumerFactory:
     return lambda flow_id: PathDigestConsumer.from_context(context)
 
 
-def consume_groups(groups, pids, hop_counts, digests) -> None:
+def consume_groups(groups, pids, hop_counts, digests, fallbacks=None) -> None:
     """Fold every flow group of one batch into its consumer.
 
     ``groups`` holds ``(consumer, lo, hi)``: rows ``[lo, hi)`` of the
@@ -577,11 +577,15 @@ def consume_groups(groups, pids, hop_counts, digests) -> None:
     flows whose path is already decoded only need their rows checked
     against it: one consistency pass over all of them
     (:func:`repro.collector.batchdecode.verify_path_groups`).  The
-    flows still converging (new ones included) are decoded together
+    flows still converging (new ones included) are decoded together in
+    one fixpoint peel
     (:func:`repro.collector.batchdecode.decode_path_groups`), so that
-    heavier pass scales with *their* rows, not with the batch.
-    Context-less consumers and complete fragment-mode flows (several
-    sub-decoders per flow) fold their own slice.
+    heavier pass scales with *their* rows, not with the batch; the
+    flows it hands back to the scalar route are counted, by reason, on
+    ``fallbacks`` (a counter per
+    :data:`repro.coding.decoder.FALLBACK_REASONS`).  Context-less
+    consumers and complete fragment-mode flows (several sub-decoders
+    per flow) fold their own slice.
     """
     converging: Dict[PathQueryContext, list] = {}
     complete: Dict[PathQueryContext, list] = {}
@@ -597,7 +601,9 @@ def consume_groups(groups, pids, hop_counts, digests) -> None:
     for context, members in complete.items():
         verify_path_groups(context, members, pids, digests)
     for context, members in converging.items():
-        decode_path_groups(context, members, pids, hop_counts, digests)
+        decode_path_groups(
+            context, members, pids, hop_counts, digests, fallbacks
+        )
 
 
 def latency_consumer_factory(**kwargs) -> ConsumerFactory:

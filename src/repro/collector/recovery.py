@@ -52,7 +52,9 @@ from repro.exceptions import CheckpointError, CheckpointVersionError
 #: v2: path consumers and decoders pickle a reference to their sink's
 #: one shared PathQueryContext (once per blob) instead of carrying
 #: universe, scheme and hashes per flow.
-CHECKPOINT_VERSION = 2
+#: v3: peeling decoders pickle open hops only -- no singleton candidate
+#: array per settled hop, no resolved pending XOR entries.
+CHECKPOINT_VERSION = 3
 
 _MAGIC = b"PCKP"
 _HEADER = struct.Struct("<4sHII")  # magic, version, payload len, crc32

@@ -176,8 +176,8 @@ class GlobalHash:
 
         Entry for entry equal to ``bits(width, first_parts[i],
         second_parts[j])`` -- the shape needed to hash many packets
-        each against a whole value universe (the first-touch candidate
-        filter of a batch of new flows).
+        each against a whole value universe (the candidate filter of a
+        batch's converging flows, :mod:`repro.coding.peel`).
         """
         if not 1 <= width <= 64:
             raise ValueError("width must be in [1, 64]")

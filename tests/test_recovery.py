@@ -95,6 +95,21 @@ FACTORIES = {
 }
 
 
+#: What :class:`_Tripwire` leaves behind when a pickle of it is loaded.
+_UNPICKLED = []
+
+
+def _trip(mark):
+    _UNPICKLED.append(mark)
+
+
+class _Tripwire:
+    """Pickles fine; unpickling it appends to :data:`_UNPICKLED`."""
+
+    def __reduce__(self):
+        return (_trip, ("loaded",))
+
+
 # -- checkpoint format ------------------------------------------------------
 
 class TestCheckpointFormat:
@@ -129,7 +144,23 @@ class TestCheckpointFormat:
         with pytest.raises(CheckpointVersionError) as exc:
             decode_checkpoint(bytes(blob))
         assert exc.value.version == 1
-        assert CHECKPOINT_VERSION == 2
+
+    def test_v2_blob_rejected_before_unpickling(self):
+        # v3 changed the pickled decoder shape (open hops only: no
+        # singleton candidate arrays, no resolved pending entries).  A
+        # v2-framed blob is refused on its header; its payload -- here
+        # one that records being loaded -- is never unpickled.
+        del _UNPICKLED[:]
+        blob = bytearray(encode_checkpoint({"collector": _Tripwire()}))
+        blob[4:6] = (2).to_bytes(2, "little")
+        with pytest.raises(CheckpointVersionError) as exc:
+            decode_checkpoint(bytes(blob))
+        assert exc.value.version == 2
+        assert CHECKPOINT_VERSION == 3
+        assert not _UNPICKLED
+        blob[4:6] = (3).to_bytes(2, "little")
+        decode_checkpoint(bytes(blob))
+        assert _UNPICKLED == ["loaded"]
 
     def test_shared_context_is_pickled_once_per_blob(self):
         """N one-packet path flows: the blob grows by the per-flow
@@ -213,6 +244,36 @@ class TestCheckpointRoundTrip:
         assert fresh.snapshot().as_dict() == col.snapshot().as_dict()
         for fid in np.unique(cols[0]).tolist():
             assert fresh.result(fid) == col.result(fid)
+
+    def test_half_converged_sink_resumes_identically(self):
+        """A v3 blob cut while flows hold open candidate sets and live
+        pending XOR digests: the restored sink equals the original now,
+        flow by flow, and after the rest of the stream equals a sink
+        that was never interrupted."""
+        from test_first_touch import (
+            feed_batched, flow_states, path_stream, sink,
+        )
+
+        universe, cols, kwargs = path_stream("web-search", 6000, bits=4)
+        cut = 2048
+        head = tuple(c[:cut] for c in cols)
+        tail = tuple(c[cut:] for c in cols)
+        interrupted, straight = sink(universe, kwargs), sink(universe, kwargs)
+        feed_batched(interrupted, head, 512)
+        feed_batched(straight, head, 512)
+        states = flow_states(interrupted)
+        half = [s[6] for s in states.values() if s[6] and s[0] is None]
+        assert sum(1 for s in half if s[4]) > 5, "flows with open candidates"
+        assert sum(1 for s in half if s[5]) > 5, "flows with live pending"
+        restored = sink(universe, kwargs)
+        restore_collector(restored, capture_checkpoint(interrupted))
+        assert flow_states(restored) == states
+        assert restored.snapshot().as_dict() == interrupted.snapshot().as_dict()
+        feed_batched(restored, tail, 512)
+        feed_batched(straight, tail, 512)
+        assert flow_states(restored) == flow_states(straight)
+        assert restored.snapshot().as_dict() == straight.snapshot().as_dict()
+        assert any(s[0] is not None for s in flow_states(restored).values())
 
     def test_restore_rejects_shard_count_mismatch(self):
         col = Collector(congestion_consumer_factory(), num_shards=4)
