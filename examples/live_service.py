@@ -81,25 +81,22 @@ def main() -> None:
             print(f"   snapshot: {snap['records']} records, "
                   f"{snap['flows']} flows, "
                   f"{snap['completed_flows']} decoded")
-            fid = next(
-                int(f) for f in np.unique(trace.flow_id).tolist()
-                if (c := collector.flow(int(f))) and c.result() is not None
-            )
-            flow = client.flow(fid)
-            print(f"   flow {fid}: complete={flow['complete']} "
-                  f"path={flow['result']}")
+            # The sink's answers as columns: one row per live flow,
+            # the decoded path (if any) as the row's CSR slice.
+            answers = collector.answers()
+            decoded = np.flatnonzero(answers.row_lengths() > 0)
+            for flow in client.flows(answers.flow_id[decoded[:3]]):
+                print(f"   flow {flow['flow_id']}: "
+                      f"complete={flow['complete']} path={flow['result']}")
 
         print("\n== ground truth check ==")
         truth = trace.flow_paths()
-        correct = total = 0
-        for fid in np.unique(trace.flow_id).tolist():
-            consumer = collector.flow(int(fid))
-            if consumer is None or consumer.result() is None:
-                continue
-            total += 1
-            traversed = {trace.paths[pid] for pid in truth[int(fid)]}
-            correct += tuple(consumer.result()) in traversed
-        print(f"   {correct}/{total} decoded paths correct "
+        correct = 0
+        for row in decoded.tolist():
+            path = tuple(answers.answer(row)["result"])
+            traversed = truth[int(answers.flow_id[row])]
+            correct += path in {trace.paths[pid] for pid in traversed}
+        print(f"   {correct}/{decoded.size} decoded paths correct "
               "despite the lossy wire")
 
 

@@ -763,6 +763,11 @@ class FragmentDecoder(_ContextBound):
         """True when every fragment of every hop is decoded."""
         return all(dec.is_complete for dec in self._subdecoders)
 
+    @property
+    def inconsistencies(self) -> int:
+        """Contradicting Baseline digests, over all fragment sub-problems."""
+        return sum(dec.inconsistencies for dec in self._subdecoders)
+
     def observe(self, packet_id: int, digest: Tuple[int, ...]) -> None:
         """Route the digest to the packet's fragment sub-problem."""
         self.packets_seen += 1

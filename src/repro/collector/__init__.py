@@ -11,7 +11,9 @@ latency KLL, congestion max).  Batched columnar ingestion
 dispatches each flow group to the :mod:`repro.collector.batchdecode`
 engine, which decodes whole column slices in vectorised ``GlobalHash``
 replays -- bit-identical to the scalar reference decoders; a
-:class:`Snapshot` surface exports operational metrics.  For multi-core
+:class:`Snapshot` surface exports operational metrics and
+``answers()`` returns the per-flow answers as an :class:`AnswerTable`
+of columns (:mod:`repro.collector.answers`).  For multi-core
 sinks, :class:`ParallelCollector` scatters batches across worker
 processes by shard partition with bit-identical merged results (see
 :mod:`repro.collector.parallel`).
@@ -20,6 +22,7 @@ See DESIGN.md ("Collector architecture") for the layer diagram and
 ``examples/collector_service.py`` for an end-to-end run.
 """
 
+from repro.collector.answers import AnswerTable
 from repro.collector.batchdecode import (
     CarrierCache,
     decode_latency_columns,
@@ -56,6 +59,7 @@ from repro.collector.snapshot import (
 )
 
 __all__ = [
+    "AnswerTable",
     "BatchJournal",
     "CHECKPOINT_VERSION",
     "CarrierCache",

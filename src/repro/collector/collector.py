@@ -32,6 +32,7 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from repro.coding.decoder import FALLBACK_REASONS
+from repro.collector.answers import AnswerTable
 from repro.collector.consumers import (
     ConsumerFactory,
     DigestConsumer,
@@ -178,6 +179,15 @@ class Collector:
         self._sp_consume = obs.span(
             "pint_collector_consume_seconds",
             "Per-batch flow-table touch + consumer dispatch time", labels,
+        )
+        self._sp_answers = obs.span(
+            "pint_collector_answers_seconds",
+            "Time in answers(): building (across workers: gathering and "
+            "merging) the sink's AnswerTable -- the read-out cost.", labels,
+        )
+        self._m_answer_rows = obs.counter(
+            "pint_collector_answer_rows_total",
+            "Flow rows returned by answers()", labels,
         )
         self._m_fallbacks = {
             reason: obs.counter(
@@ -436,6 +446,45 @@ class Collector:
         """The flow's query answer, or None (unknown flow / undecoded)."""
         consumer = self.flow(flow_id)
         return consumer.result() if consumer is not None else None
+
+    def answers(self, flow_ids=None) -> AnswerTable:
+        """The sink's answers as columns, one row per live flow.
+
+        The read path of the sink (:mod:`repro.collector.answers`):
+        every live flow, or the live ones among ``flow_ids`` (align a
+        list of your own with :meth:`AnswerTable.rows_of`; unknown and
+        evicted ids get no row).  Rows ascend by flow id whatever the
+        shard layout, so any sink fed the same records returns an equal
+        table.  The consumers' own kind builds it
+        (``DigestConsumer.answer_table``; a sink holds one query's
+        consumers).  Strictly a read: no LRU touch, no consumer state
+        written -- a checkpoint taken before and after is the same
+        bytes.
+        """
+        with self._sp_answers:
+            if flow_ids is None:
+                fids: List[int] = []
+                consumers: List[DigestConsumer] = []
+                for shard in self.shards:
+                    for fid, entry in shard.table.items():
+                        fids.append(fid)
+                        consumers.append(entry.consumer)
+                ids = np.asarray(fids, dtype=np.int64)
+                order = np.argsort(ids)
+                ids = ids[order]
+                consumers = [consumers[i] for i in order.tolist()]
+            else:
+                wanted = np.unique(np.asarray(flow_ids, dtype=np.int64))
+                found = self.flows(wanted)
+                live = [i for i, c in enumerate(found) if c is not None]
+                ids = wanted[live]
+                consumers = [found[i] for i in live]
+            if consumers:
+                table = type(consumers[0]).answer_table(ids, consumers)
+            else:
+                table = AnswerTable.empty()
+        self._m_answer_rows.inc(len(table))
+        return table
 
     def __len__(self) -> int:
         """Live flows across all shards."""

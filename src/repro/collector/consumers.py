@@ -26,6 +26,7 @@ to end.
 from __future__ import annotations
 
 import sys
+from itertools import chain
 from typing import Callable, Dict, List, Optional, Sequence
 
 import numpy as np
@@ -44,6 +45,7 @@ from repro.coding import (
     multilayer_scheme,
     unpack_reps,
 )
+from repro.collector.answers import CONGESTION, PATH, AnswerTable
 from repro.collector.batchdecode import (
     CarrierCache,
     decode_latency_columns,
@@ -124,6 +126,31 @@ class DigestConsumer:
         """Rough resident-state estimate (snapshot memory accounting)."""
         return sys.getsizeof(self)
 
+    @classmethod
+    def answer_table(
+        cls, flow_ids: np.ndarray, consumers: Sequence["DigestConsumer"]
+    ) -> AnswerTable:
+        """The answers of ``consumers`` (flows ``flow_ids``, ascending).
+
+        The generic layout of :mod:`repro.collector.answers`: what every
+        consumer can say about itself, ``result()`` kept as a Python
+        object.  Kinds with a fixed-width answer override this with
+        real columns.  Reads only -- building a table changes no state.
+        """
+        results = np.empty(len(consumers), dtype=object)
+        for i, consumer in enumerate(consumers):
+            results[i] = consumer.result()
+        columns = {
+            "complete": np.asarray(
+                [c.is_complete for c in consumers], dtype=bool
+            ),
+            "coverage": np.asarray(
+                [c.coverage for c in consumers], dtype=np.float64
+            ),
+            "result": results,
+        }
+        return AnswerTable.fixed_width(cls.kind, flow_ids, columns)
+
 
 class PathDigestConsumer(DigestConsumer):
     """Incremental per-flow path decoding (paper §4.2 peeling).
@@ -155,7 +182,7 @@ class PathDigestConsumer(DigestConsumer):
     known) and :meth:`partial_path` (known hops, None elsewhere).
     """
 
-    kind = "path"
+    kind = PATH
 
     def __init__(
         self,
@@ -285,6 +312,49 @@ class PathDigestConsumer(DigestConsumer):
         if self._decoder is None:
             return sys.getsizeof(self)
         return sys.getsizeof(self) + self._decoder.state_bytes()
+
+    @classmethod
+    def answer_table(
+        cls, flow_ids: np.ndarray, consumers: Sequence["DigestConsumer"]
+    ) -> AnswerTable:
+        """Path answers as columns, all three digest modes.
+
+        One pass over the decoders' public read API: ``k`` (0 while a
+        flow has no decoder -- before its first record or right after
+        a reset), ``known`` (``len(known_blocks())``, what
+        :attr:`coverage` divides), the counters, and the decoded path
+        of every complete flow as its CSR row.
+        """
+        n = len(consumers)
+        k, known, seen, incons, lengths = ([0] * n for _ in range(5))
+        paths: List[List[int]] = []
+        for i, consumer in enumerate(consumers):
+            decoder = consumer._decoder
+            if decoder is None:
+                continue
+            k[i] = decoder.k
+            known[i] = len(decoder.known_blocks())
+            seen[i] = decoder.packets_seen
+            incons[i] = decoder.inconsistencies
+            if decoder.is_complete:
+                path = decoder.path()
+                lengths[i] = len(path)
+                paths.append(path)
+        offsets = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(lengths, out=offsets[1:])
+        values = np.fromiter(
+            chain.from_iterable(paths), dtype=np.int64, count=int(offsets[-1])
+        )
+        columns = {
+            "k": np.asarray(k, dtype=np.int64),
+            "known": np.asarray(known, dtype=np.int64),
+            "decode_errors": np.asarray(
+                [c.decode_errors for c in consumers], dtype=np.int64
+            ),
+            "packets_seen": np.asarray(seen, dtype=np.int64),
+            "inconsistencies": np.asarray(incons, dtype=np.int64),
+        }
+        return AnswerTable(PATH, flow_ids, columns, offsets, values)
 
 
 class LatencyDigestConsumer(DigestConsumer):
@@ -419,7 +489,7 @@ class CongestionDigestConsumer(DigestConsumer):
     ``consume_batch`` is a single vectorised ``max``.
     """
 
-    kind = "congestion"
+    kind = CONGESTION
 
     def __init__(
         self,
@@ -506,6 +576,28 @@ class CongestionDigestConsumer(DigestConsumer):
     def state_bytes(self) -> int:
         """Constant-size state: two codes and a counter."""
         return sys.getsizeof(self)
+
+    @classmethod
+    def answer_table(
+        cls, flow_ids: np.ndarray, consumers: Sequence["DigestConsumer"]
+    ) -> AnswerTable:
+        """Congestion answers as columns: the codes and the decoded max."""
+        columns = {
+            "max_code": np.asarray(
+                [c.max_code for c in consumers], dtype=np.int64
+            ),
+            "last_code": np.asarray(
+                [c.last_code for c in consumers], dtype=np.int64
+            ),
+            "records": np.asarray(
+                [c.records for c in consumers], dtype=np.int64
+            ),
+            # None (no record yet) becomes NaN.
+            "bottleneck": np.asarray(
+                [c.bottleneck() for c in consumers], dtype=np.float64
+            ),
+        }
+        return AnswerTable.fixed_width(CONGESTION, flow_ids, columns)
 
 
 #: Digest representation -> the decoder class that peels it.

@@ -25,7 +25,8 @@ Data flow::
       worker w: Collector.ingest_batch(sub-columns, now=t)
       (full shard layout, only owned shards ever fed)
             ▼
-      queries: flow()/result() route to the owner worker (RPC);
+      queries: answers() merges one AnswerTable per worker (columns,
+      not decoders); flows() fetches whole consumers (state);
       snapshot() merges per-worker partial Snapshots by shard_id
 
 Equivalence: the parent ticks the same :class:`~repro.collector.
@@ -87,6 +88,7 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
+from repro.collector.answers import AnswerTable
 from repro.collector.collector import Collector, IngestClock
 from repro.collector.consumers import ConsumerFactory, DigestConsumer
 from repro.collector.records import Column, normalize_batch
@@ -115,18 +117,22 @@ from repro.obs.metrics import NULL_REGISTRY, MetricsRegistry
 #: pipe and gets exactly one ``("ok", value)`` or ``("err", message)``
 #: reply; the worker folds its whole ring backlog before answering,
 #: so a sync reply proves all earlier data was applied -- that is the
-#: whole drain protocol.  ``_CHECKPOINT`` replies with the worker's
-#: framed state blob; ``_DEGRADE`` installs unreplayable-loss marks
-#: after a journal-window overrun.
-_BATCH, _INGEST, _SNAPSHOT, _FLOW, _RESULT, _LEN, _EXPIRE, _EVICT, \
-    _DRAIN, _STOP, _FLOWS, _CHECKPOINT, _DEGRADE = range(13)
+#: whole drain protocol.  The two reads differ in what crosses the
+#: pipe: ``_ANSWERS`` replies with the worker's
+#: :class:`~repro.collector.answers.AnswerTable` (a few arrays),
+#: ``_FLOWS`` with whole pickled consumers (decoder *state*).
+#: ``_CHECKPOINT`` replies with the worker's framed state blob;
+#: ``_DEGRADE`` installs unreplayable-loss marks after a
+#: journal-window overrun.
+_BATCH, _INGEST, _SNAPSHOT, _LEN, _EXPIRE, _EVICT, _DRAIN, _STOP, \
+    _FLOWS, _ANSWERS, _CHECKPOINT, _DEGRADE = range(12)
 #: Side channel: a data message that cannot ride the ring (oversized
 #: batch, scalar ingest, journal replay of either) travels the pipe
 #: as ``(_SIDE, index, inner)`` while a tombstone slot carrying
 #: ``index`` is pushed into the ring.  The worker applies the inner
 #: message only when it consumes the tombstone, so the ring stays the
 #: single total order over all data.
-_SIDE = 13
+_SIDE = 12
 
 
 class _WorkerDied(RuntimeError):
@@ -332,12 +338,10 @@ def _worker_main(
                     ],
                     metrics=obs.as_dict() if obs is not None else None,
                 )
-            elif op == _FLOW:
-                reply = col.flow(msg[1])
             elif op == _FLOWS:
                 reply = [col.flow(fid) for fid in msg[1]]
-            elif op == _RESULT:
-                reply = col.result(msg[1])
+            elif op == _ANSWERS:
+                reply = col.answers(msg[1])
             elif op == _LEN:
                 reply = len(col)
             elif op == _EXPIRE:
@@ -589,6 +593,17 @@ class ParallelCollector:
         self._sp_drain = obs.span(
             "pint_parallel_drain_seconds",
             "Time blocked in drain barriers (slowest worker's backlog).",
+            labels=base,
+        )
+        self._sp_answers = obs.span(
+            "pint_collector_answers_seconds",
+            "Time in answers(): building (across workers: gathering and "
+            "merging) the sink's AnswerTable -- the read-out cost.",
+            labels=base,
+        )
+        self._m_answer_rows = obs.counter(
+            "pint_collector_answer_rows_total",
+            "Flow rows returned by answers()",
             labels=base,
         )
         for w in range(self.workers):
@@ -928,13 +943,14 @@ class ParallelCollector:
         """Sync commands to several workers: send all, then collect.
 
         Sending to every worker before reading any reply makes the
-        wait cost the slowest worker's backlog (or its largest reply
-        -- ``_FLOWS`` answers are pickled decoders) instead of the
-        sum: the workers fold and serialise concurrently while the
-        parent collects.  A worker lost meanwhile is recovered and
-        re-asked alone.  Every reply is consumed even when one
-        carries an error, so a failure in one worker never leaves
-        another's reply stranded in its pipe to desync later RPCs.
+        wait cost the slowest worker's backlog (or its slowest reply
+        -- an ``_ANSWERS`` table is built, a ``_FLOWS`` list pickled,
+        inside the worker) instead of the sum: the workers fold, build
+        and serialise concurrently while the parent collects.  A
+        worker lost meanwhile is recovered and re-asked alone.  Every
+        reply is consumed even when one carries an error, so a failure
+        in one worker never leaves another's reply stranded in its
+        pipe to desync later RPCs.
         """
         for w, msg in requests.items():
             self._request(w, msg)
@@ -1250,6 +1266,35 @@ class ParallelCollector:
 
     # -- queries -----------------------------------------------------------
 
+    def answers(self, flow_ids=None) -> AnswerTable:
+        """The sink's answers as columns, one row per live flow.
+
+        Same contract as :meth:`Collector.answers` and, for the same
+        records, the same table: every worker builds the table of its
+        own shards (one ``_ANSWERS`` RPC each, all asked before any is
+        awaited; with ``flow_ids``, only the owners of those flows are
+        asked) and the replies -- a few arrays each, no consumer --
+        merge into one ascending table.
+        """
+        self._check_open()
+        if not self._procs:
+            return AnswerTable.empty()
+        with self._sp_answers:
+            if flow_ids is None:
+                requests = dict.fromkeys(
+                    range(self.workers), (_ANSWERS, None)
+                )
+            else:
+                ids = np.unique(np.asarray(flow_ids, dtype=np.int64))
+                owners = self.router.shard_of_array(ids) % self.workers
+                requests = {
+                    w: (_ANSWERS, ids[owners == w])
+                    for w in np.unique(owners).tolist()
+                }
+            table = AnswerTable.concat(self._gather(requests).values())
+        self._m_answer_rows.inc(len(table))
+        return table
+
     def flow(self, flow_id: int) -> Optional[DigestConsumer]:
         """A point-in-time *copy* of the flow's consumer, or None.
 
@@ -1258,20 +1303,17 @@ class ParallelCollector:
         (``result()``, ``decode_errors``, ...) is exact as of the call,
         but mutating it does not touch the worker's state.
         """
-        self._check_open()
-        if not self._procs:
-            return None
-        return self._call(self._owner(flow_id), (_FLOW, flow_id))
+        return self.flows([flow_id])[0]
 
     def flows(self, flow_ids) -> List[Optional[DigestConsumer]]:
         """Point-in-time consumer copies for many flows, input order.
 
-        The bulk form of :meth:`flow`: flows are grouped by owner
-        worker and fetched with *one* RPC per worker, all workers
-        asked before any is awaited, so scoring a replay over
-        hundreds of flows pays the slowest worker's pickling instead
-        of a round-trip per flow (the shape
-        :meth:`ReplayDriver._score` reads decoders in).
+        The *state* read: whole decoders cross the pipe (grouped by
+        owner worker, one RPC per worker, all workers asked before any
+        is awaited), which is what a caller comparing or inspecting
+        decoder state needs.  A caller that wants the *answers* --
+        results, coverage, counters -- reads :meth:`answers` instead,
+        at a fraction of the transfer.
         """
         self._check_open()
         ids = [int(f) for f in flow_ids]
@@ -1293,10 +1335,8 @@ class ParallelCollector:
 
     def result(self, flow_id: int):
         """The flow's query answer, or None (unknown flow / undecoded)."""
-        self._check_open()
-        if not self._procs:
-            return None
-        return self._call(self._owner(flow_id), (_RESULT, flow_id))
+        table = self.answers([flow_id])
+        return table.answer(0)["result"] if len(table) else None
 
     def __len__(self) -> int:
         """Live flows across all workers."""

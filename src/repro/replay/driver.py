@@ -599,39 +599,45 @@ class ReplayDriver:
             if delivery is not None else None
         )
         delivered_rows: Optional[np.ndarray] = None
-        flows_with_drops = frozenset()
+        dropped_flows = np.zeros(0, dtype=np.int64)
         if delivery is not None:
             delivered = delivered_mask(len(trace), delivery)
             delivered_rows = np.flatnonzero(delivered)
             path_rows = np.flatnonzero(entry == 0)
             dropped_path = path_rows[~delivered[path_rows]]
-            flows_with_drops = frozenset(
-                np.unique(trace.flow_id[dropped_path]).tolist()
+            dropped_flows = np.unique(trace.flow_id[dropped_path])
+        # The sink's answers as columns (one small RPC per worker on a
+        # parallel sink); flows it holds no state for have no row and
+        # are skipped.  ``path_flows`` ascends, so every reduction
+        # below runs in flow-id order.
+        answers = path.collector.answers()
+        rows = answers.rows_of(path_flows)
+        rows = rows[rows >= 0]
+        decoded = correct = resets = completed_under_loss = 0
+        coverage_mean = float("nan")
+        if rows.size:
+            cols = answers.columns
+            resets = int(cols["decode_errors"][rows].sum())
+            k = cols["k"][rows]
+            coverage = np.zeros(rows.size, dtype=np.float64)
+            np.divide(cols["known"][rows], k, out=coverage, where=k > 0)
+            coverage_mean = float(np.mean(coverage))
+            done = rows[answers.row_lengths()[rows] > 0]
+            decoded = int(done.size)
+            completed_under_loss = int(
+                np.isin(answers.flow_id[done], dropped_flows).sum()
             )
-        decoded = correct = resets = 0
-        completed_under_loss = 0
-        coverages: List[float] = []
-        fid_list = path_flows.tolist()
-        # Bulk fetch: one RPC per worker on a parallel sink instead of
-        # one (decoder-pickling) round-trip per flow.
-        consumers = path.collector.flows(fid_list)
-        for fid, consumer in zip(fid_list, consumers):
-            if consumer is None:
-                continue
-            resets += consumer.decode_errors
-            coverages.append(consumer.coverage)
-            result = consumer.result()
-            if result is None:
-                continue
-            decoded += 1
-            if fid in flows_with_drops:
-                completed_under_loss += 1
-            traversed = {trace.paths[pid] for pid in truth[fid]}
-            if tuple(result) in traversed:
-                correct += 1
-        coverage_mean = (
-            float(np.mean(coverages)) if coverages else float("nan")
-        )
+            # Only decoded flows reach a Python compare: any path the
+            # flow traversed is a correct answer.
+            hops = answers.values.tolist()
+            for fid, lo, hi in zip(
+                answers.flow_id[done].tolist(),
+                answers.offsets[done].tolist(),
+                answers.offsets[done + 1].tolist(),
+            ):
+                traversed = {trace.paths[pid] for pid in truth[fid]}
+                if tuple(hops[lo:hi]) in traversed:
+                    correct += 1
         median_err = float("nan")
         cong_flows = 0
         if cong is not None and cong.records:
@@ -647,21 +653,20 @@ class ReplayDriver:
             cuts = np.flatnonzero(fids[1:] != fids[:-1]) + 1
             starts = np.concatenate(([0], cuts))
             group_max = np.maximum.reduceat(true_utils, starts)
-            # Gather each surviving flow's encoded max, then decode the
-            # whole column in one table gather (bit-identical to the
-            # per-flow scalar decode this loop used to make).
-            codes, truths = [], []
-            consumers = cong.collector.flows(fids[starts])
-            for consumer, truth in zip(consumers, group_max.tolist()):
-                if consumer is not None and consumer.max_code >= 0:
-                    codes.append(consumer.max_code)
-                    truths.append(truth)
-            cong_flows = len(codes)
-            if codes:
-                got = codec.decode_array(np.asarray(codes, dtype=np.int64))
-                truth_arr = np.asarray(truths, dtype=np.float64)
-                errs = np.abs(got - truth_arr) / truth_arr
-                median_err = float(np.median(errs))
+            # Each surviving flow's encoded max, decoded as one column
+            # (a table gather, bit-identical to the scalar decode).
+            cong_answers = cong.collector.answers()
+            rows = cong_answers.rows_of(fids[starts])
+            live = rows >= 0
+            if live.any():
+                codes = cong_answers.columns["max_code"][rows[live]]
+                truth_arr = group_max[live][codes >= 0]
+                codes = codes[codes >= 0]
+                cong_flows = int(codes.size)
+                if cong_flows:
+                    got = codec.decode_array(codes)
+                    errs = np.abs(got - truth_arr) / truth_arr
+                    median_err = float(np.median(errs))
         return ScenarioReport(
             scenario=trace.name,
             records=(

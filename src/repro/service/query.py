@@ -14,7 +14,14 @@ Requests (``op`` selects the verb)::
     {"op": "metrics"}                  -> merged obs registry dump
     {"op": "flow",   "flow_id": 17}    -> decode state + answer for one flow
     {"op": "result", "flow_id": 17}    -> just the answer
-    {"op": "flows",  "flow_ids": [..]} -> bulk "flow" (one round-trip)
+    {"op": "flows",  "flow_ids": [..]} -> bulk "flow": one round-trip and
+                                          one point-in-time cut of the sink
+
+The three per-flow verbs read the sink through one call --
+``collector.answers(flow_ids)``, an
+:class:`~repro.collector.answers.AnswerTable` -- under one hold of the
+ingest lock, so a bulk reply is consistent across its flows and costs
+a process-backed sink one RPC per worker, not one per flow.
 
 Every response carries ``"ok": true`` or ``"ok": false`` with an
 ``"error"`` string; a malformed line gets an error response rather
@@ -132,47 +139,50 @@ class QueryHandler:
                 return {"ok": True, "op": op,
                         "metrics": jsonable(metrics)}
             if op == "flow":
-                return self._flow(request)
+                fid = _flow_id(request.get("flow_id"))
+                return self._answers([fid])[0]
             if op == "flows":
                 fids = request.get("flow_ids")
                 if not isinstance(fids, list):
                     return {"ok": False,
                             "error": "'flows' needs a flow_ids list"}
-                return {"ok": True, "op": op,
-                        "flows": [self._flow({"flow_id": f})
-                                  for f in fids]}
+                fids = [_flow_id(f) for f in fids]
+                return {"ok": True, "op": op, "flows": self._answers(fids)}
             if op == "result":
-                fid = _flow_id(request)
-                with self.lock:
-                    result = self.collector.result(fid)
+                fid = _flow_id(request.get("flow_id"))
                 return {"ok": True, "op": op, "flow_id": fid,
-                        "result": jsonable(result)}
+                        "result": self._answers([fid])[0].get("result")}
             return {"ok": False, "error": f"unknown op {op!r}"}
         except (TypeError, ValueError) as exc:
             return {"ok": False, "error": str(exc)}
 
-    def _flow(self, request) -> dict:
-        fid = _flow_id(request)
+    def _answers(self, fids: List[int]) -> List[dict]:
+        """One ``flow`` reply per id, from one cut of the sink.
+
+        A single ``collector.answers(fids)`` under a single lock hold
+        -- one point in time against the ingest thread however many
+        flows are asked, and one RPC per worker on a parallel sink --
+        then every reply is that table's ``answer(row)``, so each query
+        kind is serialised in exactly one place.
+        """
         with self.lock:
-            consumer = self.collector.flow(fid)
-            if consumer is None:
-                return {"ok": True, "op": "flow", "flow_id": fid,
-                        "known": False}
-            return {
-                "ok": True,
-                "op": "flow",
-                "flow_id": fid,
-                "known": True,
-                "complete": bool(consumer.is_complete),
-                "coverage": jsonable(float(consumer.coverage)),
-                "result": jsonable(consumer.result()),
-            }
+            table = self.collector.answers(fids)
+        out = []
+        for fid, row in zip(fids, table.rows_of(fids).tolist()):
+            reply = {"ok": True, "op": "flow", "flow_id": fid,
+                     "known": row >= 0}
+            if row >= 0:
+                reply.update(jsonable(table.answer(row)))
+            out.append(reply)
+        return out
 
 
-def _flow_id(request) -> int:
-    fid = request.get("flow_id")
-    if not isinstance(fid, int) or isinstance(fid, bool):
-        raise ValueError(f"flow_id must be an integer, got {fid!r}")
+def _flow_id(fid) -> int:
+    if (
+        not isinstance(fid, int) or isinstance(fid, bool)
+        or not -(1 << 63) <= fid < (1 << 63)
+    ):
+        raise ValueError(f"flow_id must be a 64-bit integer, got {fid!r}")
     return fid
 
 
@@ -350,6 +360,12 @@ class QueryClient:
 
     def flow(self, flow_id: int) -> dict:
         return self.request({"op": "flow", "flow_id": int(flow_id)})
+
+    def flows(self, flow_ids) -> List[dict]:
+        """Bulk :meth:`flow`: one round-trip, one cut of the sink."""
+        return self.request(
+            {"op": "flows", "flow_ids": [int(f) for f in flow_ids]}
+        )["flows"]
 
     def result(self, flow_id: int):
         return self.request(

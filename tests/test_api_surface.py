@@ -8,7 +8,7 @@ the set below -- that direction is always welcome.
 
 import inspect
 
-from repro.collector import ParallelCollector
+from repro.collector import Collector, ParallelCollector
 from repro.replay import ReplayDriver, ScenarioReport
 
 
@@ -37,3 +37,11 @@ def test_parallel_collector_constructor_knobs():
         "checkpoint_every", "journal_batches", "faults", "wedge_timeout",
         "max_restarts", "on_data_loss",
     }
+
+
+def test_answers_is_one_signature_on_both_collectors():
+    # The read path of a sink: callers (scorer, query port, examples)
+    # never ask which collector they hold.
+    serial = inspect.signature(Collector.answers)
+    assert serial == inspect.signature(ParallelCollector.answers)
+    assert str(serial).startswith("(self, flow_ids=None)")

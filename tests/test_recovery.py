@@ -569,6 +569,34 @@ class TestWorkerLossMidRpc:
         for fid, consumer in zip(fids, consumers):
             assert consumer.result() == serial.result(fid)
 
+    def test_supervised_answers_recovers_only_the_dead_worker(self):
+        # Same meeting point for the columnar read: worker 0's table
+        # is pending when answers() finds worker 1 dead; worker 1 alone
+        # is replaced and re-asked, and the merged table is the serial
+        # collector's, column for column.
+        cols = make_cols()
+        factory = FACTORIES["path"]
+        serial = Collector(factory(), num_shards=8, seed=1)
+        feed(serial, cols)
+        want = serial.answers()
+        with ParallelCollector(
+            factory(), workers=2, num_shards=8, seed=1, checkpoint_every=4,
+        ) as par:
+            feed(par, cols)
+            os.kill(par._procs[1].pid, signal.SIGKILL)
+            got = par.answers()
+            assert par._restarts == [0, 1]
+            os.kill(par._procs[1].pid, signal.SIGKILL)
+            subset = par.answers(want.flow_id[::3])
+            assert par._restarts == [0, 2]
+            assert par.snapshot().recovery.records_lost == 0
+        assert got.kind == want.kind == "path"
+        for name in ("flow_id", "offsets", "values"):
+            assert np.array_equal(getattr(got, name), getattr(want, name))
+        for name, column in want.columns.items():
+            assert np.array_equal(got.columns[name], column), name
+            assert np.array_equal(subset.columns[name], column[::3]), name
+
     def test_unsupervised_death_mid_flows_raises_without_stranding(self):
         par = ParallelCollector(
             congestion_consumer_factory(), workers=2, num_shards=4,

@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from repro.replay import (
@@ -107,3 +108,103 @@ class TestParallelReplay:
             # The driver honors num_shards rather than silently
             # widening it; more workers than shards cannot be served.
             ReplayDriver(num_shards=2, workers=4)
+
+
+def reference_score(driver, trace, path, cong, codec, utils, delivery):
+    """The specification of ``ReplayDriver._score``: one consumer at a time.
+
+    The per-flow loop the driver ran before it scored on the sinks'
+    AnswerTables, kept here over ``flows()`` (whole decoders) so the
+    columnar scorer always has something slower and plainer to equal.
+    """
+    entry = driver.plan.select_array(trace.pid)
+    truth = trace.flow_paths()
+    fids = np.unique(trace.flow_id[entry == 0]).tolist()
+    delivered = None
+    lossy = set()
+    if delivery is not None:
+        delivered = np.zeros(len(trace), dtype=bool)
+        delivered[delivery] = True
+        lossy = set(trace.flow_id[(entry == 0) & ~delivered].tolist())
+    out = dict(path_flows=len(fids), path_decoded=0, path_correct=0,
+               path_resets=0, path_completed_under_loss=0)
+    coverages = []
+    for fid, consumer in zip(fids, path.collector.flows(fids)):
+        if consumer is None:
+            continue
+        out["path_resets"] += consumer.decode_errors
+        coverages.append(consumer.coverage)
+        result = consumer.result()
+        if result is None:
+            continue
+        out["path_decoded"] += 1
+        out["path_completed_under_loss"] += fid in lossy
+        traversed = {trace.paths[pid] for pid in truth[fid]}
+        out["path_correct"] += tuple(result) in traversed
+    out["path_coverage_mean"] = (
+        float(np.mean(coverages)) if coverages else float("nan")
+    )
+    errs = []
+    if cong is not None and cong.records:
+        keep = entry == 1 if delivered is None else (entry == 1) & delivered
+        for fid in np.unique(trace.flow_id[keep]).tolist():
+            consumer = cong.collector.flow(fid)
+            if consumer is not None and consumer.max_code >= 0:
+                true_max = utils[keep & (trace.flow_id == fid)].max()
+                got = codec.decode_array(np.asarray([consumer.max_code]))[0]
+                errs.append(abs(got - true_max) / true_max)
+    out["congestion_flows"] = len(errs)
+    out["congestion_median_rel_err"] = (
+        float(np.median(errs)) if errs else float("nan")
+    )
+    return out
+
+
+class _CheckedDriver(ReplayDriver):
+    """Scores every replay twice and insists the two scorers agree."""
+
+    checked = 0
+
+    def _score(self, trace, path, cong, codec, utils, batches, seconds,
+               delivery=None, models=()):
+        report = super()._score(
+            trace, path, cong, codec, utils, batches, seconds, delivery,
+            models,
+        )
+        want = reference_score(
+            self, trace, path, cong, codec, utils, delivery
+        )
+        for field, value in want.items():
+            got = getattr(report, field)
+            assert got == value or (got != got and value != value), field
+        self.checked += 1
+        return report
+
+
+class TestScorerEqualsReference:
+    @pytest.mark.parametrize("mode", ["hash", "raw", "fragment"])
+    @pytest.mark.parametrize("workers", [None, 2])
+    def test_every_scenario_variant(self, mode, workers):
+        driver = _CheckedDriver(batch_size=512, mode=mode, workers=workers)
+        names = scenario_names(variants=True)
+        for name in names:
+            report = driver.run_scenario(name, packets=1200, seed=3)
+            assert report.path_flows > 0
+        assert driver.checked == len(names)
+
+    def test_driver_level_impairments_and_an_emptied_sink(self):
+        from repro.replay import Duplicate, GilbertElliott, IIDLoss, Reorder
+
+        trace = build_trace("path-churn", packets=3000, seed=3)
+        driver = _CheckedDriver(batch_size=512, num_hashes=2, workers=2)
+        report = driver.replay(trace, impairments=[
+            GilbertElliott(p_bad=0.02, p_good=0.2, seed=1),
+            Reorder(depth=64, prob=0.5, seed=2), Duplicate(prob=0.02, seed=3),
+        ])
+        assert report.dropped_records > 0 and report.path_resets > 0
+        assert report.path_completed_under_loss > 0
+        # Every record dropped: the sinks hold nothing, nothing to score.
+        report = driver.replay(trace, impairments=[IIDLoss(1.0, seed=1)])
+        assert report.records == 0 and report.path_decoded == 0
+        assert math.isnan(report.path_coverage_mean)
+        assert driver.checked == 2
