@@ -59,12 +59,13 @@ class UtilizationCodec:
         return self._comp.encode_randomized(scaled, self._grid, *key_parts)
 
     def encode_array(
-        self, utilizations: np.ndarray, pids: np.ndarray, hop: int
+        self, utilizations: np.ndarray, pids: np.ndarray, hops
     ) -> np.ndarray:
         """Vectorised :meth:`encode` keyed ``(pid, hop)``, one per lane.
 
-        The rounding coins come from ``uniform_lanes`` -- per-lane
-        packet id, shared hop number -- exactly the key order the
+        ``hops`` is one hop number for all lanes or a column of them.
+        The rounding coins come from ``uniform_zip`` -- per-lane packet
+        id, then per-lane hop number -- exactly the key order the
         scalar ``encode(util, pid, hop)`` folds, so both paths draw the
         same coin and emit the same code (property-tested).
         """
@@ -72,7 +73,10 @@ class UtilizationCodec:
             np.minimum(np.asarray(utilizations, dtype=np.float64), self.max_util)
             * self.scale
         )
-        coins = self._grid.uniform_lanes(np.asarray(pids), hop)
+        pids = np.asarray(pids)
+        coins = self._grid.uniform_zip(
+            pids, np.broadcast_to(np.asarray(hops, dtype=np.int64), pids.shape)
+        )
         return self._comp.encode_randomized_array(scaled, coins)
 
     def decode(self, code: int) -> float:

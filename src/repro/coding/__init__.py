@@ -6,7 +6,11 @@ The pipeline:
 * :mod:`repro.coding.schemes` -- Baseline / XOR / Hybrid / Multi-layer
   (Algorithm 1) layer structures.
 * :class:`PathEncoder` -- the switch-side Encoding Module (raw, hashed,
-  or fragmented digests; multiple hash instantiations).
+  or fragmented digests; multiple hash instantiations);
+  :func:`encode_columns` is its array form over a whole column.
+* :class:`DecisionReplay` -- which layer, which carrier, which acting
+  hops: the one array form of the per-packet decisions, replayed by
+  the vectorised switch chain and the sink's batch decoders alike.
 * :class:`RawDecoder` / :class:`HashDecoder` / :class:`FragmentDecoder`
   -- peeling decoders for the Inference Module.
 * :class:`PathQueryContext` -- what all flows of one path query share
@@ -21,6 +25,7 @@ The pipeline:
 """
 
 from repro.coding.context import PathQueryContext
+from repro.coding.decisions import DecisionReplay
 from repro.coding.decoder import (
     FragmentDecoder,
     HashDecoder,
@@ -33,6 +38,7 @@ from repro.coding.encoder import (
     RAW,
     CodecContext,
     PathEncoder,
+    encode_columns,
     pack_reps,
     pack_reps_array,
     unpack_reps,
@@ -73,7 +79,9 @@ __all__ = [
     "multilayer_scheme",
     "improved_multilayer_scheme",
     "PathEncoder",
+    "encode_columns",
     "CodecContext",
+    "DecisionReplay",
     "PathQueryContext",
     "RAW",
     "HASH",

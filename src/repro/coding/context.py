@@ -23,13 +23,13 @@ hop a Baseline row carries -- and get a pass of their own
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Any, Dict, Iterable, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
+from repro.coding.decisions import DecisionReplay
 from repro.coding.encoder import HASH, CodecContext
-from repro.coding.schemes import BASELINE, XOR, CodingScheme, multilayer_scheme
-from repro.hashing import reservoir_carrier_zip, xor_acting_zip
+from repro.coding.schemes import CodingScheme, multilayer_scheme
 
 
 class PathQueryContext:
@@ -44,8 +44,9 @@ class PathQueryContext:
     fragment layout width, ``adjacency`` the optional topology map of
     :class:`~repro.coding.decoder.HashDecoder` and ``mode`` the digest
     representation.  The only state that grows after construction is
-    the per-``k`` cache of schemes and :class:`CodecContext` s, filled
-    on first use of a path length.
+    per path length ``k``, filled on first use of a length: the cache
+    of schemes and :class:`CodecContext` s, and the decision tables of
+    the context's :class:`~repro.coding.decisions.DecisionReplay`.
     """
 
     def __init__(
@@ -70,6 +71,18 @@ class PathQueryContext:
         self.adjacency = adjacency
         self.mode = mode
         self._codecs: Dict[int, CodecContext] = {}
+        self._decisions = DecisionReplay(seed, self.scheme_for)
+
+    def __getstate__(self) -> Dict[str, Any]:
+        """Everything but the decision tables: they are a pure function
+        of ``(seed, scheme_for(k))`` and are rebuilt, never pickled."""
+        state = self.__dict__.copy()
+        del state["_decisions"]
+        return state
+
+    def __setstate__(self, state: Dict[str, Any]) -> None:
+        self.__dict__.update(state)
+        self._decisions = DecisionReplay(self.seed, self.scheme_for)
 
     def scheme_for(self, k: int) -> CodingScheme:
         """The coding scheme flows of path length ``k`` are decoded under."""
@@ -94,44 +107,22 @@ class PathQueryContext:
         What the scalar ``observe`` derives per packet -- the layer,
         the reservoir carrier (Baseline rows) and the XOR acting set
         (XOR rows) -- in one pass over rows that may belong to any mix
-        of flows and path lengths: one layer-selection hash, then one
-        carrier or acting replay per layer index, each row against its
-        own ``k`` and its own scheme's XOR probability.  Lane for lane
-        equal to the scalar decisions (the hashes are keyed on the
-        root seed and the layer index only).  Returns the int64
-        carrier column (the carrier hop; 0 on XOR rows) and the
-        ``(n, max(ks))`` boolean acting matrix (row ``i``, column
-        ``h - 1``: hop ``h`` xor-ed into row ``i``; all False on
-        Baseline rows).  ``pids`` must be non-empty.
+        of flows and path lengths, through the same
+        :class:`~repro.coding.decisions.DecisionReplay` arithmetic the
+        vectorised switch chain encodes with: one layer-selection
+        hash, then one decision grid per kind of row, each row against
+        its own ``k`` and its own scheme's XOR probability.  Lane for
+        lane equal to the scalar decisions.  Returns the int64 carrier
+        column (the carrier hop; 0 on XOR rows) and the ``(n,
+        max(ks))`` boolean acting matrix (row ``i``, column ``h - 1``:
+        hop ``h`` xor-ed into row ``i``; all False on Baseline rows).
+        ``pids`` must be non-empty.
         """
-        n = int(pids.shape[0])
-        lengths = np.unique(ks).tolist()
-        codecs = [self.codec_for(k) for k in lengths]
-        uniforms = codecs[0].select.uniform_array(pids)
-        layer_idx = np.empty(n, dtype=np.int64)
-        # Per-row XOR probability; 0 marks Baseline rows.
-        xor_p = np.zeros(n, dtype=np.float64)
-        for codec, k in zip(codecs, lengths):
-            at_k = ks == k
-            idx = codec.layer_of_uniforms(uniforms[at_k])
-            layer_idx[at_k] = idx
-            layer_p = np.asarray([
-                layer.xor_p if layer.kind == XOR else 0.0
-                for layer in codec.scheme.layers
-            ])
-            xor_p[at_k] = layer_p[idx]
-        carriers = np.zeros(n, dtype=np.int64)
-        acting = np.zeros((n, int(lengths[-1])), dtype=bool)
-        for idx in range(int(layer_idx.max()) + 1):
-            g = next(c.g[idx] for c in codecs if len(c.g) > idx)
-            lane = layer_idx == idx
-            base = np.flatnonzero(lane & (xor_p == 0.0))
-            if base.size:
-                carriers[base] = reservoir_carrier_zip(g, pids[base], ks[base])
-            xor = np.flatnonzero(lane & (xor_p > 0.0))
-            if xor.size:
-                acts = xor_acting_zip(g, pids[xor], ks[xor], xor_p[xor])
-                acting[xor, :acts.shape[1]] = acts
+        base, carried, rows, hops = self._decisions.decide(pids, ks)
+        carriers = np.zeros(pids.shape[0], dtype=np.int64)
+        carriers[base] = carried
+        acting = np.zeros((pids.shape[0], int(ks.max())), dtype=bool)
+        acting[rows, hops - 1] = True
         return carriers, acting
 
     def verify(
@@ -178,40 +169,16 @@ class PathQueryContext:
     ) -> Tuple[np.ndarray, np.ndarray]:
         """The rows on a Baseline layer and the hop each one carries.
 
-        One layer-selection hash over all rows; one cumulative walk per
-        distinct layer layout (path lengths whose schemes share their
-        selection shares and layer kinds walk together: the XOR
-        probabilities, the only other thing a length changes, do not
-        matter here); one ``reservoir_carrier_zip`` per Baseline layer
-        index over the Baseline rows only, each row against its own
-        flow's ``k``.  Lane for lane the scalar ``observe`` decisions.
+        One layer-selection hash over all rows, then the decision grid
+        of the Baseline rows only, each row against its own flow's
+        ``k`` (:class:`~repro.coding.decisions.DecisionReplay`).  Lane
+        for lane the scalar ``observe`` decisions.
         """
+        decisions = self._decisions
         row_ks = ks[owner]
-        codecs = {k: self.codec_for(k) for k in set(ks.tolist())}
-        uniforms = next(iter(codecs.values())).select.uniform_array(pids)
-        walks: Dict[tuple, List[int]] = {}
-        for k, codec in codecs.items():
-            scheme = codec.scheme
-            layout = (scheme.shares, tuple(x.kind for x in scheme.layers))
-            walks.setdefault(layout, []).append(k)
-        #: The row's layer index where that layer is Baseline, else -1.
-        base_layer = np.full(pids.shape[0], -1, dtype=np.int64)
-        for (_, kinds), lengths in walks.items():
-            walked = np.zeros(max(codecs) + 1, dtype=bool)
-            walked[lengths] = True
-            rows = np.flatnonzero(walked[row_ks])
-            idx = codecs[lengths[0]].layer_of_uniforms(uniforms[rows])
-            is_base = np.asarray([kind == BASELINE for kind in kinds])
-            base_layer[rows] = np.where(is_base[idx], idx, -1)
-        base = np.flatnonzero(base_layer >= 0)
-        base_layer = base_layer[base]
-        hops = np.empty(base.size, dtype=np.int64)
-        for idx in sorted({
-            i for _, kinds in walks for i, kind in enumerate(kinds)
-            if kind == BASELINE
-        }):
-            g = next(c.g[idx] for c in codecs.values() if len(c.g) > idx)
-            lane = np.flatnonzero(base_layer == idx)
-            rows = base[lane]
-            hops[lane] = reservoir_carrier_zip(g, pids[rows], row_ks[rows])
+        slots = decisions.slots(pids, row_ks)
+        base = np.flatnonzero(decisions.baseline.take(slots))
+        hops = decisions.carriers(
+            pids.take(base), slots.take(base), int(ks.max())
+        )
         return base, hops

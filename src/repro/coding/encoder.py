@@ -24,13 +24,14 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
+from repro.coding.decisions import DecisionReplay
 from repro.coding.message import DistributedMessage
 from repro.coding.schemes import BASELINE, CodingScheme
 from repro.hashing import (
     GlobalHash,
-    cumulative_select_array,
+    cumulative_thresholds,
     reservoir_carrier,
-    reservoir_carrier_array,
+    threshold_walk,
     xor_acting_hops,
 )
 
@@ -137,25 +138,16 @@ class CodecContext:
     def layer_of_array(self, packet_ids: np.ndarray) -> np.ndarray:
         """Vectorised :meth:`layer_of`, lane-for-lane identical.
 
-        Replays :meth:`CodingScheme.layer_index` including its
-        saturating fallback (lanes past the cumulative mass map to the
-        last layer); shared by the batch encoder and the batch
-        decoders so their layer replays cannot drift apart.
+        Replays :meth:`CodingScheme.layer_index` as integer compares:
+        a lane's layer is the count of partial-share thresholds at or
+        below its draw among the first ``L - 1`` -- the saturating
+        fallback (lanes past the cumulative mass map to the last
+        layer) included.
         """
-        return self.layer_of_uniforms(
-            self.select.uniform_array(np.asarray(packet_ids))
+        cuts = cumulative_thresholds(self.scheme.shares[:-1])
+        return threshold_walk(
+            self.select.draws_array(np.asarray(packet_ids)), cuts[:, None]
         )
-
-    def layer_of_uniforms(self, uniforms: np.ndarray) -> np.ndarray:
-        """Layer indices from already-drawn selection uniforms.
-
-        The cumulative walk of :meth:`layer_of_array` on its own, for
-        callers that draw the (scheme-independent) selection hash once
-        for rows decoded under several schemes.
-        """
-        idx = cumulative_select_array(uniforms, self.scheme.shares)
-        idx[idx < 0] = len(self.scheme.shares) - 1
-        return idx
 
     def value_digest(self, rep: int, packet_id: int, value: int) -> int:
         """h_rep(value, packet): the compressed digest contribution."""
@@ -308,92 +300,99 @@ class PathEncoder:
 
         ``blocks`` has shape (n, k): each lane carries its *own* per-hop
         values, so callers can batch packets of many same-length paths
-        through one call (the replay dataplane's signature grouping).
-        Returns a (n, num_hashes) uint64 matrix equal,
-        element-for-element, to the scalar :meth:`encode` against each
-        lane's blocks (property-tested).  Supports all three digest
-        representations:
-
-        * raw -- the acting hop's block verbatim;
-        * hash -- ``h_rep(packet, block)`` via pairwise folds;
-        * fragment -- the packet's hash-chosen b-bit slice of the block.
+        through one call -- the constant-``k`` case of
+        :func:`encode_columns`.  Returns a (n, num_hashes) uint64
+        matrix equal, element-for-element, to the scalar :meth:`encode`
+        against each lane's blocks (property-tested), in all three
+        digest representations.
         """
-        ctx = self.ctx
         pids = np.asarray(packet_ids, dtype=np.uint64)
-        blocks = np.asarray(blocks)
+        blocks = np.ascontiguousarray(blocks)
         n, k = len(pids), self.message.k
         if blocks.shape != (n, k):
             raise ValueError(
                 f"blocks must have shape ({n}, {k}), got {blocks.shape}"
             )
-        b = ctx.digest_bits
-        layer_idx = ctx.layer_of_array(pids)
-        # Fragment choice is per packet and layer-independent.
-        if self.mode == FRAGMENT:
-            frags = ctx.frag.choice_array(self.num_fragments, pids)
-            frag_mask = (1 << b) - 1
-
-        def contribution(lane_pids, lane_blocks, lane_frags, rep):
-            """What each lane's acting hop writes (one rep)."""
-            if self.mode == HASH:
-                return ctx.h[rep].bits_zip(b, lane_pids, lane_blocks)
-            if self.mode == FRAGMENT:
-                return ((lane_blocks >> (lane_frags * b)) & frag_mask).astype(
-                    np.uint64
-                )
-            return lane_blocks.astype(np.uint64)
-
-        out = np.zeros((n, ctx.num_hashes), dtype=np.uint64)
-        for idx, layer in enumerate(ctx.scheme.layers):
-            lane = layer_idx == idx
-            if not lane.any():
-                continue
-            lane_pids = pids[lane]
-            lane_blocks = blocks[lane]
-            lane_frags = frags[lane] if self.mode == FRAGMENT else None
-            g = ctx.g[idx]
-            lane_out = np.zeros(
-                (len(lane_pids), ctx.num_hashes), dtype=np.uint64
-            )
-            if layer.kind == BASELINE:
-                carriers = reservoir_carrier_array(g, lane_pids, k)
-                # Gather each lane's carrier-hop block; one pairwise
-                # pass per rep covers every hop at once.
-                carried = lane_blocks[
-                    np.arange(len(lane_pids)), carriers - 1
-                ]
-                for rep in range(ctx.num_hashes):
-                    lane_out[:, rep] = contribution(
-                        lane_pids, carried, lane_frags, rep
-                    )
-            else:
-                for hop in range(1, k + 1):
-                    acts = g.uniform_array(lane_pids, hop) < layer.xor_p
-                    if not acts.any():
-                        continue
-                    hop_blocks = lane_blocks[acts, hop - 1]
-                    act_frags = (
-                        lane_frags[acts] if lane_frags is not None else None
-                    )
-                    for rep in range(ctx.num_hashes):
-                        lane_out[acts, rep] ^= contribution(
-                            lane_pids[acts], hop_blocks, act_frags, rep
-                        )
-            out[lane] = lane_out
-        return out
+        return self._encode_table(pids, blocks, np.arange(n))
 
     def encode_many(self, packet_ids) -> np.ndarray:
         """Vectorised :meth:`encode` for hash mode over many packets.
 
-        The single-message special case of :meth:`encode_lanes` (every
-        lane shares this encoder's blocks), kept for benchmark
+        The single-message case of :func:`encode_columns` (every lane
+        reads this encoder's one row of blocks), kept for benchmark
         harnesses that push 10^5 packets down one path.
         """
         if self.mode != HASH:
             raise ValueError("encode_many supports hash mode only")
         pids = np.asarray(packet_ids, dtype=np.uint64)
-        blocks = np.broadcast_to(
-            np.asarray(self.message.blocks, dtype=np.int64),
-            (len(pids), self.message.k),
+        table = np.asarray(self.message.blocks, dtype=np.int64)[None, :]
+        return self._encode_table(pids, table, np.zeros(len(pids), np.int64))
+
+    def _encode_table(
+        self, pids: np.ndarray, table: np.ndarray, table_rows: np.ndarray
+    ) -> np.ndarray:
+        """:func:`encode_columns` down this encoder's own path length."""
+        scheme = self.ctx.scheme
+        return encode_columns(
+            DecisionReplay(self.ctx.seed, lambda k: scheme), self.ctx,
+            self.mode, self.num_fragments, pids,
+            np.full(len(pids), self.message.k), table, table_rows,
         )
-        return self.encode_lanes(pids, blocks)
+
+
+def encode_columns(
+    decisions: DecisionReplay,
+    ctx: CodecContext,
+    mode: str,
+    num_fragments: int,
+    pids: np.ndarray,
+    ks: np.ndarray,
+    table: np.ndarray,
+    table_rows: np.ndarray,
+) -> np.ndarray:
+    """The whole switch chain over a column of packets, any mix of paths.
+
+    Row ``i`` is packet ``pids[i]`` (uint64) on a ``ks[i]``-hop path
+    whose hop-``h`` block is ``table[table_rows[i], h - 1]`` (``table``
+    C-contiguous).  ``decisions`` replays which layer each packet
+    serves and which hops act on it; ``ctx`` supplies the value and
+    fragment hashes, which -- like ``mode`` and ``num_fragments`` --
+    depend on no path length, so one call serves rows of every ``k``.
+    Returns the ``(n, num_hashes)`` uint64 digests, row for row
+    :meth:`PathEncoder.encode` on that row's path.
+
+    The chain: decision grid -> one ``(row, hop)`` pair per Baseline
+    row (its carrier) and one per acting hop of an XOR row -> the
+    pairs' blocks in one gather -> what each pair writes, one
+    pairwise hash per rep over *all* pairs -> Baseline rows keep their
+    pair's value, an XOR row the xor of its run of pairs.
+    """
+    n = pids.shape[0]
+    b = ctx.digest_bits
+    out = np.zeros((n, ctx.num_hashes), dtype=np.uint64)
+    if not n:
+        return out
+    base, carriers, xor_rows, hops = decisions.decide(pids, ks)
+    pair_rows = np.concatenate((base, xor_rows))
+    pair_pids = pids.take(pair_rows)
+    blocks = table.ravel().take(
+        table_rows.take(pair_rows) * table.shape[1]
+        + np.concatenate((carriers, hops)) - 1
+    )
+    # An XOR row's pairs are contiguous: one reduceat folds each run.
+    starts = np.ones(xor_rows.shape[0], dtype=bool)
+    starts[1:] = xor_rows[1:] != xor_rows[:-1]
+    run0 = np.flatnonzero(starts)
+    for rep in range(ctx.num_hashes):
+        if mode == HASH:
+            wrote = ctx.h[rep].bits_zip(b, pair_pids, blocks)
+        elif mode == FRAGMENT:
+            frags = ctx.frag.choice_array(num_fragments, pair_pids)
+            wrote = ((blocks >> (frags * b)) & ((1 << b) - 1)).astype(np.uint64)
+        else:
+            wrote = blocks.astype(np.uint64)
+        out[base, rep] = wrote[:base.size]
+        out[xor_rows[run0], rep] = np.bitwise_xor.reduceat(
+            wrote[base.size:], run0
+        )
+    return out

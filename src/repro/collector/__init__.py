@@ -41,7 +41,7 @@ from repro.collector.consumers import (
 )
 from repro.collector.flowtable import FlowEntry, FlowTable
 from repro.collector.parallel import ParallelCollector
-from repro.collector.records import TelemetryRecord, normalize_batch
+from repro.collector.records import MAX_HOPS, TelemetryRecord, normalize_batch
 from repro.collector.recovery import (
     CHECKPOINT_VERSION,
     BatchJournal,
@@ -70,6 +70,7 @@ __all__ = [
     "FlowTable",
     "IngestClock",
     "LatencyDigestConsumer",
+    "MAX_HOPS",
     "ParallelCollector",
     "PathDigestConsumer",
     "RecoveryStats",

@@ -38,7 +38,7 @@ from repro.collector.consumers import (
     DigestConsumer,
     consume_groups,
 )
-from repro.collector.records import Column, normalize_batch
+from repro.collector.records import Column, check_hop_range, normalize_batch
 from repro.collector.shard import Shard, ShardRouter
 from repro.collector.snapshot import Snapshot
 from repro.exceptions import CollectorClosedError
@@ -241,6 +241,7 @@ class Collector:
     ) -> None:
         """Fold one record into its flow's consumer (scalar path)."""
         self._check_open()
+        check_hop_range(hop_count, hop_count)
         t = self._tick(now, 1)
         shard = self.shards[self.router.shard_of(flow_id)]
         shard.ingest(flow_id, pid, hop_count, digest, t)
@@ -288,6 +289,7 @@ class Collector:
             n = int(fids.shape[0])
             if n == 0:
                 return 0
+            check_hop_range(int(hops.min()), int(hops.max()))
             t = self._tick(now, n)
             if self.num_shards == 1:
                 shard_ids = None

@@ -91,7 +91,7 @@ import numpy as np
 from repro.collector.answers import AnswerTable
 from repro.collector.collector import Collector, IngestClock
 from repro.collector.consumers import ConsumerFactory, DigestConsumer
-from repro.collector.records import Column, normalize_batch
+from repro.collector.records import Column, check_hop_range, normalize_batch
 from repro.collector.recovery import (
     BatchJournal,
     capture_checkpoint,
@@ -1213,6 +1213,7 @@ class ParallelCollector:
         now: Optional[float] = None,
     ) -> None:
         """Route one record to its owner worker (scalar path)."""
+        check_hop_range(hop_count, hop_count)
         self.start()
         t = self.clock.tick(now, 1)
         self._reap()
@@ -1248,6 +1249,7 @@ class ParallelCollector:
         n = int(fids.shape[0])
         if n == 0:
             return 0
+        check_hop_range(int(hops.min()), int(hops.max()))
         self.start()
         t = self.clock.tick(now, n)
         with self._sp_scatter:

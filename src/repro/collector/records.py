@@ -23,6 +23,11 @@ import numpy as np
 #: Anything a columnar ingest column may arrive as.
 Column = Union[Sequence[int], np.ndarray]
 
+#: Longest path a record may claim: switches read the hop number off
+#: the 8-bit TTL.  The sink's decoders size per-hop state and decision
+#: tables from the claimed count, so the front door bounds it.
+MAX_HOPS = 255
+
 
 class TelemetryRecord(NamedTuple):
     """One sink observation: the per-packet PINT export."""
@@ -31,6 +36,22 @@ class TelemetryRecord(NamedTuple):
     pid: int
     hop_count: int
     digest: int
+
+
+def check_hop_range(lowest: int, highest: int) -> None:
+    """Reject hop counts outside ``[1, MAX_HOPS]`` at the front door.
+
+    Called with the extremes of a batch's hop column (or one record's
+    count twice) before the clock ticks or any table is touched, so a
+    rejected batch leaves the sink exactly as it was.  Not part of
+    :func:`normalize_batch`: the wire codec shares that and carries
+    arbitrary ``int64`` columns.
+    """
+    if lowest < 1 or highest > MAX_HOPS:
+        raise ValueError(
+            f"hop counts must lie in [1, {MAX_HOPS}], got "
+            f"{lowest}..{highest}: batch rejected"
+        )
 
 
 def normalize_batch(

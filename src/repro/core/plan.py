@@ -16,7 +16,7 @@ import numpy as np
 
 from repro.core.query import Query
 from repro.exceptions import BudgetError
-from repro.hashing import GlobalHash, cumulative_select_array
+from repro.hashing import GlobalHash, cumulative_thresholds, threshold_walk
 
 
 @dataclass(frozen=True)
@@ -103,14 +103,18 @@ class ExecutionPlan:
 
         Returns -1 for lanes no entry claims ("no query on this
         packet").  Lane-for-lane consistent with the scalar walk --
-        same hash, same cumulative-probability accumulation order, same
-        ``u < acc`` boundary -- so ``entries[select_array(p)[i]].queries
-        == select(p[i])`` wherever the index is non-negative.
+        same hash, same cumulative-probability accumulation order, and
+        ``u < acc`` as the exact integer compare of
+        :func:`~repro.hashing.unit_threshold` -- so
+        ``entries[select_array(p)[i]].queries == select(p[i])``
+        wherever the index is non-negative.
         """
-        return cumulative_select_array(
-            self._select.uniform_array(np.asarray(packet_ids)),
-            [entry.probability for entry in self.entries],
+        cuts = cumulative_thresholds([e.probability for e in self.entries])
+        idx = threshold_walk(
+            self._select.draws_array(np.asarray(packet_ids)), cuts[:, None]
         )
+        idx[idx == len(self.entries)] = -1
+        return idx
 
     def digest_offset(self, queries: Tuple[Query, ...], query: Query) -> int:
         """Bit offset of ``query``'s digest inside this set's packing.

@@ -7,16 +7,24 @@ Public surface:
 * :func:`reservoir_write` / :func:`reservoir_carrier` -- the distributed
   Reservoir Sampling rule and its collector-side inverse.
 * :func:`xor_acting_hops` -- which hops xor a given packet.
+* :func:`unit_threshold` / :func:`threshold_walk` / :func:`acting_grid`
+  -- the same coins in array form: every ``uniform < p`` as an exact
+  integer compare, a whole column's ``(hop, packet)`` grid in one pass.
 * :mod:`repro.hashing.bitvector` -- the O(log k)/packet decode variant.
 """
 
 from repro.hashing.global_hash import (
     GlobalHash,
-    cumulative_select_array,
+    acting_grid,
+    cumulative_thresholds,
+    lane_blocks,
+    last_acting,
     reservoir_carrier,
     reservoir_carrier_array,
     reservoir_carrier_zip,
     reservoir_write,
+    threshold_walk,
+    unit_threshold,
     xor_acting_hops,
     xor_acting_zip,
 )
@@ -30,7 +38,12 @@ from repro.hashing import mix
 
 __all__ = [
     "GlobalHash",
-    "cumulative_select_array",
+    "unit_threshold",
+    "cumulative_thresholds",
+    "threshold_walk",
+    "lane_blocks",
+    "acting_grid",
+    "last_acting",
     "reservoir_write",
     "reservoir_carrier",
     "reservoir_carrier_array",

@@ -19,7 +19,8 @@ Three named hashes from the paper map onto instances of this class:
 
 from __future__ import annotations
 
-from typing import Sequence, Union
+from itertools import accumulate
+from typing import Iterator, Sequence, Union
 
 import numpy as np
 
@@ -27,6 +28,16 @@ from repro.hashing import mix
 
 #: Accepted key-part types; strings are folded via :func:`mix.string_to_int`.
 Part = Union[int, str, bytes]
+
+#: 2**53 as a float: the scale between a unit draw and its integer form.
+_TWO53 = float(2.0 ** 53)
+
+#: Cap on the elements of one block of a hop-major decision grid
+#: (hops x lanes); callers cut their lanes with :func:`lane_blocks`, so
+#: a grid's uint64 temporaries are half a MiB each -- cache-resident --
+#: whatever the column and path lengths.  Measured, not a knob: one
+#: 400k-lane grid costs 1.3-1.6x a blocked one (DESIGN.md section 3).
+GRID_BLOCK = 1 << 16
 
 
 def _as_int(part: Part) -> int:
@@ -132,6 +143,25 @@ class GlobalHash:
         """Vectorised :meth:`uniform`."""
         return mix.to_unit_array(self.raw_array(parts, *salts))
 
+    def draws_array(self, parts: np.ndarray, *salts: Part) -> np.ndarray:
+        """:meth:`uniform_array` in integer form: each lane's 53-bit draw.
+
+        ``draws_array(...)[i] * 2**-53 == uniform_array(...)[i]``
+        exactly, so ``uniform < p`` is ``draw < unit_threshold(p)``.
+        """
+        return self.raw_array(parts, *salts) >> np.uint64(11)
+
+    def hop_salts(self, top: int) -> np.ndarray:
+        """What hops ``1..top`` fold into a packet id before the mix.
+
+        ``raw(hop, pid) == mix64(hop_salts(top)[hop - 1] ^ pid)``: the
+        per-hop column a decision grid (:func:`acting_grid`) is built
+        from, so every ``(packet, hop)`` coin of a column costs one
+        xor and one shared mix pass.
+        """
+        hops = np.arange(1, top + 1, dtype=np.uint64)
+        return mix.fold_array(mix.begin(self._key), hops) + np.uint64(mix.GOLDEN)
+
     def bits_array(self, width: int, parts: np.ndarray, *salts: Part) -> np.ndarray:
         """Vectorised :meth:`bits`."""
         if not 1 <= width <= 64:
@@ -196,6 +226,19 @@ class GlobalHash:
         accs = mix.fold_array(mix.begin(self._key), np.asarray(lane_parts))
         return mix.to_unit_array(mix.fold_lanes(accs, _as_int(part)))
 
+    def uniform_zip(
+        self, first_parts: np.ndarray, second_parts: np.ndarray
+    ) -> np.ndarray:
+        """Per-lane (first, second) key pairs, mapped onto [0, 1).
+
+        Lane-for-lane equal to ``[uniform(f, s) for f, s in
+        zip(first_parts, second_parts)]`` -- :meth:`uniform_lanes` when
+        the second part differs per lane too (a column of records,
+        each with its own hop count).
+        """
+        accs = mix.fold_array(mix.begin(self._key), np.asarray(first_parts))
+        return mix.to_unit_array(mix.fold_zip(accs, np.asarray(second_parts)))
+
     def choice_array(self, n: int, parts: np.ndarray, *salts: Part) -> np.ndarray:
         """Vectorised :meth:`choice`: uniform indices on {0, ..., n-1}.
 
@@ -209,25 +252,78 @@ class GlobalHash:
         return (self.uniform_array(parts, *salts) * n).astype(np.int64)
 
 
-def cumulative_select_array(
-    uniforms: np.ndarray, probs: Sequence[float]
-) -> np.ndarray:
-    """First index i with ``u < probs[0] + ... + probs[i]``, per lane.
+def unit_threshold(p: Union[float, np.ndarray]) -> np.ndarray:
+    """The integer ``T`` with ``to_unit(x) < p  <=>  (x >> 11) < T``.
 
-    The one vectorised cumulative-probability walk behind every
-    distribution-over-options selection (execution-plan entries, coding
-    layers): same left-to-right float accumulation, same strict
-    ``u < acc`` boundary as the scalar loops, so lane i equals the
-    scalar walk on ``uniforms[i]`` exactly.  Lanes past the total mass
-    get -1 ("no option selected"); callers with a saturating scalar
-    fallback map -1 to their last index.
+    ``to_unit(x) = (x >> 11) * 2**-53`` is exact in float64 and so is
+    ``p * 2**53``, hence over the integers the coin ``uniform < p`` is
+    the compare ``draw < ceil(p * 2**53)`` -- exactly, for every ``x``
+    and every float ``p``.  ``p <= 0`` gives 0 (never); ``p >= 1``
+    gives ``2**53``, above every draw (always: hop 1's ``1/1``).
+    Elementwise over an array of probabilities; uint64 either way.
     """
-    idx = np.full(np.asarray(uniforms).shape, -1, dtype=np.int64)
-    acc = 0.0
-    for i, p in enumerate(probs):
-        acc += p
-        idx[(idx == -1) & (uniforms < acc)] = i
-    return idx
+    return np.ceil(np.clip(p, 0.0, 1.0) * _TWO53).astype(np.uint64)
+
+
+def cumulative_thresholds(probs: Sequence[float]) -> np.ndarray:
+    """:func:`unit_threshold` of every partial sum of ``probs``.
+
+    The scalar walks over a distribution (execution-plan entries,
+    coding layers) accumulate ``acc += p`` left to right and stop at
+    the first ``u < acc``; these are the same partial sums, in the same
+    float accumulation order, as integer thresholds.
+    """
+    return unit_threshold(np.asarray(list(accumulate(probs)), dtype=np.float64))
+
+
+def threshold_walk(draws: np.ndarray, thresholds: np.ndarray) -> np.ndarray:
+    """How many of each lane's thresholds are at or below its draw.
+
+    ``thresholds`` is ``(m, n)`` -- or ``(m, 1)``, shared by all lanes
+    -- and non-decreasing down each column, as partial sums of
+    non-negative shares are; the count is then the first index whose
+    threshold exceeds the draw, i.e. where the scalar cumulative walk
+    stops, and ``m`` where it runs off the end.
+    """
+    return (thresholds <= draws).sum(axis=0)
+
+
+def lane_blocks(lanes: int, top: int) -> Iterator[slice]:
+    """Cut ``lanes`` columns into slices of at most ``GRID_BLOCK // top``."""
+    step = max(1, GRID_BLOCK // max(1, top))
+    for lo in range(0, lanes, step):
+        yield slice(lo, lo + step)
+
+
+def acting_grid(
+    salts: np.ndarray, packet_ids: np.ndarray, thresholds: np.ndarray
+) -> np.ndarray:
+    """Every ``(hop, packet)`` coin of a column at once, hop-major.
+
+    ``salts`` is :meth:`GlobalHash.hop_salts` as a ``(top, 1)`` column
+    (one hash for every lane) or gathered per lane as ``(top, n)``;
+    ``thresholds`` broadcasts against ``(top, n)`` likewise.  Entry
+    ``[h - 1, i]`` of the boolean result is ``g(packet_i, h) <
+    p[h - 1, i]`` for the ``p`` behind the thresholds
+    (:func:`unit_threshold`): one xor, one in-place mix pass and one
+    integer compare for the whole grid.
+    """
+    grid = salts ^ packet_ids
+    mix.mix64_inplace(grid, np.empty_like(grid))
+    grid >>= np.uint64(11)
+    return grid < thresholds
+
+
+def last_acting(grid: np.ndarray) -> np.ndarray:
+    """The last acting hop of every column of a grid (0: none acts).
+
+    On a Baseline grid this is the reservoir carrier.  Reduced in the
+    narrowest unsigned dtype that holds the grid's height.
+    """
+    top = grid.shape[0]
+    hops = np.arange(1, top + 1, dtype=np.min_scalar_type(top))
+    last = (grid.view(np.uint8) * hops[:, None]).max(axis=0, initial=0)
+    return last.astype(np.int64)
 
 
 def reservoir_write(g: GlobalHash, packet_id: Part, hop: int) -> bool:
@@ -263,11 +359,15 @@ def reservoir_carrier_array(
 ) -> np.ndarray:
     """Vectorised :func:`reservoir_carrier` over many packet ids."""
     pids = np.asarray(packet_ids)
-    carriers = np.ones(len(pids), dtype=np.int64)
-    for hop in range(2, path_len + 1):
-        wrote = g.uniform_array(pids, hop) < 1.0 / hop
-        carriers[wrote] = hop
-    return carriers
+    return reservoir_carrier_zip(g, pids, np.full(pids.shape[0], path_len))
+
+
+def _hop_thresholds(
+    top: int, path_lens: np.ndarray, thresholds: np.ndarray
+) -> np.ndarray:
+    """``thresholds`` down to each lane's own length, 0 (never) past it."""
+    hops = np.arange(1, top + 1)[:, None]
+    return np.where(hops <= path_lens, thresholds, np.uint64(0))
 
 
 def reservoir_carrier_zip(
@@ -277,17 +377,21 @@ def reservoir_carrier_zip(
 
     Lane-for-lane equal to ``reservoir_carrier(g, pid, path_len)`` --
     the shape a mixed column of flows needs (each record carries its
-    own hop count).  One pass per hop up to the column's maximum
-    length; lanes shorter than the hop are masked out of that round.
+    own hop count).  One decision grid per lane block: hop ``h`` writes
+    under ``1/h`` on the lanes at least ``h`` long, and the carrier is
+    the last hop that wrote (hop 1 where none could: a length below 1).
     """
-    pids = np.asarray(packet_ids)
+    pids = np.asarray(packet_ids).astype(np.uint64)
     lens = np.asarray(path_lens)
-    carriers = np.ones(len(pids), dtype=np.int64)
     top = int(lens.max()) if lens.size else 0
-    for hop in range(2, top + 1):
-        wrote = (g.uniform_array(pids, hop) < 1.0 / hop) & (lens >= hop)
-        carriers[wrote] = hop
-    return carriers
+    salts = g.hop_salts(top)[:, None]
+    writes = unit_threshold(1.0 / np.arange(1, top + 1))[:, None]
+    carriers = np.empty(pids.shape[0], dtype=np.int64)
+    for lanes in lane_blocks(pids.shape[0], top):
+        carriers[lanes] = last_acting(acting_grid(
+            salts, pids[lanes], _hop_thresholds(top, lens[lanes], writes)
+        ))
+    return np.maximum(carriers, 1)
 
 
 def xor_acting_hops(
@@ -311,15 +415,19 @@ def xor_acting_zip(
 
     Row ``j`` of the ``(n, max(path_lens))`` boolean matrix has exactly
     the bits ``xor_acting_hops(g, packet_ids[j], path_lens[j],
-    probs[j])`` sets (columns past a lane's own length stay False), so
-    the batch decoders replay the scalar acting sets bit-for-bit -- in
+    probs[j])`` sets (columns past a lane's own length stay False) --
     the shape a column mixing flows of several path lengths, each with
-    its own scheme's XOR probability, needs.
+    its own scheme's XOR probability, needs.  One decision grid per
+    lane block, returned lane-major.
     """
-    pids = np.asarray(packet_ids)
+    pids = np.asarray(packet_ids).astype(np.uint64)
     lens = np.asarray(path_lens)
+    acts = unit_threshold(np.asarray(probs, dtype=np.float64))
     top = int(lens.max()) if lens.size else 0
-    out = np.empty((len(pids), top), dtype=bool)
-    for hop in range(1, top + 1):
-        out[:, hop - 1] = (g.uniform_array(pids, hop) < probs) & (lens >= hop)
-    return out
+    salts = g.hop_salts(top)[:, None]
+    out = np.empty((top, pids.shape[0]), dtype=bool)
+    for lanes in lane_blocks(pids.shape[0], top):
+        out[:, lanes] = acting_grid(
+            salts, pids[lanes], _hop_thresholds(top, lens[lanes], acts[lanes])
+        )
+    return out.T

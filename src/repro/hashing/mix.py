@@ -78,20 +78,34 @@ def to_unit(x: int) -> float:
     return ((x & MASK64) >> 11) * _INV53
 
 
+def mix64_inplace(x: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    """The splitmix64 finaliser over a ``uint64`` array, in place.
+
+    ``scratch`` is a ``uint64`` array of ``x``'s shape that receives
+    the shifted copies, so a pass allocates nothing -- what a grid of
+    many hops x many lanes (:func:`repro.hashing.acting_grid`) needs.
+    uint64 *array* arithmetic wraps silently (only NumPy scalar
+    arithmetic warns on overflow), so no ``np.errstate`` is needed.
+    Returns ``x``.
+    """
+    np.right_shift(x, np.uint64(30), out=scratch)
+    x ^= scratch
+    x *= np.uint64(_C1)
+    np.right_shift(x, np.uint64(27), out=scratch)
+    x ^= scratch
+    x *= np.uint64(_C2)
+    np.right_shift(x, np.uint64(31), out=scratch)
+    x ^= scratch
+    return x
+
+
 def mix64_array(x: np.ndarray) -> np.ndarray:
     """Vectorised splitmix64 finaliser over a ``uint64`` array.
 
-    uint64 *array* arithmetic wraps silently (only NumPy scalar
-    arithmetic warns on overflow), so the in-place passes need no
-    ``np.errstate``; ``asarray`` keeps a 0-d input on the array path.
+    ``asarray`` keeps a 0-d input on the array path.
     """
     x = np.asarray(x).astype(np.uint64, copy=True)
-    x ^= x >> np.uint64(30)
-    x *= np.uint64(_C1)
-    x ^= x >> np.uint64(27)
-    x *= np.uint64(_C2)
-    x ^= x >> np.uint64(31)
-    return x
+    return mix64_inplace(x, np.empty_like(x))
 
 
 def fold_array(acc: int, parts: np.ndarray) -> np.ndarray:

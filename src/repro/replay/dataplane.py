@@ -11,17 +11,19 @@ scalar :class:`repro.coding.PathEncoder` under shared seeds
 vectorised APIs whose lane-for-lane equality the hashing tests pin
 down.
 
-Batches mix packets of many flows and many paths; records are grouped
-by path *signature* -- (path length, digest mode, fragment count) --
-not by path, because every hash the chain draws keys on the packet id
-and per-hop block value, never on the path identity.  Hundreds of
-distinct paths therefore collapse into a handful of array passes
-(blocks are gathered per lane from the trace's path table and hashed
-pairwise via ``GlobalHash.bits_zip``), so the per-record Python cost of
-the scalar encoder becomes per-(batch, signature) cost -- the
-switch-side mirror of the collector's ``ingest_batch`` amortisation,
-and where the >=10x of ``benchmarks/bench_replay_throughput.py`` comes
-from.
+Batches mix packets of many flows, many paths and many path lengths,
+and the whole batch encodes as *one column*
+(:func:`repro.coding.encoder.encode_columns`): every hash the chain
+draws keys on the packet id, the hop number and the per-hop block
+value -- never on the path identity or its length -- so one decision
+grid (:class:`repro.coding.decisions.DecisionReplay`, the same object
+the sink's decoders replay) says which hops act on which packet, the
+acting hops' blocks are gathered from the trace's path table, and one
+pairwise hash per rep covers every (packet, hop) pair of the batch.
+The per-record Python cost of the scalar encoder becomes a fixed
+number of array passes per batch -- the switch-side mirror of the
+collector's ``ingest_batch`` amortisation, and where the >=10x of
+``benchmarks/bench_replay_throughput.py`` comes from.
 
 Value queries compress the same way: :func:`compress_utilizations`
 runs the §4.3 multiplicative randomized rounding over whole columns,
@@ -30,7 +32,7 @@ reusing :meth:`UtilizationCodec.encode_array`.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, Optional, Tuple
 
 import numpy as np
 
@@ -38,8 +40,10 @@ from repro.apps.congestion import UtilizationCodec
 from repro.coding import (
     HASH,
     CodingScheme,
+    DecisionReplay,
     DistributedMessage,
     PathEncoder,
+    encode_columns,
     multilayer_scheme,
     pack_reps,
     pack_reps_array,
@@ -102,7 +106,13 @@ class TraceDataplane:
         #: the CodecContext the vectorised path replays, so the two
         #: paths cannot diverge in configuration.
         self._encoders: Dict[int, PathEncoder] = {}
-        self._block_table: Optional[np.ndarray] = None
+        self._decisions = DecisionReplay(seed, scheme_factory)
+        #: One representative encoder per digest representation
+        #: ``(mode, fragment count)`` met so far, and path id -> the
+        #: position of its representation there (-1: not resolved yet).
+        self._representations: Dict[Tuple[str, int], PathEncoder] = {}
+        self._representation = np.full(len(trace.paths), -1, dtype=np.int64)
+        self._path_table: Optional[Tuple[np.ndarray, np.ndarray]] = None
 
     def encoder(self, path_id: int) -> PathEncoder:
         """The scalar-twin :class:`PathEncoder` for one path id."""
@@ -124,59 +134,80 @@ class TraceDataplane:
 
     # -- vectorised encode -----------------------------------------------
 
-    def _blocks(self) -> np.ndarray:
-        """The trace's path table as a padded (paths, max_k) matrix."""
-        if self._block_table is None:
-            k_max = max(len(p) for p in self.trace.paths)
-            table = np.zeros((len(self.trace.paths), k_max), dtype=np.int64)
+    def _paths(self) -> Tuple[np.ndarray, np.ndarray]:
+        """The trace's path table as a padded (paths, max_k) matrix,
+        and every path's length."""
+        if self._path_table is None:
+            lens = np.asarray([len(p) for p in self.trace.paths], np.int64)
+            table = np.zeros((lens.size, int(lens.max())), dtype=np.int64)
             for i, p in enumerate(self.trace.paths):
                 table[i, : len(p)] = p
-            self._block_table = table
-        return self._block_table
+            self._path_table = table, lens
+        return self._path_table
+
+    def _resolve(self, path_ids: np.ndarray) -> np.ndarray:
+        """Each row's digest representation, as ``_representations`` index.
+
+        Mode and fragment count are whatever the path's scalar twin
+        resolved (:meth:`encoder`), looked up once per path -- not per
+        batch.  They are one value per dataplane unless ``fragment``
+        runs with neither a universe nor ``value_bits``, where each
+        path sizes its fragments by its own widest block.
+        """
+        found = self._representation.take(path_ids)
+        if found.min() < 0:
+            for path_id in np.unique(path_ids[found < 0]).tolist():
+                enc = self.encoder(path_id)
+                key = (enc.mode, enc.num_fragments)
+                self._representations.setdefault(key, enc)
+                self._representation[path_id] = list(
+                    self._representations
+                ).index(key)
+            found = self._representation.take(path_ids)
+        return found
 
     def encode_rows(self, rows: np.ndarray) -> np.ndarray:
         """Packed digests for the given trace rows, one int64 per row.
 
-        Row-for-row equal to ``encode_scalar(row)``: records are
-        grouped by path signature (k, mode, fragment count), each group
-        runs the whole-array switch chain with per-lane block gathers,
-        and per-hash digests are packed with the shared wire layout
-        (:func:`pack_reps_array`).
+        Row-for-row equal to ``encode_scalar(row)``.  The whole batch
+        runs the switch chain as one column -- rows of every path and
+        path length together (:func:`~repro.coding.encoder.encode_columns`)
+        -- and per-hash digests are packed with the shared wire layout
+        (:func:`pack_reps_array`).  Only rows whose digest
+        *representation* differs are encoded apart.
         """
         rows = np.asarray(rows, dtype=np.int64)
-        out = np.empty(rows.shape[0], dtype=np.int64)
         if rows.size == 0:
-            return out
+            return np.empty(0, dtype=np.int64)
         path_ids = self.trace.path_id[rows]
         pids = self.trace.pid[rows].astype(np.uint64)
-        # Map each path present to its signature group; paths sharing a
-        # signature share every hash decision shape, so they encode as
-        # one array pass.
-        sig_gid: Dict[tuple, int] = {}
-        reps_enc: List[PathEncoder] = []
-        lut = np.zeros(len(self.trace.paths), dtype=np.int64)
-        for path_id in np.unique(path_ids).tolist():
-            enc = self.encoder(path_id)
-            sig = (enc.message.k, enc.mode, enc.num_fragments)
-            gid = sig_gid.get(sig)
-            if gid is None:
-                gid = len(reps_enc)
-                sig_gid[sig] = gid
-                reps_enc.append(enc)
-            lut[path_id] = gid
-        gids = lut[path_ids]
-        order = np.argsort(gids, kind="stable")
-        sorted_gids = gids[order]
-        cuts = np.flatnonzero(sorted_gids[1:] != sorted_gids[:-1]) + 1
-        bounds = np.concatenate(([0], cuts, [rows.shape[0]]))
-        blocks_table = self._blocks()
-        for i in range(bounds.size - 1):
-            lanes = order[bounds[i] : bounds[i + 1]]
-            enc = reps_enc[int(sorted_gids[bounds[i]])]
-            blocks = blocks_table[path_ids[lanes], : enc.message.k]
-            digests = enc.encode_lanes(pids[lanes], blocks)
-            out[lanes] = pack_reps_array(digests, self.digest_bits)
+        found = self._resolve(path_ids)
+        ks = self._paths()[1].take(path_ids)
+        encoders = list(self._representations.values())
+        if len(encoders) == 1:
+            return self._encode(encoders[0], pids, ks, path_ids)
+        out = np.empty(rows.shape[0], dtype=np.int64)
+        for idx, enc in enumerate(encoders):
+            lanes = np.flatnonzero(found == idx)
+            if lanes.size:
+                out[lanes] = self._encode(
+                    enc, pids[lanes], ks[lanes], path_ids[lanes]
+                )
         return out
+
+    def _encode(
+        self,
+        enc: PathEncoder,
+        pids: np.ndarray,
+        ks: np.ndarray,
+        path_ids: np.ndarray,
+    ) -> np.ndarray:
+        """Packed digests of rows sharing ``enc``'s representation."""
+        digests = encode_columns(
+            self._decisions, enc.ctx, enc.mode, enc.num_fragments,
+            pids, ks, self._paths()[0], path_ids,
+        )
+        return pack_reps_array(digests, self.digest_bits)
 
     def encode_batch(self, lo: int, hi: int) -> np.ndarray:
         """Packed digests for trace rows ``[lo, hi)`` (batch shape)."""
@@ -212,15 +243,10 @@ def compress_utilizations(
     """Batched §4.3 bottleneck compression, keyed ``(pid, hop_count)``.
 
     Lane-for-lane identical to ``codec.encode(util, pid, hops)`` -- the
-    randomized-rounding coin is the same keyed hash draw.  Records are
-    grouped by hop count because the hop number is the shared salt of
-    each ``uniform_lanes`` fold.
+    randomized-rounding coin is the same keyed hash draw, folded
+    pairwise so one pass serves a column of any mix of hop counts.
     """
-    utils = np.asarray(utilizations, dtype=np.float64)
-    pid_arr = np.asarray(pids)
-    hops = np.asarray(hop_counts, dtype=np.int64)
-    out = np.empty(utils.shape[0], dtype=np.int64)
-    for hop in np.unique(hops):
-        sel = hops == hop
-        out[sel] = codec.encode_array(utils[sel], pid_arr[sel], int(hop))
-    return out
+    return codec.encode_array(
+        np.asarray(utilizations, dtype=np.float64), np.asarray(pids),
+        np.asarray(hop_counts, dtype=np.int64),
+    )

@@ -45,3 +45,20 @@ def test_answers_is_one_signature_on_both_collectors():
     serial = inspect.signature(Collector.answers)
     assert serial == inspect.signature(ParallelCollector.answers)
     assert str(serial).startswith("(self, flow_ids=None)")
+
+
+def test_stage_loop_calls_keep_their_signatures():
+    # bench/stageloop.py is frozen and reaches the switch side through
+    # exactly these three public calls (bench/README.md, "Run
+    # protocol"); a rewrite behind them must not move their parameters.
+    from repro.core import ExecutionPlan
+    from repro.replay import TraceDataplane, compress_utilizations
+
+    def names(fn) -> list:
+        return list(inspect.signature(fn).parameters)
+
+    assert names(TraceDataplane.encode_rows) == ["self", "rows"]
+    assert names(ExecutionPlan.select_array) == ["self", "packet_ids"]
+    assert names(compress_utilizations) == [
+        "codec", "utilizations", "pids", "hop_counts",
+    ]

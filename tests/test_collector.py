@@ -572,3 +572,65 @@ class TestBatchLRUExactRecency:
             for shard in d["shards"]:
                 shard.pop("batches")
         assert s_dict == b_dict
+
+
+class TestHopCountFrontDoor:
+    """A hop count outside [1, MAX_HOPS] is refused before any state
+    changes -- the decoders size per-hop state from the claimed count,
+    so one record claiming 3,000,000 hops must cost microseconds."""
+
+    BAD = (0, -1, 256, 100_000, 3_000_000)
+
+    @staticmethod
+    def _half_converged(**kw):
+        from repro.collector import capture_checkpoint
+        from repro.replay import TraceDataplane, build_trace
+
+        trace = build_trace("web-search", packets=1500, seed=2)
+        dp = TraceDataplane(trace, seed=0)
+        sink = Collector(
+            path_consumer_factory(trace.universe, seed=0), seed=0, **kw
+        )
+        rows = np.arange(len(trace))
+        sink.ingest_batch(
+            trace.flow_id, trace.pid, trace.hop_counts,
+            dp.encode_rows(rows), now=1.0,
+        )
+        return sink, capture_checkpoint
+
+    def test_max_hops_is_the_ttl_width(self):
+        from repro.collector import MAX_HOPS
+
+        assert MAX_HOPS == 255
+
+    @pytest.mark.parametrize("lru", [None, 64])
+    def test_batch_rejected_whole_with_state_untouched(self, lru):
+        sink, capture = self._half_converged(max_flows_per_shard=lru)
+        snap, blob = sink.snapshot().as_dict(), capture(sink)
+        for bad in self.BAD:
+            with pytest.raises(ValueError, match=r"\[1, 255\]"):
+                # Three good records around the bad one: all refused.
+                sink.ingest_batch(
+                    [7, 8, 9, 10], [1, 2, 3, 4], [3, bad, 3, 5],
+                    [1, 2, 3, 4], now=2.0,
+                )
+        assert sink.now == 1.0
+        assert sink.snapshot().as_dict() == snap
+        assert capture(sink) == blob
+        # The boundaries themselves are legal.
+        assert sink.ingest_batch([7, 8], [1, 2], [1, 255], [0, 0], now=2.0) == 2
+
+    def test_scalar_ingest_rejected_with_state_untouched(self):
+        sink, capture = self._half_converged()
+        snap, blob = sink.snapshot().as_dict(), capture(sink)
+        for bad in self.BAD:
+            with pytest.raises(ValueError, match=r"\[1, 255\]"):
+                sink.ingest(7, 1, bad, 5, now=2.0)
+        assert sink.snapshot().as_dict() == snap
+        assert capture(sink) == blob
+        sink.ingest(7, 1, 255, 5, now=2.0)
+        assert sink.snapshot().records == snap["records"] + 1
+
+    def test_empty_batch_still_a_noop(self):
+        sink, _ = self._half_converged()
+        assert sink.ingest_batch([], [], [], []) == 0

@@ -464,3 +464,28 @@ class TestParallelObs:
         ) as par:
             self._feed(par, make_cols(1000))
             assert par.snapshot().metrics is None
+
+
+class TestHopCountFrontDoor:
+    def test_rejected_before_clock_or_scatter(self):
+        cols = make_cols(n=600)
+        with ParallelCollector(
+            congestion_consumer_factory(), workers=2, num_shards=4
+        ) as par:
+            par.ingest_batch(*cols, now=1.0)
+            par.drain()
+            snap = par.snapshot().as_dict()
+            for bad in (0, -1, 256, 3_000_000):
+                with pytest.raises(ValueError, match=r"\[1, 255\]"):
+                    par.ingest_batch(
+                        [7, 8, 9], [1, 2, 3], [3, bad, 3], [1, 2, 3], now=2.0
+                    )
+                with pytest.raises(ValueError, match=r"\[1, 255\]"):
+                    par.ingest(7, 1, bad, 5, now=2.0)
+            par.drain()  # nothing deferred: no worker ever saw a record
+            assert par.now == 1.0
+            assert par.snapshot().as_dict() == snap
+            assert par.ingest_batch([7, 8], [1, 2], [1, 255], [0, 0],
+                                    now=2.0) == 2
+            par.drain()
+            assert par.snapshot().records == snap["records"] + 2

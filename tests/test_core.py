@@ -227,3 +227,37 @@ class TestFramework:
     def test_overhead_constant(self):
         fw, _, _ = self._setup()
         assert fw.overhead_bytes_per_packet() == 2.0
+
+
+class TestSelectArrayIntegerThresholds:
+    """``select_array`` walks integer thresholds; the scalar ``select``
+    walks float partial sums.  Same entry for every packet id."""
+
+    @pytest.mark.parametrize("probabilities", [
+        (0.3, 0.45),            # mass < 1: some packets serve no query
+        (0.8, 0.2),             # mass = 1 (the replay driver's plan)
+        (0.1, 0.2, 0.7),        # three entries, partial sums inexact
+        (1.0 / 3.0, 1.0 / 3.0, 1.0 / 3.0),
+    ])
+    def test_equals_scalar_select_on_every_id(self, probabilities):
+        entries = [
+            PlanEntry((q(f"q{i}"),), p) for i, p in enumerate(probabilities)
+        ]
+        plan = ExecutionPlan(entries, 8, seed=5)
+        rng = np.random.default_rng(0)
+        pids = np.concatenate((
+            np.arange(5000, dtype=np.int64),
+            rng.integers(-(1 << 62), 1 << 62, size=5000),
+        ))
+        idx = plan.select_array(pids)
+        assert idx.dtype == np.int64 and idx.shape == pids.shape
+        want = []
+        for pid in pids.tolist():
+            queries = plan.select(pid)
+            want.append(
+                next(i for i, e in enumerate(entries) if e.queries == queries)
+                if queries else -1
+            )
+        assert idx.tolist() == want
+        if sum(probabilities) < 0.99:
+            assert -1 in want

@@ -174,3 +174,47 @@ class TestXorActing:
             hops = acting_hops_fast(g, pid, 16, 2)
             assert all(1 <= h <= 16 for h in hops)
             assert len(set(hops)) == len(hops)
+
+
+class TestGridForms:
+    """The pairwise and hop-major array forms, lane for lane."""
+
+    @given(st.integers(0, 2**32), st.integers(0, 2**32))
+    @settings(max_examples=50)
+    def test_uniform_zip_matches_scalar(self, base, salt_base):
+        g = GlobalHash(31, "u")
+        firsts = np.arange(base, base + 30, dtype=np.uint64)
+        seconds = (np.arange(30, dtype=np.int64) * 7 + salt_base) % 61
+        arr = g.uniform_zip(firsts, seconds)
+        for i in range(30):
+            # Per-lane part first, then the per-lane second part --
+            # the (packet, hop) key order of uniform_lanes.
+            assert arr[i] == g.uniform(int(firsts[i]), int(seconds[i]))
+        assert np.array_equal(
+            g.uniform_zip(firsts, np.full(30, 9)), g.uniform_lanes(firsts, 9)
+        )
+
+    def test_hop_salts_rebuild_the_per_hop_hash(self):
+        from repro.hashing import mix
+
+        g = GlobalHash(5, "g")
+        salts = g.hop_salts(12)
+        assert salts.shape == (12,) and g.hop_salts(0).shape == (0,)
+        for hop in (1, 2, 7, 12):
+            for pid in (0, 1, 2**63 + 5, 2**64 - 1):
+                assert mix.mix64(int(salts[hop - 1]) ^ pid) == g.raw(hop, pid)
+
+    def test_carrier_zip_degenerate_lengths(self):
+        # The scalar walk answers hop 1 for a length below 1.
+        g = GlobalHash(4, "g")
+        pids = np.arange(6, dtype=np.int64) - 3
+        lens = np.asarray([0, 1, 4, 0, 9, 2])
+        from repro.hashing import reservoir_carrier_zip
+
+        got = reservoir_carrier_zip(g, pids, lens)
+        assert got.tolist() == [
+            reservoir_carrier(g, int(p), int(k)) for p, k in zip(pids, lens)
+        ]
+        none = np.empty(0, dtype=np.int64)
+        assert reservoir_carrier_zip(g, none, none).shape == (0,)
+        assert reservoir_carrier_array(g, pids, 0).tolist() == [1] * 6

@@ -121,3 +121,90 @@ class TestCompressionParity:
         ]
         # Everything past max_util hits the top of the grid.
         assert arr[2] == arr[3]
+
+
+class TestOneColumnPerBatch:
+    """``encode_rows`` takes a batch as one column: rows of every path
+    and path length together, in whatever order the network delivers."""
+
+    @pytest.mark.parametrize("mode,digest_bits,num_hashes", [
+        ("hash", 8, 1),
+        ("hash", 4, 2),
+        ("raw", 8, 1),
+        ("fragment", 4, 1),
+    ])
+    def test_every_scenario_in_delivered_order(
+        self, mode, digest_bits, num_hashes
+    ):
+        from repro.replay import scenario_names
+
+        rng = np.random.default_rng(7)
+        for name in scenario_names():
+            trace = build_trace(name, packets=400, seed=3)
+            dp = TraceDataplane(trace, digest_bits=digest_bits,
+                                num_hashes=num_hashes, mode=mode, seed=5)
+            # What Reorder + Duplicate hand the dataplane: a shuffled
+            # row column in which some rows appear twice.
+            rows = rng.permutation(len(trace))
+            rows = np.concatenate((rows, rows[:60]))
+            rng.shuffle(rows)
+            assert np.array_equal(
+                dp.encode_rows(rows), dp.encode_scalar_rows(rows)
+            ), name
+
+    def test_zero_rows_and_one_row(self):
+        trace = build_trace("isp-long-paths", packets=300, seed=1)
+        dp = TraceDataplane(trace, seed=2)
+        none = dp.encode_rows(np.empty(0, dtype=np.int64))
+        assert none.shape == (0,) and none.dtype == np.int64
+        for row in (0, 17, len(trace) - 1):
+            one = dp.encode_rows(np.asarray([row]))
+            assert one.tolist() == [dp.encode_scalar(row)]
+
+    def test_custom_scheme_factory(self):
+        from repro.coding import baseline_scheme, hybrid_scheme
+
+        trace = build_trace("isp-long-paths", packets=600, seed=2)
+        rows = np.random.default_rng(0).permutation(len(trace))
+        for factory in (lambda k: hybrid_scheme(max(2, k)),
+                        lambda k: baseline_scheme()):
+            dp = TraceDataplane(trace, seed=4, scheme_factory=factory)
+            assert np.array_equal(
+                dp.encode_rows(rows), dp.encode_scalar_rows(rows)
+            )
+
+    def test_fragment_count_resolved_per_path_without_a_universe(self):
+        # ``fragment`` with neither a universe nor ``value_bits``: each
+        # path sizes its fragments by its own widest block, so rows of
+        # one batch differ in representation -- never grouped by k.
+        paths = [(3, 200, 17), (70000, 5, 9), (9, 1 << 20, 4, 300), (1, 2)]
+        n = 240
+        rng = np.random.default_rng(3)
+        trace = Trace(
+            ts=np.arange(n) * 1e-6, flow_id=rng.integers(1, 9, size=n),
+            pid=rng.integers(0, 1 << 40, size=n),
+            path_id=rng.integers(0, len(paths), size=n),
+            size=np.full(n, 64), paths=paths, universe=(), name="mixed",
+        )
+        dp = TraceDataplane(trace, digest_bits=4, mode="fragment", seed=1)
+        rows = rng.permutation(n)
+        assert len(
+            {dp.encoder(i).num_fragments for i in range(len(paths))}
+        ) == len(paths)
+        assert np.array_equal(
+            dp.encode_rows(rows), dp.encode_scalar_rows(rows)
+        )
+
+    def test_compress_mixed_hop_counts_in_one_pass(self):
+        codec = UtilizationCodec(8, seed=9)
+        rng = np.random.default_rng(4)
+        n = 500
+        utils = rng.uniform(0.0, 20.0, size=n)
+        pids = rng.integers(-(1 << 40), 1 << 40, size=n)
+        hops = rng.integers(1, 60, size=n)
+        codes = compress_utilizations(codec, utils, pids, hops)
+        assert codes.dtype == np.int64
+        assert codes.tolist() == [
+            codec.encode(float(u), int(p), int(h))
+            for u, p, h in zip(utils, pids, hops)
+        ]

@@ -916,3 +916,36 @@ class TestQueryRobustness:
                 assert client.snapshot()["records"] == 10
         finally:
             qs.close()
+
+
+class TestHopCountOverTheWire:
+    def test_bad_batch_is_deferred_and_the_server_keeps_serving(self):
+        from repro.exceptions import WorkerFailedError
+
+        served = make_collector()
+        with CollectorServer(served, tcp_port=None) as srv:
+            fids, pids, hops, digs = batch(12)
+            hops = hops.copy()
+            hops[5] = 3_000_000  # one datagram must not wedge the sink
+            with ReliableUDPSender("127.0.0.1", srv.udp_port) as tx:
+                tx.send_batch(fids, pids, hops, digs, now=1.0)
+                tx.send_batch(*batch(20, base=100), now=2.0)
+            deadline = time.monotonic() + 10
+            while (srv.service_stats().records_ingested < 20
+                   and time.monotonic() < deadline):
+                time.sleep(0.01)
+            stats = srv.service_stats()
+            # Both batches arrived; only the good one was folded.
+            assert stats.records_ingested == 20
+            assert stats.batches_ingested == 1
+            # The refusal is the deferred ingest error of the next
+            # barrier (same contract as a parallel collector's drain).
+            with pytest.raises(WorkerFailedError, match=r"\[1, 255\]") as err:
+                srv.drain()
+            assert isinstance(err.value, ReproError)
+            assert served.snapshot().records == 20
+            with ReliableUDPSender("127.0.0.1", srv.udp_port) as tx:
+                tx.send_batch(*batch(15, base=200), now=3.0)
+            srv.wait_for_records(35, timeout=10)
+            srv.drain()
+            assert served.snapshot().records == 35
