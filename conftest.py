@@ -24,6 +24,11 @@ def pytest_addoption(parser):
         "--shard-index", type=int, default=1,
         help="1-based index of the shard this run executes",
     )
+    parser.addoption(
+        "--update-golden", action="store_true",
+        help="rewrite tests/golden/equivalence.json from this run "
+             "(tests/test_golden_equivalence.py) instead of comparing",
+    )
 
 
 def pytest_collection_modifyitems(config, items):

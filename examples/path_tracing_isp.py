@@ -14,14 +14,15 @@ from repro.baselines import AMSTraceback, PPMTraceback
 from repro.net import us_carrier
 
 
-def main() -> None:
+def main(trials: int = 10) -> None:
+    """``trials`` flows are traced per path length (fewer: a faster,
+    noisier table)."""
     topo = us_carrier()
     print(f"topology: {topo.name}, {topo.num_switches} switches, "
           f"diameter {topo.diameter()}")
 
     rng = random.Random(7)
     lengths = [6, 16, 26, 36]
-    trials = 10
 
     print(f"\npackets to trace a flow's path (mean over {trials} flows):")
     header = ["scheme/bits"] + [f"k={k}" for k in lengths]

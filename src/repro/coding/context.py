@@ -15,15 +15,16 @@ replayed for a batch (:meth:`PathQueryContext.replay`).  The decision
 hashes derive from the root seed only, never from the flow or its path
 length, so one pass serves rows of any mix of flows: the fixpoint peel
 (:mod:`repro.coding.peel`) hands it the rows of every still-converging
-flow of a batch at once, a lone decoder's ``observe_batch`` its own
-rows.  Flows whose path is already decoded need far less -- only which
-hop a Baseline row carries -- and get a pass of their own
-(:meth:`PathQueryContext.verify`), shared across flows the same way.
+flow of a batch at once.  Flows whose path is already decoded need far
+less -- only which hop a Baseline row carries
+(:meth:`PathQueryContext.baseline_carriers`), shared across flows the
+same way.  Both are driven by the sink's
+:class:`~repro.coding.store.PathStateStore`.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, Optional, Sequence, Set, Tuple
+from typing import Any, Dict, Iterable, Optional, Set, Tuple
 
 import numpy as np
 
@@ -125,58 +126,24 @@ class PathQueryContext:
         acting[rows, hops - 1] = True
         return carriers, acting
 
-    def verify(
-        self,
-        pids: np.ndarray,
-        reps: np.ndarray,
-        owner: np.ndarray,
-        ks: Sequence[int],
-        columns: Sequence[np.ndarray],
-    ) -> np.ndarray:
-        """Count, per flow, the rows that contradict its decoded path.
-
-        The consistency check of *complete* decoders (paper §7), for
-        rows of any mix of flows at once: ``owner[i]`` is the index of
-        row ``i``'s flow, ``ks[j]`` flow ``j``'s path length and
-        ``columns[j]`` its decoded blocks as a uint64 ``(k,)`` array.
-        A Baseline row must carry its carrier hop's decoded block --
-        compared outright for raw digests, re-hashed under every rep
-        for hash digests; a row failing any rep counts once.  XOR rows
-        of a complete decoder have no unknown hop left and are exact
-        no-ops, so they are never replayed: this is not :meth:`replay`
-        (no acting sets).  Returns the ``(len(ks),)`` counts.
-        """
-        lens = np.asarray(ks, dtype=np.int64)
-        base, hops = self._baseline_carriers(pids, owner, lens)
-        flow = owner[base]
-        starts = np.cumsum(lens) - lens
-        expected = np.concatenate(columns)[starts[flow] + hops - 1]
-        got = reps[base]
-        if self.mode == HASH:
-            # Any codec serves: the value hashes do not depend on k.
-            h = self.codec_for(int(lens[0])).h
-            base_pids = pids[base]
-            bad = np.zeros(base.size, dtype=bool)
-            for rep in range(self.num_hashes):
-                hashed = h[rep].bits_zip(self.digest_bits, base_pids, expected)
-                bad |= hashed != got[:, rep]
-        else:
-            bad = got[:, 0] != expected
-        return np.bincount(flow[bad], minlength=lens.size)
-
-    def _baseline_carriers(
-        self, pids: np.ndarray, owner: np.ndarray, ks: np.ndarray
+    def baseline_carriers(
+        self, pids: np.ndarray, ks: np.ndarray
     ) -> Tuple[np.ndarray, np.ndarray]:
         """The rows on a Baseline layer and the hop each one carries.
 
-        One layer-selection hash over all rows, then the decision grid
-        of the Baseline rows only, each row against its own flow's
-        ``k`` (:class:`~repro.coding.decisions.DecisionReplay`).  Lane
-        for lane the scalar ``observe`` decisions.
+        All a *complete* flow's rows need (paper §7): a Baseline row
+        must carry its carrier hop's decoded block, an XOR row has no
+        unknown hop left and is an exact no-op, so this is not
+        :meth:`replay` (no acting sets).  ``ks[i]`` is the path length
+        of row ``i``'s flow; rows may belong to any mix of flows.  One
+        layer-selection hash over all rows, then the decision grid of
+        the Baseline rows only
+        (:class:`~repro.coding.decisions.DecisionReplay`).  Lane for
+        lane the scalar ``observe`` decisions.  ``pids`` must be
+        non-empty.
         """
         decisions = self._decisions
-        row_ks = ks[owner]
-        slots = decisions.slots(pids, row_ks)
+        slots = decisions.slots(pids, ks)
         base = np.flatnonzero(decisions.baseline.take(slots))
         hops = decisions.carriers(
             pids.take(base), slots.take(base), int(ks.max())

@@ -20,16 +20,13 @@ per-``k`` scheme and hashes -- lives in a
 reference: a sink builds one and creates each flow's decoder with
 ``from_context``; the plain constructors build a private one.
 
-Every decoder also exposes ``observe_batch(packet_ids, reps)`` -- the
-columnar entry point of the sink's batch-decode engine
-(:mod:`repro.collector.batchdecode`).  It is bit-identical to feeding
-the rows to ``observe`` in order.  The scalar ``observe`` stays the
-specification; the batched execution has two kernels, each shared
-across any number of decoders of one context: :func:`peel_converging`
-(one fixpoint peel for decoders still converging,
-:mod:`repro.coding.peel`) and :func:`verify_complete` (one consistency
-scan for decoders already complete, which is where the sink's §4
-decoding cost concentrates).
+Every decoder also exposes ``observe_batch(packet_ids, reps)``, the
+columnar form of ``observe`` and bit-identical to feeding it the rows
+in order.  The scalar ``observe`` stays the specification; the batched
+execution lives in one place, the sink's
+:class:`~repro.coding.store.PathStateStore`, which holds every flow's
+state as columns -- a lone decoder's ``observe_batch`` lends its state
+to a private one-row store for the length of the call.
 
 Peeling state is *open hops only*: a settled hop lives in ``decoded``
 and nowhere else (no singleton candidate array), and an XOR digest
@@ -40,7 +37,7 @@ and it does not depend on the order the digests arrived in.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 import numpy as np
 
@@ -49,7 +46,6 @@ from repro.coding.encoder import FRAGMENT, HASH, RAW
 from repro.coding.message import DistributedMessage
 from repro.coding.schemes import BASELINE, CodingScheme
 from repro.exceptions import DecodingError
-from repro.coding.peel import CONFLICT_REASONS, TABLE_BLOCK, FixpointPeel
 from repro.hashing import reservoir_carrier, xor_acting_hops
 from repro.hashing.mix import MASK64
 
@@ -71,33 +67,6 @@ def _normalize_batch_reps(packet_ids, reps, num_hashes: int):
     return pids, mat.astype(np.uint64)
 
 
-def verify_complete(
-    decoders: Sequence["_PeelingDecoder"],
-    sizes: Sequence[int],
-    pids: np.ndarray,
-    reps: np.ndarray,
-) -> None:
-    """Consistency scan of complete decoders' rows (pure counting).
-
-    The rows are grouped by decoder -- ``sizes[j]`` consecutive rows of
-    the uint64 ``pids`` column and ``reps`` matrix belong to
-    ``decoders[j]`` -- and every decoder is complete and references the
-    same context.  One pass checks them all
-    (:meth:`PathQueryContext.verify`): a Baseline row whose digest
-    contradicts its carrier hop's decoded block counts one
-    inconsistency on its decoder, exactly like ``observe`` on a decoded
-    hop; XOR rows have no unknown hop and are no-ops.
-    """
-    owner = np.repeat(np.arange(len(decoders)), sizes)
-    bad = decoders[0].context.verify(
-        pids, reps, owner, [d.k for d in decoders],
-        [d._decoded_column() for d in decoders],
-    )
-    for decoder, size, count in zip(decoders, sizes, bad.tolist()):
-        decoder.packets_seen += size
-        decoder.inconsistencies += count
-
-
 class _PendingXor:
     """An XOR digest still waiting on two or more unknown hops."""
 
@@ -109,201 +78,6 @@ class _PendingXor:
         self.residual = residual
         #: Acting hops whose block is still unknown.
         self.unknown = unknown
-
-
-#: Why :func:`peel_converging` leaves a topology-aware decoder to the
-#: scalar route (beside :data:`repro.coding.peel.CONFLICT_REASONS`):
-#: every settle also narrows the neighbouring hops through the
-#: adjacency map, which the fixpoint pass does not model.
-ADJACENCY = "adjacency"
-
-#: Every reason :func:`peel_converging` can give -- the ``reason``
-#: label of a sink's ``pint_collector_decode_fallback_flows_total``.
-FALLBACK_REASONS = (*CONFLICT_REASONS.values(), ADJACENCY)
-
-
-def peel_converging(
-    decoders: Sequence["_PeelingDecoder"],
-    sizes: Sequence[int],
-    pids: np.ndarray,
-    reps: np.ndarray,
-) -> List[Optional[str]]:
-    """Feed still-converging decoders their rows in one fixpoint peel.
-
-    Row layout as in :func:`verify_complete`; every decoder is a raw
-    or hash peeling decoder of the same context.  Entry ``j`` of the
-    result is None when ``decoders[j]`` now holds exactly the state
-    in-order ``observe`` of its rows would have left, or the reason
-    its rows were **not** applied -- a conflict among its digests
-    (:data:`~repro.coding.peel.CONFLICT_REASONS`) or
-    :data:`ADJACENCY`.  Such a decoder is untouched: the caller feeds
-    its rows through the scalar ``observe`` in order, the one place a
-    conflict's outcome (count it, or raise at that row) is defined.
-
-    Decoders are taken in runs whose candidate tables stay under
-    :data:`~repro.coding.peel.TABLE_BLOCK`; each run is one
-    :class:`~repro.coding.peel.FixpointPeel`.
-    """
-    context = decoders[0].context
-    if context.adjacency is not None:
-        return [ADJACENCY] * len(decoders)
-    ks = np.asarray([d.k for d in decoders], dtype=np.int64)
-    counts = np.asarray(sizes, dtype=np.int64)
-    slot_ends = np.cumsum(ks)
-    row_ends = np.cumsum(counts)
-    budget = max(1, TABLE_BLOCK // max(1, int(context.universe.size)))
-    reasons: List[Optional[str]] = []
-    lo = 0
-    while lo < len(decoders):
-        used = int(slot_ends[lo - 1]) if lo else 0
-        hi = max(
-            lo + 1, int(np.searchsorted(slot_ends, used + budget, "right"))
-        )
-        a = int(row_ends[lo - 1]) if lo else 0
-        b = int(row_ends[hi - 1])
-        reasons += _peel_run(
-            decoders[lo:hi], ks[lo:hi], counts[lo:hi], pids[a:b], reps[a:b]
-        )
-        lo = hi
-    return reasons
-
-
-def _peel_run(
-    decoders: Sequence["_PeelingDecoder"],
-    ks: np.ndarray,
-    sizes: np.ndarray,
-    pids: np.ndarray,
-    reps: np.ndarray,
-) -> List[Optional[str]]:
-    """One :class:`FixpointPeel`: load state, run, commit the clean flows."""
-    peel = FixpointPeel(decoders[0].context, ks)
-    _load_state(peel, decoders)
-    was_settled = peel.settled.copy()
-    peel.run(pids, reps, np.repeat(np.arange(len(decoders)), sizes))
-    _commit_state(peel, decoders, was_settled)
-    reasons: List[Optional[str]] = []
-    for decoder, size, code in zip(
-        decoders, sizes.tolist(), peel.conflict.tolist()
-    ):
-        if code:
-            reasons.append(CONFLICT_REASONS[code])
-        else:
-            decoder.packets_seen += size
-            reasons.append(None)
-    return reasons
-
-
-def _load_state(peel: FixpointPeel, decoders: Sequence["_PeelingDecoder"]) -> None:
-    """The decoders' open-hop state, as the peel's pre-batch arrays."""
-    starts = peel.starts.tolist()
-    known_slots: List[int] = []
-    known_blocks: List[int] = []
-    cand_slots: List[int] = []
-    cand_arrays: List[np.ndarray] = []
-    xor_flow: List[int] = []
-    xor_pids: List[int] = []
-    xor_residuals: List[List[int]] = []
-    todo_row: List[int] = []
-    todo_hop: List[int] = []
-    for j, decoder in enumerate(decoders):
-        before_first = starts[j] - 1
-        for hop, block in decoder.decoded.items():
-            known_slots.append(before_first + hop)
-            known_blocks.append(block)
-        if peel.hashed:
-            for hop, arr in decoder._candidates.items():
-                cand_slots.append(before_first + hop)
-                cand_arrays.append(arr)
-        for entry in decoder._pending:
-            for hop in entry.unknown:
-                todo_row.append(len(xor_flow))
-                todo_hop.append(hop - 1)
-            xor_flow.append(j)
-            xor_pids.append(entry.packet_id)
-            xor_residuals.append(entry.residual)
-    if known_slots:
-        # Switch ids are signed; raw blocks span the digest width.
-        peel.load_settled(
-            np.asarray(known_slots, dtype=np.int64),
-            np.asarray(
-                known_blocks, dtype=np.int64 if peel.hashed else np.uint64
-            ),
-        )
-    if cand_slots:
-        peel.load_candidates(
-            np.asarray(cand_slots, dtype=np.int64),
-            np.asarray([arr.size for arr in cand_arrays], dtype=np.int64),
-            np.concatenate(cand_arrays),
-        )
-    if xor_flow:
-        todo = np.zeros((len(xor_flow), peel.xor_todo.shape[1]), dtype=bool)
-        todo[todo_row, todo_hop] = True
-        peel.add_xor(
-            np.asarray(xor_flow, dtype=np.int64),
-            np.asarray(xor_pids, dtype=np.uint64),
-            np.asarray(xor_residuals, dtype=np.uint64),
-            todo,
-        )
-
-
-def _commit_state(
-    peel: FixpointPeel,
-    decoders: Sequence["_PeelingDecoder"],
-    was_settled: np.ndarray,
-) -> None:
-    """Write the fixpoint back -- to flows whose digests never conflicted.
-
-    Newly settled hops enter ``decoded`` (and give up their candidate
-    array), open hops a digest landed on get their surviving candidates,
-    and flows that held or received XOR digests get their pending list
-    rebuilt from the constraints still open, in arrival order.
-    """
-    clean = peel.conflict == 0
-    clean_slot = clean[peel.slot_flow]
-    fresh = np.flatnonzero(peel.settled & ~was_settled & clean_slot)
-    blocks = peel.values[fresh]
-    if peel.hashed:
-        blocks = blocks.astype(np.int64)
-    flows, hops = peel.hop_of(fresh)
-    for j, hop, block in zip(flows.tolist(), hops.tolist(), blocks.tolist()):
-        decoders[j].decoded[hop] = block
-        if peel.hashed:
-            decoders[j]._candidates.pop(hop, None)
-    if peel.hashed:
-        kept = np.flatnonzero(peel.narrowed & ~peel.settled & clean_slot)
-        standing = peel.table[kept]
-        members = peel.context.universe[np.nonzero(standing)[1]]
-        ends = np.cumsum(standing.sum(axis=1)).tolist()
-        flows, hops = peel.hop_of(kept)
-        lo = 0
-        for j, hop, hi in zip(flows.tolist(), hops.tolist(), ends):
-            # A copy: a view would pin the whole batch's member column.
-            decoders[j]._candidates[hop] = members[lo:hi].copy()
-            lo = hi
-    starts = peel.starts.tolist()
-    complete = np.bincount(
-        peel.slot_flow[peel.settled], minlength=len(decoders)
-    ) == peel.ks
-    for j in np.flatnonzero(complete & clean).tolist():
-        decoders[j]._decoded_arr = peel.values[
-            starts[j]:starts[j] + decoders[j].k
-        ].copy()
-    if peel.xor_flow.size:
-        held = np.unique(peel.xor_flow)
-        for j in held[clean[held]].tolist():
-            decoders[j]._pending = []
-            decoders[j]._hop_refs = {}
-        still = np.flatnonzero(peel.xor_open & clean[peel.xor_flow])
-        row, hop = np.nonzero(peel.xor_todo[still])
-        ends = np.cumsum(np.bincount(row, minlength=still.size)).tolist()
-        unknown = (hop + 1).tolist()
-        lo = 0
-        for j, pid, residual, hi in zip(
-            peel.xor_flow[still].tolist(), peel.xor_pids[still].tolist(),
-            peel.xor_residual[still].tolist(), ends,
-        ):
-            decoders[j]._park(pid, residual, set(unknown[lo:hi]))
-            lo = hi
 
 
 class _ContextBound:
@@ -327,8 +101,8 @@ class _PeelingDecoder(_ContextBound):
     State common to both: the decoded hops, the pending XOR digests
     (those still waiting on two or more hops) and -- per unknown hop,
     created on first use -- the pending entries that reference it.
-    Subclasses supply the scalar ``observe``; the batched kernels
-    (:func:`peel_converging`, :func:`verify_complete`) are shared.
+    Subclasses supply the scalar ``observe``; ``observe_batch`` is
+    shared.
     """
 
     def _bind(self, context: PathQueryContext, k: int) -> None:
@@ -344,9 +118,8 @@ class _PeelingDecoder(_ContextBound):
         self._pending: List[_PendingXor] = []
         #: unknown hop -> pending digests that reference it.
         self._hop_refs: Dict[int, List[_PendingXor]] = {}
-        #: Decoded blocks as a (k,) array, built lazily once complete
-        #: (decoded values never change afterwards) for the batched
-        #: consistency scans.
+        #: The decoded blocks as the uint64 (k,) column a store row
+        #: holds them in; set by the store once complete, else None.
         self._decoded_arr: Optional[np.ndarray] = None
 
     @property
@@ -364,38 +137,39 @@ class _PeelingDecoder(_ContextBound):
 
         ``reps`` is the ``(n, num_hashes)`` unpacked digest matrix (see
         :func:`~repro.coding.encoder.unpack_reps_array`; raw digests
-        are 1-tuples).  A complete decoder's rows are one consistency
-        scan, a converging decoder's one fixpoint peel -- the
-        one-decoder cases of :func:`verify_complete` and
-        :func:`peel_converging`.  When the peel finds the rows in
-        conflict they go through ``observe`` one by one instead, so a
-        digest that contradicts the candidate sets raises
-        :class:`DecodingError` exactly where the scalar loop would; the
-        exception carries a ``batch_pos`` attribute (the offending
-        row) so callers can reset and resume behind it.
+        are 1-tuples).  The decoder's state is adopted into a private
+        one-row :class:`~repro.coding.store.PathStateStore`, the rows
+        are folded there -- one consistency scan once complete, one
+        fixpoint peel while converging -- and the result read back.
+        When the peel finds the rows in conflict (or the context is
+        topology-aware, which it does not model) they go through
+        ``observe`` one by one instead, so a digest that contradicts
+        the candidate sets raises :class:`DecodingError` exactly where
+        the scalar loop would; the exception carries a ``batch_pos``
+        attribute (the offending row) so callers can reset and resume
+        behind it.
         """
         pids, mat = _normalize_batch_reps(packet_ids, reps, self.ctx.num_hashes)
         n = len(pids)
         if n == 0:
             return
-        if self.is_complete:
-            verify_complete([self], [n], pids, mat)
-        elif peel_converging([self], [n], pids, mat)[0] is not None:
-            for i, (pid, row) in enumerate(zip(pids.tolist(), mat.tolist())):
-                try:
-                    self.observe(pid, tuple(row))
-                except DecodingError as err:
-                    err.batch_pos = i
-                    raise
+        if self.context.adjacency is None or self.is_complete:
+            # Imported here: the store is built on the decoders.
+            from repro.coding.store import PathStateStore
 
-    def _decoded_column(self) -> np.ndarray:
-        """The decoded blocks as a uint64 (k,) array (complete only)."""
-        if self._decoded_arr is None:
-            self._decoded_arr = np.asarray(
-                [self.decoded[h] for h in range(1, self.k + 1)],
-                dtype=np.int64,
-            ).astype(np.uint64)
-        return self._decoded_arr
+            store = PathStateStore(self.context)
+            row = store.alloc(0)
+            store.absorb(row, self, 0)
+            at = np.zeros(1, dtype=np.int64)
+            if not store.fold(at + row, at, at + n, pids, at + self.k, mat):
+                store.read_into(row, self)
+                return
+        for i, (pid, row) in enumerate(zip(pids.tolist(), mat.tolist())):
+            try:
+                self.observe(pid, tuple(row))
+            except DecodingError as err:
+                err.batch_pos = i
+                raise
 
     def _park(self, packet_id: int, residual: List[int], unknown: Set[int]) -> None:
         """Keep an XOR digest with several unknown hops for later peeling.

@@ -30,8 +30,6 @@ yet stripped.
 
 from __future__ import annotations
 
-from typing import Tuple
-
 import numpy as np
 
 from repro.coding.context import PathQueryContext
@@ -285,10 +283,3 @@ class FixpointPeel:
     def _flag(self, flows: np.ndarray, code: int) -> None:
         """Mark flows conflicting (a flow keeps its first reason)."""
         self.conflict[flows[self.conflict[flows] == 0]] = code
-
-    # -- reading the fixpoint ------------------------------------------------
-
-    def hop_of(self, slots: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        """The (flow index, 1-based hop) pairs behind ``slots``."""
-        flows = self.slot_flow[slots]
-        return flows, slots - self.starts[flows] + 1

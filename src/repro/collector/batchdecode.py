@@ -1,38 +1,24 @@
-"""Columnar batch-decode engine: the sink's vectorised hot path.
+"""Columnar batch decode of the latency query.
 
-PR 1 made ingest *routing* columnar (one vectorised shard hash, one
-lexsort) and PR 2 made the *encode* dataplane columnar, but every
-digest still crossed a scalar ``observe()`` per packet on its way into
-the per-flow decoders -- exactly where the paper concentrates the
-sink's decoding cost (§4).  This module is the execution layer that
-closes that gap: it takes the lexsort-grouped ``(flow_id, pid,
-hop_count, digest)`` column slices that :meth:`Collector.ingest_batch`
-already produces and decodes whole flow groups at once.
-
-Layering contract (see DESIGN.md §4):
-
-* the *scalar reference decoders* (``repro.coding`` peeling decoders,
-  per-sample KLL updates) define the semantics and keep serving the
-  one-record ``Collector.ingest`` path;
-* this *columnar execution layer* replays the same ``GlobalHash``
-  decisions in array passes (layer selection, reservoir carriers, XOR
-  acting sets, fragment scatter) and dispatches
-  ``peel_converging`` / ``verify_complete`` / ``extend_array`` /
-  ``decode_array``; a flow whose digests conflict is handed back to
-  the scalar layer, rows and all (:func:`decode_path_groups`);
-* equivalence tests pin the two layers together: path decode is
-  bit-identical record-for-record (including ``DecodingError`` resets
-  mid-column), latency decode is sample-identical in raw mode and
-  guarantee-identical in sketch mode (the KLL compaction coin order
-  differs -- see :meth:`KLLSketch.extend_array`).
+The sink's batched execution replays the same ``GlobalHash`` decisions
+the scalar consumers make, in array passes over the flow-grouped
+``(flow_id, pid, hop_count, digest)`` columns
+:meth:`Collector.ingest_batch` produces.  Path and congestion flows
+fold into their sink's column store
+(:mod:`repro.coding.store`, :func:`repro.collector.consumers.
+consume_groups`); this module is the latency query's half: one
+whole-batch reservoir-carrier replay shared by every flow group
+(:class:`CarrierCache`), a table-gather digest decode and one
+``add_array`` per carrier -- sample-identical to the scalar loop in
+raw mode and guarantee-identical in sketch mode (the KLL compaction
+coin order differs -- see :meth:`KLLSketch.extend_array`).  See
+DESIGN.md section 4 for the layering contract.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.coding.decoder import peel_converging, verify_complete
-from repro.coding.encoder import FRAGMENT, unpack_reps_array
 from repro.hashing import GlobalHash, reservoir_carrier_zip
 
 
@@ -72,123 +58,13 @@ class CarrierCache:
 
 
 def decode_path_columns(consumer, pids, hop_counts, digests) -> None:
-    """Feed one flow's column slice through its peeling decoder.
+    """Feed one flow's columns to its path consumer (handle or object).
 
     Bit-identical to the scalar per-record loop, including reset
-    semantics (see :func:`decode_path_groups`, of which this is the
-    one-flow case).  A flow whose decoder is already complete only
-    needs the consistency scan (the one-flow case of
-    :func:`verify_path_groups`).
+    semantics; the batched execution is the consumer's own
+    ``consume_batch`` (:mod:`repro.collector.consumers`).
     """
-    pids = np.asarray(pids)
-    n = int(pids.shape[0])
-    if n == 0:
-        return
-    if consumer.is_complete:
-        context = consumer.context
-        reps = unpack_reps_array(
-            np.asarray(digests), context.digest_bits, context.num_hashes
-        )
-        consumer._decoder.observe_batch(pids, reps)
-        return
-    decode_path_groups(
-        consumer.context, [(consumer, 0, n)], pids,
-        np.asarray(hop_counts), np.asarray(digests),
-    )
-
-
-def _group_rows(groups) -> tuple:
-    """Column rows of ``(consumer, lo, hi)`` groups, gathered in order.
-
-    Returns the groups' lower bounds, their sizes, each group's first
-    row in the gathered sub-batch and the column row of every
-    sub-batch row.
-    """
-    los = np.asarray([g[1] for g in groups], dtype=np.int64)
-    sizes = np.asarray([g[2] for g in groups], dtype=np.int64) - los
-    starts = np.cumsum(sizes) - sizes
-    # Sub-batch row i of group j is column row los[j] + (i - starts[j]).
-    rows = np.repeat(los - starts, sizes) + np.arange(int(sizes.sum()))
-    return los, sizes, starts, rows
-
-
-def verify_path_groups(context, groups, pids, digests) -> None:
-    """Check several complete flows' slices of one batch in one pass.
-
-    ``groups`` holds ``(consumer, lo, hi)`` as in
-    :func:`decode_path_groups`; every consumer references ``context``
-    and its (raw or hash) decoder is complete, so its rows can only
-    confirm or contradict the decoded path.  The rows of all groups
-    are gathered once and checked together
-    (:func:`repro.coding.decoder.verify_complete`), each against its
-    own decoder's path length -- a complete decoder ignores what later
-    rows claim as their hop count, like the scalar path.  Per-flow
-    ``packets_seen`` / ``inconsistencies`` end up exactly as if each
-    group had been scanned alone; nothing can raise.
-    """
-    _, sizes, _, rows = _group_rows(groups)
-    reps = unpack_reps_array(
-        digests[rows], context.digest_bits, context.num_hashes
-    )
-    verify_complete(
-        [g[0]._decoder for g in groups], sizes.tolist(),
-        pids[rows].astype(np.uint64), reps,
-    )
-
-
-def decode_path_groups(
-    context, groups, pids, hop_counts, digests, fallbacks=None
-) -> None:
-    """Decode several flows' slices of one batch in one cross-flow pass.
-
-    ``groups`` holds ``(consumer, lo, hi)`` -- rows ``[lo, hi)`` of the
-    columns belong to that path consumer -- and every consumer
-    references ``context`` and is still converging.  The rows of all
-    groups are gathered once and go through one fixpoint peel
-    (:func:`repro.coding.decoder.peel_converging`): each flow against
-    its *decoder's* path length -- the first record's hop count,
-    whatever later rows claim.  The peel leaves every flow whose
-    digests are mutually consistent in exactly the state the scalar
-    per-record loop reaches, and leaves the others untouched, naming
-    why (a hop without candidates, an XOR residual that does not
-    cancel, a topology-aware context).  Those flows' rows then take
-    the scalar reference itself, :meth:`PathDigestConsumer.consume`
-    row by row -- which owns the reset semantics: a contradicting
-    digest raises :class:`DecodingError` inside the decoder, the
-    consumer counts it, drops the decoder and rebuilds it from the
-    *next* row's hop count, the re-convergence a reroute triggers.
-    ``fallbacks`` maps each reason to a counter bumped once per flow
-    handed over.
-
-    Fragment-mode flows keep their own scatter: each decoder splits
-    its rows over its per-fragment raw sub-problems.
-    """
-    los, sizes, starts, rows = _group_rows(groups)
-    sub_pids = pids[rows].astype(np.uint64)
-    reps = unpack_reps_array(
-        digests[rows], context.digest_bits, context.num_hashes
-    )
-    decoders = [
-        group[0]._ensure_decoder(hops)
-        for group, hops in zip(groups, hop_counts[los].tolist())
-    ]
-    if context.mode == FRAGMENT:
-        for decoder, a, b in zip(
-            decoders, starts.tolist(), (starts + sizes).tolist()
-        ):
-            decoder.observe_batch(sub_pids[a:b], reps[a:b])
-        return
-    reasons = peel_converging(decoders, sizes.tolist(), sub_pids, reps)
-    for (consumer, lo, hi), reason in zip(groups, reasons):
-        if reason is None:
-            continue
-        if fallbacks is not None:
-            fallbacks[reason].inc()
-        for row in zip(
-            pids[lo:hi].tolist(), hop_counts[lo:hi].tolist(),
-            digests[lo:hi].tolist(),
-        ):
-            consumer.consume(*row)
+    consumer.consume_batch(pids, hop_counts, digests)
 
 
 def decode_latency_slice(

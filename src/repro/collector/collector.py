@@ -10,13 +10,14 @@ Two ingestion paths:
 * :meth:`ingest` -- scalar; routes with one hash, touches one flow
   table entry, dispatches one consumer call.  Per-record Python
   overhead dominates at scale.
-* :meth:`ingest_batch` -- columnar; routes the whole batch with one
-  vectorised hash, lexsorts by (shard, flow) in C, and hands each
-  flow's contiguous slice to its consumer in a single
-  ``consume_batch`` call.  The sort replaces per-record routing and
-  table touches with per-*group* work, which is where the >=5x
-  throughput of ``benchmarks/bench_collector_throughput.py`` comes
-  from (mirroring the vectorised-encoder work on the switch side).
+* :meth:`ingest_batch` -- columnar.  Records of flows the sink's
+  column store calls *steady* (a path flow already decoded, any known
+  congestion flow) are folded where they stand, without a sort; the
+  rest are grouped by flow with one stable sort in C and every store
+  folds its groups in array passes.  Routing, table touches and
+  counters are per-*flow* work, which is where the >=5x throughput of
+  ``benchmarks/bench_collector_throughput.py`` comes from (mirroring
+  the vectorised-encoder work on the switch side).
 
 Time: every ingest accepts an optional ``now`` (sim seconds when driven
 from the DES).  When omitted the collector free-runs on a logical clock
@@ -27,21 +28,23 @@ counts added to a seconds clock would TTL-evict everything).
 
 from __future__ import annotations
 
+import sys
 from typing import Dict, List, Optional
 
 import numpy as np
 
-from repro.coding.decoder import FALLBACK_REASONS
+from repro.coding.store import FALLBACK_REASONS
 from repro.collector.answers import AnswerTable
 from repro.collector.consumers import (
     ConsumerFactory,
     DigestConsumer,
     consume_groups,
+    fold_rows,
 )
 from repro.collector.records import Column, check_hop_range, normalize_batch
 from repro.collector.shard import Shard, ShardRouter
 from repro.collector.snapshot import Snapshot
-from repro.exceptions import CollectorClosedError
+from repro.exceptions import CollectorClosedError, RestoreError
 from repro.obs.metrics import NULL_REGISTRY, SIZE_BUCKETS
 
 
@@ -138,6 +141,13 @@ class Collector:
     ) -> None:
         if router is not None and router.num_shards != num_shards:
             raise ValueError("router/num_shards mismatch")
+        # A store-backed factory keeps its flows in one column store,
+        # indexed by flow id: this sink takes a store of its own.
+        for_sink = getattr(consumer_factory, "for_sink", None)
+        if for_sink is not None:
+            consumer_factory = for_sink()
+        self._factory = consumer_factory
+        self._store = getattr(consumer_factory, "store", None)
         self.router = router if router is not None else ShardRouter(
             num_shards, seed
         )
@@ -291,55 +301,109 @@ class Collector:
                 return 0
             check_hop_range(int(hops.min()), int(hops.max()))
             t = self._tick(now, n)
-            if self.num_shards == 1:
-                shard_ids = None
-                order = np.argsort(fids, kind="stable")
-            else:
-                shard_ids = self.router.shard_of_array(fids)
-                # Stable grouping: shard-major, flow-minor; ties keep
-                # batch order so per-flow streams stay sequential.
-                order = np.lexsort((fids, shard_ids))
+        self._m_batch_size.observe(n)
+        self._m_records.inc(n)
+        self._m_batches.inc()
+        bounded = self.max_flows_per_shard is not None
+        steady = None
+        if self._store is not None and not bounded:
+            with self._sp_consume:
+                steady = self._fold_steady(fids, ps, digs)
+            if steady is not None:
+                rest = steady[0]
+                fids, ps, hops, digs = fids[rest], ps[rest], hops[rest], digs[rest]
+        with self._sp_group:
+            # Stable grouping by flow (a flow has one shard): ties keep
+            # batch order so per-flow streams stay sequential.  Group
+            # keys are pulled out as Python lists in one shot:
+            # per-group NumPy scalar indexing would cost more than the
+            # group body.
+            order = np.argsort(fids, kind="stable")
             sfids = fids[order]
             sps = ps[order]
             shops = hops[order]
             sdigs = digs[order]
-            # Group boundaries: wherever the flow id changes (a shard
-            # change implies a flow change, so flow boundaries cover
-            # both).  Group keys are pulled out as Python lists in one
-            # shot: per-group NumPy scalar indexing would cost more
-            # than the group body.
-            cuts = np.flatnonzero(sfids[1:] != sfids[:-1]) + 1
-            starts = np.concatenate(([0], cuts))
-            bounds = np.append(starts, n).tolist()
-            group_fids = sfids[starts].tolist()
-            if shard_ids is None:
-                group_sids = [0] * len(group_fids)
-            else:
-                group_sids = shard_ids[order[starts]].tolist()
-        self._m_batch_size.observe(n)
-        self._m_records.inc(n)
-        self._m_batches.inc()
-        if self.max_flows_per_shard is not None:
+            starts = np.flatnonzero(
+                np.concatenate(([True], sfids[1:] != sfids[:-1]))
+            ) if order.size else order
+            bounds = np.append(starts, order.size)
+            group_fids = sfids[starts]
+        if bounded:
             with self._sp_consume:
+                shard_ids = None
+                group_sids = [0] * int(starts.size)
+                if self.num_shards > 1:
+                    shard_ids = self.router.shard_of_array(fids)
+                    group_sids = shard_ids[order[starts]].tolist()
                 self._ingest_batch_lru(
                     fids, shard_ids, sps, shops, sdigs, t,
-                    group_fids, group_sids, bounds,
+                    group_fids.tolist(), group_sids, bounds.tolist(),
                 )
             return n
         with self._sp_consume:
+            # Touch every flow of the batch once, in ascending flow-id
+            # order per shard whichever way its records were folded --
+            # LRU order is what the coverage sum and a checkpoint read.
+            counts = np.diff(bounds)
+            grouped = None
+            if steady is not None:
+                group_fids = np.concatenate((steady[1], group_fids))
+                merged = np.argsort(group_fids, kind="stable")
+                group_fids = group_fids[merged]
+                counts = np.concatenate((steady[2], counts))[merged]
+                grouped = (merged >= steady[1].size).tolist()
+            if self.num_shards > 1:
+                sids = self.router.shard_of_array(group_fids).tolist()
+            else:
+                sids = [0] * int(group_fids.size)
             shards = self.shards
-            touched = set()
-            groups = []
-            for idx, fid in enumerate(group_fids):
-                sid = group_sids[idx]
-                lo, hi = bounds[idx], bounds[idx + 1]
-                groups.append((shards[sid].touch_group(fid, hi - lo, t), lo, hi))
-                touched.add(sid)
-            consume_groups(groups, sps, shops, sdigs, self._m_fallbacks)
-            for sid in touched:
+            consumers = [
+                shards[sid].touch_group(fid, count, t)
+                for fid, count, sid in zip(
+                    group_fids.tolist(), counts.tolist(), sids
+                )
+            ]
+            if grouped is not None:
+                # Merging kept the groups in their sorted order.
+                consumers = [c for c, g in zip(consumers, grouped) if g]
+            if self._store is not None and consumers:
+                fold_rows(
+                    self._store,
+                    np.asarray([c.row for c in consumers], dtype=np.int64),
+                    bounds[:-1], np.diff(bounds), sps, shops, sdigs,
+                    self._m_fallbacks,
+                )
+            else:
+                consume_groups(
+                    list(zip(consumers, bounds[:-1].tolist(), bounds[1:].tolist())),
+                    sps, shops, sdigs, self._m_fallbacks,
+                )
+            for sid in set(sids):
                 shards[sid].batches += 1
                 shards[sid].table.maybe_expire(t)
         return n
+
+    def _fold_steady(self, fids, ps, digs):
+        """Fold the records of steady flows where they stand.
+
+        A flow is steady or not as of the batch's start (what
+        :func:`consume_groups` decides per group); its records need no
+        grouping, so they never reach the sort.  Returns None when no
+        record's flow is steady, else ``(mask of the records left,
+        steady flow ids, records each received)``.
+        """
+        store = self._store
+        owners = store.steady_rows(fids)
+        if owners is None:
+            return None
+        rest = owners < 0
+        if rest.any():
+            hit = ~rest
+            seen = store.verify(owners[hit], ps[hit], digs[hit])
+        else:
+            seen = store.verify(owners, ps, digs)
+        rows = np.flatnonzero(seen)
+        return rest, store.flow_id[rows], seen[rows]
 
     def _ingest_batch_lru(
         self,
@@ -464,9 +528,19 @@ class Collector:
         bytes.
         """
         with self._sp_answers:
-            if flow_ids is None:
+            store = self._store
+            table = AnswerTable.empty()
+            consumers: List[DigestConsumer] = []
+            if flow_ids is None and store is not None:
+                # Every allocated row of this sink's store is a live flow.
+                rows = store.live_rows()
+                rows = rows[np.argsort(store.flow_id[rows])]
+                if rows.size:
+                    table = AnswerTable(
+                        store.kind, store.flow_id[rows], *store.answers(rows)
+                    )
+            elif flow_ids is None:
                 fids: List[int] = []
-                consumers: List[DigestConsumer] = []
                 for shard in self.shards:
                     for fid, entry in shard.table.items():
                         fids.append(fid)
@@ -483,8 +557,6 @@ class Collector:
                 consumers = [found[i] for i in live]
             if consumers:
                 table = type(consumers[0]).answer_table(ids, consumers)
-            else:
-                table = AnswerTable.empty()
         self._m_answer_rows.inc(len(table))
         return table
 
@@ -531,12 +603,16 @@ class Collector:
         *and* mode -- a restored collector must keep rejecting mixed
         units), and per shard the ingest counters, degradation marks
         and the flow table's :meth:`~repro.collector.flowtable.
-        FlowTable.state_dict` (consumers included; they pickle whole,
-        decoders and sketches and all).  Plain picklable dict -- the
-        framing/CRC/versioning lives in :mod:`repro.collector.
-        recovery`, not here.
+        FlowTable.state_dict`.  Consumer objects pickle whole (sketches
+        and all); flows that are store rows are captured once, as the
+        store's arrays under ``"store"`` -- row ``i`` of that capture
+        is the ``i``-th flow of the shards' tables in shard-major LRU
+        order, so each table keeps only how many rows are its own.
+        Plain picklable dict -- the framing/CRC/versioning lives in
+        :mod:`repro.collector.recovery`, not here.
         """
-        return {
+        tables = [s.table.state_dict() for s in self.shards]
+        state = {
             "num_shards": self.num_shards,
             "clock": {"now": self.clock.now, "mode": self.clock.mode},
             "shards": [
@@ -546,16 +622,24 @@ class Collector:
                     "batches": s.batches,
                     "degraded": s.degraded,
                     "records_lost": s.records_lost,
-                    "table": s.table.state_dict(),
+                    "table": table,
                 }
-                for s in self.shards
+                for s, table in zip(self.shards, tables)
             ],
         }
+        if self._store is not None:
+            rows = [h.row for table in tables for h in table["consumers"]]
+            state["store"] = self._store.state_dict(
+                np.asarray(rows, dtype=np.int64)
+            )
+            for table in tables:
+                table["consumers"] = len(table["consumers"])
+        return state
 
     def load_state(self, state: Dict) -> None:
         """Install a :meth:`state_dict` capture, replacing live state.
 
-        Restores *into* the existing shard/table objects (never
+        Restores *into* the existing shard/table/store objects (never
         replaces them): pre-bound obs instruments hold function
         closures over ``self.shards``, and those must keep reading the
         restored counters.  The collector must have been built with
@@ -563,23 +647,43 @@ class Collector:
         raises :class:`~repro.exceptions.RestoreError` rather than
         scattering state across the wrong partitions.
         """
-        from repro.exceptions import RestoreError
-
         if state["num_shards"] != self.num_shards:
             raise RestoreError(
                 f"checkpoint has {state['num_shards']} shards, this "
                 f"collector has {self.num_shards}; restore requires an "
                 "identical layout"
             )
+        if ("store" in state) != (self._store is not None):
+            raise RestoreError(
+                "checkpoint and collector disagree on whether flows are "
+                "store rows; restore requires the same consumer factory"
+            )
         self.clock.now = state["clock"]["now"]
-        self.clock.mode = state["clock"]["mode"]
+        # Interned like the literal tick() assigns: pickle shares equal
+        # strings by identity, and a capture must not tell a restored
+        # clock from a live one.
+        mode = state["clock"]["mode"]
+        self.clock.mode = mode and sys.intern(mode)
+        row = 0
+        if self._store is not None:
+            # Every handle the tables hold goes stale here; each table
+            # gets handles of its own run of the loaded rows.
+            self._store.load_state(state["store"])
         for shard_state in state["shards"]:
             shard = self.shards[shard_state["shard_id"]]
             shard.records = shard_state["records"]
             shard.batches = shard_state["batches"]
             shard.degraded = shard_state["degraded"]
             shard.records_lost = shard_state["records_lost"]
-            shard.table.load_state(shard_state["table"])
+            table = shard_state["table"]
+            if self._store is not None:
+                fids = table["flow_id"].tolist()
+                table = {**table, "consumers": [
+                    self._factory.restore(row + i, fid)
+                    for i, fid in enumerate(fids)
+                ]}
+                row += len(fids)
+            shard.table.load_state(table)
 
     def _check_open(self) -> None:
         """Writes into a closed collector must fail like the parallel

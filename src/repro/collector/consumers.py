@@ -15,19 +15,26 @@ any decoding logic:
 
 Consumers expose ``consume_batch`` so shards can hand over a whole
 per-flow column slice at once.  The default implementation loops over
-:meth:`consume` (the scalar reference path, still serving the
-one-record ``Collector.ingest`` fallback); every concrete consumer
-overrides it with a columnar path -- path and latency decode through
-the :mod:`repro.collector.batchdecode` engine, congestion through a
-single vectorised ``max`` -- so batched ingestion is array passes end
-to end.
+:meth:`consume` (the scalar reference path); every concrete consumer
+overrides it with a columnar one.
+
+A sink's path flows (raw and hash digests) and congestion flows do not
+live in consumer objects at all: their state is a row of the one
+column store their factory owns (:class:`repro.coding.store.
+PathStateStore`, :class:`CongestionStore`), and what the flow table
+holds per flow is a three-slot *handle* (:class:`PathFlowHandle`,
+:class:`CongestionFlowHandle`) that answers the consumer API off the
+columns.  A batch folds into the store in array passes
+(:func:`fold_rows`); the object consumers below stay the scalar
+specification, the form a handle takes when it is pickled or fed one
+record, and what a consumer built directly is.
 """
 
 from __future__ import annotations
 
 import sys
 from itertools import chain
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -44,15 +51,14 @@ from repro.coding import (
     RawDecoder,
     multilayer_scheme,
     unpack_reps,
+    unpack_reps_array,
 )
+from repro.coding.store import ADJACENCY, PathStateStore, RowStore, spans
 from repro.collector.answers import CONGESTION, PATH, AnswerTable
 from repro.collector.batchdecode import (
     CarrierCache,
     decode_latency_columns,
     decode_latency_slice,
-    decode_path_columns,
-    decode_path_groups,
-    verify_path_groups,
 )
 from repro.exceptions import DecodingError
 from repro.hashing import GlobalHash, reservoir_carrier
@@ -60,17 +66,28 @@ from repro.hashing import GlobalHash, reservoir_carrier
 #: A factory the flow table calls to build one consumer per live flow.
 ConsumerFactory = Callable[[int], "DigestConsumer"]
 
+#: What snapshots charge per consumer: ``sys.getsizeof`` of a slot-less
+#: CPython object, which is what a path or congestion consumer was when
+#: the accounting was pinned -- a constant now that a sink's flows are
+#: store rows behind a handle of another size.
+OBJECT_BYTES = 56
+
 
 class DigestConsumer:
     """Base class: per-flow decoding state fed one digest at a time."""
+
+    __slots__ = ()
 
     #: Human-readable query kind, surfaced in snapshots.
     kind = "abstract"
 
     #: Per-sink state the flow shares with its siblings, or None when
-    #: it decodes alone.  Still-converging flows of one context are
-    #: decoded together (see :func:`consume_groups`).
+    #: it decodes alone.
     context = None
+
+    #: The column store holding this flow's state, or None when the
+    #: consumer object holds it itself (see :class:`RowHandle`).
+    store = None
 
     def consume(self, pid: int, hop_count: int, digest: int) -> None:
         """Fold one packet's digest into the flow state."""
@@ -125,6 +142,29 @@ class DigestConsumer:
     def state_bytes(self) -> int:
         """Rough resident-state estimate (snapshot memory accounting)."""
         return sys.getsizeof(self)
+
+    def release(self) -> None:
+        """The flow table dropped this flow (eviction, expiry, restore).
+
+        Called once on every path a flow leaves a table by; an object
+        consumer is simply garbage afterwards, a handle gives its row
+        back.
+        """
+
+    @classmethod
+    def account(
+        cls, consumers: Sequence["DigestConsumer"]
+    ) -> Tuple[int, float, int]:
+        """(complete flows, coverage sum, state bytes) of ``consumers``.
+
+        The snapshot aggregates of a flow table, in one pass; coverage
+        is summed left to right in the order given.
+        """
+        return (
+            sum(1 for c in consumers if c.is_complete),
+            float(sum(c.coverage for c in consumers)),
+            sum(c.state_bytes() for c in consumers),
+        )
 
     @classmethod
     def answer_table(
@@ -249,17 +289,33 @@ class PathDigestConsumer(DigestConsumer):
     ) -> None:
         """Columnar decode of a whole flow-group slice.
 
-        Dispatches to the batch-decode engine
-        (:func:`repro.collector.batchdecode.decode_path_columns`),
-        which is bit-identical to the scalar loop including
-        ``DecodingError`` resets.  Slices too small to amortise the
-        array passes take the scalar reference loop -- the two paths
-        produce the same state, so the cutoff is purely a speed knob.
+        Bit-identical to the scalar loop including ``DecodingError``
+        resets.  The consumer lends its state to a private one-row
+        store, folds the slice there as a sink would
+        (:func:`consume_groups`) and takes the result back; fragment
+        digests go to the decoder's own per-fragment scatter.  Slices
+        too small to amortise the array passes -- and a topology-aware
+        context's converging flow, which they do not model -- take the
+        scalar reference loop; the paths produce the same state, so
+        the cutoff is purely a speed knob.
         """
-        if len(pids) <= 4:
+        n = len(pids)
+        context = self.context
+        if n <= 4 or (context.adjacency is not None and not self.is_complete):
             super().consume_batch(pids, hop_counts, digests)
-            return
-        decode_path_columns(self, pids, hop_counts, digests)
+        elif context.mode == FRAGMENT:
+            self._ensure_decoder(int(hop_counts[0])).observe_batch(
+                pids, unpack_reps_array(
+                    np.asarray(digests), context.digest_bits, 1
+                ),
+            )
+        else:
+            store = PathStateStore(context)
+            handle = PathFlowHandle(store, store.alloc(0))
+            store.absorb(handle.row, self._decoder, self.decode_errors)
+            handle.consume_batch(pids, hop_counts, digests)
+            self.decode_errors = handle.decode_errors
+            self._decoder = store.materialise(handle.row)
 
     @property
     def is_complete(self) -> bool:
@@ -310,14 +366,16 @@ class PathDigestConsumer(DigestConsumer):
     def state_bytes(self) -> int:
         """Candidate arrays dominate the decoder's footprint."""
         if self._decoder is None:
-            return sys.getsizeof(self)
-        return sys.getsizeof(self) + self._decoder.state_bytes()
+            return OBJECT_BYTES
+        return OBJECT_BYTES + self._decoder.state_bytes()
 
     @classmethod
     def answer_table(
         cls, flow_ids: np.ndarray, consumers: Sequence["DigestConsumer"]
     ) -> AnswerTable:
-        """Path answers as columns, all three digest modes.
+        """Path answers as columns, any digest mode (a sink's fragment
+        flows and a topology-aware context's; see :class:`PathFlowHandle`
+        for the others).
 
         One pass over the decoders' public read API: ``k`` (0 while a
         flow has no decoder -- before its first record or right after
@@ -575,7 +633,7 @@ class CongestionDigestConsumer(DigestConsumer):
 
     def state_bytes(self) -> int:
         """Constant-size state: two codes and a counter."""
-        return sys.getsizeof(self)
+        return OBJECT_BYTES
 
     @classmethod
     def answer_table(
@@ -648,53 +706,339 @@ def path_query_context(
     )
 
 
+def _revive(cls, state: dict) -> "DigestConsumer":
+    """Unpickle the consumer object a handle was pickled as."""
+    consumer = cls.__new__(cls)
+    consumer.__dict__.update(state)
+    return consumer
+
+
+class RowHandle(DigestConsumer):
+    """A flow whose state is one row of its sink's column store.
+
+    What a store-backed factory hands the flow table in place of a
+    consumer object: the ``store``, the flow's ``row`` and the
+    ``epoch`` the row was allocated under.  Batches never go through
+    it (the rows of all touched flows fold at once, :func:`fold_rows`);
+    it answers the consumer API off the columns, one flow at a time,
+    and pickles to the consumer object with equal state
+    (``materialise``).  Once the flow is evicted the row's epoch moves
+    on and the handle reads as a flow that never saw a record, whoever
+    owns the row next; feeding it raises.
+    """
+
+    __slots__ = ("store", "row", "epoch")
+
+    def __init__(self, store: RowStore, row: int) -> None:
+        self.store = store
+        self.row = row
+        self.epoch = store.epoch[row]
+
+    kind = property(lambda self: self.store.kind)
+    context = property(lambda self: self.store.context)
+    live = property(lambda self: self.store.epoch[self.row] == self.epoch)
+
+    def _column(self, column: np.ndarray) -> int:
+        """This flow's entry of ``column`` (0 once evicted)."""
+        return int(column[self.row]) if self.live else 0
+
+    def _own(self) -> int:
+        """The row, for writing."""
+        if not self.live:
+            raise LookupError("flow state was evicted; fetch a fresh handle")
+        return self.row
+
+    def release(self) -> None:
+        if self.live:
+            self.store.release(self.row)
+
+    def consume_batch(self, pids, hop_counts, digests) -> None:
+        cols = np.asarray(pids), np.asarray(hop_counts), np.asarray(digests)
+        self.consume_slice(*cols, 0, len(pids))
+
+    def consume_slice(self, pids, hop_counts, digests, lo, hi) -> None:
+        if hi > lo:
+            group = np.asarray([[self._own()], [lo], [hi - lo]])
+            fold_rows(self.store, *group, pids, hop_counts, digests)
+
+    def state_bytes(self) -> int:
+        return self.account([self])[2] if self.live else OBJECT_BYTES
+
+    def __reduce__(self):
+        consumer = self.materialise()
+        return _revive, (type(consumer), vars(consumer))
+
+    @classmethod
+    def account(cls, consumers) -> Tuple[int, float, int]:
+        """Column arithmetic (``store.account``) plus what every
+        consumer is charged for existing."""
+        rows = np.asarray([c.row for c in consumers], dtype=np.int64)
+        done, coverage, nbytes = consumers[0].store.account(rows)
+        return done, coverage, nbytes + OBJECT_BYTES * len(consumers)
+
+    @classmethod
+    def answer_table(cls, flow_ids, consumers) -> AnswerTable:
+        """Column slices and one CSR gather (``store.answers``)."""
+        store = consumers[0].store
+        rows = np.asarray([c.row for c in consumers], dtype=np.int64)
+        return AnswerTable(store.kind, flow_ids, *store.answers(rows))
+
+
+class PathFlowHandle(RowHandle):
+    """A raw- or hash-mode path flow of a sink (see :class:`RowHandle`).
+
+    Reads come off the row and build no decoder; ``_decoder``,
+    :meth:`partial_path` and pickling go through the store's bridge
+    and see a *copy*.  The scalar :meth:`consume` is that bridge there
+    and back around :meth:`PathDigestConsumer.consume`, so the
+    specification keeps defining every record-at-a-time result.
+    """
+
+    __slots__ = ()
+
+    def materialise(self) -> PathDigestConsumer:
+        """This flow as a consumer object (a copy of the row)."""
+        consumer = PathDigestConsumer.from_context(self.context)
+        if self.live:
+            consumer.decode_errors = int(self.store.decode_errors[self.row])
+            consumer._decoder = self.store.materialise(self.row)
+        return consumer
+
+    def consume(self, pid: int, hop_count: int, digest: int) -> None:
+        row = self._own()
+        consumer = self.materialise()
+        consumer.consume(pid, hop_count, digest)
+        self.store.absorb(row, consumer._decoder, consumer.decode_errors)
+
+    _decoder = property(lambda self: self.materialise()._decoder)
+    decode_errors = property(lambda self: self._column(self.store.decode_errors))
+    progress = property(lambda self: (
+        self._column(self.store.known), self._column(self.store.k)
+    ))
+
+    @property
+    def is_complete(self) -> bool:
+        known, k = self.progress
+        return known == k > 0
+
+    @property
+    def coverage(self) -> float:
+        known, k = self.progress
+        return known / k if k else 0.0
+
+    def partial_path(self) -> Optional[List[Optional[int]]]:
+        return self.materialise().partial_path()
+
+    def result(self) -> Optional[List[int]]:
+        if not self.is_complete:
+            return None
+        store = self.store
+        lo = int(store.base[self.row])
+        blocks = store.values[lo:lo + int(store.k[self.row])]
+        return (blocks.astype(np.int64) if store.hashed else blocks).tolist()
+
+
+class CongestionStore(RowStore):
+    """Every congestion flow of one sink: three columns.
+
+    ``top`` and ``last`` hold the running max and the last code *plus
+    one*, so that zero -- what a fresh or released row reads -- means
+    no record yet.  A flow with a record is always steady: another
+    record only moves its max, its last code and its count, in any
+    order across flows.
+    """
+
+    kind = CONGESTION
+    ROW_COLUMNS = ("top", "last", "records")
+    context = None
+
+    def __init__(self, codec: UtilizationCodec) -> None:
+        super().__init__()
+        self.codec = codec
+        self.top = np.zeros(0, dtype=np.int64)
+        self.last = np.zeros(0, dtype=np.int64)
+        self.records = np.zeros(0, dtype=np.int64)
+
+    def _clear(self, row: int) -> None:
+        self.top[row] = self.last[row] = self.records[row] = 0
+
+    def _steady(self, rows: np.ndarray) -> np.ndarray:
+        return self.records[rows] > 0
+
+    def fold(self, rows, starts, sizes, pids, hops, digests) -> list:
+        """Fold flow groups (see :meth:`PathStateStore.fold`); nothing
+        can conflict."""
+        codes = digests[spans(starts, sizes)] + 1
+        ends = np.cumsum(sizes)
+        self._index_add(rows[self.records[rows] == 0].tolist())
+        self.top[rows] = np.maximum(
+            self.top[rows], np.maximum.reduceat(codes, ends - sizes)
+        )
+        self.last[rows] = codes[ends - 1]
+        self.records[rows] += sizes
+        return []
+
+    def verify(self, owners, pids, digests) -> np.ndarray:
+        """Fold ungrouped records, ``owners[i]`` the row of record
+        ``i``; returns the records each row received."""
+        np.maximum.at(self.top, owners, digests + 1)
+        # A repeated index keeps its last assignment: arrival order.
+        self.last[owners] = digests + 1
+        seen = np.bincount(owners, minlength=self.rows)
+        self.records[:self.rows] += seen
+        return seen
+
+    def answers(self, rows: np.ndarray) -> tuple:
+        top = self.top[rows] - 1
+        # No record yet: NaN.
+        bottleneck = np.full(rows.shape[0], np.nan)
+        bottleneck[top >= 0] = self.codec.decode_array(top[top >= 0])
+        columns = {
+            "max_code": top, "last_code": self.last[rows] - 1,
+            "records": self.records[rows], "bottleneck": bottleneck,
+        }
+        none = np.zeros(0, dtype=np.int64)
+        return columns, np.zeros(rows.shape[0] + 1, dtype=np.int64), none
+
+    def account(self, rows: np.ndarray) -> Tuple[int, float, int]:
+        seen = int(np.count_nonzero(self.records[rows]))
+        return seen, float(seen), 0
+
+    def state_dict(self, rows: np.ndarray) -> dict:
+        return {name: getattr(self, name)[rows] for name in self.ROW_COLUMNS}
+
+    def load_state(self, state: dict) -> None:
+        count = state["records"].shape[0]
+        self._adopt_rows(count)
+        for name in self.ROW_COLUMNS:
+            getattr(self, name)[:count] = state[name]
+
+
+class CongestionFlowHandle(RowHandle):
+    """A congestion flow of a sink (see :class:`RowHandle`); answers
+    like the :class:`CongestionDigestConsumer` it pickles to."""
+
+    __slots__ = ()
+    max_code = property(lambda self: self._column(self.store.top) - 1)
+    last_code = property(lambda self: self._column(self.store.last) - 1)
+    records = property(lambda self: self._column(self.store.records))
+    codec = property(lambda self: self.store.codec)
+    is_complete = CongestionDigestConsumer.is_complete
+    bottleneck = CongestionDigestConsumer.bottleneck
+    latest = CongestionDigestConsumer.latest
+    result = CongestionDigestConsumer.result
+
+    def materialise(self) -> CongestionDigestConsumer:
+        consumer = CongestionDigestConsumer(codec=self.codec)
+        consumer.max_code, consumer.last_code = self.max_code, self.last_code
+        consumer.records = self.records
+        return consumer
+
+    def consume(self, pid: int, hop_count: int, digest: int) -> None:
+        self.consume_slice(None, None, np.asarray([digest]), 0, 1)
+
+
+def store_factory(make_store: Callable[[], RowStore], handle) -> ConsumerFactory:
+    """A consumer factory whose flows are rows of one column store.
+
+    Calling it allocates a row and returns its handle.  A store serves
+    exactly one sink -- its flow-id index is keyed by flow id alone --
+    so a :class:`~repro.collector.collector.Collector` does not use the
+    factory it is given but ``for_sink()``'s, with a store of its own;
+    the original keeps serving direct calls.  ``store`` and
+    ``restore(row, flow_id)`` (the handle of a row of a just-loaded
+    store) are what a checkpoint goes through.
+    """
+    store = make_store()
+
+    def factory(flow_id: int) -> RowHandle:
+        return handle(store, store.alloc(flow_id))
+
+    def restore(row: int, flow_id: int) -> RowHandle:
+        store.flow_id[row] = flow_id
+        return handle(store, row)
+
+    factory.store, factory.restore = store, restore
+    factory.for_sink = lambda: store_factory(make_store, handle)
+    return factory
+
+
 def path_consumer_factory(universe: Sequence[int], **kwargs) -> ConsumerFactory:
-    """Factory of :class:`PathDigestConsumer`, one per flow.
+    """Factory of a sink's path flows.
 
     All flows share one :class:`~repro.coding.PathQueryContext`, built
     here: the sorted universe, the widths and -- per path length, on
     first use -- the coding scheme and derived hashes exist once per
-    sink, not once per flow.
+    sink, not once per flow.  Raw and hash digests get a
+    :func:`store_factory` (flows are :class:`PathFlowHandle` rows of
+    one :class:`~repro.coding.store.PathStateStore`); fragment digests
+    (several sub-decoders per flow) and topology-aware contexts
+    (scalar by design) get one :class:`PathDigestConsumer` per flow.
     """
     context = path_query_context(universe, **kwargs)
-    return lambda flow_id: PathDigestConsumer.from_context(context)
+    if context.mode == FRAGMENT or context.adjacency is not None:
+        return lambda flow_id: PathDigestConsumer.from_context(context)
+    return store_factory(lambda: PathStateStore(context), PathFlowHandle)
+
+
+def fold_rows(
+    store, rows, starts, sizes, pids, hop_counts, digests, fallbacks=None
+) -> None:
+    """Fold one batch's flow groups into ``store`` (``store.fold``).
+
+    Decoded path flows are verified in place, the still-converging
+    ones -- new ones included -- go through one fixpoint peel,
+    congestion flows through one ``reduceat``.  A path flow whose
+    digests conflict comes back untouched and takes the scalar
+    reference, :meth:`PathDigestConsumer.consume` row by row (there
+    and back over the store's bridge, once), which owns the reset
+    semantics -- a contradicting digest raises :class:`DecodingError`
+    inside the decoder, the consumer counts it, drops the decoder and
+    rebuilds it from the *next* row's hop count, the re-convergence a
+    reroute triggers.  Every flow handed over is counted, by reason,
+    on ``fallbacks`` (a counter per
+    :data:`repro.coding.store.FALLBACK_REASONS`).
+    """
+    for j, reason in store.fold(rows, starts, sizes, pids, hop_counts, digests):
+        if fallbacks is not None:
+            fallbacks[reason].inc()
+        row, lo = int(rows[j]), int(starts[j])
+        cut = slice(lo, lo + int(sizes[j]))
+        consumer = PathFlowHandle(store, row).materialise()
+        for record in zip(
+            pids[cut].tolist(), hop_counts[cut].tolist(), digests[cut].tolist()
+        ):
+            consumer.consume(*record)
+        store.absorb(row, consumer._decoder, consumer.decode_errors)
 
 
 def consume_groups(groups, pids, hop_counts, digests, fallbacks=None) -> None:
     """Fold every flow group of one batch into its consumer.
 
     ``groups`` holds ``(consumer, lo, hi)``: rows ``[lo, hi)`` of the
-    (flow-grouped) columns belong to ``consumer``.  Path flows sharing
-    a context are batched across flows, in two passes per context.  The
-    flows whose path is already decoded only need their rows checked
-    against it: one consistency pass over all of them
-    (:func:`repro.collector.batchdecode.verify_path_groups`).  The
-    flows still converging (new ones included) are decoded together in
-    one fixpoint peel
-    (:func:`repro.collector.batchdecode.decode_path_groups`), so that
-    heavier pass scales with *their* rows, not with the batch; the
-    flows it hands back to the scalar route are counted, by reason, on
-    ``fallbacks`` (a counter per
-    :data:`repro.coding.decoder.FALLBACK_REASONS`).  Context-less
-    consumers and complete fragment-mode flows (several sub-decoders
-    per flow) fold their own slice.
+    (flow-grouped) columns belong to ``consumer``.  Handles are
+    bucketed by store and each store folds all its groups at once
+    (:func:`fold_rows`); object consumers fold their own slice -- a
+    topology-aware context's converging flow counted on ``fallbacks``
+    like every other flow decoded by the scalar route.
     """
-    converging: Dict[PathQueryContext, list] = {}
-    complete: Dict[PathQueryContext, list] = {}
-    for group in groups:
-        consumer, lo, hi = group
+    by_store: dict = {}
+    for consumer, lo, hi in groups:
+        store = consumer.store
+        if store is not None:
+            by_store.setdefault(store, []).append((consumer.row, lo, hi - lo))
+            continue
         context = consumer.context
-        if context is not None and not consumer.is_complete:
-            converging.setdefault(context, []).append(group)
-        elif context is None or context.mode == FRAGMENT:
-            consumer.consume_slice(pids, hop_counts, digests, lo, hi)
-        else:
-            complete.setdefault(context, []).append(group)
-    for context, members in complete.items():
-        verify_path_groups(context, members, pids, digests)
-    for context, members in converging.items():
-        decode_path_groups(
-            context, members, pids, hop_counts, digests, fallbacks
+        if (
+            fallbacks is not None and context is not None
+            and context.adjacency is not None and not consumer.is_complete
+        ):
+            fallbacks[ADJACENCY].inc()
+        consumer.consume_slice(pids, hop_counts, digests, lo, hi)
+    for store, members in by_store.items():
+        rows, starts, sizes = np.asarray(members, dtype=np.int64).T
+        fold_rows(
+            store, rows, starts, sizes, pids, hop_counts, digests, fallbacks
         )
 
 
@@ -714,9 +1058,10 @@ def latency_consumer_factory(**kwargs) -> ConsumerFactory:
 
 
 def congestion_consumer_factory(**kwargs) -> ConsumerFactory:
-    """Factory of :class:`CongestionDigestConsumer`, sharing one codec."""
+    """Factory of a sink's congestion flows: :class:`CongestionFlowHandle`
+    rows of one :class:`CongestionStore`, sharing one codec."""
     codec = UtilizationCodec(
         kwargs.pop("bits", 8), kwargs.pop("epsilon", 0.025),
         seed=kwargs.pop("seed", 0), **kwargs,
     )
-    return lambda flow_id: CongestionDigestConsumer(codec=codec)
+    return store_factory(lambda: CongestionStore(codec), CongestionFlowHandle)

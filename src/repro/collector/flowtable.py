@@ -11,8 +11,9 @@ flows*.  The table enforces two orthogonal limits:
   record is older than ``ttl`` on the caller's clock (sim seconds when
   driven from the DES, ingested-record count when free-running).
 
-Evicted state is simply dropped: PINT's decoders are rebuildable from
-future packets of the same flow (every packet re-selects its layer and
+Evicted state is simply dropped (the consumer is told, ``release()``,
+so a store-backed flow gives its row back): PINT's decoders are
+rebuildable from future packets of the same flow (every packet re-selects its layer and
 carrier by global hash), so eviction costs extra packets, not
 correctness -- the same trade BASEL makes between buffer occupancy and
 admission (PAPERS.md).
@@ -23,6 +24,9 @@ from __future__ import annotations
 from collections import OrderedDict
 from typing import Iterator, Optional, Tuple
 
+import numpy as np
+
+from repro.coding.store import narrow
 from repro.collector.consumers import ConsumerFactory, DigestConsumer
 
 
@@ -92,13 +96,16 @@ class FlowTable:
         self._entries[flow_id] = entry
         if self.max_flows is not None:
             while len(self._entries) > self.max_flows:
-                self._entries.popitem(last=False)
+                self._entries.popitem(last=False)[1].consumer.release()
                 self.lru_evictions += 1
         return entry
 
     def evict(self, flow_id: int) -> bool:
         """Drop one flow's state explicitly (e.g. on flow FIN)."""
-        return self._entries.pop(flow_id, None) is not None
+        entry = self._entries.pop(flow_id, None)
+        if entry is not None:
+            entry.consumer.release()
+        return entry is not None
 
     def expire(self, now: float) -> int:
         """Sweep out flows idle for longer than ``ttl``; return count."""
@@ -112,6 +119,7 @@ class FlowTable:
             if entry.last_seen > deadline:
                 break
             del self._entries[flow_id]
+            entry.consumer.release()
             evicted += 1
         self.ttl_evictions += evicted
         return evicted
@@ -131,51 +139,49 @@ class FlowTable:
         """Iterate (flow_id, entry), LRU-oldest first."""
         return iter(self._entries.items())
 
-    def completed_flows(self) -> int:
-        """Flows whose consumer currently has a decodable answer."""
-        return sum(
-            1 for e in self._entries.values() if e.consumer.is_complete
-        )
+    def accounting(self) -> Tuple[int, float, int]:
+        """(completed flows, coverage sum, state bytes), in one pass.
 
-    def coverage_sum(self) -> float:
-        """Sum of per-flow decode coverage over live flows.
-
-        The snapshot-side decode-under-loss aggregate: dividing by the
-        flow count gives the mean fraction of each flow's answer the
-        sink knows.  Summed in LRU order, which is the same on every
+        The three snapshot aggregates over the live flows, computed by
+        the consumers' own kind (``DigestConsumer.account``: a loop
+        over consumer objects, column arithmetic for store rows).
+        Coverage is summed in LRU order, which is the same on every
         record-identical replay, so parallel workers reproduce the
         serial sum bit-for-bit.
+
+        State bytes: each consumer reports its own footprint, decoder
+        state included -- candidate sets, decoded values, pending XOR
+        entries -- as a sum of non-negative terms over live entries
+        only, so it shrinks with eviction and can never go negative
+        (tested invariant).  The table's own overhead is a
+        *content-based* estimate (base plus a per-entry slot cost),
+        never ``sys.getsizeof`` of the dict: a dict's allocated size
+        depends on its insertion/deletion history, and a
+        checkpoint-restored table -- same entries, fresh dict -- must
+        report byte-identical snapshots (the
+        ``restore(checkpoint(c)) == c`` property).
         """
-        return float(
-            sum(e.consumer.coverage for e in self._entries.values())
+        consumers = [e.consumer for e in self._entries.values()]
+        n = len(consumers)
+        done, coverage, nbytes = (
+            type(consumers[0]).account(consumers) if n else (0, 0.0, 0)
         )
+        per_entry = 96  # dict slot + FlowEntry slots, roughly
+        return done, coverage, nbytes + per_entry * n + 64 + 8 * n
+
+    def completed_flows(self) -> int:
+        """Flows whose consumer currently has a decodable answer."""
+        return self.accounting()[0]
+
+    def coverage_sum(self) -> float:
+        """Sum of per-flow decode coverage over live flows (dividing by
+        the flow count gives the mean fraction of each flow's answer
+        the sink knows)."""
+        return self.accounting()[1]
 
     def state_bytes(self) -> int:
-        """Estimated resident bytes across all live consumers.
-
-        Each consumer reports its own footprint, and the decoders
-        report theirs (``HashDecoder``/``RawDecoder``/
-        ``FragmentDecoder.state_bytes``), so the total covers the
-        array-backed decode state -- candidate matrices, the decoded-
-        value arrays the batched consistency scans cache, pending XOR
-        entries -- not just the scalar dict/list state.  The estimate
-        is a sum of non-negative terms over live entries only, so it
-        shrinks with eviction and can never go negative (tested
-        invariant).
-
-        The table's own overhead is a *content-based* estimate (base
-        plus a per-entry slot cost), never ``sys.getsizeof`` of the
-        dict: a dict's allocated size depends on its insertion/
-        deletion history, and a checkpoint-restored table -- same
-        entries, fresh dict -- must report byte-identical snapshots
-        (the ``restore(checkpoint(c)) == c`` property).
-        """
-        per_entry = 96  # dict slot + FlowEntry slots, roughly
-        table_overhead = 64 + 8 * len(self._entries)
-        return sum(
-            e.consumer.state_bytes() + per_entry
-            for e in self._entries.values()
-        ) + table_overhead
+        """Estimated resident bytes across all live consumers."""
+        return self.accounting()[2]
 
     # -- checkpoint/restore ------------------------------------------------
 
@@ -185,17 +191,31 @@ class FlowTable:
         Entries are captured in LRU order (oldest first) with their
         generations, so a restored table evicts the same victims in
         the same order and re-creates entries with the same sequence
-        numbers a never-crashed table would have used.
+        numbers a never-crashed table would have used.  The
+        bookkeeping is four columns; ``consumers`` holds the consumer
+        objects, which a collector whose flows are store rows replaces
+        by the store's own capture (:meth:`Collector.state_dict`).
         """
+        entries = list(self._entries.values())
+        n = len(entries)
         return {
             "created": self.created,
             "lru_evictions": self.lru_evictions,
             "ttl_evictions": self.ttl_evictions,
             "last_sweep": self._last_sweep,
-            "entries": [
-                (fid, e.consumer, e.last_seen, e.records, e.generation)
-                for fid, e in self._entries.items()
-            ],
+            "flow_id": narrow(np.fromiter(
+                (e.flow_id for e in entries), dtype=np.int64, count=n
+            )),
+            "last_seen": np.fromiter(
+                (e.last_seen for e in entries), dtype=np.float64, count=n
+            ),
+            "records": narrow(np.fromiter(
+                (e.records for e in entries), dtype=np.int64, count=n
+            )),
+            "generation": narrow(np.fromiter(
+                (e.generation for e in entries), dtype=np.int64, count=n
+            )),
+            "consumers": [e.consumer for e in entries],
         }
 
     def load_state(self, state: dict) -> None:
@@ -205,8 +225,14 @@ class FlowTable:
         numbering continuous across the restart) and entries are
         reinserted in captured LRU order into a fresh dict.
         """
+        for entry in self._entries.values():
+            entry.consumer.release()
         self._entries = OrderedDict()
-        for fid, consumer, last_seen, records, generation in state["entries"]:
+        for fid, consumer, last_seen, records, generation in zip(
+            state["flow_id"].tolist(), state["consumers"],
+            state["last_seen"].tolist(), state["records"].tolist(),
+            state["generation"].tolist(),
+        ):
             entry = FlowEntry(fid, consumer, last_seen, generation)
             entry.records = records
             self._entries[fid] = entry

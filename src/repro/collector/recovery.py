@@ -26,7 +26,7 @@ Checkpoint wire format (version rules in DESIGN.md section 9)::
     version u16 LE   | bumped on any layout change; no silent skew
     length  u32 LE   | payload byte count (truncation detection)
     crc32   u32 LE   | zlib.crc32 of the payload (torn-write detection)
-    payload          | pickled state dict (consumers included)
+    payload          | pickled state dict (store arrays + consumer objects)
 
 Decoding rejects, with typed errors, exactly the failure modes a
 crash-during-write produces: short header, bad magic, version skew
@@ -54,7 +54,13 @@ from repro.exceptions import CheckpointError, CheckpointVersionError
 #: universe, scheme and hashes per flow.
 #: v3: peeling decoders pickle open hops only -- no singleton candidate
 #: array per settled hop, no resolved pending XOR entries.
-CHECKPOINT_VERSION = 3
+#: v4: a sink's raw/hash path flows and congestion flows are not
+#: pickled objects but one store capture per collector (a dozen arrays
+#: in canonical order, ``PathStateStore.state_dict``); flow tables hold
+#: their bookkeeping as four columns plus the count of store rows that
+#: are theirs.  Only consumers that are still objects (latency,
+#: fragment-mode and topology-aware path flows) pickle whole.
+CHECKPOINT_VERSION = 4
 
 _MAGIC = b"PCKP"
 _HEADER = struct.Struct("<4sHII")  # magic, version, payload len, crc32

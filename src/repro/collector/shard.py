@@ -106,6 +106,7 @@ class Shard:
     def stats(self) -> ShardStats:
         """Counters for the metrics snapshot."""
         table = self.table
+        completed, coverage_sum, state_bytes = table.accounting()
         return ShardStats(
             shard_id=self.shard_id,
             flows=len(table),
@@ -114,9 +115,9 @@ class Shard:
             created=table.created,
             lru_evictions=table.lru_evictions,
             ttl_evictions=table.ttl_evictions,
-            completed_flows=table.completed_flows(),
-            coverage_sum=table.coverage_sum(),
-            state_bytes=table.state_bytes(),
+            completed_flows=completed,
+            coverage_sum=coverage_sum,
+            state_bytes=state_bytes,
             degraded=self.degraded,
             records_lost=self.records_lost,
         )

@@ -62,3 +62,46 @@ def test_stage_loop_calls_keep_their_signatures():
     assert names(compress_utilizations) == [
         "codec", "utilizations", "pids", "hop_counts",
     ]
+
+
+def test_bench_calls_into_the_sink_keep_working():
+    # The calls bench/ (frozen) makes into the sink layer, as listed
+    # under "The repro.* calls this benchmark pins" in bench/README.md:
+    # a sink whose flows are store rows must keep answering them with
+    # these names and argument forms.
+    import numpy as np
+
+    from repro.collector import (
+        capture_checkpoint,
+        congestion_consumer_factory,
+        path_consumer_factory,
+        restore_collector,
+    )
+
+    def path_factory():
+        return path_consumer_factory(
+            range(32), digest_bits=8, num_hashes=1, seed=0, mode="hash",
+            value_bits=5,
+        )
+
+    cols = (np.arange(40) % 7, np.arange(40) + 1, np.full(40, 4), np.arange(40))
+    sink = Collector(path_factory(), num_shards=4, seed=0)
+    sink.ingest_batch(*cols, now=1.0)
+    flows = sink.flows(list(range(8)))
+    assert flows[7] is None and flows[0] is sink.flow(0)
+    for consumer in flows[:7]:
+        assert consumer.result() is None or isinstance(consumer.result(), list)
+        assert 0.0 <= consumer.coverage <= 1.0
+        assert isinstance(consumer.decode_errors, int)
+    assert isinstance(sink.snapshot().as_dict()["state_bytes"], int)
+    # bench/micro.py drives a factory-built consumer directly.
+    consumer = path_factory()(3)
+    consumer.consume_slice(*cols[1:], 0, 1)
+    consumer.consume_batch(cols[1][1:9], cols[2][1:9], cols[3][1:9])
+    assert isinstance(consumer.decode_errors, int)
+    fresh = Collector(path_factory(), num_shards=4, seed=0)
+    restore_collector(fresh, capture_checkpoint(sink))
+    assert fresh.snapshot().as_dict() == sink.snapshot().as_dict()
+    cong = Collector(congestion_consumer_factory(bits=8, seed=0), num_shards=4)
+    cong.ingest_batch(*cols, now=1.0)
+    assert cong.flow(3).max_code == 38 and cong.flow(3).result() is not None

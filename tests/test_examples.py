@@ -30,7 +30,7 @@ class TestExamplesRun:
         assert "bottleneck util" in out
 
     def test_loop_detection(self, capsys):
-        _load("loop_detection").main()
+        _load("loop_detection").main(packets=200, fp_packets=2000)
         out = capsys.readouterr().out
         assert "false positives" in out
 
@@ -53,7 +53,7 @@ class TestExamplesRun:
 
     @pytest.mark.slow
     def test_path_tracing_isp(self, capsys):
-        _load("path_tracing_isp").main()
+        _load("path_tracing_isp").main(trials=2)
         out = capsys.readouterr().out
         assert "PINT 2x(b=8)" in out
 

@@ -22,7 +22,7 @@ from repro.coding import (
     multilayer_scheme,
     pack_reps,
 )
-from repro.coding import decoder as decoder_mod
+from repro.coding import store as store_mod
 from repro.collector import path_consumer_factory
 from repro.collector.consumers import consume_groups
 from repro.net import fat_tree
@@ -388,13 +388,13 @@ class TestShape:
         entry candidate table; the pass runs the flows in runs that
         stay under ``TABLE_BLOCK``."""
         runs = []
-        real = decoder_mod.FixpointPeel
+        real = store_mod.FixpointPeel
 
         def counting(context, ks):
             runs.append(int(ks.sum()) * int(context.universe.size))
             return real(context, ks)
 
-        monkeypatch.setattr(decoder_mod, "FixpointPeel", counting)
+        monkeypatch.setattr(store_mod, "FixpointPeel", counting)
         rng = np.random.default_rng(8)
         universe = list(range(1000, 4000))
         paths = {
@@ -407,7 +407,7 @@ class TestShape:
         batched, scalar = counted(universe, kwargs), sink(universe, kwargs)
         feed_batched(batched, cols, 8192)
         assert len(runs) >= 2
-        assert max(runs) <= decoder_mod.TABLE_BLOCK
+        assert max(runs) <= store_mod.TABLE_BLOCK
         feed_scalar(scalar, cols)
         assert_same(batched, scalar)
         assert sum(fallbacks(batched).values()) == 0

@@ -147,18 +147,21 @@ class TestCheckpointFormat:
 
     def test_v2_blob_rejected_before_unpickling(self):
         # v3 changed the pickled decoder shape (open hops only: no
-        # singleton candidate arrays, no resolved pending entries).  A
-        # v2-framed blob is refused on its header; its payload -- here
-        # one that records being loaded -- is never unpickled.
+        # singleton candidate arrays, no resolved pending entries) and
+        # v4 replaced pickled path/congestion consumers by one store
+        # capture per collector.  A v2- or v3-framed blob is refused on
+        # its header; its payload -- here one that records being loaded
+        # -- is never unpickled.
         del _UNPICKLED[:]
         blob = bytearray(encode_checkpoint({"collector": _Tripwire()}))
-        blob[4:6] = (2).to_bytes(2, "little")
-        with pytest.raises(CheckpointVersionError) as exc:
-            decode_checkpoint(bytes(blob))
-        assert exc.value.version == 2
-        assert CHECKPOINT_VERSION == 3
+        for stale in (2, 3):
+            blob[4:6] = stale.to_bytes(2, "little")
+            with pytest.raises(CheckpointVersionError) as exc:
+                decode_checkpoint(bytes(blob))
+            assert exc.value.version == stale
+        assert CHECKPOINT_VERSION == 4
         assert not _UNPICKLED
-        blob[4:6] = (3).to_bytes(2, "little")
+        blob[4:6] = (4).to_bytes(2, "little")
         decode_checkpoint(bytes(blob))
         assert _UNPICKLED == ["loaded"]
 

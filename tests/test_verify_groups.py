@@ -2,8 +2,9 @@
 
 Once a flow's path is decoded every further digest is only a
 consistency check (paper §7).  ``consume_groups`` checks all such
-flows of a batch in one pass per context
-(``batchdecode.verify_path_groups``); these tests pin that pass, bit
+flows of a batch in one pass per store
+(``consumers.fold_rows`` -> ``PathStateStore.verify``); these tests pin
+that pass, bit
 for bit, to the two references it replaces work for: the per-flow
 ``observe_batch`` scan and the scalar ``observe`` loop.
 """
@@ -300,9 +301,9 @@ class TestCrossFlowVerification:
     def test_fragment_sink_bypasses_the_pass(self, monkeypatch):
         """Complete fragment-mode flows keep their per-flow path."""
         calls = []
-        real = consumers_mod.verify_path_groups
+        real = consumers_mod.fold_rows
         monkeypatch.setattr(
-            consumers_mod, "verify_path_groups",
+            consumers_mod, "fold_rows",
             lambda *a: (calls.append(len(a[1])), real(*a)),
         )
         encs = make_encoders("fragment", 1, 7, [3, 5, 6])
