@@ -28,10 +28,11 @@ turns a row into a decoder and back for everything record-at-a-time.
 A flow whose digests conflict is never half-written: its row is left
 as it was and handed back to the caller, who replays the records
 through the scalar reference (Basil's execute / validate / re-run,
-PAPERS.md).  :class:`RowStore` is what any per-sink column store
-shares: rows recycled behind a per-row epoch, and the flow-id index
-that finds a batch's *steady* flows -- those whose records fold without
-grouping the batch by flow.
+PAPERS.md).  :class:`RowStore` is what any per-sink store shares:
+rows recycled behind a per-row epoch, the flow table's bookkeeping as
+three columns of the same rows, and the flow-id index that finds a
+batch's *steady* flows -- those whose records fold without grouping
+the batch by flow.
 """
 
 from __future__ import annotations
@@ -55,6 +56,11 @@ ADJACENCY = "adjacency"
 #: Every ``reason`` label of a sink's
 #: ``pint_collector_decode_fallback_flows_total``.
 FALLBACK_REASONS = (*CONFLICT_REASONS.values(), ADJACENCY)
+
+#: What snapshots charge per flow beside its decoding state:
+#: ``sys.getsizeof`` of a slot-less CPython object, which is what a path
+#: or congestion consumer was when the accounting was pinned.
+OBJECT_BYTES = 56
 
 #: Columns start at ``_FIRST`` entries and grow by ``_GROWTH``.  The
 #: flow-id index has at least ``_BUCKETS`` buckets, ``_SPARSE`` per
@@ -84,13 +90,17 @@ def narrow(arr: np.ndarray) -> np.ndarray:
 class RowStore:
     """Rows for the live flows of one sink, recycled through a free list.
 
-    A released row keeps its place in the per-row columns
-    (:attr:`ROW_COLUMNS`, named by the subclass); :attr:`epoch` (a
-    plain list: only ever read one row at a time) is what makes reuse
-    safe -- every allocation stamps the row with a number never used
-    before and a release zeroes it, so whoever still holds ``(row,
-    epoch)`` of an evicted flow can tell the row is no longer theirs.
-    To the array passes a released row simply reads as not steady.
+    A row is the whole of a flow's place in its sink: beside the
+    per-row columns the subclass names (:attr:`ROW_COLUMNS`) it carries
+    the flow table's bookkeeping -- ``last_seen``, ``flow_records``
+    (records the table accounted to the flow) and ``generation`` --
+    which the tables of the sink's shards write and nobody else.  A
+    released row keeps its place in the columns; :attr:`epoch` is what
+    makes reuse safe -- every allocation stamps the row with a number
+    never used before and a release zeroes it, so whoever still holds
+    ``(row, epoch)`` of an evicted flow can tell the row is no longer
+    theirs.  To the array passes a released row simply reads as not
+    steady.
 
     The flow-id index (:meth:`steady_rows`) exists once somebody asks
     and is kept incrementally: a direct-mapped table from a hash of
@@ -101,12 +111,16 @@ class RowStore:
     """
 
     ROW_COLUMNS: Tuple[str, ...] = ()
+    _OWN = ("flow_id", "epoch", "last_seen", "flow_records", "generation")
 
     def __init__(self) -> None:
         #: High-water mark: rows ``[0, rows)`` are live or on the free list.
         self.rows = 0
         self.flow_id = np.zeros(0, dtype=np.int64)
-        self.epoch: List[int] = []
+        self.epoch = np.zeros(0, dtype=np.int64)
+        self.last_seen = np.zeros(0, dtype=np.float64)
+        self.flow_records = np.zeros(0, dtype=np.int64)
+        self.generation = np.zeros(0, dtype=np.int64)
         self._epochs = 0
         self._free: List[int] = []
         self._index: Optional[np.ndarray] = None
@@ -128,18 +142,37 @@ class RowStore:
 
     def alloc(self, flow_id: int) -> int:
         """A clean row for ``flow_id`` (its epoch is ``epoch[row]``)."""
-        self._epochs = epoch = self._epochs + 1
         if self._free:
             row = self._free.pop()
-            self.epoch[row] = epoch
         else:
             row = self.rows
             if row == self.flow_id.shape[0]:
-                self._fit(("flow_id",) + self.ROW_COLUMNS, row + 1)
+                self._fit(self._OWN + self.ROW_COLUMNS, row + 1)
             self.rows = row + 1
-            self.epoch.append(epoch)
+        self._epochs = self.epoch[row] = self._epochs + 1
         self.flow_id[row] = flow_id
+        self.flow_records[row] = 0
         return row
+
+    def alloc_many(self, flow_ids: np.ndarray) -> np.ndarray:
+        """Clean rows for ``flow_ids``: the rows, in order, that
+        :meth:`alloc` would hand out one flow at a time."""
+        count = flow_ids.shape[0]
+        reuse = min(count, len(self._free))
+        rows = np.empty(count, dtype=np.int64)
+        if reuse:
+            rows[:reuse] = self._free[:-reuse - 1:-1]
+            del self._free[-reuse:]
+        if reuse < count:
+            lo = self.rows
+            self.rows = hi = lo + count - reuse
+            self._fit(self._OWN + self.ROW_COLUMNS, hi)
+            rows[reuse:] = np.arange(lo, hi)
+        self.epoch[rows] = np.arange(self._epochs + 1, self._epochs + count + 1)
+        self._epochs += count
+        self.flow_id[rows] = flow_ids
+        self.flow_records[rows] = 0
+        return rows
 
     def release(self, row: int) -> None:
         """Return ``row`` and everything it holds; it reads clean again."""
@@ -147,7 +180,16 @@ class RowStore:
         self.epoch[row] = 0
         self._free.append(row)
 
+    def release_many(self, rows: List[int]) -> None:
+        """:meth:`release` for every row of ``rows`` (an expiry sweep)."""
+        for row in rows:
+            self.release(row)
+
     def _clear(self, row: int) -> None:
+        raise NotImplementedError
+
+    def account(self, rows: np.ndarray) -> Tuple[int, float, int]:
+        """(flows with an answer, coverage sum, state bytes) of ``rows``."""
         raise NotImplementedError
 
     def live_rows(self) -> np.ndarray:
@@ -160,12 +202,13 @@ class RowStore:
         """Start a bulk load: rows ``[0, count)`` are live and zeroed,
         on fresh epochs (every earlier handle is stale), nothing is
         indexed."""
-        self._fit(("flow_id",) + self.ROW_COLUMNS, count)
+        self._fit(self._OWN + self.ROW_COLUMNS, count)
         for name in self.ROW_COLUMNS:
             getattr(self, name)[:] = 0
         self.rows = count
         self._free = []
-        self.epoch = list(range(self._epochs + 1, self._epochs + 1 + count))
+        self.epoch[:] = 0
+        self.epoch[:count] = np.arange(self._epochs + 1, self._epochs + 1 + count)
         self._epochs += count
         self._index = None
 
@@ -645,20 +688,21 @@ class PathStateStore(RowStore):
         return columns, offsets, values.astype(np.int64)
 
     def account(self, rows: np.ndarray) -> Tuple[int, float, int]:
-        """(decoded flows, coverage sum, decoder state bytes) of ``rows``.
+        """(decoded flows, coverage sum, state bytes) of ``rows``.
 
-        The scalar decoders' accounting as arithmetic: per flow the
-        sum of ``HashDecoder.state_bytes`` / ``RawDecoder.state_bytes``
-        (8 bytes a candidate of a narrowed set, 8 -- raw: 16 -- a
-        decoded hop, 64 a parked digest, ``8 k`` once complete), and
-        ``known / k`` summed left to right in the order given, as a
-        loop over the flows would.
+        The scalar consumers' accounting as arithmetic: per flow
+        :data:`OBJECT_BYTES` plus the sum of ``HashDecoder.state_bytes``
+        / ``RawDecoder.state_bytes`` (8 bytes a candidate of a narrowed
+        set, 8 -- raw: 16 -- a decoded hop, 64 a parked digest, ``8 k``
+        once complete), and ``known / k`` summed left to right in the
+        order given, as a loop over the flows would.
         """
         ks, known = self.k[rows], self.known[rows]
         complete = (known == ks) & (ks > 0)
         coverage = np.zeros(rows.shape[0], dtype=np.float64)
         np.divide(known, ks, out=coverage, where=ks > 0)
-        total = (8 if self.hashed else 16) * int(known.sum())
+        total = OBJECT_BYTES * rows.shape[0]
+        total += (8 if self.hashed else 16) * int(known.sum())
         total += 64 * int(self.pending[rows].sum()) + 8 * int(ks[complete].sum())
         if self.hashed:
             open_ = rows[~complete & (ks > 0)]
@@ -690,9 +734,11 @@ class PathStateStore(RowStore):
         state = {name: narrow(getattr(self, name)[rows]) for name in (
             "k", "known", "packets_seen", "inconsistencies", "decode_errors",
         )}
+        settled = self.settled[src]
         state.update(
-            settled=np.packbits(self.settled[src]),
-            values=narrow(self.values[src]),
+            settled=np.packbits(settled),
+            # An open slot's value is whatever its last owner left there.
+            values=narrow(np.where(settled, self.values[src], 0)),
             narrowed=narrow(narrowed),
             pool=self.pool[cand[narrowed]],
             x_owner=narrow(owner), x_pid=self.x_pid[held],

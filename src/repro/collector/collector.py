@@ -37,8 +37,10 @@ from repro.coding.store import FALLBACK_REASONS
 from repro.collector.answers import AnswerTable
 from repro.collector.consumers import (
     ConsumerFactory,
+    ConsumerRows,
     DigestConsumer,
-    consume_groups,
+    answer_rows,
+    as_store_factory,
     fold_rows,
 )
 from repro.collector.records import Column, check_hop_range, normalize_batch
@@ -46,6 +48,12 @@ from repro.collector.shard import Shard, ShardRouter
 from repro.collector.snapshot import Snapshot
 from repro.exceptions import CollectorClosedError, RestoreError
 from repro.obs.metrics import NULL_REGISTRY, SIZE_BUCKETS
+
+
+#: A batch of at most this many flows touches them one at a time:
+#: below it, grouping flows by shard for :meth:`FlowTable.touch_many`
+#: costs more than the loop it replaces.
+_FEW_FLOWS = 64
 
 
 class IngestClock:
@@ -141,13 +149,15 @@ class Collector:
     ) -> None:
         if router is not None and router.num_shards != num_shards:
             raise ValueError("router/num_shards mismatch")
-        # A store-backed factory keeps its flows in one column store,
-        # indexed by flow id: this sink takes a store of its own.
+        # Every flow of this sink is a row of one store, shared by the
+        # shards' tables and indexed by flow id: a store of its own.
         for_sink = getattr(consumer_factory, "for_sink", None)
-        if for_sink is not None:
-            consumer_factory = for_sink()
-        self._factory = consumer_factory
-        self._store = getattr(consumer_factory, "store", None)
+        consumer_factory = (
+            for_sink() if for_sink is not None
+            else as_store_factory(consumer_factory)
+        )
+        self._store = consumer_factory.store
+        self._view = consumer_factory.view
         self.router = router if router is not None else ShardRouter(
             num_shards, seed
         )
@@ -306,7 +316,7 @@ class Collector:
         self._m_batches.inc()
         bounded = self.max_flows_per_shard is not None
         steady = None
-        if self._store is not None and not bounded:
+        if not bounded:
             with self._sp_consume:
                 steady = self._fold_steady(fids, ps, digs)
             if steady is not None:
@@ -344,44 +354,67 @@ class Collector:
             # Touch every flow of the batch once, in ascending flow-id
             # order per shard whichever way its records were folded --
             # LRU order is what the coverage sum and a checkpoint read.
-            counts = np.diff(bounds)
+            sizes = counts = np.diff(bounds)
             grouped = None
             if steady is not None:
                 group_fids = np.concatenate((steady[1], group_fids))
                 merged = np.argsort(group_fids, kind="stable")
                 group_fids = group_fids[merged]
                 counts = np.concatenate((steady[2], counts))[merged]
-                grouped = (merged >= steady[1].size).tolist()
-            if self.num_shards > 1:
-                sids = self.router.shard_of_array(group_fids).tolist()
-            else:
-                sids = [0] * int(group_fids.size)
-            shards = self.shards
-            consumers = [
-                shards[sid].touch_group(fid, count, t)
-                for fid, count, sid in zip(
-                    group_fids.tolist(), counts.tolist(), sids
-                )
-            ]
-            if grouped is not None:
                 # Merging kept the groups in their sorted order.
-                consumers = [c for c, g in zip(consumers, grouped) if g]
-            if self._store is not None and consumers:
+                grouped = merged >= steady[1].size
+            rows, touched = self._touch_flows(group_fids, counts, t)
+            if grouped is not None:
+                rows = rows[grouped]
+            if rows.size:
                 fold_rows(
-                    self._store,
-                    np.asarray([c.row for c in consumers], dtype=np.int64),
-                    bounds[:-1], np.diff(bounds), sps, shops, sdigs,
+                    self._store, rows, bounds[:-1], sizes, sps, shops, sdigs,
                     self._m_fallbacks,
                 )
-            else:
-                consume_groups(
-                    list(zip(consumers, bounds[:-1].tolist(), bounds[1:].tolist())),
-                    sps, shops, sdigs, self._m_fallbacks,
-                )
-            for sid in set(sids):
-                shards[sid].batches += 1
-                shards[sid].table.maybe_expire(t)
+            for shard in touched:
+                shard.table.maybe_expire(t)
         return n
+
+    def _touch_flows(self, fids: np.ndarray, counts: np.ndarray, t: float):
+        """Touch a batch's flows (ascending, unique; ``counts[i]``
+        records each) in their shards' tables and count the batch on
+        those shards.  Returns the flows' rows, in the order given,
+        and the shards touched."""
+        shards = self.shards
+        sids = (
+            self.router.shard_of_array(fids) if self.num_shards > 1
+            else np.zeros(fids.shape[0], dtype=np.int64)
+        )
+        if fids.shape[0] <= _FEW_FLOWS:
+            tables = [shard.table for shard in shards]
+            rows = np.asarray([
+                tables[sid].touch_row(fid, t)
+                for fid, sid in zip(fids.tolist(), sids.tolist())
+            ], dtype=np.int64)
+            self._store.flow_records[rows] += counts
+        else:
+            # Shard-major, ascending flow id within a shard.
+            order = np.argsort(sids, kind="stable")
+            cuts = np.searchsorted(
+                sids[order], np.arange(self.num_shards + 1)
+            ).tolist()
+            sorted_fids, sorted_counts = fids[order], counts[order]
+            sorted_rows = np.empty_like(order)
+            for shard, lo, hi in zip(shards, cuts, cuts[1:]):
+                if hi > lo:
+                    sorted_rows[lo:hi] = shard.table.touch_many(
+                        sorted_fids[lo:hi], sorted_counts[lo:hi], t
+                    )
+            rows = np.empty_like(order)
+            rows[order] = sorted_rows
+        touched = []
+        records = np.bincount(sids, counts, self.num_shards).tolist()
+        for shard, count in zip(shards, records):
+            if count:
+                shard.records += int(count)
+                shard.batches += 1
+                touched.append(shard)
+        return rows, touched
 
     def _fold_steady(self, fids, ps, digs):
         """Fold the records of steady flows where they stand.
@@ -423,8 +456,8 @@ class Collector:
         *table* operations only -- touch, capacity eviction, amortised
         TTL sweep -- so eviction victims and counters are exactly those
         of record-at-a-time ingestion, then folds each surviving flow
-        incarnation's contiguous slice into its consumer
-        (:func:`~repro.collector.consumers.consume_groups`, like the
+        incarnation's contiguous slice into its row
+        (:func:`~repro.collector.consumers.fold_rows`, like the
         per-group fast path).
         Records that preceded a mid-batch eviction of their flow are
         dropped without consumer work: the scalar path folds them into
@@ -466,29 +499,43 @@ class Collector:
             seen: dict = {}
             for f in sub.tolist():
                 created_before = table.created
-                entry = table.touch(f, t)
+                table.touch_row(f, t)
                 if table.created != created_before:
                     start_at[f] = seen.get(f, 0)
-                entry.records += 1
                 seen[f] = seen.get(f, 0) + 1
                 table.maybe_expire(t)
             for f in flows:
-                entry = table.get(f)
-                if entry is None:
+                row = table.index.get(f)
+                if row is None:
                     continue  # evicted after its last record
                 lo, hi = slice_of[f]
-                groups.append((entry.consumer, lo + start_at.get(f, 0), hi))
+                lo += start_at.get(f, 0)
+                groups.append((row, lo, hi - lo))
             shard.records += int(sub.shape[0])
             shard.batches += 1
-        consume_groups(groups, sps, shops, sdigs, self._m_fallbacks)
+        if groups:
+            # A surviving incarnation is accounted the records it folds.
+            rows, starts, sizes = np.asarray(groups, dtype=np.int64).T
+            self._store.flow_records[rows] += sizes
+            fold_rows(
+                self._store, rows, starts, sizes, sps, shops, sdigs,
+                self._m_fallbacks,
+            )
 
     # -- queries -----------------------------------------------------------
 
     def flow(self, flow_id: int) -> Optional[DigestConsumer]:
-        """The flow's live consumer, or None if absent/evicted."""
+        """The flow's live consumer (for a row of a column store, a
+        handle built on demand), or None if absent/evicted."""
         shard = self.shards[self.router.shard_of(flow_id)]
-        entry = shard.table.get(flow_id)
-        return entry.consumer if entry is not None else None
+        row = shard.table.index.get(flow_id)
+        return None if row is None else self._view(row)
+
+    def _rows_of(self, fids: np.ndarray) -> List[int]:
+        """Each flow's row (-1: not live), routed with one hash pass."""
+        tables = [shard.table.index for shard in self.shards]
+        sids = self.router.shard_of_array(fids).tolist()
+        return [tables[sid].get(fid, -1) for fid, sid in zip(fids.tolist(), sids)]
 
     def flows(self, flow_ids) -> List[Optional[DigestConsumer]]:
         """Bulk :meth:`flow`, in input order, routed with one hash pass.
@@ -500,13 +547,10 @@ class Collector:
         fids = np.asarray(flow_ids, dtype=np.int64)
         if fids.size == 0:
             return []
-        out: List[Optional[DigestConsumer]] = []
-        tables = [shard.table for shard in self.shards]
-        sids = self.router.shard_of_array(fids).tolist()
-        for fid, sid in zip(fids.tolist(), sids):
-            entry = tables[sid].get(fid)
-            out.append(entry.consumer if entry is not None else None)
-        return out
+        view = self._view
+        return [
+            view(row) if row >= 0 else None for row in self._rows_of(fids)
+        ]
 
     def result(self, flow_id: int):
         """The flow's query answer, or None (unknown flow / undecoded)."""
@@ -521,42 +565,23 @@ class Collector:
         list of your own with :meth:`AnswerTable.rows_of`; unknown and
         evicted ids get no row).  Rows ascend by flow id whatever the
         shard layout, so any sink fed the same records returns an equal
-        table.  The consumers' own kind builds it
-        (``DigestConsumer.answer_table``; a sink holds one query's
-        consumers).  Strictly a read: no LRU touch, no consumer state
-        written -- a checkpoint taken before and after is the same
-        bytes.
+        table.  The store builds it (:func:`~repro.collector.consumers.
+        answer_rows`; a sink holds one query's flows).  Strictly a
+        read: no LRU touch, no consumer state written -- a checkpoint
+        taken before and after is the same bytes.
         """
         with self._sp_answers:
             store = self._store
-            table = AnswerTable.empty()
-            consumers: List[DigestConsumer] = []
-            if flow_ids is None and store is not None:
+            if flow_ids is None:
                 # Every allocated row of this sink's store is a live flow.
                 rows = store.live_rows()
                 rows = rows[np.argsort(store.flow_id[rows])]
-                if rows.size:
-                    table = AnswerTable(
-                        store.kind, store.flow_id[rows], *store.answers(rows)
-                    )
-            elif flow_ids is None:
-                fids: List[int] = []
-                for shard in self.shards:
-                    for fid, entry in shard.table.items():
-                        fids.append(fid)
-                        consumers.append(entry.consumer)
-                ids = np.asarray(fids, dtype=np.int64)
-                order = np.argsort(ids)
-                ids = ids[order]
-                consumers = [consumers[i] for i in order.tolist()]
             else:
-                wanted = np.unique(np.asarray(flow_ids, dtype=np.int64))
-                found = self.flows(wanted)
-                live = [i for i, c in enumerate(found) if c is not None]
-                ids = wanted[live]
-                consumers = [found[i] for i in live]
-            if consumers:
-                table = type(consumers[0]).answer_table(ids, consumers)
+                rows = np.asarray(self._rows_of(
+                    np.unique(np.asarray(flow_ids, dtype=np.int64))
+                ), dtype=np.int64)
+                rows = rows[rows >= 0]
+            table = answer_rows(store, rows)
         self._m_answer_rows.inc(len(table))
         return table
 
@@ -627,13 +652,10 @@ class Collector:
                 for s, table in zip(self.shards, tables)
             ],
         }
-        if self._store is not None:
-            rows = [h.row for table in tables for h in table["consumers"]]
+        if not isinstance(self._store, ConsumerRows):
             state["store"] = self._store.state_dict(
-                np.asarray(rows, dtype=np.int64)
+                np.concatenate([s.table.rows() for s in self.shards])
             )
-            for table in tables:
-                table["consumers"] = len(table["consumers"])
         return state
 
     def load_state(self, state: Dict) -> None:
@@ -653,7 +675,8 @@ class Collector:
                 f"collector has {self.num_shards}; restore requires an "
                 "identical layout"
             )
-        if ("store" in state) != (self._store is not None):
+        columnar = "store" in state
+        if columnar == isinstance(self._store, ConsumerRows):
             raise RestoreError(
                 "checkpoint and collector disagree on whether flows are "
                 "store rows; restore requires the same consumer factory"
@@ -664,11 +687,13 @@ class Collector:
         # clock from a live one.
         mode = state["clock"]["mode"]
         self.clock.mode = mode and sys.intern(mode)
-        row = 0
-        if self._store is not None:
-            # Every handle the tables hold goes stale here; each table
-            # gets handles of its own run of the loaded rows.
+        # Every row goes back before the store takes the capture's;
+        # each table then owns its run of the loaded rows.
+        for shard in self.shards:
+            shard.table.clear()
+        if columnar:
             self._store.load_state(state["store"])
+        row = 0
         for shard_state in state["shards"]:
             shard = self.shards[shard_state["shard_id"]]
             shard.records = shard_state["records"]
@@ -676,14 +701,11 @@ class Collector:
             shard.degraded = shard_state["degraded"]
             shard.records_lost = shard_state["records_lost"]
             table = shard_state["table"]
-            if self._store is not None:
-                fids = table["flow_id"].tolist()
-                table = {**table, "consumers": [
-                    self._factory.restore(row + i, fid)
-                    for i, fid in enumerate(fids)
-                ]}
-                row += len(fids)
-            shard.table.load_state(table)
+            rows = None
+            if columnar:
+                rows = np.arange(row, row + table["consumers"])
+                row += table["consumers"]
+            shard.table.load_state(table, rows)
 
     def _check_open(self) -> None:
         """Writes into a closed collector must fail like the parallel

@@ -21,10 +21,12 @@ overrides it with a columnar one.
 A sink's path flows (raw and hash digests) and congestion flows do not
 live in consumer objects at all: their state is a row of the one
 column store their factory owns (:class:`repro.coding.store.
-PathStateStore`, :class:`CongestionStore`), and what the flow table
-holds per flow is a three-slot *handle* (:class:`PathFlowHandle`,
-:class:`CongestionFlowHandle`) that answers the consumer API off the
-columns.  A batch folds into the store in array passes
+PathStateStore`, :class:`CongestionStore`), the flow table holds
+nothing per flow but that row's number, and a three-slot *handle*
+(:class:`PathFlowHandle`, :class:`CongestionFlowHandle`) answering the
+consumer API off the columns is built when somebody asks for the flow.
+Sinks whose flows *are* objects keep them in a :class:`ConsumerRows`,
+so every table deals in rows.  A batch folds into the store in array passes
 (:func:`fold_rows`); the object consumers below stay the scalar
 specification, the form a handle takes when it is pickled or fed one
 record, and what a consumer built directly is.
@@ -33,6 +35,7 @@ record, and what a consumer built directly is.
 from __future__ import annotations
 
 import sys
+import weakref
 from itertools import chain
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -53,7 +56,13 @@ from repro.coding import (
     unpack_reps,
     unpack_reps_array,
 )
-from repro.coding.store import ADJACENCY, PathStateStore, RowStore, spans
+from repro.coding.store import (
+    ADJACENCY,
+    OBJECT_BYTES,
+    PathStateStore,
+    RowStore,
+    spans,
+)
 from repro.collector.answers import CONGESTION, PATH, AnswerTable
 from repro.collector.batchdecode import (
     CarrierCache,
@@ -65,12 +74,6 @@ from repro.hashing import GlobalHash, reservoir_carrier
 
 #: A factory the flow table calls to build one consumer per live flow.
 ConsumerFactory = Callable[[int], "DigestConsumer"]
-
-#: What snapshots charge per consumer: ``sys.getsizeof`` of a slot-less
-#: CPython object, which is what a path or congestion consumer was when
-#: the accounting was pinned -- a constant now that a sink's flows are
-#: store rows behind a handle of another size.
-OBJECT_BYTES = 56
 
 
 class DigestConsumer:
@@ -142,29 +145,6 @@ class DigestConsumer:
     def state_bytes(self) -> int:
         """Rough resident-state estimate (snapshot memory accounting)."""
         return sys.getsizeof(self)
-
-    def release(self) -> None:
-        """The flow table dropped this flow (eviction, expiry, restore).
-
-        Called once on every path a flow leaves a table by; an object
-        consumer is simply garbage afterwards, a handle gives its row
-        back.
-        """
-
-    @classmethod
-    def account(
-        cls, consumers: Sequence["DigestConsumer"]
-    ) -> Tuple[int, float, int]:
-        """(complete flows, coverage sum, state bytes) of ``consumers``.
-
-        The snapshot aggregates of a flow table, in one pass; coverage
-        is summed left to right in the order given.
-        """
-        return (
-            sum(1 for c in consumers if c.is_complete),
-            float(sum(c.coverage for c in consumers)),
-            sum(c.state_bytes() for c in consumers),
-        )
 
     @classmethod
     def answer_table(
@@ -714,25 +694,25 @@ def _revive(cls, state: dict) -> "DigestConsumer":
 
 
 class RowHandle(DigestConsumer):
-    """A flow whose state is one row of its sink's column store.
+    """A view of a flow whose state is one row of its sink's column store.
 
-    What a store-backed factory hands the flow table in place of a
-    consumer object: the ``store``, the flow's ``row`` and the
-    ``epoch`` the row was allocated under.  Batches never go through
-    it (the rows of all touched flows fold at once, :func:`fold_rows`);
-    it answers the consumer API off the columns, one flow at a time,
-    and pickles to the consumer object with equal state
-    (``materialise``).  Once the flow is evicted the row's epoch moves
-    on and the handle reads as a flow that never saw a record, whoever
-    owns the row next; feeding it raises.
+    Built when somebody asks for the flow's consumer -- nothing keeps
+    one per flow: the ``store``, the flow's ``row`` and the ``epoch``
+    the row was allocated under.  Batches never go through it (the
+    rows of all touched flows fold at once, :func:`fold_rows`); it
+    answers the consumer API off the columns, one flow at a time, and
+    pickles to the consumer object with equal state (``materialise``).
+    Once the flow is evicted the row's epoch moves on and the handle
+    reads as a flow that never saw a record, whoever owns the row
+    next; feeding it raises.
     """
 
-    __slots__ = ("store", "row", "epoch")
+    __slots__ = ("store", "row", "epoch", "__weakref__")
 
     def __init__(self, store: RowStore, row: int) -> None:
         self.store = store
         self.row = row
-        self.epoch = store.epoch[row]
+        self.epoch = int(store.epoch[row])
 
     kind = property(lambda self: self.store.kind)
     context = property(lambda self: self.store.context)
@@ -748,10 +728,6 @@ class RowHandle(DigestConsumer):
             raise LookupError("flow state was evicted; fetch a fresh handle")
         return self.row
 
-    def release(self) -> None:
-        if self.live:
-            self.store.release(self.row)
-
     def consume_batch(self, pids, hop_counts, digests) -> None:
         cols = np.asarray(pids), np.asarray(hop_counts), np.asarray(digests)
         self.consume_slice(*cols, 0, len(pids))
@@ -762,26 +738,13 @@ class RowHandle(DigestConsumer):
             fold_rows(self.store, *group, pids, hop_counts, digests)
 
     def state_bytes(self) -> int:
-        return self.account([self])[2] if self.live else OBJECT_BYTES
+        if not self.live:
+            return OBJECT_BYTES
+        return self.store.account(np.asarray([self.row]))[2]
 
     def __reduce__(self):
         consumer = self.materialise()
         return _revive, (type(consumer), vars(consumer))
-
-    @classmethod
-    def account(cls, consumers) -> Tuple[int, float, int]:
-        """Column arithmetic (``store.account``) plus what every
-        consumer is charged for existing."""
-        rows = np.asarray([c.row for c in consumers], dtype=np.int64)
-        done, coverage, nbytes = consumers[0].store.account(rows)
-        return done, coverage, nbytes + OBJECT_BYTES * len(consumers)
-
-    @classmethod
-    def answer_table(cls, flow_ids, consumers) -> AnswerTable:
-        """Column slices and one CSR gather (``store.answers``)."""
-        store = consumers[0].store
-        rows = np.asarray([c.row for c in consumers], dtype=np.int64)
-        return AnswerTable(store.kind, flow_ids, *store.answers(rows))
 
 
 class PathFlowHandle(RowHandle):
@@ -902,7 +865,7 @@ class CongestionStore(RowStore):
 
     def account(self, rows: np.ndarray) -> Tuple[int, float, int]:
         seen = int(np.count_nonzero(self.records[rows]))
-        return seen, float(seen), 0
+        return seen, float(seen), OBJECT_BYTES * rows.shape[0]
 
     def state_dict(self, rows: np.ndarray) -> dict:
         return {name: getattr(self, name)[rows] for name in self.ROW_COLUMNS}
@@ -938,6 +901,54 @@ class CongestionFlowHandle(RowHandle):
         self.consume_slice(None, None, np.asarray([digest]), 0, 1)
 
 
+class ConsumerRows(RowStore):
+    """The minimal store of a sink whose flows are consumer objects
+    (fragment-mode, topology-aware, latency): rows carry the flow
+    table's bookkeeping and one column more, the list of those objects
+    (None where a row is free)."""
+
+    def __init__(self, factory: ConsumerFactory) -> None:
+        super().__init__()
+        self.factory = factory
+        self.consumers: List[Optional[DigestConsumer]] = []
+
+    def alloc(self, flow_id: int) -> int:
+        return int(self.alloc_many(np.asarray([flow_id], dtype=np.int64))[0])
+
+    def alloc_many(self, flow_ids: np.ndarray, consumers=None) -> np.ndarray:
+        """Rows holding ``consumers`` (default: new, from the factory)."""
+        if consumers is None:
+            # Built first: a factory that raises must leave no row behind.
+            consumers = [self.factory(fid) for fid in flow_ids.tolist()]
+        rows = super().alloc_many(flow_ids)
+        held = self.consumers
+        held.extend([None] * (self.rows - len(held)))
+        for row, consumer in zip(rows.tolist(), consumers):
+            held[row] = consumer
+        return rows
+
+    def _clear(self, row: int) -> None:
+        self.consumers[row] = None
+
+    def steady_rows(self, fids: np.ndarray) -> None:
+        """No flow folds without its group: objects take slices."""
+        return None
+
+    def of(self, rows: np.ndarray) -> List[DigestConsumer]:
+        held = self.consumers
+        return [held[row] for row in rows.tolist()]
+
+    def account(self, rows: np.ndarray) -> Tuple[int, float, int]:
+        """(complete flows, coverage sum, state bytes) of ``rows``;
+        coverage is summed left to right in the order given."""
+        consumers = self.of(rows)
+        return (
+            sum(1 for c in consumers if c.is_complete),
+            float(sum(c.coverage for c in consumers)),
+            sum(c.state_bytes() for c in consumers),
+        )
+
+
 def store_factory(make_store: Callable[[], RowStore], handle) -> ConsumerFactory:
     """A consumer factory whose flows are rows of one column store.
 
@@ -946,21 +957,42 @@ def store_factory(make_store: Callable[[], RowStore], handle) -> ConsumerFactory
     so a :class:`~repro.collector.collector.Collector` does not use the
     factory it is given but ``for_sink()``'s, with a store of its own;
     the original keeps serving direct calls.  ``store`` and
-    ``restore(row, flow_id)`` (the handle of a row of a just-loaded
-    store) are what a checkpoint goes through.
+    ``view(row)`` are what a flow table goes through: rows are all it
+    keeps, and a handle is built when somebody asks for a flow --
+    the same object for as long as anyone holds it.
     """
     store = make_store()
+    held: "weakref.WeakValueDictionary[int, RowHandle]" = (
+        weakref.WeakValueDictionary()
+    )
 
     def factory(flow_id: int) -> RowHandle:
         return handle(store, store.alloc(flow_id))
 
-    def restore(row: int, flow_id: int) -> RowHandle:
-        store.flow_id[row] = flow_id
-        return handle(store, row)
+    def view(row: int) -> RowHandle:
+        seen = held.get(row)
+        if seen is None or not seen.live:
+            held[row] = seen = handle(store, row)
+        return seen
 
-    factory.store, factory.restore = store, restore
+    factory.store, factory.view = store, view
     factory.for_sink = lambda: store_factory(make_store, handle)
     return factory
+
+
+def as_store_factory(factory: ConsumerFactory) -> ConsumerFactory:
+    """``factory`` with a ``store`` and a ``view(row)`` to its name: a
+    :func:`store_factory` as it is, any other around a
+    :class:`ConsumerRows` that keeps the consumers it builds."""
+    if hasattr(factory, "store"):
+        return factory
+    store = ConsumerRows(factory)
+
+    def wrapped(flow_id: int) -> DigestConsumer:
+        return store.consumers[store.alloc(flow_id)]
+
+    wrapped.store, wrapped.view = store, store.consumers.__getitem__
+    return wrapped
 
 
 def path_consumer_factory(universe: Sequence[int], **kwargs) -> ConsumerFactory:
@@ -997,8 +1029,16 @@ def fold_rows(
     rebuilds it from the *next* row's hop count, the re-convergence a
     reroute triggers.  Every flow handed over is counted, by reason,
     on ``fallbacks`` (a counter per
-    :data:`repro.coding.store.FALLBACK_REASONS`).
+    :data:`repro.coding.store.FALLBACK_REASONS`).  Rows of a
+    :class:`ConsumerRows` are objects: each folds its own slice
+    (:func:`consume_groups`).
     """
+    if isinstance(store, ConsumerRows):
+        consume_groups(
+            list(zip(store.of(rows), starts.tolist(), (starts + sizes).tolist())),
+            pids, hop_counts, digests, fallbacks,
+        )
+        return
     for j, reason in store.fold(rows, starts, sizes, pids, hop_counts, digests):
         if fallbacks is not None:
             fallbacks[reason].inc()
@@ -1010,6 +1050,19 @@ def fold_rows(
         ):
             consumer.consume(*record)
         store.absorb(row, consumer._decoder, consumer.decode_errors)
+
+
+def answer_rows(store: RowStore, rows: np.ndarray) -> AnswerTable:
+    """The answers of the flows in ``rows`` of a sink's ``store``
+    (ascending flow id): column slices and one CSR gather, or what the
+    consumers' own kind builds from its objects."""
+    if not rows.size:
+        return AnswerTable.empty()
+    flow_ids = store.flow_id[rows]
+    if isinstance(store, ConsumerRows):
+        consumers = store.of(rows)
+        return type(consumers[0]).answer_table(flow_ids, consumers)
+    return AnswerTable(store.kind, flow_ids, *store.answers(rows))
 
 
 def consume_groups(groups, pids, hop_counts, digests, fallbacks=None) -> None:

@@ -11,46 +11,86 @@ flows*.  The table enforces two orthogonal limits:
   record is older than ``ttl`` on the caller's clock (sim seconds when
   driven from the DES, ingested-record count when free-running).
 
-Evicted state is simply dropped (the consumer is told, ``release()``,
-so a store-backed flow gives its row back): PINT's decoders are
-rebuildable from future packets of the same flow (every packet re-selects its layer and
-carrier by global hash), so eviction costs extra packets, not
-correctness -- the same trade BASEL makes between buffer occupancy and
-admission (PAPERS.md).
+Evicted state is simply dropped (the flow's row goes back to the
+store): PINT's decoders are rebuildable from future packets of the
+same flow (every packet re-selects its layer and carrier by global
+hash), so eviction costs extra packets, not correctness -- the same
+trade BASEL makes between buffer occupancy and admission (PAPERS.md).
+
+Most flows of a real trace are a packet or two long, so a table mostly
+*admits* flows and keeps no object per flow: a flow is a row of its
+sink's store (:class:`repro.coding.store.RowStore`), the bookkeeping
+is three columns of that store, and the table is one ordered map
+``flow_id -> row`` -- the single source of LRU order -- plus three
+counters.  :class:`FlowEntry` is a view built when somebody asks.
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
-from typing import Iterator, Optional, Tuple
+from collections import OrderedDict, deque
+from itertools import repeat
+from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
-from repro.coding.store import narrow
-from repro.collector.consumers import ConsumerFactory, DigestConsumer
+from repro.coding.store import RowStore, narrow
+from repro.collector.consumers import (
+    ConsumerFactory,
+    ConsumerRows,
+    DigestConsumer,
+    as_store_factory,
+)
+
+
+def _column(name: str, cast: Callable[[Any], Any], doc: str) -> property:
+    """A :class:`FlowEntry` attribute living in the store column ``name``."""
+
+    def read(entry: "FlowEntry") -> Any:
+        return cast(getattr(entry._store, name)[entry.row] if entry.live else 0)
+
+    def write(entry: "FlowEntry", value: Any) -> None:
+        if not entry.live:
+            raise LookupError("flow was evicted; fetch a fresh entry")
+        getattr(entry._store, name)[entry.row] = value
+
+    return property(read, write, doc=doc)
 
 
 class FlowEntry:
-    """One live flow: its consumer plus bookkeeping."""
+    """A view of one live flow: its consumer plus bookkeeping.
 
-    __slots__ = ("flow_id", "consumer", "last_seen", "records", "generation")
+    Reads and writes go to the columns of the table's store.  The view
+    remembers the epoch its row was allocated under: once the flow is
+    evicted it reads as one that was never touched (zeros, ``live``
+    false) and writing through it raises, whoever owns the row next.
+    """
+
+    __slots__ = ("_store", "flow_id", "row", "epoch", "consumer")
 
     def __init__(
-        self, flow_id: int, consumer: DigestConsumer, now: float, generation: int
+        self, store: RowStore, flow_id: int, row: int, consumer: DigestConsumer
     ) -> None:
+        self._store = store
         self.flow_id = flow_id
+        self.row = row
+        self.epoch = int(store.epoch[row])
         self.consumer = consumer
-        self.last_seen = now
-        self.records = 0
-        #: Table-wide creation sequence number: a re-created entry
-        #: (post-eviction) always carries a higher generation than its
-        #: predecessor, letting tests assert clean re-init without the
-        #: table remembering every flow_id it ever saw.
-        self.generation = generation
+
+    @property
+    def live(self) -> bool:
+        """False once the flow left its table."""
+        return bool(self._store.epoch[self.row] == self.epoch)
+
+    last_seen = _column("last_seen", float, "Clock reading of the last touch.")
+    records = _column("flow_records", int, "Records accounted to the flow.")
+    #: A re-created entry (post-eviction) always carries a higher
+    #: generation than its predecessor, letting tests assert clean
+    #: re-init without the table remembering every flow_id it ever saw.
+    generation = _column("generation", int, "Table-wide creation sequence number.")
 
 
 class FlowTable:
-    """LRU/TTL-bounded mapping of flow_id -> :class:`FlowEntry`."""
+    """LRU/TTL-bounded mapping of flow_id -> row of the sink's store."""
 
     def __init__(
         self,
@@ -62,10 +102,15 @@ class FlowTable:
             raise ValueError("max_flows must be >= 1")
         if ttl is not None and ttl <= 0:
             raise ValueError("ttl must be positive")
-        self.consumer_factory = consumer_factory
+        factory: Any = as_store_factory(consumer_factory)
+        #: Where the flows live; shared with the other tables of a sink.
+        self.store: RowStore = factory.store
+        #: The consumer in a row: an object, or a handle built on demand.
+        self.view: Callable[[int], DigestConsumer] = factory.view
         self.max_flows = max_flows
         self.ttl = ttl
-        self._entries: "OrderedDict[int, FlowEntry]" = OrderedDict()
+        #: flow_id -> row, least recently touched first.
+        self.index: "OrderedDict[int, int]" = OrderedDict()
         # Counters surfaced in snapshots.
         self.created = 0
         self.lru_evictions = 0
@@ -73,56 +118,107 @@ class FlowTable:
         self._last_sweep = float("-inf")
 
     def __len__(self) -> int:
-        return len(self._entries)
+        return len(self.index)
 
     def __contains__(self, flow_id: int) -> bool:
-        return flow_id in self._entries
+        return flow_id in self.index
+
+    def _entry(self, flow_id: int, row: int) -> FlowEntry:
+        return FlowEntry(self.store, flow_id, row, self.view(row))
 
     def get(self, flow_id: int) -> Optional[FlowEntry]:
         """Look up a flow without touching LRU order."""
-        return self._entries.get(flow_id)
+        row = self.index.get(flow_id)
+        return None if row is None else self._entry(flow_id, row)
 
     def touch(self, flow_id: int, now: float) -> FlowEntry:
         """Fetch-or-create the flow's entry and mark it most recent."""
-        entry = self._entries.get(flow_id)
-        if entry is not None:
-            entry.last_seen = now
-            self._entries.move_to_end(flow_id)
-            return entry
-        self.created += 1
-        entry = FlowEntry(
-            flow_id, self.consumer_factory(flow_id), now, self.created
-        )
-        self._entries[flow_id] = entry
-        if self.max_flows is not None:
-            while len(self._entries) > self.max_flows:
-                self._entries.popitem(last=False)[1].consumer.release()
-                self.lru_evictions += 1
-        return entry
+        return self._entry(flow_id, self.touch_row(flow_id, now))
+
+    def touch_row(self, flow_id: int, now: float) -> int:
+        """:meth:`touch`, returning the flow's row instead of a view."""
+        index, store = self.index, self.store
+        row = index.get(flow_id)
+        if row is not None:
+            index.move_to_end(flow_id)
+        else:
+            self.created += 1
+            index[flow_id] = row = store.alloc(flow_id)
+            store.generation[row] = self.created
+            if self.max_flows is not None:
+                while len(index) > self.max_flows:
+                    store.release(index.popitem(last=False)[1])
+                    self.lru_evictions += 1
+        store.last_seen[row] = now
+        return row
+
+    def touch_many(
+        self, flow_ids: np.ndarray, counts: np.ndarray, now: float
+    ) -> np.ndarray:
+        """Touch a batch's flows, ``counts[i]`` records each; return rows.
+
+        ``flow_ids`` must ascend without repeats: the table ends up
+        where touching them one by one in that order (``records +=
+        count`` after each) leaves it, and that order has to be one
+        every replay of the batch reproduces -- LRU order is what
+        eviction, the coverage sum and a checkpoint read.  Misses take
+        their rows in one allocation, the columns are written once,
+        and order maintenance is one C-level pass over the map.  Only
+        a batch that overflows ``max_flows`` is order-sensitive
+        *within* itself (an early flow may be a later one's victim):
+        it goes one flow at a time, and a flow the batch itself
+        evicted again comes back as row -1.
+        """
+        index, store = self.index, self.store
+        ids = flow_ids.tolist()
+        found = list(map(index.get, ids, repeat(-1)))
+        misses = found.count(-1)
+        if self.max_flows is not None and len(index) + misses > self.max_flows:
+            for flow_id, count in zip(ids, counts.tolist()):
+                row = self.touch_row(flow_id, now)
+                store.flow_records[row] += count
+            found = list(map(index.get, ids, repeat(-1)))
+            return np.asarray(found, dtype=np.int64)
+        rows = np.asarray(found, dtype=np.int64)
+        if misses:
+            new = np.flatnonzero(rows < 0)
+            rows[new] = fresh = store.alloc_many(flow_ids[new])
+            store.generation[fresh] = np.arange(
+                self.created + 1, self.created + misses + 1
+            )
+            self.created += misses
+            index.update(zip(flow_ids[new].tolist(), fresh.tolist()))
+        if misses < len(ids):
+            # New flows are at the end by now; moving every flow there
+            # in turn leaves the batch in ascending order.
+            deque(map(index.move_to_end, ids), maxlen=0)
+        store.last_seen[rows] = now
+        store.flow_records[rows] += counts
+        return rows
+
+    def _drop(self, flow_ids: List[int]) -> int:
+        """Forget ``flow_ids`` (all live) and free their rows."""
+        self.store.release_many([self.index.pop(fid) for fid in flow_ids])
+        return len(flow_ids)
 
     def evict(self, flow_id: int) -> bool:
         """Drop one flow's state explicitly (e.g. on flow FIN)."""
-        entry = self._entries.pop(flow_id, None)
-        if entry is not None:
-            entry.consumer.release()
-        return entry is not None
+        return flow_id in self.index and self._drop([flow_id]) == 1
 
     def expire(self, now: float) -> int:
         """Sweep out flows idle for longer than ``ttl``; return count."""
         if self.ttl is None:
             return 0
         deadline = now - self.ttl
-        evicted = 0
-        # Entries are LRU-ordered, so expiry stops at the first keeper.
-        while self._entries:
-            flow_id, entry = next(iter(self._entries.items()))
-            if entry.last_seen > deadline:
+        last_seen = self.store.last_seen
+        dead = []
+        # The map is LRU-ordered, so expiry stops at the first keeper.
+        for flow_id, row in self.index.items():
+            if last_seen[row] > deadline:
                 break
-            del self._entries[flow_id]
-            entry.consumer.release()
-            evicted += 1
-        self.ttl_evictions += evicted
-        return evicted
+            dead.append(flow_id)
+        self.ttl_evictions += self._drop(dead)
+        return len(dead)
 
     def maybe_expire(self, now: float) -> int:
         """Amortised expiry: sweep at most every ``ttl / 4`` clock units."""
@@ -133,109 +229,105 @@ class FlowTable:
         self._last_sweep = now
         return self.expire(now)
 
+    def clear(self) -> None:
+        """Drop every flow (counters stay): the first half of a restore."""
+        self._drop(list(self.index))
+
     # -- accounting --------------------------------------------------------
 
     def items(self) -> Iterator[Tuple[int, FlowEntry]]:
-        """Iterate (flow_id, entry), LRU-oldest first."""
-        return iter(self._entries.items())
+        """Iterate (flow_id, entry view), LRU-oldest first."""
+        return (
+            (flow_id, self._entry(flow_id, row))
+            for flow_id, row in self.index.items()
+        )
+
+    def rows(self) -> np.ndarray:
+        """The live flows' rows, LRU-oldest first."""
+        return np.fromiter(
+            self.index.values(), dtype=np.int64, count=len(self.index)
+        )
 
     def accounting(self) -> Tuple[int, float, int]:
         """(completed flows, coverage sum, state bytes), in one pass.
 
         The three snapshot aggregates over the live flows, computed by
-        the consumers' own kind (``DigestConsumer.account``: a loop
-        over consumer objects, column arithmetic for store rows).
-        Coverage is summed in LRU order, which is the same on every
-        record-identical replay, so parallel workers reproduce the
-        serial sum bit-for-bit.
+        the store (``account``: column arithmetic, or a loop over
+        consumer objects).  Coverage is summed in LRU order, which is
+        the same on every record-identical replay, so parallel workers
+        reproduce the serial sum bit-for-bit.
 
-        State bytes: each consumer reports its own footprint, decoder
-        state included -- candidate sets, decoded values, pending XOR
-        entries -- as a sum of non-negative terms over live entries
+        State bytes: each flow is charged its own footprint, decoder
+        state included, as a sum of non-negative terms over live flows
         only, so it shrinks with eviction and can never go negative
         (tested invariant).  The table's own overhead is a
-        *content-based* estimate (base plus a per-entry slot cost),
-        never ``sys.getsizeof`` of the dict: a dict's allocated size
-        depends on its insertion/deletion history, and a
-        checkpoint-restored table -- same entries, fresh dict -- must
-        report byte-identical snapshots (the
+        *content-based* estimate (base plus a per-entry slot cost,
+        pinned when a flow was a dict slot and an entry object), never
+        ``sys.getsizeof`` of the dict: a dict's allocated size depends
+        on its insertion/deletion history, and a checkpoint-restored
+        table must report byte-identical snapshots (the
         ``restore(checkpoint(c)) == c`` property).
         """
-        consumers = [e.consumer for e in self._entries.values()]
-        n = len(consumers)
+        n = len(self.index)
         done, coverage, nbytes = (
-            type(consumers[0]).account(consumers) if n else (0, 0.0, 0)
+            self.store.account(self.rows()) if n else (0, 0.0, 0)
         )
-        per_entry = 96  # dict slot + FlowEntry slots, roughly
+        per_entry = 96
         return done, coverage, nbytes + per_entry * n + 64 + 8 * n
-
-    def completed_flows(self) -> int:
-        """Flows whose consumer currently has a decodable answer."""
-        return self.accounting()[0]
-
-    def coverage_sum(self) -> float:
-        """Sum of per-flow decode coverage over live flows (dividing by
-        the flow count gives the mean fraction of each flow's answer
-        the sink knows)."""
-        return self.accounting()[1]
-
-    def state_bytes(self) -> int:
-        """Estimated resident bytes across all live consumers."""
-        return self.accounting()[2]
 
     # -- checkpoint/restore ------------------------------------------------
 
-    def state_dict(self) -> dict:
+    def state_dict(self) -> Dict[str, Any]:
         """Everything needed to rebuild this table bit-for-bit.
 
-        Entries are captured in LRU order (oldest first) with their
+        Flows are captured in LRU order (oldest first) with their
         generations, so a restored table evicts the same victims in
         the same order and re-creates entries with the same sequence
         numbers a never-crashed table would have used.  The
-        bookkeeping is four columns; ``consumers`` holds the consumer
-        objects, which a collector whose flows are store rows replaces
-        by the store's own capture (:meth:`Collector.state_dict`).
+        bookkeeping is four column slices; ``consumers`` holds the
+        consumer objects, or -- flows whose state is the store's to
+        capture (:meth:`Collector.state_dict`) -- how many there are.
         """
-        entries = list(self._entries.values())
-        n = len(entries)
+        rows, store = self.rows(), self.store
         return {
             "created": self.created,
             "lru_evictions": self.lru_evictions,
             "ttl_evictions": self.ttl_evictions,
             "last_sweep": self._last_sweep,
-            "flow_id": narrow(np.fromiter(
-                (e.flow_id for e in entries), dtype=np.int64, count=n
-            )),
-            "last_seen": np.fromiter(
-                (e.last_seen for e in entries), dtype=np.float64, count=n
+            "flow_id": narrow(store.flow_id[rows]),
+            "last_seen": store.last_seen[rows],
+            "records": narrow(store.flow_records[rows]),
+            "generation": narrow(store.generation[rows]),
+            "consumers": (
+                store.of(rows) if isinstance(store, ConsumerRows) else len(rows)
             ),
-            "records": narrow(np.fromiter(
-                (e.records for e in entries), dtype=np.int64, count=n
-            )),
-            "generation": narrow(np.fromiter(
-                (e.generation for e in entries), dtype=np.int64, count=n
-            )),
-            "consumers": [e.consumer for e in entries],
         }
 
-    def load_state(self, state: dict) -> None:
+    def load_state(
+        self, state: Dict[str, Any], rows: Optional[np.ndarray] = None
+    ) -> None:
         """Install a :meth:`state_dict` capture, replacing live state.
 
         Counters are restored verbatim (``created`` keeps generation
-        numbering continuous across the restart) and entries are
-        reinserted in captured LRU order into a fresh dict.
+        numbering continuous across the restart) and flows are
+        reinserted in captured LRU order into a fresh map.  ``rows``
+        are the store rows already holding the captured flows' state
+        (a collector loads its column store first); without them the
+        captured consumer objects get rows here.
         """
-        for entry in self._entries.values():
-            entry.consumer.release()
-        self._entries = OrderedDict()
-        for fid, consumer, last_seen, records, generation in zip(
-            state["flow_id"].tolist(), state["consumers"],
-            state["last_seen"].tolist(), state["records"].tolist(),
-            state["generation"].tolist(),
-        ):
-            entry = FlowEntry(fid, consumer, last_seen, generation)
-            entry.records = records
-            self._entries[fid] = entry
+        self.clear()
+        store = self.store
+        flow_ids = state["flow_id"].astype(np.int64)
+        if rows is None:
+            if not isinstance(store, ConsumerRows):
+                raise TypeError("a column store's rows are its collector's to load")
+            rows = store.alloc_many(flow_ids, state["consumers"])
+        else:
+            store.flow_id[rows] = flow_ids
+        store.last_seen[rows] = state["last_seen"]
+        store.flow_records[rows] = state["records"]
+        store.generation[rows] = state["generation"]
+        self.index = OrderedDict(zip(flow_ids.tolist(), rows.tolist()))
         self.created = state["created"]
         self.lru_evictions = state["lru_evictions"]
         self.ttl_evictions = state["ttl_evictions"]

@@ -21,7 +21,7 @@ from typing import Optional
 import numpy as np
 
 from repro.collector.consumers import ConsumerFactory
-from repro.collector.flowtable import FlowEntry, FlowTable
+from repro.collector.flowtable import FlowTable
 from repro.collector.snapshot import ShardStats
 from repro.hashing import GlobalHash
 
@@ -76,28 +76,14 @@ class Shard:
 
     def ingest(
         self, flow_id: int, pid: int, hop_count: int, digest: int, now: float
-    ) -> FlowEntry:
+    ) -> None:
         """Fold one record into the flow's consumer."""
-        entry = self.table.touch(flow_id, now)
-        entry.records += 1
-        entry.consumer.consume(pid, hop_count, digest)
+        table = self.table
+        row = table.touch_row(flow_id, now)
+        table.store.flow_records[row] += 1
+        table.view(row).consume(pid, hop_count, digest)
         self.records += 1
-        self.table.maybe_expire(now)
-        return entry
-
-    def touch_group(self, flow_id: int, records: int, now: float):
-        """Account one flow's ``records`` rows of a batch; return its consumer.
-
-        The flow-table touch and the counters are paid once per
-        (batch, flow) instead of once per record -- the batching win
-        the front door's grouping exists to unlock.  Folding the rows
-        into the consumer is the caller's job: the front door decodes
-        the still-converging flows of a batch together.
-        """
-        entry = self.table.touch(flow_id, now)
-        entry.records += records
-        self.records += records
-        return entry.consumer
+        table.maybe_expire(now)
 
     def expire(self, now: float) -> int:
         """TTL sweep of this shard's table."""

@@ -592,7 +592,8 @@ class ReplayDriver:
         utilisation the network never carried to it.
         """
         entry = self.plan.select_array(trace.pid)
-        truth = trace.flow_paths()
+        # The truth as columns: every (flow, path) pair of the trace.
+        pairs = trace.path_pairs()
         path_flows = np.unique(trace.flow_id[entry == 0])
         summary = (
             summarize_delivery(len(trace), delivery, trace.flow_id)
@@ -627,17 +628,16 @@ class ReplayDriver:
             completed_under_loss = int(
                 np.isin(answers.flow_id[done], dropped_flows).sum()
             )
-            # Only decoded flows reach a Python compare: any path the
-            # flow traversed is a correct answer.
+            # Only decoded flows reach a Python loop -- the one that
+            # cuts their hops out of the CSR: any path the flow
+            # traversed is a correct answer.
             hops = answers.values.tolist()
-            for fid, lo, hi in zip(
-                answers.flow_id[done].tolist(),
-                answers.offsets[done].tolist(),
-                answers.offsets[done + 1].tolist(),
-            ):
-                traversed = {trace.paths[pid] for pid in truth[fid]}
-                if tuple(hops[lo:hi]) in traversed:
-                    correct += 1
+            correct = int(trace.traversed(answers.flow_id[done], [
+                hops[lo:hi] for lo, hi in zip(
+                    answers.offsets[done].tolist(),
+                    answers.offsets[done + 1].tolist(),
+                )
+            ], pairs).sum())
         median_err = float("nan")
         cong_flows = 0
         if cong is not None and cong.records:
@@ -672,7 +672,7 @@ class ReplayDriver:
             records=(
                 len(trace) if delivery is None else int(delivery.shape[0])
             ),
-            flows=trace.num_flows,
+            flows=int(np.unique(pairs[0]).size),
             batches=batches,
             seconds=seconds,
             path_records=path.records,

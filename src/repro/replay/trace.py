@@ -126,21 +126,64 @@ class Trace:
         flow never used is a decode error.
         """
         out: Dict[int, List[int]] = {}
-        rows = self._pair_first_rows()
-        for fid, pid in zip(
-            self.flow_id[rows].tolist(), self.path_id[rows].tolist()
-        ):
+        flows, path_ids = self.path_pairs()
+        for fid, pid in zip(flows.tolist(), path_ids.tolist()):
             lst = out.setdefault(fid, [])
             if pid not in lst:
                 lst.append(pid)
         return {fid: tuple(lst) for fid, lst in out.items()}
 
+    def path_pairs(self) -> Tuple[np.ndarray, np.ndarray]:
+        """:meth:`flow_paths` as two columns, ``(flow_id, path_id)``.
+
+        Every pair of the trace is there, in order of first
+        appearance; a pair may be there more than once (the rows are
+        the sieve's, :meth:`_pair_first_rows`) -- fine for membership
+        tests and for counting flows, which is what scoring does.
+        """
+        rows = self._pair_first_rows()
+        return self.flow_id[rows], self.path_id[rows]
+
+    def traversed(
+        self,
+        flow_ids: np.ndarray,
+        paths: Sequence[Sequence[int]],
+        pairs: Optional[Tuple[np.ndarray, np.ndarray]] = None,
+    ) -> np.ndarray:
+        """Whether flow ``flow_ids[i]`` took a path with hops ``paths[i]``.
+
+        The ground truth of :meth:`flow_paths` asked as columns, for a
+        few flows (ascending, unique) of a large trace: hop tuples are
+        named by path id through one dict (path ids with equal hops
+        share the first), and the named ``(flow, path)`` pairs are
+        looked up among ``pairs`` (:meth:`path_pairs`, for a caller
+        that has them already) with one ``isin`` -- no per-flow list
+        is built for flows nobody asked about.
+        """
+        ids: Dict[Tuple[int, ...], int] = {}
+        for path_id, hops in enumerate(self.paths):
+            ids.setdefault(hops, path_id)
+        named = np.asarray(
+            [ids.get(tuple(hops), -1) for hops in paths], dtype=np.int64
+        )
+        same = np.asarray([ids[hops] for hops in self.paths], dtype=np.int64)
+        flows, path_ids = self.path_pairs() if pairs is None else pairs
+        asked = np.isin(flows, flow_ids)
+        width = len(self.paths)
+        took = (
+            np.searchsorted(flow_ids, flows[asked]) * width
+            + same[path_ids[asked]]
+        )
+        return np.isin(
+            np.arange(named.shape[0]) * width + named, took
+        ) & (named >= 0)
+
     def _pair_first_rows(self) -> np.ndarray:
         """Ascending rows holding every first (flow, path) appearance.
 
-        A vectorised sieve in front of :meth:`flow_paths`' exact loop,
-        which only rows that *introduce* a (flow_id, path_id) pair can
-        change: pairs are hashed into ``_SIEVE_SLOTS`` slots, each
+        A vectorised sieve in front of :meth:`flow_paths`' exact loop
+        and :meth:`path_pairs`, which only rows that
+        *introduce* a (flow_id, path_id) pair can change: pairs are hashed into ``_SIEVE_SLOTS`` slots, each
         slot's first row is kept, and so is every row whose pair
         differs from its slot's first (a collision -- possibly a first
         appearance).  A later repeat of its slot's first pair is never a

@@ -335,11 +335,14 @@ class CollectorServer:
         here for the last datagram to clear socket, queue and ingest
         thread.  Raises :class:`ServiceError` on timeout, carrying the
         shortfall -- which under fire-and-forget loss is the honest
-        answer.
+        answer -- and a deferred ingest-side failure as soon as there
+        is one: a batch the collector refused never counts as
+        ingested, so waiting out the timeout would only hide why.
         """
         self._check_open()
         deadline = _Deadline(timeout)
         while True:
+            self._raise_ingest_errors()
             with self._stats_lock:
                 got = self._counters["records_ingested"]
             if got >= n:

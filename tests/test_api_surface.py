@@ -105,3 +105,29 @@ def test_bench_calls_into_the_sink_keep_working():
     cong = Collector(congestion_consumer_factory(bits=8, seed=0), num_shards=4)
     cong.ingest_batch(*cols, now=1.0)
     assert cong.flow(3).max_code == 38 and cong.flow(3).result() is not None
+
+
+def test_flow_table_is_rows_behind_two_entry_points_and_views():
+    # A table is built from a factory and two bounds, nothing else: how
+    # flows are stored is not a mode.  `touch` (one flow, a view back)
+    # and `touch_many` (a batch, rows back) are its entry points; the
+    # per-flow `Shard.touch_group` is gone.
+    from repro.collector import FlowEntry, FlowTable, Shard
+
+    def names(fn) -> list:
+        return list(inspect.signature(fn).parameters)
+
+    assert params(FlowTable) == {"consumer_factory", "max_flows", "ttl"}
+    assert names(FlowTable.touch) == ["self", "flow_id", "now"]
+    assert names(FlowTable.touch_many) == ["self", "flow_ids", "counts", "now"]
+    assert not hasattr(Shard, "touch_group")
+    # What examples/ and tests read off an entry (a view over columns).
+    table = FlowTable(lambda fid: object(), max_flows=2)
+    entry = table.touch(5, 1.5)
+    entry.records += 3
+    assert (entry.flow_id, entry.records, entry.generation, entry.last_seen,
+            entry.live) == (5, 3, 1, 1.5, True)
+    assert entry.consumer is table.get(5).consumer
+    assert isinstance(entry.row, int) and isinstance(entry.epoch, int)
+    assert isinstance(table.get(5), FlowEntry) and table.get(6) is None
+    assert [fid for fid, _ in table.items()] == [5]

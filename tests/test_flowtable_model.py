@@ -1,16 +1,27 @@
 """FlowTable against a naive model (ROADMAP item 4 tail).
 
-A hypothesis state machine drives ``touch`` / ``evict`` / ``expire`` /
-``maybe_expire`` on a :class:`FlowTable` and on a plain
-insertion-ordered dict that re-derives every decision the slow way
-(full scans, no early stop, no ``move_to_end``); after every step the
-two must agree on LRU order, ``last_seen``, generations and all three
-counters.  Clock steps and ``ttl`` are whole numbers, so the
+A hypothesis state machine drives ``touch`` / ``touch_many`` /
+``evict`` / ``expire`` / ``maybe_expire`` on a :class:`FlowTable` --
+one whose flows are consumer objects or one whose flows are rows of a
+column store -- and on a plain insertion-ordered dict that re-derives
+every decision the slow way (full scans, no early stop, no
+``move_to_end``, a batch one flow at a time); after every step the two
+must agree on LRU order, ``last_seen``, ``records``, generations and
+all three counters, and the store must hold exactly the table's rows.
+Clock steps and ``ttl`` are whole numbers, so the
 ``last_seen == now - ttl`` boundary (evicted: only entries *strictly*
 newer than the deadline survive) is hit constantly, not by luck.
+
+Below the machine: what a table without per-flow objects promises --
+admitting flows allocates nothing per flow, and an entry is a view
+that goes stale with its flow.
 """
 
-from hypothesis import settings, strategies as st
+import gc
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
 from hypothesis.stateful import (
     RuleBasedStateMachine,
     initialize,
@@ -19,26 +30,49 @@ from hypothesis.stateful import (
     rule,
 )
 
-from repro.collector import CongestionDigestConsumer
+from repro.collector import (
+    Collector,
+    CongestionDigestConsumer,
+    congestion_consumer_factory,
+    path_consumer_factory,
+)
 from repro.collector.flowtable import FlowTable
 
 FLOW_IDS = st.integers(min_value=0, max_value=7)
+#: An ascending set of flow ids with a record count each -- long enough
+#: to overflow every ``max_flows`` the machine draws.
+BATCHES = st.dictionaries(
+    st.integers(min_value=0, max_value=11),
+    st.integers(min_value=1, max_value=5), max_size=12,
+)
+FACTORIES = {
+    "objects": lambda: (lambda fid: CongestionDigestConsumer()),
+    "rows": congestion_consumer_factory,
+}
+
+
+def as_batch(batch):
+    ids = sorted(batch)
+    return (
+        np.asarray(ids, dtype=np.int64),
+        np.asarray([batch[fid] for fid in ids], dtype=np.int64),
+    )
 
 
 class FlowTableMachine(RuleBasedStateMachine):
     @initialize(
+        kind=st.sampled_from(sorted(FACTORIES)),
         max_flows=st.none() | st.integers(min_value=1, max_value=4),
         ttl=st.none() | st.sampled_from([1.0, 4.0, 8.0]),
     )
-    def build(self, max_flows, ttl):
+    def build(self, kind, max_flows, ttl):
         self.table = FlowTable(
-            lambda fid: CongestionDigestConsumer(), max_flows=max_flows,
-            ttl=ttl,
+            FACTORIES[kind](), max_flows=max_flows, ttl=ttl,
         )
         self.max_flows = max_flows
         self.ttl = ttl
         self.now = 0.0
-        #: flow_id -> (last_seen, generation), oldest touch first.
+        #: flow_id -> (last_seen, generation, records), oldest touch first.
         self.model = {}
         self.created = self.lru_evictions = self.ttl_evictions = 0
         self.last_sweep = float("-inf")
@@ -47,20 +81,37 @@ class FlowTableMachine(RuleBasedStateMachine):
     def advance(self, step):
         self.now += float(step)
 
-    @rule(fid=FLOW_IDS)
-    def touch(self, fid):
-        entry = self.table.touch(fid, self.now)
+    def _model_touch(self, fid, records=0):
         if fid in self.model:
-            _, generation = self.model.pop(fid)
+            _, generation, seen = self.model.pop(fid)
         else:
             self.created += 1
-            generation = self.created
-        self.model[fid] = (self.now, generation)
+            generation, seen = self.created, 0
+        self.model[fid] = (self.now, generation, seen + records)
         while self.max_flows is not None and len(self.model) > self.max_flows:
             del self.model[next(iter(self.model))]
             self.lru_evictions += 1
-        assert entry.generation == generation
+        return generation
+
+    @rule(fid=FLOW_IDS)
+    def touch(self, fid):
+        entry = self.table.touch(fid, self.now)
+        assert entry.generation == self._model_touch(fid)
         assert entry.last_seen == self.now
+
+    @rule(batch=BATCHES)
+    def touch_many(self, batch):
+        ids, counts = as_batch(batch)
+        rows = self.table.touch_many(ids, counts, self.now)
+        for fid, count in zip(ids.tolist(), counts.tolist()):
+            self._model_touch(fid, count)
+        # A flow the batch's own capacity evictions dropped has no row.
+        assert rows.tolist() == [
+            self.table.index.get(fid, -1) for fid in ids.tolist()
+        ]
+        assert [r >= 0 for r in rows.tolist()] == [
+            fid in self.model for fid in ids.tolist()
+        ]
 
     @rule(fid=FLOW_IDS)
     def evict(self, fid):
@@ -70,7 +121,7 @@ class FlowTableMachine(RuleBasedStateMachine):
 
     def _model_expire(self):
         dead = [
-            fid for fid, (seen, _) in self.model.items()
+            fid for fid, (seen, _, _) in self.model.items()
             if seen <= self.now - self.ttl
         ]
         for fid in dead:
@@ -95,11 +146,13 @@ class FlowTableMachine(RuleBasedStateMachine):
     @invariant()
     def agrees_with_model(self):
         got = [
-            (fid, (e.last_seen, e.generation))
+            (fid, (e.last_seen, e.generation, e.records))
             for fid, e in self.table.items()
         ]
         assert got == list(self.model.items())
         assert len(self.table) == len(self.model)
+        # Every way out of the table gave the row back.
+        assert self.table.store.live_rows().size == len(self.model)
         assert self.table.created == self.created
         assert self.table.lru_evictions == self.lru_evictions
         assert self.table.ttl_evictions == self.ttl_evictions
@@ -110,3 +163,98 @@ FlowTableMachine.TestCase.settings = settings(
     derandomize=True,
 )
 TestFlowTableModel = FlowTableMachine.TestCase
+
+
+# -- touch_many == touch, one by one ------------------------------------------
+
+@pytest.mark.parametrize("kind", sorted(FACTORIES))
+@given(
+    batches=st.lists(BATCHES, min_size=1, max_size=6),
+    max_flows=st.none() | st.integers(min_value=1, max_value=6),
+)
+@settings(max_examples=60, deadline=None, derandomize=True)
+def test_touch_many_is_touch_one_by_one(kind, batches, max_flows):
+    many = FlowTable(FACTORIES[kind](), max_flows=max_flows)
+    single = FlowTable(FACTORIES[kind](), max_flows=max_flows)
+    for now, batch in enumerate(batches):
+        ids, counts = as_batch(batch)
+        many.touch_many(ids, counts, float(now))
+        for fid, count in zip(ids.tolist(), counts.tolist()):
+            single.touch(fid, float(now)).records += count
+
+        def state(table):
+            return [
+                (fid, e.last_seen, e.records, e.generation)
+                for fid, e in table.items()
+            ], table.created, table.lru_evictions
+
+        assert state(many) == state(single)
+    # Same flows, same bookkeeping: the same checkpoint columns.
+    a, b = many.state_dict(), single.state_dict()
+    for key in ("flow_id", "last_seen", "records", "generation"):
+        assert a[key].dtype == b[key].dtype and a[key].tolist() == b[key].tolist()
+
+
+# -- no object per flow ---------------------------------------------------------
+
+@pytest.mark.parametrize("factory", [
+    lambda: congestion_consumer_factory(seed=0),
+    # One raw one-hop packet per flow: every path flow decodes at once.
+    lambda: path_consumer_factory(range(64), mode="raw", seed=0),
+])
+def test_admitting_flows_allocates_no_object_per_flow(factory):
+    """20,000 new flows through ``ingest_batch``: the live-object count
+    barely moves and the cyclic collector has nothing to chase."""
+    flows = 20_000
+    fids = np.arange(flows, dtype=np.int64)
+    hops = np.ones(flows, dtype=np.int64)
+    sink = Collector(factory(), num_shards=4, seed=0)
+    sink.ingest_batch(fids[:8] + flows, fids[:8], hops[:8], fids[:8] % 64)
+    gc.collect()
+
+    def gen0() -> int:
+        return gc.get_stats()[0]["collections"]
+
+    at = gen0()
+    for _ in range(0, flows, 2000):
+        pass
+    idle = gen0() - at
+    before, at = len(gc.get_objects()), gen0()
+    for lo in range(0, flows, 2000):
+        cut = slice(lo, lo + 2000)
+        sink.ingest_batch(fids[cut], fids[cut], hops[cut], fids[cut] % 64)
+    collections = gen0() - at
+    grown = len(gc.get_objects()) - before
+    assert len(sink) == flows + 8
+    assert sink.snapshot().completed_flows == flows + 8
+    assert grown < 1000
+    assert collections <= idle
+
+
+# -- views ------------------------------------------------------------------------
+
+@pytest.mark.parametrize("kind", sorted(FACTORIES))
+def test_entry_is_a_view_that_goes_stale_with_its_flow(kind):
+    table = FlowTable(FACTORIES[kind](), max_flows=2)
+    entry = table.touch(7, 1.0)
+    entry.records += 1
+    entry.records += 2
+    assert table.get(7).records == 3                      # landed in the column
+    assert table.store.flow_records[entry.row] == 3
+    assert (entry.live, entry.last_seen, entry.generation) == (True, 1.0, 1)
+    entry.consumer.consume(1, 3, 50)
+    assert table.get(7).consumer.max_code == 50
+    table.touch(8, 2.0)
+    table.touch(9, 3.0)                                   # evicts 7
+    assert 7 not in table and not entry.live
+    assert (entry.records, entry.last_seen, entry.generation) == (0, 0.0, 0)
+    with pytest.raises(LookupError):
+        entry.records += 1
+    # Flow 10 takes over the row; the stale view still is not it.
+    heir = table.touch(10, 4.0)
+    heir.records += 5
+    assert heir.row == entry.row
+    assert not entry.live and entry.records == 0
+    again = table.touch(7, 5.0)
+    assert again.live and again.generation > 1 and again.records == 0
+    assert again.consumer.max_code == -1

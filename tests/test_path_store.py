@@ -254,8 +254,9 @@ class TestSteadyPass:
         universe, cols, kwargs = path_stream("path-churn", 20_000, mode="raw")
         plain = sink(universe, kwargs)
         grouped = sink(universe, kwargs)
-        # The same sink with no store to ask: everything is grouped.
-        grouped._store = None
+        # The same sink with a store that calls no flow steady:
+        # everything is grouped.
+        grouped._store.steady_rows = lambda fids: None
         seen = []
         real = PathStateStore.steady_rows
         plain._store.steady_rows = lambda fids: (
@@ -264,18 +265,7 @@ class TestSteadyPass:
         for lo in range(0, len(cols[0]), 2048):
             part = tuple(c[lo:lo + 2048] for c in cols)
             plain.ingest_batch(*part)
-            n = len(part[0])
-            order = np.argsort(part[0], kind="stable")
-            fids = part[0][order]
-            flows = {
-                fid: grouped.shards[grouped.router.shard_of(fid)]
-                .touch_group(fid, int((fids == fid).sum()), grouped.clock.now + n)
-                for fid in np.unique(fids).tolist()
-            }
-            grouped.clock.tick(None, n)
-            consume_groups(_groups(flows, fids), *(c[order] for c in part[1:]))
-            for shard in grouped.shards:
-                shard.batches += bool(len(shard.table))
+            grouped.ingest_batch(*part)
         steady = sum(int((r >= 0).sum()) for r in seen if r is not None)
         assert steady > 5000
         states = flow_states(plain)
@@ -434,6 +424,35 @@ class TestCheckpoint:
         assert own.rows > before
         assert flow_states(fresh) == flow_states(collector)
         assert fresh.snapshot().as_dict() == collector.snapshot().as_dict()
+
+    def test_every_way_out_of_the_table_gives_the_row_back(self):
+        """LRU victims, TTL sweeps, ``evict`` and a restore all free
+        the row in the step that drops the flow: the store holds the
+        tables' flows and nothing else, whatever came and went."""
+        universe, cols, kwargs = path_stream("elephant-mice", 20_000)
+        bounds = dict(max_flows_per_shard=64, ttl=200.0)
+        bounded = sink(universe, kwargs, **bounds)
+        feed_batched(bounded, cols, 2048)
+        store = store_of(bounded)
+        snap = bounded.snapshot()
+        assert sum(s.lru_evictions for s in snap.shards) > 300
+        assert sum(s.ttl_evictions for s in snap.shards) > 0
+        assert store.live_rows().size == len(bounded) == snap.flows
+        assert store.rows < 3 * len(bounded)      # rows are recycled
+        gone = [fid for fid, _ in bounded.shards[0].table.items()][:5]
+        assert all(bounded.evict(fid) for fid in gone)
+        assert store.live_rows().size == len(bounded) > 0
+        blob = capture_checkpoint(bounded)
+        fresh = sink(universe, kwargs, **bounds)
+        feed_batched(fresh, tuple(c[:5000] for c in cols), 512)
+        restore_collector(fresh, blob)
+        assert store_of(fresh).live_rows().size == len(fresh) == len(bounded)
+        assert capture_checkpoint(fresh) == blob
+        tail = tuple(c[-3000:] for c in cols)
+        feed_batched(bounded, tail, 512)
+        feed_batched(fresh, tail, 512)
+        assert capture_checkpoint(fresh) == capture_checkpoint(bounded)
+        assert store_of(fresh).live_rows().size == len(fresh)
 
     def test_v3_header_is_refused(self):
         universe, cols, kwargs = path_stream("web-search", 500)

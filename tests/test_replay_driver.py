@@ -192,6 +192,25 @@ class TestScorerEqualsReference:
             assert report.path_flows > 0
         assert driver.checked == len(names)
 
+    def test_path_ids_sharing_one_hop_tuple(self):
+        """A decoded path is a right answer under every id it goes by."""
+        from repro.replay import Trace
+
+        base = build_trace("incast", packets=4000, seed=3)
+        # Every other record of a flow moves to a twin of its path id.
+        twins = len(base.paths)
+        moved = base.path_id + twins * (np.arange(len(base)) % 2)
+        trace = Trace(
+            base.ts, base.flow_id, base.pid, moved, base.size,
+            base.paths + base.paths, base.universe, "incast-twins",
+        )
+        assert max(len(p) for p in trace.flow_paths().values()) == 2
+        driver = _CheckedDriver(batch_size=512)
+        report = driver.replay(trace)
+        assert driver.checked == 1
+        assert report.path_decoded == report.path_correct > 0
+        assert report.flows == trace.num_flows
+
     def test_driver_level_impairments_and_an_emptied_sink(self):
         from repro.replay import Duplicate, GilbertElliott, IIDLoss, Reorder
 

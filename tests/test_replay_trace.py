@@ -72,6 +72,59 @@ class TestTraceBasics:
         assert got == want
         assert list(got) == list(want)
 
+    @staticmethod
+    def _traversed_by_flow_paths(t, flow_ids, paths):
+        """``traversed`` spelled with the dict of every flow."""
+        truth = t.flow_paths()
+        return [
+            tuple(hops) in {t.paths[pid] for pid in truth[fid]}
+            for fid, hops in zip(flow_ids.tolist(), paths)
+        ]
+
+    def test_traversed_is_flow_paths_as_columns(self):
+        """Any path a multi-path flow took is a yes, a path only
+        *other* flows took and hops no path has are a no."""
+        t = build_trace("path-churn", packets=30_000, seed=3)
+        truth = t.flow_paths()
+        flow_ids = np.asarray(sorted(truth)[::3], dtype=np.int64)
+        rng = np.random.default_rng(1)
+        asked = [
+            t.paths[int(rng.integers(len(t.paths)))] if i % 3 == 0
+            else t.paths[truth[fid][i % len(truth[fid])]] if i % 3 == 1
+            else (4242, 7)
+            for i, fid in enumerate(flow_ids.tolist())
+        ]
+        got = t.traversed(flow_ids, asked)
+        want = self._traversed_by_flow_paths(t, flow_ids, asked)
+        assert got.tolist() == want
+        assert 0 < sum(want) < len(want)
+        # Pairs a caller already holds give the same answers.
+        assert t.traversed(flow_ids, asked, t.path_pairs()).tolist() == want
+        assert np.unique(t.path_pairs()[0]).size == t.num_flows
+
+    def test_traversed_when_path_ids_share_hops(self):
+        """Path ids 0 and 2 are the same hops: a flow that took either
+        took "that path", whichever id the lookup names it by -- also
+        under sieve collisions and huge / negative flow ids."""
+        rng = np.random.default_rng(2)
+        n = 4000
+        slots = trace_mod._SIEVE_SLOTS
+        pool = np.asarray([-7, 5, 5 + slots, 2**62 + 1, 2**62 + 1 + slots])
+        fids = pool[rng.integers(0, len(pool), n)]
+        # Flow -7 only ever uses path id 2, flow 5 only path id 1.
+        pids = np.where(fids == -7, 2, np.where(fids == 5, 1, rng.integers(0, 4, n)))
+        paths = [(1, 2), (3,), (1, 2), (4, 5, 6)]
+        t = Trace(np.arange(n) * 1e-6, fids, np.arange(n), pids,
+                  np.full(n, 64), paths)
+        flow_ids = np.unique(fids)
+        for hops in paths + [(2, 1), ()]:
+            asked = [hops] * len(flow_ids)
+            assert t.traversed(flow_ids, asked).tolist() == (
+                self._traversed_by_flow_paths(t, flow_ids, asked)
+            )
+        assert t.traversed(flow_ids[:2], [(1, 2), (1, 2)]).tolist() == [True, False]
+        assert t.traversed(flow_ids[:0], []).tolist() == []
+
     def test_batches_cover_in_order(self):
         t = small_trace()
         bounds = list(t.batches(2))

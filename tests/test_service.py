@@ -494,6 +494,26 @@ class TestLoopbackService:
             with pytest.raises(ServiceError, match="only 0 arrived"):
                 srv.wait_for_records(10, timeout=0.1)
 
+    def test_wait_for_records_raises_an_ingest_failure_at_once(self):
+        """A batch the collector's front door refuses never counts as
+        ingested: the wait must say why, not sleep out its timeout."""
+        from repro.exceptions import WorkerFailedError
+
+        srv = CollectorServer(make_collector(), tcp_port=None).start()
+        tx = ReliableUDPSender("127.0.0.1", srv.udp_port, **FAST_RTO)
+        fids, pids, hops, digs = batch(8)
+        tx.send_batch(fids, pids, np.full(8, 300), digs, now=1.0)
+        tx.flush()
+        began = time.monotonic()
+        with pytest.raises(WorkerFailedError, match=r"\[1, 255\]"):
+            srv.wait_for_records(8, timeout=30)
+        assert time.monotonic() - began < 1.0
+        # Raised once; the server keeps serving.
+        tx.send_batch(fids, pids, hops, digs, now=2.0)
+        tx.flush()
+        srv.wait_for_records(8, timeout=30)
+        srv.close()
+
     def test_post_close_use_raises(self):
         srv = CollectorServer(make_collector(), tcp_port=None).start()
         srv.close()
