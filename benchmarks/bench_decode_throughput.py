@@ -32,20 +32,19 @@ again with the switch universe padded to 2,000 ids, where each digest
 is matched against a 40x wider candidate table (>= 1.3x asserted: a
 large universe must not fall off a cliff).
 
-Also times one end-to-end replay (scenario trace → vectorised encode →
-batched ingest → decoded paths) so the whole-pipeline number rides
-along.  Writes machine-readable ``BENCH_decode.json`` and asserts the
-headline claim: batched decode at batch >= 1024 sustains >= 5x the
-scalar consumer rate for both queries.
+Every number here is a same-run ratio against the scalar twin; the
+whole-pipeline rate is ``bench/``'s to measure.  Writes
+machine-readable ``BENCH_decode.json`` and asserts the headline claim:
+batched decode at batch >= 1024 sustains >= 5x the scalar consumer
+rate for both queries.
 
 Run:  PYTHONPATH=src python benchmarks/bench_decode_throughput.py
-      (--quick for the CI smoke run)
+      (--quick for a small run)
 """
 
 from __future__ import annotations
 
 import argparse
-import math
 import time
 
 import numpy as np
@@ -243,31 +242,6 @@ def bench_converging(packets: int, batch: int, padded: int, seed: int,
     return result
 
 
-def bench_end_to_end(packets: int, batch: int, seed: int):
-    """One replay→collector→decoded-paths run; the pipeline number."""
-    trace = build_trace("web-search", packets=packets, seed=seed)
-    driver = ReplayDriver(batch_size=batch, seed=seed)
-    report = driver.replay(trace)
-    err = report.congestion_median_rel_err
-    print(
-        f"e2e      replay {report.records:,} rec at "
-        f"{report.records_per_sec:,.0f} rec/s -> "
-        f"{report.path_decoded}/{report.path_flows} paths decoded "
-        f"({report.path_accuracy * 100:.0f}% correct)"
-    )
-    return {
-        "scenario": "web-search",
-        "records": report.records,
-        "e2e_rps": round(report.records_per_sec),
-        "path_flows": report.path_flows,
-        "path_decoded": report.path_decoded,
-        "path_accuracy": round(report.path_accuracy, 3),
-        "congestion_median_rel_err": (
-            None if math.isnan(err) else round(err, 4)
-        ),
-    }
-
-
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--records", type=int, default=120_000,
@@ -279,19 +253,16 @@ def main() -> None:
     parser.add_argument("--batches", type=int, nargs="+",
                         default=[256, 1024, 4096],
                         help="batch sizes to sweep")
-    parser.add_argument("--e2e-packets", type=int, default=30_000,
-                        help="records in the end-to-end replay")
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--repeats", type=int, default=3,
                         help="timing repetitions (best-of-N)")
     parser.add_argument("--json", default="BENCH_decode.json",
                         help="output path for the machine-readable results")
     parser.add_argument("--quick", action="store_true",
-                        help="small CI smoke run")
+                        help="small run")
     args = parser.parse_args()
     if args.quick:
         args.records = min(args.records, 40_000)
-        args.e2e_packets = min(args.e2e_packets, 12_000)
         args.repeats = min(args.repeats, 2)
 
     print(f"decode throughput: {args.records} records over {args.flows} "
@@ -323,9 +294,6 @@ def main() -> None:
         ),
         "converging": bench_converging(
             60_000, 8192, 2000, args.seed, args.repeats
-        ),
-        "end_to_end": bench_end_to_end(
-            args.e2e_packets, max(args.batches), args.seed
         ),
     }
 

@@ -1,139 +1,41 @@
 """Accuracy degradation under network impairment: the loss sweep.
 
-Two claims ride in this benchmark:
-
-* **Zero-impairment bit-identity.**  A pipeline of zero-rate
-  impairment models (0% loss, depth-0 reorder, 0% duplication, a
-  never-entered Gilbert-Elliott bad state) is the *exact* identity:
-  for every registered base scenario, a collector fed through the
-  impairment engine's delivery schedule produces a bit-identical
-  snapshot (every per-shard counter, byte estimate, coverage sum and
-  clock stamp) and bit-identical per-flow answers to one fed the raw
-  trace -- and a :class:`ReplayDriver` carrying the zero models
-  reports the same decode outcome field for field.  This always runs.
-
-* **Graceful degradation.**  Sweeping i.i.d. loss from 0% to 50%
-  across the three digest representations ({raw, hash, fragment},
-  paper §4.2) reproduces the headline robustness property: any subset
-  of delivered packets still decodes, so decode success falls
-  *smoothly* with delivery rate -- monotone-ish, with no
-  cliff-to-zero before 50% loss for the hash/fragment digests.
+The decode-vs-loss curve, which ``bench/`` does not chart (that
+zero-rate models are the exact identity is the ``models`` axis of
+``tests/equivalence.py``): sweeping i.i.d. loss from 0% to 50% across
+the three digest representations ({raw, hash, fragment}, paper §4.2)
+reproduces the headline robustness property -- any subset of delivered
+packets still decodes, so decode success falls *smoothly* with delivery
+rate: monotone-ish, with no cliff-to-zero before 50% loss for the
+hash/fragment digests.
 
 The full run also charts bursty (Gilbert-Elliott) loss and a
-reorder+duplication pipeline next to the i.i.d. rows, so the trend
-data covers every model the engine ships.
+reorder+duplication pipeline next to the i.i.d. rows, so the curve
+covers every model the engine ships.
 
-Writes machine-readable ``BENCH_impair.json`` (uploaded by CI next to
-the other bench artifacts; floors enforced by
-``check_bench_regression.py``).
+Writes machine-readable ``BENCH_impair.json``.
 
 Run:  PYTHONPATH=src python benchmarks/bench_impairment_sweep.py
-      (--quick for the CI smoke run)
+      (--quick for a small run)
 """
 
 from __future__ import annotations
 
 import argparse
-import math
-
-import numpy as np
 
 from benchlib import write_bench_json
-from repro.collector import Collector, path_consumer_factory
 from repro.replay import (
     Duplicate,
     GilbertElliott,
     IIDLoss,
     ReplayDriver,
     Reorder,
-    TraceDataplane,
-    build_trace,
-    plan_delivery,
-    scenario_names,
 )
 
 #: Digest-width configuration per representation: fragment uses b=4 so
 #: switch IDs split into >= 2 fragments (b=8 would make fragmentation
 #: degenerate into raw on these universes).
 MODES = {"hash": 8, "raw": 8, "fragment": 4}
-
-
-def zero_models(seed: int) -> list:
-    """One of each model, parameterised to be an exact no-op."""
-    return [
-        IIDLoss(0.0, seed=seed),
-        GilbertElliott(p_bad=0.0, p_good=1.0, seed=seed + 1),
-        Reorder(depth=0, seed=seed + 2),
-        Duplicate(0.0, seed=seed + 3),
-    ]
-
-
-def check_zero_identity(name: str, packets: int, batch: int, seed: int) -> dict:
-    """Zero-rate impairment vs raw trace: must be bit-identical.
-
-    Collector level: every record carries the path query (the
-    decode-stateful sink), one collector fed ``trace.batches`` row
-    ranges, one fed the zero pipeline's delivery schedule; snapshots
-    and per-flow answers must match exactly.  Driver level: a
-    :class:`ReplayDriver` with the zero models must reproduce every
-    deterministic report field of the plain driver.
-    """
-    trace = build_trace(name, packets=packets, seed=seed)
-    dataplane = TraceDataplane(trace, digest_bits=8, num_hashes=1, seed=seed)
-    digests = dataplane.encode_rows(np.arange(len(trace), dtype=np.int64))
-    hops = trace.hop_counts
-    factory = lambda: path_consumer_factory(
-        trace.universe, digest_bits=8, num_hashes=1, seed=seed
-    )
-
-    def feed(delivery) -> Collector:
-        col = Collector(factory(), num_shards=4, seed=seed)
-        for lo in range(0, len(delivery), batch):
-            rows = delivery[lo : lo + batch]
-            col.ingest_batch(
-                trace.flow_id[rows], trace.pid[rows], hops[rows],
-                digests[rows], now=float(trace.ts[rows].max()),
-            )
-        return col
-
-    plain = feed(np.arange(len(trace), dtype=np.int64))
-    zeroed = feed(plan_delivery(zero_models(seed), len(trace), trace.flow_id))
-    p_snap = plain.snapshot().as_dict()
-    z_snap = zeroed.snapshot().as_dict()
-    assert p_snap == z_snap, (
-        f"{name}: zero-impairment snapshot diverges: "
-        + str({k: (p_snap[k], z_snap[k]) for k in p_snap
-               if p_snap[k] != z_snap[k]})
-    )
-    flows = np.unique(trace.flow_id).tolist()
-    mismatch = [f for f in flows if plain.result(f) != zeroed.result(f)]
-    assert not mismatch, (
-        f"{name}: per-flow answers diverge under zero impairment for "
-        f"flows {mismatch[:5]}..."
-    )
-
-    plain_r = ReplayDriver(batch_size=batch, seed=seed).replay(trace)
-    zero_r = ReplayDriver(
-        batch_size=batch, seed=seed, impairments=zero_models(seed)
-    ).replay(trace)
-    for field in (
-        "records", "flows", "batches", "path_records", "path_flows",
-        "path_decoded", "path_correct", "path_resets",
-        "congestion_records", "congestion_flows", "dropped_records",
-        "duplicated_records", "reordered_records",
-        "path_completed_under_loss",
-    ):
-        assert getattr(plain_r, field) == getattr(zero_r, field), (
-            f"{name}: driver report field {field!r} diverges under "
-            "zero impairment"
-        )
-    s_err, z_err = (
-        plain_r.congestion_median_rel_err, zero_r.congestion_median_rel_err
-    )
-    assert s_err == z_err or (math.isnan(s_err) and math.isnan(z_err))
-    s_cov, z_cov = plain_r.path_coverage_mean, zero_r.path_coverage_mean
-    assert s_cov == z_cov or (math.isnan(s_cov) and math.isnan(z_cov))
-    return {"records": len(trace), "flows": len(flows)}
 
 
 def sweep_cell(
@@ -157,8 +59,7 @@ def sweep_cell(
             "duplicated_records", "reordered_records", "delivery_rate",
             "path_flows", "path_decoded", "path_correct",
             "path_completed_under_loss", "path_coverage_mean",
-            "path_coverage", "path_accuracy", "records_per_sec",
-            "impairments",
+            "path_coverage", "path_accuracy", "impairments",
         )
     }
 
@@ -191,8 +92,7 @@ def run_sweep(args) -> dict:
                     f"  loss {rate * 100:4.0f}%  delivered "
                     f"{cell['records']:>6}  decoded "
                     f"{cell['path_decoded']:>4}/{cell['path_flows']:<4}"
-                    f"  coverage {cov_s}  "
-                    f"{cell['records_per_sec']:>10,.0f} rec/s"
+                    f"  coverage {cov_s}"
                 )
             results[scenario][mode] = rows
 
@@ -224,7 +124,7 @@ def run_sweep(args) -> dict:
 
 
 def run_extra_models(args) -> dict:
-    """Bursty loss and reorder+duplication rows (trend data, no gate)."""
+    """Bursty loss and reorder+duplication rows (charted, no gate)."""
     extras = {
         "bursty_ge": [
             GilbertElliott(p_bad=0.015, p_good=0.125, loss_bad=0.9,
@@ -270,29 +170,16 @@ def main() -> None:
     parser.add_argument("--rates", type=float, nargs="+",
                         default=[0.0, 0.1, 0.2, 0.3, 0.4, 0.5],
                         help="i.i.d. loss rates swept (0..0.5)")
-    parser.add_argument("--identity-packets", type=int, default=6_000,
-                        help="records per scenario in the zero-identity "
-                        "check")
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--json", default="BENCH_impair.json",
                         help="output path for the machine-readable results")
     parser.add_argument("--quick", action="store_true",
-                        help="small CI smoke run")
+                        help="small run")
     args = parser.parse_args()
     if args.quick:
         args.packets = min(args.packets, 8_000)
-        args.identity_packets = min(args.identity_packets, 3_000)
         args.scenarios = args.scenarios[:2]
         args.rates = [0.0, 0.25, 0.5]
-
-    print(f"zero-impairment identity: {args.identity_packets} "
-          f"records/scenario, all base scenarios")
-    identity = {}
-    for name in scenario_names():
-        identity[name] = check_zero_identity(
-            name, args.identity_packets, args.batch, args.seed
-        )
-        print(f"  {name:<15} snapshot + per-flow answers bit-identical")
 
     sweep = run_sweep(args)
     extras = run_extra_models(args)
@@ -304,14 +191,12 @@ def main() -> None:
         "seed": args.seed,
         "rates": args.rates,
         "modes": {m: {"digest_bits": b} for m, b in MODES.items()},
-        "zero_identity": {"scenarios": identity, "ok": True},
         "sweep": sweep,
         "composed": extras,
     }
     write_bench_json(args.json, payload)
 
-    print("\nOK: zero impairment is bit-identical on every scenario")
-    print("OK: decode success degrades gracefully to 50% loss "
+    print("\nOK: decode success degrades gracefully to 50% loss "
           "(no cliff for hash/fragment)")
 
 

@@ -8,13 +8,14 @@ Two concerns every ``BENCH_*.json`` writer has in common:
   them as the non-standard ``Infinity`` / ``NaN`` tokens that break
   strict parsers downstream (CI artifact consumers, ``jq``).
   :func:`write_bench_json` sanitises non-finite floats to ``None``
-  recursively and then dumps with ``allow_nan=False``, so a regression
-  fails loudly at write time instead of corrupting the artifact.
+  recursively (:func:`repro.jsonutil.jsonable`) and then dumps with
+  ``allow_nan=False``, so a regression fails loudly at write time
+  instead of corrupting the artifact.
 * **Workloads.**  The ingest-side benches share the synthetic
   heavy-traffic shape (a fixed population of concurrent flows with
   Zipf-skewed packet counts) and the path-query stream with *real*
-  per-flow digests; they live here so the serial and parallel benches
-  measure the same bytes.
+  per-flow digests; they live here so every bench measures the same
+  bytes.
 
 Import style: benchmark scripts run as ``python benchmarks/bench_*.py``,
 so ``benchmarks/`` is ``sys.path[0]`` and ``import benchlib`` resolves
@@ -39,92 +40,19 @@ from repro.net import fat_tree
 
 # -- finite JSON -----------------------------------------------------------
 
-#: Non-finite -> null, NumPy -> native, recursively.  The bench
-#: writers and the query port used to carry separate copies of this
-#: walk; both now share :func:`repro.jsonutil.jsonable` (this alias
-#: keeps the benchmarks' historical name).
-sanitize = jsonable
-
-
 def write_bench_json(path: str, payload: dict) -> None:
     """Write a bench artifact as strictly-standard JSON.
 
-    ``allow_nan=False`` backstops the sanitiser: if a non-finite value
-    ever slips through a container type :func:`sanitize` does not
-    know, the bench fails at write time rather than shipping an
-    artifact no strict parser can read.
+    :func:`repro.jsonutil.jsonable` turns non-finite floats into null;
+    ``allow_nan=False`` backstops it: if a non-finite value ever slips
+    through a container type the walk does not know, the bench fails
+    at write time rather than shipping an artifact no strict parser
+    can read.
     """
     with open(path, "w") as fh:
-        json.dump(sanitize(payload), fh, indent=2, allow_nan=False)
+        json.dump(jsonable(payload), fh, indent=2, allow_nan=False)
         fh.write("\n")
     print(f"\nwrote {path}")
-
-
-# -- bench-regression gate -------------------------------------------------
-
-def resolve_metric(payload: dict, dotted: str):
-    """Walk ``a.b.c`` into a nested payload dict.
-
-    Raises ``KeyError`` naming the missing segment -- a baseline that
-    points at a metric the bench no longer emits must fail the gate
-    loudly (silent skips are how floors rot).
-    """
-    cur = payload
-    for part in dotted.split("."):
-        if not isinstance(cur, dict) or part not in cur:
-            raise KeyError(
-                f"metric path {dotted!r}: segment {part!r} not found"
-            )
-        cur = cur[part]
-    return cur
-
-
-def compare_bench(payloads: dict, baseline: dict):
-    """Check bench artifacts against the committed floors.
-
-    ``payloads`` maps artifact filename -> parsed JSON; ``baseline``
-    is the committed ``BENCH_baseline.json``: a ``tolerance`` (how far
-    below its floor a metric may regress before the gate fails; 0.4
-    means fail at >40% below) and per-file ``floors`` of dotted metric
-    path -> floor value.  Floors are records/sec numbers recorded from
-    a known-good ``--quick`` run, deliberately set *well below*
-    typical so runner-to-runner variance never trips the gate -- only
-    a real regression does.
-
-    Returns ``(failures, checked)``: human-readable failure strings
-    (empty when the gate passes) and one ``(file, path, value, floor,
-    gate)`` tuple per metric checked.
-    """
-    tolerance = float(baseline.get("tolerance", 0.4))
-    if not 0.0 <= tolerance < 1.0:
-        raise ValueError(f"tolerance must be in [0, 1), got {tolerance}")
-    failures = []
-    checked = []
-    for fname, floors in baseline.get("floors", {}).items():
-        if fname not in payloads:
-            failures.append(f"{fname}: artifact missing (bench not run?)")
-            continue
-        payload = payloads[fname]
-        for dotted, floor in floors.items():
-            try:
-                value = resolve_metric(payload, dotted)
-            except KeyError as err:
-                failures.append(f"{fname}: {err.args[0]}")
-                continue
-            if not isinstance(value, (int, float)) or value is None:
-                failures.append(
-                    f"{fname}: {dotted} is not numeric (got {value!r})"
-                )
-                continue
-            gate = floor * (1.0 - tolerance)
-            checked.append((fname, dotted, float(value), float(floor), gate))
-            if value < gate:
-                failures.append(
-                    f"{fname}: {dotted} = {value:,.0f} regressed more "
-                    f"than {tolerance:.0%} below its floor {floor:,.0f} "
-                    f"(gate {gate:,.0f})"
-                )
-    return failures, checked
 
 
 # -- shared workloads ------------------------------------------------------

@@ -15,9 +15,10 @@ Two ingestion paths:
   congestion flow) are folded where they stand, without a sort; the
   rest are grouped by flow with one stable sort in C and every store
   folds its groups in array passes.  Routing, table touches and
-  counters are per-*flow* work, which is where the >=5x throughput of
-  ``benchmarks/bench_collector_throughput.py`` comes from (mirroring
-  the vectorised-encoder work on the switch side).
+  counters are per-*flow* work, which is where its throughput over the
+  scalar loop comes from (``benchmarks/bench_decode_throughput.py``
+  asserts >=5x; mirrors the vectorised-encoder work on the switch
+  side).
 
 Time: every ingest accepts an optional ``now`` (sim seconds when driven
 from the DES).  When omitted the collector free-runs on a logical clock
@@ -132,8 +133,8 @@ class Collector:
         eviction/creation totals and the live-flow gauge are read
         straight off the flow tables at export time.  Either way the
         ingested state is bit-identical (metrics observe, they never
-        steer), which ``bench_obs_overhead.py`` pins alongside the
-        <5% overhead ceiling.
+        steer: the ``obs`` axis of ``tests/equivalence.py``), and
+        ``bench_obs_overhead.py`` pins the <5% overhead ceiling.
     """
 
     def __init__(
@@ -419,8 +420,8 @@ class Collector:
     def _fold_steady(self, fids, ps, digs):
         """Fold the records of steady flows where they stand.
 
-        A flow is steady or not as of the batch's start (what
-        :func:`consume_groups` decides per group); its records need no
+        A flow is steady or not as of the batch's start (what the
+        store's ``steady_rows`` answers); its records need no
         grouping, so they never reach the sort.  Returns None when no
         record's flow is steady, else ``(mask of the records left,
         steady flow ids, records each received)``.

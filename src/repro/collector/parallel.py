@@ -36,8 +36,8 @@ its sub-columns (sub-columns preserve batch order, and a flow's
 records all land on one worker), and each shard sees exactly the
 record stream it would have seen in-process.  Merged snapshots and
 per-flow query answers are therefore bit-identical to a single-process
-collector fed the same batches -- asserted across all replay scenarios
-by ``benchmarks/bench_parallel_ingest.py``.
+collector fed the same batches -- the ``workers`` and ``ring`` axes of
+``tests/equivalence.py``, across all replay scenarios.
 
 Transport: batches travel in per-worker :class:`~repro.collector.shm.
 ShmRing` shared-memory rings -- one vectorised column copy

@@ -225,7 +225,7 @@ class Snapshot:
 
         NaN when no flows are live (e.g. every flow of an impaired
         replay was fully dropped); JSON writers must route snapshots
-        through :func:`benchlib.write_bench_json`, which serialises
+        through :func:`repro.jsonutil.jsonable`, which serialises
         the NaN as null instead of crashing strict parsers.
         """
         flows = self.flows

@@ -8,8 +8,9 @@ and the :class:`~repro.service.server.CollectorServer` consult at
 well-defined points.  Triggers are ordinal-based (per-worker message
 counts, per-worker checkpoint counts, global frame counts), so the
 same plan against the same workload fires at the same points every
-run -- the property that lets ``benchmarks/bench_fault_recovery.py``
-assert *bit-identical* recovery rather than "it didn't crash".
+run -- the property that lets the ``fault`` axis of
+``tests/equivalence.py`` assert *bit-identical* recovery rather than
+"it didn't crash".
 
 Every fired fault is appended to :attr:`FaultPlan.fired` as a
 ``(kind, where, ordinal)`` tuple, so tests assert the fault actually

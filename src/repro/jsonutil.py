@@ -3,11 +3,10 @@
 Strict JSON has no ``NaN`` / ``Infinity`` tokens, yet the codebase
 produces non-finite floats in entirely legitimate places: a median
 over an empty congestion set, the mean coverage of an idle collector,
-a zero-second timing division.  Both the query port
+a zero-second timing division.  The query port
 (:mod:`repro.service.query`) and the bench artifact writers
-(``benchmarks/benchlib``) used to carry their own private copy of the
-same "non-finite -> null, NumPy -> native" walk; this module is the
-single shared implementation they both import, so the two surfaces can
+(``benchmarks/benchlib.write_bench_json``) both import this one
+"non-finite -> null, NumPy -> native" walk, so the two surfaces can
 never drift apart on what a degenerate value serialises as.
 
 The contract: the returned structure round-trips through

@@ -20,10 +20,11 @@ Three layers, each usable alone:
 
 The instrumented components (collector, parallel scatter, replay
 driver, service front door, reliable sender) all take an optional
-``obs=`` registry; omitted, they run on the no-op registry and
-``benchmarks/bench_obs_overhead.py`` pins both properties that make
-this safe to leave on: instrumented output is bit-identical and
-enabled overhead stays under 5% of ingest.
+``obs=`` registry; omitted, they run on the no-op registry.  Two
+properties make this safe to leave on: instrumented output is
+bit-identical (the ``obs`` axis of ``tests/equivalence.py``) and
+enabled overhead stays under 5% of ingest
+(``benchmarks/bench_obs_overhead.py``).
 """
 
 from repro.obs.metrics import (

@@ -17,8 +17,9 @@ Design constraints, in priority order:
   hands out shared no-op instruments whose methods are empty -- the
   hot loops keep their ``inc()``/``with span:`` calls unconditionally
   and ``benchmarks/bench_obs_overhead.py`` enforces that the enabled
-  path stays under 5% ingest overhead (and that snapshots are
-  bit-identical either way: metrics observe, they never steer).
+  path stays under 5% ingest overhead (that snapshots are
+  bit-identical either way -- metrics observe, they never steer -- is
+  the ``obs`` axis of ``tests/equivalence.py``).
 * **Mergeable across processes.**  A registry serialises to a plain
   dict (:meth:`MetricsRegistry.as_dict`) and :func:`merge_metrics`
   folds any number of such dicts -- counters and histogram buckets

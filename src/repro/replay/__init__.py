@@ -15,9 +15,8 @@ switches do O(1) per-packet stamping while the sink decodes at leisure
   :class:`repro.collector.Collector` and scores throughput + decode
   accuracy per scenario.
 
-See DESIGN.md ("Replay engine") for the data flow and
-``benchmarks/bench_replay_throughput.py`` for the scalar-vs-vector
-numbers.
+See DESIGN.md ("Replay engine") for the data flow and ``bench/`` for
+the end-to-end and per-layer numbers.
 """
 
 from repro.replay.dataplane import TraceDataplane, compress_utilizations

@@ -22,8 +22,8 @@ acting hops' blocks are gathered from the trace's path table, and one
 pairwise hash per rep covers every (packet, hop) pair of the batch.
 The per-record Python cost of the scalar encoder becomes a fixed
 number of array passes per batch -- the switch-side mirror of the
-collector's ``ingest_batch`` amortisation, and where the >=10x of
-``benchmarks/bench_replay_throughput.py`` comes from.
+collector's ``ingest_batch`` amortisation (``replay.dataplane.encode_rps``
+in ``bench/``'s per-layer ledger).
 
 Value queries compress the same way: :func:`compress_utilizations`
 runs the §4.3 multiplicative randomized rounding over whole columns,

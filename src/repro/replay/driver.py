@@ -81,7 +81,7 @@ class ScenarioReport:
     reordered_records: int = 0
     #: Mean per-flow decode coverage over path-query flows the sink
     #: holds state for; NaN when every such flow was fully dropped
-    #: (bench writers serialise the NaN as null via benchlib).
+    #: (JSON writers turn the NaN into null: ``repro.jsonutil.jsonable``).
     path_coverage_mean: float = float("nan")
     #: Fully-decoded path flows that lost at least one path record --
     #: the paper's "any subset still decodes" claim, counted.
@@ -128,7 +128,7 @@ class ScenarioReport:
 
         May contain NaN (coverage of fully-dropped streams, median
         error of empty congestion sets); writers must route it
-        through :func:`benchlib.write_bench_json`, which turns
+        through :func:`repro.jsonutil.jsonable`, which turns
         non-finite floats into JSON null.
         """
         d = asdict(self)
@@ -264,8 +264,8 @@ class ReplayDriver:
         format: reliable seq/ACK/RTO UDP, or a TCP stream.  Fragment
         reassembly (``FLAG_MORE``) and in-order exactly-once delivery
         make the wire run bit-identical to the in-process one --
-        snapshots and per-flow answers alike -- which
-        ``bench_service_ingest.py`` asserts on every scenario.
+        snapshots and per-flow answers alike: the ``transport`` axis
+        of ``tests/equivalence.py``.
     obs:
         Optional :class:`~repro.obs.metrics.MetricsRegistry` threaded
         through every component the driver builds: both sink
@@ -335,6 +335,14 @@ class ReplayDriver:
                 "checkpoint_every/faults require workers: supervision "
                 "and worker fault injection only exist on the "
                 "ParallelCollector path sink"
+            )
+        if checkpoint_every is None and (
+            journal_batches is not None or faults is not None
+        ):
+            raise ValueError(
+                "journal_batches/faults require checkpoint_every "
+                "(supervision): without checkpoints there is nothing "
+                "to recover a worker to"
             )
         self.checkpoint_every = checkpoint_every
         self.journal_batches = journal_batches

@@ -342,8 +342,8 @@ class DeliverySummary:
     def delivery_rate(self) -> float:
         """Fraction of offered records delivered at least once.
 
-        NaN on a zero-record stream; bench writers route it through
-        :func:`benchlib.write_bench_json`, which serialises it null.
+        NaN on a zero-record stream; JSON writers route it through
+        :func:`repro.jsonutil.jsonable`, which serialises it null.
         """
         if self.offered == 0:
             return float("nan")

@@ -31,10 +31,8 @@ from repro.exceptions import CollectorClosedError
 from repro.obs.metrics import MetricsRegistry
 from repro.replay import TraceDataplane, build_trace
 from repro.service import (
-    CollectorServer,
     QueryClient,
     QueryServer,
-    ReliableUDPSender,
 )
 from repro.service.query import QueryHandler
 
@@ -121,21 +119,17 @@ class TestPathTables:
     @pytest.mark.parametrize("batch", [64, 8192])
     @pytest.mark.parametrize("mode,num_hashes", MODES)
     @pytest.mark.parametrize("scenario", SCENARIOS)
-    def test_serial_and_parallel_tables_are_equal_arrays(
+    def test_table_is_what_the_consumers_answer(
         self, scenario, mode, num_hashes, batch
     ):
+        # That workers=2/4 merge to this very table is the ``answers``
+        # digest of the worker rows of tests/equivalence.py.
         cols, factory = path_stream(scenario, mode, num_hashes)
         serial = Collector(factory(), num_shards=4, seed=1)
         feed(serial, cols, batch)
-        want = serial.answers()
-        assert len(want) == len(serial) > 0
-        assert_path_table_matches_consumers(want, serial)
-        for workers in (2, 4):
-            with ParallelCollector(
-                factory(), workers=workers, num_shards=4, seed=1
-            ) as par:
-                feed(par, cols, batch)
-                assert_tables_equal(par.answers(), want)
+        table = serial.answers()
+        assert len(table) == len(serial) > 0
+        assert_path_table_matches_consumers(table, serial)
 
     def test_churn_yields_reset_flows(self):
         cols, factory = path_stream("path-churn", "hash", 1)
@@ -381,22 +375,6 @@ class TestReadOnlyAndRestore:
         restored = Collector(factory(), num_shards=4, seed=1)
         restore_collector(restored, capture_checkpoint(sink))
         assert_tables_equal(restored.answers(), sink.answers())
-
-    def test_sink_behind_udp_gives_the_serial_table(self):
-        cols, factory = path_stream("web-search", "hash", 1)
-        direct = Collector(factory(), num_shards=4, seed=1)
-        served = Collector(factory(), num_shards=4, seed=1)
-        with CollectorServer(served, tcp_port=None) as server:
-            tx = ReliableUDPSender(
-                "127.0.0.1", server.udp_port, max_records=256
-            )
-            feed(direct, cols, 512)
-            for a in range(0, len(cols[0]), 512):
-                tx.send_batch(*(c[a:a + 512] for c in cols), now=float(a))
-            tx.close()
-            server.wait_for_records(len(cols[0]), timeout=20)
-            server.drain()
-            assert_tables_equal(served.answers(), direct.answers())
 
 
 class TestTransferSize:

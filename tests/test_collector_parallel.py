@@ -447,17 +447,6 @@ class TestParallelObs:
             sent = fams["pint_parallel_batches_sent_total"]["samples"]
             assert sum(s["value"] for s in sent) > 0
 
-    def test_instrumented_parallel_bit_identical_to_serial(self):
-        from repro.obs import MetricsRegistry
-        cols = make_cols(4000)
-        serial = Collector(congestion_consumer_factory(), num_shards=4)
-        with ParallelCollector(
-            congestion_consumer_factory(), workers=2, num_shards=4,
-            obs=MetricsRegistry(),
-        ) as par:
-            feed_both(serial, par, cols, timed=True)
-            assert par.snapshot().as_dict() == serial.snapshot().as_dict()
-
     def test_uninstrumented_snapshot_carries_no_metrics(self):
         with ParallelCollector(
             congestion_consumer_factory(), workers=2, num_shards=4,

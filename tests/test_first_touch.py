@@ -23,6 +23,8 @@ from repro.collector import (
 from repro.replay.dataplane import TraceDataplane
 from repro.replay.scenarios import build_trace
 
+from equivalence import decoder_state
+
 SEED = 5
 
 #: (mode, num_hashes, digest_bits); 4-bit fragments split every switch
@@ -82,35 +84,6 @@ def feed_scalar(collector, cols, batch=None):
         collector.ingest(fids[i], pids[i], hops[i], digs[i], now=now)
 
 
-def decoder_state(decoder):
-    """Everything a decoder holds, in a ==-comparable form.
-
-    Pending XOR digests are compared on the *live* entries (two or
-    more hops still unknown): a digest that has resolved is not state
-    -- nothing reads it again, and what its residual ended up as
-    depended on which acting hop happened to settle last.
-    """
-    if decoder is None:
-        return None
-    if hasattr(decoder, "_subdecoders"):
-        return (
-            decoder.packets_seen,
-            [decoder_state(sub) for sub in decoder._subdecoders],
-        )
-    candidates = {
-        hop: arr.tolist()
-        for hop, arr in getattr(decoder, "_candidates", {}).items()
-    }
-    pending = sorted(
-        (e.packet_id, tuple(e.residual), tuple(sorted(e.unknown)))
-        for e in decoder._pending if e.unknown
-    )
-    return (
-        decoder.k, decoder.decoded, decoder.packets_seen,
-        decoder.inconsistencies, candidates, pending,
-    )
-
-
 def flow_states(collector):
     """flow id -> answers and full decoder state, for every live flow."""
     out = {}
@@ -152,12 +125,10 @@ def assert_same(a, b):
 
 class TestBatchedEqualsScalar:
     @pytest.mark.parametrize("mode,num_hashes,bits", CODINGS)
-    @pytest.mark.parametrize(
-        "scenario", ["elephant-mice", "path-churn", MIXED]
-    )
-    def test_scenarios(self, scenario, mode, num_hashes, bits):
+    def test_mixed_lengths(self, mode, num_hashes, bits):
+        # Registered scenarios x codings are rows of tests/equivalence.py.
         universe, cols, kwargs = path_stream(
-            scenario, 5000, mode, num_hashes, bits
+            MIXED, 5000, mode, num_hashes, bits
         )
         batched, scalar = sink(universe, kwargs), sink(universe, kwargs)
         feed_batched(batched, cols, 8192)
@@ -165,7 +136,7 @@ class TestBatchedEqualsScalar:
         assert_same(batched, scalar)
         states = flow_states(batched)
         assert any(s[0] is not None for s in states.values())
-        if scenario != "elephant-mice" and mode == "hash":
+        if mode == "hash":
             # Reroutes inside a flow reset its hash decoder (raw and
             # fragment digests only count the contradiction).
             assert sum(s[2] for s in states.values()) > 0
@@ -189,16 +160,6 @@ class TestBatchedEqualsScalar:
                 assert consumer.decode_errors > 0
                 rebuilt += 1
         assert rebuilt
-
-    def test_batch_size_does_not_show(self):
-        universe, cols, kwargs = path_stream("elephant-mice", 12000)
-        small, large = sink(universe, kwargs), sink(universe, kwargs)
-        feed_batched(small, cols, 64)
-        feed_batched(large, cols, 8192)
-        assert_same(small, large)
-        assert (
-            small.snapshot().state_bytes == large.snapshot().state_bytes > 0
-        )
 
     @pytest.mark.parametrize("ttl", [None, 3.0])
     def test_lru_walk(self, ttl):

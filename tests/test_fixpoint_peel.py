@@ -258,7 +258,8 @@ class TestCleanStreamsNeverFallBack:
         """The counting test: on the traffic the other cases stand in
         for -- a clean ``web-search`` prefix and an ``isp-long-paths``
         prefix under the bench's loss, reorder and duplication models
-        -- no flow at all is handed to the scalar route."""
+        -- no flow at all is handed to the scalar route.  (That the
+        answers equal the scalar walk's is ``tests/equivalence.py``.)"""
         universe, cols, kwargs = path_stream(scenario, 20_000)
         if lossy:
             delivery = plan_delivery(
@@ -270,10 +271,8 @@ class TestCleanStreamsNeverFallBack:
                 len(cols[0]), cols[0],
             )
             cols = tuple(c[delivery] for c in cols)
-        batched, scalar = counted(universe, kwargs), sink(universe, kwargs)
+        batched = counted(universe, kwargs)
         feed_batched(batched, cols, 8192)
-        feed_scalar(scalar, cols)
-        assert_same(batched, scalar)
         assert fallbacks(batched) == {
             "adjacency": 0, "empty_candidates": 0, "residual_mismatch": 0,
         }

@@ -127,7 +127,7 @@ def test_bad_fixtures_carry_precise_lines():
 
 def test_domain_classification():
     assert classify_domain("src/repro/obs/metrics.py") == "lib"
-    assert classify_domain("benchmarks/bench_pipeline.py") == "bench"
+    assert classify_domain("benchmarks/bench_decode_throughput.py") == "bench"
     assert classify_domain("examples/demo.py") == "examples"
     assert classify_domain("tests/test_lint.py") == "tests"
 

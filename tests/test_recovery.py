@@ -58,7 +58,6 @@ from repro.faults import (
     corrupt_checkpoint,
     drop_checkpoint,
     kill_worker,
-    wedge_worker,
 )
 
 UNIVERSE = list(range(1, 33))
@@ -356,28 +355,6 @@ def run_pair(cols, batch=300, faults=None, **sup_kw):
 
 
 class TestSupervisedRecovery:
-    def test_kill_mid_replay_bit_identical(self):
-        cols = make_cols()
-        plan = FaultPlan([kill_worker(1, at_batch=3)])
-        serial, snap, results = run_pair(cols, faults=plan)
-        assert plan.fired == [("kill", "worker=1", 3)]
-        assert snap.recovery.restarts == 1
-        assert snap.recovery.replayed_batches > 0
-        assert snap.recovery.records_lost == 0
-        assert snap.as_dict() == serial.snapshot().as_dict()
-        for fid, res in results.items():
-            assert res == serial.result(fid)
-
-    def test_wedged_worker_recovered_by_timeout(self):
-        cols = make_cols(n=2000)
-        plan = FaultPlan([wedge_worker(0, at_batch=2)])
-        serial, snap, results = run_pair(
-            cols, faults=plan, wedge_timeout=1.0,
-        )
-        assert ("wedge", "worker=0", 2) in plan.fired
-        assert snap.recovery.restarts >= 1
-        assert snap.as_dict() == serial.snapshot().as_dict()
-
     def test_dies_before_first_checkpoint(self):
         # checkpoint_every larger than the whole run: the kill lands
         # with no checkpoint ever taken; recovery restores-from-empty

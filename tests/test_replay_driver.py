@@ -87,20 +87,6 @@ class TestReportFiniteness:
 
 
 class TestParallelReplay:
-    def test_workers_knob_matches_serial_decode(self):
-        trace = build_trace("incast", packets=2500, seed=0)
-        serial = ReplayDriver(batch_size=1024, seed=0).replay(trace)
-        par = ReplayDriver(batch_size=1024, seed=0, workers=2).replay(trace)
-        for field in (
-            "records", "flows", "batches", "path_records", "path_flows",
-            "path_decoded", "path_correct", "path_resets",
-            "congestion_records", "congestion_flows",
-        ):
-            assert getattr(serial, field) == getattr(par, field), field
-        s_err = serial.congestion_median_rel_err
-        p_err = par.congestion_median_rel_err
-        assert s_err == p_err or (s_err != s_err and p_err != p_err)
-
     def test_invalid_workers_rejected(self):
         with pytest.raises(ValueError):
             ReplayDriver(workers=0)
@@ -108,6 +94,16 @@ class TestParallelReplay:
             # The driver honors num_shards rather than silently
             # widening it; more workers than shards cannot be served.
             ReplayDriver(num_shards=2, workers=4)
+
+    @pytest.mark.parametrize("workers", [None, 2])
+    def test_journal_without_checkpoints_rejected_up_front(self, workers):
+        # Once accepted and ignored (serial), or refused only inside
+        # replay() after the trace was built (workers).
+        with pytest.raises(ValueError, match="require checkpoint_every"):
+            ReplayDriver(workers=workers, journal_batches=3)
+        with pytest.raises(ValueError, match="require checkpoint_every"):
+            ReplayDriver(workers=2, faults=object())
+        ReplayDriver(workers=2, checkpoint_every=2, journal_batches=3)
 
 
 def reference_score(driver, trace, path, cong, codec, utils, delivery):

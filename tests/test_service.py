@@ -27,7 +27,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.collector import Collector, ParallelCollector, path_consumer_factory
 from repro.exceptions import CollectorClosedError, ReproError
-from repro.replay import ReplayDriver, build_trace
+from repro.replay import ReplayDriver
 from repro.service import (
     AckFrame,
     BadFrameError,
@@ -673,31 +673,6 @@ class TestDriverTransport:
     def test_invalid_transport_rejected(self):
         with pytest.raises(ValueError):
             ReplayDriver(transport="smoke-signals")
-
-    def test_udp_transport_bit_identical(self):
-        trace = build_trace("incast", packets=1500, seed=0)
-        base = ReplayDriver(batch_size=256, seed=0).replay(trace)
-        over = ReplayDriver(batch_size=256, seed=0,
-                            transport="udp").replay(trace)
-        for field in ("records", "flows", "batches", "path_records",
-                      "path_flows", "path_decoded", "path_correct",
-                      "path_resets", "congestion_records",
-                      "congestion_flows"):
-            assert getattr(base, field) == getattr(over, field), field
-        b_err, o_err = (base.congestion_median_rel_err,
-                        over.congestion_median_rel_err)
-        assert b_err == o_err or (b_err != b_err and o_err != o_err)
-        assert over.transport == "udp" and over.wire_frames > 0
-        assert base.transport == "in-process" and base.wire_frames == 0
-
-    def test_tcp_transport_bit_identical(self):
-        trace = build_trace("hadoop", packets=1500, seed=1)
-        base = ReplayDriver(batch_size=256, seed=0).replay(trace)
-        over = ReplayDriver(batch_size=256, seed=0,
-                            transport="tcp").replay(trace)
-        assert over.transport == "tcp"
-        for field in ("records", "batches", "path_decoded", "path_correct"):
-            assert getattr(base, field) == getattr(over, field), field
 
 
 # -- CLI --------------------------------------------------------------------

@@ -237,9 +237,6 @@ def run_equivalence(factory, cols, batch=333, **par_kw):
 
 
 class TestShmTransportEquivalence:
-    def test_shm_matches_serial(self):
-        run_equivalence(path_factory, make_cols())
-
     def test_tiny_ring_forces_fallback_everywhere(self):
         # slot_records=16 < every batch: the whole stream travels the
         # _SIDE/tombstone pipe fallback, in order.
