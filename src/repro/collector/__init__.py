@@ -27,7 +27,6 @@ from repro.collector.batchdecode import (
     CarrierCache,
     decode_latency_columns,
     decode_latency_slice,
-    decode_path_columns,
 )
 from repro.collector.collector import Collector, IngestClock
 from repro.collector.consumers import (
@@ -84,7 +83,6 @@ __all__ = [
     "congestion_consumer_factory",
     "decode_latency_columns",
     "decode_latency_slice",
-    "decode_path_columns",
     "latency_consumer_factory",
     "normalize_batch",
     "path_consumer_factory",

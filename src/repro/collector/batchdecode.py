@@ -57,16 +57,6 @@ class CarrierCache:
         return self._carriers
 
 
-def decode_path_columns(consumer, pids, hop_counts, digests) -> None:
-    """Feed one flow's columns to its path consumer (handle or object).
-
-    Bit-identical to the scalar per-record loop, including reset
-    semantics; the batched execution is the consumer's own
-    ``consume_batch`` (:mod:`repro.collector.consumers`).
-    """
-    consumer.consume_batch(pids, hop_counts, digests)
-
-
 def decode_latency_slice(
     consumer, pids, hop_counts, digests, lo: int, hi: int,
     carriers=None,

@@ -15,8 +15,8 @@ any decoding logic:
 
 Consumers expose ``consume_batch`` so shards can hand over a whole
 per-flow column slice at once.  The default implementation loops over
-:meth:`consume` (the scalar reference path); every concrete consumer
-overrides it with a columnar one.
+:meth:`consume` (the scalar reference path); the path and latency
+consumers override it with a columnar one.
 
 A sink's path flows (raw and hash digests) and congestion flows do not
 live in consumer objects at all: their state is a row of the one
@@ -523,8 +523,11 @@ class CongestionDigestConsumer(DigestConsumer):
 
     The multiplicative code is monotone in the value, so the max over
     codes equals the code of the max -- aggregation is a compare on the
-    *encoded* digests and one decode at query time, which is also why
-    ``consume_batch`` is a single vectorised ``max``.
+    *encoded* digests and one decode at query time.  A sink's
+    congestion flows are rows of a :class:`CongestionStore`, whose
+    :meth:`~CongestionStore.fold` is the batched form of
+    :meth:`consume`; a consumer object built directly takes a batch
+    through the base class's scalar loop.
     """
 
     kind = CONGESTION
@@ -549,46 +552,6 @@ class CongestionDigestConsumer(DigestConsumer):
         self.last_code = digest
         if digest > self.max_code:
             self.max_code = digest
-
-    def consume_batch(
-        self,
-        pids: Sequence[int],
-        hop_counts: Sequence[int],
-        digests: Sequence[int],
-    ) -> None:
-        """Vectorised fold over a whole column slice."""
-        n = len(digests)
-        if n == 0:
-            return
-        digs = np.asarray(digests)
-        self.consume_slice(pids, hop_counts, digs, 0, n)
-
-    def consume_slice(
-        self,
-        pids: np.ndarray,
-        hop_counts: np.ndarray,
-        digests: np.ndarray,
-        lo: int,
-        hi: int,
-    ) -> None:
-        """Group fold touching only the digest column.
-
-        NumPy reductions carry ~microseconds of fixed dispatch cost, so
-        small slices (the common case when a batch spans many flows)
-        take a plain-Python ``max`` over ``tolist()`` instead.
-        """
-        n = hi - lo
-        self.records += n
-        if n > 64:
-            digs = digests[lo:hi]
-            self.last_code = int(digs[-1])
-            top = int(digs.max())
-        else:
-            lst = digests[lo:hi].tolist()
-            self.last_code = lst[-1]
-            top = max(lst)
-        if top > self.max_code:
-            self.max_code = top
 
     @property
     def is_complete(self) -> bool:

@@ -18,9 +18,8 @@ Data flow::
             │ ShardRouter.shard_of_array → worker = shard % N
             ▼
       scatter: one boolean mask per worker; sub-columns written
-      into the worker's shared-memory ring slot (zero-copy on the
-      far side), or -- oversized / scalar -- pickled over the pipe
-      behind a ring tombstone that pins their place in the stream
+      into the worker's shared-memory ring -- one slot (zero-copy
+      on the far side), or a run of continued slots when larger
             ▼
       worker w: Collector.ingest_batch(sub-columns, now=t)
       (full shard layout, only owned shards ever fed)
@@ -39,17 +38,13 @@ per-flow query answers are therefore bit-identical to a single-process
 collector fed the same batches -- the ``workers`` and ``ring`` axes of
 ``tests/equivalence.py``, across all replay scenarios.
 
-Transport: batches travel in per-worker :class:`~repro.collector.shm.
-ShmRing` shared-memory rings -- one vectorised column copy
-parent-side, zero-copy ``np.ndarray`` views worker-side -- and the
-duplex pipe carries sync RPCs plus the slow path for what a ring slot
-cannot hold (oversized batches, scalar ingests): each such pipe
-message is pinned into the stream by a ring tombstone, so the ring
-stays the single ordering spine and drain/FIFO semantics survive the
-split.  Workers are spawned with the ``fork`` start method by default
-so consumer factories may be closures (the idiom throughout
-:mod:`repro.collector.consumers`); pass ``start_method="spawn"`` with
-a picklable factory where fork is unavailable.
+Transport: every record -- from ``ingest_batch``, scalar ``ingest``
+or a journal replay, of any size -- travels one per-worker
+:class:`~repro.collector.shm.ShmRing` shared-memory ring: one
+vectorised column copy parent-side, zero-copy ``np.ndarray`` views
+worker-side for a message that fits a slot.  The duplex pipe carries
+only sync RPCs.  Workers are forked, so consumer factories may be
+closures (the idiom throughout :mod:`repro.collector.consumers`).
 
 Lifecycle: ``start()`` (or the first ingest) spawns workers;
 ``drain()`` barriers until every sent batch is applied; ``close()``
@@ -99,7 +94,7 @@ from repro.collector.recovery import (
     validate_checkpoint,
 )
 from repro.collector.shard import ShardRouter
-from repro.collector.shm import KIND_TOMBSTONE, PeerGoneError, ShmRing
+from repro.collector.shm import KIND_BATCH, KIND_SCALAR, PeerGoneError, ShmRing
 from repro.collector.snapshot import RecoveryStats, Snapshot
 from repro.exceptions import (
     CheckpointError,
@@ -110,29 +105,21 @@ from repro.exceptions import (
 )
 from repro.obs.metrics import NULL_REGISTRY, MetricsRegistry
 
-#: Messages a worker understands.  ``_BATCH``/``_INGEST`` tuples are
-#: fire-and-forget data: the shape the journal stores, written into
-#: the worker's ring when they fit a slot and wrapped in ``_SIDE``
-#: when they do not.  Every other command is synchronous, travels the
-#: pipe and gets exactly one ``("ok", value)`` or ``("err", message)``
-#: reply; the worker folds its whole ring backlog before answering,
-#: so a sync reply proves all earlier data was applied -- that is the
-#: whole drain protocol.  The two reads differ in what crosses the
-#: pipe: ``_ANSWERS`` replies with the worker's
+#: Pipe commands.  Data never travels the pipe: a data message is a
+#: ``(kind, fids, pids, hops, digs, t)`` tuple -- the shape the
+#: journal stores -- pushed into the worker's ring.  Every pipe
+#: command is synchronous and gets exactly one ``("ok", value)`` or
+#: ``("err", message)`` reply; the worker folds its whole ring backlog
+#: before answering, so a sync reply proves all earlier data was
+#: applied -- that is the whole drain protocol.  The two reads differ
+#: in what crosses the pipe: ``_ANSWERS`` replies with the worker's
 #: :class:`~repro.collector.answers.AnswerTable` (a few arrays),
 #: ``_FLOWS`` with whole pickled consumers (decoder *state*).
 #: ``_CHECKPOINT`` replies with the worker's framed state blob;
 #: ``_DEGRADE`` installs unreplayable-loss marks after a
 #: journal-window overrun.
-_BATCH, _INGEST, _SNAPSHOT, _LEN, _EXPIRE, _EVICT, _DRAIN, _STOP, \
-    _FLOWS, _ANSWERS, _CHECKPOINT, _DEGRADE = range(12)
-#: Side channel: a data message that cannot ride the ring (oversized
-#: batch, scalar ingest, journal replay of either) travels the pipe
-#: as ``(_SIDE, index, inner)`` while a tombstone slot carrying
-#: ``index`` is pushed into the ring.  The worker applies the inner
-#: message only when it consumes the tombstone, so the ring stays the
-#: single total order over all data.
-_SIDE = 12
+_SNAPSHOT, _LEN, _EXPIRE, _EVICT, _DRAIN, _STOP, _FLOWS, _ANSWERS, \
+    _CHECKPOINT, _DEGRADE = range(10)
 
 
 class _WorkerDied(RuntimeError):
@@ -193,16 +180,13 @@ def _worker_main(
     would be worse than dying again (the parent's ``max_restarts``
     bounds the retry storm).
 
-    ``ring_spec`` attaches the worker to its shared-memory data ring.
-    The worker folds ring slots eagerly and polls the pipe only when
-    the ring is empty; a sync command is held until the ring is empty
-    again, which is what makes "a sync reply proves all earlier data
-    was applied" true (the parent sent the command *after* those
-    pushes, and its pipe write fences the shared-memory stores).  A
-    ``_SIDE`` pipe message is never applied on receipt -- it is parked
-    until its tombstone slot comes up in the ring, which is what keeps
-    oversized-batch fallbacks ordered exactly where the parent
-    scattered them.
+    ``ring_spec`` attaches the worker to its shared-memory ring, the
+    only carrier of data.  The worker folds ring messages eagerly and
+    polls the pipe only when no whole message is ready; a sync command
+    is held until the ring is empty again, which is what makes "a sync
+    reply proves all earlier data was applied" true (the parent sent
+    the command *after* those pushes, and its pipe write fences the
+    shared-memory stores).
     """
     obs = MetricsRegistry() if obs_enabled else None
     col = Collector(
@@ -255,68 +239,33 @@ def _worker_main(
             # gauge must return to zero either way.
             applied.value += 1
 
-    def apply_data(m) -> None:
-        """One side-channel data message (a _BATCH or _INGEST tuple)."""
-        if m[0] == _BATCH:
-            fold(col.ingest_batch, m[1], m[2], m[3], m[4], now=m[5])
-        else:
-            fold(col.ingest, m[1], m[2], m[3], m[4], now=m[5])
-
     ring = ShmRing.attach(*ring_spec)
-    #: ``_SIDE`` messages received ahead of their tombstones, by side
-    #: index.  Ordering lives in the ring; the pipe only carries the
-    #: payloads a slot cannot.
-    pending_side: Dict[int, tuple] = {}
-
-    def consume_slot(slot) -> bool:
-        """Fold one ready ring slot; False when the parent is gone."""
-        if slot.kind == KIND_TOMBSTONE:
-            m = pending_side.pop(slot.side, None)
-            if m is None:
-                try:
-                    # FIFO puts this tombstone's _SIDE message next on
-                    # the pipe: every earlier side message was consumed
-                    # by an earlier tombstone, and every sync RPC the
-                    # parent sent after it is still queued behind it.
-                    raw = conn.recv()
-                except (EOFError, OSError):
-                    return False
-                m = raw[2]
-            apply_data(m)
-        else:
-            fids, ps, hops, digs = slot.columns
-            fold(col.ingest_batch, fids, ps, hops, digs, now=slot.t)
-        ring.advance()
-        return True
-
     #: A sync command read off the pipe, held until the ring is empty.
     held: Optional[tuple] = None
     while True:
-        slot = ring.peek()
-        if slot is not None:
-            if not consume_slot(slot):
-                break
+        # No name may outlive the loop bound to a slot view: close()
+        # cannot unmap a segment with views still exported.
+        data = ring.take()
+        if data is not None:
+            if data.kind == KIND_SCALAR:
+                fold(col.ingest, *(int(c[0]) for c in data.columns),
+                     now=data.t)
+            else:
+                fold(col.ingest_batch, *data.columns, now=data.t)
             continue
         if held is None:
             try:
-                if not conn.poll(0.001):
-                    continue
-                msg = conn.recv()
+                # Mid-message the parent is still pushing and has no
+                # command to send yet: look at the ring again at once.
+                if conn.poll(0 if ring.mid_message else 0.001):
+                    # Every data message the parent pushed before this
+                    # command is already published to the ring (the
+                    # pipe write fences the shared-memory stores), so
+                    # one more pass over the ring before answering is
+                    # the drain protocol.
+                    held = conn.recv()
             except (EOFError, OSError):
                 break
-            if msg[0] == _SIDE:
-                # Park it: the ring decides when it applies.  (The
-                # parent pushes the tombstone right after this send,
-                # but an earlier ring batch may still be invisible to
-                # this process; applying now could reorder the stream.)
-                pending_side[msg[1]] = msg[2]
-            else:
-                # Sync command: every data message the parent sent
-                # before it is already published to the ring (the pipe
-                # write fences the shared-memory stores), so one more
-                # pass over the ring before answering is the drain
-                # protocol.
-                held = msg
             continue
         msg, held = held, None
         op = msg[0]
@@ -399,16 +348,12 @@ class ParallelCollector:
         Worker process count; shards are assigned round-robin
         (``shard_id % workers``), so ``workers`` must not exceed
         ``num_shards`` (an idle worker would own nothing).
-    start_method:
-        ``multiprocessing`` start method.  The default ``fork``
-        supports closure factories; ``spawn`` requires picklable
-        arguments throughout.
     ring_slots / ring_records:
         Shm-ring geometry: slots per ring (>= 2; generalised double
-        buffering) and records per slot.  A batch over
-        ``ring_records`` records falls back to the pipe side channel
-        -- size it to the scatter's per-worker sub-batch
-        (``batch / workers``-ish) to keep the fast path hot.
+        buffering) and records per slot.  A sub-batch over
+        ``ring_records`` records spans several slots and is copied out
+        on the worker -- size it to the scatter's per-worker sub-batch
+        (``batch / workers``-ish) to keep every message zero-copy.
     obs:
         Optional :class:`~repro.obs.metrics.MetricsRegistry`.  The
         parent registers scatter/drain spans, per-worker sent-batch
@@ -460,7 +405,6 @@ class ParallelCollector:
         ttl: Optional[float] = None,
         seed: int = 0,
         router: Optional[ShardRouter] = None,
-        start_method: str = "fork",
         # Accepted only because bench/stageloop.py:148 (frozen) passes
         # it; delete with that call in the next benchmark PR.
         transport: str = "shm",
@@ -521,15 +465,11 @@ class ParallelCollector:
             consumer_factory, num_shards, max_flows_per_shard, ttl, seed,
             router,
         )
-        self._ctx = mp.get_context(start_method)
-        self._start_method = start_method
+        self._ctx = mp.get_context("fork")
         self._ring_slots = ring_slots
         self._ring_records = ring_records
         #: One ShmRing per worker, created with it.
         self._rings: List[ShmRing] = []
-        #: Side-channel messages sent per worker since its ring was
-        #: created (the tombstone numbering; reset with a fresh ring).
-        self._side_sent: List[int] = [0] * workers
         self.clock = IngestClock()
         self._conns: List = []
         self._procs: List = []
@@ -677,7 +617,7 @@ class ParallelCollector:
                 child_conn, *self._spec,
                 list(range(w, self.num_shards, self.workers)),
                 w, self.obs.enabled, counter, self._obs_labels,
-                restore, ring.spec(self._start_method),
+                restore, ring.spec(),
             ),
             daemon=True,
             name=f"collector-worker-{w}",
@@ -819,43 +759,22 @@ class ParallelCollector:
 
     # -- transport ---------------------------------------------------------
 
-    def _transport_ff(self, w: int, msg: tuple) -> None:
-        """Route one fire-and-forget data message to worker ``w``.
+    def _push(self, w: int, msg: tuple) -> None:
+        """Push one data message into worker ``w``'s ring.
 
-        ``msg`` is a ``_BATCH`` or ``_INGEST`` tuple -- the journal
-        stores exactly these, so replay and live traffic share this
-        one path.  A batch that fits a slot is written into the ring;
-        everything else (an oversized batch, a scalar) goes over the
-        pipe as a numbered ``_SIDE`` message *followed by* its ring
-        tombstone -- pipe first, so a consumer blocking on the
-        tombstone always finds the message in flight, never a hole.
-        Raises :class:`_WorkerDied` when the worker cannot take the
-        message (dead, or -- under ``wedge_timeout`` -- making no
-        progress on a full ring); callers decide what that means.
+        ``msg`` is a ``(kind, fids, pids, hops, digs, t)`` tuple -- the
+        journal stores exactly these, so replay and live traffic share
+        this one path.  Raises :class:`_WorkerDied` when the worker
+        cannot take the message (dead, or -- under ``wedge_timeout`` --
+        making no progress on a full ring); callers decide what that
+        means.
         """
-        ring = self._rings[w]
-        alive = self._procs[w].is_alive
-        if msg[0] == _BATCH and ring.fits(int(msg[1].shape[0])):
-            fids, ps, hops, digs, t = msg[1], msg[2], msg[3], msg[4], msg[5]
-
-            def attempt() -> bool:
-                return ring.try_push(fids, ps, hops, digs, t)
-
-        else:
-            idx = self._side_sent[w] + 1
-            try:
-                self._conns[w].send((_SIDE, idx, msg))
-            except (BrokenPipeError, OSError) as exc:
-                raise _WorkerDied(
-                    f"worker {w} pipe broken at side message"
-                ) from exc
-            self._side_sent[w] = idx
-
-            def attempt() -> bool:
-                return ring.try_push_tombstone(idx)
-
+        kind, fids, ps, hops, digs, t = msg
         try:
-            ring.push_wait(attempt, alive, timeout=self._wedge_timeout)
+            self._rings[w].push(
+                fids, ps, hops, digs, t, kind, self._procs[w].is_alive,
+                self._wedge_timeout,
+            )
         except PeerGoneError as exc:
             raise _WorkerDied(f"worker {w}: {exc}") from exc
 
@@ -1091,16 +1010,12 @@ class ParallelCollector:
         ) = self._spawn(
             w, self._checkpoints[w], max(0, self._sent[w] - len(journal))
         )
-        # Fresh ring, fresh pipe: side numbering restarts with them.
-        self._side_sent[w] = 0
         replay = journal.replay_messages()
         for m in replay:
             try:
-                # Through the normal transport: a journaled batch that
-                # fits a slot replays via the fresh ring, an oversized
-                # one via _SIDE + tombstone -- the replacement cannot
-                # tell replay from live traffic.
-                self._transport_ff(w, m)
+                # Through the live push, into the fresh ring: the
+                # replacement cannot tell replay from live traffic.
+                self._push(w, m)
             except _WorkerDied as exc:
                 raise RecoveryError(
                     f"worker {w} replacement died during journal "
@@ -1165,7 +1080,7 @@ class ParallelCollector:
         """
         self._sent[w] += 1
         try:
-            self._transport_ff(w, msg)
+            self._push(w, msg)
         except _WorkerDied as exc:
             self._recover_worker(w, str(exc))
             return
@@ -1216,13 +1131,10 @@ class ParallelCollector:
         check_hop_range(hop_count, hop_count)
         self.start()
         t = self.clock.tick(now, 1)
-        self._reap()
-        sid = self.router.shard_of(flow_id)
-        w = sid % self.workers
-        msg = (_INGEST, flow_id, pid, hop_count, digest, t)
-        if self._supervised:
-            self._journal(w, msg, np.asarray([sid]))
-        self._post(w, msg)
+        cols = np.asarray(
+            [[flow_id], [pid], [hop_count], [digest]], dtype=np.int64
+        )
+        self._scatter(KIND_SCALAR, *cols, t)
 
     def ingest_batch(
         self,
@@ -1251,7 +1163,12 @@ class ParallelCollector:
             return 0
         check_hop_range(int(hops.min()), int(hops.max()))
         self.start()
-        t = self.clock.tick(now, n)
+        self._scatter(KIND_BATCH, fids, ps, hops, digs, self.clock.tick(now, n))
+        return n
+
+    def _scatter(self, kind: int, fids, ps, hops, digs, t: float) -> None:
+        """Route records to their owner workers: one message per worker
+        with records, each journaled (when supervised) and posted."""
         with self._sp_scatter:
             self._reap()
             sids = self.router.shard_of_array(fids)
@@ -1260,11 +1177,10 @@ class ParallelCollector:
                 mask = wids == w
                 if not mask.any():
                     continue
-                msg = (_BATCH, fids[mask], ps[mask], hops[mask], digs[mask], t)
+                msg = (kind, fids[mask], ps[mask], hops[mask], digs[mask], t)
                 if self._supervised:
                     self._journal(w, msg, sids[mask])
                 self._post(w, msg)
-        return n
 
     # -- queries -----------------------------------------------------------
 

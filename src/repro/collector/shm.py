@@ -6,16 +6,16 @@ parent-side, all serial.  So the *data plane* is one
 :class:`ShmRing` per worker: a ``multiprocessing.
 shared_memory`` segment laid out as a fixed-slot SPSC ring, written
 once by the parent (vectorised column copies) and read zero-copy by
-the worker (``np.ndarray`` views straight over the segment).  The
-control plane -- sync RPCs, oversized batches, scalar ingests --
-stays on the duplex pipe.
+the worker (``np.ndarray`` views straight over the segment).  Every
+record a worker folds -- batch or scalar, of any length, live or
+replayed -- travels the ring; the duplex pipe carries only sync RPCs.
 
 Ring layout (one segment per worker)::
 
       offset 0      ┌────────────────────────────────────┐
                     │ consumed : int64   (consumer-owned) │  64 B header
       offset 64     ├────────────────────────────────────┤
-                    │ slot 0:  seq | kind | n | side : i64│  64 B slot
+                    │ slot 0:  seq | kind | n | more : i64│  64 B slot
                     │          t : f64   (+ padding)      │  header
                     │          fids[cap] ps[cap]          │  4 × cap × 8 B
                     │          hops[cap] digs[cap]        │  payload
@@ -23,31 +23,31 @@ Ring layout (one segment per worker)::
                     │ slot 1:  ...                        │
                     └────────────────────────────────────┘
 
-Seqlock-style publication: message ``i`` (0-based) lands in slot
+Seqlock-style publication: slot write ``i`` (0-based) lands in slot
 ``i % slots``; the producer writes the payload columns and the slot
 header fields first and publishes by storing ``seq = i + 1`` *last*.
-The consumer, having consumed ``c`` messages, polls slot
-``c % slots`` until its ``seq`` reads ``c + 1``, ingests the
-zero-copy views, and only then stores ``consumed = c + 1`` back into
-the control header -- the producer's licence to overwrite that slot
-with message ``c + slots``.  One writer per field, int64 stores are
-single machine words on every platform we run on, and the seq/
-consumed pair brackets every payload access, so no torn read is ever
-acted on.
+The consumer, having consumed ``c`` slots, polls slot ``c % slots``
+until its ``seq`` reads ``c + 1``, reads the payload, and only then
+stores ``consumed = c + 1`` back into the control header -- the
+producer's licence to overwrite that slot with write ``c + slots``.
+One writer per field, int64 stores are single machine words on every
+platform we run on, and the seq/consumed pair brackets every payload
+access, so no torn read is ever acted on.
 
-Ordering with the pipe side-channel: the ring is the single ordering
-spine.  Anything that must travel by pipe but interleave with ring
-batches (an oversized batch, a scalar ingest, a journal replay) is
-sent as a numbered side message *and* a tombstone slot
-(``kind=1, n=0``) is pushed into the ring carrying that number; the
-consumer blocks on the pipe when it meets a tombstone it has not
-already satisfied.  ``collector/parallel.py`` owns that protocol;
-this module only carries the slots.
+Messages and the continuation rule: a message is a run of consecutive
+slots, every slot but the last flagged ``more``, each repeating the
+message's ``kind`` (:data:`KIND_BATCH` or :data:`KIND_SCALAR`) and
+clock stamp ``t``.  :meth:`ShmRing.push` splits a message longer than
+a slot into such a run; :meth:`ShmRing.take` hands back whole
+messages only.  One producer writes one slot sequence, so messages
+arrive in push order with nothing able to overtake them.
 
-Zero-copy safety: consumers never retain batch views past
-``Collector.ingest_batch`` (its lexsort grouping gathers with fancy
-indexing, which copies), so a slot may be reused the moment the
-consumer advances past it.
+Zero-copy safety: a single-slot message comes back as views over its
+slot, released at the next ``take()``; consumers never retain batch
+views past ``Collector.ingest_batch`` (its lexsort grouping gathers
+with fancy indexing, which copies).  A longer message is copied out
+slot by slot, each slot released as soon as it is copied, so a
+message larger than the whole ring still flows under back-pressure.
 
 This is the only module allowed to *create* shared-memory segments
 (lint rule R008 confines ``SharedMemory(create=True)`` here): one
@@ -57,44 +57,41 @@ owner per segment keeps the unlink discipline auditable.
 from __future__ import annotations
 
 import time
-from multiprocessing import resource_tracker, shared_memory
+from functools import partial
+from multiprocessing import shared_memory
 from typing import Callable, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
 #: Control header bytes (one int64 used: the consumed count).
 _CTRL_BYTES = 64
-#: Per-slot header bytes (seq, kind, n, side as int64; t as float64).
+#: Per-slot header bytes (seq, kind, n, more as int64; t as float64).
 _SLOT_HEADER_BYTES = 64
 #: Slot-header field offsets, in int64 words.
-_SEQ, _KIND, _N, _SIDE = range(4)
+_SEQ, _KIND, _N, _MORE = range(4)
 #: Byte offset of the float64 batch clock stamp inside a slot header.
 _T_OFFSET = 32
 
-#: Slot kinds.  A DATA slot carries a columnar batch; a TOMBSTONE
-#: carries no payload, only the side-channel sequence number whose
-#: pipe message must be applied at this point of the stream.
-KIND_DATA = 0
-KIND_TOMBSTONE = 1
+#: Message kinds.  A BATCH message is a columnar batch for
+#: ``Collector.ingest_batch``; a SCALAR message is the one record of a
+#: scalar ingest, for ``Collector.ingest``.
+KIND_BATCH = 0
+KIND_SCALAR = 1
 
 
-class RingSlot(NamedTuple):
-    """One consumed-side view of a ready slot (views, not copies)."""
+class RingMessage(NamedTuple):
+    """One whole message, as :meth:`ShmRing.take` returns it."""
 
     kind: int
-    side: int
     t: float
-    #: ``(fids, pids, hops, digs)`` int64 views into the segment;
-    #: empty arrays on a tombstone.  Valid until ``advance()``.
+    #: ``(fids, pids, hops, digs)`` int64 columns: views into the
+    #: segment for a single-slot message (valid until the next
+    #: ``take()``), copies for a longer one.
     columns: Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
 
 
 class PeerGoneError(RuntimeError):
     """The other end of the ring stopped making progress (died/wedged)."""
-
-
-def _release_views(arrays: List[np.ndarray]) -> None:
-    arrays.clear()
 
 
 class ShmRing:
@@ -103,7 +100,7 @@ class ShmRing:
     One side constructs with :meth:`create` (the parent; owns the
     segment name and must :meth:`unlink`), the other attaches with
     :meth:`attach` from the spec tuple.  Producer methods
-    (``try_push*``) and consumer methods (``peek``/``advance``) are
+    (``try_push``/``push``) and the consumer method (``take``) are
     each single-threaded by contract; the two sides run in different
     processes.
     """
@@ -143,16 +140,21 @@ class ShmRing:
             col = np.frombuffer(
                 buf, dtype=np.int64, count=4 * self.slot_records,
                 offset=off + _SLOT_HEADER_BYTES,
-            )
+            ).reshape(4, self.slot_records)
             self._hdrs.append(hdr)
             self._ts.append(t)
             self._cols.append(col)
             self._views += [hdr, t, col]
-        #: Messages pushed (producer-side) / consumed (consumer-side).
+        #: Slots pushed (producer-side) / consumed (consumer-side).
         #: Each side only trusts its own local count plus the single
         #: shared field the *other* side publishes.
         self._pushed = 0
         self._taken = 0
+        #: Consumer-side: a zero-copy message is out (its slot is
+        #: released by the next take()), and the copied slots of a
+        #: message whose last slot has not arrived yet.
+        self._held = False
+        self._parts: List[np.ndarray] = []
 
     # -- construction ------------------------------------------------------
 
@@ -174,41 +176,26 @@ class ShmRing:
         return ring
 
     @classmethod
-    def attach(
-        cls, name: str, slots: int, slot_records: int, start_method: str
-    ) -> "ShmRing":
+    def attach(cls, name: str, slots: int, slot_records: int) -> "ShmRing":
         """Worker side: map an existing segment by name.
 
-        Under ``spawn`` the child process runs its own resource
-        tracker, which would treat this attach as an ownership claim
-        and unlink the segment at child exit (bpo-38119); the attach
-        is untracked (3.13+) or explicitly unregistered to leave the
-        parent as the sole owner.  Under ``fork`` the tracker process
-        is shared and registration is set-based, so the attach is
-        already a no-op there.
+        The attach must not claim ownership, or the resource tracker
+        would unlink the segment at worker exit (bpo-38119).  It is
+        untracked on 3.13+; before that it registers with the tracker
+        the forked worker shares with the parent, whose registry is a
+        set, so the registration is a no-op.
         """
         try:
             shm = shared_memory.SharedMemory(name=name, track=False)
         except TypeError:  # track= is 3.13+
             shm = shared_memory.SharedMemory(name=name)
-            if start_method != "fork":
-                resource_tracker.unregister(shm._name, "shared_memory")
         return cls(shm, slots, slot_records, owner=False)
 
-    def spec(self, start_method: str) -> tuple:
+    def spec(self) -> tuple:
         """Picklable ``attach()`` arguments for the worker process."""
-        return (self._shm.name, self.slots, self.slot_records, start_method)
+        return (self._shm.name, self.slots, self.slot_records)
 
     # -- producer side -----------------------------------------------------
-
-    def fits(self, n: int) -> bool:
-        """True if an ``n``-record batch fits one slot."""
-        return n <= self.slot_records
-
-    def _free_slot(self) -> Optional[int]:
-        if self._pushed - int(self._ctrl[0]) >= self.slots:
-            return None
-        return self._pushed % self.slots
 
     def try_push(
         self,
@@ -217,45 +204,63 @@ class ShmRing:
         hops: np.ndarray,
         digs: np.ndarray,
         t: float,
+        kind: int = KIND_BATCH,
+        more: bool = False,
     ) -> bool:
-        """Publish one batch; False when the ring is full (no wait)."""
+        """Publish one slot; False when the ring is full (no wait).
+
+        ``more`` marks the slot as continued by the next one (see
+        :meth:`push`, which splits messages longer than a slot).
+        """
         n = int(fids.shape[0])
         if n > self.slot_records:
             raise ValueError(
                 f"batch of {n} records exceeds slot capacity "
-                f"{self.slot_records}; callers must route oversized "
-                "batches through the pipe fallback"
+                f"{self.slot_records}; push() splits it across slots"
             )
-        s = self._free_slot()
-        if s is None:
+        if self._pushed - int(self._ctrl[0]) >= self.slots:
             return False
-        cap = self.slot_records
+        s = self._pushed % self.slots
         col = self._cols[s]
-        col[0:n] = fids
-        col[cap:cap + n] = pids
-        col[2 * cap:2 * cap + n] = hops
-        col[3 * cap:3 * cap + n] = digs
+        col[0, :n] = fids
+        col[1, :n] = pids
+        col[2, :n] = hops
+        col[3, :n] = digs
         self._ts[s][0] = t
         hdr = self._hdrs[s]
-        hdr[_KIND] = KIND_DATA
+        hdr[_KIND] = kind
         hdr[_N] = n
-        hdr[_SIDE] = 0
+        hdr[_MORE] = more
         hdr[_SEQ] = self._pushed + 1  # publish: payload precedes seq
         self._pushed += 1
         return True
 
-    def try_push_tombstone(self, side_index: int) -> bool:
-        """Publish a side-channel marker slot; False when full."""
-        s = self._free_slot()
-        if s is None:
-            return False
-        hdr = self._hdrs[s]
-        hdr[_KIND] = KIND_TOMBSTONE
-        hdr[_N] = 0
-        hdr[_SIDE] = side_index
-        hdr[_SEQ] = self._pushed + 1
-        self._pushed += 1
-        return True
+    def push(
+        self,
+        fids: np.ndarray,
+        pids: np.ndarray,
+        hops: np.ndarray,
+        digs: np.ndarray,
+        t: float,
+        kind: int,
+        alive: Callable[[], bool],
+        timeout: Optional[float] = None,
+    ) -> None:
+        """Publish one message of any length as consecutive slots.
+
+        Every slot lands through :meth:`push_wait`, so a message longer
+        than the whole ring flows as the consumer frees slots, and no
+        wait outlives the consumer's pulse: ``timeout`` bounds each
+        slot's wait for room.
+        """
+        n = int(fids.shape[0])
+        for lo in range(0, max(n, 1), self.slot_records):
+            hi = min(lo + self.slot_records, n)
+            attempt = partial(
+                self.try_push, fids[lo:hi], pids[lo:hi], hops[lo:hi],
+                digs[lo:hi], t, kind, hi < n,
+            )
+            self.push_wait(attempt, alive, timeout)
 
     def push_wait(
         self,
@@ -266,12 +271,12 @@ class ShmRing:
     ) -> None:
         """Run ``attempt`` until it lands, watching the consumer's pulse.
 
-        ``attempt`` is a bound ``try_push``/``try_push_tombstone``
-        closure.  Raises :class:`PeerGoneError` when the consumer
-        process reports dead, or -- with ``timeout`` -- when a live
-        consumer makes no room for that long (wedged; SIGSTOP and an
-        infinite loop look identical from here, and both are cured by
-        the supervisor replacing the worker).
+        ``attempt`` is a bound ``try_push`` closure.  Raises
+        :class:`PeerGoneError` when the consumer process reports dead,
+        or -- with ``timeout`` -- when a live consumer makes no room
+        for that long (wedged; SIGSTOP and an infinite loop look
+        identical from here, and both are cured by the supervisor
+        replacing the worker).
         """
         if attempt():
             return
@@ -295,37 +300,46 @@ class ShmRing:
                 return
 
     def occupancy(self) -> int:
-        """Producer-side live depth: pushed and not yet consumed."""
+        """Producer-side live depth: slots pushed and not yet consumed."""
         return self._pushed - int(self._ctrl[0])
 
     # -- consumer side -----------------------------------------------------
 
-    def peek(self) -> Optional[RingSlot]:
-        """The next ready slot as zero-copy views, or None (empty).
+    def take(self) -> Optional[RingMessage]:
+        """The next whole message, or None until all of it has arrived.
 
-        The returned views are valid until :meth:`advance`; consumers
-        must not retain them past it (``Collector.ingest_batch``'s
-        gather-copies satisfy this by construction).
+        Releases the previous single-slot message first.  A message
+        that fits one slot comes back as zero-copy views, valid until
+        the next call; a longer one is copied out as its slots arrive,
+        each slot released at once, and comes back concatenated.
         """
-        s = self._taken % self.slots
-        hdr = self._hdrs[s]
-        if int(hdr[_SEQ]) != self._taken + 1:
-            return None
-        n = int(hdr[_N])
-        cap = self.slot_records
-        col = self._cols[s]
-        return RingSlot(
-            kind=int(hdr[_KIND]),
-            side=int(hdr[_SIDE]),
-            t=float(self._ts[s][0]),
-            columns=(
-                col[0:n], col[cap:cap + n],
-                col[2 * cap:2 * cap + n], col[3 * cap:3 * cap + n],
-            ),
-        )
+        if self._held:
+            self._held = False
+            self._release()
+        while True:
+            s = self._taken % self.slots
+            hdr = self._hdrs[s]
+            if int(hdr[_SEQ]) != self._taken + 1:
+                return None
+            payload = self._cols[s][:, :int(hdr[_N])]
+            kind, t, more = int(hdr[_KIND]), float(self._ts[s][0]), hdr[_MORE]
+            if not more and not self._parts:
+                self._held = True
+                return RingMessage(kind, t, tuple(payload))
+            self._parts.append(payload.copy())
+            self._release()
+            if not more:
+                joined = np.concatenate(self._parts, axis=1)
+                self._parts = []
+                return RingMessage(kind, t, tuple(joined))
 
-    def advance(self) -> None:
-        """Release the slot :meth:`peek` returned back to the producer."""
+    @property
+    def mid_message(self) -> bool:
+        """True while part of a multi-slot message has been taken."""
+        return bool(self._parts)
+
+    def _release(self) -> None:
+        """Hand the oldest unreleased slot back to the producer."""
         self._taken += 1
         self._ctrl[0] = self._taken
 
@@ -349,7 +363,7 @@ class ShmRing:
         self._ts = []
         self._cols = []
         self._ctrl = None
-        _release_views(self._views)
+        self._views.clear()
         try:
             self._shm.close()
         except BufferError:

@@ -154,10 +154,10 @@ class ForkSafety(Rule):
     """R008: fork-based modules never create threads, and only the
     shm modules create shared-memory segments.
 
-    ``collector/parallel.py`` forks workers (the default start method
-    on Linux); a thread started before ``fork()`` leaves the child
-    with the thread's locks in whatever state the parent froze them --
-    the classic post-fork deadlock.  The rule bans thread creation
+    ``collector/parallel.py`` forks its workers; a thread started
+    before ``fork()`` leaves the child with the thread's locks in
+    whatever state the parent froze them -- the classic post-fork
+    deadlock.  The rule bans thread creation
     *anywhere* in the configured fork modules: keeping the whole
     module thread-free is simpler to audit than proving ordering
     against every fork site.

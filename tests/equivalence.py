@@ -119,7 +119,8 @@ EXECUTION = ("impairments", "transport") + SCHEDULED
 PACKETS = {8192: 9_600, 64: 2_560}
 
 #: ``ring="tiny"``: two slots put back-pressure on every push, and a
-#: 48-record slot sends any larger sub-batch down the ``_SIDE`` pipe.
+#: 48-record slot splits any larger sub-batch into a run of continued
+#: slots that the worker reassembles.
 TINY_RING = dict(ring_slots=2, ring_records=48)
 
 #: Records per UDP frame: every batch fragments into ``FLAG_MORE`` runs.

@@ -30,7 +30,7 @@ def test_replay_driver_constructor_knobs():
 def test_parallel_collector_constructor_knobs():
     assert params(ParallelCollector) == {
         "consumer_factory", "workers", "num_shards",
-        "max_flows_per_shard", "ttl", "seed", "router", "start_method",
+        "max_flows_per_shard", "ttl", "seed", "router",
         # One legal value ("shm"); kept for the frozen bench caller.
         "transport",
         "ring_slots", "ring_records", "obs", "obs_labels",

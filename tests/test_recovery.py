@@ -624,6 +624,27 @@ class TestWorkerLossMidRpc:
             os.kill(victim.pid, signal.SIGCONT)
             par.close(timeout=5.0)
 
+    def test_unsupervised_wedge_timeout_bounds_a_batch_larger_than_the_ring(self):
+        # 20,000 records are 20 slots of a 8 x 1,024-record ring, and
+        # would pickle to more than a pipe buffer holds: the push must
+        # give up on the stopped worker after wedge_timeout, not block.
+        par = ParallelCollector(
+            congestion_consumer_factory(), workers=1, num_shards=1,
+            ring_records=1024, wedge_timeout=1.0,
+        ).start()
+        victim = par._procs[0]
+        n = 20_000
+        ids = np.arange(1, n + 1)
+        try:
+            os.kill(victim.pid, signal.SIGSTOP)
+            start = time.monotonic()
+            with pytest.raises(WorkerFailedError, match="worker 0.*wedged"):
+                par.ingest_batch(ids, ids, np.full(n, 3), np.full(n, 9))
+            assert time.monotonic() - start < 8.0
+        finally:
+            os.kill(victim.pid, signal.SIGCONT)
+            par.close(timeout=5.0)
+
 
 # -- close() escalation -----------------------------------------------------
 

@@ -3,17 +3,20 @@
 Covers the PR-10 tentpole contract at three levels:
 
 * :class:`ShmRing` in isolation -- publication order, FIFO, slot reuse
-  under wraparound, backpressure, tombstones, oversized-batch
-  rejection, producer liveness checks, and segment lifecycle
-  (close/unlink leaves nothing attachable behind);
-* the :class:`ParallelCollector` shm transport against serial ground
-  truth, including rings so small every batch takes the pipe fallback
-  (the _SIDE/tombstone ordering protocol carries the whole stream) and
-  mixed fits/doesn't-fit interleavings;
+  under wraparound, backpressure, zero-copy single-slot messages,
+  continuation reassembly of messages longer than the whole ring,
+  scalar messages, oversized-slot rejection, producer liveness
+  checks, and segment lifecycle (close/unlink leaves nothing
+  attachable behind);
+* the :class:`ParallelCollector` ring transport against serial ground
+  truth, including rings so small every batch spans slots, mixed
+  single-/multi-slot interleavings, scalar ingests, and sub-batches
+  larger than the whole ring;
 * failure hygiene -- a worker killed mid-stream gets a *fresh* ring
   (the old segment is unlinked, not leaked) and the merged snapshot
-  stays bit-identical; a full run under ``-W error::UserWarning``
-  produces no resource_tracker leak warnings.
+  stays bit-identical, also when every journaled message spans
+  slots; a full run under ``-W error::UserWarning`` produces no
+  resource_tracker leak warnings.
 """
 
 import subprocess
@@ -32,10 +35,10 @@ from repro.collector import (
     path_consumer_factory,
 )
 from repro.collector.shm import (
-    KIND_DATA,
-    KIND_TOMBSTONE,
+    KIND_BATCH,
+    KIND_SCALAR,
     PeerGoneError,
-    RingSlot,
+    RingMessage,
     ShmRing,
 )
 from repro.faults import FaultPlan, kill_worker
@@ -86,19 +89,16 @@ def ring():
 # -- ring mechanics ----------------------------------------------------------
 
 class TestShmRing:
-    def test_push_peek_roundtrip(self, ring):
+    def test_push_take_roundtrip(self, ring):
         fids, pids, hops, digs = batch_of(10)
         assert ring.try_push(fids, pids, hops, digs, t=2.5)
-        slot = ring.peek()
-        assert isinstance(slot, RingSlot)
-        assert slot.kind == KIND_DATA
-        assert slot.t == 2.5
-        np.testing.assert_array_equal(slot.columns[0], fids)
-        np.testing.assert_array_equal(slot.columns[1], pids)
-        np.testing.assert_array_equal(slot.columns[2], hops)
-        np.testing.assert_array_equal(slot.columns[3], digs)
-        ring.advance()
-        assert ring.peek() is None
+        msg = ring.take()
+        assert isinstance(msg, RingMessage)
+        assert msg.kind == KIND_BATCH
+        assert msg.t == 2.5
+        for got, want in zip(msg.columns, (fids, pids, hops, digs)):
+            np.testing.assert_array_equal(got, want)
+        assert ring.take() is None
 
     def test_fifo_order_across_wraparound(self):
         # 2 slots, 7 messages: every slot is reused at least twice and
@@ -113,13 +113,11 @@ class TestShmRing:
                 if r.try_push(*cols, t=float(pushed)):
                     pushed += 1
                     continue
-                slot = r.peek()
-                assert slot is not None  # full ring implies ready slot
-                seen.append(int(slot.columns[1][0]))
-                r.advance()
-            while (slot := r.peek()) is not None:
-                seen.append(int(slot.columns[1][0]))
-                r.advance()
+                msg = r.take()
+                assert msg is not None  # full ring implies ready slot
+                seen.append(int(msg.columns[1][0]))
+            while (msg := r.take()) is not None:
+                seen.append(int(msg.columns[1][0]))
             assert seen == list(range(7))
         finally:
             r.close()
@@ -130,9 +128,10 @@ class TestShmRing:
         for _ in range(ring.slots):
             assert ring.try_push(*cols, t=0.0)
         assert not ring.try_push(*cols, t=0.0)
-        assert not ring.try_push_tombstone(1)
-        ring.peek()
-        ring.advance()  # one slot freed
+        # A zero-copy message keeps its slot until the next take().
+        ring.take()
+        assert not ring.try_push(*cols, t=0.0)
+        ring.take()  # the first slot is freed
         assert ring.try_push(*cols, t=0.0)
 
     def test_occupancy_tracks_both_sides(self, ring):
@@ -141,23 +140,72 @@ class TestShmRing:
         ring.try_push(*cols, t=0.0)
         ring.try_push(*cols, t=0.0)
         assert ring.occupancy() == 2
-        ring.peek()
-        ring.advance()
+        ring.take()
+        assert ring.occupancy() == 2
+        ring.take()
         assert ring.occupancy() == 1
+        assert ring.take() is None
+        assert ring.occupancy() == 0
 
-    def test_fits_and_oversized_push_raises(self, ring):
-        assert ring.fits(ring.slot_records)
-        assert not ring.fits(ring.slot_records + 1)
-        with pytest.raises(ValueError):
+    def test_oversized_try_push_raises(self, ring):
+        assert ring.try_push(*batch_of(ring.slot_records), t=0.0)
+        with pytest.raises(ValueError, match="exceeds slot capacity"):
             ring.try_push(*batch_of(ring.slot_records + 1), t=0.0)
 
-    def test_tombstone_carries_side_index(self, ring):
-        assert ring.try_push_tombstone(42)
-        slot = ring.peek()
-        assert slot.kind == KIND_TOMBSTONE
-        assert slot.side == 42
-        assert all(len(c) == 0 for c in slot.columns)
-        ring.advance()
+    def test_five_slot_message_on_two_slot_ring(self):
+        # A message longer than the whole ring, interleaved step by
+        # step: the consumer copies each slot out and frees it, which
+        # is what lets the producer publish the next one.
+        r = ShmRing.create(slots=2, slot_records=4)
+        try:
+            cols = batch_of(18, seed=5)  # 4 + 4 + 4 + 4 + 2 records
+            slices = [tuple(c[lo:lo + 4] for c in cols)
+                      for lo in range(0, 18, 4)]
+            for step in ([0, 1], [2, 3], [4]):
+                for i in step:
+                    assert r.try_push(*slices[i], t=7.5, more=i < 4)
+                last = step[-1] == 4
+                if not last:  # the ring is full: the producer waits
+                    assert not r.try_push(*slices[step[-1] + 1], t=7.5)
+                msg = r.take()
+                assert (msg is None) != last
+                assert r.mid_message != last
+                assert r.occupancy() == 0  # copied out and released
+            assert msg.kind == KIND_BATCH and msg.t == 7.5
+            for got, want in zip(msg.columns, cols):
+                np.testing.assert_array_equal(got, want)
+            assert r.take() is None
+        finally:
+            r.close()
+            r.unlink()
+
+    def test_push_splits_any_message_into_slots(self, ring):
+        cols = batch_of(3 * ring.slot_records + 5, seed=2)
+        ring.push(*cols, t=1.0, kind=KIND_BATCH, alive=lambda: True)
+        assert ring.occupancy() == 4
+        msg = ring.take()
+        for got, want in zip(msg.columns, cols):
+            np.testing.assert_array_equal(got, want)
+
+    def test_single_slot_message_is_zero_copy(self, ring):
+        peer = ShmRing.attach(*ring.spec())
+        msg = segment = None
+        try:
+            cols = batch_of(ring.slot_records)
+            ring.push(*cols, t=0.0, kind=KIND_BATCH, alive=lambda: True)
+            msg = peer.take()
+            segment = np.frombuffer(peer._shm.buf, dtype=np.uint8)
+            assert all(np.shares_memory(c, segment) for c in msg.columns)
+        finally:
+            msg = segment = None
+            peer.close()
+
+    def test_scalar_message(self, ring):
+        one = np.asarray([[11], [12], [4], [200]], dtype=np.int64)
+        ring.push(*one, t=3.0, kind=KIND_SCALAR, alive=lambda: True)
+        msg = ring.take()
+        assert msg.kind == KIND_SCALAR and msg.t == 3.0
+        assert [int(c[0]) for c in msg.columns] == [11, 12, 4, 200]
 
     def test_push_wait_detects_dead_consumer(self, ring):
         cols = batch_of(1)
@@ -180,20 +228,20 @@ class TestShmRing:
             )
 
     def test_attach_sees_producer_writes(self, ring):
-        peer = ShmRing.attach(*ring.spec("fork"))
+        peer = ShmRing.attach(*ring.spec())
         try:
             fids, pids, hops, digs = batch_of(5)
             ring.try_push(fids, pids, hops, digs, t=9.0)
-            slot = peer.peek()
-            assert slot is not None and slot.t == 9.0
-            np.testing.assert_array_equal(slot.columns[0], fids)
-            peer.advance()
+            msg = peer.take()
+            assert msg is not None and msg.t == 9.0
+            np.testing.assert_array_equal(msg.columns[0], fids)
+            assert peer.take() is None
             # Consumer progress is visible producer-side.
             assert ring.occupancy() == 0
         finally:
-            # The RingSlot holds views into the segment; drop it so
+            # The RingMessage holds views into the segment; drop it so
             # close() can actually unmap (the contract callers obey).
-            slot = None
+            msg = None
             peer.close()
 
     def test_close_and_unlink_remove_the_segment(self):
@@ -232,21 +280,35 @@ def run_equivalence(factory, cols, batch=333, **par_kw):
         snap = par.snapshot()
         results = {int(f): par.result(int(f)) for f in np.unique(fids)}
     assert snap.as_dict() == serial.snapshot().as_dict()
+    assert snap.records_lost == 0
     for fid, res in results.items():
         assert res == serial.result(fid)
+    return snap
 
 
 class TestShmTransportEquivalence:
     def test_tiny_ring_forces_fallback_everywhere(self):
-        # slot_records=16 < every batch: the whole stream travels the
-        # _SIDE/tombstone pipe fallback, in order.
+        # slot_records=16 < every sub-batch: every message of the
+        # stream spans slots and is reassembled on the worker, in order.
         run_equivalence(
             congestion_factory, make_cols(n=2000), ring_records=16,
         )
 
+    def test_sub_batch_larger_than_the_whole_ring(self):
+        # 2 slots x 64 records hold 128 records; each worker's share of
+        # a 3,000-record batch is ~1,500, so every message outgrows the
+        # ring and flows only because the worker frees slots as it
+        # copies them out.
+        snap = run_equivalence(
+            path_factory, make_cols(), batch=3000,
+            ring_slots=2, ring_records=64,
+        )
+        assert all(shard.batches == 1 for shard in snap.shards
+                   if shard.records)
+
     def test_mixed_fit_and_fallback_batches(self):
-        # Alternate batches above/below slot capacity so ring slots
-        # and pipe fallbacks interleave within one stream.
+        # Alternate batches above/below slot capacity so single-slot
+        # and multi-slot messages interleave within one stream.
         factory = congestion_factory
         serial = Collector(factory(), num_shards=8, seed=1)
         fids, pids, hops, digs = make_cols(n=4000)
@@ -256,7 +318,7 @@ class TestShmTransportEquivalence:
         ) as par:
             lo, now, step = 0, 0.0, 0
             while lo < len(fids):
-                size = 100 if step % 2 == 0 else 700  # fits / falls back
+                size = 100 if step % 2 == 0 else 700  # one / many slots
                 hi = min(lo + size, len(fids))
                 now += 1.0
                 serial.ingest_batch(fids[lo:hi], pids[lo:hi], hops[lo:hi],
@@ -332,6 +394,35 @@ class TestShmFailureHygiene:
                 shared_memory.SharedMemory(name=old_names[1])
         finally:
             par.close()
+
+    def test_kill_replays_multi_slot_messages_into_fresh_ring(self):
+        # 16-record slots: every journaled sub-batch (~150 records)
+        # spans about ten slots, live and on replay after the kill.
+        fids, pids, hops, digs = make_cols()
+        serial = Collector(path_factory(), num_shards=8, seed=1)
+        plan = FaultPlan([kill_worker(1, at_batch=3)])
+        with ParallelCollector(
+            path_factory(), workers=2, num_shards=8, seed=1,
+            checkpoint_every=4, faults=plan, ring_slots=2, ring_records=16,
+        ) as par:
+            for i, lo in enumerate(range(0, len(fids), 300)):
+                hi = lo + 300
+                serial.ingest_batch(fids[lo:hi], pids[lo:hi], hops[lo:hi],
+                                    digs[lo:hi], now=float(i + 1))
+                par.ingest_batch(fids[lo:hi], pids[lo:hi], hops[lo:hi],
+                                 digs[lo:hi], now=float(i + 1))
+            snap = par.snapshot()
+            got = par.answers()
+        assert plan.fired == [("kill", "worker=1", 3)]
+        assert snap.recovery.restarts == 1
+        assert snap.recovery.replayed_batches > 0
+        assert snap.recovery.records_lost == 0
+        assert snap.as_dict() == serial.snapshot().as_dict()
+        want = serial.answers()
+        for name in ("flow_id", "offsets", "values"):
+            assert np.array_equal(getattr(got, name), getattr(want, name))
+        for name, column in want.columns.items():
+            assert np.array_equal(got.columns[name], column), name
 
     def test_close_unlinks_every_segment(self):
         par = ParallelCollector(

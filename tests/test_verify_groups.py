@@ -20,7 +20,6 @@ from repro.coding import (
 )
 from repro.collector import Collector, path_consumer_factory
 from repro.collector import consumers as consumers_mod
-from repro.collector.batchdecode import decode_path_columns
 from repro.collector.consumers import consume_groups
 from repro.hashing import GlobalHash
 
@@ -122,7 +121,7 @@ def feed_per_flow(consumers, cols, batch: int):
         order, groups = flow_groups(consumers, fids[sl])
         p, h, d = pids[sl][order], hops[sl][order], digs[sl][order]
         for consumer, a, b in groups:
-            decode_path_columns(consumer, p[a:b], h[a:b], d[a:b])
+            consumer.consume_batch(p[a:b], h[a:b], d[a:b])
 
 
 def feed_groups(consumers, cols, batch: int):
