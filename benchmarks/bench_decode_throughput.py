@@ -2,28 +2,24 @@
 
 The last scalar stage of the replay→collector pipeline was the sink's
 per-packet ``observe()`` loop.  This benchmark measures records/sec
-through :class:`repro.collector.Collector` for the two decode-heavy
-queries on a synthetic heavy-traffic workload (a fixed population of
-concurrent flows with Zipf-skewed packet counts):
+through :class:`repro.collector.Collector` for the §4.2 path query --
+the peeling decode (hash mode, real digests from a per-flow
+:class:`PathEncoder`) on a synthetic heavy-traffic workload (a fixed
+population of concurrent flows with Zipf-skewed packet counts) --
+comparing one-record :meth:`~repro.collector.Collector.ingest` against
+columnar :meth:`~repro.collector.Collector.ingest_batch`, which folds
+the batch into the sink's column store.  The latency query has no
+batched form: its batch takes the scalar loop, so there is nothing to
+compare.
 
-* **path** -- the §4.2 peeling decode (hash mode, real digests from a
-  per-flow :class:`PathEncoder`), comparing one-record
-  :meth:`~repro.collector.Collector.ingest` against columnar
-  :meth:`~repro.collector.Collector.ingest_batch` feeding the
-  batch-decode engine (``observe_batch`` + vectorised consistency
-  scans);
-* **latency** -- the §6.2 reservoir-carrier attribution into per-hop
-  KLL sketches, scalar per-sample updates vs vectorised carrier
-  replay + ``extend_array``.
-
-A third case times the *steady state* long flows spend almost all
+A second case times the *steady state* long flows spend almost all
 their packets in -- every flow of the batch already decoded, each
 record only a consistency check -- as a same-run ratio: the
 collector's one cross-flow verification pass per batch
 (``consume_groups``) against feeding the same flow groups one
 ``consume_batch`` at a time (>= 2x asserted; machine-independent).
 
-A fourth case times *converging* flows -- the first 60k ``web-search``
+A third case times *converging* flows -- the first 60k ``web-search``
 records' path share, thousands of flows a few packets each, fed as
 8,192-row batches -- where every batch is one cross-flow fixpoint peel
 (``repro.coding.peel``): a same-run ratio against the scalar
@@ -35,8 +31,8 @@ large universe must not fall off a cliff).
 Every number here is a same-run ratio against the scalar twin; the
 whole-pipeline rate is ``bench/``'s to measure.  Writes
 machine-readable ``BENCH_decode.json`` and asserts the headline claim:
-batched decode at batch >= 1024 sustains >= 5x the scalar consumer
-rate for both queries.
+batched path decode at batch >= 1024 sustains >= 5x the scalar
+consumer rate.
 
 Run:  PYTHONPATH=src python benchmarks/bench_decode_throughput.py
       (--quick for a small run)
@@ -49,25 +45,11 @@ import time
 
 import numpy as np
 
-from benchlib import make_path_workload, write_bench_json, zipf_flow_ids
-from repro.collector import (
-    Collector,
-    latency_consumer_factory,
-    path_consumer_factory,
-)
+from benchlib import make_path_workload, write_bench_json
+from repro.collector import Collector, path_consumer_factory
 from repro.collector.consumers import consume_groups
 from repro.replay import ReplayDriver, build_trace
 from repro.replay.dataplane import TraceDataplane
-
-
-def make_latency_workload(records: int, flows: int, seed: int):
-    """Columnar latency-query stream (codes on an 8-bit grid)."""
-    rng = np.random.default_rng(seed)
-    fids = zipf_flow_ids(records, flows, rng)
-    pids = np.arange(1, records + 1, dtype=np.int64)
-    hops = rng.integers(3, 8, size=records, dtype=np.int64)
-    digests = rng.integers(0, 256, size=records, dtype=np.int64)
-    return fids, pids, hops, digests
 
 
 def time_scalar(make_collector, cols, repeats: int) -> float:
@@ -279,16 +261,6 @@ def main() -> None:
             ),
             path_cols, args.batches, args.repeats,
         ),
-        "latency": bench_query(
-            "latency",
-            lambda: Collector(
-                latency_consumer_factory(bits=8, seed=args.seed,
-                                         sketch_size=128),
-                num_shards=args.shards, seed=args.seed,
-            ),
-            make_latency_workload(args.records, args.flows, args.seed),
-            args.batches, args.repeats,
-        ),
         "steady_state": bench_steady_state(
             48, 8192, 4 if args.quick else 12, args.seed, args.repeats
         ),
@@ -308,12 +280,9 @@ def main() -> None:
     }
     write_bench_json(args.json, payload)
 
-    floor = min(
-        results["path"]["big_batch_speedup"],
-        results["latency"]["big_batch_speedup"],
-    )
-    print(f"batched decode (batch >= 1024) vs scalar consumer ingest: "
-          f">= {floor}x on every query kind")
+    floor = results["path"]["big_batch_speedup"]
+    print(f"batched path decode (batch >= 1024) vs scalar consumer "
+          f"ingest: {floor}x")
     assert floor >= 5.0, (
         f"batched decode speedup {floor}x < 5x "
         "(batch >= 1024 must amortise the per-record observe() loop)"

@@ -112,7 +112,7 @@ class MultiplicativeCompressor:
         """Vectorised :meth:`encode_randomized` with caller-drawn coins.
 
         ``uniforms`` supplies one [0, 1) coin per lane -- typically
-        ``grid.uniform_lanes(pids, hop)``, the same keyed draw the
+        ``grid.uniform_zip(pids, hops)``, the same keyed draw the
         scalar path makes -- so feeding the scalar method's coins
         reproduces its codes lane-for-lane.
         """

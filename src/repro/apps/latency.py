@@ -11,8 +11,6 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence, Tuple
 
-import numpy as np
-
 from repro.approx import MultiplicativeCompressor, epsilon_for_bits
 from repro.core.framework import QueryRuntime
 from repro.core.query import Query
@@ -51,10 +49,6 @@ class LatencyCompressor:
         """Recover the approximate latency in seconds."""
         return self._comp.decode(code) * 1e-9
 
-    def decode_array(self, codes) -> "np.ndarray":
-        """Vectorised :meth:`decode`, lane-for-lane bit-identical."""
-        return self._comp.decode_array(codes) * 1e-9
-
 
 class HopLatencyStore:
     """Per-(flow, hop) sample store: raw list or KLL sketch."""
@@ -74,21 +68,6 @@ class HopLatencyStore:
             self._sketch.update(latency_s)
         else:
             self._raw.append(latency_s)
-
-    def add_array(self, latencies_s: np.ndarray) -> None:
-        """Record a column of decoded samples (the batch-decode path).
-
-        Raw mode appends the identical floats in the identical order
-        as per-sample :meth:`add`; sketch mode routes through
-        :meth:`KLLSketch.extend_array` (same guarantees, different
-        compaction coin order -- see that method's note).
-        """
-        vals = np.asarray(latencies_s, dtype=np.float64)
-        self.count += int(vals.size)
-        if self._sketch is not None:
-            self._sketch.extend_array(vals)
-        else:
-            self._raw.extend(vals.tolist())
 
     def quantile(self, phi: float) -> float:
         """Estimated phi-quantile of this hop's latency stream."""

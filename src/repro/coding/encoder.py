@@ -27,13 +27,7 @@ import numpy as np
 from repro.coding.decisions import DecisionReplay
 from repro.coding.message import DistributedMessage
 from repro.coding.schemes import BASELINE, CodingScheme
-from repro.hashing import (
-    GlobalHash,
-    cumulative_thresholds,
-    reservoir_carrier,
-    threshold_walk,
-    xor_acting_hops,
-)
+from repro.hashing import GlobalHash, reservoir_carrier, xor_acting_hops
 
 #: Digest representation modes.
 RAW = "raw"
@@ -134,20 +128,6 @@ class CodecContext:
     def layer_of(self, packet_id: int) -> int:
         """The layer index this packet serves at every hop."""
         return self.scheme.layer_index(self.select, packet_id)
-
-    def layer_of_array(self, packet_ids: np.ndarray) -> np.ndarray:
-        """Vectorised :meth:`layer_of`, lane-for-lane identical.
-
-        Replays :meth:`CodingScheme.layer_index` as integer compares:
-        a lane's layer is the count of partial-share thresholds at or
-        below its draw among the first ``L - 1`` -- the saturating
-        fallback (lanes past the cumulative mass map to the last
-        layer) included.
-        """
-        cuts = cumulative_thresholds(self.scheme.shares[:-1])
-        return threshold_walk(
-            self.select.draws_array(np.asarray(packet_ids)), cuts[:, None]
-        )
 
     def value_digest(self, rep: int, packet_id: int, value: int) -> int:
         """h_rep(value, packet): the compressed digest contribution."""
@@ -294,26 +274,6 @@ class PathEncoder:
             for rep in range(self.ctx.num_hashes):
                 digest[rep] ^= contribution[rep]
         return tuple(digest)
-
-    def encode_lanes(self, packet_ids, blocks: np.ndarray) -> np.ndarray:
-        """Vectorised :meth:`encode` with per-lane block values.
-
-        ``blocks`` has shape (n, k): each lane carries its *own* per-hop
-        values, so callers can batch packets of many same-length paths
-        through one call -- the constant-``k`` case of
-        :func:`encode_columns`.  Returns a (n, num_hashes) uint64
-        matrix equal, element-for-element, to the scalar :meth:`encode`
-        against each lane's blocks (property-tested), in all three
-        digest representations.
-        """
-        pids = np.asarray(packet_ids, dtype=np.uint64)
-        blocks = np.ascontiguousarray(blocks)
-        n, k = len(pids), self.message.k
-        if blocks.shape != (n, k):
-            raise ValueError(
-                f"blocks must have shape ({n}, {k}), got {blocks.shape}"
-            )
-        return self._encode_table(pids, blocks, np.arange(n))
 
     def encode_many(self, packet_ids) -> np.ndarray:
         """Vectorised :meth:`encode` for hash mode over many packets.

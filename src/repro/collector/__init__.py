@@ -8,9 +8,9 @@ holding an LRU/TTL-bounded :class:`FlowTable` of per-flow
 :class:`DigestConsumer`s that wrap the existing decoders (path peeling,
 latency KLL, congestion max).  Batched columnar ingestion
 (:meth:`Collector.ingest_batch`) amortises per-record overhead and
-dispatches each flow group to the :mod:`repro.collector.batchdecode`
-engine, which decodes whole column slices in vectorised ``GlobalHash``
-replays -- bit-identical to the scalar reference decoders; a
+folds a batch's path and congestion flows into their sink's column
+store in array passes (:func:`repro.collector.consumers.fold_rows`)
+-- bit-identical to the scalar reference decoders; a
 :class:`Snapshot` surface exports operational metrics and
 ``answers()`` returns the per-flow answers as an :class:`AnswerTable`
 of columns (:mod:`repro.collector.answers`).  For multi-core
@@ -23,11 +23,6 @@ See DESIGN.md ("Collector architecture") for the layer diagram and
 """
 
 from repro.collector.answers import AnswerTable
-from repro.collector.batchdecode import (
-    CarrierCache,
-    decode_latency_columns,
-    decode_latency_slice,
-)
 from repro.collector.collector import Collector, IngestClock
 from repro.collector.consumers import (
     CongestionDigestConsumer,
@@ -61,7 +56,6 @@ __all__ = [
     "AnswerTable",
     "BatchJournal",
     "CHECKPOINT_VERSION",
-    "CarrierCache",
     "Collector",
     "CongestionDigestConsumer",
     "DigestConsumer",
@@ -81,8 +75,6 @@ __all__ = [
     "TelemetryRecord",
     "capture_checkpoint",
     "congestion_consumer_factory",
-    "decode_latency_columns",
-    "decode_latency_slice",
     "latency_consumer_factory",
     "normalize_batch",
     "path_consumer_factory",

@@ -15,8 +15,9 @@ any decoding logic:
 
 Consumers expose ``consume_batch`` so shards can hand over a whole
 per-flow column slice at once.  The default implementation loops over
-:meth:`consume` (the scalar reference path); the path and latency
-consumers override it with a columnar one.
+:meth:`consume` (the scalar reference path) -- a latency flow's batch
+takes exactly that loop, so batch size cannot change its state; the
+path consumer overrides it with a columnar one.
 
 A sink's path flows (raw and hash digests) and congestion flows do not
 live in consumer objects at all: their state is a row of the one
@@ -64,11 +65,6 @@ from repro.coding.store import (
     spans,
 )
 from repro.collector.answers import CONGESTION, PATH, AnswerTable
-from repro.collector.batchdecode import (
-    CarrierCache,
-    decode_latency_columns,
-    decode_latency_slice,
-)
 from repro.exceptions import DecodingError
 from repro.hashing import GlobalHash, reservoir_carrier
 
@@ -105,22 +101,6 @@ class DigestConsumer:
         """Fold a column slice of records (default: scalar loop)."""
         for pid, hops, digest in zip(pids, hop_counts, digests):
             self.consume(int(pid), int(hops), int(digest))
-
-    def consume_slice(
-        self,
-        pids: np.ndarray,
-        hop_counts: np.ndarray,
-        digests: np.ndarray,
-        lo: int,
-        hi: int,
-    ) -> None:
-        """Fold rows ``[lo, hi)`` of whole batch columns.
-
-        The batched hot path: consumers that only read some columns
-        override this to skip slicing the rest (slice views cost real
-        time when a batch fans out into thousands of groups).
-        """
-        self.consume_batch(pids[lo:hi], hop_counts[lo:hi], digests[lo:hi])
 
     @property
     def is_complete(self) -> bool:
@@ -412,26 +392,18 @@ class LatencyDigestConsumer(DigestConsumer):
         seed: int = 0,
         sketch_size: Optional[int] = None,
         max_latency_s: float = 4.0,
-        carrier_cache: Optional[CarrierCache] = None,
     ) -> None:
         self.compressor = LatencyCompressor(bits, max_latency_s, seed)
         self.g = GlobalHash(seed, "latency-reservoir")
         self.sketch_size = sketch_size
         self._stores: Dict[int, HopLatencyStore] = {}
-        # The carrier hash is flow-independent, so the factory shares
-        # one batch-level cache across every flow's consumer; a
-        # standalone consumer gets a private one.
-        self._carrier_cache = (
-            carrier_cache if carrier_cache is not None
-            else CarrierCache(self.g)
-        )
 
     def _store_for(self, carrier: int, hop_count: int) -> HopLatencyStore:
         """Fetch-or-create the carrier hop's store.
 
         A new store's sketch budget is sized from the hop count of the
         record that creates it (the per-flow space budget split of
-        §4.1), on the scalar and batch paths alike.
+        §4.1).
         """
         store = self._stores.get(carrier)
         if store is None:
@@ -447,41 +419,6 @@ class LatencyDigestConsumer(DigestConsumer):
         carrier = reservoir_carrier(self.g, pid, hop_count)
         store = self._store_for(carrier, hop_count)
         store.add(self.compressor.decode(digest))
-
-    def consume_batch(
-        self,
-        pids: Sequence[int],
-        hop_counts: Sequence[int],
-        digests: Sequence[int],
-    ) -> None:
-        """Columnar attribution and storage of a flow-group slice.
-
-        Dispatches to the batch-decode engine
-        (:func:`repro.collector.batchdecode.decode_latency_columns`):
-        vectorised carrier replay, table-gather digest decode, one
-        ``add_array`` per carrier.  Sample-identical to the scalar loop
-        in raw-list mode; sketch mode differs only in the KLL
-        compaction coin order (same guarantees).
-        """
-        decode_latency_columns(self, pids, hop_counts, digests)
-
-    def consume_slice(
-        self,
-        pids: np.ndarray,
-        hop_counts: np.ndarray,
-        digests: np.ndarray,
-        lo: int,
-        hi: int,
-    ) -> None:
-        """Batched hot path over whole batch columns.
-
-        Receiving the un-sliced columns lets the shared
-        :class:`CarrierCache` replay the reservoir hash once per
-        *batch* instead of once per flow group -- the carrier depends
-        only on (pid, hop count), so every group reads from the same
-        cached column.
-        """
-        decode_latency_slice(self, pids, hop_counts, digests, lo, hi)
 
     @property
     def is_complete(self) -> bool:
@@ -1050,7 +987,7 @@ def consume_groups(groups, pids, hop_counts, digests, fallbacks=None) -> None:
             and context.adjacency is not None and not consumer.is_complete
         ):
             fallbacks[ADJACENCY].inc()
-        consumer.consume_slice(pids, hop_counts, digests, lo, hi)
+        consumer.consume_batch(pids[lo:hi], hop_counts[lo:hi], digests[lo:hi])
     for store, members in by_store.items():
         rows, starts, sizes = np.asarray(members, dtype=np.int64).T
         fold_rows(
@@ -1059,18 +996,8 @@ def consume_groups(groups, pids, hop_counts, digests, fallbacks=None) -> None:
 
 
 def latency_consumer_factory(**kwargs) -> ConsumerFactory:
-    """Factory of :class:`LatencyDigestConsumer`, one per flow.
-
-    All flows share one :class:`CarrierCache`: the reservoir-carrier
-    hash is keyed on (pid, hop count) only, so a batch's carrier
-    column is computed once and read by every flow group in it.
-    """
-    cache = CarrierCache(
-        GlobalHash(kwargs.get("seed", 0), "latency-reservoir")
-    )
-    return lambda flow_id: LatencyDigestConsumer(
-        carrier_cache=cache, **kwargs
-    )
+    """Factory of :class:`LatencyDigestConsumer`, one per flow."""
+    return lambda flow_id: LatencyDigestConsumer(**kwargs)
 
 
 def congestion_consumer_factory(**kwargs) -> ConsumerFactory:

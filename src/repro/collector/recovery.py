@@ -109,9 +109,20 @@ def validate_checkpoint(data: bytes, worker=None) -> None:
 
 
 def decode_checkpoint(data: bytes, worker=None) -> dict:
-    """Validate and unpickle one checkpoint blob."""
+    """Validate and unpickle one checkpoint blob.
+
+    A CRC-valid payload that names a module or class this build does
+    not have (a blob written by another version of the code) raises
+    :class:`CheckpointError`, chained to the unpickling error.
+    """
     validate_checkpoint(data, worker=worker)
-    return pickle.loads(data[_HEADER.size:])
+    try:
+        return pickle.loads(data[_HEADER.size:])
+    except (pickle.UnpicklingError, ImportError, AttributeError) as exc:
+        raise CheckpointError(
+            f"checkpoint payload does not unpickle in this build: {exc}",
+            worker=worker,
+        ) from exc
 
 
 def write_checkpoint(path: str, data: bytes) -> None:

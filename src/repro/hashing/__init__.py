@@ -9,7 +9,9 @@ Public surface:
 * :func:`xor_acting_hops` -- which hops xor a given packet.
 * :func:`unit_threshold` / :func:`threshold_walk` / :func:`acting_grid`
   -- the same coins in array form: every ``uniform < p`` as an exact
-  integer compare, a whole column's ``(hop, packet)`` grid in one pass.
+  integer compare, a whole column's ``(hop, packet)`` grid in one pass
+  (the kernels :class:`repro.coding.decisions.DecisionReplay`, the one
+  array form of the decisions above, is built from).
 * :mod:`repro.hashing.bitvector` -- the O(log k)/packet decode variant.
 """
 
@@ -20,13 +22,10 @@ from repro.hashing.global_hash import (
     lane_blocks,
     last_acting,
     reservoir_carrier,
-    reservoir_carrier_array,
-    reservoir_carrier_zip,
     reservoir_write,
     threshold_walk,
     unit_threshold,
     xor_acting_hops,
-    xor_acting_zip,
 )
 from repro.hashing.bitvector import (
     acting_hops_fast,
@@ -46,10 +45,7 @@ __all__ = [
     "last_acting",
     "reservoir_write",
     "reservoir_carrier",
-    "reservoir_carrier_array",
-    "reservoir_carrier_zip",
     "xor_acting_hops",
-    "xor_acting_zip",
     "acting_hops_fast",
     "acting_mask",
     "random_bitvector",

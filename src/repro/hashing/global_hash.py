@@ -168,20 +168,6 @@ class GlobalHash:
             raise ValueError("width must be in [1, 64]")
         return self.raw_array(parts, *salts) >> np.uint64(64 - width)
 
-    def bits_lanes(
-        self, width: int, lane_parts: np.ndarray, part: Part
-    ) -> np.ndarray:
-        """Per-lane first part, shared second part: h(lane_i, part).
-
-        Lane-for-lane equal to ``[bits(width, lane, part) for lane in
-        lane_parts]`` -- the shape needed to hash one block value
-        against many packet ids at once.
-        """
-        if not 1 <= width <= 64:
-            raise ValueError("width must be in [1, 64]")
-        accs = mix.fold_array(mix.begin(self._key), np.asarray(lane_parts))
-        return mix.fold_lanes(accs, _as_int(part)) >> np.uint64(64 - width)
-
     def bits_zip(
         self, width: int, first_parts: np.ndarray, second_parts: np.ndarray
     ) -> np.ndarray:
@@ -216,25 +202,15 @@ class GlobalHash:
             accs[:, None], np.asarray(second_parts)[None, :]
         ) >> np.uint64(64 - width)
 
-    def uniform_lanes(self, lane_parts: np.ndarray, part: Part) -> np.ndarray:
-        """Per-lane first part, shared second part, mapped onto [0, 1).
-
-        Lane-for-lane equal to ``[uniform(lane, part) for lane in
-        lane_parts]`` -- the shape of the ``(packet, hop)`` keyed coins
-        the randomized-rounding compressors draw in bulk.
-        """
-        accs = mix.fold_array(mix.begin(self._key), np.asarray(lane_parts))
-        return mix.to_unit_array(mix.fold_lanes(accs, _as_int(part)))
-
     def uniform_zip(
         self, first_parts: np.ndarray, second_parts: np.ndarray
     ) -> np.ndarray:
         """Per-lane (first, second) key pairs, mapped onto [0, 1).
 
         Lane-for-lane equal to ``[uniform(f, s) for f, s in
-        zip(first_parts, second_parts)]`` -- :meth:`uniform_lanes` when
-        the second part differs per lane too (a column of records,
-        each with its own hop count).
+        zip(first_parts, second_parts)]`` -- the ``(packet, hop)``
+        keyed coins the randomized-rounding compressors draw in bulk,
+        each record with its own hop count.
         """
         accs = mix.fold_array(mix.begin(self._key), np.asarray(first_parts))
         return mix.to_unit_array(mix.fold_zip(accs, np.asarray(second_parts)))
@@ -354,46 +330,6 @@ def reservoir_carrier(g: GlobalHash, packet_id: Part, path_len: int) -> int:
     return carrier
 
 
-def reservoir_carrier_array(
-    g: GlobalHash, packet_ids: np.ndarray, path_len: int
-) -> np.ndarray:
-    """Vectorised :func:`reservoir_carrier` over many packet ids."""
-    pids = np.asarray(packet_ids)
-    return reservoir_carrier_zip(g, pids, np.full(pids.shape[0], path_len))
-
-
-def _hop_thresholds(
-    top: int, path_lens: np.ndarray, thresholds: np.ndarray
-) -> np.ndarray:
-    """``thresholds`` down to each lane's own length, 0 (never) past it."""
-    hops = np.arange(1, top + 1)[:, None]
-    return np.where(hops <= path_lens, thresholds, np.uint64(0))
-
-
-def reservoir_carrier_zip(
-    g: GlobalHash, packet_ids: np.ndarray, path_lens: np.ndarray
-) -> np.ndarray:
-    """Vectorised :func:`reservoir_carrier` with per-lane path lengths.
-
-    Lane-for-lane equal to ``reservoir_carrier(g, pid, path_len)`` --
-    the shape a mixed column of flows needs (each record carries its
-    own hop count).  One decision grid per lane block: hop ``h`` writes
-    under ``1/h`` on the lanes at least ``h`` long, and the carrier is
-    the last hop that wrote (hop 1 where none could: a length below 1).
-    """
-    pids = np.asarray(packet_ids).astype(np.uint64)
-    lens = np.asarray(path_lens)
-    top = int(lens.max()) if lens.size else 0
-    salts = g.hop_salts(top)[:, None]
-    writes = unit_threshold(1.0 / np.arange(1, top + 1))[:, None]
-    carriers = np.empty(pids.shape[0], dtype=np.int64)
-    for lanes in lane_blocks(pids.shape[0], top):
-        carriers[lanes] = last_acting(acting_grid(
-            salts, pids[lanes], _hop_thresholds(top, lens[lanes], writes)
-        ))
-    return np.maximum(carriers, 1)
-
-
 def xor_acting_hops(
     g: GlobalHash, packet_id: Part, path_len: int, p: float
 ) -> list:
@@ -403,31 +339,3 @@ def xor_acting_hops(
     Recording Module recomputes this set to drive the peeling decoder.
     """
     return [i for i in range(1, path_len + 1) if g.uniform(i, packet_id) < p]
-
-
-def xor_acting_zip(
-    g: GlobalHash,
-    packet_ids: np.ndarray,
-    path_lens: np.ndarray,
-    probs: np.ndarray,
-) -> np.ndarray:
-    """Vectorised :func:`xor_acting_hops` with per-lane lengths and ``p``.
-
-    Row ``j`` of the ``(n, max(path_lens))`` boolean matrix has exactly
-    the bits ``xor_acting_hops(g, packet_ids[j], path_lens[j],
-    probs[j])`` sets (columns past a lane's own length stay False) --
-    the shape a column mixing flows of several path lengths, each with
-    its own scheme's XOR probability, needs.  One decision grid per
-    lane block, returned lane-major.
-    """
-    pids = np.asarray(packet_ids).astype(np.uint64)
-    lens = np.asarray(path_lens)
-    acts = unit_threshold(np.asarray(probs, dtype=np.float64))
-    top = int(lens.max()) if lens.size else 0
-    salts = g.hop_salts(top)[:, None]
-    out = np.empty((top, pids.shape[0]), dtype=bool)
-    for lanes in lane_blocks(pids.shape[0], top):
-        out[:, lanes] = acting_grid(
-            salts, pids[lanes], _hop_thresholds(top, lens[lanes], acts[lanes])
-        )
-    return out.T

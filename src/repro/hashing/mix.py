@@ -120,18 +120,6 @@ def fold_array(acc: int, parts: np.ndarray) -> np.ndarray:
     return mix64_array(lanes)
 
 
-def fold_lanes(accs: np.ndarray, part: int) -> np.ndarray:
-    """Fold one scalar part into an *array* of fold states.
-
-    Lane-for-lane identical to the scalar path:
-    ``fold_lanes(accs, p)[i] == fold(accs[i], p)``.
-    """
-    lanes = (np.asarray(accs).astype(np.uint64) + np.uint64(GOLDEN)) ^ (
-        np.uint64(part & MASK64)
-    )
-    return mix64_array(lanes)
-
-
 def fold_zip(accs: np.ndarray, parts: np.ndarray) -> np.ndarray:
     """Fold per-lane parts into per-lane fold states, pairwise.
 
@@ -144,11 +132,6 @@ def fold_zip(accs: np.ndarray, parts: np.ndarray) -> np.ndarray:
         parts.astype(np.uint64)
     )
     return mix64_array(lanes)
-
-
-def combine_array(seed: int, parts: np.ndarray) -> np.ndarray:
-    """Vectorised :func:`combine` for a single part per lane."""
-    return fold_array(begin(seed), parts)
 
 
 def to_unit_array(x: np.ndarray) -> np.ndarray:

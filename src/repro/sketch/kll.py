@@ -74,38 +74,14 @@ class KLLSketch:
             self._compress()
 
     def extend(self, values: Iterable[float]) -> None:
-        """Insert many stream items (scalar reference path).
+        """Insert many stream items.
 
         Compacts after every insertion exactly as a stream of
         :meth:`update` calls would, so scalar-pinned streams replay
-        unchanged; the batch ingestion hot path is
-        :meth:`extend_array`.
+        unchanged.
         """
         for v in values:
             self.update(v)
-
-    def extend_array(self, values: np.ndarray) -> None:
-        """Bulk insert with sort-based compaction (the columnar path).
-
-        The whole array lands in the level-0 buffer at once and the
-        hierarchy compacts until back within budget, with NumPy sorting
-        the oversized buffers.  Same estimator, same space bound and
-        same rank-error guarantee as :meth:`extend`; the compaction
-        coin stream is consumed in a different order, so the *stored*
-        samples can differ from the scalar path's (both within the
-        published bounds).  Use :meth:`extend` where a scalar-pinned
-        stream must replay exactly.
-        """
-        vals = np.asarray(values, dtype=np.float64)
-        if vals.ndim != 1:
-            raise ValueError(f"extend_array needs a 1-D array, got {vals.shape}")
-        if vals.size == 0:
-            return
-        self._compactors[0].extend(vals.tolist())
-        self._size += int(vals.size)
-        self._count += int(vals.size)
-        while self._size > self._max_size():
-            self._compress()
 
     def merge(self, other: "KLLSketch") -> None:
         """Fold ``other`` into this sketch (same-weight buffers concat)."""

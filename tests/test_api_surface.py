@@ -131,3 +131,39 @@ def test_flow_table_is_rows_behind_two_entry_points_and_views():
     assert isinstance(entry.row, int) and isinstance(entry.epoch, int)
     assert isinstance(table.get(5), FlowEntry) and table.get(6) is None
     assert [fid for fid, _ in table.items()] == [5]
+
+
+def test_array_twins_without_a_pipeline_caller_are_gone():
+    # Array code lives only where the pipeline runs it: a latency batch
+    # takes the scalar loop, and DecisionReplay is the one array form of
+    # the per-packet decisions.  RowHandle.consume_slice stays (bench/).
+    import repro.collector as collector
+    import repro.hashing as hashing
+    from repro.apps.latency import HopLatencyStore, LatencyCompressor
+    from repro.coding import CodecContext, PathEncoder
+    from repro.collector.consumers import (
+        DigestConsumer,
+        LatencyDigestConsumer,
+        RowHandle,
+    )
+    from repro.hashing import GlobalHash, mix
+    from repro.sketch import KLLSketch
+
+    for name in ("CarrierCache", "decode_latency_slice",
+                 "decode_latency_columns"):
+        assert not hasattr(collector, name)
+    for name in ("reservoir_carrier_zip", "reservoir_carrier_array",
+                 "xor_acting_zip"):
+        assert not hasattr(hashing, name)
+    assert not hasattr(GlobalHash, "bits_lanes")
+    assert not hasattr(GlobalHash, "uniform_lanes")
+    assert not hasattr(mix, "fold_lanes") and not hasattr(mix, "combine_array")
+    assert not hasattr(CodecContext, "layer_of_array")
+    assert not hasattr(PathEncoder, "encode_lanes")
+    assert not hasattr(KLLSketch, "extend_array")
+    assert not hasattr(HopLatencyStore, "add_array")
+    assert not hasattr(LatencyCompressor, "decode_array")
+    assert not hasattr(DigestConsumer, "consume_slice")
+    assert "consume_batch" not in vars(LatencyDigestConsumer)
+    assert "carrier_cache" not in params(LatencyDigestConsumer)
+    assert "consume_slice" in vars(RowHandle)

@@ -108,7 +108,7 @@ class TestMultiplicative:
         comp = MultiplicativeCompressor(epsilon=0.025)
         grid = GlobalHash(3, "rr")
         pids = np.arange(base, base + len(values), dtype=np.int64)
-        coins = grid.uniform_lanes(pids, 7)
+        coins = np.asarray([grid.uniform(int(pid), 7) for pid in pids])
         arr = comp.encode_randomized_array(np.asarray(values), coins)
         expected = [
             comp.encode_randomized(v, grid, int(pid), 7)

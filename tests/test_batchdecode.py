@@ -13,7 +13,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.apps.congestion import UtilizationCodec
-from repro.apps.latency import LatencyCompressor
 from repro.approx import MultiplicativeCompressor
 from repro.coding import (
     DistributedMessage,
@@ -25,18 +24,11 @@ from repro.coding import (
     unpack_reps,
     unpack_reps_array,
 )
-from repro.coding.encoder import CodecContext
 from repro.collector import (
     Collector,
+    ParallelCollector,
     latency_consumer_factory,
     path_consumer_factory,
-)
-from repro.hashing import (
-    GlobalHash,
-    reservoir_carrier,
-    reservoir_carrier_zip,
-    xor_acting_hops,
-    xor_acting_zip,
 )
 from repro.net import fat_tree
 
@@ -182,37 +174,6 @@ class TestVectorisedReplays:
                     int(digest), bits, reps
                 )
 
-    def test_xor_acting_zip_matches_scalar(self):
-        g = GlobalHash(3, "xor-test")
-        rng = np.random.default_rng(2)
-        pids = np.arange(1, 300, dtype=np.int64)
-        lens = rng.integers(1, 9, size=len(pids))
-        probs = rng.choice([0.1, 0.5, 1.0], size=len(pids))
-        mat = xor_acting_zip(g, pids, lens, probs)
-        assert mat.shape == (len(pids), lens.max())
-        for i, pid in enumerate(pids):
-            hops = [h + 1 for h in np.flatnonzero(mat[i]).tolist()]
-            assert hops == xor_acting_hops(
-                g, int(pid), int(lens[i]), float(probs[i])
-            )
-
-    def test_reservoir_carrier_zip_matches_scalar(self):
-        g = GlobalHash(9, "carrier-test")
-        rng = np.random.default_rng(1)
-        pids = np.arange(1, 500, dtype=np.int64)
-        lens = rng.integers(1, 9, size=len(pids))
-        zipped = reservoir_carrier_zip(g, pids, lens)
-        for pid, length, carrier in zip(pids, lens, zipped):
-            assert int(carrier) == reservoir_carrier(g, int(pid), int(length))
-
-    def test_layer_of_array_matches_scalar(self):
-        ctx = CodecContext(multilayer_scheme(16), 8, 1, 5)
-        pids = np.arange(1, 2000, dtype=np.uint64)
-        arr = ctx.layer_of_array(pids)
-        assert all(
-            int(a) == ctx.layer_of(int(p)) for p, a in zip(pids, arr)
-        )
-
 
 class TestDecodeArrays:
     """Table-gather decodes are bit-identical to the scalar decodes."""
@@ -233,13 +194,6 @@ class TestDecodeArrays:
         codes = np.arange(256, dtype=np.int64)
         assert codec.decode_array(codes).tolist() == [
             codec.decode(int(c)) for c in codes
-        ]
-
-    def test_latency_decode_array(self):
-        comp = LatencyCompressor(10, seed=1)
-        codes = np.arange(1024, dtype=np.int64)
-        assert comp.decode_array(codes).tolist() == [
-            comp.decode(int(c)) for c in codes
         ]
 
 
@@ -330,72 +284,56 @@ class TestCollectorBatchDecode:
                 == batched._decoder.packets_seen
             )
 
-    def test_latency_batch_matches_scalar_raw_mode(self):
-        """Raw-list latency stores are sample-identical, in order."""
-        rng = np.random.default_rng(6)
-        n = 5000
-        fids = rng.integers(1, 25, n)
-        pids = np.arange(1, n + 1)
-        hops = rng.integers(2, 8, n)
-        digs = rng.integers(0, 1024, n)
-        mk = lambda: Collector(
-            latency_consumer_factory(bits=10, seed=3), num_shards=2
-        )
-        scalar, batched = mk(), mk()
-        for i in range(n):
-            scalar.ingest(
-                int(fids[i]), int(pids[i]), int(hops[i]), int(digs[i])
-            )
-        for lo in range(0, n, 1024):
-            batched.ingest_batch(
-                fids[lo:lo + 1024], pids[lo:lo + 1024],
-                hops[lo:lo + 1024], digs[lo:lo + 1024],
-            )
-        for fid in np.unique(fids):
-            a, b = scalar.flow(int(fid)), batched.flow(int(fid))
-            assert a.result() == b.result()
-            for hop, store in a._stores.items():
-                other = b._stores[hop]
-                assert store._raw == other._raw
-                assert store.sketch_size == other.sketch_size
+    @pytest.mark.parametrize("sketch_size", [None, 64], ids=["raw", "sketch"])
+    def test_latency_batch_matches_scalar(self, sketch_size):
+        """A latency sink's state does not depend on how it was fed.
 
-    def test_latency_sketch_mode_same_counts_and_bounds(self):
-        """Sketch mode: identical attribution, bounded state, sane quantiles.
-
-        The KLL coin order differs between scalar and batch compaction,
-        so stored samples may differ -- counts and store sizing must
-        not.
+        Scalar ``ingest``, ``ingest_batch`` at three batch sizes and a
+        two-worker sink at batch 512 store the same samples at every
+        hop -- the raw list, or the KLL compactor buffers -- and
+        snapshot alike, bar the per-shard ``batches`` counter.
         """
         rng = np.random.default_rng(8)
         n = 4000
-        fids = rng.integers(1, 10, n)
-        pids = np.arange(1, n + 1)
-        hops = np.full(n, 5)
-        digs = rng.integers(0, 256, n)
-        mk = lambda: Collector(
-            latency_consumer_factory(bits=8, seed=2, sketch_size=64),
-            num_shards=2,
+        cols = (
+            rng.integers(1, 10, n), np.arange(1, n + 1),
+            rng.integers(2, 8, n), rng.integers(0, 256, n),
         )
-        scalar, batched = mk(), mk()
-        for i in range(n):
-            scalar.ingest(
-                int(fids[i]), int(pids[i]), int(hops[i]), int(digs[i])
+        fids = np.unique(cols[0]).tolist()
+
+        def factory():
+            return latency_consumer_factory(
+                bits=8, seed=2, sketch_size=sketch_size
             )
-        for lo in range(0, n, 512):
-            batched.ingest_batch(
-                fids[lo:lo + 512], pids[lo:lo + 512],
-                hops[lo:lo + 512], digs[lo:lo + 512],
-            )
-        for fid in np.unique(fids):
-            a, b = scalar.flow(int(fid)), batched.flow(int(fid))
-            assert a.result() == b.result()  # per-hop sample counts
-            for hop in a._stores:
-                sa, sb = a._stores[hop], b._stores[hop]
-                assert sa.sketch_size == sb.sketch_size
-                assert sa._sketch.count == sb._sketch.count
-                # Same samples in, same error guarantee out.
-                qa, qb = sa.quantile(0.5), sb.quantile(0.5)
-                assert qa > 0 and qb > 0
+
+        def state(sink):
+            flows = [
+                {
+                    hop: (store.count, store.sketch_size, store._raw,
+                          store._sketch and store._sketch._compactors)
+                    for hop, store in consumer._stores.items()
+                }
+                for consumer in sink.flows(fids)
+            ]
+            snap = sink.snapshot().as_dict()
+            for shard in snap["shards"]:
+                del shard["batches"]
+            return flows, snap
+
+        def feed(sink, batch):
+            for lo in range(0, n, batch):
+                sink.ingest_batch(*(c[lo:lo + batch] for c in cols))
+            return sink
+
+        scalar = Collector(factory(), num_shards=2)
+        for record in zip(*(c.tolist() for c in cols)):
+            scalar.ingest(*record)
+        want = state(scalar)
+        for batch in (64, 512, 8192):
+            assert state(feed(Collector(factory(), num_shards=2), batch)) == want
+        with ParallelCollector(factory(), workers=2, num_shards=2) as par:
+            feed(par, 512).drain()
+            assert state(par) == want
 
     def test_single_record_batches_match_scalar(self):
         """Batch size 1 exercises every scalar-fallback cutoff."""

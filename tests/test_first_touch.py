@@ -259,19 +259,13 @@ class TestStandaloneConsumer:
         for fid in busiest:
             rows = np.flatnonzero(fids == fid)
             pids, hops, digs = (c[rows] for c in cols[1:])
-            by_batch = PathDigestConsumer(universe, **kwargs)
-            by_slice = PathDigestConsumer(universe, **kwargs)
+            got = PathDigestConsumer(universe, **kwargs)
             half = len(rows) // 2
-            by_batch.consume_batch(pids[:half], hops[:half], digs[:half])
-            by_batch.consume_batch(pids[half:], hops[half:], digs[half:])
-            by_slice.consume_slice(pids, hops, digs, 0, 1)
-            by_slice.consume_slice(pids, hops, digs, 1, len(rows))
+            got.consume_batch(pids[:half], hops[:half], digs[:half])
+            got.consume_batch(pids[half:], hops[half:], digs[half:])
             want = collector.flow(fid)
-            for got in (by_batch, by_slice):
-                assert got.result() == want.result()
-                assert got.partial_path() == want.partial_path()
-                assert got.decode_errors == want.decode_errors
-                assert got.state_bytes() == want.state_bytes()
-                assert decoder_state(got._decoder) == decoder_state(
-                    want._decoder
-                )
+            assert got.result() == want.result()
+            assert got.partial_path() == want.partial_path()
+            assert got.decode_errors == want.decode_errors
+            assert got.state_bytes() == want.state_bytes()
+            assert decoder_state(got._decoder) == decoder_state(want._decoder)

@@ -10,7 +10,6 @@ from repro.hashing import (
     GlobalHash,
     acting_hops_fast,
     reservoir_carrier,
-    reservoir_carrier_array,
     reservoir_write,
     xor_acting_hops,
 )
@@ -107,17 +106,6 @@ class TestVectorAgreement:
         with pytest.raises(ValueError):
             GlobalHash(0).choice_array(0, np.arange(3))
 
-    @given(st.integers(0, 2**32), st.integers(0, 2**32))
-    @settings(max_examples=50)
-    def test_uniform_lanes_matches_scalar(self, base, salt):
-        g = GlobalHash(31, "u")
-        lanes = np.arange(base, base + 30, dtype=np.uint64)
-        arr = g.uniform_lanes(lanes, salt)
-        for i, lane in enumerate(range(base, base + 30)):
-            # uniform_lanes folds the per-lane part first, then the
-            # shared part -- the (packet, hop) key order.
-            assert arr[i] == g.uniform(lane, salt)
-
 
 class TestReservoir:
     def test_hop_one_always_writes(self):
@@ -136,13 +124,6 @@ class TestReservoir:
         counts = collections.Counter(reservoir_carrier(g, pid, k) for pid in range(n))
         for hop in range(1, k + 1):
             assert abs(counts[hop] / n - 1 / k) < 0.02
-
-    def test_carrier_array_matches_scalar(self):
-        g = GlobalHash(4, "g")
-        pids = np.arange(500, dtype=np.uint64)
-        arr = reservoir_carrier_array(g, pids, 9)
-        for pid in range(500):
-            assert arr[pid] == reservoir_carrier(g, pid, 9)
 
     def test_bad_hop(self):
         g = GlobalHash(0)
@@ -188,11 +169,8 @@ class TestGridForms:
         arr = g.uniform_zip(firsts, seconds)
         for i in range(30):
             # Per-lane part first, then the per-lane second part --
-            # the (packet, hop) key order of uniform_lanes.
+            # the (packet, hop) key order.
             assert arr[i] == g.uniform(int(firsts[i]), int(seconds[i]))
-        assert np.array_equal(
-            g.uniform_zip(firsts, np.full(30, 9)), g.uniform_lanes(firsts, 9)
-        )
 
     def test_hop_salts_rebuild_the_per_hop_hash(self):
         from repro.hashing import mix
@@ -203,18 +181,3 @@ class TestGridForms:
         for hop in (1, 2, 7, 12):
             for pid in (0, 1, 2**63 + 5, 2**64 - 1):
                 assert mix.mix64(int(salts[hop - 1]) ^ pid) == g.raw(hop, pid)
-
-    def test_carrier_zip_degenerate_lengths(self):
-        # The scalar walk answers hop 1 for a length below 1.
-        g = GlobalHash(4, "g")
-        pids = np.arange(6, dtype=np.int64) - 3
-        lens = np.asarray([0, 1, 4, 0, 9, 2])
-        from repro.hashing import reservoir_carrier_zip
-
-        got = reservoir_carrier_zip(g, pids, lens)
-        assert got.tolist() == [
-            reservoir_carrier(g, int(p), int(k)) for p, k in zip(pids, lens)
-        ]
-        none = np.empty(0, dtype=np.int64)
-        assert reservoir_carrier_zip(g, none, none).shape == (0,)
-        assert reservoir_carrier_array(g, pids, 0).tolist() == [1] * 6

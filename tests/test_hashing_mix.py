@@ -66,12 +66,6 @@ class TestVectorisedAgreement:
         expected = [mix.fold(acc, p) for p in parts]
         assert [int(v) for v in arr] == expected
 
-    @given(st.lists(U64, min_size=1, max_size=50), U64)
-    def test_combine_array_matches_scalar(self, parts, seed):
-        arr = mix.combine_array(seed, np.array(parts, dtype=np.uint64))
-        expected = [mix.combine(seed, p) for p in parts]
-        assert [int(v) for v in arr] == expected
-
     @given(st.lists(U64, min_size=1, max_size=50))
     def test_mix64_array_matches_scalar(self, xs):
         arr = mix.mix64_array(np.array(xs, dtype=np.uint64))
@@ -97,12 +91,6 @@ class TestVectorisedAgreement:
                     assert int(mix.fold_array(acc, one)) == mix.fold(
                         acc, int(top[0])
                     )
-            assert [int(v) for v in mix.fold_lanes(top, mix.MASK64)] == [
-                mix.fold(int(a), mix.MASK64) for a in top
-            ]
-            assert int(mix.fold_lanes(np.asarray(top[0]), 7)) == mix.fold(
-                int(top[0]), 7
-            )
             assert [int(v) for v in mix.fold_zip(top, top[::-1])] == [
                 mix.fold(int(a), int(b)) for a, b in zip(top, top[::-1])
             ]

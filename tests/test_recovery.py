@@ -20,7 +20,9 @@ Covers the PR-8 contract end to end:
 
 import os
 import signal
+import sys
 import time
+import types
 
 import numpy as np
 import pytest
@@ -119,6 +121,36 @@ class TestCheckpointFormat:
     def test_short_header_rejected(self):
         with pytest.raises(CheckpointError, match="truncated"):
             validate_checkpoint(b"PC")
+
+    def test_payload_naming_missing_code_is_a_checkpoint_error(
+        self, monkeypatch
+    ):
+        # A CRC-valid blob from another build can name a class or a
+        # module this build lacks; restore must say so with a typed,
+        # chained error rather than a raw unpickling one.
+        gone = types.ModuleType("repro_checkpoint_gone")
+
+        class Carrier:
+            pass
+
+        Carrier.__module__ = gone.__name__
+        Carrier.__qualname__ = "Carrier"
+        gone.Carrier = Carrier
+        monkeypatch.setitem(sys.modules, gone.__name__, gone)
+        blob = encode_checkpoint({"collector": Carrier()})
+        validate_checkpoint(blob)
+        del gone.Carrier
+        with pytest.raises(CheckpointError, match="Carrier") as exc:
+            decode_checkpoint(blob, worker=2)
+        assert isinstance(exc.value.__cause__, AttributeError)
+        assert exc.value.worker == 2
+        monkeypatch.delitem(sys.modules, gone.__name__)
+        sink = Collector(FACTORIES["latency"](), num_shards=2)
+        with pytest.raises(
+            CheckpointError, match="repro_checkpoint_gone"
+        ) as exc:
+            restore_collector(sink, blob)
+        assert isinstance(exc.value.__cause__, ModuleNotFoundError)
 
     def test_bad_magic_rejected(self):
         blob = bytearray(encode_checkpoint({}))

@@ -55,8 +55,7 @@ class TestKLL:
         """Pin the scalar path's outputs so existing seeds never drift.
 
         These values were produced by the scalar ``update`` pipeline
-        (default compaction RNG) before ``extend_array`` landed; the
-        batch path must not perturb them.
+        (default compaction RNG).
         """
         values = [((i * 2654435761) % 1000003) / 1000.0 for i in range(5000)]
         probes = (0.01, 0.1, 0.5, 0.9, 0.99)
@@ -72,46 +71,6 @@ class TestKLL:
         assert [sk128.quantile(p) for p in probes] == [
             12.204, 102.384, 496.315, 893.185, 990.738
         ]
-
-    def test_extend_array_counts_and_space(self):
-        sk = KLLSketch(k_param=64)
-        sk.extend_array(np.arange(100000, dtype=np.float64))
-        assert sk.count == 100000
-        assert sk.size < 64 * 8
-
-    def test_extend_array_rank_error(self):
-        rng = np.random.default_rng(7)
-        values = rng.normal(100, 15, size=20000)
-        sk = KLLSketch(k_param=128, rng=random.Random(2))
-        # Mixed bulk sizes: one large insert plus trickle tails.
-        sk.extend_array(values[:15000])
-        for lo in range(15000, 20000, 170):
-            sk.extend_array(values[lo:lo + 170])
-        for phi in (0.1, 0.5, 0.99):
-            est = sk.quantile(phi)
-            assert rank_error(values.tolist(), est, phi) < 0.05
-
-    def test_extend_array_matches_extend_distribution(self):
-        """Both paths answer within the same rank-error envelope."""
-        rng = np.random.default_rng(11)
-        values = rng.exponential(50.0, size=12000)
-        scalar = KLLSketch(k_param=128, rng=random.Random(1))
-        batch = KLLSketch(k_param=128, rng=random.Random(1))
-        scalar.extend(values.tolist())
-        batch.extend_array(values)
-        assert scalar.count == batch.count
-        for phi in (0.25, 0.5, 0.9):
-            assert rank_error(values.tolist(), batch.quantile(phi), phi) < 0.05
-            assert abs(
-                rank_error(values.tolist(), scalar.quantile(phi), phi)
-            ) < 0.05
-
-    def test_extend_array_empty_and_bad_shape(self):
-        sk = KLLSketch(k_param=64)
-        sk.extend_array(np.empty(0))
-        assert sk.count == 0
-        with pytest.raises(ValueError):
-            sk.extend_array(np.zeros((3, 2)))
 
     def test_merge_matches_union(self):
         rng = random.Random(5)

@@ -15,23 +15,7 @@ from repro.hashing import GlobalHash, mix
 
 
 class TestFoldLanes:
-    @given(st.lists(st.integers(0, mix.MASK64), min_size=1, max_size=40),
-           st.integers(0, mix.MASK64))
-    @settings(max_examples=50)
-    def test_matches_scalar_fold(self, accs, part):
-        arr = mix.fold_lanes(np.array(accs, dtype=np.uint64), part)
-        assert [int(v) for v in arr] == [mix.fold(a, part) for a in accs]
-
-    def test_bits_lanes_matches_scalar(self):
-        h = GlobalHash(9, "h")
-        pids = np.arange(100, dtype=np.uint64)
-        arr = h.bits_lanes(8, pids, 12345)
-        for pid in range(100):
-            assert int(arr[pid]) == h.bits(8, pid, 12345)
-
-    def test_bits_lanes_width_checked(self):
-        with pytest.raises(ValueError):
-            GlobalHash(0).bits_lanes(0, np.arange(3), 1)
+    """Pairwise folds over lanes, lane for lane against the scalar."""
 
     @given(st.lists(st.tuples(st.integers(0, mix.MASK64),
                               st.integers(0, mix.MASK64)),
