@@ -27,15 +27,21 @@ PACKETS = 6_000
 SEED = 7
 
 
+def replay(trace, models=()):
+    """One driver per network: the impairments are its configuration."""
+    return ReplayDriver(
+        batch_size=2048, seed=SEED, impairments=models,
+    ).replay(trace)
+
+
 def main() -> None:
     trace = build_trace("web-search", packets=PACKETS, seed=SEED)
-    driver = ReplayDriver(batch_size=2048, seed=SEED)
 
     print("== perfect network ==")
-    print(driver.replay(trace).summary())
+    print(replay(trace).summary())
 
     print("\n== impaired network (burst loss + reorder + duplicates) ==")
-    impaired = driver.replay(trace, impairments=[
+    impaired = replay(trace, [
         GilbertElliott(p_bad=0.02, p_good=0.2, seed=SEED + 1),
         Reorder(depth=48, prob=0.5, seed=SEED + 2),
         Duplicate(0.03, lag=16, seed=SEED + 3),
@@ -49,7 +55,7 @@ def main() -> None:
     print(f"{'loss':>6} {'delivered':>10} {'decoded':>10} {'coverage':>9}")
     for rate in (0.0, 0.1, 0.2, 0.3, 0.4, 0.5):
         models = [IIDLoss(rate, seed=SEED + 4)] if rate else []
-        r = driver.replay(trace, impairments=models)
+        r = replay(trace, models)
         print(f"{rate * 100:5.0f}% {r.records:>10} "
               f"{r.path_decoded:>5}/{r.path_flows:<4} "
               f"{r.path_coverage_mean * 100:8.1f}%")

@@ -37,6 +37,7 @@ the batch by flow.
 
 from __future__ import annotations
 
+import hashlib
 from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
@@ -45,6 +46,7 @@ from repro.coding.context import PathQueryContext
 from repro.coding.decoder import HashDecoder, RawDecoder, _PeelingDecoder
 from repro.coding.encoder import HASH, unpack_reps_array
 from repro.coding.peel import CONFLICT_REASONS, TABLE_BLOCK, FixpointPeel
+from repro.exceptions import RestoreError
 
 #: Why a topology-aware context's converging flows take the scalar
 #: route (beside :data:`repro.coding.peel.CONFLICT_REASONS`): every
@@ -111,6 +113,9 @@ class RowStore:
     """
 
     ROW_COLUMNS: Tuple[str, ...] = ()
+    #: Width of the codes the rows hold, which the sink's front door
+    #: range-checks; None for a store whose digests are not codes.
+    code_bits: Optional[int] = None
     _OWN = ("flow_id", "epoch", "last_seen", "flow_records", "generation")
 
     def __init__(self) -> None:
@@ -197,6 +202,27 @@ class RowStore:
         live = np.ones(self.rows, dtype=bool)
         live[self._free] = False
         return np.flatnonzero(live)
+
+    def identity(self) -> Dict[str, Any]:
+        """The query a capture of these rows is only meaningful under:
+        what :meth:`state_dict` records and :meth:`check_state` compares."""
+        raise NotImplementedError
+
+    def check_state(self, state: Dict[str, Any]) -> None:
+        """Refuse a capture taken from a store of another query.
+
+        Raises :class:`~repro.exceptions.RestoreError` naming the first
+        :meth:`identity` field that differs -- before anything is
+        touched, so a refused restore leaves the store as it was.
+        """
+        theirs = state.get("query", {})
+        for field, mine in self.identity().items():
+            if theirs.get(field) != mine:
+                raise RestoreError(
+                    f"checkpoint was captured from a sink with "
+                    f"{field}={theirs.get(field)!r}, this sink has "
+                    f"{field}={mine!r}; restore requires the same query"
+                )
 
     def _adopt_rows(self, count: int) -> None:
         """Start a bulk load: rows ``[0, count)`` are live and zeroed,
@@ -712,6 +738,18 @@ class PathStateStore(RowStore):
 
     # -- checkpoint ----------------------------------------------------------
 
+    def identity(self) -> Dict[str, Any]:
+        ctx = self.context
+        return {
+            "kind": self.kind, "mode": ctx.mode,
+            "digest_bits": ctx.digest_bits, "num_hashes": ctx.num_hashes,
+            "seed": ctx.seed,
+            "scheme": None if ctx.scheme is None else repr(ctx.scheme),
+            "universe": hashlib.blake2b(
+                ctx.universe.tobytes(), digest_size=16
+            ).hexdigest(),
+        }
+
     def state_dict(self, rows: np.ndarray) -> Dict[str, Any]:
         """The state of ``rows`` as a dozen arrays, in canonical form.
 
@@ -744,12 +782,14 @@ class PathStateStore(RowStore):
             x_owner=narrow(owner), x_pid=self.x_pid[held],
             x_res=self.x_res[held], x_width=width,
             x_todo=np.packbits(self.x_todo[held][:, :width], axis=1),
+            query=self.identity(),
         )
         return state
 
     def load_state(self, state: Dict[str, Any]) -> None:
-        """Replace everything held with a :meth:`state_dict` capture;
-        row ``i`` of the capture becomes row ``i``."""
+        """Replace everything held with a :meth:`state_dict` capture
+        (one :meth:`check_state` accepts); row ``i`` of the capture
+        becomes row ``i``."""
         ks = state["k"].astype(np.int64)
         count = ks.shape[0]
         self._adopt_rows(count)

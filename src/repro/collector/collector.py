@@ -44,7 +44,12 @@ from repro.collector.consumers import (
     as_store_factory,
     fold_rows,
 )
-from repro.collector.records import Column, check_hop_range, normalize_batch
+from repro.collector.records import (
+    Column,
+    check_batch,
+    check_record,
+    normalize_batch,
+)
 from repro.collector.shard import Shard, ShardRouter
 from repro.collector.snapshot import Snapshot
 from repro.exceptions import CollectorClosedError, RestoreError
@@ -158,6 +163,8 @@ class Collector:
             else as_store_factory(consumer_factory)
         )
         self._store = consumer_factory.store
+        #: Width of the codes this sink's flows hold (None: not codes).
+        self._code_bits = self._store.code_bits
         self._view = consumer_factory.view
         self.router = router if router is not None else ShardRouter(
             num_shards, seed
@@ -262,7 +269,9 @@ class Collector:
     ) -> None:
         """Fold one record into its flow's consumer (scalar path)."""
         self._check_open()
-        check_hop_range(hop_count, hop_count)
+        flow_id, pid, hop_count, digest = check_record(
+            flow_id, pid, hop_count, digest, self._code_bits
+        )
         t = self._tick(now, 1)
         shard = self.shards[self.router.shard_of(flow_id)]
         shard.ingest(flow_id, pid, hop_count, digest, t)
@@ -310,7 +319,7 @@ class Collector:
             n = int(fids.shape[0])
             if n == 0:
                 return 0
-            check_hop_range(int(hops.min()), int(hops.max()))
+            check_batch(hops, digs, self._code_bits)
             t = self._tick(now, n)
         self._m_batch_size.observe(n)
         self._m_records.inc(n)
@@ -682,6 +691,8 @@ class Collector:
                 "checkpoint and collector disagree on whether flows are "
                 "store rows; restore requires the same consumer factory"
             )
+        if columnar:
+            self._store.check_state(state["store"])
         self.clock.now = state["clock"]["now"]
         # Interned like the literal tick() assigns: pickle shares equal
         # strings by identity, and a capture must not tell a restored

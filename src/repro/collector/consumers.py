@@ -718,6 +718,7 @@ class CongestionStore(RowStore):
     def __init__(self, codec: UtilizationCodec) -> None:
         super().__init__()
         self.codec = codec
+        self.code_bits = codec.bits
         self.top = np.zeros(0, dtype=np.int64)
         self.last = np.zeros(0, dtype=np.int64)
         self.records = np.zeros(0, dtype=np.int64)
@@ -767,8 +768,17 @@ class CongestionStore(RowStore):
         seen = int(np.count_nonzero(self.records[rows]))
         return seen, float(seen), OBJECT_BYTES * rows.shape[0]
 
+    def identity(self) -> dict:
+        codec = self.codec
+        return {
+            "kind": self.kind, "bits": codec.bits, "epsilon": codec.epsilon,
+            "max_util": codec.max_util,
+        }
+
     def state_dict(self, rows: np.ndarray) -> dict:
-        return {name: getattr(self, name)[rows] for name in self.ROW_COLUMNS}
+        state = {name: getattr(self, name)[rows] for name in self.ROW_COLUMNS}
+        state["query"] = self.identity()
+        return state
 
     def load_state(self, state: dict) -> None:
         count = state["records"].shape[0]

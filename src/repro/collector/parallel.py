@@ -85,8 +85,17 @@ import numpy as np
 
 from repro.collector.answers import AnswerTable
 from repro.collector.collector import Collector, IngestClock
-from repro.collector.consumers import ConsumerFactory, DigestConsumer
-from repro.collector.records import Column, check_hop_range, normalize_batch
+from repro.collector.consumers import (
+    ConsumerFactory,
+    DigestConsumer,
+    as_store_factory,
+)
+from repro.collector.records import (
+    Column,
+    check_batch,
+    check_record,
+    normalize_batch,
+)
 from repro.collector.recovery import (
     BatchJournal,
     capture_checkpoint,
@@ -465,6 +474,9 @@ class ParallelCollector:
             consumer_factory, num_shards, max_flows_per_shard, ttl, seed,
             router,
         )
+        #: The workers' front-door code width, checked here so that no
+        #: worker folds part of a batch another one refuses.
+        self._code_bits = as_store_factory(consumer_factory).store.code_bits
         self._ctx = mp.get_context("fork")
         self._ring_slots = ring_slots
         self._ring_records = ring_records
@@ -1128,7 +1140,9 @@ class ParallelCollector:
         now: Optional[float] = None,
     ) -> None:
         """Route one record to its owner worker (scalar path)."""
-        check_hop_range(hop_count, hop_count)
+        flow_id, pid, hop_count, digest = check_record(
+            flow_id, pid, hop_count, digest, self._code_bits
+        )
         self.start()
         t = self.clock.tick(now, 1)
         cols = np.asarray(
@@ -1161,7 +1175,7 @@ class ParallelCollector:
         n = int(fids.shape[0])
         if n == 0:
             return 0
-        check_hop_range(int(hops.min()), int(hops.max()))
+        check_batch(hops, digs, self._code_bits)
         self.start()
         self._scatter(KIND_BATCH, fids, ps, hops, digs, self.clock.tick(now, n))
         return n

@@ -16,7 +16,7 @@ Two call shapes are supported:
 
 from __future__ import annotations
 
-from typing import NamedTuple, Sequence, Tuple, Union
+from typing import NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -38,6 +38,50 @@ class TelemetryRecord(NamedTuple):
     digest: int
 
 
+def int64_field(value, name: str) -> int:
+    """``value`` as an ``int``, if it is a 64-bit integer.
+
+    The one integer rule of every front door -- scalar ingest on both
+    collectors and the query port: an integer (Python or NumPy) in
+    ``[-2**63, 2**63)`` passes, anything else raises ``ValueError``.
+    Strings, floats (integral or not), bools and None are refused, not
+    coerced, so two spellings of one id can never name two flows.
+    """
+    if isinstance(value, (bool, np.bool_)) or not isinstance(
+        value, (int, np.integer)
+    ) or not -(1 << 63) <= int(value) < (1 << 63):
+        raise ValueError(f"{name} must be a 64-bit integer, got {value!r}")
+    return int(value)
+
+
+def check_record(
+    flow_id, pid, hop_count, digest, code_bits: Optional[int] = None
+) -> Tuple[int, int, int, int]:
+    """One scalar record through the front door: every field a 64-bit
+    integer (:func:`int64_field`), then the range rules of
+    :func:`check_batch`.  Returns the fields as ``int``."""
+    fid, p, hops, dig = (
+        int64_field(value, name) for value, name in
+        zip((flow_id, pid, hop_count, digest), TelemetryRecord._fields)
+    )
+    check_hop_range(hops, hops)
+    if code_bits is not None:
+        check_code_range(dig, dig, code_bits)
+    return fid, p, hops, dig
+
+
+def check_batch(
+    hop_counts: np.ndarray, digests: np.ndarray, code_bits: Optional[int]
+) -> None:
+    """The range rules of a normalised, non-empty batch: hop counts in
+    ``[1, MAX_HOPS]`` and, on a sink whose flows hold ``code_bits``-bit
+    codes, every digest a code.  Run before the clock ticks or any
+    table is touched, so a rejected batch leaves the sink as it was."""
+    check_hop_range(int(hop_counts.min()), int(hop_counts.max()))
+    if code_bits is not None:
+        check_code_range(int(digests.min()), int(digests.max()), code_bits)
+
+
 def check_hop_range(lowest: int, highest: int) -> None:
     """Reject hop counts outside ``[1, MAX_HOPS]`` at the front door.
 
@@ -54,6 +98,33 @@ def check_hop_range(lowest: int, highest: int) -> None:
         )
 
 
+def check_code_range(lowest: int, highest: int, bits: int) -> None:
+    """Reject congestion codes outside ``[0, 2**bits)`` at the front door.
+
+    A code is an exponent of the sink's codec grid; one past the top
+    would decode to a utilisation beyond ``max_util`` (and, far enough
+    out, overflow the decode).  Called like :func:`check_hop_range`,
+    before the clock ticks, on a sink whose flows hold codes.
+    """
+    if lowest < 0 or highest >= 1 << bits:
+        raise ValueError(
+            f"congestion codes must lie in [0, {(1 << bits) - 1}], got "
+            f"{lowest}..{highest}: batch rejected"
+        )
+
+
+def _column(values: Column, name: str) -> np.ndarray:
+    """One column as ``int64``; a non-empty column of any non-integer
+    dtype (float, bool, string, object) is refused, not cast."""
+    arr = np.asarray(values)
+    if arr.size and arr.dtype.kind not in "iu":
+        raise ValueError(
+            f"{name} column must hold integers, got dtype {arr.dtype}: "
+            "batch rejected"
+        )
+    return arr if arr.dtype == np.int64 else np.asarray(values, np.int64)
+
+
 def normalize_batch(
     flow_ids: Column,
     pids: Column,
@@ -62,13 +133,14 @@ def normalize_batch(
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Coerce a columnar batch into equal-length ``int64`` arrays.
 
-    Raises ``ValueError`` on ragged columns -- a malformed batch must
-    fail loudly at the front door, not deep inside a shard.
+    Raises ``ValueError`` on ragged columns or a column that does not
+    hold integers -- a malformed batch must fail loudly at the front
+    door, not deep inside a shard.
     """
-    fids = np.asarray(flow_ids, dtype=np.int64)
-    ps = np.asarray(pids, dtype=np.int64)
-    hops = np.asarray(hop_counts, dtype=np.int64)
-    digs = np.asarray(digests, dtype=np.int64)
+    fids, ps, hops, digs = (
+        _column(values, name) for values, name in
+        zip((flow_ids, pids, hop_counts, digests), TelemetryRecord._fields)
+    )
     if fids.ndim != 1:
         raise ValueError(
             f"columnar batch requires 1-D columns, flow_ids has shape "

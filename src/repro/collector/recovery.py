@@ -60,7 +60,11 @@ from repro.exceptions import CheckpointError, CheckpointVersionError
 #: their bookkeeping as four columns plus the count of store rows that
 #: are theirs.  Only consumers that are still objects (latency,
 #: fragment-mode and topology-aware path flows) pickle whole.
-CHECKPOINT_VERSION = 4
+#: v5: a store capture names the query it was taken from (path: mode,
+#: digest bits, hash count, seed, pinned scheme, a digest of the
+#: universe; congestion: the codec's bits, epsilon and ``max_util``),
+#: and a restore into a sink of another query raises RestoreError.
+CHECKPOINT_VERSION = 5
 
 _MAGIC = b"PCKP"
 _HEADER = struct.Struct("<4sHII")  # magic, version, payload len, crc32

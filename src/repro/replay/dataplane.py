@@ -32,14 +32,13 @@ reusing :meth:`UtilizationCodec.encode_array`.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
 from repro.apps.congestion import UtilizationCodec
 from repro.coding import (
     HASH,
-    CodingScheme,
     DecisionReplay,
     DistributedMessage,
     PathEncoder,
@@ -50,12 +49,6 @@ from repro.coding import (
 )
 from repro.replay.trace import Trace
 
-#: Per-path scheme choice; the default matches the sink's
-#: :class:`~repro.collector.consumers.PathDigestConsumer`, which derives
-#: ``multilayer_scheme(hop_count)`` per flow.
-SchemeFactory = Callable[[int], CodingScheme]
-
-
 class TraceDataplane:
     """Vectorised encoder bound to one trace's path table.
 
@@ -65,11 +58,9 @@ class TraceDataplane:
         The trace whose ``path_id`` column this dataplane encodes.
     digest_bits / num_hashes / mode / seed:
         Forwarded to each per-path :class:`PathEncoder` (``mode`` may
-        be "auto"/"raw"/"hash"/"fragment" exactly as there).
-    scheme_factory:
-        Maps path length k to the :class:`CodingScheme` its encoder
-        runs; defaults to :func:`multilayer_scheme` (Algorithm 1),
-        matching the collector's per-flow decoder derivation.
+        be "auto"/"raw"/"hash"/"fragment" exactly as there).  Every
+        path of length k is encoded under ``multilayer_scheme(k)``
+        (Algorithm 1), the scheme the sink derives per flow.
     value_bits:
         Fragment mode: the shared value width every encoder fragments
         against (defaults to the trace universe's widest switch ID),
@@ -84,7 +75,6 @@ class TraceDataplane:
         num_hashes: int = 1,
         mode: str = "auto",
         seed: int = 0,
-        scheme_factory: SchemeFactory = multilayer_scheme,
         value_bits: Optional[int] = None,
     ) -> None:
         if digest_bits * num_hashes > 63:
@@ -98,7 +88,6 @@ class TraceDataplane:
         self.num_hashes = num_hashes
         self.mode = mode
         self.seed = seed
-        self.scheme_factory = scheme_factory
         if value_bits is None and mode == "fragment" and trace.universe:
             value_bits = max(1, max(trace.universe).bit_length())
         self.value_bits = value_bits
@@ -106,7 +95,7 @@ class TraceDataplane:
         #: the CodecContext the vectorised path replays, so the two
         #: paths cannot diverge in configuration.
         self._encoders: Dict[int, PathEncoder] = {}
-        self._decisions = DecisionReplay(seed, scheme_factory)
+        self._decisions = DecisionReplay(seed, multilayer_scheme)
         #: One representative encoder per digest representation
         #: ``(mode, fragment count)`` met so far, and path id -> the
         #: position of its representation there (-1: not resolved yet).
@@ -124,7 +113,7 @@ class TraceDataplane:
                 else None,
             )
             enc = PathEncoder(
-                message, self.scheme_factory(len(path)),
+                message, multilayer_scheme(len(path)),
                 digest_bits=self.digest_bits, mode=self.mode,
                 num_hashes=self.num_hashes, seed=self.seed,
                 value_bits=self.value_bits,

@@ -50,6 +50,14 @@ from repro.replay.scenarios import build_trace, scenario_names
 from repro.replay.trace import Trace
 from repro.service import CollectorServer, ReliableUDPSender, TCPSender
 
+#: The one execution plan every replay runs (§3.4): entry 0 stamps
+#: path digests on ``PATH_SHARE`` of the packets, entry 1 a
+#: ``CONGESTION_BITS``-bit bottleneck-utilisation digest on
+#: ``CONGESTION_SHARE``.
+PATH_SHARE = 0.8
+CONGESTION_SHARE = 0.2
+CONGESTION_BITS = 8
+
 
 @dataclass(frozen=True)
 class ScenarioReport:
@@ -224,10 +232,6 @@ class ReplayDriver:
     digest_bits / num_hashes / seed:
         Path-query encoder configuration; the sink consumers derive
         the matching decoders from the same values.
-    path_share / congestion_share:
-        Execution-plan probabilities (must sum to <= 1; the remainder
-        carries no query).  ``congestion_share=0`` disables the value
-        query.
     batch_size:
         Records per columnar batch -- the unit of vectorised work.
     num_shards:
@@ -245,9 +249,8 @@ class ReplayDriver:
         the knob only moves where the decode work runs.
     mode:
         Path-digest representation the dataplane stamps and the sink
-        decodes: "auto" (hash, since traces carry a universe), "raw",
-        "hash" or "fragment" -- the three §4.2 representations the
-        impairment sweeps compare under loss.
+        decodes: "hash" (default), "raw" or "fragment" -- the three
+        §4.2 representations the impairment sweeps compare under loss.
     impairments:
         Optional sequence of :class:`~repro.replay.impair.
         ImpairmentModel` applied between encode and ingest: the driver
@@ -278,9 +281,11 @@ class ReplayDriver:
         *always* measured, registry or not.
     """
 
-    # Read only by bench/stageloop.py:148 (frozen); not a constructor
-    # parameter.  Delete with that call in the next benchmark PR.
+    # Read only by bench/stageloop.py (frozen); not constructor
+    # parameters.  Delete with those reads in the next benchmark PR.
     worker_transport = "shm"
+    has_congestion = True
+    congestion_bits = CONGESTION_BITS
 
     def __init__(
         self,
@@ -289,11 +294,8 @@ class ReplayDriver:
         seed: int = 0,
         num_shards: int = 4,
         batch_size: int = 8192,
-        path_share: float = 0.8,
-        congestion_share: float = 0.2,
-        congestion_bits: int = 8,
         workers: Optional[int] = None,
-        mode: str = "auto",
+        mode: str = "hash",
         impairments: Optional[Sequence[ImpairmentModel]] = None,
         transport: Optional[str] = None,
         obs=None,
@@ -303,12 +305,9 @@ class ReplayDriver:
     ) -> None:
         if batch_size < 1:
             raise ValueError("batch_size must be >= 1")
-        if path_share <= 0.0:
-            raise ValueError("path_share must be positive")
-        if mode not in ("auto", "raw", "hash", "fragment"):
+        if mode not in ("raw", "hash", "fragment"):
             raise ValueError(
-                f"mode must be 'auto', 'raw', 'hash' or 'fragment', "
-                f"got {mode!r}"
+                f"mode must be 'raw', 'hash' or 'fragment', got {mode!r}"
             )
         if transport not in (None, "udp", "tcp"):
             raise ValueError(
@@ -352,22 +351,23 @@ class ReplayDriver:
         self.seed = seed
         self.num_shards = num_shards
         self.batch_size = batch_size
-        self.congestion_bits = congestion_bits
         path_q = Query(
             "path", MetadataType.SWITCH_ID, AggregationType.STATIC_PER_FLOW,
-            bit_budget=digest_bits * num_hashes, frequency=path_share,
+            bit_budget=digest_bits * num_hashes, frequency=PATH_SHARE,
         )
-        entries = [PlanEntry((path_q,), path_share)]
-        if congestion_share > 0.0:
-            cong_q = Query(
-                "congestion", MetadataType.EGRESS_TX_UTILIZATION,
-                AggregationType.PER_PACKET, bit_budget=congestion_bits,
-                frequency=congestion_share,
-            )
-            entries.append(PlanEntry((cong_q,), congestion_share))
-        budget = max(e.bits() for e in entries)
-        self.plan = ExecutionPlan(entries, budget, seed)
-        self.has_congestion = congestion_share > 0.0
+        cong_q = Query(
+            "congestion", MetadataType.EGRESS_TX_UTILIZATION,
+            AggregationType.PER_PACKET, bit_budget=CONGESTION_BITS,
+            frequency=CONGESTION_SHARE,
+        )
+        entries = [
+            PlanEntry((path_q,), PATH_SHARE),
+            PlanEntry((cong_q,), CONGESTION_SHARE),
+        ]
+        self.plan = ExecutionPlan(
+            entries, max(e.bits() for e in entries), seed
+        )
+        self.codec = UtilizationCodec(CONGESTION_BITS, seed=seed)
         #: Synthetic ground-truth utilisation per packet: a keyed hash
         #: of the pid, so truth is replayable without storing a column.
         self._util_hash = GlobalHash(seed, "replay-util")
@@ -425,52 +425,43 @@ class ReplayDriver:
         stack.callback(tx.sock.close)
         return _Sink(collector, tx.send_batch, server, tx)
 
-    def replay(
-        self,
-        trace: Trace,
-        impairments: Optional[Sequence[ImpairmentModel]] = None,
-    ) -> ScenarioReport:
-        """Stream one trace end-to-end; return its report.
-
-        ``impairments`` overrides the driver-level models for this
-        trace only (None means use the driver's).
-        """
-        models = (
-            self.impairments if impairments is None else list(impairments)
-        )
+    def replay(self, trace: Trace) -> ScenarioReport:
+        """Stream one trace end-to-end; return its report."""
         dataplane = TraceDataplane(
             trace, digest_bits=self.digest_bits, num_hashes=self.num_hashes,
             mode=self.mode, seed=self.seed,
         )
-        consumer_mode = "hash" if self.mode == "auto" else self.mode
         with ExitStack() as stack:
             path = self._make_sink(
                 stack,
                 path_consumer_factory(
                     trace.universe, digest_bits=self.digest_bits,
                     num_hashes=self.num_hashes, seed=self.seed,
-                    mode=consumer_mode, value_bits=dataplane.value_bits,
+                    mode=self.mode, value_bits=dataplane.value_bits,
                 ),
                 "path", self.workers,
             )
-            sinks = [path]
-            cong: Optional[_Sink] = None
-            codec: Optional[UtilizationCodec] = None
-            if self.has_congestion:
-                # Always serial: the max-aggregation consumer is cheaper
-                # than the scatter transport, so workers would only burn
-                # cores the path sink needs (DESIGN.md section 5).
-                cong = self._make_sink(
-                    stack,
-                    congestion_consumer_factory(
-                        bits=self.congestion_bits, seed=self.seed,
-                    ),
-                    "congestion", None,
-                )
-                sinks.append(cong)
-                codec = UtilizationCodec(self.congestion_bits, seed=self.seed)
+            # Always serial: the max-aggregation consumer is cheaper
+            # than the scatter transport, so workers would only burn
+            # cores the path sink needs (DESIGN.md section 5).
+            cong = self._make_sink(
+                stack,
+                congestion_consumer_factory(
+                    bits=CONGESTION_BITS, seed=self.seed,
+                ),
+                "congestion", None,
+            )
+            sinks = [path, cong]
             hop_counts = trace.hop_counts
-            utils = self.utilizations(trace) if self.has_congestion else None
+            utils = self.utilizations(trace)
+
+            def compress(rows: np.ndarray) -> np.ndarray:
+                return compress_utilizations(
+                    self.codec, utils[rows], trace.pid[rows], hop_counts[rows]
+                )
+
+            # Plan entry i's records: its encoder, then its sink.
+            encoders = [dataplane.encode_rows, compress]
             # Stage accounting: two clock reads per section per batch,
             # cheap enough to leave on unconditionally, so *every*
             # report can say where its wall time went.
@@ -485,10 +476,10 @@ class ReplayDriver:
             # identity and the loop below is the exact pre-impairment
             # code path (bit-identity is golden-tested).
             delivery: Optional[np.ndarray] = None
-            if models:
+            if self.impairments:
                 with stages.span("impair"):
                     delivery = plan_delivery(
-                        models, len(trace), trace.flow_id
+                        self.impairments, len(trace), trace.flow_id
                     )
             total = len(trace) if delivery is None else int(delivery.shape[0])
             batches = 0
@@ -506,30 +497,18 @@ class ReplayDriver:
                     now = float(trace.ts[rows].max())
                 with sp_select:
                     entry = self.plan.select_array(trace.pid[rows])
-                path_rows = rows[entry == 0]
-                if path_rows.size:
+                for index, (sink, encode) in enumerate(zip(sinks, encoders)):
+                    mine = rows[entry == index]
+                    if not mine.size:
+                        continue
                     with sp_encode:
-                        digests = dataplane.encode_rows(path_rows)
+                        values = encode(mine)
                     with sp_ingest:
-                        path.ingest(
-                            trace.flow_id[path_rows], trace.pid[path_rows],
-                            hop_counts[path_rows], digests, now=now,
+                        sink.ingest(
+                            trace.flow_id[mine], trace.pid[mine],
+                            hop_counts[mine], values, now=now,
                         )
-                    path.records += int(path_rows.size)
-                if cong is not None:
-                    cong_rows = rows[entry == 1]
-                    if cong_rows.size:
-                        with sp_encode:
-                            codes = compress_utilizations(
-                                codec, utils[cong_rows], trace.pid[cong_rows],
-                                hop_counts[cong_rows],
-                            )
-                        with sp_ingest:
-                            cong.ingest(
-                                trace.flow_id[cong_rows], trace.pid[cong_rows],
-                                hop_counts[cong_rows], codes, now=now,
-                            )
-                        cong.records += int(cong_rows.size)
+                    sink.records += int(mine.size)
                 batches += 1
             with stages.span("transport"):
                 # Wire path: flush the retransmit queues, then wait for
@@ -550,8 +529,7 @@ class ReplayDriver:
             seconds = time.perf_counter() - start
             with stages.span("decode"):
                 report = self._score(
-                    trace, path, cong, codec, utils, batches, seconds,
-                    delivery, models,
+                    trace, path, cong, utils, batches, seconds, delivery
                 )
             report = replace(report, stage_seconds=stages.items())
             if self.obs.enabled:
@@ -583,13 +561,11 @@ class ReplayDriver:
         self,
         trace: Trace,
         path: _Sink,
-        cong: Optional[_Sink],
-        codec: Optional[UtilizationCodec],
-        utils: Optional[np.ndarray],
+        cong: _Sink,
+        utils: np.ndarray,
         batches: int,
         seconds: float,
-        delivery: Optional[np.ndarray] = None,
-        models: Sequence[ImpairmentModel] = (),
+        delivery: Optional[np.ndarray],
     ) -> ScenarioReport:
         """Compare the sinks' answers against the trace's ground truth.
 
@@ -648,7 +624,7 @@ class ReplayDriver:
             ], pairs).sum())
         median_err = float("nan")
         cong_flows = 0
-        if cong is not None and cong.records:
+        if cong.records:
             if delivered_rows is None:
                 sel = np.flatnonzero(entry == 1)
             else:
@@ -672,7 +648,7 @@ class ReplayDriver:
                 codes = codes[codes >= 0]
                 cong_flows = int(codes.size)
                 if cong_flows:
-                    got = codec.decode_array(codes)
+                    got = self.codec.decode_array(codes)
                     errs = np.abs(got - truth_arr) / truth_arr
                     median_err = float(np.median(errs))
         return ScenarioReport(
@@ -688,7 +664,7 @@ class ReplayDriver:
             path_decoded=decoded,
             path_correct=correct,
             path_resets=resets,
-            congestion_records=cong.records if cong is not None else 0,
+            congestion_records=cong.records,
             congestion_flows=cong_flows,
             congestion_median_rel_err=median_err,
             offered_records=len(trace),
@@ -697,7 +673,7 @@ class ReplayDriver:
             reordered_records=summary.reordered if summary else 0,
             path_coverage_mean=coverage_mean,
             path_completed_under_loss=completed_under_loss,
-            impairments=describe_models(models),
+            impairments=describe_models(self.impairments),
         )
 
     def run_scenario(

@@ -40,6 +40,7 @@ import time
 import numpy as np
 
 from repro.collector import Collector, path_consumer_factory
+from repro.exceptions import RecoveryError
 from repro.obs.metrics import MetricsRegistry
 from repro.replay.dataplane import TraceDataplane
 from repro.replay.scenarios import build_trace, scenario_names
@@ -105,6 +106,10 @@ def cmd_serve(args) -> int:
             # First boot of a service configured for recovery: nothing
             # to restore yet is normal, not an error.
             print(f"RESTORE SKIPPED (no {args.checkpoint})", flush=True)
+        except RecoveryError as exc:
+            # A blob of another version or another query: refuse to
+            # serve rather than answer from state it cannot mean.
+            raise SystemExit(f"RESTORE REFUSED: {exc}") from exc
     server.start()
     metrics = (
         "off" if args.metrics_port is None else str(server.metrics_port)

@@ -39,6 +39,14 @@ from repro.obs.metrics import NULL_REGISTRY
 from repro.service import wire
 
 
+#: RFC 6298's EWMA gains for the smoothed RTT and its deviation.
+RTT_ALPHA = 0.125
+RTT_BETA = 0.25
+
+#: Longest pause between two TCP redial attempts, in seconds.
+RECONNECT_MAX = 2.0
+
+
 class DeliveryError(ReproError):
     """A reliable send could not be completed (retries/flush exhausted)."""
 
@@ -149,9 +157,10 @@ class ReliableUDPSender(_SenderBase):
     max_retries:
         Retransmissions per frame before :class:`DeliveryError` (the
         sink is gone; buffering forever is not reliability).
-    alpha / beta / min_rto / max_rto / initial_rto:
-        EWMA RTT estimator constants (RFC 6298 defaults, clamped to
-        loopback-friendly bounds).
+    min_rto / max_rto / initial_rto:
+        RTO bounds and the timeout before the first RTT sample
+        (loopback-friendly; the EWMA gains are RFC 6298's
+        :data:`RTT_ALPHA` / :data:`RTT_BETA`).
     backoff / jitter / rto_seed:
         Retry pacing: the ``n``-th retransmission of a frame waits
         ``rto * backoff**n`` (capped at ``max_rto``), stretched by up
@@ -186,8 +195,6 @@ class ReliableUDPSender(_SenderBase):
         max_records: int = 1024,
         window: int = 64,
         max_retries: int = 16,
-        alpha: float = 0.125,
-        beta: float = 0.25,
         min_rto: float = 0.02,
         max_rto: float = 2.0,
         initial_rto: float = 0.2,
@@ -209,8 +216,6 @@ class ReliableUDPSender(_SenderBase):
         super().__init__(host, port, max_records)
         self.window = window
         self.max_retries = max_retries
-        self.alpha = alpha
-        self.beta = beta
         self.min_rto = min_rto
         self.max_rto = max_rto
         self.initial_rto = initial_rto
@@ -276,9 +281,9 @@ class ReliableUDPSender(_SenderBase):
             self.srtt = r
             self.rttvar = r / 2.0
         else:
-            self.rttvar = ((1.0 - self.beta) * self.rttvar
-                           + self.beta * abs(self.srtt - r))
-            self.srtt = (1.0 - self.alpha) * self.srtt + self.alpha * r
+            self.rttvar = ((1.0 - RTT_BETA) * self.rttvar
+                           + RTT_BETA * abs(self.srtt - r))
+            self.srtt = (1.0 - RTT_ALPHA) * self.srtt + RTT_ALPHA * r
         self._g_srtt.set(self.srtt)
         self._g_rttvar.set(self.rttvar)
 
@@ -427,7 +432,6 @@ class TCPSender(_SenderBase):
                  timeout: float = 30.0,
                  reconnect_attempts: int = 5,
                  reconnect_base: float = 0.05,
-                 reconnect_max: float = 2.0,
                  jitter: float = 0.1,
                  reconnect_seed: Optional[int] = None) -> None:
         super().__init__(host, port,
@@ -435,7 +439,6 @@ class TCPSender(_SenderBase):
         self.timeout = timeout
         self.reconnect_attempts = reconnect_attempts
         self.reconnect_base = reconnect_base
-        self.reconnect_max = reconnect_max
         self.jitter = jitter
         self.reconnects = 0
         self._rng = random.Random(reconnect_seed)
@@ -453,8 +456,7 @@ class TCPSender(_SenderBase):
         except OSError:  # pragma: no cover - already gone
             pass
         for attempt in range(self.reconnect_attempts):
-            delay = min(self.reconnect_max,
-                        self.reconnect_base * (2.0 ** attempt))
+            delay = min(RECONNECT_MAX, self.reconnect_base * 2.0 ** attempt)
             time.sleep(delay * (1.0 + self.jitter * self._rng.random()))
             try:
                 self.sock = self._dial()

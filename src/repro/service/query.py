@@ -46,6 +46,7 @@ import socket
 import threading
 from typing import Callable, List, Optional
 
+from repro.collector.records import int64_field
 from repro.exceptions import ReproError
 from repro.jsonutil import jsonable
 
@@ -139,17 +140,17 @@ class QueryHandler:
                 return {"ok": True, "op": op,
                         "metrics": jsonable(metrics)}
             if op == "flow":
-                fid = _flow_id(request.get("flow_id"))
+                fid = int64_field(request.get("flow_id"), "flow_id")
                 return self._answers([fid])[0]
             if op == "flows":
                 fids = request.get("flow_ids")
                 if not isinstance(fids, list):
                     return {"ok": False,
                             "error": "'flows' needs a flow_ids list"}
-                fids = [_flow_id(f) for f in fids]
+                fids = [int64_field(f, "flow_id") for f in fids]
                 return {"ok": True, "op": op, "flows": self._answers(fids)}
             if op == "result":
-                fid = _flow_id(request.get("flow_id"))
+                fid = int64_field(request.get("flow_id"), "flow_id")
                 return {"ok": True, "op": op, "flow_id": fid,
                         "result": self._answers([fid])[0].get("result")}
             return {"ok": False, "error": f"unknown op {op!r}"}
@@ -175,15 +176,6 @@ class QueryHandler:
                 reply.update(jsonable(table.answer(row)))
             out.append(reply)
         return out
-
-
-def _flow_id(fid) -> int:
-    if (
-        not isinstance(fid, int) or isinstance(fid, bool)
-        or not -(1 << 63) <= fid < (1 << 63)
-    ):
-        raise ValueError(f"flow_id must be a 64-bit integer, got {fid!r}")
-    return fid
 
 
 class QueryServer:

@@ -500,9 +500,10 @@ class _Recording(ReplayDriver):
         return sink
 
     def _score(self, trace, path, cong, *rest):
-        self.outcome = {"path": read_sink(path.collector)}
-        if cong is not None:
-            self.outcome["congestion"] = read_sink(cong.collector)
+        self.outcome = {
+            "path": read_sink(path.collector),
+            "congestion": read_sink(cong.collector),
+        }
         return super()._score(trace, path, cong, *rest)
 
 

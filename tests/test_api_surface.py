@@ -18,13 +18,27 @@ def params(cls) -> set:
 
 
 def test_replay_driver_constructor_knobs():
+    # The execution plan is module constants, not keywords: every
+    # caller outside the tests ran the same one.
     assert params(ReplayDriver) == {
         "digest_bits", "num_hashes", "seed", "num_shards", "batch_size",
-        "path_share", "congestion_share", "congestion_bits", "workers",
-        "mode", "impairments", "transport", "obs", "checkpoint_every",
-        "journal_batches", "faults",
+        "workers", "mode", "impairments", "transport", "obs",
+        "checkpoint_every", "journal_batches", "faults",
     }
+    assert list(inspect.signature(ReplayDriver.replay).parameters) == [
+        "self", "trace",
+    ]
     assert "overlapped" not in ScenarioReport.__dataclass_fields__
+
+
+def test_replay_path_options_nothing_sets_are_gone():
+    from repro.replay import TraceDataplane
+    from repro.service import ReliableUDPSender, TCPSender
+
+    assert "scheme_factory" not in params(TraceDataplane)
+    assert not {"alpha", "beta"} & params(ReliableUDPSender)
+    assert "rto_seed" in params(ReliableUDPSender)
+    assert "reconnect_max" not in params(TCPSender)
 
 
 def test_parallel_collector_constructor_knobs():

@@ -339,7 +339,7 @@ class TestServerCheckpoint:
 # -- serve CLI: checkpoint on SIGTERM, --restore on boot --------------------
 
 class TestServeCheckpointCLI:
-    def _serve(self, tmp_path, *extra):
+    def _serve(self, tmp_path, *extra, **popen):
         return subprocess.Popen(
             [sys.executable, "-m", "repro.service", "serve",
              "--scenario", "incast", "--packets", "600",
@@ -347,6 +347,7 @@ class TestServeCheckpointCLI:
              "--checkpoint", str(tmp_path / "cli.ckpt"), *extra],
             cwd=REPO, stdout=subprocess.PIPE, text=True,
             env={"PYTHONPATH": str(REPO / "src"), "PATH": "/usr/bin:/bin"},
+            **popen,
         )
 
     def test_sigterm_checkpoint_then_restore_resumes(self, tmp_path,
@@ -400,6 +401,17 @@ class TestServeCheckpointCLI:
         finally:
             if proc.poll() is None:
                 proc.kill()
+
+        # The checkpoint was written by an 8-bit sink: a 4-bit one
+        # refuses it, names the field, and does not start serving.
+        proc = self._serve(
+            tmp_path, "--restore", "--digest-bits", "4",
+            stderr=subprocess.PIPE,
+        )
+        out, err = proc.communicate(timeout=30)
+        assert proc.returncode != 0
+        assert "SERVICE READY" not in out
+        assert "RESTORE REFUSED" in err and "digest_bits" in err
 
     def test_restore_without_checkpoint_path_exits(self, tmp_path):
         with pytest.raises(SystemExit):

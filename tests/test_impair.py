@@ -427,19 +427,11 @@ class TestDriverUnderImpairment:
         assert report.path_accuracy == 1.0
         assert "delivered" in report.summary()
 
-    def test_replay_level_override(self):
-        trace = build_trace("incast", packets=1000, seed=0)
-        drv = ReplayDriver(batch_size=512, seed=0)
-        lossy = drv.replay(trace, impairments=[IIDLoss(0.3, seed=1)])
-        assert lossy.dropped_records > 0
-        clean = drv.replay(trace)
-        assert clean.dropped_records == 0
-
     def test_full_drop_reports_nan_coverage(self):
         trace = build_trace("incast", packets=400, seed=0)
-        report = ReplayDriver(batch_size=128, seed=0).replay(
-            trace, impairments=[IIDLoss(1.0, seed=1)]
-        )
+        report = ReplayDriver(
+            batch_size=128, seed=0, impairments=[IIDLoss(1.0, seed=1)],
+        ).replay(trace)
         assert report.records == 0
         assert report.dropped_records == 400
         assert report.path_decoded == 0
@@ -447,9 +439,9 @@ class TestDriverUnderImpairment:
 
     def test_report_dict_is_strict_json_after_sanitize(self):
         trace = build_trace("incast", packets=300, seed=0)
-        report = ReplayDriver(batch_size=128, seed=0).replay(
-            trace, impairments=[IIDLoss(1.0, seed=1)]
-        )
+        report = ReplayDriver(
+            batch_size=128, seed=0, impairments=[IIDLoss(1.0, seed=1)],
+        ).replay(trace)
         d = report.as_dict()
         assert math.isnan(d["path_coverage_mean"])
         dumped = json.dumps(jsonable(d), allow_nan=False)

@@ -180,19 +180,19 @@ class TestCheckpointFormat:
         # v3 changed the pickled decoder shape (open hops only: no
         # singleton candidate arrays, no resolved pending entries) and
         # v4 replaced pickled path/congestion consumers by one store
-        # capture per collector.  A v2- or v3-framed blob is refused on
-        # its header; its payload -- here one that records being loaded
-        # -- is never unpickled.
+        # capture per collector; v5 store captures name their query.  A
+        # v2- to v4-framed blob is refused on its header; its payload --
+        # here one that records being loaded -- is never unpickled.
         del _UNPICKLED[:]
         blob = bytearray(encode_checkpoint({"collector": _Tripwire()}))
-        for stale in (2, 3):
+        for stale in (2, 3, 4):
             blob[4:6] = stale.to_bytes(2, "little")
             with pytest.raises(CheckpointVersionError) as exc:
                 decode_checkpoint(bytes(blob))
             assert exc.value.version == stale
-        assert CHECKPOINT_VERSION == 4
+        assert CHECKPOINT_VERSION == 5
         assert not _UNPICKLED
-        blob[4:6] = (4).to_bytes(2, "little")
+        blob[4:6] = (5).to_bytes(2, "little")
         decode_checkpoint(bytes(blob))
         assert _UNPICKLED == ["loaded"]
 
@@ -322,6 +322,78 @@ class TestCheckpointRoundTrip:
         state = decode_checkpoint(blob)
         assert state["metrics"] == {"m": 1}
         assert state["worker"] == 5
+
+
+class TestCheckpointNamesItsQuery:
+    """A store capture is only meaningful under the query it was taken
+    from: restoring it into a sink of another query is a typed
+    RestoreError naming the first field that differs, raised before
+    the sink is touched -- never a KeyError, never a silent restore."""
+
+    @staticmethod
+    def incast_path_blob():
+        from repro.replay import TraceDataplane, build_trace
+
+        trace = build_trace("incast", packets=2000, seed=0)
+        dataplane = TraceDataplane(trace, mode="hash", seed=0)
+        sink = Collector(
+            path_consumer_factory(trace.universe, mode="hash", seed=0),
+            num_shards=4,
+        )
+        sink.ingest_batch(
+            trace.flow_id, trace.pid, trace.hop_counts,
+            dataplane.encode_rows(np.arange(len(trace))), now=1.0,
+        )
+        assert len(sink) == 15
+        return trace.universe, capture_checkpoint(sink)
+
+    @staticmethod
+    def refused(target, blob, field):
+        target.ingest_batch([3], [1], [4], [5], now=0.5)
+        before = target.snapshot().as_dict(), capture_checkpoint(target)
+        with pytest.raises(RestoreError, match=f"{field}="):
+            restore_collector(target, blob)
+        assert (target.snapshot().as_dict(), capture_checkpoint(target)) \
+            == before
+
+    @pytest.mark.parametrize("field, kwargs", [
+        ("mode", dict(mode="raw")),
+        ("universe", dict(universe=list(range(1, 2000)))),
+        ("num_hashes", dict(num_hashes=2)),
+        ("digest_bits", dict(digest_bits=4)),
+        ("seed", dict(seed=7)),
+        ("scheme", dict(d=5)),
+    ])
+    def test_path_blob_refused_by_another_path_query(self, field, kwargs):
+        universe, blob = self.incast_path_blob()
+        kwargs = {"universe": universe, "mode": "hash", "seed": 0, **kwargs}
+        target = Collector(path_consumer_factory(**kwargs), num_shards=4)
+        self.refused(target, blob, field)
+
+    def test_path_blob_refused_by_a_congestion_sink(self):
+        _, blob = self.incast_path_blob()
+        target = Collector(congestion_consumer_factory(), num_shards=4)
+        self.refused(target, blob, "kind")
+
+    @pytest.mark.parametrize("field, kwargs", [
+        ("bits", dict(bits=6)),
+        ("epsilon", dict(epsilon=0.05)),
+        ("max_util", dict(max_util=4.0)),
+    ])
+    def test_congestion_blob_refused_by_another_codec(self, field, kwargs):
+        col = Collector(congestion_consumer_factory(), num_shards=4)
+        feed(col, make_cols())
+        target = Collector(congestion_consumer_factory(**kwargs), num_shards=4)
+        self.refused(target, capture_checkpoint(col), field)
+
+    def test_same_query_restores(self):
+        universe, blob = self.incast_path_blob()
+        target = Collector(
+            path_consumer_factory(universe, mode="hash", seed=0), num_shards=4
+        )
+        restore_collector(target, blob)
+        assert len(target) == 15
+        assert capture_checkpoint(target) == blob
 
 
 # -- journal ----------------------------------------------------------------

@@ -161,18 +161,6 @@ class TestOneColumnPerBatch:
             one = dp.encode_rows(np.asarray([row]))
             assert one.tolist() == [dp.encode_scalar(row)]
 
-    def test_custom_scheme_factory(self):
-        from repro.coding import baseline_scheme, hybrid_scheme
-
-        trace = build_trace("isp-long-paths", packets=600, seed=2)
-        rows = np.random.default_rng(0).permutation(len(trace))
-        for factory in (lambda k: hybrid_scheme(max(2, k)),
-                        lambda k: baseline_scheme()):
-            dp = TraceDataplane(trace, seed=4, scheme_factory=factory)
-            assert np.array_equal(
-                dp.encode_rows(rows), dp.encode_scalar_rows(rows)
-            )
-
     def test_fragment_count_resolved_per_path_without_a_universe(self):
         # ``fragment`` with neither a universe nor ``value_bits``: each
         # path sizes its fragments by its own widest block, so rows of

@@ -39,14 +39,6 @@ class TestReplayDriver:
         # caveat), so churn accuracy is high but not guaranteed 100%.
         assert report.path_accuracy >= 0.9
 
-    def test_congestion_disabled(self):
-        drv = ReplayDriver(batch_size=1024, path_share=1.0,
-                           congestion_share=0.0)
-        report = drv.run_scenario("incast", packets=1000, seed=0)
-        assert report.congestion_records == 0
-        assert math.isnan(report.congestion_median_rel_err)
-        assert report.path_records == 1000
-
     def test_run_all_covers_registry(self):
         drv = ReplayDriver(batch_size=2048)
         reports = drv.run_all(packets=600, seed=3)
@@ -65,8 +57,8 @@ class TestReplayDriver:
     def test_invalid_config_rejected(self):
         with pytest.raises(ValueError):
             ReplayDriver(batch_size=0)
-        with pytest.raises(ValueError):
-            ReplayDriver(path_share=0.0)
+        with pytest.raises(ValueError, match="mode must be"):
+            ReplayDriver(mode="auto")
 
 
 class TestReportFiniteness:
@@ -106,7 +98,7 @@ class TestParallelReplay:
         ReplayDriver(workers=2, checkpoint_every=2, journal_batches=3)
 
 
-def reference_score(driver, trace, path, cong, codec, utils, delivery):
+def reference_score(driver, trace, path, cong, utils, delivery):
     """The specification of ``ReplayDriver._score``: one consumer at a time.
 
     The per-flow loop the driver ran before it scored on the sinks'
@@ -141,13 +133,15 @@ def reference_score(driver, trace, path, cong, codec, utils, delivery):
         float(np.mean(coverages)) if coverages else float("nan")
     )
     errs = []
-    if cong is not None and cong.records:
+    if cong.records:
         keep = entry == 1 if delivered is None else (entry == 1) & delivered
         for fid in np.unique(trace.flow_id[keep]).tolist():
             consumer = cong.collector.flow(fid)
             if consumer is not None and consumer.max_code >= 0:
                 true_max = utils[keep & (trace.flow_id == fid)].max()
-                got = codec.decode_array(np.asarray([consumer.max_code]))[0]
+                got = driver.codec.decode_array(
+                    np.asarray([consumer.max_code])
+                )[0]
                 errs.append(abs(got - true_max) / true_max)
     out["congestion_flows"] = len(errs)
     out["congestion_median_rel_err"] = (
@@ -161,15 +155,11 @@ class _CheckedDriver(ReplayDriver):
 
     checked = 0
 
-    def _score(self, trace, path, cong, codec, utils, batches, seconds,
-               delivery=None, models=()):
+    def _score(self, trace, path, cong, utils, batches, seconds, delivery):
         report = super()._score(
-            trace, path, cong, codec, utils, batches, seconds, delivery,
-            models,
+            trace, path, cong, utils, batches, seconds, delivery
         )
-        want = reference_score(
-            self, trace, path, cong, codec, utils, delivery
-        )
+        want = reference_score(self, trace, path, cong, utils, delivery)
         for field, value in want.items():
             got = getattr(report, field)
             assert got == value or (got != got and value != value), field
@@ -211,15 +201,22 @@ class TestScorerEqualsReference:
         from repro.replay import Duplicate, GilbertElliott, IIDLoss, Reorder
 
         trace = build_trace("path-churn", packets=3000, seed=3)
-        driver = _CheckedDriver(batch_size=512, num_hashes=2, workers=2)
-        report = driver.replay(trace, impairments=[
+
+        def replay(models):
+            driver = _CheckedDriver(
+                batch_size=512, num_hashes=2, workers=2, impairments=models,
+            )
+            report = driver.replay(trace)
+            assert driver.checked == 1
+            return report
+
+        report = replay([
             GilbertElliott(p_bad=0.02, p_good=0.2, seed=1),
             Reorder(depth=64, prob=0.5, seed=2), Duplicate(prob=0.02, seed=3),
         ])
         assert report.dropped_records > 0 and report.path_resets > 0
         assert report.path_completed_under_loss > 0
         # Every record dropped: the sinks hold nothing, nothing to score.
-        report = driver.replay(trace, impairments=[IIDLoss(1.0, seed=1)])
+        report = replay([IIDLoss(1.0, seed=1)])
         assert report.records == 0 and report.path_decoded == 0
         assert math.isnan(report.path_coverage_mean)
-        assert driver.checked == 2
