@@ -32,7 +32,7 @@ reusing :meth:`UtilizationCodec.encode_array`.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -107,19 +107,21 @@ class TraceDataplane:
         """The scalar-twin :class:`PathEncoder` for one path id."""
         enc = self._encoders.get(path_id)
         if enc is None:
-            path = self.trace.paths[path_id]
-            message = DistributedMessage.from_path(
-                path, self.trace.universe if self.mode in ("auto", HASH)
-                else None,
-            )
-            enc = PathEncoder(
-                message, multilayer_scheme(len(path)),
-                digest_bits=self.digest_bits, mode=self.mode,
-                num_hashes=self.num_hashes, seed=self.seed,
-                value_bits=self.value_bits,
-            )
+            enc = self._path_encoder(self.trace.paths[path_id])
             self._encoders[path_id] = enc
         return enc
+
+    def _path_encoder(self, path: Sequence[int]) -> PathEncoder:
+        """A :class:`PathEncoder` under this dataplane's configuration."""
+        message = DistributedMessage.from_path(
+            path, self.trace.universe if self.mode in ("auto", HASH) else None,
+        )
+        return PathEncoder(
+            message, multilayer_scheme(len(path)),
+            digest_bits=self.digest_bits, mode=self.mode,
+            num_hashes=self.num_hashes, seed=self.seed,
+            value_bits=self.value_bits,
+        )
 
     # -- vectorised encode -----------------------------------------------
 
@@ -137,12 +139,22 @@ class TraceDataplane:
     def _resolve(self, path_ids: np.ndarray) -> np.ndarray:
         """Each row's digest representation, as ``_representations`` index.
 
-        Mode and fragment count are whatever the path's scalar twin
-        resolved (:meth:`encoder`), looked up once per path -- not per
-        batch.  They are one value per dataplane unless ``fragment``
-        runs with neither a universe nor ``value_bits``, where each
-        path sizes its fragments by its own widest block.
+        Mode and fragment count are one value per dataplane unless
+        ``fragment`` runs with neither a universe nor ``value_bits``,
+        where each path sizes its fragments by its own widest block and
+        is resolved through its scalar twin (:meth:`encoder`), once per
+        path.  A fixed representation is resolved once, by one encoder
+        over every switch the path table names: it refuses whatever
+        some path's own encoder would (a switch outside the universe,
+        a block wider than a raw digest or than ``value_bits``).
         """
+        fixed = self.mode != "fragment" or self.value_bits is not None
+        if fixed and not self._representations:
+            enc = self._path_encoder(
+                sorted({s for path in self.trace.paths for s in path})
+            )
+            self._representations[(enc.mode, enc.num_fragments)] = enc
+            self._representation.fill(0)
         found = self._representation.take(path_ids)
         if found.min() < 0:
             for path_id in np.unique(path_ids[found < 0]).tolist():

@@ -39,7 +39,9 @@ from repro.core.values import MetadataType
 from repro.hashing import GlobalHash
 from repro.obs.metrics import NULL_REGISTRY, StageTimes
 from repro.replay.dataplane import TraceDataplane, compress_utilizations
+from repro.replay.grouping import run_starts, sorted_distinct, stable_order
 from repro.replay.impair import (
+    DeliverySummary,
     ImpairmentModel,
     delivered_mask,
     describe_models,
@@ -116,10 +118,12 @@ class ScenarioReport:
     #: Per-stage wall time of the replay loop, insertion-ordered
     #: ``(stage, seconds)`` pairs: where ``seconds`` actually went
     #: (select / encode / ingest / transport / decode, plus impair
-    #: when models ran).  The stages run one after another and never
-    #: overlap, so the ``ingest`` share alone says whether the sink
-    #: is the bottleneck.  Always measured -- the accumulator is two
-    #: clock reads per stage per batch.
+    #: when models ran).  ``select`` is one whole-trace draw of the
+    #: execution plan (and of the congestion truth at the rows it
+    #: picks), made once before the batch loop.  The stages run one
+    #: after another and never overlap, so the ``ingest`` share alone
+    #: says whether the sink is the bottleneck.  Always measured --
+    #: the accumulator is two clock reads per stage per batch.
     stage_seconds: Tuple[Tuple[str, float], ...] = ()
 
     @property
@@ -150,7 +154,12 @@ class ScenarioReport:
 
     @property
     def records_per_sec(self) -> float:
-        """End-to-end replay rate (select + encode + ingest).
+        """End-to-end replay rate: ``records`` over ``seconds``.
+
+        ``seconds`` runs from the plan draw (``select``) through
+        encode and ingest of every batch to the transport flush and
+        the sinks' drain; impairment planning before it and scoring
+        (``decode``) after it are outside.
 
         Always finite: a degenerate zero-second measurement (an empty
         trace, or a clock too coarse to see the work) reports 0.0
@@ -376,6 +385,14 @@ class ReplayDriver:
         """Ground-truth bottleneck utilisation per record, in (0, 1.5)."""
         return self._util_hash.uniform_array(trace.pid) * 1.5
 
+    def _congestion_truth(self, trace: Trace, entry: np.ndarray) -> np.ndarray:
+        """:meth:`utilizations`, drawn only where ``entry`` put a
+        congestion digest; every other row reads 0 and is never read."""
+        utils = np.zeros(len(trace), dtype=np.float64)
+        rows = np.flatnonzero(entry == 1)
+        utils[rows] = self._util_hash.uniform_array(trace.pid[rows]) * 1.5
+        return utils
+
     def _make_sink(
         self, stack: ExitStack, consumer_factory, sink_label: str,
         workers: Optional[int],
@@ -453,20 +470,10 @@ class ReplayDriver:
             )
             sinks = [path, cong]
             hop_counts = trace.hop_counts
-            utils = self.utilizations(trace)
-
-            def compress(rows: np.ndarray) -> np.ndarray:
-                return compress_utilizations(
-                    self.codec, utils[rows], trace.pid[rows], hop_counts[rows]
-                )
-
-            # Plan entry i's records: its encoder, then its sink.
-            encoders = [dataplane.encode_rows, compress]
             # Stage accounting: two clock reads per section per batch,
             # cheap enough to leave on unconditionally, so *every*
             # report can say where its wall time went.
             stages = StageTimes()
-            sp_select = stages.span("select")
             sp_encode = stages.span("encode")
             sp_ingest = stages.span("ingest")
             # The delivery schedule is planned over the whole trace up
@@ -484,21 +491,34 @@ class ReplayDriver:
             total = len(trace) if delivery is None else int(delivery.shape[0])
             batches = 0
             start = time.perf_counter()
+            with stages.span("select"):
+                # Every packet's query set, drawn once: the batches
+                # below and the score read the same column.
+                entry = self.plan.select_array(trace.pid).astype(np.int8)
+                utils = self._congestion_truth(trace, entry)
+
+            def compress(rows: np.ndarray) -> np.ndarray:
+                return compress_utilizations(
+                    self.codec, utils[rows], trace.pid[rows], hop_counts[rows]
+                )
+
+            # Plan entry i's records: its encoder, then its sink.
+            encoders = [dataplane.encode_rows, compress]
             for lo in range(0, total, self.batch_size):
                 hi = min(lo + self.batch_size, total)
                 if delivery is None:
                     rows = np.arange(lo, hi, dtype=np.int64)
+                    part = entry[lo:hi]
                     now = float(trace.ts[hi - 1])
                 else:
                     rows = delivery[lo:hi]
+                    part = entry[rows]
                     # Delivered order is not time order under reorder;
                     # the clock advances to the newest send stamp seen
                     # (IngestClock is monotone anyway).
                     now = float(trace.ts[rows].max())
-                with sp_select:
-                    entry = self.plan.select_array(trace.pid[rows])
                 for index, (sink, encode) in enumerate(zip(sinks, encoders)):
-                    mine = rows[entry == index]
+                    mine = rows[part == index]
                     if not mine.size:
                         continue
                     with sp_encode:
@@ -529,7 +549,8 @@ class ReplayDriver:
             seconds = time.perf_counter() - start
             with stages.span("decode"):
                 report = self._score(
-                    trace, path, cong, utils, batches, seconds, delivery
+                    trace, path, cong, entry, utils, batches, seconds,
+                    delivery,
                 )
             report = replace(report, stage_seconds=stages.items())
             if self.obs.enabled:
@@ -562,6 +583,7 @@ class ReplayDriver:
         trace: Trace,
         path: _Sink,
         cong: _Sink,
+        entry: np.ndarray,
         utils: np.ndarray,
         batches: int,
         seconds: float,
@@ -573,20 +595,21 @@ class ReplayDriver:
         whose packets were all dropped still counts undecoded -- that
         is the degradation the sweeps chart), while congestion truth
         is the max over *delivered* records: the sink cannot know a
-        utilisation the network never carried to it.
+        utilisation the network never carried to it.  ``entry`` is the
+        plan column the replay drew and ``utils`` its congestion truth
+        (:meth:`_congestion_truth`), both over the offered trace.
         """
-        entry = self.plan.select_array(trace.pid)
         # The truth as columns: every (flow, path) pair of the trace.
         pairs = trace.path_pairs()
-        path_flows = np.unique(trace.flow_id[entry == 0])
-        summary = (
-            summarize_delivery(len(trace), delivery, trace.flow_id)
-            if delivery is not None else None
-        )
+        path_flows = sorted_distinct(trace.flow_id[entry == 0])
+        summary: Optional[DeliverySummary] = None
         delivered_rows: Optional[np.ndarray] = None
         dropped_flows = np.zeros(0, dtype=np.int64)
         if delivery is not None:
             delivered = delivered_mask(len(trace), delivery)
+            summary = summarize_delivery(
+                len(trace), delivery, trace.flow_id, delivered
+            )
             delivered_rows = np.flatnonzero(delivered)
             path_rows = np.flatnonzero(entry == 0)
             dropped_path = path_rows[~delivered[path_rows]]
@@ -630,12 +653,10 @@ class ReplayDriver:
             else:
                 sel = delivered_rows[entry[delivered_rows] == 1]
             fids = trace.flow_id[sel]
-            true_utils = utils[sel]
-            order = np.argsort(fids, kind="stable")
+            order = stable_order(fids)
             fids = fids[order]
-            true_utils = true_utils[order]
-            cuts = np.flatnonzero(fids[1:] != fids[:-1]) + 1
-            starts = np.concatenate(([0], cuts))
+            true_utils = utils[sel[order]]
+            starts = np.flatnonzero(run_starts(fids))
             group_max = np.maximum.reduceat(true_utils, starts)
             # Each surviving flow's encoded max, decoded as one column
             # (a table gather, bit-identical to the scalar decode).

@@ -50,6 +50,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.replay.grouping import run_starts, stable_order
 from repro.replay.trace import Trace
 
 #: Domain-separation constant folded into every model's RNG seed so an
@@ -354,8 +355,9 @@ def _count_reordered(rows: np.ndarray, fids: np.ndarray) -> int:
     """Deliveries whose original index trails an already-delivered
     later record of the same flow (vectorised per-flow running max).
 
-    Flows are grouped with one stable argsort (delivery order is kept
-    inside each group); the per-group running max runs as a single
+    Flows are grouped with one linear-time stable sort
+    (:func:`~repro.replay.grouping.stable_order`: delivery order is
+    kept inside each group); the per-group running max runs as a single
     ``maximum.accumulate`` over group-offset values, the contiguous-
     groups trick that avoids both a per-flow loop and a segmented
     scan.
@@ -363,10 +365,9 @@ def _count_reordered(rows: np.ndarray, fids: np.ndarray) -> int:
     m = rows.shape[0]
     if m < 2:
         return 0
-    order = np.argsort(fids, kind="stable")
+    order = stable_order(fids)
     r = rows[order]
-    f = fids[order]
-    starts = np.concatenate(([True], f[1:] != f[:-1]))
+    starts = run_starts(fids[order])
     group = np.cumsum(starts) - 1
     # Offset each group into its own disjoint value range so one global
     # cummax cannot leak across the boundary.
@@ -396,10 +397,17 @@ def summarize_delivery(
     n: int,
     rows: np.ndarray,
     flow_ids: Optional[np.ndarray] = None,
+    delivered: Optional[np.ndarray] = None,
 ) -> DeliverySummary:
-    """Score a delivery schedule against the perfect ``arange(n)``."""
+    """Score a delivery schedule against the perfect ``arange(n)``.
+
+    ``delivered`` is ``delivered_mask(n, rows)`` for a caller that
+    holds it already; it is computed when omitted.
+    """
     rows = np.asarray(rows, dtype=np.int64)
-    unique = int(np.count_nonzero(delivered_mask(n, rows)))
+    if delivered is None:
+        delivered = delivered_mask(n, rows)
+    unique = int(np.count_nonzero(delivered))
     if flow_ids is not None and rows.size:
         fids = np.asarray(flow_ids)[rows]
     else:

@@ -96,6 +96,50 @@ class TestDataplaneParity:
         TraceDataplane(wide_trace(), digest_bits=21, num_hashes=3)  # 63: ok
 
 
+class TestOneRepresentation:
+    @pytest.mark.parametrize("mode", ["hash", "raw", "fragment"])
+    def test_driver_dataplane_builds_one_encoder(self, monkeypatch, mode):
+        from repro.replay import ReplayDriver, driver as driver_module
+
+        built = []
+
+        class Recording(TraceDataplane):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                built.append(self)
+
+        monkeypatch.setattr(driver_module, "TraceDataplane", Recording)
+        trace = build_trace("web-search", packets=3000, seed=2)
+        assert len(set(trace.path_id.tolist())) > 1
+        ReplayDriver(batch_size=512, mode=mode).replay(trace)
+        (dp,) = built
+        assert len(dp._encoders) <= 1
+        assert len(dp._representations) == 1
+        rows = np.arange(len(trace))
+        assert np.array_equal(dp.encode_rows(rows),
+                              dp.encode_scalar_rows(rows))
+
+    @pytest.mark.parametrize("kwargs", [
+        dict(mode="raw", digest_bits=8),
+        dict(mode="fragment", value_bits=10),
+    ])
+    def test_fixed_representation_refuses_what_a_path_would(self, kwargs):
+        # 9009 needs 14 bits: wider than a raw 8-bit digest and than
+        # a 10-bit fragment layout, on one path of three.
+        dp = TraceDataplane(wide_trace(), **kwargs)
+        with pytest.raises(ValueError):
+            dp.encode_rows(np.arange(4))
+        with pytest.raises(ValueError):
+            dp.encode_scalar(int(np.flatnonzero(dp.trace.path_id == 1)[0]))
+
+    def test_hash_switch_outside_the_universe_refused(self):
+        base = wide_trace()
+        trace = Trace(base.ts, base.flow_id, base.pid, base.path_id,
+                      base.size, base.paths, universe=(1001, 2002, 3003))
+        with pytest.raises(ValueError, match="not in universe"):
+            TraceDataplane(trace, mode="hash").encode_rows(np.arange(4))
+
+
 class TestCompressionParity:
     def test_compress_utilizations_matches_scalar(self):
         codec = UtilizationCodec(8, seed=3)

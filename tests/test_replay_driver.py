@@ -1,12 +1,17 @@
 """End-to-end replay: scenarios -> dataplane -> Collector -> report."""
 
 import math
+import time
 
 import numpy as np
 import pytest
 
+from repro.core.plan import ExecutionPlan
 from repro.replay import (
+    Duplicate,
+    GilbertElliott,
     ReplayDriver,
+    Reorder,
     ScenarioReport,
     build_trace,
     scenario_names,
@@ -61,6 +66,47 @@ class TestReplayDriver:
             ReplayDriver(mode="auto")
 
 
+class TestOnePlanDraw:
+    """Every packet's query set is drawn once per replay, on the clock."""
+
+    @pytest.mark.parametrize("knobs", [
+        {}, {"workers": 2}, {"transport": "udp"},
+        {"impairments": [
+            GilbertElliott(p_bad=0.05, p_good=0.2, seed=1),
+            Reorder(depth=64, prob=0.5, seed=2), Duplicate(prob=0.05, seed=3),
+        ]},
+    ], ids=["serial", "workers2", "udp", "impaired"])
+    def test_select_array_runs_once_over_the_whole_trace(
+        self, monkeypatch, knobs
+    ):
+        calls = []
+        draw = ExecutionPlan.select_array
+
+        def spy(plan, packet_ids):
+            calls.append(np.array(packet_ids, copy=True))
+            return draw(plan, packet_ids)
+
+        monkeypatch.setattr(ExecutionPlan, "select_array", spy)
+        trace = build_trace("incast", packets=3000, seed=1)
+        report = ReplayDriver(batch_size=512, **knobs).replay(trace)
+        assert report.batches > 1
+        assert len(calls) == 1
+        assert np.array_equal(calls[0], trace.pid)
+
+    def test_the_draw_is_on_the_replay_clock(self, monkeypatch):
+        draw = ExecutionPlan.select_array
+
+        def slow(plan, packet_ids):
+            time.sleep(0.05)
+            return draw(plan, packet_ids)
+
+        monkeypatch.setattr(ExecutionPlan, "select_array", slow)
+        trace = build_trace("incast", packets=1000, seed=1)
+        report = ReplayDriver(batch_size=512).replay(trace)
+        assert report.seconds >= 0.05
+        assert dict(report.stage_seconds)["select"] >= 0.05
+
+
 class TestReportFiniteness:
     def test_records_per_sec_clamped_on_zero_seconds(self):
         import json
@@ -98,14 +144,17 @@ class TestParallelReplay:
         ReplayDriver(workers=2, checkpoint_every=2, journal_batches=3)
 
 
-def reference_score(driver, trace, path, cong, utils, delivery):
+def reference_score(driver, trace, path, cong, delivery):
     """The specification of ``ReplayDriver._score``: one consumer at a time.
 
     The per-flow loop the driver ran before it scored on the sinks'
     AnswerTables, kept here over ``flows()`` (whole decoders) so the
     columnar scorer always has something slower and plainer to equal.
+    It draws its own plan column and utilisations over the whole
+    trace, so it shares no column with the scorer it checks.
     """
     entry = driver.plan.select_array(trace.pid)
+    utils = driver.utilizations(trace)
     truth = trace.flow_paths()
     fids = np.unique(trace.flow_id[entry == 0]).tolist()
     delivered = None
@@ -155,11 +204,12 @@ class _CheckedDriver(ReplayDriver):
 
     checked = 0
 
-    def _score(self, trace, path, cong, utils, batches, seconds, delivery):
+    def _score(self, trace, path, cong, entry, utils, batches, seconds,
+               delivery):
         report = super()._score(
-            trace, path, cong, utils, batches, seconds, delivery
+            trace, path, cong, entry, utils, batches, seconds, delivery
         )
-        want = reference_score(self, trace, path, cong, utils, delivery)
+        want = reference_score(self, trace, path, cong, delivery)
         for field, value in want.items():
             got = getattr(report, field)
             assert got == value or (got != got and value != value), field
