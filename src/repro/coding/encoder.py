@@ -335,8 +335,10 @@ def encode_columns(
     base, carriers, xor_rows, hops = decisions.decide(pids, ks)
     pair_rows = np.concatenate((base, xor_rows))
     pair_pids = pids.take(pair_rows)
+    # Widened before the multiply: a narrow ``table_rows`` (a trace's
+    # int32 path ids) times a Python int stays narrow and would wrap.
     blocks = table.ravel().take(
-        table_rows.take(pair_rows) * table.shape[1]
+        table_rows.take(pair_rows).astype(np.intp) * table.shape[1]
         + np.concatenate((carriers, hops)) - 1
     )
     # An XOR row's pairs are contiguous: one reduceat folds each run.

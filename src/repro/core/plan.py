@@ -16,7 +16,12 @@ import numpy as np
 
 from repro.core.query import Query
 from repro.exceptions import BudgetError
-from repro.hashing import GlobalHash, cumulative_thresholds, threshold_walk
+from repro.hashing import (
+    GlobalHash,
+    cumulative_thresholds,
+    lane_blocks,
+    threshold_walk,
+)
 
 
 @dataclass(frozen=True)
@@ -107,12 +112,18 @@ class ExecutionPlan:
         ``u < acc`` as the exact integer compare of
         :func:`~repro.hashing.unit_threshold` -- so
         ``entries[select_array(p)[i]].queries == select(p[i])``
-        wherever the index is non-negative.
+        wherever the index is non-negative.  The draws are made one
+        block of lanes at a time (:func:`~repro.hashing.lane_blocks`),
+        so a whole-trace column costs its ``int64`` answer plus one
+        block of hash temporaries.
         """
         cuts = cumulative_thresholds([e.probability for e in self.entries])
-        idx = threshold_walk(
-            self._select.draws_array(np.asarray(packet_ids)), cuts[:, None]
-        )
+        packet_ids = np.asarray(packet_ids)
+        idx = np.empty(packet_ids.shape[0], dtype=np.int64)
+        for lanes in lane_blocks(packet_ids.shape[0], 1):
+            idx[lanes] = threshold_walk(
+                self._select.draws_array(packet_ids[lanes]), cuts[:, None]
+            )
         idx[idx == len(self.entries)] = -1
         return idx
 

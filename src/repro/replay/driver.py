@@ -36,7 +36,7 @@ from repro.collector import (
 from repro.core.plan import ExecutionPlan, PlanEntry
 from repro.core.query import AggregationType, Query
 from repro.core.values import MetadataType
-from repro.hashing import GlobalHash
+from repro.hashing import GlobalHash, lane_blocks
 from repro.obs.metrics import NULL_REGISTRY, StageTimes
 from repro.replay.dataplane import TraceDataplane, compress_utilizations
 from repro.replay.grouping import run_starts, sorted_distinct, stable_order
@@ -383,14 +383,18 @@ class ReplayDriver:
 
     def utilizations(self, trace: Trace) -> np.ndarray:
         """Ground-truth bottleneck utilisation per record, in (0, 1.5)."""
-        return self._util_hash.uniform_array(trace.pid) * 1.5
+        utils = np.empty(len(trace), dtype=np.float64)
+        for block in lane_blocks(len(trace), 1):
+            utils[block] = self._util_hash.uniform_array(trace.pid[block]) * 1.5
+        return utils
 
     def _congestion_truth(self, trace: Trace, entry: np.ndarray) -> np.ndarray:
         """:meth:`utilizations`, drawn only where ``entry`` put a
         congestion digest; every other row reads 0 and is never read."""
         utils = np.zeros(len(trace), dtype=np.float64)
-        rows = np.flatnonzero(entry == 1)
-        utils[rows] = self._util_hash.uniform_array(trace.pid[rows]) * 1.5
+        for block in lane_blocks(len(trace), 1):
+            rows = block.start + np.flatnonzero(entry[block] == 1)
+            utils[rows] = self._util_hash.uniform_array(trace.pid[rows]) * 1.5
         return utils
 
     def _make_sink(
@@ -469,7 +473,6 @@ class ReplayDriver:
                 "congestion", None,
             )
             sinks = [path, cong]
-            hop_counts = trace.hop_counts
             # Stage accounting: two clock reads per section per batch,
             # cheap enough to leave on unconditionally, so *every*
             # report can say where its wall time went.
@@ -499,7 +502,8 @@ class ReplayDriver:
 
             def compress(rows: np.ndarray) -> np.ndarray:
                 return compress_utilizations(
-                    self.codec, utils[rows], trace.pid[rows], hop_counts[rows]
+                    self.codec, utils[rows], trace.pid[rows],
+                    trace.hop_counts_of(rows),
                 )
 
             # Plan entry i's records: its encoder, then its sink.
@@ -526,7 +530,7 @@ class ReplayDriver:
                     with sp_ingest:
                         sink.ingest(
                             trace.flow_id[mine], trace.pid[mine],
-                            hop_counts[mine], values, now=now,
+                            trace.hop_counts_of(mine), values, now=now,
                         )
                     sink.records += int(mine.size)
                 batches += 1
@@ -601,7 +605,12 @@ class ReplayDriver:
         """
         # The truth as columns: every (flow, path) pair of the trace.
         pairs = trace.path_pairs()
-        path_flows = sorted_distinct(trace.flow_id[entry == 0])
+        # Each block's distinct path flows, then one distinct of those:
+        # no whole-trace gather of the path rows' flow ids.
+        path_flows = sorted_distinct(np.concatenate([np.zeros(0, np.int64)] + [
+            sorted_distinct(trace.flow_id[block][entry[block] == 0])
+            for block in lane_blocks(len(trace), 1)
+        ]))
         summary: Optional[DeliverySummary] = None
         delivered_rows: Optional[np.ndarray] = None
         dropped_flows = np.zeros(0, dtype=np.int64)
@@ -611,8 +620,7 @@ class ReplayDriver:
                 len(trace), delivery, trace.flow_id, delivered
             )
             delivered_rows = np.flatnonzero(delivered)
-            path_rows = np.flatnonzero(entry == 0)
-            dropped_path = path_rows[~delivered[path_rows]]
+            dropped_path = np.flatnonzero((entry == 0) & ~delivered)
             dropped_flows = np.unique(trace.flow_id[dropped_path])
         # The sink's answers as columns (one small RPC per worker on a
         # parallel sink); flows it holds no state for have no row and

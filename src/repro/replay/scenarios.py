@@ -32,9 +32,10 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.hashing import lane_blocks
 from repro.net import fat_tree, synthetic_isp
 from repro.net.topology import KIND, SWITCH, Topology
-from repro.replay.trace import Trace
+from repro.replay.trace import PATH_ID_DTYPE, SIZE_DTYPE, Trace
 from repro.sim.workload import EmpiricalCDF, hadoop_cdf, web_search_cdf
 
 #: Packet payload capacity: flow bytes become ceil(size / MTU) packets.
@@ -148,8 +149,8 @@ def _per_flow_columns(
     seq = np.arange(total, dtype=np.int64) - np.repeat(offs, reps)
     ts = np.repeat(starts, reps) + seq * np.repeat(gaps, reps)
     flow_col = np.repeat(fids, reps)
-    path_col = np.repeat(flow_path_id, reps)
-    size_col = np.full(total, MTU, dtype=np.int64)
+    path_col = np.repeat(flow_path_id.astype(PATH_ID_DTYPE), reps)
+    size_col = np.full(total, MTU, dtype=SIZE_DTYPE)
     last_rows = offs + reps - 1
     size_col[last_rows] = np.clip(flow_bytes - (reps - 1) * MTU, 1, MTU)
     return ts, flow_col, path_col, size_col
@@ -165,14 +166,21 @@ def _finalize(
     universe: Sequence[int],
     packets: Optional[int],
 ) -> Trace:
-    """Time-sort, truncate to ``packets`` rows, assign sequential pids."""
-    order = np.argsort(ts, kind="stable")
-    if packets is not None:
-        order = order[:packets]
-    n = order.size
+    """Time-sort, truncate to ``packets`` rows, assign sequential pids.
+
+    One column at a time, each cast to its trace dtype before the
+    gather: no 64-bit copy of a narrow column is made, and a column
+    the caller handed over (straight from :func:`_per_flow_columns`)
+    is let go as soon as its sorted copy exists.
+    """
+    order = np.argsort(ts, kind="stable")[:packets]
+    ts = ts[order]
+    flow_col = flow_col[order]
+    path_col = path_col.astype(PATH_ID_DTYPE, copy=False)[order]
+    size_col = size_col.astype(SIZE_DTYPE, copy=False)[order]
     return Trace(
-        ts[order], flow_col[order], np.arange(n, dtype=np.int64),
-        path_col[order], size_col[order], paths, universe, name,
+        ts, flow_col, np.arange(order.size, dtype=np.int64),
+        path_col, size_col, paths, universe, name,
     )
 
 
@@ -236,12 +244,10 @@ def _poisson_dc(
     gaps = rng.uniform(20e-6, 60e-6, size=flows)
     interner = _PathInterner()
     picks, _ = _random_host_paths(topo, flows, rng, interner)
-    ts, flow_col, path_col, size_col = _per_flow_columns(
+    return _finalize(name, *_per_flow_columns(
         np.arange(1, flows + 1, dtype=np.int64), starts, pkts, gaps,
         picks, flow_bytes,
-    )
-    return _finalize(name, ts, flow_col, path_col, size_col,
-                     interner.paths, topo.switch_universe(), packets)
+    ), interner.paths, topo.switch_universe(), packets)
 
 
 @scenario("web-search", "Poisson web-search flows (Fig. 7b CDF), k=4 fat-tree")
@@ -271,6 +277,11 @@ def incast(
     One long-lived flow per worker; each wave, all workers burst
     ``burst`` MTU packets at the same aggregator host within
     microseconds of each other.
+
+    Built without full-size temporaries: the stamps are filled one
+    block of rows at a time (a row's wave, worker and packet come from
+    its index), and every other column is derived from the time order
+    block by block -- the peak is the trace plus that order.
     """
     rng = np.random.default_rng(seed)
     topo = fat_tree(4)
@@ -284,21 +295,36 @@ def incast(
         cands = _ecmp_switch_paths(topo, w, aggregator)
         worker_paths[i] = interner.intern(cands[int(rng.integers(len(cands)))])
     waves = max(1, -(-packets // (fanin * burst)))
-    # Row layout: wave-major, worker-mid, packet-minor.
-    wave_idx = np.repeat(np.arange(waves), fanin * burst)
-    worker_idx = np.tile(np.repeat(np.arange(fanin), burst), waves)
-    seq = np.tile(np.arange(burst), waves * fanin)
     jitter = rng.uniform(0.0, 5e-6, size=(waves, fanin))
-    ts = (
-        wave_idx * period
-        + jitter[wave_idx, worker_idx]
-        + seq * 1e-6
+    # Row layout: wave-major, worker-mid, packet-minor.
+    total = waves * fanin * burst
+    ts = np.empty(total, dtype=np.float64)
+    for block in lane_blocks(total, 1):
+        wave_idx, rest = np.divmod(
+            np.arange(block.start, min(block.stop, total)), fanin * burst
+        )
+        worker_idx, seq = np.divmod(rest, burst)
+        ts[block] = (
+            wave_idx * period
+            + jitter[wave_idx, worker_idx]
+            + seq * 1e-6
+        )
+    # The stable time order, truncated as _finalize truncates.
+    order = np.argsort(ts, kind="stable")[:packets]
+    ts = ts[order]
+    n = order.size
+    flow_col = np.empty(n, dtype=np.int64)
+    path_col = np.empty(n, dtype=PATH_ID_DTYPE)
+    for block in lane_blocks(n, 1):
+        worker_idx = order[block] % (fanin * burst) // burst
+        flow_col[block] = worker_idx + 1
+        path_col[block] = worker_paths[worker_idx]
+    del order  # pid and size need no order: free it before they exist
+    return Trace(
+        ts, flow_col, np.arange(n, dtype=np.int64), path_col,
+        np.full(n, MTU, dtype=SIZE_DTYPE), interner.paths,
+        topo.switch_universe(), "incast",
     )
-    flow_col = worker_idx + 1
-    path_col = worker_paths[worker_idx]
-    size_col = np.full(ts.size, MTU, dtype=np.int64)
-    return _finalize("incast", ts, flow_col.astype(np.int64), path_col,
-                     size_col, interner.paths, topo.switch_universe(), packets)
 
 
 @scenario("microburst", "Dense bursts on hot flows over background mice")
@@ -347,10 +373,10 @@ def microburst(
     flow_col = np.concatenate([hot_flow_col, mice_flow_col])
     path_col = np.concatenate([hot_path_col, mice_path_col])
     size_col = np.concatenate(
-        [np.full(hot_ts.size, MTU, dtype=np.int64), mice_size]
+        [np.full(hot_ts.size, MTU, dtype=SIZE_DTYPE), mice_size]
     )
-    return _finalize("microburst", ts, flow_col.astype(np.int64), path_col,
-                     size_col, interner.paths, topo.switch_universe(), packets)
+    return _finalize("microburst", ts, flow_col, path_col, size_col,
+                     interner.paths, topo.switch_universe(), packets)
 
 
 @scenario("path-churn", "Long-lived inter-pod flows hopping between ECMP paths")
@@ -392,7 +418,7 @@ def path_churn(
     ts = np.concatenate(cols_ts)
     flow_col = np.concatenate(cols_flow)
     path_col = np.concatenate(cols_path)
-    size_col = np.full(ts.size, MTU, dtype=np.int64)
+    size_col = np.full(ts.size, MTU, dtype=SIZE_DTYPE)
     return _finalize("path-churn", ts, flow_col, path_col, size_col,
                      interner.paths, topo.switch_universe(), packets)
 
@@ -431,12 +457,10 @@ def elephant_mice(
         duration / np.maximum(1, ele_pkts),
         np.full(mice, 30e-6),
     ])
-    ts, flow_col, path_col, size_col = _per_flow_columns(
+    return _finalize("elephant-mice", *_per_flow_columns(
         np.arange(1, flows + 1, dtype=np.int64), starts, counts, gaps,
         picks, counts * MTU,
-    )
-    return _finalize("elephant-mice", ts, flow_col, path_col, size_col,
-                     interner.paths, topo.switch_universe(), packets)
+    ), interner.paths, topo.switch_universe(), packets)
 
 
 @scenario("isp-long-paths", "Long-haul flows on a synthetic ISP tree")
@@ -468,16 +492,14 @@ def isp_long_paths(
         picks[made] = interner.intern(path)
         made += 1
     per_flow = max(1, -(-packets // flows))
-    ts, flow_col, path_col, size_col = _per_flow_columns(
+    return _finalize("isp-long-paths", *_per_flow_columns(
         np.arange(1, flows + 1, dtype=np.int64),
         rng.uniform(0.0, 1e-3, size=flows),
         np.full(flows, per_flow, dtype=np.int64),
         rng.uniform(20e-6, 60e-6, size=flows),
         picks,
         np.full(flows, per_flow * MTU, dtype=np.int64),
-    )
-    return _finalize("isp-long-paths", ts, flow_col, path_col, size_col,
-                     interner.paths, topo.switch_universe(), packets)
+    ), interner.paths, topo.switch_universe(), packets)
 
 
 # -- impaired variants -----------------------------------------------------

@@ -9,14 +9,22 @@ anywhere on the hot path:
   :meth:`sorted_by_time`);
 * ``flow_id`` -- the flow every record belongs to (int64);
 * ``pid`` -- the packet identifier every switch hashes (int64);
-* ``path_id`` -- index into the deduplicated ``paths`` table (int64);
-* ``size`` -- payload bytes of the packet (int64).
+* ``path_id`` -- index into the deduplicated ``paths`` table (int32);
+* ``size`` -- payload bytes of the packet (int32, in ``[0, 2**31)``).
 
+``pid`` and ``flow_id`` stay 64-bit because the hashes key on them;
+the other two are range-checked on the caller's (wide) values, then
+narrowed, so a value that would wrap is refused rather than stored.
 Paths are interned: the per-record column stores an index into a small
 table of switch-ID tuples, so a million-packet trace over a dozen ECMP
-paths costs one int64 per packet, not one tuple.  ``universe`` is the
-switch-ID universe V the hash-compressed decoders need (paper §4.2);
-it defaults to the union of all switches appearing in ``paths``.
+paths costs one int32 per packet, not one tuple; :attr:`hop_counts`
+reads the table's int16 path lengths.  ``universe`` is the switch-ID
+universe V the hash-compressed decoders need (paper §4.2); it defaults
+to the union of all switches appearing in ``paths``.
+
+A pass over the whole trace works one block of rows at a time
+(:func:`~repro.hashing.lane_blocks` with ``top=1``), so what it
+allocates beside the columns is bounded by the block, not the trace.
 
 Persistence is ``.npz`` (columns + padded path table, round-trip
 exact) with a CSV import/export for interoperating with external
@@ -30,11 +38,34 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.hashing import lane_blocks
+
+#: The narrow columns' dtypes: ``path_id`` indexes the path table and
+#: ``size`` counts bytes; a path length (:attr:`Trace.hop_counts`) fits
+#: int16 with room to spare -- the sinks refuse more than ``MAX_HOPS``.
+PATH_ID_DTYPE = np.int32
+SIZE_DTYPE = np.int32
+HOPS_DTYPE = np.int16
 
 #: Hash slots of the (flow, path) sieve in :meth:`Trace.flow_paths`
 #: (a power of two); more pairs than slots only means more rows left
 #: to the exact loop.
 _SIEVE_SLOTS = 1 << 16
+
+
+def _narrowed(values, dtype, top: int, what: str) -> np.ndarray:
+    """``values`` cast to ``dtype`` once every value lies in ``[0, top)``.
+
+    The range is checked on the values as given, before the cast: a
+    wide value the cast would wrap into range (``2**32 + 1`` to ``1``)
+    is refused, not stored.
+    """
+    wide = np.asarray(values)
+    if wide.size and (wide.min() < 0 or wide.max() >= top):
+        raise ValueError(
+            f"{what}: values {wide.min()}..{wide.max()} outside [0, {top})"
+        )
+    return wide.astype(dtype, copy=False)
 
 
 class Trace:
@@ -43,7 +74,10 @@ class Trace:
     Parameters
     ----------
     ts, flow_id, pid, path_id, size:
-        Equal-length 1-D columns (coerced to float64/int64).
+        Equal-length 1-D columns: ``ts`` becomes float64, ``flow_id``
+        and ``pid`` int64, ``path_id`` and ``size`` int32 once their
+        values are checked (``ValueError`` outside the path table or
+        ``[0, 2**31)``).
     paths:
         The path table: ``paths[path_id]`` is the tuple of switch IDs
         the packet traverses, in hop order.
@@ -65,11 +99,17 @@ class Trace:
         universe: Optional[Sequence[int]] = None,
         name: str = "trace",
     ) -> None:
+        self.paths: Tuple[Tuple[int, ...], ...] = tuple(
+            tuple(int(s) for s in p) for p in paths
+        )
         self.ts = np.asarray(ts, dtype=np.float64)
         self.flow_id = np.asarray(flow_id, dtype=np.int64)
         self.pid = np.asarray(pid, dtype=np.int64)
-        self.path_id = np.asarray(path_id, dtype=np.int64)
-        self.size = np.asarray(size, dtype=np.int64)
+        self.path_id = _narrowed(
+            path_id, PATH_ID_DTYPE, len(self.paths),
+            "path_id column indexes outside the path table",
+        )
+        self.size = _narrowed(size, SIZE_DTYPE, 1 << 31, "size column")
         self.name = name
         cols = (self.ts, self.flow_id, self.pid, self.path_id, self.size)
         n = self.ts.shape[0]
@@ -83,16 +123,11 @@ class Trace:
                 "trace needs a non-empty path table (only a zero-row "
                 "trace may have no paths)"
             )
-        self.paths: Tuple[Tuple[int, ...], ...] = tuple(
-            tuple(int(s) for s in p) for p in paths
-        )
         if any(not p for p in self.paths):
             raise ValueError("paths must have at least one switch each")
-        if n and (
-            self.path_id.min() < 0 or self.path_id.max() >= len(self.paths)
-        ):
-            raise ValueError("path_id column indexes outside the path table")
-        self._path_lens = np.asarray([len(p) for p in self.paths], dtype=np.int64)
+        self._path_lens = _narrowed(
+            [len(p) for p in self.paths], HOPS_DTYPE, 1 << 15, "path lengths"
+        )
         if universe is None:
             universe = sorted({s for p in self.paths for s in p})
         self.universe: Tuple[int, ...] = tuple(int(v) for v in universe)
@@ -111,6 +146,10 @@ class Trace:
     def hop_counts(self) -> np.ndarray:
         """Per-record path length -- the collector's ``hop_count`` column."""
         return self._path_lens[self.path_id]
+
+    def hop_counts_of(self, rows: np.ndarray) -> np.ndarray:
+        """:attr:`hop_counts` at ``rows`` only: one batch's column."""
+        return self._path_lens.take(self.path_id.take(rows))
 
     def path_of(self, row: int) -> Tuple[int, ...]:
         """The switch path record ``row`` traverses."""
@@ -189,16 +228,28 @@ class Trace:
         appearance).  A later repeat of its slot's first pair is never a
         first appearance, so the kept set is a superset of them, and
         typically a few rows per pair instead of the whole trace.
+
+        Blocks of rows are folded in ascending order: once a row's own
+        block is folded, its slot's first row is already the global
+        first (every earlier row sits in an earlier or the same block),
+        so each block is judged as soon as it is folded.
         """
         fid, pid = self.flow_id, self.path_id
-        rows = np.arange(len(self))
-        slot = (fid * len(self.paths) + pid) & (_SIEVE_SLOTS - 1)
-        first = np.full(_SIEVE_SLOTS, len(self), dtype=np.int64)
-        np.minimum.at(first, slot, rows)
-        lead = first[slot]
-        return np.flatnonzero(
-            (lead == rows) | (fid != fid[lead]) | (pid != pid[lead])
-        )
+        n = len(self)
+        first = np.full(_SIEVE_SLOTS, n, dtype=np.int64)
+        kept = [np.zeros(0, dtype=np.int64)]
+        for block in lane_blocks(n, 1):
+            rows = np.arange(block.start, min(block.stop, n))
+            f, p = fid[block], pid[block]
+            slot = (
+                f.astype(np.intp, copy=False) * len(self.paths) + p
+            ) & (_SIEVE_SLOTS - 1)
+            np.minimum.at(first, slot, rows)
+            lead = first[slot]
+            kept.append(
+                rows[(lead == rows) | (f != fid[lead]) | (p != pid[lead])]
+            )
+        return np.concatenate(kept)
 
     def batches(self, batch_size: int) -> Iterator[Tuple[int, int]]:
         """Yield ``[lo, hi)`` row bounds covering the trace in order."""

@@ -16,6 +16,7 @@ from repro.core import (
     QueryRuntime,
 )
 from repro.exceptions import BudgetError, ConfigurationError
+from repro.hashing import global_hash
 
 
 def q(name, bits=8, freq=1.0, agg=AggregationType.STATIC_PER_FLOW):
@@ -261,3 +262,16 @@ class TestSelectArrayIntegerThresholds:
         assert idx.tolist() == want
         if sum(probabilities) < 0.99:
             assert -1 in want
+
+    def test_blocked_draw_is_one_column(self, monkeypatch):
+        """The lanes are drawn block by block; the answer does not
+        depend on the block size, and stays int64 at every size."""
+        plan = ExecutionPlan([PlanEntry((q("a"),), 0.8), PlanEntry((q("b"),), 0.2)], 8)
+        pids = np.arange(3000, dtype=np.int64) * 7919
+        whole = plan.select_array(pids)
+        for block in (1, 13, 2999):
+            monkeypatch.setattr(global_hash, "GRID_BLOCK", block)
+            idx = plan.select_array(pids)
+            assert idx.dtype == np.int64
+            assert idx.tolist() == whole.tolist()
+        assert plan.select_array(pids[:0]).dtype == np.int64

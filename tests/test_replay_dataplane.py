@@ -11,7 +11,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.apps.congestion import UtilizationCodec
-from repro.coding import pack_reps, pack_reps_array
+from repro.coding import (
+    DecisionReplay,
+    DistributedMessage,
+    PathEncoder,
+    encode_columns,
+    multilayer_scheme,
+    pack_reps,
+    pack_reps_array,
+)
 from repro.replay import Trace, TraceDataplane, build_trace, compress_utilizations
 
 
@@ -240,3 +248,40 @@ class TestOneColumnPerBatch:
             codec.encode(float(u), int(p), int(h))
             for u, p, h in zip(utils, pids, hops)
         ]
+
+
+class TestFlatBlockIndex:
+    def test_index_widened_before_the_multiply(self):
+        """A trace's int32 path ids times the table width wrap in int32
+        (NumPy 2 keeps ``int32 * int`` int32): the flat index into the
+        path table must be computed in ``intp``.  The table is a
+        zero-stride stand-in of 2**32 cells whose ``take`` records the
+        index it is asked for."""
+        rows, width = 1 << 20, 1 << 12
+        seen = []
+
+        class Table(np.ndarray):
+            def ravel(self, *args, **kwargs):
+                return self
+
+            def take(self, indices, *args, **kwargs):
+                seen.append(np.array(indices))
+                return np.asarray(indices, dtype=np.int64)
+
+        table = np.lib.stride_tricks.as_strided(
+            np.zeros(1, dtype=np.int64), shape=(rows, width), strides=(0, 0)
+        ).view(Table)
+        enc = PathEncoder(
+            DistributedMessage.from_path((1, 2, 3), (1, 2, 3)),
+            multilayer_scheme(3), digest_bits=8, mode="hash", seed=5,
+        )
+        n = 256
+        encode_columns(
+            DecisionReplay(5, multilayer_scheme), enc.ctx, enc.mode,
+            enc.num_fragments, np.arange(n, dtype=np.uint64),
+            np.full(n, 3), table, np.full(n, rows - 1, dtype=np.int32),
+        )
+        (index,) = seen
+        assert index.dtype == np.intp
+        assert index.min() >= (rows - 1) * width
+        assert index.max() < rows * width

@@ -1,12 +1,15 @@
 """End-to-end replay: scenarios -> dataplane -> Collector -> report."""
 
+import gc
 import math
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from repro.core.plan import ExecutionPlan
+from repro.hashing import global_hash
 from repro.replay import (
     Duplicate,
     GilbertElliott,
@@ -105,6 +108,83 @@ class TestOnePlanDraw:
         report = ReplayDriver(batch_size=512).replay(trace)
         assert report.seconds >= 0.05
         assert dict(report.stage_seconds)["select"] >= 0.05
+
+
+class TestRowBlocks:
+    """Whole-trace passes run one row block at a time; the block size
+    moves no answer."""
+
+    @staticmethod
+    def _answers(report):
+        d = report.as_dict()
+        for timed in ("seconds", "stage_seconds", "records_per_sec"):
+            d.pop(timed)
+        return d
+
+    @pytest.mark.parametrize("impaired", [False, True])
+    def test_report_same_at_every_block_size(self, monkeypatch, impaired):
+        models = [
+            GilbertElliott(p_bad=0.05, p_good=0.2, seed=1),
+            Reorder(depth=64, prob=0.5, seed=2), Duplicate(prob=0.05, seed=3),
+        ] if impaired else []
+        trace = build_trace("path-churn", packets=6000, seed=2)
+        want = self._answers(
+            ReplayDriver(batch_size=512, impairments=models).replay(trace)
+        )
+        monkeypatch.setattr(global_hash, "GRID_BLOCK", 701)
+        got = ReplayDriver(batch_size=512, impairments=models).replay(trace)
+        assert self._answers(got) == want
+
+    def test_utilizations_same_at_every_block_size(self, monkeypatch):
+        trace = build_trace("incast", packets=5000, seed=1)
+        want = ReplayDriver().utilizations(trace)
+        monkeypatch.setattr(global_hash, "GRID_BLOCK", 333)
+        assert ReplayDriver().utilizations(trace).tolist() == want.tolist()
+
+
+class TestMemoryBounds:
+    """A replay process holds its trace plus one block: the builder and
+    a warm replay stay near the trace's own column bytes.
+
+    ``tracemalloc`` sees NumPy buffers, and counts live bytes, so heap
+    reuse cannot hide a full-size temporary.
+    """
+
+    @staticmethod
+    def _column_bytes(trace):
+        return sum(c.nbytes for c in (
+            trace.ts, trace.flow_id, trace.pid, trace.path_id, trace.size,
+        ))
+
+    @staticmethod
+    def _peak(work):
+        """Live bytes ``work()`` allocates at its peak, over its start."""
+        gc.collect()
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            out = work()
+            return out, tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+
+    def test_build_peak(self):
+        trace, peak = self._peak(
+            lambda: build_trace("incast", packets=200_000, seed=0)
+        )
+        assert peak <= 1.5 * self._column_bytes(trace), (
+            peak / self._column_bytes(trace)
+        )
+
+    def test_warm_replay_peak(self):
+        trace = build_trace("incast", packets=200_000, seed=0)
+        driver = ReplayDriver(batch_size=8192)
+        driver.replay(trace)
+        _, peak = self._peak(lambda: driver.replay(trace))
+        assert peak <= 1.0 * self._column_bytes(trace), (
+            peak / self._column_bytes(trace)
+        )
 
 
 class TestReportFiniteness:

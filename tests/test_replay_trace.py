@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.hashing import global_hash
 from repro.replay import Trace, build_trace
 from repro.replay import trace as trace_mod
 
@@ -149,6 +150,41 @@ class TestTraceBasics:
         with pytest.raises(ValueError):
             Trace([0.0], [1], [0], [-1], [9], [(5,)])
 
+    @pytest.mark.parametrize("path_id, size", [
+        ([2**32 + 1], [9]),       # wraps to path 1 in int32
+        ([2**31], [9]),           # wraps negative
+        ([0], [2**32 + 9]),       # wraps to 9 in int32
+        ([0], [2**31]),
+        ([0], [-1]),
+    ])
+    def test_wide_values_refused_before_narrowing(self, path_id, size):
+        with pytest.raises(ValueError):
+            Trace([0.0], [1], [0], path_id, size, [(5,), (6,)])
+
+    def test_narrow_columns_and_per_row_hop_counts(self):
+        t = small_trace()
+        assert (t.path_id.dtype, t.size.dtype, t.hop_counts.dtype) == (
+            np.int32, np.int32, np.int16
+        )
+        rows = np.asarray([4, 0, 3, 3])
+        assert t.hop_counts_of(rows).tolist() == t.hop_counts[rows].tolist()
+
+    def test_pair_first_rows_same_in_any_block_size(self, monkeypatch):
+        """The sieve folds ascending row blocks; its kept rows are the
+        whole-trace sieve's at every block size, collisions included."""
+        rng = np.random.default_rng(4)
+        n = 5000
+        slots = trace_mod._SIEVE_SLOTS
+        pool = np.asarray([5, 5 + slots, -7, 2**62 + 1, 2**62 + 1 + slots])
+        t = Trace(np.arange(n) * 1e-6, pool[rng.integers(0, 5, n)],
+                  np.arange(n), rng.integers(0, 4, n), np.full(n, 64),
+                  [(1,), (2,), (3,), (4,)])
+        whole = t._pair_first_rows()
+        for block in (1, 7, 64, 4999):
+            monkeypatch.setattr(global_hash, "GRID_BLOCK", block)
+            assert t._pair_first_rows().tolist() == whole.tolist()
+            assert t.flow_paths() == self._flow_paths_loop(t)
+
     def test_empty_path_table_rejected(self):
         with pytest.raises(ValueError):
             Trace([0.0], [1], [0], [0], [9], [])
@@ -184,6 +220,51 @@ class TestPersistence:
         # switch sequences must survive exactly.
         for row in range(len(t)):
             assert back.path_of(row) == t.path_of(row)
+
+    def test_npz_with_int64_columns_loads(self, tmp_path):
+        """A file written while every column was 64-bit loads to an
+        equal trace, narrowed."""
+        t = small_trace()
+        f = str(tmp_path / "old.npz")
+        np.savez_compressed(
+            f, ts=t.ts, flow_id=t.flow_id, pid=t.pid,
+            path_id=t.path_id.astype(np.int64),
+            size=t.size.astype(np.int64),
+            path_table=np.asarray([[1, 2, 3], [1, 4, 3], [7, -1, -1]]),
+            path_len=np.asarray([3, 3, 1], dtype=np.int64),
+            universe=np.asarray(t.universe, dtype=np.int64),
+            name=np.asarray(t.name),
+        )
+        back = Trace.load(f)
+        for col in ("ts", "flow_id", "pid", "path_id", "size"):
+            assert np.array_equal(getattr(back, col), getattr(t, col)), col
+            assert getattr(back, col).dtype == getattr(t, col).dtype, col
+        assert back.hop_counts.tolist() == t.hop_counts.tolist()
+        assert (back.paths, back.universe, back.name) == (
+            t.paths, t.universe, t.name
+        )
+
+    def test_npz_with_wrapping_values_refused(self, tmp_path):
+        t = small_trace()
+        for col, bad in (("path_id", 2**32 + 1), ("size", 2**32 + 700)):
+            f = str(tmp_path / f"{col}.npz")
+            t.save(f)
+            with np.load(f) as data:
+                cols = dict(data)
+            cols[col] = cols[col].astype(np.int64)
+            cols[col][2] = bad
+            np.savez_compressed(f, **cols)
+            with pytest.raises(ValueError, match=col):
+                Trace.load(f)
+
+    def test_csv_with_wrapping_size_refused(self, tmp_path):
+        f = tmp_path / "big.csv"
+        f.write_text(
+            "ts,flow_id,pid,size,path\n0.0,1,0,1500,1|2\n"
+            f"1e-06,1,1,{2**32 + 1500},1|2\n"
+        )
+        with pytest.raises(ValueError, match="size"):
+            Trace.from_csv(str(f))
 
     def test_csv_missing_columns_rejected(self, tmp_path):
         f = tmp_path / "bad.csv"
