@@ -13,7 +13,7 @@ Two surfaces:
 from __future__ import annotations
 
 import random
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from repro.coding import (
     CodecContext,
@@ -30,7 +30,11 @@ from repro.coding.simulate import TrialStats
 from repro.core.framework import QueryRuntime
 from repro.core.query import Query
 from repro.core.values import HopView, PacketContext
-from repro.net.topology import Topology
+
+if TYPE_CHECKING:
+    # Annotations only: the sink library imports this module and must
+    # not pay for networkx (loaded by repro.net.topology).
+    from repro.net.topology import Topology
 
 
 class PathTracer:

@@ -38,7 +38,8 @@ _TWO53 = float(2.0 ** 53)
 #: whatever the column and path lengths.  Measured, not a knob: one
 #: 400k-lane grid costs 1.3-1.6x a blocked one (DESIGN.md section 3).
 #: Whole-trace row passes (``lane_blocks(rows, 1)``) use the same
-#: block, so their temporaries do not grow with the trace.
+#: block, so their temporaries do not grow with the trace; the replay
+#: loop encodes row blocks of about half of it.
 GRID_BLOCK = 1 << 16
 
 

@@ -170,24 +170,35 @@ class TraceDataplane:
     def encode_rows(self, rows: np.ndarray) -> np.ndarray:
         """Packed digests for the given trace rows, one int64 per row.
 
-        Row-for-row equal to ``encode_scalar(row)``.  The whole batch
-        runs the switch chain as one column -- rows of every path and
-        path length together (:func:`~repro.coding.encoder.encode_columns`)
-        -- and per-hash digests are packed with the shared wire layout
+        Row-for-row equal to ``encode_scalar(row)``: :meth:`encode` over
+        the rows' ``path_id`` and ``pid`` columns.
+        """
+        rows = np.asarray(rows, dtype=np.int64)
+        return self.encode(self.trace.path_id[rows], self.trace.pid[rows])
+
+    def encode(self, path_ids: np.ndarray, pids: np.ndarray) -> np.ndarray:
+        """Packed digests of records given as columns, one int64 each.
+
+        ``path_ids`` index this trace's path table and ``pids`` are the
+        packet ids, row for row -- for a caller that has gathered them
+        already.  The whole column runs the switch chain at once --
+        rows of every path and path length together
+        (:func:`~repro.coding.encoder.encode_columns`) -- and per-hash
+        digests are packed with the shared wire layout
         (:func:`pack_reps_array`).  Only rows whose digest
         *representation* differs are encoded apart.
         """
-        rows = np.asarray(rows, dtype=np.int64)
-        if rows.size == 0:
+        path_ids = np.asarray(path_ids)
+        if path_ids.size == 0:
             return np.empty(0, dtype=np.int64)
-        path_ids = self.trace.path_id[rows]
-        pids = self.trace.pid[rows].astype(np.uint64)
+        # The hashes read the pid's bits as unsigned: a view, no copy.
+        pids = np.ascontiguousarray(pids, dtype=np.int64).view(np.uint64)
         found = self._resolve(path_ids)
         ks = self._paths()[1].take(path_ids)
         encoders = list(self._representations.values())
         if len(encoders) == 1:
             return self._encode(encoders[0], pids, ks, path_ids)
-        out = np.empty(rows.shape[0], dtype=np.int64)
+        out = np.empty(path_ids.shape[0], dtype=np.int64)
         for idx, enc in enumerate(encoders):
             lanes = np.flatnonzero(found == idx)
             if lanes.size:

@@ -1,12 +1,17 @@
 """ReplayDriver: scenario traces through the dataplane into a Collector.
 
-The first end-to-end encode→collect path that runs at array speed: a
+The end-to-end encode→collect path at array speed: a
 :class:`ReplayDriver` builds an execution plan over a path-tracing and
-a congestion query, splits every columnar batch between them with the
-vectorised plan-selection hash (§3.4), stamps digests with the
-:class:`~repro.replay.dataplane.TraceDataplane`, and streams the
-resulting columns straight into :meth:`Collector.ingest_batch` -- the
-PR-1 sink finally fed at the rate its columnar path was built for.
+a congestion query and draws every packet's query set once, with the
+vectorised plan-selection hash (§3.4).  It then walks the delivered
+stream in row blocks of a few batches: per block and plan entry, one
+gather per column and one encode call -- path digests from the
+:class:`~repro.replay.dataplane.TraceDataplane`, congestion codes from
+:func:`~repro.replay.dataplane.compress_utilizations`.  Each batch
+hands its sinks' :meth:`Collector.ingest_batch` read-only slices of
+those columns.  The switch side keys on per-packet hashes only, so the
+block size moves no answer; the sinks see exactly the batches a
+batch-at-a-time loop would make.
 
 After the stream drains, the driver scores the sink against the
 trace's ground truth: which flows' paths decoded, whether they decoded
@@ -36,7 +41,7 @@ from repro.collector import (
 from repro.core.plan import ExecutionPlan, PlanEntry
 from repro.core.query import AggregationType, Query
 from repro.core.values import MetadataType
-from repro.hashing import GlobalHash, lane_blocks
+from repro.hashing import GlobalHash, global_hash, lane_blocks
 from repro.obs.metrics import NULL_REGISTRY, StageTimes
 from repro.replay.dataplane import TraceDataplane, compress_utilizations
 from repro.replay.grouping import run_starts, sorted_distinct, stable_order
@@ -119,11 +124,13 @@ class ScenarioReport:
     #: ``(stage, seconds)`` pairs: where ``seconds`` actually went
     #: (select / encode / ingest / transport / decode, plus impair
     #: when models ran).  ``select`` is one whole-trace draw of the
-    #: execution plan (and of the congestion truth at the rows it
-    #: picks), made once before the batch loop.  The stages run one
-    #: after another and never overlap, so the ``ingest`` share alone
-    #: says whether the sink is the bottleneck.  Always measured --
-    #: the accumulator is two clock reads per stage per batch.
+    #: execution plan, made once before the loop.  ``encode`` is timed
+    #: per row block: the block's gathers, its congestion truth and
+    #: its two encode calls.  ``ingest`` is timed per batch: the sink
+    #: calls alone.  The stages run one after another and never
+    #: overlap, so the ``ingest`` share alone says whether the sink is
+    #: the bottleneck.  Always measured -- two clock reads per stage
+    #: per block or batch.
     stage_seconds: Tuple[Tuple[str, float], ...] = ()
 
     @property
@@ -157,9 +164,9 @@ class ScenarioReport:
         """End-to-end replay rate: ``records`` over ``seconds``.
 
         ``seconds`` runs from the plan draw (``select``) through
-        encode and ingest of every batch to the transport flush and
-        the sinks' drain; impairment planning before it and scoring
-        (``decode``) after it are outside.
+        encode of every block and ingest of every batch to the
+        transport flush and the sinks' drain; impairment planning
+        before it and scoring (``decode``) after it are outside.
 
         Always finite: a degenerate zero-second measurement (an empty
         trace, or a clock too coarse to see the work) reports 0.0
@@ -242,7 +249,9 @@ class ReplayDriver:
         Path-query encoder configuration; the sink consumers derive
         the matching decoders from the same values.
     batch_size:
-        Records per columnar batch -- the unit of vectorised work.
+        Records per columnar batch -- what one sink call receives.
+        The switch side encodes row blocks of whole batches (about
+        half a ``GRID_BLOCK`` of rows, at least one batch).
     num_shards:
         Collector sharding (both sinks).
     workers:
@@ -383,19 +392,60 @@ class ReplayDriver:
 
     def utilizations(self, trace: Trace) -> np.ndarray:
         """Ground-truth bottleneck utilisation per record, in (0, 1.5)."""
-        utils = np.empty(len(trace), dtype=np.float64)
-        for block in lane_blocks(len(trace), 1):
-            utils[block] = self._util_hash.uniform_array(trace.pid[block]) * 1.5
+        return self._truth(trace.pid)
+
+    def _truth(self, pids: np.ndarray) -> np.ndarray:
+        """:meth:`utilizations` of the records with packet ids ``pids``."""
+        utils = np.empty(pids.shape[0], dtype=np.float64)
+        for block in lane_blocks(pids.shape[0], 1):
+            utils[block] = self._util_hash.uniform_array(pids[block]) * 1.5
         return utils
 
-    def _congestion_truth(self, trace: Trace, entry: np.ndarray) -> np.ndarray:
-        """:meth:`utilizations`, drawn only where ``entry`` put a
-        congestion digest; every other row reads 0 and is never read."""
-        utils = np.zeros(len(trace), dtype=np.float64)
-        for block in lane_blocks(len(trace), 1):
-            rows = block.start + np.flatnonzero(entry[block] == 1)
-            utils[rows] = self._util_hash.uniform_array(trace.pid[rows]) * 1.5
-        return utils
+    def _block_rows(self) -> int:
+        """Rows per block of the replay loop: a whole number of batches,
+        at least one, near half a hash block (``GRID_BLOCK``, read at
+        call time so the block follows it)."""
+        batches = global_hash.GRID_BLOCK // 2 // self.batch_size
+        return max(1, batches) * self.batch_size
+
+    def _encode_block(
+        self,
+        trace: Trace,
+        dataplane: TraceDataplane,
+        entry: np.ndarray,
+        rows: np.ndarray,
+        edges: List[int],
+    ) -> List[Tuple[List[int], Tuple[np.ndarray, ...]]]:
+        """Plan entry i's sink columns over one block of trace ``rows``.
+
+        Per entry: one gather per column, then one encode call -- path
+        digests, or congestion codes over the truth drawn from the
+        gathered ``pid``.  Each entry comes with ``bounds``: how many
+        of its rows precede each of the block's batch ``edges``, so
+        batch ``j`` is ``col[bounds[j]:bounds[j + 1]]`` of every
+        column.  The columns are read-only: a sink writing into its
+        input would corrupt the batches after it.
+        """
+        part = entry.take(rows)
+        columns = []
+        for index in range(2):
+            pos = np.flatnonzero(part == index)
+            mine = rows.take(pos)
+            fids = trace.flow_id.take(mine)
+            pids = trace.pid.take(mine)
+            path_ids = trace.path_id.take(mine)
+            hops = trace.lengths_of(path_ids)
+            if index == 0:
+                values = dataplane.encode(path_ids, pids)
+            else:
+                values = compress_utilizations(
+                    self.codec, self._truth(pids), pids, hops
+                )
+            cols = (fids, pids, hops, values)
+            for col in cols:
+                col.flags.writeable = False
+            columns.append((np.searchsorted(pos, edges).tolist(), cols))
+        return columns
 
     def _make_sink(
         self, stack: ExitStack, consumer_factory, sink_label: str,
@@ -473,9 +523,9 @@ class ReplayDriver:
                 "congestion", None,
             )
             sinks = [path, cong]
-            # Stage accounting: two clock reads per section per batch,
-            # cheap enough to leave on unconditionally, so *every*
-            # report can say where its wall time went.
+            # Stage accounting: two clock reads per section per block
+            # or batch, cheap enough to leave on unconditionally, so
+            # *every* report can say where its wall time went.
             stages = StageTimes()
             sp_encode = stages.span("encode")
             sp_ingest = stages.span("ingest")
@@ -492,48 +542,47 @@ class ReplayDriver:
                         self.impairments, len(trace), trace.flow_id
                     )
             total = len(trace) if delivery is None else int(delivery.shape[0])
+            block = self._block_rows()
             batches = 0
             start = time.perf_counter()
             with stages.span("select"):
-                # Every packet's query set, drawn once: the batches
+                # Every packet's query set, drawn once: the blocks
                 # below and the score read the same column.
                 entry = self.plan.select_array(trace.pid).astype(np.int8)
-                utils = self._congestion_truth(trace, entry)
-
-            def compress(rows: np.ndarray) -> np.ndarray:
-                return compress_utilizations(
-                    self.codec, utils[rows], trace.pid[rows],
-                    trace.hop_counts_of(rows),
+            for lo in range(0, total, block):
+                hi = min(lo + block, total)
+                # The block's trace rows, and its batches' edges as
+                # positions in the block.
+                rows = (
+                    np.arange(lo, hi, dtype=np.int64) if delivery is None
+                    else delivery[lo:hi]
                 )
-
-            # Plan entry i's records: its encoder, then its sink.
-            encoders = [dataplane.encode_rows, compress]
-            for lo in range(0, total, self.batch_size):
-                hi = min(lo + self.batch_size, total)
-                if delivery is None:
-                    rows = np.arange(lo, hi, dtype=np.int64)
-                    part = entry[lo:hi]
-                    now = float(trace.ts[hi - 1])
-                else:
-                    rows = delivery[lo:hi]
-                    part = entry[rows]
+                edges = list(range(0, hi - lo, self.batch_size)) + [hi - lo]
+                with sp_encode:
+                    columns = self._encode_block(
+                        trace, dataplane, entry, rows, edges
+                    )
+                    clock = trace.ts.take(rows)
+                for j in range(len(edges) - 1):
+                    first, last = edges[j], edges[j + 1]
                     # Delivered order is not time order under reorder;
                     # the clock advances to the newest send stamp seen
                     # (IngestClock is monotone anyway).
-                    now = float(trace.ts[rows].max())
-                for index, (sink, encode) in enumerate(zip(sinks, encoders)):
-                    mine = rows[part == index]
-                    if not mine.size:
-                        continue
-                    with sp_encode:
-                        values = encode(mine)
-                    with sp_ingest:
-                        sink.ingest(
-                            trace.flow_id[mine], trace.pid[mine],
-                            trace.hop_counts_of(mine), values, now=now,
-                        )
-                    sink.records += int(mine.size)
-                batches += 1
+                    now = float(
+                        clock[last - 1] if delivery is None
+                        else clock[first:last].max()
+                    )
+                    for sink, (bounds, cols) in zip(sinks, columns):
+                        a, b = bounds[j], bounds[j + 1]
+                        if a == b:
+                            continue
+                        with sp_ingest:
+                            sink.ingest(*(c[a:b] for c in cols), now=now)
+                        sink.records += b - a
+                    batches += 1
+                # Freed before the next block is built, so a replay
+                # holds one block's columns at a time, not two.
+                del rows, columns, clock
             with stages.span("transport"):
                 # Wire path: flush the retransmit queues, then wait for
                 # the last frame to clear socket, admission queue and
@@ -553,8 +602,7 @@ class ReplayDriver:
             seconds = time.perf_counter() - start
             with stages.span("decode"):
                 report = self._score(
-                    trace, path, cong, entry, utils, batches, seconds,
-                    delivery,
+                    trace, path, cong, entry, batches, seconds, delivery,
                 )
             report = replace(report, stage_seconds=stages.items())
             if self.obs.enabled:
@@ -588,7 +636,6 @@ class ReplayDriver:
         path: _Sink,
         cong: _Sink,
         entry: np.ndarray,
-        utils: np.ndarray,
         batches: int,
         seconds: float,
         delivery: Optional[np.ndarray],
@@ -600,8 +647,8 @@ class ReplayDriver:
         is the degradation the sweeps chart), while congestion truth
         is the max over *delivered* records: the sink cannot know a
         utilisation the network never carried to it.  ``entry`` is the
-        plan column the replay drew and ``utils`` its congestion truth
-        (:meth:`_congestion_truth`), both over the offered trace.
+        plan column the replay drew over the offered trace; congestion
+        truth is redrawn (:meth:`utilizations`) at the rows it groups.
         """
         # The truth as columns: every (flow, path) pair of the trace.
         pairs = trace.path_pairs()
@@ -663,7 +710,7 @@ class ReplayDriver:
             fids = trace.flow_id[sel]
             order = stable_order(fids)
             fids = fids[order]
-            true_utils = utils[sel[order]]
+            true_utils = self._truth(trace.pid.take(sel[order]))
             starts = np.flatnonzero(run_starts(fids))
             group_max = np.maximum.reduceat(true_utils, starts)
             # Each surviving flow's encoded max, decoded as one column

@@ -149,7 +149,12 @@ class Trace:
 
     def hop_counts_of(self, rows: np.ndarray) -> np.ndarray:
         """:attr:`hop_counts` at ``rows`` only: one batch's column."""
-        return self._path_lens.take(self.path_id.take(rows))
+        return self.lengths_of(self.path_id.take(rows))
+
+    def lengths_of(self, path_ids: np.ndarray) -> np.ndarray:
+        """The hop count of every path in ``path_ids``: :meth:`hop_counts_of`
+        for a caller that has gathered the rows' ``path_id`` already."""
+        return self._path_lens.take(path_ids)
 
     def path_of(self, row: int) -> Tuple[int, ...]:
         """The switch path record ``row`` traverses."""

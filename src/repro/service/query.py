@@ -244,8 +244,8 @@ class QueryServer:
                 target=self._conn_loop, args=(conn,),
                 name="service-query-conn", daemon=True,
             )
-            self._conn_threads.append(t)
             t.start()
+            self._conn_threads.append(t)
 
     def _conn_loop(self, conn: socket.socket) -> None:
         buf = b""

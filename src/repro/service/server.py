@@ -275,6 +275,8 @@ class CollectorServer:
             self._threads.append(threading.Thread(
                 target=self._accept_loop, name="service-tcp", daemon=True,
             ))
+        # The ingest thread comes last: close() joins the listeners
+        # before it.
         self._threads.append(threading.Thread(
             target=self._ingest_loop, name="service-ingest", daemon=True,
         ))
@@ -375,6 +377,12 @@ class CollectorServer:
                     sock.close()
                 except OSError:  # pragma: no cover - close is best-effort
                     pass
+        # Listener threads exit on their closed sockets.  They go
+        # first: the accept loop is what publishes connection threads,
+        # so once it has exited the list joined below is final.
+        *listeners, ingest = self._threads if self._started else [None]
+        for t in listeners:
+            t.join(timeout=timeout)
         for conn in list(self._conns):
             try:
                 conn.close()
@@ -382,15 +390,13 @@ class CollectorServer:
                 pass
         for t in self._conn_threads:
             t.join(timeout=5.0)
-        # Listener threads exit on their closed sockets; the ingest
-        # thread drains the queue to the sentinel then exits.
-        if self._started:
+        # The ingest thread drains the queue to the sentinel then exits.
+        if ingest is not None:
             try:
                 self._queue.put(_STOP, timeout=timeout)
             except queue.Full:  # pragma: no cover - ingest thread wedged
                 pass
-            for t in self._threads:
-                t.join(timeout=timeout)
+            ingest.join(timeout=timeout)
         if self._query_server is not None:
             self._query_server.close()
         if self._metrics_server is not None:
@@ -600,8 +606,10 @@ class CollectorServer:
                 target=self._conn_loop, args=(conn, addr),
                 name="service-tcp-conn", daemon=True,
             )
-            self._conn_threads.append(t)
+            # Started before it is published: close() joins every
+            # thread on the list, and an unstarted one cannot be joined.
             t.start()
+            self._conn_threads.append(t)
 
     def _conn_loop(self, conn: socket.socket, addr) -> None:
         """One TCP connection: stream-decode frames until EOF or poison."""

@@ -181,3 +181,23 @@ def test_array_twins_without_a_pipeline_caller_are_gone():
     assert "consume_batch" not in vars(LatencyDigestConsumer)
     assert "carrier_cache" not in params(LatencyDigestConsumer)
     assert "consume_slice" in vars(RowHandle)
+
+
+def test_sink_library_import_leaves_networkx_unloaded():
+    # The collector and the service never build a topology; only
+    # repro.net (the simulator's graphs) needs networkx.
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    src = Path(__file__).resolve().parent.parent / "src"
+    probe = (
+        "import sys, repro.collector, repro.service; "
+        "print('networkx' in sys.modules)"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True,
+        check=True, env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert out.stdout.strip() == "False"

@@ -105,8 +105,8 @@ class TestThePropertyCanFail:
         class OneBitOff(driver_module.TraceDataplane):
             flipped = False
 
-            def encode_rows(self, rows):
-                encoded = super().encode_rows(rows)
+            def encode(self, path_ids, pids):
+                encoded = super().encode(path_ids, pids)
                 if not OneBitOff.flipped:
                     OneBitOff.flipped = True
                     encoded[0] ^= 1

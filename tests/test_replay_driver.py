@@ -8,6 +8,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from repro.collector import Collector, ParallelCollector
 from repro.core.plan import ExecutionPlan
 from repro.hashing import global_hash
 from repro.replay import (
@@ -16,9 +17,14 @@ from repro.replay import (
     ReplayDriver,
     Reorder,
     ScenarioReport,
+    TraceDataplane,
     build_trace,
     scenario_names,
 )
+from repro.replay import driver as driver_module
+from repro.replay.dataplane import compress_utilizations
+from repro.replay.impair import plan_delivery
+from repro.service import ReliableUDPSender
 
 
 class TestReplayDriver:
@@ -284,10 +290,9 @@ class _CheckedDriver(ReplayDriver):
 
     checked = 0
 
-    def _score(self, trace, path, cong, entry, utils, batches, seconds,
-               delivery):
+    def _score(self, trace, path, cong, entry, batches, seconds, delivery):
         report = super()._score(
-            trace, path, cong, entry, utils, batches, seconds, delivery
+            trace, path, cong, entry, batches, seconds, delivery
         )
         want = reference_score(self, trace, path, cong, delivery)
         for field, value in want.items():
@@ -350,3 +355,142 @@ class TestScorerEqualsReference:
         report = replay([IIDLoss(1.0, seed=1)])
         assert report.records == 0 and report.path_decoded == 0
         assert math.isnan(report.path_coverage_mean)
+
+
+def reference_calls(driver, trace):
+    """Every sink call a replay makes, built one batch at a time.
+
+    Batch ``k`` is rows ``[k*B, (k+1)*B)`` of the delivered stream,
+    split by the plan with digests from the scalar switch chain and
+    codes from :func:`compress_utilizations` over
+    :meth:`ReplayDriver.utilizations` -- nothing shared with the block
+    loop it checks.  Returns ``(entry, columns, now)`` per call, in
+    call order (path sink before congestion sink within a batch).
+    """
+    dataplane = TraceDataplane(
+        trace, digest_bits=driver.digest_bits, num_hashes=driver.num_hashes,
+        mode=driver.mode, seed=driver.seed,
+    )
+    stream = (
+        plan_delivery(driver.impairments, len(trace), trace.flow_id)
+        if driver.impairments else np.arange(len(trace))
+    )
+    utils = driver.utilizations(trace)
+    hops = trace.hop_counts
+    calls = []
+    for lo in range(0, stream.size, driver.batch_size):
+        rows = stream[lo:lo + driver.batch_size]
+        now = float(
+            trace.ts[rows].max() if driver.impairments else trace.ts[rows[-1]]
+        )
+        part = driver.plan.select_array(trace.pid[rows])
+        for index in (0, 1):
+            mine = rows[part == index]
+            if not mine.size:
+                continue
+            values = (
+                dataplane.encode_scalar_rows(mine) if index == 0
+                else compress_utilizations(
+                    driver.codec, utils[mine], trace.pid[mine], hops[mine]
+                )
+            )
+            cols = (trace.flow_id[mine], trace.pid[mine], hops[mine], values)
+            calls.append((index, cols, now))
+    return calls
+
+
+class TestBlockLoopContract:
+    """The row-block loop hands every sink exactly the per-batch calls
+    of a batch-at-a-time replay: same rows, order, ``now`` and count,
+    as read-only views."""
+
+    MODELS = (
+        GilbertElliott(p_bad=0.05, p_good=0.2, seed=1),
+        Reorder(depth=64, prob=0.5, seed=2), Duplicate(prob=0.05, seed=3),
+    )
+
+    @staticmethod
+    def _spy(monkeypatch, cls, name, calls):
+        real = getattr(cls, name)
+
+        def record(sink, *cols, now=None):
+            calls.append((
+                sink, tuple(np.array(c) for c in cols),
+                [c.flags.writeable for c in cols], now,
+            ))
+            return real(sink, *cols, now=now)
+
+        monkeypatch.setattr(cls, name, record)
+
+    @pytest.mark.parametrize("grid, batch_size", [
+        (None, 512),   # one partial block of the default size
+        (2048, 256),   # batches divide the block; 6 blocks
+        (2048, 300),   # batches leave a remainder of the half-grid
+        (2048, 1500),  # a batch exceeds the half-grid: one batch a block
+    ])
+    @pytest.mark.parametrize("impaired", [False, True])
+    @pytest.mark.parametrize("sink", ["serial", "workers2", "udp"])
+    def test_sink_calls_equal_per_batch_reference(
+        self, monkeypatch, grid, batch_size, impaired, sink
+    ):
+        trace = build_trace("path-churn", packets=6000, seed=2)
+        knobs = {"workers2": {"workers": 2}, "udp": {"transport": "udp"}}
+        driver = ReplayDriver(
+            batch_size=batch_size,
+            impairments=list(self.MODELS) if impaired else None,
+            **knobs.get(sink, {}),
+        )
+        want = reference_calls(driver, trace)
+        if grid is not None:
+            monkeypatch.setattr(global_hash, "GRID_BLOCK", grid)
+        calls = []
+        if sink == "udp":
+            # The server's own ingest calls are the wire's, not the loop's.
+            self._spy(monkeypatch, ReliableUDPSender, "send_batch", calls)
+        else:
+            self._spy(monkeypatch, Collector, "ingest_batch", calls)
+            self._spy(monkeypatch, ParallelCollector, "ingest_batch", calls)
+        report = driver.replay(trace)
+        assert report.batches == -(-report.records // batch_size)
+        assert len(calls) == len(want)
+        receivers = ({}, {})
+        for (target, cols, writeable, now), (index, ref, ref_now) in zip(
+            calls, want
+        ):
+            receivers[index][id(target)] = target
+            assert now == ref_now
+            for got, expect in zip(cols, ref):
+                assert np.array_equal(got, expect)
+            if sink != "udp":
+                assert writeable == [False] * 4
+        # One sink object per plan entry, the path sink parallel when
+        # workers are set.
+        path, cong = (list(r.values()) for r in receivers)
+        assert len(path) == len(cong) == 1 and path[0] is not cong[0]
+        if sink == "workers2":
+            assert isinstance(path[0], ParallelCollector)
+
+    def test_one_encode_and_one_compress_call_per_block(self, monkeypatch):
+        trace = build_trace("incast", packets=6000, seed=1)
+        encodes, compresses = [], []
+        encode = TraceDataplane.encode
+        compress = driver_module.compress_utilizations
+
+        def count_encode(dataplane, path_ids, pids):
+            encodes.append(len(pids))
+            return encode(dataplane, path_ids, pids)
+
+        def count_compress(codec, utils, pids, hops):
+            compresses.append(len(pids))
+            return compress(codec, utils, pids, hops)
+
+        monkeypatch.setattr(TraceDataplane, "encode", count_encode)
+        monkeypatch.setattr(
+            driver_module, "compress_utilizations", count_compress
+        )
+        monkeypatch.setattr(global_hash, "GRID_BLOCK", 2048)
+        report = ReplayDriver(batch_size=256).replay(trace)
+        # 1,024-row blocks of four batches: six blocks for 6,000 rows.
+        assert report.batches == 24
+        assert len(encodes) == len(compresses) == 6
+        assert sum(encodes) + sum(compresses) == len(trace)

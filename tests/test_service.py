@@ -18,6 +18,7 @@ import socket
 import struct
 import subprocess
 import sys
+import threading
 import time
 from pathlib import Path
 
@@ -536,6 +537,45 @@ class TestLoopbackService:
             tx.close()
         with pytest.raises(ValueError):
             make_sender("carrier-pigeon", "127.0.0.1", 1)
+
+    def test_close_while_a_connection_thread_is_starting(self, monkeypatch):
+        # close() racing the accept loop: a connection thread must not
+        # be joinable-but-unstarted when close() walks the list.
+        paused, release = threading.Event(), threading.Event()
+        start = threading.Thread.start
+
+        def slow_start(thread):
+            if thread.name == "service-tcp-conn":
+                paused.set()
+                release.wait(timeout=10.0)
+            start(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", slow_start)
+        srv = CollectorServer(make_collector(), udp_port=None).start()
+        client = socket.create_connection(("127.0.0.1", srv.tcp_port))
+        try:
+            assert paused.wait(timeout=10.0)
+            errors = []
+
+            def close():
+                try:
+                    srv.close()
+                except Exception as exc:  # noqa: BLE001 - asserted below
+                    errors.append(exc)
+
+            closer = threading.Thread(target=close)
+            start(closer)
+            # Long enough for close() to reach the connection threads;
+            # it must be waiting on the accept loop instead.
+            closer.join(timeout=0.5)
+            release.set()
+            closer.join(timeout=10.0)
+            assert not closer.is_alive()
+            assert errors == []
+        finally:
+            release.set()
+            client.close()
+            srv.close()
 
 
 # -- post-close ingest parity ----------------------------------------------
