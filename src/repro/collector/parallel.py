@@ -38,17 +38,21 @@ per-flow query answers are therefore bit-identical to a single-process
 collector fed the same batches -- the ``workers`` and ``ring`` axes of
 ``tests/equivalence.py``, across all replay scenarios.
 
-Transport: every record -- from ``ingest_batch``, scalar ``ingest``
-or a journal replay, of any size -- travels one per-worker
-:class:`~repro.collector.shm.ShmRing` shared-memory ring: one
-vectorised column copy parent-side, zero-copy ``np.ndarray`` views
-worker-side for a message that fits a slot.  The duplex pipe carries
-only sync RPCs.  Workers are forked, so consumer factories may be
-closures (the idiom throughout :mod:`repro.collector.consumers`).
+Transport: the collector takes batches only.  Every record -- from
+``ingest_batch`` or a journal replay, of any size -- travels one
+per-worker :class:`~repro.collector.shm.ShmRing` shared-memory ring
+and is folded by ``Collector.ingest_batch``: one vectorised column
+copy parent-side, zero-copy ``np.ndarray`` views worker-side for a
+message that fits a slot.  The duplex pipe carries only sync RPCs.
+Workers are forked, so consumer factories may be closures (the idiom
+throughout :mod:`repro.collector.consumers`).
 
-Lifecycle: ``start()`` (or the first ingest) spawns workers;
-``drain()`` barriers until every sent batch is applied; ``close()``
-stops and joins the workers.  The class is also a context manager.
+Lifecycle: open or closed.  The constructor forks every worker before
+it returns -- so build the collector before starting any thread, as
+``ReplayDriver`` does before its wire server -- and a spawn that fails
+part-way takes the workers already started down with it.  ``drain()``
+barriers until every sent batch is applied; ``close()`` stops and
+joins the workers.  The class is also a context manager.
 
 Worker loss: every sync reply is received by one pulse-watching wait
 (pipe poll + process sentinel + optional ``wedge_timeout``), and every
@@ -90,12 +94,7 @@ from repro.collector.consumers import (
     DigestConsumer,
     as_store_factory,
 )
-from repro.collector.records import (
-    Column,
-    check_batch,
-    check_record,
-    normalize_batch,
-)
+from repro.collector.records import Column, check_batch, normalize_batch
 from repro.collector.recovery import (
     BatchJournal,
     capture_checkpoint,
@@ -103,7 +102,7 @@ from repro.collector.recovery import (
     validate_checkpoint,
 )
 from repro.collector.shard import ShardRouter
-from repro.collector.shm import KIND_BATCH, KIND_SCALAR, PeerGoneError, ShmRing
+from repro.collector.shm import PeerGoneError, ShmRing
 from repro.collector.snapshot import RecoveryStats, Snapshot
 from repro.exceptions import (
     CheckpointError,
@@ -115,7 +114,7 @@ from repro.exceptions import (
 from repro.obs.metrics import NULL_REGISTRY, MetricsRegistry
 
 #: Pipe commands.  Data never travels the pipe: a data message is a
-#: ``(kind, fids, pids, hops, digs, t)`` tuple -- the shape the
+#: ``(fids, pids, hops, digs, t)`` batch -- the shape the
 #: journal stores -- pushed into the worker's ring.  Every pipe
 #: command is synchronous and gets exactly one ``("ok", value)`` or
 #: ``("err", message)`` reply; the worker folds its whole ring backlog
@@ -232,11 +231,11 @@ def _worker_main(
         suppressed_errors = 0
         return text
 
-    def fold(fn, *args, now: float) -> None:
+    def fold(data) -> None:
         """Apply one fire-and-forget message, parking any failure."""
         nonlocal suppressed_errors
         try:
-            fn(*args, now=now)
+            col.ingest_batch(*data.columns, now=data.t)
         except Exception:
             if len(pending_errors) < 8:
                 pending_errors.append(traceback.format_exc())
@@ -256,11 +255,7 @@ def _worker_main(
         # cannot unmap a segment with views still exported.
         data = ring.take()
         if data is not None:
-            if data.kind == KIND_SCALAR:
-                fold(col.ingest, *(int(c[0]) for c in data.columns),
-                     now=data.t)
-            else:
-                fold(col.ingest_batch, *data.columns, now=data.t)
+            fold(data)
             continue
         if held is None:
             try:
@@ -340,8 +335,9 @@ class ParallelCollector:
     """Scatter-by-shard multi-process front door over N Collectors.
 
     Drop-in for :class:`Collector` at the service surface -- same
-    ingest, query, expiry and snapshot methods, same clock-mode guard
-    -- with ingestion and decode spread across worker processes.  Use
+    ``ingest_batch``, query, expiry and snapshot methods, same
+    clock-mode guard -- with ingestion and decode spread across worker
+    processes, which the constructor starts.  Use
     it when per-record decode work (path peeling, sketch updates)
     dominates; for trivially cheap consumers the scatter (one routing
     hash and one column copy per batch) costs more than the workers
@@ -485,12 +481,14 @@ class ParallelCollector:
         self.clock = IngestClock()
         self._conns: List = []
         self._procs: List = []
+        #: The one lifecycle flag: open (workers up) until close().
         self._closed = False
         self.obs = obs if obs is not None else NULL_REGISTRY
         self._obs_labels = dict(obs_labels) if obs_labels else {}
         #: Fire-and-forget messages sent per worker (parent side) and
         #: the matching worker-side applied counters (shared memory,
-        #: created at start()).  Their difference is the live backlog.
+        #: created with each worker and read after it is gone).  Their
+        #: difference is the live backlog.
         self._sent: List[int] = [0] * workers
         self._applied: List = []
         # -- supervision state (journal/checkpoint parts inert when
@@ -528,7 +526,17 @@ class ParallelCollector:
             "journal_dropped_batches": 0,
             "journal_dropped_records": 0,
         }
-        self._init_obs()
+        try:
+            for w in range(workers):
+                conn, proc, ring, applied = self._spawn(w, None, 0)
+                self._conns.append(conn)
+                self._procs.append(proc)
+                self._rings.append(ring)
+                self._applied.append(applied)
+            self._init_obs()
+        except BaseException:
+            self._kill_all()
+            raise
 
     @property
     def _supervised(self) -> bool:
@@ -570,9 +578,7 @@ class ParallelCollector:
                 "Messages sent to this worker and not yet applied.",
                 labels=labels,
             ).set_function(
-                lambda w=w: self._sent[w] - (
-                    self._applied[w].value if self._procs else 0
-                )
+                lambda w=w: self._sent[w] - self._applied[w].value
             )
             obs.counter(
                 "pint_parallel_worker_restarts_total",
@@ -585,58 +591,59 @@ class ParallelCollector:
                 "yet consumed.",
                 labels=labels,
             ).set_function(
-                lambda w=w: (
-                    self._rings[w].occupancy() if self._procs else 0
-                )
+                lambda w=w: 0 if self._closed else self._rings[w].occupancy()
             )
 
     # -- lifecycle ---------------------------------------------------------
 
-    @property
-    def started(self) -> bool:
-        """True once worker processes exist (and close() has not run)."""
-        return bool(self._procs)
-
     def start(self) -> "ParallelCollector":
-        """Spawn the worker processes (idempotent)."""
-        if self._closed:
-            raise CollectorClosedError("collector is closed")
-        if self._procs:
-            return self
-        for w in range(self.workers):
-            conn, proc, ring, applied = self._spawn(w, None, 0)
-            self._conns.append(conn)
-            self._procs.append(proc)
-            self._rings.append(ring)
-            self._applied.append(applied)
+        """This collector, whose workers started with it (for ``with``)."""
+        self._check_open()
         return self
 
     def _spawn(self, w: int, restore: Optional[bytes], applied: int):
         """Fork worker ``w`` behind a fresh pipe and a fresh ring.
 
-        The one place a worker process is created -- at :meth:`start`
-        and again by :meth:`_recover_worker`, which passes the
-        checkpoint to ``restore`` and the applied-counter value the
-        backlog gauge should resume from.  Returns ``(conn, process,
-        ring, applied counter)`` for the caller to install.
+        The one place a worker process is created -- in the
+        constructor and again by :meth:`_recover_worker`, which passes
+        the checkpoint to ``restore`` and the applied-counter value
+        the backlog gauge should resume from.  Returns ``(conn,
+        process, ring, applied counter)`` for the caller to install; a
+        fork that fails unlinks the fresh ring before raising.
         """
-        parent_conn, child_conn = self._ctx.Pipe(duplex=True)
         ring = ShmRing.create(self._ring_slots, self._ring_records)
-        counter = self._ctx.Value("L", applied, lock=False)
-        proc = self._ctx.Process(
-            target=_worker_main,
-            args=(
-                child_conn, *self._spec,
-                list(range(w, self.num_shards, self.workers)),
-                w, self.obs.enabled, counter, self._obs_labels,
-                restore, ring.spec(),
-            ),
-            daemon=True,
-            name=f"collector-worker-{w}",
-        )
-        proc.start()
+        try:
+            parent_conn, child_conn = self._ctx.Pipe(duplex=True)
+            counter = self._ctx.Value("L", applied, lock=False)
+            proc = self._ctx.Process(
+                target=_worker_main,
+                args=(
+                    child_conn, *self._spec,
+                    list(range(w, self.num_shards, self.workers)),
+                    w, self.obs.enabled, counter, self._obs_labels,
+                    restore, ring.spec(),
+                ),
+                daemon=True,
+                name=f"collector-worker-{w}",
+            )
+            proc.start()
+        except BaseException:
+            ring.close()
+            ring.unlink()
+            raise
         child_conn.close()
         return parent_conn, proc, ring, counter
+
+    def _kill_all(self) -> None:
+        """Undo a constructor that failed part-way: SIGKILL and reap
+        every worker spawned so far and unlink its ring."""
+        for proc in self._procs:
+            proc.kill()
+            proc.join(timeout=5.0)
+        for ring in self._rings:
+            ring.close()
+            ring.unlink()
+        self._closed = True
 
     def _check_open(self) -> None:
         """A closed collector's state is gone: answering queries with
@@ -656,8 +663,6 @@ class ParallelCollector:
         deferred worker-side ingest failure surfaces here.
         """
         self._check_open()
-        if not self._procs:
-            return
         with self._sp_drain:
             self._broadcast((_DRAIN,))
 
@@ -676,8 +681,7 @@ class ParallelCollector:
         the floor; raise the timeout, or ``drain()`` first, when
         closing behind a large fire-and-forget backlog.
         """
-        if not self._procs:
-            self._closed = True
+        if self._closed:
             return
         errors = []
         # The stop itself must not block: a wedged worker stops
@@ -763,8 +767,9 @@ class ParallelCollector:
         self.close()
 
     def __del__(self) -> None:
+        # A constructor that raised may have left any attribute unset.
         try:
-            if self._procs and not self._closed:
+            if not self._closed:
                 self.close()
         except Exception:
             pass
@@ -774,18 +779,16 @@ class ParallelCollector:
     def _push(self, w: int, msg: tuple) -> None:
         """Push one data message into worker ``w``'s ring.
 
-        ``msg`` is a ``(kind, fids, pids, hops, digs, t)`` tuple -- the
+        ``msg`` is a ``(fids, pids, hops, digs, t)`` tuple -- the
         journal stores exactly these, so replay and live traffic share
         this one path.  Raises :class:`_WorkerDied` when the worker
         cannot take the message (dead, or -- under ``wedge_timeout`` --
         making no progress on a full ring); callers decide what that
         means.
         """
-        kind, fids, ps, hops, digs, t = msg
         try:
             self._rings[w].push(
-                fids, ps, hops, digs, t, kind, self._procs[w].is_alive,
-                self._wedge_timeout,
+                *msg, self._procs[w].is_alive, self._wedge_timeout
             )
         except PeerGoneError as exc:
             raise _WorkerDied(f"worker {w}: {exc}") from exc
@@ -861,12 +864,7 @@ class ParallelCollector:
                 self._request(w, msg)
 
     def _call(self, w: int, msg: tuple):
-        """One synchronous RPC round-trip to worker ``w``.
-
-        Callers guard on :attr:`started`: queries against a collector
-        that never ingested answer "empty" locally rather than forking
-        worker processes as a side effect of a read-only probe.
-        """
+        """One synchronous RPC round-trip to worker ``w``."""
         self._request(w, msg)
         return self._await(w, msg)
 
@@ -1131,25 +1129,6 @@ class ParallelCollector:
         """The front door's current clock reading."""
         return self.clock.now
 
-    def ingest(
-        self,
-        flow_id: int,
-        pid: int,
-        hop_count: int,
-        digest: int,
-        now: Optional[float] = None,
-    ) -> None:
-        """Route one record to its owner worker (scalar path)."""
-        flow_id, pid, hop_count, digest = check_record(
-            flow_id, pid, hop_count, digest, self._code_bits
-        )
-        self.start()
-        t = self.clock.tick(now, 1)
-        cols = np.asarray(
-            [[flow_id], [pid], [hop_count], [digest]], dtype=np.int64
-        )
-        self._scatter(KIND_SCALAR, *cols, t)
-
     def ingest_batch(
         self,
         flow_ids: Column,
@@ -1166,7 +1145,9 @@ class ParallelCollector:
         Sends are fire-and-forget: the call returns once the columns
         are in the rings, and :meth:`drain` (or any query) barriers
         with the workers.  A full ring is the back-pressure point: it
-        bounds how far the front door can run ahead of a worker.
+        bounds how far the front door can run ahead of a worker.  Each
+        worker with records gets one message, journaled first when
+        supervised.
         """
         self._check_open()
         fids, ps, hops, digs = normalize_batch(
@@ -1176,13 +1157,7 @@ class ParallelCollector:
         if n == 0:
             return 0
         check_batch(hops, digs, self._code_bits)
-        self.start()
-        self._scatter(KIND_BATCH, fids, ps, hops, digs, self.clock.tick(now, n))
-        return n
-
-    def _scatter(self, kind: int, fids, ps, hops, digs, t: float) -> None:
-        """Route records to their owner workers: one message per worker
-        with records, each journaled (when supervised) and posted."""
+        t = self.clock.tick(now, n)
         with self._sp_scatter:
             self._reap()
             sids = self.router.shard_of_array(fids)
@@ -1191,10 +1166,11 @@ class ParallelCollector:
                 mask = wids == w
                 if not mask.any():
                     continue
-                msg = (kind, fids[mask], ps[mask], hops[mask], digs[mask], t)
+                msg = (fids[mask], ps[mask], hops[mask], digs[mask], t)
                 if self._supervised:
                     self._journal(w, msg, sids[mask])
                 self._post(w, msg)
+        return n
 
     # -- queries -----------------------------------------------------------
 
@@ -1209,8 +1185,6 @@ class ParallelCollector:
         merge into one ascending table.
         """
         self._check_open()
-        if not self._procs:
-            return AnswerTable.empty()
         with self._sp_answers:
             if flow_ids is None:
                 requests = dict.fromkeys(
@@ -1250,7 +1224,7 @@ class ParallelCollector:
         self._check_open()
         ids = [int(f) for f in flow_ids]
         out: List[Optional[DigestConsumer]] = [None] * len(ids)
-        if not self._procs or not ids:
+        if not ids:
             return out
         by_worker: Dict[int, list] = {}
         owners = self.router.shard_of_array(np.asarray(ids)) % self.workers
@@ -1273,8 +1247,6 @@ class ParallelCollector:
     def __len__(self) -> int:
         """Live flows across all workers."""
         self._check_open()
-        if not self._procs:
-            return 0
         return sum(self._broadcast((_LEN,)))
 
     # -- operations --------------------------------------------------------
@@ -1283,15 +1255,11 @@ class ParallelCollector:
         """Force a TTL sweep on every worker; returns evicted flows."""
         self._check_open()
         t = self.clock.expire_time(now)
-        if not self._procs:
-            return 0
         return sum(self._broadcast((_EXPIRE, t)))
 
     def evict(self, flow_id: int) -> bool:
         """Drop one flow's state on its owner worker."""
         self._check_open()
-        if not self._procs:
-            return False
         return self._call(self._owner(flow_id), (_EVICT, flow_id))
 
     def snapshot(self) -> Snapshot:
@@ -1303,28 +1271,8 @@ class ParallelCollector:
         collector fed the same batches would take.  The per-worker
         snapshot commands queue behind any in-flight batches, so the
         counters always reflect every record sent before this call.
-
-        Before the first ingest, probing metrics is read-only and must
-        not fork processes as a side effect: the snapshot is built
-        from a local idle collector instead, which reports exactly the
-        zeroed per-shard stats the workers would -- a monitoring
-        scrape sees the same ``num_shards`` rows before and after the
-        service spins up.
         """
         self._check_open()
-        if not self._procs:
-            factory, num_shards, max_flows, ttl, seed, router = self._spec
-            idle = Collector(
-                factory, num_shards=num_shards,
-                max_flows_per_shard=max_flows, ttl=ttl, seed=seed,
-                router=router,
-            )
-            return Snapshot(
-                taken_at=self.clock.now,
-                shards=[shard.stats() for shard in idle.shards],
-            ).with_metrics(
-                self.obs.as_dict() if self.obs.enabled else None
-            )
         parts = self._broadcast((_SNAPSHOT,))
         snap = Snapshot.merged(
             parts, taken_at=self.clock.now

@@ -7,15 +7,15 @@ parent-side, all serial.  So the *data plane* is one
 shared_memory`` segment laid out as a fixed-slot SPSC ring, written
 once by the parent (vectorised column copies) and read zero-copy by
 the worker (``np.ndarray`` views straight over the segment).  Every
-record a worker folds -- batch or scalar, of any length, live or
-replayed -- travels the ring; the duplex pipe carries only sync RPCs.
+batch a worker folds -- of any length, live or replayed -- travels the
+ring; the duplex pipe carries only sync RPCs.
 
 Ring layout (one segment per worker)::
 
       offset 0      ┌────────────────────────────────────┐
                     │ consumed : int64   (consumer-owned) │  64 B header
       offset 64     ├────────────────────────────────────┤
-                    │ slot 0:  seq | kind | n | more : i64│  64 B slot
+                    │ slot 0:  seq | n | more : i64       │  64 B slot
                     │          t : f64   (+ padding)      │  header
                     │          fids[cap] ps[cap]          │  4 × cap × 8 B
                     │          hops[cap] digs[cap]        │  payload
@@ -34,9 +34,9 @@ One writer per field, int64 stores are single machine words on every
 platform we run on, and the seq/consumed pair brackets every payload
 access, so no torn read is ever acted on.
 
-Messages and the continuation rule: a message is a run of consecutive
-slots, every slot but the last flagged ``more``, each repeating the
-message's ``kind`` (:data:`KIND_BATCH` or :data:`KIND_SCALAR`) and
+Messages and the continuation rule: a message is one columnar batch
+for ``Collector.ingest_batch``, carried as a run of consecutive slots,
+every slot but the last flagged ``more``, each repeating the message's
 clock stamp ``t``.  :meth:`ShmRing.push` splits a message longer than
 a slot into such a run; :meth:`ShmRing.take` hands back whole
 messages only.  One producer writes one slot sequence, so messages
@@ -65,24 +65,17 @@ import numpy as np
 
 #: Control header bytes (one int64 used: the consumed count).
 _CTRL_BYTES = 64
-#: Per-slot header bytes (seq, kind, n, more as int64; t as float64).
+#: Per-slot header bytes (seq, n, more as int64; t as float64).
 _SLOT_HEADER_BYTES = 64
 #: Slot-header field offsets, in int64 words.
-_SEQ, _KIND, _N, _MORE = range(4)
+_SEQ, _N, _MORE = range(3)
 #: Byte offset of the float64 batch clock stamp inside a slot header.
-_T_OFFSET = 32
-
-#: Message kinds.  A BATCH message is a columnar batch for
-#: ``Collector.ingest_batch``; a SCALAR message is the one record of a
-#: scalar ingest, for ``Collector.ingest``.
-KIND_BATCH = 0
-KIND_SCALAR = 1
+_T_OFFSET = 24
 
 
 class RingMessage(NamedTuple):
     """One whole message, as :meth:`ShmRing.take` returns it."""
 
-    kind: int
     t: float
     #: ``(fids, pids, hops, digs)`` int64 columns: views into the
     #: segment for a single-slot message (valid until the next
@@ -133,7 +126,7 @@ class ShmRing:
         self._cols: List[np.ndarray] = []
         for s in range(self.slots):
             off = _CTRL_BYTES + s * self._slot_bytes
-            hdr = np.frombuffer(buf, dtype=np.int64, count=4, offset=off)
+            hdr = np.frombuffer(buf, dtype=np.int64, count=3, offset=off)
             t = np.frombuffer(
                 buf, dtype=np.float64, count=1, offset=off + _T_OFFSET
             )
@@ -204,7 +197,6 @@ class ShmRing:
         hops: np.ndarray,
         digs: np.ndarray,
         t: float,
-        kind: int = KIND_BATCH,
         more: bool = False,
     ) -> bool:
         """Publish one slot; False when the ring is full (no wait).
@@ -228,7 +220,6 @@ class ShmRing:
         col[3, :n] = digs
         self._ts[s][0] = t
         hdr = self._hdrs[s]
-        hdr[_KIND] = kind
         hdr[_N] = n
         hdr[_MORE] = more
         hdr[_SEQ] = self._pushed + 1  # publish: payload precedes seq
@@ -242,7 +233,6 @@ class ShmRing:
         hops: np.ndarray,
         digs: np.ndarray,
         t: float,
-        kind: int,
         alive: Callable[[], bool],
         timeout: Optional[float] = None,
     ) -> None:
@@ -258,7 +248,7 @@ class ShmRing:
             hi = min(lo + self.slot_records, n)
             attempt = partial(
                 self.try_push, fids[lo:hi], pids[lo:hi], hops[lo:hi],
-                digs[lo:hi], t, kind, hi < n,
+                digs[lo:hi], t, hi < n,
             )
             self.push_wait(attempt, alive, timeout)
 
@@ -322,16 +312,16 @@ class ShmRing:
             if int(hdr[_SEQ]) != self._taken + 1:
                 return None
             payload = self._cols[s][:, :int(hdr[_N])]
-            kind, t, more = int(hdr[_KIND]), float(self._ts[s][0]), hdr[_MORE]
+            t, more = float(self._ts[s][0]), hdr[_MORE]
             if not more and not self._parts:
                 self._held = True
-                return RingMessage(kind, t, tuple(payload))
+                return RingMessage(t, tuple(payload))
             self._parts.append(payload.copy())
             self._release()
             if not more:
                 joined = np.concatenate(self._parts, axis=1)
                 self._parts = []
-                return RingMessage(kind, t, tuple(joined))
+                return RingMessage(t, tuple(joined))
 
     @property
     def mid_message(self) -> bool:

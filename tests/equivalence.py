@@ -17,7 +17,13 @@ keeps what decides *which records reach the sinks and when* (scenario,
 digest coding, the delivery schedule of the impairment models, the
 batch size that stamps the clock) and resets everything that may only
 change *how* they get there: a serial in-process driver, no registry,
-no faults, each delivered row fed through scalar ``Collector.ingest``.
+no faults, each delivered row fed through scalar ``Collector.ingest``
+into flows that are plain consumer objects
+(``PathDigestConsumer.from_context`` / ``CongestionDigestConsumer`` on
+the sink's context or codec, :func:`object_factory`).  The reference
+therefore shares no code with the column stores: its answers, state
+bytes and decoder state come from the objects' ``consume``, not from
+``PathStateStore.answers`` / ``account`` / ``absorb``.
 ``differences`` ignores only the counters that describe the execution
 rather than the answer (:data:`EXECUTION`, the per-shard ``batches``).
 A sink that *says* it lost records (the journal-starved ``degrade``
@@ -57,10 +63,13 @@ import numpy as np
 
 from repro.collector import (
     Collector,
+    CongestionDigestConsumer,
     ParallelCollector,
+    PathDigestConsumer,
     congestion_consumer_factory,
     path_consumer_factory,
 )
+from repro.collector.answers import PATH
 from repro.faults import FaultPlan, drop_checkpoint, kill_worker, wedge_worker
 from repro.obs import MetricsRegistry
 from repro.replay import driver as driver_module
@@ -488,15 +497,32 @@ def scalar_ingest(collector, fids, pids, hops, digests, now):
         collector.ingest(*record, now=now)
 
 
+def object_factory(factory):
+    """``factory``'s flows as plain consumer objects on its query's
+    context or codec, sharing no code with the column stores (fragment
+    coding builds objects already)."""
+    store = getattr(factory, "store", None)
+    if store is None:
+        return factory
+    if store.kind == PATH:
+        return lambda flow_id: PathDigestConsumer.from_context(store.context)
+    return lambda flow_id: CongestionDigestConsumer(codec=store.codec)
+
+
 class _Recording(ReplayDriver):
     """A driver that reads both sinks while they are still up."""
 
     scalar = False
 
     def _make_sink(self, stack, consumer_factory, sink_label, workers):
-        sink = super()._make_sink(stack, consumer_factory, sink_label, workers)
-        if self.scalar:
-            sink.ingest = partial(scalar_ingest, sink.collector)
+        if not self.scalar:
+            return super()._make_sink(
+                stack, consumer_factory, sink_label, workers
+            )
+        sink = super()._make_sink(
+            stack, object_factory(consumer_factory), sink_label, workers
+        )
+        sink.ingest = partial(scalar_ingest, sink.collector)
         return sink
 
     def _score(self, trace, path, cong, *rest):

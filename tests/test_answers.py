@@ -303,19 +303,14 @@ class TestOtherKinds:
 
 
 class TestLifecycle:
-    def test_empty_and_never_started_sinks(self):
+    def test_empty_sinks(self):
         factory = path_stream("web-search", "hash", 1)[1]
         for table in (
             Collector(factory()).answers(), Collector(factory()).answers([1]),
         ):
             assert len(table) == 0 and table.offsets.tolist() == [0]
             assert table.rows_of([3, 4]).tolist() == [-1, -1]
-        par = ParallelCollector(factory(), workers=2)
-        assert len(par.answers()) == 0 and len(par.answers([1])) == 0
-        # A read-only probe forks nothing.
-        assert not par.started
-        assert par.flow(1) is None and par.result(1) is None
-        with par:
+        with ParallelCollector(factory(), workers=2) as par:
             assert len(par.answers()) == 0 and len(par.answers([1])) == 0
             assert par.flow(1) is None and par.result(1) is None
 

@@ -1,5 +1,10 @@
 """Tests for the multi-process parallel collector (repro.collector.parallel)."""
 
+import multiprocessing
+import threading
+from multiprocessing import shared_memory
+from unittest import mock
+
 import numpy as np
 import pytest
 
@@ -10,7 +15,10 @@ from repro.collector import (
     Snapshot,
     congestion_consumer_factory,
 )
+from repro.collector.shm import ShmRing
 from repro.collector.snapshot import ShardStats
+from repro.replay.driver import ReplayDriver
+from repro.replay.scenarios import build_trace
 
 
 def make_cols(n=4000, flows=60, seed=2):
@@ -44,26 +52,63 @@ class TestLifecycle:
         par = ParallelCollector(
             congestion_consumer_factory(), workers=2, num_shards=4
         )
-        assert not par.started
+        procs = list(par._procs)
+        assert len(procs) == 2 and all(p.is_alive() for p in procs)
         with par:
-            assert par.started
             par.ingest_batch([1, 2, 3], [1, 2, 3], [3, 3, 3], [5, 6, 7])
             par.drain()
             assert len(par) == 3
-        assert not par.started
+        assert not any(p.is_alive() for p in procs)
         with pytest.raises(RuntimeError):
             par.start()  # a closed collector does not resurrect
 
-    def test_lazy_start_on_first_ingest(self):
-        par = ParallelCollector(
-            congestion_consumer_factory(), workers=2, num_shards=2
-        )
-        try:
-            par.ingest(9, 1, 3, 40)
-            assert par.started
-            assert par.result(9) is not None
-        finally:
-            par.close()
+    def test_failed_spawn_leaves_no_process_and_no_segment(self):
+        made = []
+        create = ShmRing.create.__func__
+
+        def second_fails(cls, *args, **kwargs):
+            if made:
+                raise OSError("no room for a second segment")
+            ring = create(cls, *args, **kwargs)
+            made.append(ring.name)
+            return ring
+
+        before = set(multiprocessing.active_children())
+        with mock.patch.object(ShmRing, "create", classmethod(second_fails)):
+            with pytest.raises(OSError, match="second segment"):
+                ParallelCollector(
+                    congestion_consumer_factory(), workers=2, num_shards=2
+                )
+        # The first worker was forked, then killed and reaped; its
+        # segment is unlinked.
+        assert len(made) == 1
+        assert set(multiprocessing.active_children()) <= before
+        with pytest.raises(FileNotFoundError):
+            shared_memory.SharedMemory(name=made[0])
+
+    def test_workers_fork_before_the_wire_threads(self):
+        # The driver builds its sinks before its wire server, so every
+        # worker forks from the main thread while no thread the replay
+        # starts is alive yet (forking beside live threads is what
+        # lint rule R008 keeps out of this module).
+        seen = []
+        spawn = ParallelCollector._spawn
+
+        def watched(self, w, restore, applied):
+            seen.append((
+                threading.current_thread(), set(threading.enumerate()),
+            ))
+            return spawn(self, w, restore, applied)
+
+        trace = build_trace("incast", packets=2_000, seed=0)
+        before = set(threading.enumerate())
+        with mock.patch.object(ParallelCollector, "_spawn", watched):
+            report = ReplayDriver(workers=2, transport="udp").replay(trace)
+        assert report.wire_frames > 0
+        assert len(seen) == 2
+        for thread, alive in seen:
+            assert thread is threading.main_thread()
+            assert alive <= before, sorted(t.name for t in alive - before)
 
     def test_close_is_idempotent(self):
         par = ParallelCollector(
@@ -82,24 +127,22 @@ class TestLifecycle:
             ParallelCollector(factory, workers=2, num_shards=4,
                               router=ShardRouter(8, 0))
 
-    def test_queries_do_not_fork_before_first_ingest(self):
-        # Read-only probes on a collector that never ingested answer
-        # "empty" locally instead of spawning worker processes -- and
-        # the idle snapshot still shows the same per-shard rows a
+    def test_queries_before_first_ingest_match_serial(self):
+        # The live workers answer reads on a collector that never
+        # ingested, and the snapshot shows the same per-shard rows a
         # fresh serial collector would (monitoring parity).
-        par = ParallelCollector(
+        with ParallelCollector(
             congestion_consumer_factory(), workers=2, num_shards=4
-        )
-        snap = par.snapshot()
-        assert snap.records == 0 and snap.flows == 0
-        serial = Collector(congestion_consumer_factory(), num_shards=4)
-        assert snap.as_dict() == serial.snapshot().as_dict()
-        assert par.flow(1) is None
-        assert par.result(1) is None
-        assert par.evict(1) is False
-        assert len(par) == 0
-        assert par.expire() == 0
-        assert not par.started
+        ) as par:
+            snap = par.snapshot()
+            assert snap.records == 0 and snap.flows == 0
+            serial = Collector(congestion_consumer_factory(), num_shards=4)
+            assert snap.as_dict() == serial.snapshot().as_dict()
+            assert par.flow(1) is None
+            assert par.result(1) is None
+            assert par.evict(1) is False
+            assert len(par) == 0
+            assert par.expire() == 0
 
     def test_closed_collector_refuses_queries(self):
         # After close() the worker state is gone; empty answers would
@@ -172,14 +215,14 @@ class TestEquivalence:
                     assert consumer.max_code == reference.max_code
             assert par.flows([]) == []
 
-    def test_scalar_ingest_routes_like_serial(self):
+    def test_one_record_batches_route_like_serial(self):
         serial = Collector(congestion_consumer_factory(), num_shards=4, seed=3)
         with ParallelCollector(
             congestion_consumer_factory(), workers=2, num_shards=4, seed=3
         ) as par:
             for i in range(60):
-                serial.ingest(i % 7, i, 4, i % 256)
-                par.ingest(i % 7, i, 4, i % 256)
+                serial.ingest_batch([i % 7], [i], [4], [i % 256])
+                par.ingest_batch([i % 7], [i], [4], [i % 256])
             par.drain()
             assert serial.snapshot().as_dict() == par.snapshot().as_dict()
 
@@ -210,7 +253,7 @@ class TestEquivalence:
             assert serial.expire(now=100.0) == par.expire(now=100.0)
             assert len(serial) == len(par) == 0
             serial.ingest(3, 1, 3, 9, now=101.0)
-            par.ingest(3, 1, 3, 9, now=101.0)
+            par.ingest_batch([3], [1], [3], [9], now=101.0)
             assert serial.evict(3) is par.evict(3) is True
             assert serial.evict(3) is par.evict(3) is False
 
@@ -220,17 +263,15 @@ class TestClockGuard:
         with ParallelCollector(
             congestion_consumer_factory(), workers=2, num_shards=2
         ) as par:
-            par.ingest(1, 1, 3, 10, now=1.0)
-            with pytest.raises(ValueError):
-                par.ingest(1, 2, 3, 10)
+            par.ingest_batch([1], [1], [3], [10], now=1.0)
             with pytest.raises(ValueError):
                 par.ingest_batch([1], [3], [3], [1])
         with ParallelCollector(
             congestion_consumer_factory(), workers=2, num_shards=2
         ) as free:
-            free.ingest(1, 1, 3, 10)
+            free.ingest_batch([1], [1], [3], [10])
             with pytest.raises(ValueError):
-                free.ingest(1, 2, 3, 10, now=2.0)
+                free.ingest_batch([1], [2], [3], [10], now=2.0)
             with pytest.raises(ValueError):
                 free.expire(now=2.0)
             assert free.expire() == 0
@@ -302,7 +343,7 @@ class TestFailurePropagation:
         par.ingest_batch([13], [1], [3], [5])
         with pytest.raises(RuntimeError, match="unlucky flow"):
             par.close()
-        assert not par.started
+        assert not par._procs
         par.close()  # still idempotent after the raise
 
 
@@ -447,6 +488,37 @@ class TestParallelObs:
             sent = fams["pint_parallel_batches_sent_total"]["samples"]
             assert sum(s["value"] for s in sent) > 0
 
+    def test_backlog_gauge_reads_zero_after_a_clean_close(self):
+        from repro.obs import MetricsRegistry
+        obs = MetricsRegistry()
+
+        def backlog():
+            fams = obs.as_dict()["families"]
+            return {
+                name: [s["value"] for s in fams[name]["samples"]]
+                for name in (
+                    "pint_parallel_worker_backlog",
+                    "pint_parallel_ring_occupancy",
+                )
+            }
+
+        par = ParallelCollector(
+            congestion_consumer_factory(), workers=2, num_shards=4, obs=obs,
+        )
+        for i in range(5):
+            par.ingest_batch([1, 2, 3, 4], [i] * 4, [3] * 4, [9] * 4)
+        par.drain()
+        assert par._sent == [5, 5]
+        idle = {
+            "pint_parallel_worker_backlog": [0.0, 0.0],
+            "pint_parallel_ring_occupancy": [0.0, 0.0],
+        }
+        assert backlog() == idle
+        par.close()
+        # Every batch was applied before the stop: nothing is backlogged,
+        # and the unlinked rings hold nothing.
+        assert backlog() == idle
+
     def test_uninstrumented_snapshot_carries_no_metrics(self):
         with ParallelCollector(
             congestion_consumer_factory(), workers=2, num_shards=4,
@@ -469,8 +541,6 @@ class TestHopCountFrontDoor:
                     par.ingest_batch(
                         [7, 8, 9], [1, 2, 3], [3, bad, 3], [1, 2, 3], now=2.0
                     )
-                with pytest.raises(ValueError, match=r"\[1, 255\]"):
-                    par.ingest(7, 1, bad, 5, now=2.0)
             par.drain()  # nothing deferred: no worker ever saw a record
             assert par.now == 1.0
             assert par.snapshot().as_dict() == snap

@@ -27,6 +27,15 @@ def make(kind: str, parallel: bool):
     return Collector(factory, num_shards=2)
 
 
+def ingest_one(sink, *record, now=None):
+    """One record through the front door: scalar ``ingest`` on the
+    serial collector, a one-record batch on the parallel one, which
+    takes batches only."""
+    if isinstance(sink, ParallelCollector):
+        return sink.ingest_batch(*([field] for field in record), now=now)
+    return sink.ingest(*record, now=now)
+
+
 def state(sink) -> tuple:
     sink.drain()
     answers = sink.answers()
@@ -48,8 +57,8 @@ class TestCongestionCodeRange:
 
     def test_codes_in_range_accepted(self, parallel):
         with make("congestion", parallel) as sink:
-            sink.ingest(1, 1, 3, 0, now=1.0)
-            sink.ingest(1, 2, 3, 255, now=1.0)
+            ingest_one(sink, 1, 1, 3, 0, now=1.0)
+            ingest_one(sink, 1, 2, 3, 255, now=1.0)
             assert sink.ingest_batch(
                 [2, 3], [3, 4], [3, 3], [0, 255], now=1.0
             ) == 2
@@ -62,7 +71,7 @@ class TestCongestionCodeRange:
             sink.ingest_batch([1, 2], [1, 2], [3, 3], [7, 9], now=1.0)
             before = state(sink)
             with pytest.raises(ValueError, match=r"\[0, 255\]"):
-                sink.ingest(1, 3, 3, bad, now=2.0)
+                ingest_one(sink, 1, 3, 3, bad, now=2.0)
             with pytest.raises(ValueError, match=r"\[0, 255\]"):
                 # Good records around the bad one: all refused.
                 sink.ingest_batch(
@@ -89,19 +98,28 @@ class TestIntegerRule:
         outcomes = []
         for parallel in (False, True):
             with make("path", parallel) as sink:
-                sink.ingest(1, 1, 3, 7, now=1.0)
+                ingest_one(sink, 1, 1, 3, 7, now=1.0)
                 before = state(sink)
                 record = [1, 2, 3, 9]
                 record[field] = bad
-                with pytest.raises(ValueError, match="64-bit integer"):
-                    sink.ingest(*record, now=2.0)
+                # A one-record batch meets the column rule instead.
+                if not parallel:
+                    refused = pytest.raises(ValueError, match="64-bit integer")
+                elif bad == 1 << 63:
+                    refused = pytest.raises(OverflowError)
+                else:
+                    refused = pytest.raises(ValueError, match="must hold integers")
+                with refused:
+                    ingest_one(sink, *record, now=2.0)
                 assert state(sink) == before
                 outcomes.append(before)
         assert outcomes[0] == outcomes[1]
 
     def test_numpy_integers_are_integers(self, parallel):
         with make("path", parallel) as sink:
-            sink.ingest(np.int64(1), np.uint32(1), np.int8(3), np.int64(7))
+            ingest_one(
+                sink, np.int64(1), np.uint32(1), np.int8(3), np.int64(7)
+            )
             sink.drain()
             assert sink.answers().flow_id.tolist() == [1]
 

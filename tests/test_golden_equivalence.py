@@ -9,6 +9,8 @@ from unittest import mock
 
 import pytest
 
+from repro.coding.store import PathStateStore
+
 from equivalence import (
     AXES,
     GOLDEN,
@@ -82,8 +84,8 @@ def test_sample_covers_every_compatible_pair():
 
 
 class TestThePropertyCanFail:
-    """PINT's silent failure is a sink that still "decodes": both
-    defects below leave every record ingested and most flows answered."""
+    """PINT's silent failure is a sink that still "decodes": every
+    defect below leaves every record ingested and most flows answered."""
 
     CONFIG = Config("web-search", batch=64)
 
@@ -118,3 +120,24 @@ class TestThePropertyCanFail:
         moved = differences(got, run(reference(self.CONFIG)))
         assert "path.state" in moved
         assert got["report"]["records"] == 2_560
+
+    def test_column_answers_overstate_known_hops(self):
+        # The reference shares no code with the column stores, so a
+        # defect in their read-out shows even though every decoder
+        # state is right: run under the patch, both sides would read
+        # it if the reference answered through PathStateStore too.
+        answers = PathStateStore.answers
+
+        def one_hop_too_many(store, rows):
+            columns, offsets, values = answers(store, rows)
+            columns["known"] = columns["known"] + (columns["k"] > 0)
+            return columns, offsets, values
+
+        with mock.patch.object(PathStateStore, "answers", one_hop_too_many):
+            moved = differences(
+                run(self.CONFIG), run(reference(self.CONFIG))
+            )
+        assert moved == [
+            "path.answers", "path.shard0", "path.shard1", "path.shard2",
+            "path.shard3", "report.path_coverage_mean",
+        ]

@@ -497,7 +497,7 @@ class TestSupervisedRecovery:
         for fid, res in results.items():
             assert res == serial.result(fid)
 
-    def test_scalar_ingest_supervised_recovery(self):
+    def test_one_record_batches_supervised_recovery(self):
         factory = FACTORIES["congestion"]
         serial = Collector(factory(), num_shards=4, seed=1)
         plan = FaultPlan([kill_worker(0, at_batch=5)])
@@ -506,8 +506,9 @@ class TestSupervisedRecovery:
             checkpoint_every=3, faults=plan,
         ) as par:
             for i in range(40):
-                serial.ingest(i % 7, i, 4, i % 256, now=float(i))
-                par.ingest(i % 7, i, 4, i % 256, now=float(i))
+                record = ([i % 7], [i], [4], [i % 256])
+                serial.ingest_batch(*record, now=float(i))
+                par.ingest_batch(*record, now=float(i))
             par.drain()
             assert plan.fired
             assert par.snapshot().as_dict() == serial.snapshot().as_dict()
@@ -771,7 +772,7 @@ class TestCloseEscalation:
             par.close(timeout=1.0)
         assert time.monotonic() - start < 10.0
         assert not victim.is_alive()
-        assert not par.started
+        assert not par._procs
 
     def test_healthy_close_needs_no_escalation(self):
         par = ParallelCollector(

@@ -1,16 +1,16 @@
 """Shared-memory ring transport: ring mechanics, edge cases, hygiene.
 
-Covers the PR-10 tentpole contract at three levels:
+Covers the ring contract at three levels:
 
 * :class:`ShmRing` in isolation -- publication order, FIFO, slot reuse
   under wraparound, backpressure, zero-copy single-slot messages,
   continuation reassembly of messages longer than the whole ring,
-  scalar messages, oversized-slot rejection, producer liveness
+  oversized-slot rejection, producer liveness
   checks, and segment lifecycle (close/unlink leaves nothing
   attachable behind);
 * the :class:`ParallelCollector` ring transport against serial ground
   truth, including rings so small every batch spans slots, mixed
-  single-/multi-slot interleavings, scalar ingests, and sub-batches
+  single-/multi-slot interleavings, one-record batches, and sub-batches
   larger than the whole ring;
 * failure hygiene -- a worker killed mid-stream gets a *fresh* ring
   (the old segment is unlinked, not leaked) and the merged snapshot
@@ -34,13 +34,7 @@ from repro.collector import (
     congestion_consumer_factory,
     path_consumer_factory,
 )
-from repro.collector.shm import (
-    KIND_BATCH,
-    KIND_SCALAR,
-    PeerGoneError,
-    RingMessage,
-    ShmRing,
-)
+from repro.collector.shm import PeerGoneError, RingMessage, ShmRing
 from repro.faults import FaultPlan, kill_worker
 
 REPO = Path(__file__).resolve().parent.parent
@@ -94,7 +88,6 @@ class TestShmRing:
         assert ring.try_push(fids, pids, hops, digs, t=2.5)
         msg = ring.take()
         assert isinstance(msg, RingMessage)
-        assert msg.kind == KIND_BATCH
         assert msg.t == 2.5
         for got, want in zip(msg.columns, (fids, pids, hops, digs)):
             np.testing.assert_array_equal(got, want)
@@ -171,7 +164,7 @@ class TestShmRing:
                 assert (msg is None) != last
                 assert r.mid_message != last
                 assert r.occupancy() == 0  # copied out and released
-            assert msg.kind == KIND_BATCH and msg.t == 7.5
+            assert msg.t == 7.5
             for got, want in zip(msg.columns, cols):
                 np.testing.assert_array_equal(got, want)
             assert r.take() is None
@@ -181,7 +174,7 @@ class TestShmRing:
 
     def test_push_splits_any_message_into_slots(self, ring):
         cols = batch_of(3 * ring.slot_records + 5, seed=2)
-        ring.push(*cols, t=1.0, kind=KIND_BATCH, alive=lambda: True)
+        ring.push(*cols, t=1.0, alive=lambda: True)
         assert ring.occupancy() == 4
         msg = ring.take()
         for got, want in zip(msg.columns, cols):
@@ -192,20 +185,13 @@ class TestShmRing:
         msg = segment = None
         try:
             cols = batch_of(ring.slot_records)
-            ring.push(*cols, t=0.0, kind=KIND_BATCH, alive=lambda: True)
+            ring.push(*cols, t=0.0, alive=lambda: True)
             msg = peer.take()
             segment = np.frombuffer(peer._shm.buf, dtype=np.uint8)
             assert all(np.shares_memory(c, segment) for c in msg.columns)
         finally:
             msg = segment = None
             peer.close()
-
-    def test_scalar_message(self, ring):
-        one = np.asarray([[11], [12], [4], [200]], dtype=np.int64)
-        ring.push(*one, t=3.0, kind=KIND_SCALAR, alive=lambda: True)
-        msg = ring.take()
-        assert msg.kind == KIND_SCALAR and msg.t == 3.0
-        assert [int(c[0]) for c in msg.columns] == [11, 12, 4, 200]
 
     def test_push_wait_detects_dead_consumer(self, ring):
         cols = batch_of(1)
@@ -329,15 +315,16 @@ class TestShmTransportEquivalence:
             par.drain()
             assert par.snapshot().as_dict() == serial.snapshot().as_dict()
 
-    def test_scalar_ingest_over_shm_transport(self):
+    def test_one_record_batches_over_shm_transport(self):
         factory = congestion_factory
         serial = Collector(factory(), num_shards=4, seed=1)
         with ParallelCollector(
             factory(), workers=2, num_shards=4, seed=1,
         ) as par:
             for i in range(60):
-                serial.ingest(i % 9 + 1, i, 4, i % 256, now=float(i))
-                par.ingest(i % 9 + 1, i, 4, i % 256, now=float(i))
+                record = ([i % 9 + 1], [i], [4], [i % 256])
+                serial.ingest_batch(*record, now=float(i))
+                par.ingest_batch(*record, now=float(i))
             par.drain()
             assert par.snapshot().as_dict() == serial.snapshot().as_dict()
 
