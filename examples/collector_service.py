@@ -51,11 +51,7 @@ def des_fed_congestion() -> None:
           f"(per shard: {[s.flows for s in snap.shards]})")
     print(f"decode completion          : {snap.completion_rate:.0%}")
     print(f"resident state             : {snap.state_bytes} bytes")
-    bottlenecks = sorted(
-        entry.consumer.bottleneck()
-        for shard in collector.shards
-        for _, entry in shard.table.items()
-    )
+    bottlenecks = sorted(collector.answers().columns["bottleneck"].tolist())
     if bottlenecks:
         print(f"bottleneck utilisation     : min {bottlenecks[0]:.3f}, "
               f"max {bottlenecks[-1]:.3f}")

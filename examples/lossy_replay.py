@@ -80,17 +80,12 @@ def main() -> None:
     snap = sink.snapshot()
     print(f"90% loss: {snap.flows} flows alive, mean coverage "
           f"{snap.mean_coverage * 100:.1f}%")
-    shown = 0
-    for shard in sink.shards:
-        for fid, entry in shard.table.items():
-            partial = entry.consumer.partial_path()
-            if partial and 0.0 < entry.consumer.coverage < 1.0:
-                print(f"  flow {fid}: coverage "
-                      f"{entry.consumer.coverage * 100:.0f}% "
-                      f"partial path {partial}")
-                shown += 1
-                if shown == 3:
-                    return
+    answers = sink.answers()
+    known, k = answers.columns["known"], answers.columns["k"]
+    shown = answers.flow_id[(known > 0) & (known < k)][:3].tolist()
+    for fid, consumer in zip(shown, sink.flows(shown)):
+        print(f"  flow {fid}: coverage {consumer.coverage * 100:.0f}% "
+              f"partial path {consumer.partial_path()}")
 
 
 if __name__ == "__main__":

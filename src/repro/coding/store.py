@@ -29,7 +29,7 @@ A flow whose digests conflict is never half-written: its row is left
 as it was and handed back to the caller, who replays the records
 through the scalar reference (Basil's execute / validate / re-run,
 PAPERS.md).  :class:`RowStore` is what any per-sink store shares:
-rows recycled behind a per-row epoch, the flow table's bookkeeping as
+rows recycled behind a per-row epoch, the shards' bookkeeping as
 three columns of the same rows, and the flow-id index that finds a
 batch's *steady* flows -- those whose records fold without grouping
 the batch by flow.
@@ -94,9 +94,9 @@ class RowStore:
 
     A row is the whole of a flow's place in its sink: beside the
     per-row columns the subclass names (:attr:`ROW_COLUMNS`) it carries
-    the flow table's bookkeeping -- ``last_seen``, ``flow_records``
-    (records the table accounted to the flow) and ``generation`` --
-    which the tables of the sink's shards write and nobody else.  A
+    the shard's bookkeeping -- ``last_seen``, ``flow_records``
+    (records the shard accounted to the flow) and ``generation`` --
+    which the sink's shards write and nobody else.  A
     released row keeps its place in the columns; :attr:`epoch` is what
     makes reuse safe -- every allocation stamps the row with a number
     never used before and a release zeroes it, so whoever still holds

@@ -4,9 +4,10 @@ The paper makes per-packet digests tiny by moving reconstruction work
 to the sink (§3-§4); this subpackage is that sink as a service layer:
 a :class:`Collector` front door routing ``(flow_id, pid, hop_count,
 digest)`` records to hash-sharded, share-nothing partitions, each
-holding an LRU/TTL-bounded :class:`FlowTable` of per-flow
-:class:`DigestConsumer`s that wrap the existing decoders (path peeling,
-latency KLL, congestion max).  Batched columnar ingestion
+an LRU/TTL-bounded :class:`Shard` index from a flow id to the
+flow's row in the sink's store, where per-flow state lives as columns
+or as :class:`DigestConsumer` objects that wrap the existing decoders
+(path peeling, latency KLL, congestion max).  Batched columnar ingestion
 (:meth:`Collector.ingest_batch`) amortises per-record overhead and
 folds a batch's path and congestion flows into their sink's column
 store in array passes (:func:`repro.collector.consumers.fold_rows`)
@@ -33,7 +34,6 @@ from repro.collector.consumers import (
     latency_consumer_factory,
     path_consumer_factory,
 )
-from repro.collector.flowtable import FlowEntry, FlowTable
 from repro.collector.parallel import ParallelCollector
 from repro.collector.records import MAX_HOPS, TelemetryRecord, normalize_batch
 from repro.collector.recovery import (
@@ -59,8 +59,6 @@ __all__ = [
     "Collector",
     "CongestionDigestConsumer",
     "DigestConsumer",
-    "FlowEntry",
-    "FlowTable",
     "IngestClock",
     "LatencyDigestConsumer",
     "MAX_HOPS",

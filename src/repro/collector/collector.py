@@ -41,8 +41,8 @@ from repro.collector.consumers import (
     ConsumerRows,
     DigestConsumer,
     answer_rows,
-    as_store_factory,
     fold_rows,
+    sink_store,
 )
 from repro.collector.records import (
     Column,
@@ -57,7 +57,7 @@ from repro.obs.metrics import NULL_REGISTRY, SIZE_BUCKETS
 
 
 #: A batch of at most this many flows touches them one at a time:
-#: below it, grouping flows by shard for :meth:`FlowTable.touch_many`
+#: below it, grouping flows by shard for :meth:`Shard.touch_many`
 #: costs more than the loop it replaces.
 _FEW_FLOWS = 64
 
@@ -136,7 +136,7 @@ class Collector:
         hot path pays per-*batch* work only -- batch-size histogram,
         two stage spans, per-batch counter bumps -- while
         eviction/creation totals and the live-flow gauge are read
-        straight off the flow tables at export time.  Either way the
+        straight off the shards at export time.  Either way the
         ingested state is bit-identical (metrics observe, they never
         steer: the ``obs`` axis of ``tests/equivalence.py``), and
         ``bench_obs_overhead.py`` pins the <5% overhead ceiling.
@@ -156,16 +156,10 @@ class Collector:
         if router is not None and router.num_shards != num_shards:
             raise ValueError("router/num_shards mismatch")
         # Every flow of this sink is a row of one store, shared by the
-        # shards' tables and indexed by flow id: a store of its own.
-        for_sink = getattr(consumer_factory, "for_sink", None)
-        consumer_factory = (
-            for_sink() if for_sink is not None
-            else as_store_factory(consumer_factory)
-        )
-        self._store = consumer_factory.store
+        # shards and indexed by flow id: a store of its own.
+        self._store, self._view = sink_store(consumer_factory)
         #: Width of the codes this sink's flows hold (None: not codes).
         self._code_bits = self._store.code_bits
-        self._view = consumer_factory.view
         self.router = router if router is not None else ShardRouter(
             num_shards, seed
         )
@@ -173,7 +167,7 @@ class Collector:
         self.max_flows_per_shard = max_flows_per_shard
         self.ttl = ttl
         self.shards: List[Shard] = [
-            Shard(i, consumer_factory, max_flows_per_shard, ttl)
+            Shard(i, self._store, max_flows_per_shard, ttl)
             for i in range(self.num_shards)
         ]
         self.clock = IngestClock()
@@ -226,25 +220,25 @@ class Collector:
             )
             for reason in FALLBACK_REASONS
         }
-        # Totals that already live in the flow tables are *read* at
-        # export time rather than double-counted on the hot path.
+        # Totals that already live in the shards are *read* at export
+        # time rather than double-counted on the hot path.
         shards = self.shards
         obs.counter(
             "pint_collector_flows_created_total",
             "Flow-table entries ever created", labels,
-        ).set_function(lambda: sum(s.table.created for s in shards))
+        ).set_function(lambda: sum(s.created for s in shards))
         obs.counter(
             "pint_collector_lru_evictions_total",
             "Flows evicted by LRU capacity pressure", labels,
-        ).set_function(lambda: sum(s.table.lru_evictions for s in shards))
+        ).set_function(lambda: sum(s.lru_evictions for s in shards))
         obs.counter(
             "pint_collector_ttl_evictions_total",
             "Flows evicted by idle TTL", labels,
-        ).set_function(lambda: sum(s.table.ttl_evictions for s in shards))
+        ).set_function(lambda: sum(s.ttl_evictions for s in shards))
         obs.gauge(
             "pint_collector_live_flows",
             "Flow-table entries currently live", labels,
-        ).set_function(lambda: sum(len(s.table) for s in shards))
+        ).set_function(lambda: sum(len(s) for s in shards))
 
     # -- clock -------------------------------------------------------------
 
@@ -274,7 +268,11 @@ class Collector:
         )
         t = self._tick(now, 1)
         shard = self.shards[self.router.shard_of(flow_id)]
-        shard.ingest(flow_id, pid, hop_count, digest, t)
+        row = shard.touch_row(flow_id, t)
+        self._store.flow_records[row] += 1
+        self._view(row).consume(pid, hop_count, digest)
+        shard.records += 1
+        shard.maybe_expire(t)
         self._m_records.inc()
 
     def ingest_batch(
@@ -382,12 +380,12 @@ class Collector:
                     self._m_fallbacks,
                 )
             for shard in touched:
-                shard.table.maybe_expire(t)
+                shard.maybe_expire(t)
         return n
 
     def _touch_flows(self, fids: np.ndarray, counts: np.ndarray, t: float):
         """Touch a batch's flows (ascending, unique; ``counts[i]``
-        records each) in their shards' tables and count the batch on
+        records each) in their shards and count the batch on
         those shards.  Returns the flows' rows, in the order given,
         and the shards touched."""
         shards = self.shards
@@ -396,9 +394,8 @@ class Collector:
             else np.zeros(fids.shape[0], dtype=np.int64)
         )
         if fids.shape[0] <= _FEW_FLOWS:
-            tables = [shard.table for shard in shards]
             rows = np.asarray([
-                tables[sid].touch_row(fid, t)
+                shards[sid].touch_row(fid, t)
                 for fid, sid in zip(fids.tolist(), sids.tolist())
             ], dtype=np.int64)
             self._store.flow_records[rows] += counts
@@ -412,7 +409,7 @@ class Collector:
             sorted_rows = np.empty_like(order)
             for shard, lo, hi in zip(shards, cuts, cuts[1:]):
                 if hi > lo:
-                    sorted_rows[lo:hi] = shard.table.touch_many(
+                    sorted_rows[lo:hi] = shard.touch_many(
                         sorted_fids[lo:hi], sorted_counts[lo:hi], t
                     )
             rows = np.empty_like(order)
@@ -460,10 +457,10 @@ class Collector:
         group_sids: List[int],
         bounds: List[int],
     ) -> None:
-        """Record-faithful batch ingestion for LRU-bounded tables.
+        """Record-faithful batch ingestion for LRU-bounded shards.
 
         Replays each shard's records in original batch order for the
-        *table* operations only -- touch, capacity eviction, amortised
+        *index* operations only -- touch, capacity eviction, amortised
         TTL sweep -- so eviction victims and counters are exactly those
         of record-at-a-time ingestion, then folds each surviving flow
         incarnation's contiguous slice into its row
@@ -475,7 +472,7 @@ class Collector:
         state-identical and strictly cheaper.
 
         The walk costs one dict touch per record (instead of one per
-        flow group), which is the price of exact LRU semantics; tables
+        flow group), which is the price of exact LRU semantics; shards
         without ``max_flows`` keep the per-group fast path.
         """
         slice_of = {}
@@ -501,21 +498,20 @@ class Collector:
             }
         for sid, flows in by_shard.items():
             shard = self.shards[sid]
-            table = shard.table
             sub = shard_stream[sid]
             #: records of each flow seen before its live incarnation
             #: was (re-)created -- those belong to evicted consumers.
             start_at: dict = {}
             seen: dict = {}
             for f in sub.tolist():
-                created_before = table.created
-                table.touch_row(f, t)
-                if table.created != created_before:
+                created_before = shard.created
+                shard.touch_row(f, t)
+                if shard.created != created_before:
                     start_at[f] = seen.get(f, 0)
                 seen[f] = seen.get(f, 0) + 1
-                table.maybe_expire(t)
+                shard.maybe_expire(t)
             for f in flows:
-                row = table.index.get(f)
+                row = shard.index.get(f)
                 if row is None:
                     continue  # evicted after its last record
                 lo, hi = slice_of[f]
@@ -538,14 +534,14 @@ class Collector:
         """The flow's live consumer (for a row of a column store, a
         handle built on demand), or None if absent/evicted."""
         shard = self.shards[self.router.shard_of(flow_id)]
-        row = shard.table.index.get(flow_id)
+        row = shard.index.get(flow_id)
         return None if row is None else self._view(row)
 
     def _rows_of(self, fids: np.ndarray) -> List[int]:
         """Each flow's row (-1: not live), routed with one hash pass."""
-        tables = [shard.table.index for shard in self.shards]
+        indexes = [shard.index for shard in self.shards]
         sids = self.router.shard_of_array(fids).tolist()
-        return [tables[sid].get(fid, -1) for fid, sid in zip(fids.tolist(), sids)]
+        return [indexes[sid].get(fid, -1) for fid, sid in zip(fids.tolist(), sids)]
 
     def flows(self, flow_ids) -> List[Optional[DigestConsumer]]:
         """Bulk :meth:`flow`, in input order, routed with one hash pass.
@@ -597,7 +593,7 @@ class Collector:
 
     def __len__(self) -> int:
         """Live flows across all shards."""
-        return sum(len(s.table) for s in self.shards)
+        return sum(len(s) for s in self.shards)
 
     # -- operations --------------------------------------------------------
 
@@ -608,13 +604,15 @@ class Collector:
         wall-clock ``now`` against a records-driven collector would
         silently evict everything.
         """
+        self._check_open()
         t = self.clock.expire_time(now)
         return sum(shard.expire(t) for shard in self.shards)
 
     def evict(self, flow_id: int) -> bool:
         """Drop one flow's state (e.g. its FIN was observed)."""
+        self._check_open()
         shard = self.shards[self.router.shard_of(flow_id)]
-        return shard.table.evict(flow_id)
+        return shard.evict(flow_id)
 
     def snapshot(self) -> Snapshot:
         """Point-in-time metrics across all shards.
@@ -637,16 +635,16 @@ class Collector:
         Everything a bit-identical rebuild needs: the clock (value
         *and* mode -- a restored collector must keep rejecting mixed
         units), and per shard the ingest counters, degradation marks
-        and the flow table's :meth:`~repro.collector.flowtable.
-        FlowTable.state_dict`.  Consumer objects pickle whole (sketches
+        and, under ``"table"``, the flow index's :meth:`~repro.collector.
+        shard.Shard.state_dict`.  Consumer objects pickle whole (sketches
         and all); flows that are store rows are captured once, as the
         store's arrays under ``"store"`` -- row ``i`` of that capture
-        is the ``i``-th flow of the shards' tables in shard-major LRU
-        order, so each table keeps only how many rows are its own.
+        is the ``i``-th flow of the shards in shard-major LRU order, so
+        each shard's capture keeps only how many rows are its own.
         Plain picklable dict -- the framing/CRC/versioning lives in
         :mod:`repro.collector.recovery`, not here.
         """
-        tables = [s.table.state_dict() for s in self.shards]
+        tables = [s.state_dict() for s in self.shards]
         state = {
             "num_shards": self.num_shards,
             "clock": {"now": self.clock.now, "mode": self.clock.mode},
@@ -664,14 +662,14 @@ class Collector:
         }
         if not isinstance(self._store, ConsumerRows):
             state["store"] = self._store.state_dict(
-                np.concatenate([s.table.rows() for s in self.shards])
+                np.concatenate([s.rows() for s in self.shards])
             )
         return state
 
     def load_state(self, state: Dict) -> None:
         """Install a :meth:`state_dict` capture, replacing live state.
 
-        Restores *into* the existing shard/table/store objects (never
+        Restores *into* the existing shard and store objects (never
         replaces them): pre-bound obs instruments hold function
         closures over ``self.shards``, and those must keep reading the
         restored counters.  The collector must have been built with
@@ -700,9 +698,9 @@ class Collector:
         mode = state["clock"]["mode"]
         self.clock.mode = mode and sys.intern(mode)
         # Every row goes back before the store takes the capture's;
-        # each table then owns its run of the loaded rows.
+        # each shard then owns its run of the loaded rows.
         for shard in self.shards:
-            shard.table.clear()
+            shard.clear()
         if columnar:
             self._store.load_state(state["store"])
         row = 0
@@ -717,7 +715,7 @@ class Collector:
             if columnar:
                 rows = np.arange(row, row + table["consumers"])
                 row += table["consumers"]
-            shard.table.load_state(table, rows)
+            shard.load_state(table, rows)
 
     def _check_open(self) -> None:
         """Writes into a closed collector must fail like the parallel
@@ -748,9 +746,10 @@ class Collector:
 
         There are no processes to stop here, but the lifecycle
         contract is shared with :class:`~repro.collector.parallel.
-        ParallelCollector`: after ``close()``, :meth:`ingest` and
-        :meth:`ingest_batch` raise :class:`~repro.exceptions.
-        CollectorClosedError` on both implementations.  Reads
+        ParallelCollector`: after ``close()``, the writes -- :meth:`ingest`,
+        :meth:`ingest_batch`, :meth:`evict` and :meth:`expire` -- raise
+        :class:`~repro.exceptions.CollectorClosedError` on both
+        implementations.  Reads
         (:meth:`flow`, :meth:`snapshot`, ...) stay valid on the serial
         collector -- its state lives in this process, not in workers
         that close() tore down -- which is the one deliberate

@@ -22,12 +22,12 @@ path consumer overrides it with a columnar one.
 A sink's path flows (raw and hash digests) and congestion flows do not
 live in consumer objects at all: their state is a row of the one
 column store their factory owns (:class:`repro.coding.store.
-PathStateStore`, :class:`CongestionStore`), the flow table holds
+PathStateStore`, :class:`CongestionStore`), the sink's shards hold
 nothing per flow but that row's number, and a three-slot *handle*
 (:class:`PathFlowHandle`, :class:`CongestionFlowHandle`) answering the
-consumer API off the columns is built when somebody asks for the flow.
+consumer API off the columns is built on every read of the flow.
 Sinks whose flows *are* objects keep them in a :class:`ConsumerRows`,
-so every table deals in rows.  A batch folds into the store in array passes
+so every shard deals in rows (:func:`sink_store`).  A batch folds into the store in array passes
 (:func:`fold_rows`); the object consumers below stay the scalar
 specification, the form a handle takes when it is pickled or fed one
 record, and what a consumer built directly is.
@@ -36,7 +36,7 @@ record, and what a consumer built directly is.
 from __future__ import annotations
 
 import sys
-import weakref
+from functools import partial
 from itertools import chain
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -68,7 +68,7 @@ from repro.collector.answers import CONGESTION, PATH, AnswerTable
 from repro.exceptions import DecodingError
 from repro.hashing import GlobalHash, reservoir_carrier
 
-#: A factory the flow table calls to build one consumer per live flow.
+#: A factory a sink calls to build one consumer per live flow.
 ConsumerFactory = Callable[[int], "DigestConsumer"]
 
 
@@ -607,7 +607,7 @@ class RowHandle(DigestConsumer):
     next; feeding it raises.
     """
 
-    __slots__ = ("store", "row", "epoch", "__weakref__")
+    __slots__ = ("store", "row", "epoch")
 
     def __init__(self, store: RowStore, row: int) -> None:
         self.store = store
@@ -813,8 +813,8 @@ class CongestionFlowHandle(RowHandle):
 
 class ConsumerRows(RowStore):
     """The minimal store of a sink whose flows are consumer objects
-    (fragment-mode, topology-aware, latency): rows carry the flow
-    table's bookkeeping and one column more, the list of those objects
+    (fragment-mode, topology-aware, latency): rows carry the shards'
+    bookkeeping and one column more, the list of those objects
     (None where a row is free)."""
 
     def __init__(self, factory: ConsumerFactory) -> None:
@@ -859,50 +859,37 @@ class ConsumerRows(RowStore):
         )
 
 
-def store_factory(make_store: Callable[[], RowStore], handle) -> ConsumerFactory:
+class StoreFactory:
     """A consumer factory whose flows are rows of one column store.
 
-    Calling it allocates a row and returns its handle.  A store serves
-    exactly one sink -- its flow-id index is keyed by flow id alone --
-    so a :class:`~repro.collector.collector.Collector` does not use the
-    factory it is given but ``for_sink()``'s, with a store of its own;
-    the original keeps serving direct calls.  ``store`` and
-    ``view(row)`` are what a flow table goes through: rows are all it
-    keeps, and a handle is built when somebody asks for a flow --
-    the same object for as long as anyone holds it.
+    Calling it allocates a row of its ``store`` and returns the row's
+    ``handle``.  A store serves exactly one sink -- its flow-id index is
+    keyed by flow id alone -- so a sink takes a store of its own from
+    :func:`sink_store`; this one keeps serving direct calls.
     """
-    store = make_store()
-    held: "weakref.WeakValueDictionary[int, RowHandle]" = (
-        weakref.WeakValueDictionary()
-    )
 
-    def factory(flow_id: int) -> RowHandle:
-        return handle(store, store.alloc(flow_id))
+    def __init__(self, make_store: Callable[[], RowStore], handle) -> None:
+        self.make_store, self.handle = make_store, handle
+        self.store = make_store()
 
-    def view(row: int) -> RowHandle:
-        seen = held.get(row)
-        if seen is None or not seen.live:
-            held[row] = seen = handle(store, row)
-        return seen
-
-    factory.store, factory.view = store, view
-    factory.for_sink = lambda: store_factory(make_store, handle)
-    return factory
+    def __call__(self, flow_id: int) -> RowHandle:
+        return self.handle(self.store, self.store.alloc(flow_id))
 
 
-def as_store_factory(factory: ConsumerFactory) -> ConsumerFactory:
-    """``factory`` with a ``store`` and a ``view(row)`` to its name: a
-    :func:`store_factory` as it is, any other around a
-    :class:`ConsumerRows` that keeps the consumers it builds."""
-    if hasattr(factory, "store"):
-        return factory
-    store = ConsumerRows(factory)
+def sink_store(
+    factory: ConsumerFactory,
+) -> Tuple[RowStore, Callable[[int], DigestConsumer]]:
+    """A new store for one sink's flows, and the consumer in a row.
 
-    def wrapped(flow_id: int) -> DigestConsumer:
-        return store.consumers[store.alloc(flow_id)]
-
-    wrapped.store, wrapped.view = store, store.consumers.__getitem__
-    return wrapped
+    A :class:`StoreFactory`'s flows are rows of a fresh store of its
+    kind, read through a handle built per call; any other factory's
+    flows are the objects it builds, held by a :class:`ConsumerRows`.
+    """
+    if isinstance(factory, StoreFactory):
+        store = factory.make_store()
+        return store, partial(factory.handle, store)
+    rows = ConsumerRows(factory)
+    return rows, rows.consumers.__getitem__
 
 
 def path_consumer_factory(universe: Sequence[int], **kwargs) -> ConsumerFactory:
@@ -912,7 +899,7 @@ def path_consumer_factory(universe: Sequence[int], **kwargs) -> ConsumerFactory:
     here: the sorted universe, the widths and -- per path length, on
     first use -- the coding scheme and derived hashes exist once per
     sink, not once per flow.  Raw and hash digests get a
-    :func:`store_factory` (flows are :class:`PathFlowHandle` rows of
+    :class:`StoreFactory` (flows are :class:`PathFlowHandle` rows of
     one :class:`~repro.coding.store.PathStateStore`); fragment digests
     (several sub-decoders per flow) and topology-aware contexts
     (scalar by design) get one :class:`PathDigestConsumer` per flow.
@@ -920,7 +907,7 @@ def path_consumer_factory(universe: Sequence[int], **kwargs) -> ConsumerFactory:
     context = path_query_context(universe, **kwargs)
     if context.mode == FRAGMENT or context.adjacency is not None:
         return lambda flow_id: PathDigestConsumer.from_context(context)
-    return store_factory(lambda: PathStateStore(context), PathFlowHandle)
+    return StoreFactory(lambda: PathStateStore(context), PathFlowHandle)
 
 
 def fold_rows(
@@ -1017,4 +1004,4 @@ def congestion_consumer_factory(**kwargs) -> ConsumerFactory:
         kwargs.pop("bits", 8), kwargs.pop("epsilon", 0.025),
         seed=kwargs.pop("seed", 0), **kwargs,
     )
-    return store_factory(lambda: CongestionStore(codec), CongestionFlowHandle)
+    return StoreFactory(lambda: CongestionStore(codec), CongestionFlowHandle)

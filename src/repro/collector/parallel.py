@@ -92,7 +92,7 @@ from repro.collector.collector import Collector, IngestClock
 from repro.collector.consumers import (
     ConsumerFactory,
     DigestConsumer,
-    as_store_factory,
+    sink_store,
 )
 from repro.collector.records import Column, check_batch, normalize_batch
 from repro.collector.recovery import (
@@ -472,7 +472,7 @@ class ParallelCollector:
         )
         #: The workers' front-door code width, checked here so that no
         #: worker folds part of a batch another one refuses.
-        self._code_bits = as_store_factory(consumer_factory).store.code_bits
+        self._code_bits = sink_store(consumer_factory)[0].code_bits
         self._ctx = mp.get_context("fork")
         self._ring_slots = ring_slots
         self._ring_records = ring_records

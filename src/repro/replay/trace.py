@@ -147,13 +147,9 @@ class Trace:
         """Per-record path length -- the collector's ``hop_count`` column."""
         return self._path_lens[self.path_id]
 
-    def hop_counts_of(self, rows: np.ndarray) -> np.ndarray:
-        """:attr:`hop_counts` at ``rows`` only: one batch's column."""
-        return self.lengths_of(self.path_id.take(rows))
-
     def lengths_of(self, path_ids: np.ndarray) -> np.ndarray:
-        """The hop count of every path in ``path_ids``: :meth:`hop_counts_of`
-        for a caller that has gathered the rows' ``path_id`` already."""
+        """The hop count of every path in ``path_ids``: :attr:`hop_counts`
+        at some rows, for a caller that has gathered their ``path_id``."""
         return self._path_lens.take(path_ids)
 
     def path_of(self, row: int) -> Tuple[int, ...]:

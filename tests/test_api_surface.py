@@ -102,7 +102,7 @@ def test_bench_calls_into_the_sink_keep_working():
     sink = Collector(path_factory(), num_shards=4, seed=0)
     sink.ingest_batch(*cols, now=1.0)
     flows = sink.flows(list(range(8)))
-    assert flows[7] is None and flows[0] is sink.flow(0)
+    assert flows[7] is None and flows[0].progress == sink.flow(0).progress
     for consumer in flows[:7]:
         assert consumer.result() is None or isinstance(consumer.result(), list)
         assert 0.0 <= consumer.coverage <= 1.0
@@ -121,30 +121,27 @@ def test_bench_calls_into_the_sink_keep_working():
     assert cong.flow(3).max_code == 38 and cong.flow(3).result() is not None
 
 
-def test_flow_table_is_rows_behind_two_entry_points_and_views():
-    # A table is built from a factory and two bounds, nothing else: how
-    # flows are stored is not a mode.  `touch` (one flow, a view back)
-    # and `touch_many` (a batch, rows back) are its entry points; the
-    # per-flow `Shard.touch_group` is gone.
-    from repro.collector import FlowEntry, FlowTable, Shard
+def test_shard_is_a_row_index_behind_two_entry_points():
+    # A shard is built from its sink's store and two bounds, nothing
+    # else: how flows are stored is not a mode.  `touch_row` (one flow)
+    # and `touch_many` (a batch) are its entry points and hand rows
+    # back; no second flow view and no table object sit behind it.
+    import repro.collector as collector
+    from repro.collector import Shard
+    from repro.collector.consumers import ConsumerRows
 
     def names(fn) -> list:
         return list(inspect.signature(fn).parameters)
 
-    assert params(FlowTable) == {"consumer_factory", "max_flows", "ttl"}
-    assert names(FlowTable.touch) == ["self", "flow_id", "now"]
-    assert names(FlowTable.touch_many) == ["self", "flow_ids", "counts", "now"]
-    assert not hasattr(Shard, "touch_group")
-    # What examples/ and tests read off an entry (a view over columns).
-    table = FlowTable(lambda fid: object(), max_flows=2)
-    entry = table.touch(5, 1.5)
-    entry.records += 3
-    assert (entry.flow_id, entry.records, entry.generation, entry.last_seen,
-            entry.live) == (5, 3, 1, 1.5, True)
-    assert entry.consumer is table.get(5).consumer
-    assert isinstance(entry.row, int) and isinstance(entry.epoch, int)
-    assert isinstance(table.get(5), FlowEntry) and table.get(6) is None
-    assert [fid for fid, _ in table.items()] == [5]
+    assert params(Shard) == {"shard_id", "store", "max_flows", "ttl"}
+    assert names(Shard.touch_row) == ["self", "flow_id", "now"]
+    assert names(Shard.touch_many) == ["self", "flow_ids", "counts", "now"]
+    assert not {"FlowTable", "FlowEntry"} & set(dir(collector))
+    shard = Shard(0, ConsumerRows(lambda fid: object()), max_flows=2)
+    row = shard.touch_row(5, 1.5)
+    assert not hasattr(shard, "table") and not hasattr(Shard, "touch_group")
+    assert shard.index == {5: row} and len(shard) == 1
+    assert shard.store.last_seen[row] == 1.5
 
 
 def test_array_twins_without_a_pipeline_caller_are_gone():

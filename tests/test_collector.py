@@ -13,19 +13,25 @@ from repro.coding import (
 from repro.collector import (
     Collector,
     CongestionDigestConsumer,
-    FlowTable,
+    Shard,
     ShardRouter,
     congestion_consumer_factory,
     latency_consumer_factory,
     normalize_batch,
     path_consumer_factory,
 )
+from repro.collector.consumers import ConsumerRows
 from repro.net import fat_tree
 from repro.sim.experiment import run_hpcc_experiment
 from repro.sim.workload import hadoop_cdf
 
 
 _pack = pack_reps
+
+
+def lone_shard(**bounds) -> Shard:
+    """A shard over a store of its own, of congestion consumer objects."""
+    return Shard(0, ConsumerRows(lambda fid: CongestionDigestConsumer()), **bounds)
 
 
 class TestShardRouting:
@@ -65,34 +71,36 @@ class TestShardRouting:
             ShardRouter(0)
 
 
-class TestFlowTable:
+class TestShardIndex:
     def test_lru_eviction_order(self):
-        table = FlowTable(lambda fid: CongestionDigestConsumer(), max_flows=3)
+        shard = lone_shard(max_flows=3)
         for fid in (1, 2, 3):
-            table.touch(fid, now=float(fid))
-        table.touch(1, now=4.0)       # 2 is now the least recent
-        table.touch(4, now=5.0)       # evicts 2
-        assert 2 not in table and {1, 3, 4} <= set(f for f, _ in table.items())
-        assert table.lru_evictions == 1
+            shard.touch_row(fid, now=float(fid))
+        shard.touch_row(1, now=4.0)   # 2 is now the least recent
+        shard.touch_row(4, now=5.0)   # evicts 2
+        assert list(shard.index) == [3, 1, 4]
+        assert shard.lru_evictions == 1
 
     def test_evicted_flow_reinitializes_cleanly(self):
-        table = FlowTable(lambda fid: CongestionDigestConsumer(), max_flows=1)
-        first = table.touch(7, now=0.0)
-        first.consumer.consume(1, 5, 200)
-        table.touch(8, now=1.0)       # evicts 7
-        again = table.touch(7, now=2.0)
-        assert again.generation > first.generation
-        assert again.consumer is not first.consumer
-        assert again.consumer.records == 0
-        assert again.consumer.max_code == -1
+        shard = lone_shard(max_flows=1)
+        store = shard.store
+        row = shard.touch_row(7, now=0.0)
+        first, generation = store.consumers[row], store.generation[row]
+        first.consume(1, 5, 200)
+        shard.touch_row(8, now=1.0)   # evicts 7
+        again = store.consumers[shard.touch_row(7, now=2.0)]
+        assert store.generation[shard.index[7]] > generation
+        assert again is not first
+        assert again.records == 0
+        assert again.max_code == -1
 
     def test_ttl_expiry(self):
-        table = FlowTable(lambda fid: CongestionDigestConsumer(), ttl=10.0)
-        table.touch(1, now=0.0)
-        table.touch(2, now=8.0)
-        assert table.expire(now=15.0) == 1    # flow 1 idle > ttl
-        assert 1 not in table and 2 in table
-        assert table.ttl_evictions == 1
+        shard = lone_shard(ttl=10.0)
+        shard.touch_row(1, now=0.0)
+        shard.touch_row(2, now=8.0)
+        assert shard.expire(now=15.0) == 1    # flow 1 idle > ttl
+        assert list(shard.index) == [2]
+        assert shard.ttl_evictions == 1
 
     def test_ttl_via_collector(self):
         col = Collector(congestion_consumer_factory(), num_shards=2, ttl=5.0)
@@ -120,9 +128,9 @@ class TestFlowTable:
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            FlowTable(lambda fid: CongestionDigestConsumer(), max_flows=0)
+            lone_shard(max_flows=0)
         with pytest.raises(ValueError):
-            FlowTable(lambda fid: CongestionDigestConsumer(), ttl=0.0)
+            lone_shard(ttl=0.0)
 
 
 class TestBatchedIngest:
@@ -383,12 +391,11 @@ class TestDESIntegration:
         assert snap.records > 0  # ...and streamed digests while running
         assert snap.flows > 0
         assert snap.taken_at > 0.0  # clock rode the sim time
-        for shard in col.shards:
-            for fid, entry in shard.table.items():
-                u = entry.consumer.bottleneck()
-                # Randomised rounding can land one grid step above
-                # the codec's max_util anchor (16).
-                assert u is not None and 0.0 <= u <= 17.0
+        for fid in col.answers().flow_id.tolist():
+            u = col.flow(fid).bottleneck()
+            # Randomised rounding can land one grid step above the
+            # codec's max_util anchor (16).
+            assert u is not None and 0.0 <= u <= 17.0
 
 
 class TestShardRouterEdgeIds:
@@ -418,26 +425,26 @@ class TestShardRouterEdgeIds:
             assert router.shard_of(v) == int(arr[0])
 
 
-class TestFlowTableTTLBoundaries:
+class TestShardTTLBoundaries:
     def test_entry_exactly_ttl_old_is_evicted(self):
         # expire() keeps only entries *strictly* newer than the
         # deadline: last_seen == now - ttl is gone.
-        table = FlowTable(lambda fid: CongestionDigestConsumer(), ttl=10.0)
-        table.touch(1, now=0.0)
-        table.touch(2, now=0.0 + 1e-9)
-        assert table.expire(now=10.0) == 1
-        assert 1 not in table and 2 in table
+        shard = lone_shard(ttl=10.0)
+        shard.touch_row(1, now=0.0)
+        shard.touch_row(2, now=0.0 + 1e-9)
+        assert shard.expire(now=10.0) == 1
+        assert list(shard.index) == [2]
 
     def test_maybe_expire_amortisation_window(self):
-        table = FlowTable(lambda fid: CongestionDigestConsumer(), ttl=8.0)
-        table.touch(1, now=0.0)
-        assert table.maybe_expire(0.0) == 0     # arms the sweep clock
-        table.touch(2, now=9.0)
+        shard = lone_shard(ttl=8.0)
+        shard.touch_row(1, now=0.0)
+        assert shard.maybe_expire(0.0) == 0     # arms the sweep clock
+        shard.touch_row(2, now=9.0)
         # 9.0 - 0.0 >= ttl/4, so this sweep runs and catches flow 1
         # (idle 9.0 > ttl 8.0).
-        assert table.maybe_expire(9.0) == 1
+        assert shard.maybe_expire(9.0) == 1
         # within ttl/4 of the last sweep: no sweep, whatever is due
-        assert table.maybe_expire(10.0) == 0
+        assert shard.maybe_expire(10.0) == 0
 
 
 class TestBatchLRUExactRecency:
@@ -491,9 +498,9 @@ class TestBatchLRUExactRecency:
             assert col.flow(2) is None
             assert consumer.max_code == 3       # 10 died with incarnation 1
             assert consumer.records == 1
-            table = col.shards[0].table
-            assert table.created == 3
-            assert table.lru_evictions == 2
+            shard = col.shards[0]
+            assert shard.created == 3
+            assert shard.lru_evictions == 2
 
     @pytest.mark.parametrize("num_shards,max_flows", [(1, 3), (4, 2), (4, 5)])
     def test_random_streams_match_scalar_replay(self, num_shards, max_flows):
@@ -522,16 +529,16 @@ class TestBatchLRUExactRecency:
             assert s.lru_evictions == b.lru_evictions
             assert s.state_bytes == b.state_bytes
         for sh_s, sh_b in zip(scalar.shards, batched.shards):
-            keys_s = [f for f, _ in sh_s.table.items()]
-            keys_b = [f for f, _ in sh_b.table.items()]
-            assert keys_s == keys_b          # identical LRU order
-            for fid in keys_s:
-                a = sh_s.table.get(fid)
-                b = sh_b.table.get(fid)
-                assert a.generation == b.generation
-                assert a.records == b.records
-                assert a.consumer.max_code == b.consumer.max_code
-                assert a.consumer.last_code == b.consumer.last_code
+            assert list(sh_s.index) == list(sh_b.index)  # same LRU order
+            for column in ("generation", "flow_records"):
+                assert (
+                    getattr(sh_s.store, column)[sh_s.rows()].tolist()
+                    == getattr(sh_b.store, column)[sh_b.rows()].tolist()
+                )
+            for fid in sh_s.index:
+                a, b = scalar.flow(fid), batched.flow(fid)
+                assert a.max_code == b.max_code
+                assert a.last_code == b.last_code
 
     def test_ttl_without_capacity_is_batch_granular(self):
         # Documented fast-path semantics: with ttl set but no
@@ -543,7 +550,7 @@ class TestBatchLRUExactRecency:
         col.ingest_batch([1], [1], [3], [50], now=0.0)
         col.ingest_batch([2, 1], [2, 3], [3, 3], [7, 9], now=10.0)
         assert col.flow(1).max_code == 50
-        assert col.shards[0].table.ttl_evictions == 0
+        assert col.shards[0].ttl_evictions == 0
 
     def test_lru_with_ttl_matches_scalar_replay(self):
         rng = np.random.default_rng(4)

@@ -88,11 +88,12 @@ def flow_states(collector):
     """flow id -> answers and full decoder state, for every live flow."""
     out = {}
     for shard in collector.shards:
-        for fid, entry in shard.table.items():
-            c = entry.consumer
+        for fid, row in shard.index.items():
+            c = collector.flow(fid)
             out[fid] = (
                 c.result(), c.partial_path(), c.decode_errors, c.progress,
-                c.state_bytes(), entry.records, decoder_state(c._decoder),
+                c.state_bytes(), int(shard.store.flow_records[row]),
+                decoder_state(c._decoder),
             )
     return out
 
@@ -100,7 +101,8 @@ def flow_states(collector):
 def table_order(collector):
     """Per shard, (flow id, generation) in LRU order."""
     return [
-        [(fid, entry.generation) for fid, entry in shard.table.items()]
+        [(fid, int(shard.store.generation[row]))
+         for fid, row in shard.index.items()]
         for shard in collector.shards
     ]
 

@@ -250,7 +250,7 @@ class TestImpairTrace:
 
 
 class TestFlowTableAccountingUnderImpairment:
-    """Duplication+loss never corrupts FlowTable state accounting."""
+    """Duplication+loss never corrupts the shards' state accounting."""
 
     def _cols(self, seed):
         n = 4000
@@ -316,10 +316,10 @@ class TestFlowTableAccountingUnderImpairment:
         col.ingest_batch(fids, pids, hops, digs)
         total = 0
         for shard in col.shards:
-            for _, entry in shard.table.items():
-                expected = int((fids == entry.flow_id).sum())
-                assert entry.records == expected
-                total += entry.records
+            for fid, row in shard.index.items():
+                records = int(shard.store.flow_records[row])
+                assert records == int((fids == fid).sum())
+                total += records
         assert total == fids.size
 
 
@@ -407,8 +407,7 @@ class TestDecodeUnderLoss:
                          trace.hop_counts[rows], digests[rows])
         snap = col.snapshot()
         per_flow = [
-            entry.consumer.coverage
-            for shard in col.shards for _, entry in shard.table.items()
+            col.flow(fid).coverage for shard in col.shards for fid in shard.index
         ]
         assert snap.coverage_sum == pytest.approx(sum(per_flow))
         assert 0.0 < snap.mean_coverage <= 1.0

@@ -439,7 +439,7 @@ class TestCheckpoint:
         assert sum(s.ttl_evictions for s in snap.shards) > 0
         assert store.live_rows().size == len(bounded) == snap.flows
         assert store.rows < 3 * len(bounded)      # rows are recycled
-        gone = [fid for fid, _ in bounded.shards[0].table.items()][:5]
+        gone = list(bounded.shards[0].index)[:5]
         assert all(bounded.evict(fid) for fid in gone)
         assert store.live_rows().size == len(bounded) > 0
         blob = capture_checkpoint(bounded)

@@ -167,7 +167,10 @@ class TestTraceBasics:
             np.int32, np.int32, np.int16
         )
         rows = np.asarray([4, 0, 3, 3])
-        assert t.hop_counts_of(rows).tolist() == t.hop_counts[rows].tolist()
+        assert (
+            t.lengths_of(t.path_id[rows]).tolist()
+            == t.hop_counts[rows].tolist()
+        )
 
     def test_pair_first_rows_same_in_any_block_size(self, monkeypatch):
         """The sieve folds ascending row blocks; its kept rows are the

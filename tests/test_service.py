@@ -26,7 +26,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.collector import Collector, ParallelCollector, path_consumer_factory
+from repro.collector import (
+    Collector,
+    ParallelCollector,
+    congestion_consumer_factory,
+    path_consumer_factory,
+)
 from repro.exceptions import CollectorClosedError, ReproError
 from repro.replay import ReplayDriver
 from repro.service import (
@@ -589,6 +594,21 @@ class TestCollectorClosedParity:
             coll.ingest_batch(*batch(5), now=2.0)
         with pytest.raises(CollectorClosedError):
             coll.ingest(1, 2, 4, 3, now=2.0)
+
+    def test_serial_post_close_evict_and_expire_raise(self):
+        # Both drop state, so both are writes: refused like ingest,
+        # leaving every flow and counter where close() found them.
+        coll = Collector(congestion_consumer_factory(), num_shards=2, ttl=5.0)
+        coll.ingest_batch([1, 2, 3, 4], [1, 2, 3, 4], [3] * 4, [7] * 4,
+                          now=1.0)
+        coll.close()
+        before = coll.snapshot().as_dict()
+        with pytest.raises(CollectorClosedError):
+            coll.evict(1)
+        with pytest.raises(CollectorClosedError):
+            coll.expire(now=10.0)
+        assert len(coll) == 4 and coll.flow(1) is not None
+        assert coll.snapshot().as_dict() == before
 
     def test_serial_reads_stay_valid_after_close(self):
         coll = make_collector()

@@ -1,20 +1,19 @@
-"""FlowTable against a naive model (ROADMAP item 4 tail).
+"""A shard's flow index against a naive model (ROADMAP item 4 tail).
 
-A hypothesis state machine drives ``touch`` / ``touch_many`` /
-``evict`` / ``expire`` / ``maybe_expire`` on a :class:`FlowTable` --
-one whose flows are consumer objects or one whose flows are rows of a
-column store -- and on a plain insertion-ordered dict that re-derives
-every decision the slow way (full scans, no early stop, no
-``move_to_end``, a batch one flow at a time); after every step the two
-must agree on LRU order, ``last_seen``, ``records``, generations and
-all three counters, and the store must hold exactly the table's rows.
-Clock steps and ``ttl`` are whole numbers, so the
-``last_seen == now - ttl`` boundary (evicted: only entries *strictly*
-newer than the deadline survive) is hit constantly, not by luck.
+A hypothesis state machine drives ``touch_row`` / ``touch_many`` /
+``evict`` / ``expire`` / ``maybe_expire`` on a :class:`Shard` -- one
+over a store of consumer objects or one over a column store -- and on
+a plain insertion-ordered dict that re-derives every decision the slow
+way (full scans, no early stop, no ``move_to_end``, a batch one flow
+at a time); after every step the two must agree on LRU order,
+``last_seen``, ``records``, generations and all three counters, and
+the store must hold exactly the shard's rows.  Clock steps and ``ttl``
+are whole numbers, so the ``last_seen == now - ttl`` boundary
+(evicted: only entries *strictly* newer than the deadline survive) is
+hit constantly, not by luck.
 
-Below the machine: what a table without per-flow objects promises --
-admitting flows allocates nothing per flow, and an entry is a view
-that goes stale with its flow.
+Below the machine: what a shard without per-flow objects promises --
+admitting flows allocates nothing per flow.
 """
 
 import gc
@@ -33,10 +32,11 @@ from hypothesis.stateful import (
 from repro.collector import (
     Collector,
     CongestionDigestConsumer,
+    Shard,
     congestion_consumer_factory,
     path_consumer_factory,
 )
-from repro.collector.flowtable import FlowTable
+from repro.collector.consumers import ConsumerRows, sink_store
 
 FLOW_IDS = st.integers(min_value=0, max_value=7)
 #: An ascending set of flow ids with a record count each -- long enough
@@ -45,9 +45,9 @@ BATCHES = st.dictionaries(
     st.integers(min_value=0, max_value=11),
     st.integers(min_value=1, max_value=5), max_size=12,
 )
-FACTORIES = {
-    "objects": lambda: (lambda fid: CongestionDigestConsumer()),
-    "rows": congestion_consumer_factory,
+STORES = {
+    "objects": lambda: ConsumerRows(lambda fid: CongestionDigestConsumer()),
+    "rows": lambda: sink_store(congestion_consumer_factory())[0],
 }
 
 
@@ -59,16 +59,23 @@ def as_batch(batch):
     )
 
 
-class FlowTableMachine(RuleBasedStateMachine):
+def entries(shard):
+    """``(flow_id, (last_seen, generation, records))``, LRU-oldest first."""
+    store, rows = shard.store, shard.rows()
+    return list(zip(shard.index, zip(
+        store.last_seen[rows].tolist(), store.generation[rows].tolist(),
+        store.flow_records[rows].tolist(),
+    )))
+
+
+class ShardMachine(RuleBasedStateMachine):
     @initialize(
-        kind=st.sampled_from(sorted(FACTORIES)),
+        kind=st.sampled_from(sorted(STORES)),
         max_flows=st.none() | st.integers(min_value=1, max_value=4),
         ttl=st.none() | st.sampled_from([1.0, 4.0, 8.0]),
     )
     def build(self, kind, max_flows, ttl):
-        self.table = FlowTable(
-            FACTORIES[kind](), max_flows=max_flows, ttl=ttl,
-        )
+        self.shard = Shard(0, STORES[kind](), max_flows=max_flows, ttl=ttl)
         self.max_flows = max_flows
         self.ttl = ttl
         self.now = 0.0
@@ -95,19 +102,19 @@ class FlowTableMachine(RuleBasedStateMachine):
 
     @rule(fid=FLOW_IDS)
     def touch(self, fid):
-        entry = self.table.touch(fid, self.now)
-        assert entry.generation == self._model_touch(fid)
-        assert entry.last_seen == self.now
+        row = self.shard.touch_row(fid, self.now)
+        assert self.shard.store.generation[row] == self._model_touch(fid)
+        assert self.shard.store.last_seen[row] == self.now
 
     @rule(batch=BATCHES)
     def touch_many(self, batch):
         ids, counts = as_batch(batch)
-        rows = self.table.touch_many(ids, counts, self.now)
+        rows = self.shard.touch_many(ids, counts, self.now)
         for fid, count in zip(ids.tolist(), counts.tolist()):
             self._model_touch(fid, count)
         # A flow the batch's own capacity evictions dropped has no row.
         assert rows.tolist() == [
-            self.table.index.get(fid, -1) for fid in ids.tolist()
+            self.shard.index.get(fid, -1) for fid in ids.tolist()
         ]
         assert [r >= 0 for r in rows.tolist()] == [
             fid in self.model for fid in ids.tolist()
@@ -116,7 +123,7 @@ class FlowTableMachine(RuleBasedStateMachine):
     @rule(fid=FLOW_IDS)
     def evict(self, fid):
         present = fid in self.model
-        assert self.table.evict(fid) is present
+        assert self.shard.evict(fid) is present
         self.model.pop(fid, None)
 
     def _model_expire(self):
@@ -132,7 +139,7 @@ class FlowTableMachine(RuleBasedStateMachine):
     @rule()
     def expire(self):
         expected = self._model_expire() if self.ttl is not None else 0
-        assert self.table.expire(self.now) == expected
+        assert self.shard.expire(self.now) == expected
 
     @precondition(lambda self: self.ttl is not None)
     @rule()
@@ -141,52 +148,46 @@ class FlowTableMachine(RuleBasedStateMachine):
         if self.now - self.last_sweep >= self.ttl / 4.0:
             self.last_sweep = self.now
             expected = self._model_expire()
-        assert self.table.maybe_expire(self.now) == expected
+        assert self.shard.maybe_expire(self.now) == expected
 
     @invariant()
     def agrees_with_model(self):
-        got = [
-            (fid, (e.last_seen, e.generation, e.records))
-            for fid, e in self.table.items()
-        ]
-        assert got == list(self.model.items())
-        assert len(self.table) == len(self.model)
-        # Every way out of the table gave the row back.
-        assert self.table.store.live_rows().size == len(self.model)
-        assert self.table.created == self.created
-        assert self.table.lru_evictions == self.lru_evictions
-        assert self.table.ttl_evictions == self.ttl_evictions
+        assert entries(self.shard) == list(self.model.items())
+        assert len(self.shard) == len(self.model)
+        # Every way out of the shard gave the row back.
+        assert self.shard.store.live_rows().size == len(self.model)
+        assert self.shard.created == self.created
+        assert self.shard.lru_evictions == self.lru_evictions
+        assert self.shard.ttl_evictions == self.ttl_evictions
 
 
-FlowTableMachine.TestCase.settings = settings(
+ShardMachine.TestCase.settings = settings(
     max_examples=60, stateful_step_count=40, deadline=None,
     derandomize=True,
 )
-TestFlowTableModel = FlowTableMachine.TestCase
+TestShardModel = ShardMachine.TestCase
 
 
 # -- touch_many == touch, one by one ------------------------------------------
 
-@pytest.mark.parametrize("kind", sorted(FACTORIES))
+@pytest.mark.parametrize("kind", sorted(STORES))
 @given(
     batches=st.lists(BATCHES, min_size=1, max_size=6),
     max_flows=st.none() | st.integers(min_value=1, max_value=6),
 )
 @settings(max_examples=60, deadline=None, derandomize=True)
 def test_touch_many_is_touch_one_by_one(kind, batches, max_flows):
-    many = FlowTable(FACTORIES[kind](), max_flows=max_flows)
-    single = FlowTable(FACTORIES[kind](), max_flows=max_flows)
+    many = Shard(0, STORES[kind](), max_flows=max_flows)
+    single = Shard(0, STORES[kind](), max_flows=max_flows)
     for now, batch in enumerate(batches):
         ids, counts = as_batch(batch)
         many.touch_many(ids, counts, float(now))
         for fid, count in zip(ids.tolist(), counts.tolist()):
-            single.touch(fid, float(now)).records += count
+            row = single.touch_row(fid, float(now))
+            single.store.flow_records[row] += count
 
-        def state(table):
-            return [
-                (fid, e.last_seen, e.records, e.generation)
-                for fid, e in table.items()
-            ], table.created, table.lru_evictions
+        def state(shard):
+            return entries(shard), shard.created, shard.lru_evictions
 
         assert state(many) == state(single)
     # Same flows, same bookkeeping: the same checkpoint columns.
@@ -229,32 +230,3 @@ def test_admitting_flows_allocates_no_object_per_flow(factory):
     assert sink.snapshot().completed_flows == flows + 8
     assert grown < 1000
     assert collections <= idle
-
-
-# -- views ------------------------------------------------------------------------
-
-@pytest.mark.parametrize("kind", sorted(FACTORIES))
-def test_entry_is_a_view_that_goes_stale_with_its_flow(kind):
-    table = FlowTable(FACTORIES[kind](), max_flows=2)
-    entry = table.touch(7, 1.0)
-    entry.records += 1
-    entry.records += 2
-    assert table.get(7).records == 3                      # landed in the column
-    assert table.store.flow_records[entry.row] == 3
-    assert (entry.live, entry.last_seen, entry.generation) == (True, 1.0, 1)
-    entry.consumer.consume(1, 3, 50)
-    assert table.get(7).consumer.max_code == 50
-    table.touch(8, 2.0)
-    table.touch(9, 3.0)                                   # evicts 7
-    assert 7 not in table and not entry.live
-    assert (entry.records, entry.last_seen, entry.generation) == (0, 0.0, 0)
-    with pytest.raises(LookupError):
-        entry.records += 1
-    # Flow 10 takes over the row; the stale view still is not it.
-    heir = table.touch(10, 4.0)
-    heir.records += 5
-    assert heir.row == entry.row
-    assert not entry.live and entry.records == 0
-    again = table.touch(7, 5.0)
-    assert again.live and again.generation > 1 and again.records == 0
-    assert again.consumer.max_code == -1
