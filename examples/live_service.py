@@ -67,11 +67,12 @@ def main() -> None:
         print(f"   {sender.frames_sent} frames sent "
               f"({sender.retransmits} retransmits), "
               f"{stats.duplicate_frames} duplicates deduped server-side")
-        # Karn's rule only samples RTT from never-retransmitted frames:
-        # on a loaded machine every frame can hit its RTO, leaving no
+        # Karn's rule samples RTT only from the frame an ACK names, and
+        # only if it was never retransmitted: with one cumulative ACK
+        # per batch, every ACK can name a retransmit, leaving no
         # estimate at all -- report that honestly instead of crashing.
         srtt = (f"{sender.srtt * 1e3:.2f} ms" if sender.srtt is not None
-                else "n/a, every frame retransmitted")
+                else "n/a, every ACK named a retransmitted frame")
         print(f"   delivered {stats.records_ingested}/{len(trace)} records "
               f"exactly once (srtt {srtt})")
 

@@ -13,8 +13,10 @@ other without touching its loop:
   ``srtt``/``rttvar`` (RFC 6298 shape: ``RTO = srtt + 4*rttvar``,
   clamped), retransmit on RTO expiry, a bounded send window for flow
   control, and Karn's rule (retransmitted frames contribute no RTT
-  sample -- the ACK is ambiguous).  Delivery is exactly-once end to
-  end: the server dedups on seq and ACKs only frames it has admitted.
+  sample -- the ACK is ambiguous).  ACKs are cumulative: ``ACK(s)``
+  retires every inflight frame up to ``s``.  Delivery is exactly-once
+  end to end: the server dedups on seq and ACKs a frame only once its
+  ingest thread has taken it off the admission queue.
 * :class:`TCPSender` -- hand reliability to the kernel; frames ride a
   stream, so a logical batch need not fragment at the datagram cap.
 
@@ -93,10 +95,13 @@ class _SenderBase:
 
 
 class UDPSender(_SenderBase):
-    """Fire-and-forget datagram sender: no ACKs, no retransmit."""
+    """Fire-and-forget datagram sender: no ACKs, no retransmit.
+
+    By default a frame fills a datagram (``wire.MAX_UDP_RECORDS``).
+    """
 
     def __init__(self, host: str, port: int,
-                 max_records: int = 1024) -> None:
+                 max_records: int = wire.MAX_UDP_RECORDS) -> None:
         if max_records > wire.MAX_UDP_RECORDS:
             raise ValueError(
                 f"max_records {max_records} exceeds the UDP frame cap "
@@ -111,11 +116,9 @@ class UDPSender(_SenderBase):
         """Ship one columnar batch; returns the record count."""
         frames = self._frames(flow_ids, pids, hop_counts, digests, now,
                               reliable=False)
-        records = 0
         for payload in frames:
             self.sock.sendto(payload, self.addr)
-        for payload in frames:
-            records += (len(payload) - 21) // 32
+        records = wire.encoded_records(frames)
         self.frames_sent += len(frames)
         self.records_sent += records
         if frames:
@@ -148,12 +151,23 @@ class _InFlight:
 class ReliableUDPSender(_SenderBase):
     """Seq/ACK/RTO reliable delivery over UDP (SNIPPETS 1-2 idiom).
 
+    ACKs are cumulative -- ``ACK(s)`` retires every inflight frame up
+    to ``s`` -- and a server sends one per folded batch (plus one when
+    its queue runs dry mid-batch), not one per frame.  Karn's rule
+    then reads: the RTT sample comes from the frame the ACK names, and
+    only if that frame was never retransmitted.
+
     Parameters
     ----------
+    max_records:
+        Records per frame before a batch fragments; the default fills
+        one datagram (``wire.MAX_UDP_RECORDS``).
     window:
         Max unacked frames in flight; :meth:`send_batch` blocks (on
         ACK progress) when the window is full -- sender-side flow
-        control matching the server's bounded admission queue.
+        control matching the server's bounded admission queue (the
+        server ACKs a frame only once it is off that queue).  The
+        default of 32 full datagrams spans about 2 MiB of payload.
     max_retries:
         Retransmissions per frame before :class:`DeliveryError` (the
         sink is gone; buffering forever is not reliability).
@@ -192,8 +206,8 @@ class ReliableUDPSender(_SenderBase):
         self,
         host: str,
         port: int,
-        max_records: int = 1024,
-        window: int = 64,
+        max_records: int = wire.MAX_UDP_RECORDS,
+        window: int = 32,
         max_retries: int = 16,
         min_rto: float = 0.02,
         max_rto: float = 2.0,
@@ -301,7 +315,6 @@ class ReliableUDPSender(_SenderBase):
         """
         frames = self._frames(flow_ids, pids, hop_counts, digests, now,
                               reliable=True)
-        records = 0
         base_seq = self.next_seq - len(frames)
         deadline = time.monotonic() + self.send_timeout
         for i, payload in enumerate(frames):
@@ -318,7 +331,7 @@ class ReliableUDPSender(_SenderBase):
                               self._scaled_rto(0))
             self.inflight[base_seq + i] = state
             self._transmit(base_seq + i, state)
-            records += (len(payload) - 21) // 32
+        records = wire.encoded_records(frames)
         self.records_sent += records
         if frames:
             self.batches_sent += 1
@@ -360,16 +373,8 @@ class ReliableUDPSender(_SenderBase):
                     frame = wire.decode_frame(data)
                 except wire.WireError:
                     continue  # not ours; ignore
-                if not isinstance(frame, wire.AckFrame):
-                    continue
-                state = self.inflight.pop(frame.seq, None)
-                if state is None:
-                    continue  # duplicate ACK
-                self.acked_frames += 1
-                if state.retries == 0:
-                    # Karn's rule: only a first-transmission ACK is an
-                    # unambiguous RTT sample.
-                    self._sample_rtt(time.monotonic() - state.first_sent)
+                if isinstance(frame, wire.AckFrame):
+                    self._on_ack(frame.seq)
         now = time.monotonic()
         for seq, state in list(self.inflight.items()):
             if now - state.last_sent < state.rto:
@@ -385,6 +390,23 @@ class ReliableUDPSender(_SenderBase):
             self._m_retx.inc()
             state.rto = self._scaled_rto(state.retries)
             self._transmit(seq, state)
+
+    def _on_ack(self, seq: int) -> None:
+        """Retire every inflight frame with a seq up to ``seq``."""
+        named = self.inflight.get(seq)
+        if named is not None and named.retries == 0:
+            # Karn's rule: only a first-transmission ACK is an
+            # unambiguous RTT sample, and only the named frame's.
+            self._sample_rtt(time.monotonic() - named.first_sent)
+        # The map is in seq order: frames enter it in seq order and a
+        # retransmit does not re-insert.
+        inflight = self.inflight
+        while inflight:
+            first = next(iter(inflight))
+            if first > seq:
+                break
+            del inflight[first]
+            self.acked_frames += 1
 
     def flush(self, timeout: float = 30.0) -> None:
         """Block until every sent frame is ACKed (or raise)."""
@@ -473,7 +495,7 @@ class TCPSender(_SenderBase):
                    now: Optional[float] = None) -> int:
         frames = self._frames(flow_ids, pids, hop_counts, digests, now,
                               reliable=False)
-        records = 0
+        records = wire.encoded_records(frames)
         if frames:
             payload = b"".join(frames)
             try:
@@ -483,8 +505,6 @@ class TCPSender(_SenderBase):
                 # At-least-once: the batch is resent whole; any prefix
                 # the dead connection delivered may be folded again.
                 self.sock.sendall(payload)
-            for frame in frames:
-                records += (len(frame) - 21) // 32
             self.frames_sent += len(frames)
             self.records_sent += records
             self.batches_sent += 1

@@ -178,6 +178,25 @@ class QueryHandler:
         return out
 
 
+def close_waking(sock: socket.socket) -> None:
+    """Shut ``sock`` down, then close it (best effort).
+
+    On Linux ``shutdown`` wakes a thread blocked in ``recvfrom`` /
+    ``accept`` / ``recv`` on the socket, which a bare ``close`` does
+    not; on an unconnected UDP socket it raises ``ENOTCONN`` yet still
+    wakes the reader.  The listeners' receive timeouts stay as the
+    fallback.
+    """
+    try:
+        sock.shutdown(socket.SHUT_RDWR)
+    except OSError:
+        pass
+    try:
+        sock.close()
+    except OSError:  # pragma: no cover - close is best-effort
+        pass
+
+
 class QueryServer:
     """Serve a :class:`QueryHandler` on a TCP port (one thread + conn threads)."""
 
@@ -200,6 +219,7 @@ class QueryServer:
         self._sock: Optional[socket.socket] = None
         self._thread: Optional[threading.Thread] = None
         self._conn_threads: List[threading.Thread] = []
+        self._conns: List[socket.socket] = []
         self._stopping = threading.Event()
 
     def start(self) -> "QueryServer":
@@ -208,8 +228,8 @@ class QueryServer:
         self._sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
         self._sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
         self._sock.bind((self.host, self.port))
-        # Stop-aware accept/recv polls: a closed socket does not
-        # reliably wake an already-blocked thread, a timeout does.
+        # close() wakes accept/recv with shutdown(); the timeout is
+        # the fallback poll of the stopping event.
         self._sock.settimeout(0.2)
         self._sock.listen(16)
         self.port = self._sock.getsockname()[1]
@@ -222,12 +242,13 @@ class QueryServer:
     def close(self) -> None:
         self._stopping.set()
         if self._sock is not None:
-            try:
-                self._sock.close()
-            except OSError:  # pragma: no cover
-                pass
+            close_waking(self._sock)
+        # The accept loop publishes connections: once it has exited,
+        # the list woken below is final.
         if self._thread is not None:
             self._thread.join(timeout=5.0)
+        for conn in list(self._conns):
+            close_waking(conn)
         for t in self._conn_threads:
             t.join(timeout=5.0)
 
@@ -240,6 +261,7 @@ class QueryServer:
             except OSError:
                 break
             conn.settimeout(0.2)
+            self._conns.append(conn)
             t = threading.Thread(
                 target=self._conn_loop, args=(conn,),
                 name="service-query-conn", daemon=True,

@@ -23,10 +23,13 @@ admission/drop policy is part of the system, not an accident):
 * **bad frame** -- truncated/corrupt bytes (``dropped_bad_frame``).
 
 Reliable streams (``FLAG_RELIABLE``) additionally get per-peer seq
-tracking: duplicates are re-ACKed but not re-ingested, out-of-order
-frames are held in a bounded reorder buffer and delivered in seq
-order, and an ACK is sent only once the frame is actually handed to
-the queue -- an ACK is a durability promise, not a reception note.
+tracking: duplicates are never re-ingested, and out-of-order frames
+are held in a bounded reorder buffer and delivered in seq order.  ACKs
+are cumulative and come from the ingest thread, once per folded batch
+rather than once per frame: ``ACK(s)`` says every frame up to ``s`` is
+off the admission queue -- folded, or held for its batch's reassembly
+-- which is a durability promise, not a reception note (see
+:meth:`CollectorServer._ingest_loop` for when one is sent).
 Fragment runs (``FLAG_MORE``) are reassembled per source before
 ingesting, so the wrapped collector sees exactly the logical batches
 the sender encoded and every batch-granular snapshot counter matches
@@ -44,6 +47,7 @@ from __future__ import annotations
 import dataclasses
 import queue
 import socket
+import struct
 import threading
 import time
 from typing import Dict, List, Optional, Tuple
@@ -55,10 +59,14 @@ from repro.exceptions import ReproError, WorkerFailedError
 from repro.obs.metrics import NULL_REGISTRY, SIZE_BUCKETS, merge_metrics
 from repro.obs.prom import MetricsHTTPServer
 from repro.service import wire
-from repro.service.query import QueryServer
+from repro.service.query import QueryServer, close_waking
 
 #: Queue sentinel telling the ingest thread to exit.
 _STOP = object()
+
+#: Listener receive timeout in microseconds: the fallback poll of the
+#: stopping event should ``close()``'s shutdown fail to wake a thread.
+_POLL_US = 200_000
 
 
 class ServiceError(ReproError):
@@ -66,13 +74,18 @@ class ServiceError(ReproError):
 
 
 class _Peer:
-    """Per-sender reliable-stream state: next expected seq + holes."""
+    """Per-sender reliable-stream state: next expected seq + holes.
 
-    __slots__ = ("expected", "buffer")
+    ``expected`` is moved by the listener thread (admission), ``acked``
+    by the ingest thread: every seq below it has been acknowledged.
+    """
+
+    __slots__ = ("expected", "buffer", "acked")
 
     def __init__(self) -> None:
         self.expected = 0
         self.buffer: Dict[int, wire.DataFrame] = {}
+        self.acked = 0
 
 
 class CollectorServer:
@@ -92,6 +105,10 @@ class CollectorServer:
         Admission queue bound, in frames.  Small on purpose: the queue
         is a shock absorber, not a second buffer tier -- sustained
         overload must surface as drops/backpressure, not latency.
+        A reliable sender's frames are ACKed only once the ingest
+        thread has taken them off this queue, so its send window bounds
+        how many of them sit here: one sender with ``window <=
+        queue_frames`` never meets a full queue.
     reorder_limit:
         How far (in frames) a reliable sender may run ahead of a hole
         before further frames are refused (``dropped_window``).
@@ -149,6 +166,9 @@ class CollectorServer:
         self._peers: Dict[Tuple, _Peer] = {}
         #: Reassembly state: source key -> frames of the open batch.
         self._pending: Dict[Tuple, List[wire.DataFrame]] = {}
+        #: Ingest thread only: reliable source -> highest seq taken off
+        #: the queue and not yet ACKed.
+        self._unacked: Dict[Tuple, int] = {}
         #: Guards the wrapped collector (ingest thread vs query port).
         self._lock = threading.RLock()
         #: Guards the counters below.
@@ -254,11 +274,16 @@ class CollectorServer:
                 socket.SOL_SOCKET, socket.SO_RCVBUF, 1 << 21
             )
             self._udp_sock.bind((self.host, self.udp_port))
-            # Closing a socket does not reliably wake a thread already
-            # blocked in recvfrom/accept; a short timeout turns the
-            # listener loops into stop-aware polls so close() joins
-            # promptly instead of riding out its full timeout.
-            self._udp_sock.settimeout(0.2)
+            # close() wakes the listener with shutdown(); the receive
+            # timeout is only the fallback poll of _stopping.  It is
+            # the kernel's SO_RCVTIMEO, not settimeout(): a shut-down
+            # UDP socket polls readable while a non-blocking recvfrom
+            # still says EAGAIN, so settimeout()'s poll loop would spin
+            # until its tick instead of waking.
+            self._udp_sock.setsockopt(
+                socket.SOL_SOCKET, socket.SO_RCVTIMEO,
+                struct.pack("ll", 0, _POLL_US),
+            )
             self.udp_port = self._udp_sock.getsockname()[1]
             self._threads.append(threading.Thread(
                 target=self._udp_loop, name="service-udp", daemon=True,
@@ -269,7 +294,7 @@ class CollectorServer:
                 socket.SOL_SOCKET, socket.SO_REUSEADDR, 1
             )
             self._tcp_sock.bind((self.host, self.tcp_port))
-            self._tcp_sock.settimeout(0.2)
+            self._tcp_sock.settimeout(_POLL_US / 1e6)
             self._tcp_sock.listen(16)
             self.tcp_port = self._tcp_sock.getsockname()[1]
             self._threads.append(threading.Thread(
@@ -360,12 +385,12 @@ class CollectorServer:
     def close(self, close_collector: bool = False, timeout: float = 30.0) -> None:
         """Graceful drain-then-close (idempotent).
 
-        Stops accepting new frames (sockets closed), folds everything
-        already admitted, joins the threads, and re-raises any
-        deferred ingest failure -- nothing admitted is ever silently
-        discarded.  The wrapped collector is left open unless
-        ``close_collector`` is set (the caller may still be scoring
-        its flows).
+        Stops accepting new frames (sockets shut down, which wakes
+        the threads blocked on them), folds everything already
+        admitted, joins the threads, and re-raises any deferred ingest
+        failure -- nothing admitted is ever silently discarded.  The
+        wrapped collector is left open unless ``close_collector`` is
+        set (the caller may still be scoring its flows).
         """
         if self._closed:
             return
@@ -373,21 +398,15 @@ class CollectorServer:
         self._stopping.set()
         for sock in (self._udp_sock, self._tcp_sock):
             if sock is not None:
-                try:
-                    sock.close()
-                except OSError:  # pragma: no cover - close is best-effort
-                    pass
-        # Listener threads exit on their closed sockets.  They go
+                close_waking(sock)
+        # Listener threads exit on their shut-down sockets.  They go
         # first: the accept loop is what publishes connection threads,
         # so once it has exited the list joined below is final.
         *listeners, ingest = self._threads if self._started else [None]
         for t in listeners:
             t.join(timeout=timeout)
         for conn in list(self._conns):
-            try:
-                conn.close()
-            except OSError:  # pragma: no cover
-                pass
+            close_waking(conn)
         for t in self._conn_threads:
             t.join(timeout=5.0)
         # The ingest thread drains the queue to the sentinel then exits.
@@ -515,22 +534,24 @@ class CollectorServer:
             return
         peer = self._peers.setdefault(source, _Peer())
         if frame.seq < peer.expected or frame.seq in peer.buffer:
-            # Already delivered (or parked): the ACK was lost or the
-            # retransmit raced it.  Re-promise, do not re-ingest.
+            # Already admitted (or parked): the ACK was lost or the
+            # retransmit raced it.  Never re-ingest.  An acknowledged
+            # frame is re-promised under its own seq; one still on the
+            # queue is ACKed when the ingest thread takes it.
             self._bump("duplicate_frames")
-            if frame.seq < peer.expected:
+            if frame.seq < peer.acked:
                 self._send_ack(addr, frame.seq)
-            else:
-                self._drain_peer(peer, source, addr)
+            elif frame.seq >= peer.expected:
+                self._drain_peer(peer, source)
             return
         if frame.seq - peer.expected > self.reorder_limit:
             self._bump("dropped_window")
             return
         peer.buffer[frame.seq] = frame
-        self._drain_peer(peer, source, addr)
+        self._drain_peer(peer, source)
 
-    def _drain_peer(self, peer: _Peer, source: Tuple, addr) -> None:
-        """Deliver the peer's in-order prefix; ACK what was delivered."""
+    def _drain_peer(self, peer: _Peer, source: Tuple) -> None:
+        """Hand the peer's in-order prefix to the queue (unACKed)."""
         while peer.expected in peer.buffer:
             frame = peer.buffer[peer.expected]
             if not self._enqueue(frame, source, block=False):
@@ -540,7 +561,6 @@ class CollectorServer:
                 self._bump("dropped_queue_full")
                 return
             del peer.buffer[peer.expected]
-            self._send_ack(addr, peer.expected)
             peer.expected += 1
 
     def _enqueue(self, frame: wire.DataFrame, source: Tuple,
@@ -584,10 +604,12 @@ class CollectorServer:
         while not self._stopping.is_set():
             try:
                 data, addr = sock.recvfrom(1 << 16)
-            except socket.timeout:
-                continue  # poll tick: re-check _stopping
+            except BlockingIOError:
+                continue  # SO_RCVTIMEO tick: re-check _stopping
             except OSError:
                 break  # socket closed by close()
+            if addr is None:
+                break  # woken by close()'s shutdown: no datagram
             self._on_datagram(data, addr)
 
     def _accept_loop(self) -> None:
@@ -600,7 +622,7 @@ class CollectorServer:
             except OSError:
                 break
             conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-            conn.settimeout(0.2)
+            conn.settimeout(_POLL_US / 1e6)
             self._conns.append(conn)
             t = threading.Thread(
                 target=self._conn_loop, args=(conn, addr),
@@ -645,6 +667,15 @@ class CollectorServer:
     # -- ingest thread -----------------------------------------------------
 
     def _ingest_loop(self) -> None:
+        """Fold reassembled batches; send the cumulative ACKs.
+
+        Each reliable source is ACKed with the highest seq taken off
+        the queue: (a) after a completed run has been folded, and (b)
+        after a ``FLAG_MORE`` fragment is taken and the queue is
+        empty.  Rule (b) keeps a batch of more frames than the
+        sender's window from deadlocking: the sender waits for an ACK
+        to send the rest, and the fold waits for the rest.
+        """
         while True:
             item = self._queue.get()
             if item is _STOP:
@@ -657,12 +688,24 @@ class CollectorServer:
                 delay = self.faults.stall_seconds()
                 if delay > 0.0:
                     time.sleep(delay)
+            if frame.reliable and source[0] == "udp":
+                self._unacked[source] = frame.seq
             run = self._pending.setdefault(source, [])
             run.append(frame)
             if not frame.more:  # the batch's terminating fragment
                 del self._pending[source]
                 self._ingest_run(run)
+                self._ack_taken()
+            elif self._queue.empty():
+                self._ack_taken()
             self._queue.task_done()
+
+    def _ack_taken(self) -> None:
+        """One cumulative ACK per source with frames taken but unACKed."""
+        for source, seq in self._unacked.items():
+            self._peers[source].acked = seq + 1
+            self._send_ack(source[1], seq)
+        self._unacked.clear()
 
     def _ingest_run(self, run: List[wire.DataFrame]) -> None:
         """Fold one reassembled logical batch into the collector."""

@@ -16,6 +16,13 @@ Layout (all little-endian, no padding)::
              hop_count[count]:i64  digest[count]:i64
     ACK      seq:u32
 
+ACKs are cumulative: ``ACK(s)`` acknowledges every frame with a seq up
+to ``s``.  A server only ever ACKs the in-order prefix of a stream, so
+one ACK per folded batch retires all its frames, and a re-ACK of a
+single duplicate under its own seq is still a valid cumulative ACK.
+Acknowledged means taken off the server's admission queue: folded, or
+held for its batch's reassembly.
+
 ``version`` is checked before anything else in the frame is trusted:
 a frame from a newer protocol is rejected as
 :class:`BadVersionError` (and counted separately by the server), so
@@ -24,8 +31,8 @@ instead of misparsing, new sinks can keep a decoder per version.
 
 Flags:
 
-* ``FLAG_RELIABLE`` -- the sender numbers frames contiguously from 0,
-  expects a per-frame ACK, and retransmits on RTO; the server
+* ``FLAG_RELIABLE`` -- the sender numbers frames contiguously from 0
+  and retransmits on RTO until the frame is acknowledged; the server
   deduplicates and delivers in seq order.
 * ``FLAG_MORE`` -- this frame is a *fragment* of a larger logical
   batch (a UDP datagram caps a frame at ~64 KiB); the server
@@ -132,7 +139,7 @@ class DataFrame:
 
 @dataclass(frozen=True)
 class AckFrame:
-    """Server acknowledgement of one reliable data frame."""
+    """Server acknowledgement of every reliable data frame up to ``seq``."""
 
     seq: int
 
@@ -370,6 +377,12 @@ class StreamDecoder:
         if offset:
             del self._buf[:offset]
         return frames
+
+
+def encoded_records(frames: Sequence[bytes]) -> int:
+    """Total records across encoded data frames, read off their lengths."""
+    width = _COLS * _COL_BYTES
+    return sum((len(frame) - _DATA_HDR.size) // width for frame in frames)
 
 
 def frames_payload_records(frames: Sequence[Frame]) -> int:

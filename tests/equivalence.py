@@ -530,6 +530,11 @@ class _Recording(ReplayDriver):
             "path": read_sink(path.collector),
             "congestion": read_sink(cong.collector),
         }
+        #: Batches the senders put on the wire (0 in-process).
+        self.shipped = sum(
+            sink.tx.batches_sent for sink in (path, cong)
+            if sink.tx is not None
+        )
         return super()._score(trace, path, cong, *rest)
 
 
@@ -576,6 +581,12 @@ def run(config: Config) -> dict:
     wire = config.transport != "inproc"
     assert report["transport"] == (config.transport if wire else "in-process")
     assert (report["wire_frames"] > 0) == wire, config.name
+    if config.transport == "udp":
+        # Its batches fragment into UDP_FRAME_RECORDS-record frames: a
+        # driver passing its own ``max_records`` would override the
+        # patch above without a word.
+        sent = report["wire_frames"] - report["wire_retransmits"]
+        assert sent > driver.shipped, config.name
     assert bool(report["impairments"]) == bool(models), config.name
     if config.obs:
         assert "pint_replay_stage_seconds" in driver.obs.as_dict()["families"]

@@ -201,6 +201,28 @@ class TestServerFrameFaults:
             assert ("stall_queue", "queue", 1) in plan.fired
             assert srv.service_stats().records_ingested == 50
 
+    def test_window_paces_the_queue(self):
+        # The server ACKs a frame once it is off the admission queue, so
+        # a window no larger than the queue cannot overfill it, even
+        # while the ingest thread stalls.  RTOs during the stall are
+        # expected; queue-full drops are not.
+        plan = FaultPlan([stall_queue(1, 0.3)])
+        with CollectorServer(make_collector(), tcp_port=None,
+                             queue_frames=8, faults=plan) as srv:
+            tx = ReliableUDPSender("127.0.0.1", srv.udp_port, window=8,
+                                   max_records=16)
+            for i in range(8):
+                tx.send_batch(*batch(64, base=i * 1000), now=float(i))
+            tx.flush()
+            srv.wait_for_records(512, timeout=30)
+            srv.drain()
+            stats = srv.service_stats()
+            assert ("stall_queue", "queue", 1) in plan.fired
+            assert stats.dropped_queue_full == 0
+            assert stats.records_ingested == 512
+            assert stats.batches_ingested == 8
+            tx.close()
+
 
 # -- retry pacing -----------------------------------------------------------
 

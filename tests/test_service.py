@@ -61,6 +61,7 @@ from repro.service import (
     make_sender,
 )
 from repro.service import wire
+from repro.service.client import _InFlight
 from repro.service.query import jsonable
 from repro.service.__main__ import build_parser, main
 
@@ -197,6 +198,7 @@ class TestWireRoundTrip:
                                reliable=reliable)
         decoded = decode_frames(b"".join(frames))
         assert len(decoded) == (n + max_records - 1) // max_records
+        assert wire.encoded_records(frames) == n
         if n:
             back = [
                 np.concatenate([f.flow_ids for f in decoded]),
@@ -438,6 +440,30 @@ class TestLoopbackService:
             # yet the collector saw the batch exactly once.
             assert tx.retransmits > 0
             assert served.snapshot().as_dict() == direct.snapshot().as_dict()
+
+    def test_batch_longer_than_the_window(self):
+        # 38 frames through a 4-frame window: the sender needs ACKs
+        # before the batch's last fragment is even sent, so the server
+        # must ACK fragments it holds for reassembly once its queue
+        # runs dry -- or the two wait on each other until send_timeout.
+        direct = make_collector()
+        served = make_collector()
+        with CollectorServer(served, tcp_port=None) as srv:
+            tx = ReliableUDPSender(
+                "127.0.0.1", srv.udp_port, max_records=8, window=4,
+                send_timeout=5.0,
+            )
+            cols = batch(300)
+            direct.ingest_batch(*cols, now=1.0)
+            tx.send_batch(*cols, now=1.0)
+            tx.flush()
+            srv.wait_for_records(300, timeout=10)
+            srv.drain()
+            stats = srv.service_stats()
+            assert stats.records_ingested == 300
+            assert stats.batches_ingested == 1
+            assert served.snapshot().as_dict() == direct.snapshot().as_dict()
+            tx.close()
 
     def test_unreachable_sink_raises_delivery_error(self):
         with CollectorServer(make_collector(), tcp_port=None) as srv:
@@ -725,6 +751,58 @@ class TestQueryServer:
                 snap = client.snapshot()
                 assert snap["records"] == 30
                 assert snap["service"]["frames_received"] == 1
+
+
+class TestCumulativeAck:
+    def make_tx(self, frames):
+        tx = ReliableUDPSender("127.0.0.1", 1)
+        tx.sock.close()
+        sent = time.monotonic() - 0.01
+        for seq in range(frames):
+            tx.inflight[seq] = _InFlight(b"", sent, 1.0)
+        return tx
+
+    def test_ack_retires_every_frame_up_to_its_seq(self):
+        tx = self.make_tx(5)
+        tx._on_ack(2)
+        assert list(tx.inflight) == [3, 4]
+        assert tx.acked_frames == 3
+        tx._on_ack(2)  # a re-ACK of a retired frame changes nothing
+        assert list(tx.inflight) == [3, 4]
+        assert tx.acked_frames == 3
+
+    def test_rtt_sample_only_from_a_fresh_named_frame(self):
+        tx = self.make_tx(4)
+        tx.inflight[1].retries = 1
+        tx._on_ack(1)  # names a retransmitted frame: ambiguous
+        assert tx.srtt is None
+        tx._on_ack(3)  # retires 2 and 3; samples 3 only
+        assert tx.srtt is not None and tx.srtt >= 0.01
+        assert not tx.inflight
+
+
+class TestPromptClose:
+    """``close()`` wakes its listeners instead of waiting out a poll."""
+
+    def make_server(self):
+        return CollectorServer(
+            make_collector(), udp_port=0, tcp_port=0, query_port=0,
+        ).start()
+
+    def timed_close(self, srv):
+        time.sleep(0.05)  # every listener is blocked in its socket call
+        start = time.perf_counter()
+        srv.close()
+        return time.perf_counter() - start
+
+    def test_idle_server(self):
+        assert self.timed_close(self.make_server()) < 0.05
+
+    def test_with_an_open_query_connection(self):
+        srv = self.make_server()
+        with QueryClient("127.0.0.1", srv.query_port) as client:
+            assert client.ping()
+            assert self.timed_close(srv) < 0.05
 
 
 # -- driver transport -------------------------------------------------------
