@@ -6,8 +6,8 @@ of ``tests/equivalence.py``):
 
 * **Wire vs in-process.**  The full wire path -- encode frames,
   loopback socket, decode, admission queue, ingest thread -- against
-  ``ingest_batch`` on the same columns, reliable UDP and TCP alike, as
-  a ratio of the in-process rate measured in the same run.
+  ``ingest_batch`` on the same columns, over reliable UDP, as a ratio
+  of the in-process rate measured in the same run.
 
 * **Reliability.**  Under a 10% per-transmission simulated-loss hook
   the reliable sender still delivers 100% of the records, exactly
@@ -28,18 +28,7 @@ import numpy as np
 
 from benchlib import make_path_workload, write_bench_json
 from repro.collector import Collector, path_consumer_factory
-from repro.service import CollectorServer, ReliableUDPSender, TCPSender
-
-
-def make_sender(transport: str, server: CollectorServer, **kw):
-    if transport == "udp":
-        return ReliableUDPSender("127.0.0.1", server.udp_port, **kw)
-    return TCPSender("127.0.0.1", server.tcp_port, **kw)
-
-
-def server_ports(transport: str) -> dict:
-    return {"udp_port": 0, "tcp_port": None} if transport == "udp" else \
-           {"udp_port": None, "tcp_port": 0}
+from repro.service import CollectorServer, ReliableUDPSender
 
 
 def time_in_process(factory, cols, batch: int, repeats: int,
@@ -59,7 +48,7 @@ def time_in_process(factory, cols, batch: int, repeats: int,
     return best
 
 
-def time_wire(transport: str, factory, cols, batch: int, repeats: int,
+def time_wire(factory, cols, batch: int, repeats: int,
               num_shards: int, seed: int) -> float:
     """Best-of-``repeats`` seconds for the full wire path.
 
@@ -73,8 +62,8 @@ def time_wire(transport: str, factory, cols, batch: int, repeats: int,
     best = float("inf")
     for _ in range(repeats):
         col = Collector(factory(), num_shards=num_shards, seed=seed)
-        with CollectorServer(col, **server_ports(transport)) as srv:
-            with make_sender(transport, srv) as tx:
+        with CollectorServer(col) as srv:
+            with ReliableUDPSender("127.0.0.1", srv.udp_port) as tx:
                 start = time.perf_counter()
                 for lo in range(0, n, batch):
                     hi = lo + batch
@@ -100,14 +89,13 @@ def bench_throughput(args) -> dict:
     base_rate = args.records / base_s
     print(f"in-process            {base_rate:>12,.0f} rec/s")
     out = {"in_process_rps": round(base_rate)}
-    for transport in ("udp", "tcp"):
-        wire_s = time_wire(transport, factory, cols, args.batch,
-                           args.repeats, args.num_shards, args.seed)
-        rate = args.records / wire_s
-        out[f"{transport}_rps"] = round(rate)
-        out[f"{transport}_vs_in_process"] = round(rate / base_rate, 3)
-        print(f"wire ({transport:<3})            {rate:>12,.0f} rec/s   "
-              f"{rate / base_rate:.2f}x of in-process")
+    wire_s = time_wire(factory, cols, args.batch, args.repeats,
+                       args.num_shards, args.seed)
+    rate = args.records / wire_s
+    out["udp_rps"] = round(rate)
+    out["udp_vs_in_process"] = round(rate / base_rate, 3)
+    print(f"wire (udp)            {rate:>12,.0f} rec/s   "
+          f"{rate / base_rate:.2f}x of in-process")
     return out
 
 
@@ -120,7 +108,7 @@ def bench_reliability(args) -> dict:
     rng = np.random.default_rng(args.seed)
     col = Collector(path_consumer_factory(universe, **factory_kwargs),
                     num_shards=args.num_shards, seed=args.seed)
-    with CollectorServer(col, tcp_port=None) as srv:
+    with CollectorServer(col) as srv:
         tx = ReliableUDPSender(
             "127.0.0.1", srv.udp_port, max_records=512,
             drop_fn=lambda seq, attempt: bool(rng.random() < 0.10),

@@ -41,7 +41,7 @@ def main() -> None:
     )
 
     print("== serving ==")
-    with CollectorServer(collector, tcp_port=None, query_port=0) as server:
+    with CollectorServer(collector, query_port=0) as server:
         print(f"   udp data port {server.udp_port}, "
               f"json query port {server.query_port}")
 

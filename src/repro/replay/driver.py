@@ -55,7 +55,7 @@ from repro.replay.impair import (
 )
 from repro.replay.scenarios import build_trace, scenario_names
 from repro.replay.trace import Trace
-from repro.service import CollectorServer, ReliableUDPSender, TCPSender
+from repro.service import CollectorServer, ReliableUDPSender
 
 #: The one execution plan every replay runs (§3.4): entry 0 stamps
 #: path digests on ``PATH_SHARE`` of the packets, entry 1 a
@@ -104,11 +104,11 @@ class ScenarioReport:
     #: One-line descriptions of the applied impairment models.
     impairments: Tuple[str, ...] = ()
     #: -- wire transport bookkeeping (defaults = the library path) ----------
-    #: How batches reached the sinks: "in-process", "udp" or "tcp".
+    #: How batches reached the sinks: "in-process" or "udp".
     transport: str = "in-process"
     #: Wire frames transmitted (retransmits included) across both sinks.
     wire_frames: int = 0
-    #: Reliable-UDP retransmissions (0 on tcp / in-process).
+    #: Reliable-UDP retransmissions (0 in-process).
     wire_retransmits: int = 0
     #: -- fault-recovery bookkeeping (defaults = a fault-free run) ----------
     #: Worker processes the supervised path sink replaced mid-replay,
@@ -236,7 +236,7 @@ class _Sink:
     collector: Union[Collector, ParallelCollector]
     ingest: Callable[..., object]
     server: Optional[CollectorServer] = None
-    tx: Union[ReliableUDPSender, TCPSender, None] = None
+    tx: Optional[ReliableUDPSender] = None
     records: int = 0
 
 
@@ -279,11 +279,11 @@ class ReplayDriver:
         zero-rate models) is bit-identical to no impairment.
     transport:
         ``None`` (default) ingests in-process -- the library path.
-        ``"udp"`` or ``"tcp"`` instead stands up one
+        ``"udp"`` instead stands up one
         :class:`~repro.service.CollectorServer` per sink on loopback
         and ships every batch through the :mod:`repro.service.wire`
-        format: reliable seq/ACK/RTO UDP, or a TCP stream.  Fragment
-        reassembly (``FLAG_MORE``) and in-order exactly-once delivery
+        format over reliable seq/ACK/RTO UDP.  Fragment reassembly
+        (``FLAG_MORE``) and in-order exactly-once delivery
         make the wire run bit-identical to the in-process one --
         snapshots and per-flow answers alike: the ``transport`` axis
         of ``tests/equivalence.py``.
@@ -327,9 +327,9 @@ class ReplayDriver:
             raise ValueError(
                 f"mode must be 'raw', 'hash' or 'fragment', got {mode!r}"
             )
-        if transport not in (None, "udp", "tcp"):
+        if transport not in (None, "udp"):
             raise ValueError(
-                f"transport must be None, 'udp' or 'tcp', got {transport!r}"
+                f"transport must be None or 'udp', got {transport!r}"
             )
         self.transport = transport
         self.mode = mode
@@ -480,16 +480,11 @@ class ReplayDriver:
         stack.callback(collector.close)
         if self.transport is None:
             return _Sink(collector, collector.ingest_batch)
-        if self.transport == "udp":
-            server = CollectorServer(collector, tcp_port=None).start()
-            stack.callback(server.close)
-            tx = ReliableUDPSender(
-                "127.0.0.1", server.udp_port, obs=obs, obs_labels=labels,
-            )
-        else:
-            server = CollectorServer(collector, udp_port=None).start()
-            stack.callback(server.close)
-            tx = TCPSender("127.0.0.1", server.tcp_port)
+        server = CollectorServer(collector).start()
+        stack.callback(server.close)
+        tx = ReliableUDPSender(
+            "127.0.0.1", server.udp_port, obs=obs, obs_labels=labels,
+        )
         # Bare socket release, not tx.close(): the success path flushed
         # already, and an error path must not spend a flush timeout
         # re-offering frames nobody will score.

@@ -3,10 +3,10 @@
 ``repro.collector`` is a library -- you call ``ingest_batch`` on an
 object you hold.  This package is the same sink as a *service*: digest
 batches travel a versioned binary wire format (:mod:`~repro.service.
-wire`) over UDP or TCP into a :class:`CollectorServer` that admits,
+wire`) over UDP into a :class:`CollectorServer` that admits,
 reassembles and folds them through a bounded queue, while a JSON query
 port (:mod:`~repro.service.query`) serves snapshots and per-flow
-answers to anything that can open a socket.  Senders come in three
+answers to anything that can open a socket.  Senders come in two
 reliability classes (:mod:`~repro.service.client`); ``python -m
 repro.service`` is the operator CLI over all of it.
 
@@ -17,7 +17,6 @@ taxonomy, and why an ACK is a durability promise.
 from repro.service.client import (
     DeliveryError,
     ReliableUDPSender,
-    TCPSender,
     UDPSender,
     make_sender,
 )
@@ -38,7 +37,6 @@ from repro.service.wire import (
     BadMagicError,
     BadVersionError,
     DataFrame,
-    StreamDecoder,
     TruncatedFrameError,
     WireError,
     decode_frame,
@@ -70,8 +68,6 @@ __all__ = [
     "QueryServer",
     "ReliableUDPSender",
     "ServiceError",
-    "StreamDecoder",
-    "TCPSender",
     "TruncatedFrameError",
     "UDPSender",
     "VERSION",

@@ -13,7 +13,7 @@ Three subcommands, one running system::
     python -m repro.service query --port <query port> --flow-id 7
 
 ``serve`` prints one machine-parseable ready line
-(``SERVICE READY udp=.. tcp=.. query=..``) once the sockets are bound
+(``SERVICE READY udp=.. query=.. metrics=..``) once the sockets are bound
 -- scripts (and the CI smoke job) wait on that -- then runs until
 SIGINT/SIGTERM or ``--duration``, closes gracefully, and emits the
 final snapshot as JSON on stdout.  ``send`` and ``query`` print a
@@ -92,8 +92,7 @@ def cmd_serve(args) -> int:
     )
     server = CollectorServer(
         collector, host=args.host, udp_port=args.udp_port,
-        tcp_port=args.tcp_port, query_port=args.query_port,
-        queue_frames=args.queue_frames,
+        query_port=args.query_port, queue_frames=args.queue_frames,
         obs=obs, metrics_port=args.metrics_port,
     )
     if args.restore:
@@ -115,7 +114,7 @@ def cmd_serve(args) -> int:
         "off" if args.metrics_port is None else str(server.metrics_port)
     )
     print(
-        f"SERVICE READY udp={server.udp_port} tcp={server.tcp_port} "
+        f"SERVICE READY udp={server.udp_port} "
         f"query={server.query_port} metrics={metrics}", flush=True,
     )
     stop = threading.Event()
@@ -144,7 +143,9 @@ def cmd_send(args) -> int:
             raise SystemExit("--loss only applies to the reliable udp transport")
         rng = random.Random(args.seed)
         drop_fn = lambda seq, attempt: rng.random() < args.loss  # noqa: E731
-    kwargs = {"max_records": args.max_records}
+    kwargs = {}
+    if args.max_records is not None:
+        kwargs["max_records"] = args.max_records
     if drop_fn is not None:
         kwargs["drop_fn"] = drop_fn
     sender = make_sender(args.transport, args.host, args.port, **kwargs)
@@ -204,7 +205,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--host", default="127.0.0.1")
     p.add_argument("--udp-port", type=int, default=0,
                    help="0 = ephemeral (see the ready line)")
-    p.add_argument("--tcp-port", type=int, default=0)
     p.add_argument("--query-port", type=int, default=0)
     p.add_argument("--shards", type=int, default=4)
     p.add_argument("--queue-frames", type=int, default=256)
@@ -226,12 +226,13 @@ def build_parser() -> argparse.ArgumentParser:
     _add_scenario_args(p)
     p.add_argument("--host", default="127.0.0.1")
     p.add_argument("--port", type=int, required=True,
-                   help="the server's udp (or tcp) data port")
+                   help="the server's udp data port")
     p.add_argument("--transport", default="udp",
-                   choices=["udp", "udp-unreliable", "tcp"])
+                   choices=["udp", "udp-unreliable"])
     p.add_argument("--batch-size", type=int, default=2048)
-    p.add_argument("--max-records", type=int, default=1024,
-                   help="records per wire frame before fragmenting")
+    p.add_argument("--max-records", type=int, default=None,
+                   help="records per wire frame before fragmenting "
+                        "(default: a full datagram)")
     p.add_argument("--loss", type=float, default=0.0,
                    help="simulated per-transmission drop rate (reliable udp)")
     p.set_defaults(fn=cmd_send)

@@ -1,10 +1,10 @@
-"""Digest-batch senders: fire-and-forget UDP, reliable UDP, and TCP.
+"""Digest-batch senders: fire-and-forget UDP and reliable UDP.
 
-Three ways to get a columnar batch from a dataplane to a
-:class:`~repro.service.server.CollectorServer`, all sharing the same
+Two ways to get a columnar batch from a dataplane to a
+:class:`~repro.service.server.CollectorServer`, both sharing the same
 ``send_batch(flow_ids, pids, hop_counts, digests, now=...)`` signature
-as ``Collector.ingest_batch`` -- the replay driver swaps one for the
-other without touching its loop:
+as ``Collector.ingest_batch`` -- the replay driver swaps a sender for
+the collector without touching its loop:
 
 * :class:`UDPSender` -- fire and forget.  Cheapest, lossy under
   pressure; what a switch ASIC streaming digests would do.
@@ -17,8 +17,6 @@ other without touching its loop:
   retires every inflight frame up to ``s``.  Delivery is exactly-once
   end to end: the server dedups on seq and ACKs a frame only once its
   ingest thread has taken it off the admission queue.
-* :class:`TCPSender` -- hand reliability to the kernel; frames ride a
-  stream, so a logical batch need not fragment at the datagram cap.
 
 ``drop_fn`` on the reliable sender is a deterministic loss hook for
 tests and demos: when it returns True for ``(seq, attempt)``, the
@@ -45,20 +43,22 @@ from repro.service import wire
 RTT_ALPHA = 0.125
 RTT_BETA = 0.25
 
-#: Longest pause between two TCP redial attempts, in seconds.
-RECONNECT_MAX = 2.0
-
 
 class DeliveryError(ReproError):
     """A reliable send could not be completed (retries/flush exhausted)."""
 
 
 class _SenderBase:
-    """Shared frame numbering + accounting for all senders."""
+    """Shared frame numbering + accounting for both senders."""
 
     def __init__(self, host: str, port: int, max_records: int) -> None:
         if max_records < 1:
             raise ValueError("max_records must be >= 1")
+        if max_records > wire.MAX_UDP_RECORDS:
+            raise ValueError(
+                f"max_records {max_records} exceeds the UDP frame cap "
+                f"({wire.MAX_UDP_RECORDS})"
+            )
         self.addr = (host, port)
         self.max_records = max_records
         self.next_seq = 0
@@ -102,11 +102,6 @@ class UDPSender(_SenderBase):
 
     def __init__(self, host: str, port: int,
                  max_records: int = wire.MAX_UDP_RECORDS) -> None:
-        if max_records > wire.MAX_UDP_RECORDS:
-            raise ValueError(
-                f"max_records {max_records} exceeds the UDP frame cap "
-                f"({wire.MAX_UDP_RECORDS})"
-            )
         super().__init__(host, port, max_records)
         self.sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
         self.sock.setsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF, 1 << 21)
@@ -220,11 +215,6 @@ class ReliableUDPSender(_SenderBase):
         obs=None,
         obs_labels: Optional[dict] = None,
     ) -> None:
-        if max_records > wire.MAX_UDP_RECORDS:
-            raise ValueError(
-                f"max_records {max_records} exceeds the UDP frame cap "
-                f"({wire.MAX_UDP_RECORDS})"
-            )
         if window < 1:
             raise ValueError("window must be >= 1")
         super().__init__(host, port, max_records)
@@ -428,105 +418,12 @@ class ReliableUDPSender(_SenderBase):
             self.sock.close()
 
 
-class TCPSender(_SenderBase):
-    """Stream sender: the kernel's reliability, our framing.
-
-    ``max_records=None`` (the default) ships each logical batch as a
-    single frame -- a stream has no datagram cap, so the server-side
-    reassembly path is exercised only when the batch tops
-    ``MAX_FRAME_RECORDS``.
-
-    Reconnect: a send that hits a dead connection (server restarted,
-    RST, broken pipe) redials with jittered exponential backoff and
-    resends the *whole* batch on the fresh connection.  The delivery
-    contract at this boundary is **at-least-once**: bytes the kernel
-    buffered before the failure may or may not have reached the old
-    server, and TCP frames carry no seq for the server to dedup on --
-    a batch straddling a reconnect can be folded twice.  That is the
-    deliberate trade (DESIGN.md section 9): the fire-and-forget TCP
-    path keeps its zero-overhead framing, and callers needing
-    exactly-once use the reliable UDP transport, whose seq/ACK dedup
-    survives server restarts that preserve collector state.
-    """
-
-    def __init__(self, host: str, port: int,
-                 max_records: Optional[int] = None,
-                 timeout: float = 30.0,
-                 reconnect_attempts: int = 5,
-                 reconnect_base: float = 0.05,
-                 jitter: float = 0.1,
-                 reconnect_seed: Optional[int] = None) -> None:
-        super().__init__(host, port,
-                         max_records or wire.MAX_FRAME_RECORDS)
-        self.timeout = timeout
-        self.reconnect_attempts = reconnect_attempts
-        self.reconnect_base = reconnect_base
-        self.jitter = jitter
-        self.reconnects = 0
-        self._rng = random.Random(reconnect_seed)
-        self.sock = self._dial()
-
-    def _dial(self) -> socket.socket:
-        sock = socket.create_connection(self.addr, timeout=self.timeout)
-        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        return sock
-
-    def _reconnect(self, cause: Exception) -> None:
-        """Redial with jittered exponential backoff, or give up loudly."""
-        try:
-            self.sock.close()
-        except OSError:  # pragma: no cover - already gone
-            pass
-        for attempt in range(self.reconnect_attempts):
-            delay = min(RECONNECT_MAX, self.reconnect_base * 2.0 ** attempt)
-            time.sleep(delay * (1.0 + self.jitter * self._rng.random()))
-            try:
-                self.sock = self._dial()
-            except OSError:
-                continue
-            self.reconnects += 1
-            return
-        raise DeliveryError(
-            f"could not reconnect to {self.addr[0]}:{self.addr[1]} "
-            f"after {self.reconnect_attempts} attempts"
-        ) from cause
-
-    def send_batch(self, flow_ids, pids, hop_counts, digests,
-                   now: Optional[float] = None) -> int:
-        frames = self._frames(flow_ids, pids, hop_counts, digests, now,
-                              reliable=False)
-        records = wire.encoded_records(frames)
-        if frames:
-            payload = b"".join(frames)
-            try:
-                self.sock.sendall(payload)
-            except OSError as exc:
-                self._reconnect(exc)
-                # At-least-once: the batch is resent whole; any prefix
-                # the dead connection delivered may be folded again.
-                self.sock.sendall(payload)
-            self.frames_sent += len(frames)
-            self.records_sent += records
-            self.batches_sent += 1
-        return records
-
-    def close(self) -> None:
-        try:
-            self.sock.shutdown(socket.SHUT_WR)
-        except OSError:  # pragma: no cover - already closed/reset
-            pass
-        self.sock.close()
-
-
 def make_sender(transport: str, host: str, port: int, **kwargs):
-    """Build a sender by transport name ("udp" / "udp-unreliable" / "tcp")."""
+    """Build a sender by transport name ("udp" / "udp-unreliable")."""
     if transport == "udp":
         return ReliableUDPSender(host, port, **kwargs)
     if transport == "udp-unreliable":
         return UDPSender(host, port, **kwargs)
-    if transport == "tcp":
-        return TCPSender(host, port, **kwargs)
     raise ValueError(
-        f"unknown transport {transport!r} "
-        "(expected 'udp', 'udp-unreliable' or 'tcp')"
+        f"unknown transport {transport!r} (expected 'udp' or 'udp-unreliable')"
     )

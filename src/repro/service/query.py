@@ -266,6 +266,8 @@ class QueryServer:
                 target=self._conn_loop, args=(conn,),
                 name="service-query-conn", daemon=True,
             )
+            # Started before it is published: close() joins every
+            # thread on the list, and an unstarted one cannot be joined.
             t.start()
             self._conn_threads.append(t)
 

@@ -1,13 +1,14 @@
-"""The collector's network front door: UDP + TCP listeners over a queue.
+"""The collector's network front door: one UDP listener over a queue.
 
 ``CollectorServer`` is the boundary ROADMAP item 1 calls for -- the
 step from "library" to "service": digest batches arrive as
-:mod:`repro.service.wire` frames on a UDP socket (one frame per
-datagram) or a TCP stream (frames back-to-back), pass through a
-*bounded* admission queue, and a single ingest thread folds them into
-the wrapped collector -- serial :class:`~repro.collector.Collector` or
+:mod:`repro.service.wire` frames on a UDP socket (one datagram carries
+one or more whole frames), pass through a *bounded* admission queue,
+and a single ingest thread folds them into the wrapped collector --
+serial :class:`~repro.collector.Collector` or
 :class:`~repro.collector.ParallelCollector` alike, both already speak
-``ingest_batch``.
+``ingest_batch``.  The one data listener has two admission policies,
+chosen per frame by ``FLAG_RELIABLE``: fire-and-forget and reliable.
 
 Admission is where a service differs from a library call, and every
 way it can refuse work is explicit and counted (the BASEL lesson:
@@ -22,7 +23,7 @@ admission/drop policy is part of the system, not an accident):
   misparsed.
 * **bad frame** -- truncated/corrupt bytes (``dropped_bad_frame``).
 
-Reliable streams (``FLAG_RELIABLE``) additionally get per-peer seq
+Reliable senders (``FLAG_RELIABLE``) additionally get per-peer seq
 tracking: duplicates are never re-ingested, and out-of-order frames
 are held in a bounded reorder buffer and delivered in seq order.  ACKs
 are cumulative and come from the ingest thread, once per folded batch
@@ -37,7 +38,7 @@ the in-process run bit for bit.
 
 Lifecycle mirrors the collector's own ``drain()/close()`` contract:
 :meth:`drain` barriers until every admitted frame is folded (then
-drains the collector), :meth:`close` stops the listeners, drains what
+drains the collector), :meth:`close` stops the listener, drains what
 was admitted, and surfaces any ingest error that happened on the
 queue-consumer side -- never silently.
 """
@@ -97,10 +98,11 @@ class CollectorServer:
         Any object with the collector ingest surface
         (``ingest_batch``, ``drain``, ``close``, ``snapshot``, ``flow``,
         ``result``) -- serial or parallel.
-    host / udp_port / tcp_port / query_port:
+    host / udp_port / query_port:
         Bind addresses.  Port 0 binds an ephemeral port (read the
         resolved one back from :attr:`udp_port` etc. after
-        :meth:`start`); ``None`` disables that listener entirely.
+        :meth:`start`).  ``udp_port`` is the data port; a
+        ``query_port`` of ``None`` (the default) serves no queries.
     queue_frames:
         Admission queue bound, in frames.  Small on purpose: the queue
         is a shock absorber, not a second buffer tier -- sustained
@@ -138,8 +140,10 @@ class CollectorServer:
         self,
         collector,
         host: str = "127.0.0.1",
-        udp_port: Optional[int] = 0,
-        tcp_port: Optional[int] = 0,
+        udp_port: int = 0,
+        # Accepted only because bench/ (frozen) passes it; delete with
+        # those calls in the next benchmark PR.
+        tcp_port: None = None,
         query_port: Optional[int] = None,
         queue_frames: int = 256,
         reorder_limit: int = 4096,
@@ -147,8 +151,13 @@ class CollectorServer:
         metrics_port: Optional[int] = None,
         faults=None,
     ) -> None:
-        if udp_port is None and tcp_port is None:
-            raise ValueError("enable at least one of udp_port/tcp_port")
+        if tcp_port is not None:
+            raise ValueError(
+                f"tcp_port must be None, got {tcp_port!r}: UDP is the "
+                "only data transport"
+            )
+        if udp_port is None:
+            raise ValueError("udp_port must be a port number (0 = ephemeral)")
         if queue_frames < 1:
             raise ValueError("queue_frames must be >= 1")
         if reorder_limit < 1:
@@ -156,15 +165,15 @@ class CollectorServer:
         self.collector = collector
         self.host = host
         self.udp_port = udp_port
-        self.tcp_port = tcp_port
         self.query_port = query_port
         self.queue_frames = queue_frames
         self.reorder_limit = reorder_limit
         self.faults = faults
 
         self._queue: "queue.Queue" = queue.Queue(maxsize=queue_frames)
+        #: Sources are keyed by their UDP address.
         self._peers: Dict[Tuple, _Peer] = {}
-        #: Reassembly state: source key -> frames of the open batch.
+        #: Reassembly state: source -> frames of the open batch.
         self._pending: Dict[Tuple, List[wire.DataFrame]] = {}
         #: Ingest thread only: reliable source -> highest seq taken off
         #: the queue and not yet ACKed.
@@ -182,10 +191,7 @@ class CollectorServer:
         self._started = False
         self._closed = False
         self._udp_sock: Optional[socket.socket] = None
-        self._tcp_sock: Optional[socket.socket] = None
         self._threads: List[threading.Thread] = []
-        self._conn_threads: List[threading.Thread] = []
-        self._conns: List[socket.socket] = []
         self._query_server: Optional[QueryServer] = None
         self.metrics_port = metrics_port
         self._metrics_server: Optional[MetricsHTTPServer] = None
@@ -268,43 +274,30 @@ class CollectorServer:
             raise ServiceError("server is closed")
         if self._started:
             return self
-        if self.udp_port is not None:
-            self._udp_sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
-            self._udp_sock.setsockopt(
-                socket.SOL_SOCKET, socket.SO_RCVBUF, 1 << 21
-            )
-            self._udp_sock.bind((self.host, self.udp_port))
-            # close() wakes the listener with shutdown(); the receive
-            # timeout is only the fallback poll of _stopping.  It is
-            # the kernel's SO_RCVTIMEO, not settimeout(): a shut-down
-            # UDP socket polls readable while a non-blocking recvfrom
-            # still says EAGAIN, so settimeout()'s poll loop would spin
-            # until its tick instead of waking.
-            self._udp_sock.setsockopt(
-                socket.SOL_SOCKET, socket.SO_RCVTIMEO,
-                struct.pack("ll", 0, _POLL_US),
-            )
-            self.udp_port = self._udp_sock.getsockname()[1]
-            self._threads.append(threading.Thread(
-                target=self._udp_loop, name="service-udp", daemon=True,
-            ))
-        if self.tcp_port is not None:
-            self._tcp_sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-            self._tcp_sock.setsockopt(
-                socket.SOL_SOCKET, socket.SO_REUSEADDR, 1
-            )
-            self._tcp_sock.bind((self.host, self.tcp_port))
-            self._tcp_sock.settimeout(_POLL_US / 1e6)
-            self._tcp_sock.listen(16)
-            self.tcp_port = self._tcp_sock.getsockname()[1]
-            self._threads.append(threading.Thread(
-                target=self._accept_loop, name="service-tcp", daemon=True,
-            ))
-        # The ingest thread comes last: close() joins the listeners
+        self._udp_sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
+        self._udp_sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 1 << 21)
+        self._udp_sock.bind((self.host, self.udp_port))
+        # close() wakes the listener with shutdown(); the receive
+        # timeout is only the fallback poll of _stopping.  It is the
+        # kernel's SO_RCVTIMEO, not settimeout(): a shut-down UDP
+        # socket polls readable while a non-blocking recvfrom still
+        # says EAGAIN, so settimeout()'s poll loop would spin until its
+        # tick instead of waking.
+        self._udp_sock.setsockopt(
+            socket.SOL_SOCKET, socket.SO_RCVTIMEO,
+            struct.pack("ll", 0, _POLL_US),
+        )
+        self.udp_port = self._udp_sock.getsockname()[1]
+        # The ingest thread comes last: close() joins the listener
         # before it.
-        self._threads.append(threading.Thread(
-            target=self._ingest_loop, name="service-ingest", daemon=True,
-        ))
+        self._threads = [
+            threading.Thread(
+                target=self._udp_loop, name="service-udp", daemon=True,
+            ),
+            threading.Thread(
+                target=self._ingest_loop, name="service-ingest", daemon=True,
+            ),
+        ]
         if self.query_port is not None:
             self._query_server = QueryServer(
                 self.collector, self._lock,
@@ -385,10 +378,11 @@ class CollectorServer:
     def close(self, close_collector: bool = False, timeout: float = 30.0) -> None:
         """Graceful drain-then-close (idempotent).
 
-        Stops accepting new frames (sockets shut down, which wakes
-        the threads blocked on them), folds everything already
-        admitted, joins the threads, and re-raises any deferred ingest
-        failure -- nothing admitted is ever silently discarded.  The
+        Stops accepting new frames (the data socket is shut down,
+        which wakes the listener blocked on it), folds everything
+        already admitted, joins the threads, and re-raises any
+        deferred ingest failure -- nothing admitted is ever silently
+        discarded.  The
         wrapped collector is left open unless ``close_collector`` is
         set (the caller may still be scoring its flows).
         """
@@ -396,21 +390,12 @@ class CollectorServer:
             return
         self._closed = True
         self._stopping.set()
-        for sock in (self._udp_sock, self._tcp_sock):
-            if sock is not None:
-                close_waking(sock)
-        # Listener threads exit on their shut-down sockets.  They go
-        # first: the accept loop is what publishes connection threads,
-        # so once it has exited the list joined below is final.
-        *listeners, ingest = self._threads if self._started else [None]
-        for t in listeners:
-            t.join(timeout=timeout)
-        for conn in list(self._conns):
-            close_waking(conn)
-        for t in self._conn_threads:
-            t.join(timeout=5.0)
-        # The ingest thread drains the queue to the sentinel then exits.
-        if ingest is not None:
+        if self._started:
+            # The listener exits on its shut-down socket, then the
+            # ingest thread drains the queue to the sentinel and exits.
+            listener, ingest = self._threads
+            close_waking(self._udp_sock)
+            listener.join(timeout=timeout)
             try:
                 self._queue.put(_STOP, timeout=timeout)
             except queue.Full:  # pragma: no cover - ingest thread wedged
@@ -502,7 +487,7 @@ class CollectorServer:
     def __exit__(self, *exc) -> None:
         self.close()
 
-    # -- admission (shared by both listeners) ------------------------------
+    # -- admission ---------------------------------------------------------
 
     def _on_datagram(self, data: bytes, addr) -> None:
         """Decode and admit one UDP datagram (may carry several frames)."""
@@ -521,18 +506,17 @@ class CollectorServer:
             return
         for frame in frames:
             if isinstance(frame, wire.DataFrame):
-                self._admit(frame, ("udp", addr), addr)
+                self._admit(frame, addr)
 
-    def _admit(self, frame: wire.DataFrame, source: Tuple, addr) -> None:
-        """Run one decoded data frame through the admission policy."""
+    def _admit(self, frame: wire.DataFrame, addr) -> None:
+        """Run one decoded data frame from ``addr`` through the policy."""
         self._bump("frames_received")
-        if not frame.reliable or addr is None:
-            # Fire-and-forget (or TCP, which is ordered and reliable
-            # by transport): straight to the queue, drop when full.
-            if not self._enqueue(frame, source, block=addr is None):
+        if not frame.reliable:
+            # Fire-and-forget: straight to the queue, drop when full.
+            if not self._enqueue(frame, addr):
                 self._bump("dropped_queue_full")
             return
-        peer = self._peers.setdefault(source, _Peer())
+        peer = self._peers.setdefault(addr, _Peer())
         if frame.seq < peer.expected or frame.seq in peer.buffer:
             # Already admitted (or parked): the ACK was lost or the
             # retransmit raced it.  Never re-ingest.  An acknowledged
@@ -542,19 +526,19 @@ class CollectorServer:
             if frame.seq < peer.acked:
                 self._send_ack(addr, frame.seq)
             elif frame.seq >= peer.expected:
-                self._drain_peer(peer, source)
+                self._drain_peer(peer, addr)
             return
         if frame.seq - peer.expected > self.reorder_limit:
             self._bump("dropped_window")
             return
         peer.buffer[frame.seq] = frame
-        self._drain_peer(peer, source)
+        self._drain_peer(peer, addr)
 
-    def _drain_peer(self, peer: _Peer, source: Tuple) -> None:
+    def _drain_peer(self, peer: _Peer, addr) -> None:
         """Hand the peer's in-order prefix to the queue (unACKed)."""
         while peer.expected in peer.buffer:
             frame = peer.buffer[peer.expected]
-            if not self._enqueue(frame, source, block=False):
+            if not self._enqueue(frame, addr):
                 # Queue full: park (still buffered, still unacked) --
                 # the retransmit will re-offer it.  Counted as a
                 # backpressure event, not a loss.
@@ -563,41 +547,26 @@ class CollectorServer:
             del peer.buffer[peer.expected]
             peer.expected += 1
 
-    def _enqueue(self, frame: wire.DataFrame, source: Tuple,
-                 block: bool) -> bool:
-        """Hand one frame to the ingest queue.
+    def _enqueue(self, frame: wire.DataFrame, addr) -> bool:
+        """Hand one frame to the ingest queue; False when it is full.
 
-        TCP connections block (with a stop-aware timeout loop): not
-        reading the socket *is* the backpressure signal TCP was built
-        to carry.  UDP paths never block -- a full queue answers
-        immediately so the listener keeps the socket drained.
+        Never blocks: a full queue answers at once, so the listener
+        keeps the socket drained.
         """
-        item = (source, frame)
-        if not block:
-            try:
-                self._queue.put_nowait(item)
-                return True
-            except queue.Full:
-                return False
-        while not self._stopping.is_set():
-            try:
-                self._queue.put(item, timeout=0.05)
-                return True
-            except queue.Full:
-                continue
-        return False
+        try:
+            self._queue.put_nowait((addr, frame))
+            return True
+        except queue.Full:
+            return False
 
     def _send_ack(self, addr, seq: int) -> None:
-        sock = self._udp_sock
-        if sock is None:  # pragma: no cover - reliable implies UDP here
-            return
         try:
-            sock.sendto(wire.encode_ack(seq), addr)
+            self._udp_sock.sendto(wire.encode_ack(seq), addr)
             self._bump("acks_sent")
         except OSError:  # pragma: no cover - racing close()
             pass
 
-    # -- listener threads --------------------------------------------------
+    # -- listener thread ---------------------------------------------------
 
     def _udp_loop(self) -> None:
         sock = self._udp_sock
@@ -611,58 +580,6 @@ class CollectorServer:
             if addr is None:
                 break  # woken by close()'s shutdown: no datagram
             self._on_datagram(data, addr)
-
-    def _accept_loop(self) -> None:
-        sock = self._tcp_sock
-        while not self._stopping.is_set():
-            try:
-                conn, addr = sock.accept()
-            except socket.timeout:
-                continue
-            except OSError:
-                break
-            conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-            conn.settimeout(_POLL_US / 1e6)
-            self._conns.append(conn)
-            t = threading.Thread(
-                target=self._conn_loop, args=(conn, addr),
-                name="service-tcp-conn", daemon=True,
-            )
-            # Started before it is published: close() joins every
-            # thread on the list, and an unstarted one cannot be joined.
-            t.start()
-            self._conn_threads.append(t)
-
-    def _conn_loop(self, conn: socket.socket, addr) -> None:
-        """One TCP connection: stream-decode frames until EOF or poison."""
-        source = ("tcp", addr)
-        decoder = wire.StreamDecoder()
-        try:
-            while not self._stopping.is_set():
-                try:
-                    data = conn.recv(1 << 16)
-                except socket.timeout:
-                    continue
-                except OSError:
-                    break
-                if not data:
-                    break
-                try:
-                    frames = decoder.feed(data)
-                except wire.BadVersionError:
-                    self._bump("dropped_bad_version")
-                    break  # framing is lost; drop the connection
-                except wire.WireError:
-                    self._bump("dropped_bad_frame")
-                    break
-                for frame in frames:
-                    if isinstance(frame, wire.DataFrame):
-                        self._admit(frame, source, None)
-        finally:
-            try:
-                conn.close()
-            except OSError:  # pragma: no cover
-                pass
 
     # -- ingest thread -----------------------------------------------------
 
@@ -681,19 +598,19 @@ class CollectorServer:
             if item is _STOP:
                 self._queue.task_done()
                 break
-            source, frame = item
+            addr, frame = item
             if self.faults is not None:
                 # Injected ingest-thread stall: the queue keeps
                 # admitting (or backpressuring) while the fold lags.
                 delay = self.faults.stall_seconds()
                 if delay > 0.0:
                     time.sleep(delay)
-            if frame.reliable and source[0] == "udp":
-                self._unacked[source] = frame.seq
-            run = self._pending.setdefault(source, [])
+            if frame.reliable:
+                self._unacked[addr] = frame.seq
+            run = self._pending.setdefault(addr, [])
             run.append(frame)
             if not frame.more:  # the batch's terminating fragment
-                del self._pending[source]
+                del self._pending[addr]
                 self._ingest_run(run)
                 self._ack_taken()
             elif self._queue.empty():
@@ -702,9 +619,9 @@ class CollectorServer:
 
     def _ack_taken(self) -> None:
         """One cumulative ACK per source with frames taken but unACKed."""
-        for source, seq in self._unacked.items():
-            self._peers[source].acked = seq + 1
-            self._send_ack(source[1], seq)
+        for addr, seq in self._unacked.items():
+            self._peers[addr].acked = seq + 1
+            self._send_ack(addr, seq)
         self._unacked.clear()
 
     def _ingest_run(self, run: List[wire.DataFrame]) -> None:

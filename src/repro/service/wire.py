@@ -249,21 +249,17 @@ def _check_common(buf: bytes, offset: int) -> int:
     return ftype
 
 
-def _frame_length(buf: bytes, offset: int) -> Optional[int]:
-    """Total byte length of the frame at ``offset``, or None if the
-    header itself is still incomplete (stream decoding needs to tell
-    "wait for more bytes" apart from "reject").  Raises on anything
-    already provably invalid."""
-    avail = len(buf) - offset
-    if avail < _COMMON.size:
-        return None
+def _decode_at(buf: bytes, offset: int) -> Tuple[Frame, int]:
+    """Decode the frame at ``offset``; return it and the next offset."""
     ftype = _check_common(buf, offset)
     if ftype == FT_ACK:
-        return _ACK.size
-    if ftype == FT_DATA:
-        if avail < _DATA_HDR.size:
-            return None
-        _, _, _, _, count, flags, _ = _DATA_HDR.unpack_from(buf, offset)
+        length = _ACK.size
+    elif ftype != FT_DATA:
+        raise BadFrameError(f"unknown frame type {ftype}")
+    elif len(buf) - offset < _DATA_HDR.size:
+        length = _DATA_HDR.size  # the header itself is cut short
+    else:
+        _, _, _, seq, count, flags, now = _DATA_HDR.unpack_from(buf, offset)
         if count > MAX_FRAME_RECORDS:
             raise BadFrameError(
                 f"frame claims {count} records "
@@ -271,23 +267,15 @@ def _frame_length(buf: bytes, offset: int) -> Optional[int]:
             )
         if flags & ~_KNOWN_FLAGS:
             raise BadFrameError(f"unknown flag bits 0x{flags:02x}")
-        return _DATA_HDR.size + _COLS * _COL_BYTES * count
-    raise BadFrameError(f"unknown frame type {ftype}")
-
-
-def _decode_at(buf: bytes, offset: int) -> Tuple[Frame, int]:
-    """Decode the frame at ``offset``; return it and the next offset."""
-    length = _frame_length(buf, offset)
-    if length is None or len(buf) - offset < length:
+        length = _DATA_HDR.size + _COLS * _COL_BYTES * count
+    if len(buf) - offset < length:
         raise TruncatedFrameError(
             f"frame at offset {offset} is truncated "
             f"({len(buf) - offset} bytes available)"
         )
-    ftype = _COMMON.unpack_from(buf, offset)[2]
     if ftype == FT_ACK:
         seq = _ACK.unpack_from(buf, offset)[3]
         return AckFrame(seq=seq), offset + length
-    _, _, _, seq, count, flags, now = _DATA_HDR.unpack_from(buf, offset)
     base = offset + _DATA_HDR.size
     cols = [
         np.frombuffer(buf, dtype="<i8", count=count,
@@ -323,8 +311,7 @@ def decode_frames(data: bytes) -> List[Frame]:
     """Decode a buffer holding whole frames back-to-back.
 
     Every byte must be consumed: a partial frame at the tail raises
-    :class:`TruncatedFrameError` (stream receivers that legitimately
-    see partial tails use :class:`StreamDecoder` instead).
+    :class:`TruncatedFrameError`.
     """
     frames: List[Frame] = []
     offset = 0
@@ -334,57 +321,8 @@ def decode_frames(data: bytes) -> List[Frame]:
     return frames
 
 
-class StreamDecoder:
-    """Incremental frame decoder for byte streams (the TCP receive path).
-
-    Feed arbitrary chunks; complete frames come back as they close.  A
-    wire error poisons the stream permanently -- after losing framing
-    there is no way to resynchronise a length-prefixed stream, so the
-    caller must drop the connection (and count the drop).
-    """
-
-    def __init__(self) -> None:
-        self._buf = bytearray()
-        self._poisoned: Optional[WireError] = None
-
-    @property
-    def pending_bytes(self) -> int:
-        """Bytes buffered waiting for the rest of a frame."""
-        return len(self._buf)
-
-    def feed(self, data: bytes) -> List[Frame]:
-        """Append ``data``; return every frame completed by it."""
-        if self._poisoned is not None:
-            raise self._poisoned
-        self._buf.extend(data)
-        frames: List[Frame] = []
-        offset = 0
-        buf = bytes(self._buf)
-        while True:
-            try:
-                length = _frame_length(buf, offset)
-            except WireError as err:
-                self._poisoned = err
-                raise
-            if length is None or len(buf) - offset < length:
-                break
-            try:
-                frame, offset = _decode_at(buf, offset)
-            except WireError as err:  # pragma: no cover - length checked
-                self._poisoned = err
-                raise
-            frames.append(frame)
-        if offset:
-            del self._buf[:offset]
-        return frames
-
-
 def encoded_records(frames: Sequence[bytes]) -> int:
     """Total records across encoded data frames, read off their lengths."""
     width = _COLS * _COL_BYTES
     return sum((len(frame) - _DATA_HDR.size) // width for frame in frames)
 
-
-def frames_payload_records(frames: Sequence[Frame]) -> int:
-    """Total records across the data frames of ``frames``."""
-    return sum(f.count for f in frames if isinstance(f, DataFrame))

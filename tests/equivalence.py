@@ -95,7 +95,7 @@ AXES = {
     "batch": (8192, 64),
     "workers": (None, 2, 4),
     "ring": ("default", "tiny"),
-    "transport": ("inproc", "udp", "tcp"),
+    "transport": ("inproc", "udp"),
     "obs": (False, True),
     "fault": ("none", "kill", "wedge", "drop_checkpoint", "degrade"),
 }

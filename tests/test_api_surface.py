@@ -33,12 +33,22 @@ def test_replay_driver_constructor_knobs():
 
 def test_replay_path_options_nothing_sets_are_gone():
     from repro.replay import TraceDataplane
-    from repro.service import ReliableUDPSender, TCPSender
+    from repro.service import ReliableUDPSender
 
     assert "scheme_factory" not in params(TraceDataplane)
     assert not {"alpha", "beta"} & params(ReliableUDPSender)
     assert "rto_seed" in params(ReliableUDPSender)
-    assert "reconnect_max" not in params(TCPSender)
+
+
+def test_udp_is_the_one_wire_transport():
+    # Reliable UDP is the one reliable wire into the sink (DESIGN.md
+    # section 7): no stream sender, no stream decoder.
+    import repro.service as service
+    from repro.service import client, wire
+
+    assert not {"TCPSender", "StreamDecoder"} & set(dir(service))
+    assert not hasattr(client, "RECONNECT_MAX")
+    assert not hasattr(wire, "frames_payload_records")
 
 
 def test_parallel_collector_constructor_knobs():

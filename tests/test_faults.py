@@ -5,8 +5,8 @@ deterministic and logs what it fired; the server's frame faults are
 counted-and-dropped, never folded; reliable UDP stays exactly-once
 *through* injected frame corruption (retransmits cover the chaos);
 retry pacing is seeded jittered exponential backoff with a total-send
-deadline; the TCP sender redials a restarted server; and the serve CLI
-checkpoints on SIGTERM and resumes with ``--restore``.
+deadline; and the serve CLI checkpoints on SIGTERM and resumes with
+``--restore``.
 """
 
 import json
@@ -41,7 +41,6 @@ from repro.service import (
     DeliveryError,
     ReliableUDPSender,
     ServiceError,
-    TCPSender,
     UDPSender,
 )
 from repro.service.__main__ import main
@@ -176,7 +175,7 @@ class TestServerFrameFaults:
         plan = FaultPlan([corrupt_frame(2), drop_frame(3)])
         direct = make_collector()
         served = make_collector()
-        with CollectorServer(served, tcp_port=None, faults=plan) as srv:
+        with CollectorServer(served, faults=plan) as srv:
             tx = ReliableUDPSender("127.0.0.1", srv.udp_port,
                                    max_records=16, **FAST_RTO)
             cols = batch(200)
@@ -193,8 +192,7 @@ class TestServerFrameFaults:
 
     def test_stall_queue_delays_but_never_drops(self):
         plan = FaultPlan([stall_queue(1, 0.2)])
-        with CollectorServer(make_collector(), tcp_port=None,
-                             faults=plan) as srv:
+        with CollectorServer(make_collector(), faults=plan) as srv:
             with UDPSender("127.0.0.1", srv.udp_port) as tx:
                 tx.send_batch(*batch(50), now=1.0)
             srv.wait_for_records(50, timeout=10)
@@ -207,8 +205,8 @@ class TestServerFrameFaults:
         # while the ingest thread stalls.  RTOs during the stall are
         # expected; queue-full drops are not.
         plan = FaultPlan([stall_queue(1, 0.3)])
-        with CollectorServer(make_collector(), tcp_port=None,
-                             queue_frames=8, faults=plan) as srv:
+        with CollectorServer(make_collector(), queue_frames=8,
+                             faults=plan) as srv:
             tx = ReliableUDPSender("127.0.0.1", srv.udp_port, window=8,
                                    max_records=16)
             for i in range(8):
@@ -278,45 +276,28 @@ class TestScaledRto:
         tx.sock.close()
 
 
-# -- TCP reconnect ----------------------------------------------------------
+# -- reliable UDP: a sender reconnect ---------------------------------------
 
-class TestTCPReconnect:
-    def test_reconnects_across_server_restart(self):
-        srv1 = CollectorServer(make_collector(), udp_port=None).start()
-        port = srv1.tcp_port
-        tx = TCPSender("127.0.0.1", port, reconnect_base=0.01,
-                       reconnect_seed=0)
-        try:
-            tx.send_batch(*batch(100), now=1.0)
-            srv1.wait_for_records(100, timeout=10)
-            srv1.close(close_collector=True)
-            # Same port, fresh server: the sender must notice the dead
-            # connection and redial (at-least-once: the batch that
-            # straddles the restart is resent whole).
-            with CollectorServer(make_collector(), udp_port=None,
-                                 tcp_port=port) as srv2:
-                deadline = time.monotonic() + 15
-                while tx.reconnects == 0:
-                    assert time.monotonic() < deadline
-                    tx.send_batch(*batch(50, base=1000), now=2.0)
-                    time.sleep(0.05)
-                srv2.wait_for_records(50, timeout=10)
-                assert tx.reconnects >= 1
-                assert srv2.service_stats().records_ingested >= 50
-        finally:
-            tx.sock.close()
-
-    def test_reconnect_exhaustion_raises_delivery_error(self):
-        srv = CollectorServer(make_collector(), udp_port=None).start()
-        port = srv.tcp_port
-        tx = TCPSender("127.0.0.1", port, reconnect_attempts=2,
-                       reconnect_base=0.01, reconnect_seed=0)
-        srv.close(close_collector=True)
-        with pytest.raises(DeliveryError, match="could not reconnect"):
-            for _ in range(100):
-                tx.send_batch(*batch(50), now=1.0)
-                time.sleep(0.02)
-        tx.sock.close()
+class TestReliableUDPReconnect:
+    def test_new_sender_after_close_delivers_exactly_once(self):
+        # A reconnecting sender is a new socket, so a new source
+        # address with a fresh seq space: nothing it sends is taken
+        # for a duplicate of the old sender's frames, nor folded twice.
+        with CollectorServer(make_collector()) as srv:
+            with ReliableUDPSender("127.0.0.1", srv.udp_port,
+                                   max_records=16, **FAST_RTO) as tx:
+                tx.send_batch(*batch(100), now=1.0)
+            srv.wait_for_records(100, timeout=10)
+            with ReliableUDPSender("127.0.0.1", srv.udp_port,
+                                   max_records=16, **FAST_RTO) as tx:
+                tx.send_batch(*batch(50, base=1000), now=2.0)
+            srv.wait_for_records(150, timeout=10)
+            srv.drain()
+            stats = srv.service_stats()
+            assert stats.records_ingested == 150
+            assert stats.batches_ingested == 2
+            assert stats.duplicate_frames == 0
+            assert len(srv._peers) == 2
 
 
 # -- server checkpoint/restore ----------------------------------------------
@@ -325,13 +306,13 @@ class TestServerCheckpoint:
     def test_save_then_restore_reproduces_state(self, tmp_path):
         path = str(tmp_path / "srv.ckpt")
         original = make_collector()
-        with CollectorServer(original, tcp_port=None) as srv:
+        with CollectorServer(original) as srv:
             with UDPSender("127.0.0.1", srv.udp_port) as tx:
                 tx.send_batch(*batch(120), now=1.0)
             srv.wait_for_records(120, timeout=10)
             srv.save_checkpoint(path)
         restored = make_collector()
-        srv2 = CollectorServer(restored, tcp_port=None)
+        srv2 = CollectorServer(restored)
         srv2.restore_checkpoint(path)
         assert restored.snapshot().as_dict() == original.snapshot().as_dict()
         for fid in range(17):
@@ -345,7 +326,7 @@ class TestServerCheckpoint:
                                   seed=0),
             workers=2, num_shards=4,
         )
-        srv = CollectorServer(par, tcp_port=None)
+        srv = CollectorServer(par)
         with pytest.raises(ServiceError, match="checkpoint"):
             srv.save_checkpoint(str(tmp_path / "x.ckpt"))
         with pytest.raises(ServiceError, match="restore"):
@@ -353,7 +334,7 @@ class TestServerCheckpoint:
         par.close()
 
     def test_restore_missing_file_raises_file_not_found(self, tmp_path):
-        srv = CollectorServer(make_collector(), tcp_port=None)
+        srv = CollectorServer(make_collector())
         with pytest.raises(FileNotFoundError):
             srv.restore_checkpoint(str(tmp_path / "absent.ckpt"))
 

@@ -48,8 +48,6 @@ from repro.service import (
     QueryServer,
     ReliableUDPSender,
     ServiceError,
-    StreamDecoder,
-    TCPSender,
     TruncatedFrameError,
     UDPSender,
     WireError,
@@ -63,6 +61,7 @@ from repro.service import (
 from repro.service import wire
 from repro.service.client import _InFlight
 from repro.service.query import jsonable
+from repro.service import __main__ as service_main
 from repro.service.__main__ import build_parser, main
 
 UNIVERSE = list(range(1, 33))
@@ -173,7 +172,7 @@ class TestWireRoundTrip:
                                      max_records=2)) + encode_ack(3)
         frames = decode_frames(buf)
         assert len(frames) == 4
-        assert wire.frames_payload_records(frames) == 6
+        assert sum(f.count for f in frames[:-1]) == 6
         assert isinstance(frames[-1], AckFrame)
 
     def test_oversized_single_frame_rejected(self):
@@ -219,6 +218,14 @@ class TestWireMalformed:
         with pytest.raises(TruncatedFrameError):
             decode_frame(b"PI")
 
+    def test_truncated_data_header(self):
+        # A header cut short is truncation, not a frame of zero records.
+        frame = encode_frame([1], [2], [3], [4], 0.0, 0)
+        with pytest.raises(TruncatedFrameError):
+            decode_frame(frame[:10])
+        with pytest.raises(TruncatedFrameError):
+            decode_frames(encode_ack(0) + frame[:10])
+
     def test_truncated_columns(self):
         frame = encode_frame([1], [2], [3], [4], 0.0, 0)
         with pytest.raises(TruncatedFrameError):
@@ -262,26 +269,6 @@ class TestWireMalformed:
             assert issubclass(exc, WireError)
         assert issubclass(WireError, ReproError)
 
-    def test_stream_decoder_reassembles_byte_by_byte(self):
-        fids, pids, hops, digs = batch(5)
-        data = b"".join(encode_frames(fids, pids, hops, digs, 1.0,
-                                      max_records=2)) + encode_ack(7)
-        dec = StreamDecoder()
-        frames = []
-        for i in range(len(data)):
-            frames.extend(dec.feed(data[i:i + 1]))
-        assert wire.frames_payload_records(frames) == 5
-        assert isinstance(frames[-1], AckFrame)
-        assert dec.pending_bytes == 0
-
-    def test_stream_decoder_poisons_permanently(self):
-        dec = StreamDecoder()
-        with pytest.raises(BadMagicError):
-            dec.feed(b"garbage bytes here")
-        # Even good bytes are refused after framing is lost.
-        with pytest.raises(BadMagicError):
-            dec.feed(encode_ack(0))
-
 
 # -- server: admission policy (no sockets) ----------------------------------
 
@@ -302,7 +289,7 @@ class TestAdmissionPolicy:
         srv = self.make_server(queue_frames=2)
         addr = ("127.0.0.1", 9)
         for seq in range(3):
-            srv._admit(data_frame(seq), ("udp", addr), addr)
+            srv._admit(data_frame(seq), addr)
         stats = srv.service_stats()
         assert stats.frames_received == 3
         assert stats.dropped_queue_full == 1
@@ -325,8 +312,8 @@ class TestAdmissionPolicy:
     def test_reliable_duplicate_not_requeued(self):
         srv = self.make_server(queue_frames=8)
         addr = ("127.0.0.1", 9)
-        srv._admit(data_frame(0, reliable=True), ("udp", addr), addr)
-        srv._admit(data_frame(0, reliable=True), ("udp", addr), addr)
+        srv._admit(data_frame(0, reliable=True), addr)
+        srv._admit(data_frame(0, reliable=True), addr)
         stats = srv.service_stats()
         assert stats.duplicate_frames == 1
         assert srv._queue.qsize() == 1
@@ -335,33 +322,65 @@ class TestAdmissionPolicy:
         srv = self.make_server(queue_frames=8)
         addr = ("127.0.0.1", 9)
         for seq in (2, 0, 1):
-            srv._admit(data_frame(seq, reliable=True), ("udp", addr), addr)
+            srv._admit(data_frame(seq, reliable=True), addr)
         seqs = [srv._queue.get_nowait()[1].seq for _ in range(3)]
         assert seqs == [0, 1, 2]
 
     def test_reliable_window_overflow_refused(self):
         srv = self.make_server(queue_frames=8, reorder_limit=4)
         addr = ("127.0.0.1", 9)
-        srv._admit(data_frame(100, reliable=True), ("udp", addr), addr)
+        srv._admit(data_frame(100, reliable=True), addr)
         assert srv.service_stats().dropped_window == 1
         assert srv._queue.qsize() == 0
 
     def test_reliable_queue_full_parks_unacked(self):
         srv = self.make_server(queue_frames=1)
         addr = ("127.0.0.1", 9)
-        srv._admit(data_frame(0, reliable=True), ("udp", addr), addr)
-        srv._admit(data_frame(1, reliable=True), ("udp", addr), addr)
+        srv._admit(data_frame(0, reliable=True), addr)
+        srv._admit(data_frame(1, reliable=True), addr)
         stats = srv.service_stats()
         # Frame 1 is parked in the reorder buffer, not lost: the
         # sender's retransmit will re-offer it.
         assert stats.dropped_queue_full == 1
-        assert 1 in srv._peers[("udp", addr)].buffer
+        assert 1 in srv._peers[addr].buffer
+
+    def test_reliable_peers_keyed_by_address(self):
+        # Each UDP source address owns its own seq space: seq 0 from a
+        # second address is a new frame, not a duplicate.
+        srv = self.make_server(queue_frames=4)
+        a, b = ("127.0.0.1", 9), ("127.0.0.1", 10)
+        srv._admit(data_frame(0, reliable=True), a)
+        srv._admit(data_frame(0, reliable=True), b)
+        assert srv._queue.qsize() == 2
+        assert set(srv._peers) == {a, b}
+        assert srv.service_stats().duplicate_frames == 0
+
+    def test_fire_and_forget_keeps_no_peer_state(self):
+        # No seq tracking without FLAG_RELIABLE: a repeated seq is
+        # queued again and no per-peer state is kept.
+        srv = self.make_server(queue_frames=4)
+        addr = ("127.0.0.1", 9)
+        srv._admit(data_frame(0), addr)
+        srv._admit(data_frame(0), addr)
+        assert srv._queue.qsize() == 2
+        assert srv._peers == {}
+        assert srv.service_stats().duplicate_frames == 0
 
     def test_invalid_config_rejected(self):
         with pytest.raises(ValueError):
-            CollectorServer(make_collector(), udp_port=None, tcp_port=None)
+            CollectorServer(make_collector(), udp_port=None)
         with pytest.raises(ValueError):
             CollectorServer(make_collector(), queue_frames=0)
+
+    def test_tcp_port_takes_only_none(self):
+        # The keyword the frozen bench/ passes: None still starts a
+        # server, and a port number is refused -- UDP is the only
+        # data transport.
+        with pytest.raises(ValueError, match="tcp_port"):
+            CollectorServer(make_collector(), tcp_port=0)
+        srv = CollectorServer(make_collector(), tcp_port=None).start()
+        assert srv.udp_port > 0
+        srv.close()
 
 
 # -- server + senders over loopback ----------------------------------------
@@ -370,7 +389,7 @@ class TestLoopbackService:
     def test_udp_ingest_matches_in_process(self):
         direct = make_collector()
         served = make_collector()
-        with CollectorServer(served, tcp_port=None) as srv:
+        with CollectorServer(served) as srv:
             tx = ReliableUDPSender("127.0.0.1", srv.udp_port, max_records=64)
             for i in range(4):
                 cols = batch(150, base=i * 1000)
@@ -386,23 +405,9 @@ class TestLoopbackService:
                 if d is not None:
                     assert d.result() == s.result()
 
-    def test_tcp_ingest_matches_in_process(self):
-        direct = make_collector()
-        served = make_collector()
-        with CollectorServer(served, udp_port=None) as srv:
-            tx = TCPSender("127.0.0.1", srv.tcp_port)
-            for i in range(3):
-                cols = batch(200, base=i * 1000)
-                direct.ingest_batch(*cols, now=float(i))
-                tx.send_batch(*cols, now=float(i))
-            tx.close()
-            srv.wait_for_records(600, timeout=10)
-            srv.drain()
-            assert served.snapshot().as_dict() == direct.snapshot().as_dict()
-
     def test_reliable_delivers_all_under_10pct_loss(self):
         rng = np.random.default_rng(7)
-        with CollectorServer(make_collector(), tcp_port=None) as srv:
+        with CollectorServer(make_collector()) as srv:
             tx = ReliableUDPSender(
                 "127.0.0.1", srv.udp_port, max_records=16,
                 drop_fn=lambda seq, attempt: bool(rng.random() < 0.10),
@@ -424,7 +429,7 @@ class TestLoopbackService:
         rng = np.random.default_rng(3)
         direct = make_collector()
         served = make_collector()
-        with CollectorServer(served, tcp_port=None) as srv:
+        with CollectorServer(served) as srv:
             tx = ReliableUDPSender(
                 "127.0.0.1", srv.udp_port, max_records=8,
                 drop_fn=lambda seq, attempt: bool(rng.random() < 0.35),
@@ -448,7 +453,7 @@ class TestLoopbackService:
         # runs dry -- or the two wait on each other until send_timeout.
         direct = make_collector()
         served = make_collector()
-        with CollectorServer(served, tcp_port=None) as srv:
+        with CollectorServer(served) as srv:
             tx = ReliableUDPSender(
                 "127.0.0.1", srv.udp_port, max_records=8, window=4,
                 send_timeout=5.0,
@@ -465,8 +470,32 @@ class TestLoopbackService:
             assert served.snapshot().as_dict() == direct.snapshot().as_dict()
             tx.close()
 
+    def test_two_reliable_senders_interleaved(self):
+        # Two sources, each with its own seq space starting at 0,
+        # interleaved batch by batch: every record lands exactly once.
+        direct = make_collector()
+        served = make_collector()
+        with CollectorServer(served) as srv:
+            txs = [ReliableUDPSender("127.0.0.1", srv.udp_port,
+                                     max_records=32, **FAST_RTO)
+                   for _ in range(2)]
+            for i in range(3):
+                for k, tx in enumerate(txs):
+                    cols = batch(100, base=(2 * i + k) * 1000)
+                    direct.ingest_batch(*cols, now=float(i))
+                    tx.send_batch(*cols, now=float(i))
+                    tx.flush()
+            for tx in txs:
+                tx.close()
+            srv.wait_for_records(600, timeout=10)
+            srv.drain()
+            stats = srv.service_stats()
+            assert stats.records_ingested == 600
+            assert stats.duplicate_frames == 0
+            assert served.snapshot().as_dict() == direct.snapshot().as_dict()
+
     def test_unreachable_sink_raises_delivery_error(self):
-        with CollectorServer(make_collector(), tcp_port=None) as srv:
+        with CollectorServer(make_collector()) as srv:
             tx = ReliableUDPSender(
                 "127.0.0.1", srv.udp_port, max_records=8, max_retries=3,
                 drop_fn=lambda seq, attempt: True, **FAST_RTO,
@@ -477,14 +506,14 @@ class TestLoopbackService:
             tx.sock.close()
 
     def test_fire_and_forget_udp_smoke(self):
-        with CollectorServer(make_collector(), tcp_port=None) as srv:
+        with CollectorServer(make_collector()) as srv:
             with UDPSender("127.0.0.1", srv.udp_port) as tx:
                 tx.send_batch(*batch(50), now=1.0)
             srv.wait_for_records(50, timeout=10)
             assert srv.service_stats().acks_sent == 0
 
     def test_bad_datagram_counted_not_fatal(self):
-        with CollectorServer(make_collector(), tcp_port=None) as srv:
+        with CollectorServer(make_collector()) as srv:
             probe = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
             probe.sendto(b"\xff" * 40, ("127.0.0.1", srv.udp_port))
             probe.close()
@@ -493,23 +522,8 @@ class TestLoopbackService:
             srv.wait_for_records(10, timeout=10)
             assert srv.service_stats().dropped_bad_frame == 1
 
-    def test_poisoned_tcp_stream_drops_connection_only(self):
-        with CollectorServer(make_collector(), udp_port=None) as srv:
-            bad = socket.create_connection(("127.0.0.1", srv.tcp_port))
-            bad.sendall(b"\xff" * 64)
-            bad.close()
-            deadline = time.monotonic() + 10
-            while (srv.service_stats().dropped_bad_frame == 0
-                   and time.monotonic() < deadline):
-                time.sleep(0.01)
-            assert srv.service_stats().dropped_bad_frame == 1
-            # A fresh connection still works.
-            with TCPSender("127.0.0.1", srv.tcp_port) as tx:
-                tx.send_batch(*batch(20), now=1.0)
-            srv.wait_for_records(20, timeout=10)
-
     def test_snapshot_carries_service_stats(self):
-        with CollectorServer(make_collector(), tcp_port=None) as srv:
+        with CollectorServer(make_collector()) as srv:
             with UDPSender("127.0.0.1", srv.udp_port) as tx:
                 tx.send_batch(*batch(30), now=1.0)
             srv.wait_for_records(30, timeout=10)
@@ -522,7 +536,7 @@ class TestLoopbackService:
             assert srv.collector.snapshot().as_dict()["service"] is None
 
     def test_wait_for_records_times_out_with_shortfall(self):
-        with CollectorServer(make_collector(), tcp_port=None) as srv:
+        with CollectorServer(make_collector()) as srv:
             with pytest.raises(ServiceError, match="only 0 arrived"):
                 srv.wait_for_records(10, timeout=0.1)
 
@@ -531,7 +545,7 @@ class TestLoopbackService:
         ingested: the wait must say why, not sleep out its timeout."""
         from repro.exceptions import WorkerFailedError
 
-        srv = CollectorServer(make_collector(), tcp_port=None).start()
+        srv = CollectorServer(make_collector()).start()
         tx = ReliableUDPSender("127.0.0.1", srv.udp_port, **FAST_RTO)
         fids, pids, hops, digs = batch(8)
         tx.send_batch(fids, pids, np.full(8, 300), digs, now=1.0)
@@ -547,7 +561,7 @@ class TestLoopbackService:
         srv.close()
 
     def test_post_close_use_raises(self):
-        srv = CollectorServer(make_collector(), tcp_port=None).start()
+        srv = CollectorServer(make_collector()).start()
         srv.close()
         srv.close()  # idempotent
         with pytest.raises(ServiceError):
@@ -563,27 +577,26 @@ class TestLoopbackService:
             tx = make_sender("udp-unreliable", "127.0.0.1", srv.udp_port)
             assert isinstance(tx, UDPSender)
             tx.close()
-            tx = make_sender("tcp", "127.0.0.1", srv.tcp_port)
-            assert isinstance(tx, TCPSender)
-            tx.close()
-        with pytest.raises(ValueError):
-            make_sender("carrier-pigeon", "127.0.0.1", 1)
+        for transport in ("tcp", "carrier-pigeon"):
+            with pytest.raises(ValueError):
+                make_sender(transport, "127.0.0.1", 1)
 
     def test_close_while_a_connection_thread_is_starting(self, monkeypatch):
-        # close() racing the accept loop: a connection thread must not
-        # be joinable-but-unstarted when close() walks the list.
+        # close() racing the query port's accept loop: a connection
+        # thread must not be joinable-but-unstarted when close() walks
+        # the list.
         paused, release = threading.Event(), threading.Event()
         start = threading.Thread.start
 
         def slow_start(thread):
-            if thread.name == "service-tcp-conn":
+            if thread.name == "service-query-conn":
                 paused.set()
                 release.wait(timeout=10.0)
             start(thread)
 
         monkeypatch.setattr(threading.Thread, "start", slow_start)
-        srv = CollectorServer(make_collector(), udp_port=None).start()
-        client = socket.create_connection(("127.0.0.1", srv.tcp_port))
+        srv = CollectorServer(make_collector(), query_port=0).start()
+        client = socket.create_connection(("127.0.0.1", srv.query_port))
         try:
             assert paused.wait(timeout=10.0)
             errors = []
@@ -741,8 +754,7 @@ class TestQueryServer:
             qs.close()
 
     def test_server_attached_query_port(self):
-        with CollectorServer(make_collector(), tcp_port=None,
-                             query_port=0) as srv:
+        with CollectorServer(make_collector(), query_port=0) as srv:
             with UDPSender("127.0.0.1", srv.udp_port) as tx:
                 tx.send_batch(*batch(30), now=1.0)
             srv.wait_for_records(30, timeout=10)
@@ -786,7 +798,7 @@ class TestPromptClose:
 
     def make_server(self):
         return CollectorServer(
-            make_collector(), udp_port=0, tcp_port=0, query_port=0,
+            make_collector(), udp_port=0, query_port=0,
         ).start()
 
     def timed_close(self, srv):
@@ -809,20 +821,41 @@ class TestPromptClose:
 
 class TestDriverTransport:
     def test_invalid_transport_rejected(self):
-        with pytest.raises(ValueError):
-            ReplayDriver(transport="smoke-signals")
+        for transport in ("tcp", "smoke-signals"):
+            with pytest.raises(ValueError):
+                ReplayDriver(transport=transport)
 
 
 # -- CLI --------------------------------------------------------------------
 
 class TestCLI:
-    def test_parser_defaults(self):
+    def test_parser_defaults(self, monkeypatch):
         args = build_parser().parse_args(["serve"])
         assert args.scenario == "hadoop" and args.udp_port == 0
-        args = build_parser().parse_args(
-            ["send", "--port", "9", "--transport", "tcp"]
-        )
-        assert args.transport == "tcp" and args.fn.__name__ == "cmd_send"
+        args = build_parser().parse_args(["send", "--port", "9"])
+        assert args.transport == "udp" and args.fn.__name__ == "cmd_send"
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(
+                ["send", "--port", "9", "--transport", "tcp"]
+            )
+        # A send from default args leaves the frame size to the sender,
+        # whose default fills a datagram.
+        built = []
+
+        def spy(*args, **kwargs):
+            built.append(make_sender(*args, **kwargs))
+            return built[-1]
+
+        monkeypatch.setattr(service_main, "make_sender", spy)
+        with CollectorServer(make_collector()) as srv:
+            assert main(["send", "--port", str(srv.udp_port),
+                         "--packets", "200"]) == 0
+        assert built[0].max_records == wire.MAX_UDP_RECORDS
+
+    def test_serve_rejects_tcp_port(self):
+        # UDP is the only data listener; the option is gone.
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["serve", "--tcp-port", "0"])
 
     def test_send_requires_port(self):
         with pytest.raises(SystemExit):
@@ -883,8 +916,7 @@ class TestObsService:
         from repro.obs import MetricsRegistry
         obs = MetricsRegistry()
         coll = make_collector(obs=obs)
-        with CollectorServer(coll, tcp_port=None, query_port=0,
-                             obs=obs) as srv:
+        with CollectorServer(coll, query_port=0, obs=obs) as srv:
             with UDPSender("127.0.0.1", srv.udp_port) as tx:
                 tx.send_batch(*batch(30), now=1.0)
             srv.wait_for_records(30, timeout=10)
@@ -904,8 +936,7 @@ class TestObsService:
         assert fams["pint_service_fold_records"]["samples"][0]["count"] == 1
 
     def test_metrics_verb_without_obs_is_error_envelope(self):
-        with CollectorServer(make_collector(), tcp_port=None,
-                             query_port=0) as srv:
+        with CollectorServer(make_collector(), query_port=0) as srv:
             with QueryClient("127.0.0.1", srv.query_port) as client:
                 with pytest.raises(QueryError, match="no metrics"):
                     client.metrics()
@@ -915,8 +946,7 @@ class TestObsService:
         from repro.obs import MetricsRegistry
         obs = MetricsRegistry()
         coll = make_collector(obs=obs)
-        with CollectorServer(coll, tcp_port=None, obs=obs,
-                             metrics_port=0) as srv:
+        with CollectorServer(coll, obs=obs, metrics_port=0) as srv:
             assert srv.metrics_port
             with UDPSender("127.0.0.1", srv.udp_port) as tx:
                 tx.send_batch(*batch(20), now=1.0)
@@ -933,7 +963,7 @@ class TestObsService:
         from repro.obs import MetricsRegistry
         rng = np.random.default_rng(5)
         obs = MetricsRegistry()
-        with CollectorServer(make_collector(), tcp_port=None) as srv:
+        with CollectorServer(make_collector()) as srv:
             tx = ReliableUDPSender(
                 "127.0.0.1", srv.udp_port, max_records=16,
                 drop_fn=lambda seq, attempt: bool(rng.random() < 0.25),
@@ -1056,7 +1086,7 @@ class TestHopCountOverTheWire:
         from repro.exceptions import WorkerFailedError
 
         served = make_collector()
-        with CollectorServer(served, tcp_port=None) as srv:
+        with CollectorServer(served) as srv:
             fids, pids, hops, digs = batch(12)
             hops = hops.copy()
             hops[5] = 3_000_000  # one datagram must not wedge the sink
