@@ -61,10 +61,9 @@ def main() -> None:
               f"{r.path_coverage_mean * 100:8.1f}%")
 
     print("\n== partial decode under heavy loss ==")
-    # The lossy variant scenarios ("<name>-lossy" / "-reordered" /
-    # "-bursty") bake impairment into the trace itself; here we keep
-    # the clean trace and push loss through the driver instead, then
-    # inspect one flow's partial answer via the collector consumer API.
+    # Keep the clean trace, push loss through a delivery schedule,
+    # then inspect one flow's partial answer via the collector
+    # consumer API.
     from repro.collector import Collector, path_consumer_factory
     from repro.replay import TraceDataplane, plan_delivery
     import numpy as np

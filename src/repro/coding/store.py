@@ -48,16 +48,9 @@ from repro.coding.encoder import HASH, unpack_reps_array
 from repro.coding.peel import CONFLICT_REASONS, TABLE_BLOCK, FixpointPeel
 from repro.exceptions import RestoreError
 
-#: Why a topology-aware context's converging flows take the scalar
-#: route (beside :data:`repro.coding.peel.CONFLICT_REASONS`): every
-#: settle also narrows the neighbouring hops through the adjacency
-#: map, which the fixpoint pass does not model.  Such a context's
-#: flows are plain decoder objects, never rows.
-ADJACENCY = "adjacency"
-
 #: Every ``reason`` label of a sink's
 #: ``pint_collector_decode_fallback_flows_total``.
-FALLBACK_REASONS = (*CONFLICT_REASONS.values(), ADJACENCY)
+FALLBACK_REASONS = tuple(CONFLICT_REASONS.values())
 
 #: What snapshots charge per flow beside its decoding state:
 #: ``sys.getsizeof`` of a slot-less CPython object, which is what a path

@@ -58,7 +58,6 @@ from repro.coding import (
     unpack_reps_array,
 )
 from repro.coding.store import (
-    ADJACENCY,
     OBJECT_BYTES,
     PathStateStore,
     RowStore,
@@ -192,13 +191,12 @@ class PathDigestConsumer(DigestConsumer):
         seed: int = 0,
         scheme: Optional[CodingScheme] = None,
         d: Optional[int] = None,
-        adjacency=None,
         mode: str = "hash",
         value_bits: Optional[int] = None,
     ) -> None:
         self._bind(path_query_context(
-            universe, digest_bits, num_hashes, seed, scheme, d, adjacency,
-            mode, value_bits,
+            universe, digest_bits, num_hashes, seed, scheme, d, mode,
+            value_bits,
         ))
 
     @classmethod
@@ -254,14 +252,13 @@ class PathDigestConsumer(DigestConsumer):
         store, folds the slice there as a sink would
         (:func:`consume_groups`) and takes the result back; fragment
         digests go to the decoder's own per-fragment scatter.  Slices
-        too small to amortise the array passes -- and a topology-aware
-        context's converging flow, which they do not model -- take the
-        scalar reference loop; the paths produce the same state, so
-        the cutoff is purely a speed knob.
+        too small to amortise the array passes take the scalar
+        reference loop; the paths produce the same state, so the
+        cutoff is purely a speed knob.
         """
         n = len(pids)
         context = self.context
-        if n <= 4 or (context.adjacency is not None and not self.is_complete):
+        if n <= 4:
             super().consume_batch(pids, hop_counts, digests)
         elif context.mode == FRAGMENT:
             self._ensure_decoder(int(hop_counts[0])).observe_batch(
@@ -549,7 +546,6 @@ def path_query_context(
     seed: int = 0,
     scheme: Optional[CodingScheme] = None,
     d: Optional[int] = None,
-    adjacency=None,
     mode: str = "hash",
     value_bits: Optional[int] = None,
 ) -> PathQueryContext:
@@ -582,7 +578,7 @@ def path_query_context(
         scheme = multilayer_scheme(d)
     return PathQueryContext(
         universe, digest_bits, num_hashes, seed, scheme, value_bits,
-        adjacency, mode,
+        mode=mode,
     )
 
 
@@ -901,11 +897,11 @@ def path_consumer_factory(universe: Sequence[int], **kwargs) -> ConsumerFactory:
     sink, not once per flow.  Raw and hash digests get a
     :class:`StoreFactory` (flows are :class:`PathFlowHandle` rows of
     one :class:`~repro.coding.store.PathStateStore`); fragment digests
-    (several sub-decoders per flow) and topology-aware contexts
-    (scalar by design) get one :class:`PathDigestConsumer` per flow.
+    (several sub-decoders per flow) get one :class:`PathDigestConsumer`
+    per flow.
     """
     context = path_query_context(universe, **kwargs)
-    if context.mode == FRAGMENT or context.adjacency is not None:
+    if context.mode == FRAGMENT:
         return lambda flow_id: PathDigestConsumer.from_context(context)
     return StoreFactory(lambda: PathStateStore(context), PathFlowHandle)
 
@@ -968,9 +964,7 @@ def consume_groups(groups, pids, hop_counts, digests, fallbacks=None) -> None:
     ``groups`` holds ``(consumer, lo, hi)``: rows ``[lo, hi)`` of the
     (flow-grouped) columns belong to ``consumer``.  Handles are
     bucketed by store and each store folds all its groups at once
-    (:func:`fold_rows`); object consumers fold their own slice -- a
-    topology-aware context's converging flow counted on ``fallbacks``
-    like every other flow decoded by the scalar route.
+    (:func:`fold_rows`); object consumers fold their own slice.
     """
     by_store: dict = {}
     for consumer, lo, hi in groups:
@@ -978,12 +972,6 @@ def consume_groups(groups, pids, hop_counts, digests, fallbacks=None) -> None:
         if store is not None:
             by_store.setdefault(store, []).append((consumer.row, lo, hi - lo))
             continue
-        context = consumer.context
-        if (
-            fallbacks is not None and context is not None
-            and context.adjacency is not None and not consumer.is_complete
-        ):
-            fallbacks[ADJACENCY].inc()
         consumer.consume_batch(pids[lo:hi], hop_counts[lo:hi], digests[lo:hi])
     for store, members in by_store.items():
         rows, starts, sizes = np.asarray(members, dtype=np.int64).T

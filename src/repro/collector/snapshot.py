@@ -9,7 +9,7 @@ are plain frozen dataclasses -- cheap to take, trivially serialisable
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, replace
 from typing import Dict, Iterable, List, Optional
 
 from repro.obs.metrics import merge_metrics
@@ -79,34 +79,6 @@ class ServiceStats:
     #: too far ahead of a stalled stream); unacked, so retransmitted.
     dropped_window: int = 0
 
-    @classmethod
-    def merged(
-        cls, parts: Iterable[Optional["ServiceStats"]]
-    ) -> Optional["ServiceStats"]:
-        """Field-wise sum over the non-``None`` parts (all counters).
-
-        ``None`` parts contribute nothing -- a sink that never stood
-        behind a front door has no wire counters, not zero wire
-        counters -- and an all-``None`` merge stays ``None`` so merged
-        and bare snapshots remain ``==``-comparable.
-        """
-        present = [p for p in parts if p is not None]
-        if not present:
-            return None
-        totals = {
-            f.name: sum(getattr(p, f.name) for p in present)
-            for f in fields(cls)
-        }
-        return cls(**totals)
-
-    @property
-    def dropped_total(self) -> int:
-        """All admission rejections, every reason summed."""
-        return (
-            self.dropped_queue_full + self.dropped_bad_version
-            + self.dropped_bad_frame + self.dropped_window
-        )
-
 
 @dataclass(frozen=True)
 class RecoveryStats:
@@ -135,22 +107,6 @@ class RecoveryStats:
     #: (filled from the merged shard stats at snapshot time).
     degraded_shards: int = 0
     records_lost: int = 0
-
-    @classmethod
-    def merged(
-        cls, parts: Iterable[Optional["RecoveryStats"]]
-    ) -> Optional["RecoveryStats"]:
-        """Field-wise sum over non-``None`` parts (all counters);
-        an all-``None`` merge stays ``None`` -- the
-        :meth:`ServiceStats.merged` contract."""
-        present = [p for p in parts if p is not None]
-        if not present:
-            return None
-        totals = {
-            f.name: sum(getattr(p, f.name) for p in present)
-            for f in fields(cls)
-        }
-        return cls(**totals)
 
 
 @dataclass(frozen=True)
@@ -272,13 +228,13 @@ class Snapshot:
         front-door clock only by in-flight batches; pass the front
         door's own clock for an exact stamp).
 
-        Heterogeneous sidecars merge too: per-part ``service``
-        counters sum field-wise and per-part ``metrics`` registries
-        fold via :func:`~repro.obs.metrics.merge_metrics` -- parts
-        carrying ``None`` (an idle or uninstrumented worker) simply
-        contribute nothing, and when *every* part carries ``None`` the
-        merged field stays ``None``, keeping merged snapshots
-        ``==``-comparable with bare ones.
+        Per-part ``metrics`` registries fold via
+        :func:`~repro.obs.metrics.merge_metrics` -- parts carrying
+        ``None`` (an uninstrumented worker) contribute nothing, and
+        when *every* part carries ``None`` the merged field stays
+        ``None``.  Worker snapshots carry no ``service`` or
+        ``recovery`` part: the front door and the supervisor attach
+        those to the merged whole.
         """
         parts = list(parts)
         shards = [s for p in parts for s in p.shards]
@@ -293,9 +249,7 @@ class Snapshot:
         return cls(
             taken_at=taken_at,
             shards=sorted(shards, key=lambda s: s.shard_id),
-            service=ServiceStats.merged(p.service for p in parts),
             metrics=merge_metrics(p.metrics for p in parts),
-            recovery=RecoveryStats.merged(p.recovery for p in parts),
         )
 
     def with_metrics(self, extra: Optional[Dict]) -> "Snapshot":

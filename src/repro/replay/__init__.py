@@ -29,7 +29,6 @@ from repro.replay.impair import (
     ImpairmentModel,
     Reorder,
     describe_models,
-    impair_trace,
     plan_delivery,
     summarize_delivery,
 )
@@ -61,6 +60,5 @@ __all__ = [
     "DeliverySummary",
     "plan_delivery",
     "summarize_delivery",
-    "impair_trace",
     "describe_models",
 ]

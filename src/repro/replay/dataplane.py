@@ -221,10 +221,6 @@ class TraceDataplane:
         )
         return pack_reps_array(digests, self.digest_bits)
 
-    def encode_batch(self, lo: int, hi: int) -> np.ndarray:
-        """Packed digests for trace rows ``[lo, hi)`` (batch shape)."""
-        return self.encode_rows(np.arange(lo, hi, dtype=np.int64))
-
     # -- scalar reference ------------------------------------------------
 
     def encode_scalar(self, row: int) -> int:

@@ -754,14 +754,14 @@ class ReplayDriver:
         return self.replay(build_trace(name, packets=packets, seed=seed, **kw))
 
     def run_all(
-        self, packets: int = 20_000, seed: int = 0, variants: bool = False
+        self, packets: int = 20_000, seed: int = 0
     ) -> List[ScenarioReport]:
         """Replay every registered scenario; one report each.
 
-        ``variants=True`` also replays the impaired (lossy /
-        reordered / bursty) derivatives of each base scenario.
+        The driver's own ``impairments`` apply to every replay, so an
+        impaired sweep is ``ReplayDriver(impairments=[...]).run_all()``.
         """
         return [
             self.run_scenario(name, packets=packets, seed=seed)
-            for name in scenario_names(variants=variants)
+            for name in scenario_names()
         ]

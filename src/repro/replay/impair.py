@@ -37,10 +37,11 @@ Concrete models:
 * :class:`Duplicate` -- independent duplication, the copy landing
   within ``lag`` positions of the original.
 
-Entry points: :func:`plan_delivery` composes models into a schedule,
-:func:`summarize_delivery` scores one against the perfect stream, and
-:func:`impair_trace` materialises the delivered stream as a new
-:class:`~repro.replay.trace.Trace` (the scenario-variant hook).
+Entry points: :func:`plan_delivery` composes models into a schedule
+and :func:`summarize_delivery` scores one against the perfect stream.
+:class:`~repro.replay.driver.ReplayDriver` applies the schedule
+between encode and ingest (``impairments=[...]``), so the report
+counts every drop and duplicate against the offered stream.
 """
 
 from __future__ import annotations
@@ -51,7 +52,6 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.replay.grouping import run_starts, stable_order
-from repro.replay.trace import Trace
 
 #: Domain-separation constant folded into every model's RNG seed so an
 #: impairment stream can never collide with a workload generator that
@@ -419,32 +419,6 @@ def summarize_delivery(
         dropped=int(n) - unique,
         duplicated=int(rows.shape[0]) - unique,
         reordered=_count_reordered(rows, fids),
-    )
-
-
-def impair_trace(
-    trace: Trace,
-    models: Sequence[ImpairmentModel],
-    name: Optional[str] = None,
-) -> Trace:
-    """Materialise the delivered stream as a new columnar trace.
-
-    Rows are gathered in delivery order; duplicated packets keep their
-    pid (the hash identity real duplicates have) and timestamps stay
-    the *send* stamps, so a reordered trace is simply no longer
-    time-sorted -- exactly what a capture at the sink would record.
-    The path table and universe are shared unchanged.
-    """
-    rows = plan_delivery(models, len(trace), trace.flow_id)
-    return Trace(
-        trace.ts[rows],
-        trace.flow_id[rows],
-        trace.pid[rows],
-        trace.path_id[rows],
-        trace.size[rows],
-        trace.paths,
-        trace.universe,
-        name if name is not None else f"{trace.name}+impaired",
     )
 
 

@@ -23,6 +23,10 @@ every registered scenario end-to-end.  Registered scenarios:
   with a swarm of 1-3 packet mice;
 * ``isp-long-paths`` -- long-haul paths on a synthetic ISP tree (the
   Fig. 10 large-diameter regime).
+
+Every scenario is a perfect network.  An impaired replay is a base
+scenario plus ``ReplayDriver(impairments=[...])``, which scores the
+sink against the offered stream (see :mod:`repro.replay.impair`).
 """
 
 from __future__ import annotations
@@ -49,37 +53,27 @@ class Scenario:
     name: str
     description: str
     build: Callable[..., Trace]
-    #: True for impaired derivatives of a base scenario (lossy /
-    #: reordered / bursty); base-scenario listings skip them so the
-    #: perfect-network suites and benches keep their historical set.
-    variant: bool = False
 
 
 #: The registry, in registration order.
 SCENARIOS: Dict[str, Scenario] = {}
 
 
-def scenario(name: str, description: str, variant: bool = False):
+def scenario(name: str, description: str):
     """Register a trace builder under ``name``."""
 
     def deco(fn: Callable[..., Trace]) -> Callable[..., Trace]:
         if name in SCENARIOS:
             raise ValueError(f"scenario {name!r} already registered")
-        SCENARIOS[name] = Scenario(name, description, fn, variant)
+        SCENARIOS[name] = Scenario(name, description, fn)
         return fn
 
     return deco
 
 
-def scenario_names(variants: bool = False) -> List[str]:
-    """Registered scenario names, in registration order.
-
-    The default lists only the base (perfect-network) generators;
-    ``variants=True`` appends the impaired derivatives.
-    """
-    return [
-        name for name, s in SCENARIOS.items() if variants or not s.variant
-    ]
+def scenario_names() -> List[str]:
+    """Registered scenario names, in registration order."""
+    return list(SCENARIOS)
 
 
 def build_trace(name: str, packets: int = 20_000, seed: int = 0, **kw) -> Trace:
@@ -501,76 +495,3 @@ def isp_long_paths(
         np.full(flows, per_flow * MTU, dtype=np.int64),
     ), interner.paths, topo.switch_universe(), packets)
 
-
-# -- impaired variants -----------------------------------------------------
-#
-# Every base scenario gets lossy / reordered / bursty derivatives: the
-# base trace is built as usual, then pushed through a fixed impairment
-# pipeline (seeded from the scenario seed, so variants are as
-# reproducible as their bases).  Variants register with
-# ``variant=True`` -- ``scenario_names()`` keeps returning the base
-# set; pass ``variants=True`` to list these too.
-
-#: Impairment pipelines per variant suffix (model seeds are offset
-#: from the scenario seed so the network's coins never collide with a
-#: workload generator's).
-VARIANT_IMPAIRMENTS: Dict[str, Callable[[int], list]] = {}
-
-
-def _register_variants() -> None:
-    from repro.replay.impair import (
-        Duplicate,
-        GilbertElliott,
-        IIDLoss,
-        Reorder,
-        impair_trace,
-    )
-
-    VARIANT_IMPAIRMENTS.update({
-        # 10% uniform loss with a whiff of duplication: the paper's
-        # graceful-degradation regime.
-        "lossy": lambda seed: [
-            IIDLoss(0.1, seed=seed + 101),
-            Duplicate(0.01, lag=8, seed=seed + 102),
-        ],
-        # Heavy bounded reordering plus duplicates: the in-network-
-        # ordering stress (PAPERS.md) -- nothing dropped.
-        "reordered": lambda seed: [
-            Reorder(depth=64, prob=0.5, seed=seed + 201),
-            Duplicate(0.02, lag=16, seed=seed + 202),
-        ],
-        # Gilbert-Elliott bursty loss: ~8-record loss trains at a ~10%
-        # average rate, the BASEL buffering-drop shape.
-        "bursty": lambda seed: [
-            GilbertElliott(
-                p_bad=0.015, p_good=0.125, loss_bad=0.9,
-                seed=seed + 301,
-            ),
-        ],
-    })
-
-    def make_builder(base_name: str, suffix: str):
-        def build(packets: int = 20_000, seed: int = 0, **kw) -> Trace:
-            base = SCENARIOS[base_name].build(
-                packets=packets, seed=seed, **kw
-            )
-            return impair_trace(
-                base, VARIANT_IMPAIRMENTS[suffix](seed),
-                name=f"{base_name}-{suffix}",
-            )
-        return build
-
-    for base_name in scenario_names():
-        for suffix, blurb in (
-            ("lossy", "10% i.i.d. loss + 1% duplication"),
-            ("reordered", "bounded reorder (depth 64) + 2% duplication"),
-            ("bursty", "Gilbert-Elliott bursty loss (~10% avg)"),
-        ):
-            scenario(
-                f"{base_name}-{suffix}",
-                f"{SCENARIOS[base_name].description} -- {blurb}",
-                variant=True,
-            )(make_builder(base_name, suffix))
-
-
-_register_variants()

@@ -51,8 +51,9 @@ from repro.service.server import CollectorServer
 
 def _add_scenario_args(p: argparse.ArgumentParser) -> None:
     p.add_argument(
-        "--scenario", default="hadoop", choices=scenario_names(variants=True),
-        help="trace generator both sides derive their config from",
+        "--scenario", default="hadoop", choices=scenario_names(),
+        help="base scenario (a perfect network) both sides derive "
+             "their config from",
     )
     p.add_argument("--packets", type=int, default=5000,
                    help="trace length (default 5000)")

@@ -29,7 +29,13 @@ from repro.collector import (
 from repro.collector import parallel
 from repro.exceptions import CollectorClosedError
 from repro.obs.metrics import MetricsRegistry
-from repro.replay import TraceDataplane, build_trace
+from repro.replay import (
+    Duplicate,
+    IIDLoss,
+    TraceDataplane,
+    build_trace,
+    plan_delivery,
+)
 from repro.service import (
     QueryClient,
     QueryServer,
@@ -38,19 +44,28 @@ from repro.service.query import QueryHandler
 
 #: (digest mode, hash instantiations) of the three representations.
 MODES = [("hash", 1), ("hash", 2), ("raw", 1), ("fragment", 1)]
-SCENARIOS = ["web-search", "elephant-mice", "path-churn", "isp-long-paths-lossy"]
+#: A ``+lossy`` suffix delivers the scenario through 10% i.i.d. loss
+#: and 1% duplication: the sinks see a gappy, repeating stream.
+SCENARIOS = ["web-search", "elephant-mice", "path-churn", "isp-long-paths+lossy"]
 
 
 @functools.lru_cache(maxsize=None)
 def path_stream(scenario, mode, num_hashes, packets=2500):
     """A scenario prefix as path-query columns, plus its sink factory."""
-    trace = build_trace(scenario, packets=packets, seed=3)
+    name, _, lossy = scenario.partition("+")
+    trace = build_trace(name, packets=packets, seed=3)
+    rows = np.arange(len(trace), dtype=np.int64)
+    if lossy:
+        rows = plan_delivery(
+            [IIDLoss(0.1, seed=104), Duplicate(0.01, lag=8, seed=105)],
+            len(trace), trace.flow_id,
+        )
     dataplane = TraceDataplane(
         trace, digest_bits=8, num_hashes=num_hashes, mode=mode, seed=0
     )
     cols = (
-        trace.flow_id, trace.pid, trace.hop_counts,
-        dataplane.encode_rows(np.arange(len(trace), dtype=np.int64)),
+        trace.flow_id[rows], trace.pid[rows], trace.hop_counts[rows],
+        dataplane.encode_rows(rows),
     )
 
     def factory():

@@ -51,6 +51,46 @@ def test_udp_is_the_one_wire_transport():
     assert not hasattr(wire, "frames_payload_records")
 
 
+def test_impairment_lives_only_in_the_driver():
+    # A trace rewritten by impairment models before replay hides its
+    # losses from the report; the driver's impairments= counts them.
+    import repro.replay as replay
+    from repro.replay import impair, scenarios
+
+    assert not hasattr(replay, "impair_trace")
+    assert not hasattr(impair, "impair_trace")
+    assert not hasattr(scenarios, "VARIANT_IMPAIRMENTS")
+    assert "variant" not in replay.Scenario.__dataclass_fields__
+    assert "variant" not in inspect.signature(replay.scenario).parameters
+    assert not inspect.signature(replay.scenario_names).parameters
+    assert "variants" not in inspect.signature(ReplayDriver.run_all).parameters
+
+
+def test_sink_side_generality_without_a_caller_is_gone():
+    # Topology-aware decoding stays a decoder feature (HashDecoder,
+    # PathQueryContext); the sink builds no adjacency context.  Worker
+    # snapshots carry neither wire nor recovery counters, so only
+    # shards and metrics merge.
+    from repro.coding import store
+    from repro.collector import RecoveryStats, Snapshot
+    from repro.collector.consumers import (
+        PathDigestConsumer,
+        path_query_context,
+    )
+    from repro.collector.snapshot import ServiceStats
+    from repro.replay import TraceDataplane
+
+    assert "adjacency" not in params(PathDigestConsumer)
+    assert "adjacency" not in inspect.signature(path_query_context).parameters
+    assert "adjacency" not in store.FALLBACK_REASONS
+    assert not hasattr(store, "ADJACENCY")
+    assert not hasattr(ServiceStats, "merged")
+    assert not hasattr(ServiceStats, "dropped_total")
+    assert not hasattr(RecoveryStats, "merged")
+    assert hasattr(Snapshot, "merged")
+    assert not hasattr(TraceDataplane, "encode_batch")
+
+
 def test_parallel_collector_constructor_knobs():
     assert params(ParallelCollector) == {
         "consumer_factory", "workers", "num_shards",

@@ -377,12 +377,11 @@ class TestSnapshotMerge:
 
 
 class TestHeterogeneousSidecarMerge:
-    """`Snapshot.merged` with per-part service/metrics sidecars.
+    """`Snapshot.merged` with per-part metrics sidecars.
 
-    Workers differ: one stood behind a front door and carries wire
-    counters, another is bare; one was instrumented, another not.  The
-    merge must sum what exists, skip what doesn't, and collapse to
-    None only when every part abstains.
+    Workers differ: one was instrumented, another not.  The merge must
+    fold what exists, skip what doesn't, and collapse to None only
+    when every part abstains.
     """
 
     def _stats(self, shard_id):
@@ -398,20 +397,6 @@ class TestHeterogeneousSidecarMerge:
         reg.counter("pint_collector_records_total").inc(n)
         reg.histogram("pint_x_seconds", buckets=(1.0, 10.0)).observe(0.5)
         return reg.as_dict()
-
-    def test_service_sums_over_present_parts_only(self):
-        from repro.collector.snapshot import ServiceStats
-        a = Snapshot(taken_at=1.0, shards=[self._stats(0)],
-                     service=ServiceStats(frames_received=3,
-                                          records_ingested=30))
-        b = Snapshot(taken_at=2.0, shards=[self._stats(1)], service=None)
-        c = Snapshot(taken_at=3.0, shards=[self._stats(2)],
-                     service=ServiceStats(frames_received=4,
-                                          dropped_queue_full=1))
-        merged = Snapshot.merged([a, b, c])
-        assert merged.service == ServiceStats(
-            frames_received=7, records_ingested=30, dropped_queue_full=1,
-        )
 
     def test_metrics_fold_over_present_parts_only(self):
         a = Snapshot(taken_at=1.0, shards=[self._stats(0)],

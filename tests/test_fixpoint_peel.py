@@ -25,7 +25,6 @@ from repro.coding import (
 from repro.coding import store as store_mod
 from repro.collector import path_consumer_factory
 from repro.collector.consumers import consume_groups
-from repro.net import fat_tree
 from repro.obs import MetricsRegistry
 from repro.replay.impair import (
     Duplicate,
@@ -274,7 +273,7 @@ class TestCleanStreamsNeverFallBack:
         batched = counted(universe, kwargs)
         feed_batched(batched, cols, 8192)
         assert fallbacks(batched) == {
-            "adjacency": 0, "empty_candidates": 0, "residual_mismatch": 0,
+            "empty_candidates": 0, "residual_mismatch": 0,
         }
         assert any(s[0] is not None for s in flow_states(batched).values())
 
@@ -352,31 +351,6 @@ class TestConflictsTakeTheScalarRoute:
         assert_same(batched, scalar)
         assert sum(fallbacks(batched).values()) == 1
         assert batched.flow(victim).decode_errors >= 1
-
-    def test_adjacency_context_takes_the_scalar_route(self):
-        """Topology-aware decoding narrows neighbouring hops on every
-        settle; the pass does not model that, so such a context's
-        converging flows are decoded by the scalar reference."""
-        topo = fat_tree(4)
-        universe = topo.switch_universe()
-        rng = np.random.default_rng(6)
-        paths = {}
-        for fid in range(1, 9):
-            src, dst = rng.choice(topo.hosts, 2, replace=False)
-            paths[fid] = topo.switch_path(int(src), int(dst))
-        encs = encoders(paths, universe, 4, 1)
-        cols = interleave(encs, {f: 40 for f in paths}, rng, 4)
-        kwargs = dict(
-            digest_bits=4, seed=SEED, adjacency=topo.switch_adjacency()
-        )
-        batched, scalar = counted(universe, kwargs), sink(universe, kwargs)
-        feed_batched(batched, cols, 64)
-        feed_scalar(scalar, cols)
-        assert_same(batched, scalar)
-        counts = fallbacks(batched)
-        assert counts["adjacency"] > len(paths)
-        assert counts["empty_candidates"] == counts["residual_mismatch"] == 0
-        assert all(batched.flow(f).result() == p for f, p in paths.items())
 
 
 class TestShape:

@@ -34,9 +34,7 @@ from repro.replay import (
     TraceDataplane,
     build_trace,
     describe_models,
-    impair_trace,
     plan_delivery,
-    scenario_names,
     summarize_delivery,
 )
 
@@ -106,6 +104,14 @@ class TestModels:
         runs = np.split(dropped, np.flatnonzero(np.diff(dropped) != 1) + 1)
         mean_run = float(np.mean([r.size for r in runs]))
         assert mean_run > 2.0
+
+    def test_zero_models_identity(self):
+        trace = build_trace("hadoop", packets=600, seed=1)
+        rows = plan_delivery(
+            [IIDLoss(0.0), Reorder(0), Duplicate(0.0)], len(trace),
+            trace.flow_id,
+        )
+        assert np.array_equal(rows, np.arange(len(trace)))
 
     def test_gilbert_elliott_zero_is_identity(self):
         rows = plan_delivery(
@@ -216,37 +222,6 @@ def reordered_by_loop(rows, fids):
         late += row < latest.get(fid, -1)
         latest[fid] = max(latest.get(fid, -1), row)
     return late
-
-
-class TestImpairTrace:
-    def test_materialised_trace_gathers_columns(self):
-        trace = build_trace("incast", packets=1200, seed=0)
-        models = models_all(2)
-        rows = plan_delivery(models, len(trace), trace.flow_id)
-        out = impair_trace(trace, models, name="x")
-        assert out.name == "x"
-        assert len(out) == rows.size
-        assert np.array_equal(out.pid, trace.pid[rows])
-        assert np.array_equal(out.flow_id, trace.flow_id[rows])
-        assert out.paths == trace.paths and out.universe == trace.universe
-
-    def test_zero_models_identity(self):
-        trace = build_trace("hadoop", packets=600, seed=1)
-        out = impair_trace(trace, [IIDLoss(0.0), Reorder(0), Duplicate(0.0)])
-        for col in ("ts", "flow_id", "pid", "path_id", "size"):
-            assert np.array_equal(getattr(out, col), getattr(trace, col))
-
-    def test_variant_scenarios_registered_and_deterministic(self):
-        base = scenario_names()
-        every = scenario_names(variants=True)
-        assert len(every) == 4 * len(base)
-        for suffix in ("-lossy", "-reordered", "-bursty"):
-            assert f"web-search{suffix}" in every
-            assert f"web-search{suffix}" not in base
-        a = build_trace("incast-lossy", packets=900, seed=5)
-        b = build_trace("incast-lossy", packets=900, seed=5)
-        assert np.array_equal(a.pid, b.pid) and len(a) < 900
-        assert a.name == "incast-lossy"
 
 
 class TestFlowTableAccountingUnderImpairment:

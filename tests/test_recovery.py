@@ -31,7 +31,6 @@ from repro.collector import (
     CHECKPOINT_VERSION,
     Collector,
     ParallelCollector,
-    RecoveryStats,
     Snapshot,
     capture_checkpoint,
     congestion_consumer_factory,
@@ -599,15 +598,6 @@ class TestSupervisedRecovery:
         assert clean.recovery.checkpoints_taken > 0
         assert faulted == clean
         assert "recovery" not in faulted.as_dict()
-
-    def test_recovery_stats_merged_fold(self):
-        a = RecoveryStats(restarts=1, replayed_batches=3)
-        b = RecoveryStats(restarts=2, records_lost=7)
-        merged = RecoveryStats.merged([a, None, b])
-        assert merged == RecoveryStats(
-            restarts=3, replayed_batches=3, records_lost=7
-        )
-        assert RecoveryStats.merged([None, None]) is None
 
     def test_unsupervised_snapshot_carries_no_recovery(self):
         with ParallelCollector(

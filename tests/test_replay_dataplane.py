@@ -85,10 +85,11 @@ class TestDataplaneParity:
         # no cross-record state.
         trace = wide_trace()
         dp = TraceDataplane(trace, seed=2)
-        whole = dp.encode_batch(0, len(trace))
+        rows = np.arange(len(trace), dtype=np.int64)
+        whole = dp.encode_rows(rows)
+        half = len(trace) // 2
         halves = np.concatenate([
-            dp.encode_batch(0, len(trace) // 2),
-            dp.encode_batch(len(trace) // 2, len(trace)),
+            dp.encode_rows(rows[:half]), dp.encode_rows(rows[half:]),
         ])
         assert np.array_equal(whole, halves)
 

@@ -14,6 +14,7 @@ from repro.hashing import global_hash
 from repro.replay import (
     Duplicate,
     GilbertElliott,
+    IIDLoss,
     ReplayDriver,
     Reorder,
     ScenarioReport,
@@ -302,16 +303,64 @@ class _CheckedDriver(ReplayDriver):
         return report
 
 
+#: The three standard impairment pipelines, as functions of the
+#: scenario seed (offset so the network's coins never collide with the
+#: workload generator's).
+PIPELINES = {
+    # 10% uniform loss with a whiff of duplication: the paper's
+    # graceful-degradation regime.
+    "lossy": lambda seed: [
+        IIDLoss(0.1, seed=seed + 101),
+        Duplicate(0.01, lag=8, seed=seed + 102),
+    ],
+    # Heavy bounded reordering plus duplicates -- nothing dropped.
+    "reordered": lambda seed: [
+        Reorder(depth=64, prob=0.5, seed=seed + 201),
+        Duplicate(0.02, lag=16, seed=seed + 202),
+    ],
+    # Gilbert-Elliott bursty loss: ~8-record loss trains at a ~10%
+    # average rate, the BASEL buffering-drop shape.
+    "bursty": lambda seed: [
+        GilbertElliott(p_bad=0.015, p_good=0.125, loss_bad=0.9,
+                       seed=seed + 301),
+    ],
+}
+
+
 class TestScorerEqualsReference:
     @pytest.mark.parametrize("mode", ["hash", "raw", "fragment"])
     @pytest.mark.parametrize("workers", [None, 2])
-    def test_every_scenario_variant(self, mode, workers):
-        driver = _CheckedDriver(batch_size=512, mode=mode, workers=workers)
-        names = scenario_names(variants=True)
-        for name in names:
-            report = driver.run_scenario(name, packets=1200, seed=3)
-            assert report.path_flows > 0
-        assert driver.checked == len(names)
+    def test_every_scenario_clean_and_impaired(self, mode, workers):
+        seed = 3
+        drivers = [
+            _CheckedDriver(batch_size=512, mode=mode, workers=workers,
+                           impairments=models)
+            for models in [[]] + [make(seed) for make in PIPELINES.values()]
+        ]
+        for name in scenario_names():
+            for driver in drivers:
+                report = driver.run_scenario(name, packets=1200, seed=seed)
+                assert report.path_flows > 0
+        for driver in drivers:
+            assert driver.checked == len(scenario_names())
+
+    @pytest.mark.parametrize("name", scenario_names())
+    def test_lossy_pipeline_counts_against_the_offered_stream(self, name):
+        """The three numbers a trace rewritten before replay got wrong."""
+        seed = 3
+        trace = build_trace(name, packets=1200, seed=seed)
+        clean = ReplayDriver(batch_size=512).replay(trace)
+        lossy = ReplayDriver(
+            batch_size=512, impairments=PIPELINES["lossy"](seed)
+        ).replay(trace)
+        assert lossy.offered_records == len(trace)
+        assert lossy.dropped_records > 0
+        assert lossy.records == (
+            lossy.offered_records - lossy.dropped_records
+            + lossy.duplicated_records
+        )
+        # A flow every record of which was dropped still counts.
+        assert lossy.path_flows == clean.path_flows
 
     def test_path_ids_sharing_one_hop_tuple(self):
         """A decoded path is a right answer under every id it goes by."""
@@ -333,8 +382,6 @@ class TestScorerEqualsReference:
         assert report.flows == trace.num_flows
 
     def test_driver_level_impairments_and_an_emptied_sink(self):
-        from repro.replay import Duplicate, GilbertElliott, IIDLoss, Reorder
-
         trace = build_trace("path-churn", packets=3000, seed=3)
 
         def replay(models):

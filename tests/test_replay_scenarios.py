@@ -6,12 +6,17 @@ import numpy as np
 import pytest
 
 from repro.hashing import global_hash
-from repro.replay import build_trace, scenario, scenario_names
+from repro.replay import SCENARIOS, build_trace, scenario, scenario_names
 
 
 class TestRegistry:
     def test_at_least_six_scenarios(self):
         assert len(scenario_names()) >= 6
+
+    def test_names_are_the_whole_registry(self):
+        # Every registered scenario is a base (perfect-network) one:
+        # impairment is the driver's job, not a registry entry's.
+        assert scenario_names() == list(SCENARIOS)
 
     def test_unknown_name_lists_available(self):
         with pytest.raises(KeyError, match="web-search"):

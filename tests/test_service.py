@@ -857,6 +857,19 @@ class TestCLI:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["serve", "--tcp-port", "0"])
 
+    def test_scenario_choices_are_the_base_scenarios(self):
+        # An impaired replay goes through the driver, which counts its
+        # losses; the CLI offers the perfect-network scenarios only.
+        from repro.replay import scenario_names
+
+        parser = build_parser()
+        for name in scenario_names():
+            args = parser.parse_args(["serve", "--scenario", name])
+            assert args.scenario == name
+        for cmd in (["serve"], ["send", "--port", "9"]):
+            with pytest.raises(SystemExit):
+                parser.parse_args(cmd + ["--scenario", "hadoop-lossy"])
+
     def test_send_requires_port(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["send"])
