@@ -331,8 +331,8 @@ class PathDigestConsumer(DigestConsumer):
         cls, flow_ids: np.ndarray, consumers: Sequence["DigestConsumer"]
     ) -> AnswerTable:
         """Path answers as columns, any digest mode (a sink's fragment
-        flows and a topology-aware context's; see :class:`PathFlowHandle`
-        for the others).
+        flows; its raw and hash flows answer through
+        :class:`PathFlowHandle`).
 
         One pass over the decoders' public read API: ``k`` (0 while a
         flow has no decoder -- before its first record or right after
@@ -809,7 +809,7 @@ class CongestionFlowHandle(RowHandle):
 
 class ConsumerRows(RowStore):
     """The minimal store of a sink whose flows are consumer objects
-    (fragment-mode, topology-aware, latency): rows carry the shards'
+    (fragment-mode path, latency): rows carry the shards'
     bookkeeping and one column more, the list of those objects
     (None where a row is free)."""
 

@@ -60,11 +60,11 @@ class ServiceStats:
     version, an admission queue already full -- and each loss reason
     gets its own counter so operators can tell overload
     (``dropped_queue_full``) from version skew (``dropped_bad_version``)
-    from corruption (``dropped_bad_frame``).  ``dropped_queue_full``
-    counts *admission rejections*: for fire-and-forget frames the
-    records are gone, while a reliable frame is parked unacked and
-    re-admitted on the sender's retransmit, so there it measures
-    backpressure events rather than loss.
+    from corruption (``dropped_bad_frame``, which also counts a data
+    frame without ``FLAG_RELIABLE``: the server admits only the
+    exactly-once stream).  ``dropped_queue_full`` counts backpressure
+    events, not loss: a frame that meets a full queue is parked
+    unacked and re-admitted on the sender's retransmit.
     """
 
     frames_received: int = 0

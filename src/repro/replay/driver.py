@@ -579,15 +579,15 @@ class ReplayDriver:
                 # holds one block's columns at a time, not two.
                 del rows, columns, clock
             with stages.span("transport"):
-                # Wire path: flush the retransmit queues, then wait for
-                # the last frame to clear socket, admission queue and
-                # ingest thread -- the wire is part of the measured
-                # path, so the clock keeps running until the sinks hold
-                # it all.
+                # Wire path: flush the retransmit queues -- the server
+                # ACKs a batch's last frame only after folding it, so a
+                # flushed sender's records are in the sink -- and drain
+                # the server, which raises a refused batch.  The wire
+                # is part of the measured path, so the clock keeps
+                # running until the sinks hold it all.
                 for sink in sinks:
                     if sink.tx is not None:
                         sink.tx.flush()
-                        sink.server.wait_for_records(sink.records)
                         sink.server.drain()
                 # The throughput clock stops only after every scattered
                 # batch is applied -- a no-op barrier on serial sinks,

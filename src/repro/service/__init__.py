@@ -6,20 +6,16 @@ batches travel a versioned binary wire format (:mod:`~repro.service.
 wire`) over UDP into a :class:`CollectorServer` that admits,
 reassembles and folds them through a bounded queue, while a JSON query
 port (:mod:`~repro.service.query`) serves snapshots and per-flow
-answers to anything that can open a socket.  Senders come in two
-reliability classes (:mod:`~repro.service.client`); ``python -m
-repro.service`` is the operator CLI over all of it.
+answers to anything that can open a socket.  The one sender,
+:class:`ReliableUDPSender` (:mod:`~repro.service.client`), delivers
+exactly once; ``python -m repro.service`` is the operator CLI over all
+of it.
 
 See DESIGN.md section 7 for the wire layout, the admission/drop
 taxonomy, and why an ACK is a durability promise.
 """
 
-from repro.service.client import (
-    DeliveryError,
-    ReliableUDPSender,
-    UDPSender,
-    make_sender,
-)
+from repro.service.client import DeliveryError, ReliableUDPSender
 from repro.service.query import QueryClient, QueryError, QueryHandler, QueryServer
 from repro.service.server import CollectorServer, ServiceError
 from repro.service.wire import (
@@ -69,7 +65,6 @@ __all__ = [
     "ReliableUDPSender",
     "ServiceError",
     "TruncatedFrameError",
-    "UDPSender",
     "VERSION",
     "WireError",
     "decode_frame",
@@ -77,5 +72,4 @@ __all__ = [
     "encode_ack",
     "encode_frame",
     "encode_frames",
-    "make_sender",
 ]

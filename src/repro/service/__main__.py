@@ -44,7 +44,7 @@ from repro.exceptions import RecoveryError
 from repro.obs.metrics import MetricsRegistry
 from repro.replay.dataplane import TraceDataplane
 from repro.replay.scenarios import build_trace, scenario_names
-from repro.service.client import make_sender
+from repro.service.client import ReliableUDPSender
 from repro.service.query import QueryClient, jsonable
 from repro.service.server import CollectorServer
 
@@ -138,18 +138,13 @@ def cmd_serve(args) -> int:
 def cmd_send(args) -> int:
     dataplane = _dataplane(args)
     trace = dataplane.trace
-    drop_fn = None
-    if args.loss > 0.0:
-        if args.transport != "udp":
-            raise SystemExit("--loss only applies to the reliable udp transport")
-        rng = random.Random(args.seed)
-        drop_fn = lambda seq, attempt: rng.random() < args.loss  # noqa: E731
     kwargs = {}
     if args.max_records is not None:
         kwargs["max_records"] = args.max_records
-    if drop_fn is not None:
-        kwargs["drop_fn"] = drop_fn
-    sender = make_sender(args.transport, args.host, args.port, **kwargs)
+    if args.loss > 0.0:
+        rng = random.Random(args.seed)
+        kwargs["drop_fn"] = lambda seq, attempt: rng.random() < args.loss
+    sender = ReliableUDPSender(args.host, args.port, **kwargs)
     hop_counts = trace.hop_counts
     start = time.perf_counter()
     with sender:
@@ -164,7 +159,6 @@ def cmd_send(args) -> int:
         seconds = time.perf_counter() - start
         _emit({
             "scenario": args.scenario,
-            "transport": args.transport,
             "records": sender.records_sent,
             "batches": sender.batches_sent,
             "frames": sender.frames_sent,
@@ -228,14 +222,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--host", default="127.0.0.1")
     p.add_argument("--port", type=int, required=True,
                    help="the server's udp data port")
-    p.add_argument("--transport", default="udp",
-                   choices=["udp", "udp-unreliable"])
     p.add_argument("--batch-size", type=int, default=2048)
     p.add_argument("--max-records", type=int, default=None,
                    help="records per wire frame before fragmenting "
                         "(default: a full datagram)")
     p.add_argument("--loss", type=float, default=0.0,
-                   help="simulated per-transmission drop rate (reliable udp)")
+                   help="simulated per-transmission drop rate")
     p.set_defaults(fn=cmd_send)
 
     p = sub.add_parser("query", help="ask a running server for JSON answers")

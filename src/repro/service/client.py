@@ -1,29 +1,29 @@
-"""Digest-batch senders: fire-and-forget UDP and reliable UDP.
+"""The digest-batch sender: reliable UDP.
 
-Two ways to get a columnar batch from a dataplane to a
-:class:`~repro.service.server.CollectorServer`, both sharing the same
-``send_batch(flow_ids, pids, hop_counts, digests, now=...)`` signature
-as ``Collector.ingest_batch`` -- the replay driver swaps a sender for
-the collector without touching its loop:
+:class:`ReliableUDPSender` gets a columnar batch from a dataplane to a
+:class:`~repro.service.server.CollectorServer` exactly once, with the
+same ``send_batch(flow_ids, pids, hop_counts, digests, now=...)``
+signature as ``Collector.ingest_batch`` -- the replay driver swaps the
+sender for the collector without touching its loop.  It is the
+SNIPPETS 1-2 idiom: seq-numbered frames, an inflight map, per-ACK RTT
+samples folded into EWMA ``srtt``/``rttvar`` (RFC 6298 shape: ``RTO =
+srtt + 4*rttvar``, clamped), retransmit on RTO expiry, a bounded send
+window for flow control, and Karn's rule (retransmitted frames
+contribute no RTT sample -- the ACK is ambiguous).  ACKs are
+cumulative: ``ACK(s)`` retires every inflight frame up to ``s``.
+Delivery is exactly-once end to end: the server dedups on seq, ACKs a
+frame only once its ingest thread has taken it off the admission
+queue, and ACKs a batch's last frame only after folding the batch --
+so once :meth:`ReliableUDPSender.flush` returns, every batch sent has
+been folded (or refused by the collector, which the server's next
+``drain()`` raises).
 
-* :class:`UDPSender` -- fire and forget.  Cheapest, lossy under
-  pressure; what a switch ASIC streaming digests would do.
-* :class:`ReliableUDPSender` -- the SNIPPETS 1-2 idiom: seq-numbered
-  frames, an inflight map, per-ACK RTT samples folded into EWMA
-  ``srtt``/``rttvar`` (RFC 6298 shape: ``RTO = srtt + 4*rttvar``,
-  clamped), retransmit on RTO expiry, a bounded send window for flow
-  control, and Karn's rule (retransmitted frames contribute no RTT
-  sample -- the ACK is ambiguous).  ACKs are cumulative: ``ACK(s)``
-  retires every inflight frame up to ``s``.  Delivery is exactly-once
-  end to end: the server dedups on seq and ACKs a frame only once its
-  ingest thread has taken it off the admission queue.
-
-``drop_fn`` on the reliable sender is a deterministic loss hook for
-tests and demos: when it returns True for ``(seq, attempt)``, the
-frame is *not* put on the wire (simulating network loss ahead of the
-sink) but stays inflight and retries -- this is how the lossy-loopback
-example drives a seeded :class:`~repro.replay.impair.IIDLoss`-style
-channel without root or tc.
+``drop_fn`` is a deterministic loss hook for tests and demos: when it
+returns True for ``(seq, attempt)``, the frame is *not* put on the
+wire (simulating network loss ahead of the sink) but stays inflight
+and retries -- this is how the lossy-loopback example drives a seeded
+:class:`~repro.replay.impair.IIDLoss`-style channel without root or
+tc.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ import random
 import select
 import socket
 import time
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, Optional
 
 from repro.exceptions import ReproError
 from repro.obs.metrics import NULL_REGISTRY
@@ -46,82 +46,6 @@ RTT_BETA = 0.25
 
 class DeliveryError(ReproError):
     """A reliable send could not be completed (retries/flush exhausted)."""
-
-
-class _SenderBase:
-    """Shared frame numbering + accounting for both senders."""
-
-    def __init__(self, host: str, port: int, max_records: int) -> None:
-        if max_records < 1:
-            raise ValueError("max_records must be >= 1")
-        if max_records > wire.MAX_UDP_RECORDS:
-            raise ValueError(
-                f"max_records {max_records} exceeds the UDP frame cap "
-                f"({wire.MAX_UDP_RECORDS})"
-            )
-        self.addr = (host, port)
-        self.max_records = max_records
-        self.next_seq = 0
-        self.frames_sent = 0      # transmissions, retransmits included
-        self.records_sent = 0
-        self.batches_sent = 0
-        #: Only the reliable-UDP sender ever moves these two; every
-        #: sender carries them so reports read attributes, not probes.
-        self.retransmits = 0
-        self.acked_frames = 0
-
-    def _frames(self, flow_ids, pids, hop_counts, digests, now,
-                reliable: bool) -> List[bytes]:
-        frames = wire.encode_frames(
-            flow_ids, pids, hop_counts, digests, now,
-            start_seq=self.next_seq, max_records=self.max_records,
-            reliable=reliable,
-        )
-        self.next_seq += len(frames)
-        return frames
-
-    def flush(self, timeout: float = 30.0) -> None:
-        """Block until everything sent is out the door (no-op unless
-        the transport buffers)."""
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
-    def close(self) -> None:  # pragma: no cover - overridden
-        raise NotImplementedError
-
-
-class UDPSender(_SenderBase):
-    """Fire-and-forget datagram sender: no ACKs, no retransmit.
-
-    By default a frame fills a datagram (``wire.MAX_UDP_RECORDS``).
-    """
-
-    def __init__(self, host: str, port: int,
-                 max_records: int = wire.MAX_UDP_RECORDS) -> None:
-        super().__init__(host, port, max_records)
-        self.sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
-        self.sock.setsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF, 1 << 21)
-
-    def send_batch(self, flow_ids, pids, hop_counts, digests,
-                   now: Optional[float] = None) -> int:
-        """Ship one columnar batch; returns the record count."""
-        frames = self._frames(flow_ids, pids, hop_counts, digests, now,
-                              reliable=False)
-        for payload in frames:
-            self.sock.sendto(payload, self.addr)
-        records = wire.encoded_records(frames)
-        self.frames_sent += len(frames)
-        self.records_sent += records
-        if frames:
-            self.batches_sent += 1
-        return records
-
-    def close(self) -> None:
-        self.sock.close()
 
 
 class _InFlight:
@@ -143,7 +67,7 @@ class _InFlight:
         self.rto = rto
 
 
-class ReliableUDPSender(_SenderBase):
+class ReliableUDPSender:
     """Seq/ACK/RTO reliable delivery over UDP (SNIPPETS 1-2 idiom).
 
     ACKs are cumulative -- ``ACK(s)`` retires every inflight frame up
@@ -215,9 +139,23 @@ class ReliableUDPSender(_SenderBase):
         obs=None,
         obs_labels: Optional[dict] = None,
     ) -> None:
+        if max_records < 1:
+            raise ValueError("max_records must be >= 1")
+        if max_records > wire.MAX_UDP_RECORDS:
+            raise ValueError(
+                f"max_records {max_records} exceeds the UDP frame cap "
+                f"({wire.MAX_UDP_RECORDS})"
+            )
         if window < 1:
             raise ValueError("window must be >= 1")
-        super().__init__(host, port, max_records)
+        self.addr = (host, port)
+        self.max_records = max_records
+        self.next_seq = 0
+        self.frames_sent = 0      # transmissions, retransmits included
+        self.records_sent = 0
+        self.batches_sent = 0
+        self.retransmits = 0
+        self.acked_frames = 0
         self.window = window
         self.max_retries = max_retries
         self.min_rto = min_rto
@@ -303,9 +241,12 @@ class ReliableUDPSender(_SenderBase):
         any frame ever exhausting its retries -- the deadline catches
         that.
         """
-        frames = self._frames(flow_ids, pids, hop_counts, digests, now,
-                              reliable=True)
-        base_seq = self.next_seq - len(frames)
+        base_seq = self.next_seq
+        frames = wire.encode_frames(
+            flow_ids, pids, hop_counts, digests, now,
+            start_seq=base_seq, max_records=self.max_records, reliable=True,
+        )
+        self.next_seq += len(frames)
         deadline = time.monotonic() + self.send_timeout
         for i, payload in enumerate(frames):
             while len(self.inflight) >= self.window:
@@ -399,7 +340,11 @@ class ReliableUDPSender(_SenderBase):
             self.acked_frames += 1
 
     def flush(self, timeout: float = 30.0) -> None:
-        """Block until every sent frame is ACKed (or raise)."""
+        """Block until every sent frame is ACKed (or raise).
+
+        The server ACKs a batch's last frame only after folding the
+        batch, so on return every batch sent has been folded.
+        """
         deadline = time.monotonic() + timeout
         while self.inflight:
             if time.monotonic() >= deadline:
@@ -409,6 +354,12 @@ class ReliableUDPSender(_SenderBase):
                 )
             self._pump(0.05)
 
+    def __enter__(self) -> "ReliableUDPSender":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
+
     def close(self) -> None:
         """Flush, then release the socket."""
         try:
@@ -417,13 +368,3 @@ class ReliableUDPSender(_SenderBase):
         finally:
             self.sock.close()
 
-
-def make_sender(transport: str, host: str, port: int, **kwargs):
-    """Build a sender by transport name ("udp" / "udp-unreliable")."""
-    if transport == "udp":
-        return ReliableUDPSender(host, port, **kwargs)
-    if transport == "udp-unreliable":
-        return UDPSender(host, port, **kwargs)
-    raise ValueError(
-        f"unknown transport {transport!r} (expected 'udp' or 'udp-unreliable')"
-    )

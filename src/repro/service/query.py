@@ -66,6 +66,11 @@ __all__ = [
 #: without ever sending a newline.
 MAX_LINE = 1 << 20
 
+#: The one answer to a request line longer than :data:`MAX_LINE`.
+_LINE_TOO_LONG = {
+    "ok": False, "error": f"request line exceeds {MAX_LINE} bytes",
+}
+
 
 class QueryError(ReproError):
     """Raised client-side when the server answers ``ok: false``."""
@@ -300,11 +305,7 @@ class QueryServer:
                     if not line.strip():
                         continue
                     if len(line) > MAX_LINE:
-                        response = {
-                            "ok": False,
-                            "error": f"request line exceeds {MAX_LINE} "
-                                     "bytes",
-                        }
+                        response = _LINE_TOO_LONG
                     else:
                         try:
                             request = json.loads(line)
@@ -316,24 +317,13 @@ class QueryServer:
                                         "error": f"bad JSON: {exc}"}
                         else:
                             response = self.handler.handle(request)
-                    payload = json.dumps(
-                        response, allow_nan=False
-                    ).encode() + b"\n"
-                    try:
-                        conn.sendall(payload)
-                    except OSError:
+                    if not _send_line(conn, response):
                         return
                 if len(buf) > MAX_LINE:
                     # The open line already blew the cap without a
                     # newline in sight: answer once, drop the bytes,
                     # and discard the rest of the line as it arrives.
-                    try:
-                        conn.sendall(json.dumps({
-                            "ok": False,
-                            "error": f"request line exceeds {MAX_LINE} "
-                                     "bytes",
-                        }).encode() + b"\n")
-                    except OSError:
+                    if not _send_line(conn, _LINE_TOO_LONG):
                         return
                     buf = b""
                     discarding = True
@@ -342,6 +332,15 @@ class QueryServer:
                 conn.close()
             except OSError:  # pragma: no cover
                 pass
+
+
+def _send_line(conn: socket.socket, response: dict) -> bool:
+    """Send one strict-JSON response line; False once the peer is gone."""
+    try:
+        conn.sendall(json.dumps(response, allow_nan=False).encode() + b"\n")
+    except OSError:
+        return False
+    return True
 
 
 class QueryClient:

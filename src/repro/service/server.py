@@ -7,30 +7,35 @@ one or more whole frames), pass through a *bounded* admission queue,
 and a single ingest thread folds them into the wrapped collector --
 serial :class:`~repro.collector.Collector` or
 :class:`~repro.collector.ParallelCollector` alike, both already speak
-``ingest_batch``.  The one data listener has two admission policies,
-chosen per frame by ``FLAG_RELIABLE``: fire-and-forget and reliable.
+``ingest_batch``.  The one data listener has one admission policy,
+reliable delivery: only the exactly-once stream keeps a wire-fed sink
+bit-identical to the in-process collector.
 
 Admission is where a service differs from a library call, and every
 way it can refuse work is explicit and counted (the BASEL lesson:
 admission/drop policy is part of the system, not an accident):
 
-* **queue full** -- the ingest thread is behind.  Fire-and-forget
-  frames are dropped (``dropped_queue_full``); reliable frames are
-  parked *unacked*, so the sender's retransmit re-offers them -- the
-  drop counter then measures backpressure events, not loss.
+* **queue full** -- the ingest thread is behind.  The frame is parked
+  *unacked*, so the sender's retransmit re-offers it: the
+  ``dropped_queue_full`` counter measures backpressure events, not
+  loss.
 * **bad version** -- a frame from a protocol this server does not
   speak (``dropped_bad_version``): version skew, surfaced, never
   misparsed.
-* **bad frame** -- truncated/corrupt bytes (``dropped_bad_frame``).
+* **bad frame** -- truncated/corrupt bytes, or a data frame without
+  ``FLAG_RELIABLE`` (``dropped_bad_frame``): never queued, never
+  ACKed.
 
-Reliable senders (``FLAG_RELIABLE``) additionally get per-peer seq
-tracking: duplicates are never re-ingested, and out-of-order frames
-are held in a bounded reorder buffer and delivered in seq order.  ACKs
-are cumulative and come from the ingest thread, once per folded batch
-rather than once per frame: ``ACK(s)`` says every frame up to ``s`` is
-off the admission queue -- folded, or held for its batch's reassembly
--- which is a durability promise, not a reception note (see
-:meth:`CollectorServer._ingest_loop` for when one is sent).
+Every source gets per-peer seq tracking: duplicates are never
+re-ingested, and out-of-order frames are held in a bounded reorder
+buffer and delivered in seq order.  ACKs are cumulative and come from
+the ingest thread, once per folded batch rather than once per frame:
+``ACK(s)`` says every frame up to ``s`` is off the admission queue --
+folded, or held for its batch's reassembly -- which is a durability
+promise, not a reception note.  A batch's last frame is ACKed only
+after the batch is folded, so a sender whose every frame is ACKed has
+every batch in the collector (see :meth:`CollectorServer._ingest_loop`
+for when an ACK is sent).
 Fragment runs (``FLAG_MORE``) are reassembled per source before
 ingesting, so the wrapped collector sees exactly the logical batches
 the sender encoded and every batch-granular snapshot counter matches
@@ -107,13 +112,13 @@ class CollectorServer:
         Admission queue bound, in frames.  Small on purpose: the queue
         is a shock absorber, not a second buffer tier -- sustained
         overload must surface as drops/backpressure, not latency.
-        A reliable sender's frames are ACKed only once the ingest
-        thread has taken them off this queue, so its send window bounds
-        how many of them sit here: one sender with ``window <=
-        queue_frames`` never meets a full queue.
+        A sender's frames are ACKed only once the ingest thread has
+        taken them off this queue, so its send window bounds how many
+        of them sit here: one sender with ``window <= queue_frames``
+        never meets a full queue.
     reorder_limit:
-        How far (in frames) a reliable sender may run ahead of a hole
-        before further frames are refused (``dropped_window``).
+        How far (in frames) a sender may run ahead of a hole before
+        further frames are refused (``dropped_window``).
     obs:
         Optional :class:`~repro.obs.metrics.MetricsRegistry`.  Every
         :class:`~repro.collector.snapshot.ServiceStats` counter is
@@ -175,8 +180,8 @@ class CollectorServer:
         self._peers: Dict[Tuple, _Peer] = {}
         #: Reassembly state: source -> frames of the open batch.
         self._pending: Dict[Tuple, List[wire.DataFrame]] = {}
-        #: Ingest thread only: reliable source -> highest seq taken off
-        #: the queue and not yet ACKed.
+        #: Ingest thread only: source -> highest seq taken off the
+        #: queue and not yet ACKed.
         self._unacked: Dict[Tuple, int] = {}
         #: Guards the wrapped collector (ingest thread vs query port).
         self._lock = threading.RLock()
@@ -327,9 +332,9 @@ class CollectorServer:
         parallel collector's drain).  Not waited for: frames still in
         flight on the network, frames parked unacked in a reorder
         buffer, and fragment runs whose terminating frame has not
-        arrived (half a logical batch cannot be folded) -- callers who
-        need "everything I sent arrived" wait on
-        :meth:`wait_for_records` or the reliable sender's ACKs.
+        arrived (half a logical batch cannot be folded) -- a caller
+        who needs "everything I sent arrived" flushes the sender first:
+        a batch's last frame is ACKed only after its fold.
         """
         self._check_open()
         deadline = _Deadline(timeout)
@@ -350,14 +355,13 @@ class CollectorServer:
     def wait_for_records(self, n: int, timeout: float = 30.0) -> None:
         """Block until ``n`` records have been ingested (or time out).
 
-        The cross-network drain: a sender that shipped ``n`` records
-        (reliable, or fire-and-forget over a loss-free loopback) waits
-        here for the last datagram to clear socket, queue and ingest
-        thread.  Raises :class:`ServiceError` on timeout, carrying the
-        shortfall -- which under fire-and-forget loss is the honest
-        answer -- and a deferred ingest-side failure as soon as there
-        is one: a batch the collector refused never counts as
-        ingested, so waiting out the timeout would only hide why.
+        A poll of ``records_ingested`` for a caller that does not hold
+        the sender (a flushed sender needs no wait: its last ACK came
+        after the fold).  Raises :class:`ServiceError` on timeout,
+        carrying the shortfall, and a deferred ingest-side failure as
+        soon as there is one: a batch the collector refused never
+        counts as ingested, so waiting out the timeout would only hide
+        why.
         """
         self._check_open()
         deadline = _Deadline(timeout)
@@ -510,12 +514,11 @@ class CollectorServer:
 
     def _admit(self, frame: wire.DataFrame, addr) -> None:
         """Run one decoded data frame from ``addr`` through the policy."""
-        self._bump("frames_received")
         if not frame.reliable:
-            # Fire-and-forget: straight to the queue, drop when full.
-            if not self._enqueue(frame, addr):
-                self._bump("dropped_queue_full")
+            # No seq stream to dedup, order or ACK: a bad frame.
+            self._bump("dropped_bad_frame")
             return
+        self._bump("frames_received")
         peer = self._peers.setdefault(addr, _Peer())
         if frame.seq < peer.expected or frame.seq in peer.buffer:
             # Already admitted (or parked): the ACK was lost or the
@@ -586,12 +589,14 @@ class CollectorServer:
     def _ingest_loop(self) -> None:
         """Fold reassembled batches; send the cumulative ACKs.
 
-        Each reliable source is ACKed with the highest seq taken off
-        the queue: (a) after a completed run has been folded, and (b)
-        after a ``FLAG_MORE`` fragment is taken and the queue is
-        empty.  Rule (b) keeps a batch of more frames than the
-        sender's window from deadlocking: the sender waits for an ACK
-        to send the rest, and the fold waits for the rest.
+        Each source is ACKed with the highest seq taken off the queue:
+        (a) after a completed run has been folded, and (b) after a
+        ``FLAG_MORE`` fragment is taken and the queue is empty.  Rule
+        (b) keeps a batch of more frames than the sender's window from
+        deadlocking: the sender waits for an ACK to send the rest, and
+        the fold waits for the rest.  Rule (a) makes the ACK of a
+        batch's last frame a fold barrier: a flushed sender's batches
+        are all in the collector.
         """
         while True:
             item = self._queue.get()
@@ -605,8 +610,7 @@ class CollectorServer:
                 delay = self.faults.stall_seconds()
                 if delay > 0.0:
                     time.sleep(delay)
-            if frame.reliable:
-                self._unacked[addr] = frame.seq
+            self._unacked[addr] = frame.seq
             run = self._pending.setdefault(addr, [])
             run.append(frame)
             if not frame.more:  # the batch's terminating fragment

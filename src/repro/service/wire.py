@@ -33,7 +33,9 @@ Flags:
 
 * ``FLAG_RELIABLE`` -- the sender numbers frames contiguously from 0
   and retransmits on RTO until the frame is acknowledged; the server
-  deduplicates and delivers in seq order.
+  deduplicates and delivers in seq order.  The server admits only
+  such frames; one without the flag (the codec still encodes it, for
+  its own tests) is counted as a bad frame and never ingested.
 * ``FLAG_MORE`` -- this frame is a *fragment* of a larger logical
   batch (a UDP datagram caps a frame at ~64 KiB); the server
   coalesces a run of MORE frames with its terminating non-MORE frame

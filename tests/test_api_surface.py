@@ -41,12 +41,16 @@ def test_replay_path_options_nothing_sets_are_gone():
 
 
 def test_udp_is_the_one_wire_transport():
-    # Reliable UDP is the one reliable wire into the sink (DESIGN.md
-    # section 7): no stream sender, no stream decoder.
+    # Reliable UDP is the one wire into the sink (DESIGN.md section
+    # 7): no stream sender or decoder, no fire-and-forget sender, no
+    # sender factory to pick between them.
     import repro.service as service
     from repro.service import client, wire
 
-    assert not {"TCPSender", "StreamDecoder"} & set(dir(service))
+    gone = {"TCPSender", "StreamDecoder", "UDPSender", "make_sender"}
+    assert not gone & set(dir(service))
+    assert not gone & set(dir(client))
+    assert not hasattr(client, "_SenderBase")
     assert not hasattr(client, "RECONNECT_MAX")
     assert not hasattr(wire, "frames_payload_records")
 

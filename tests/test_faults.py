@@ -41,7 +41,6 @@ from repro.service import (
     DeliveryError,
     ReliableUDPSender,
     ServiceError,
-    UDPSender,
 )
 from repro.service.__main__ import main
 
@@ -145,7 +144,7 @@ class TestServerFrameFaults:
     def _frame(self, n=4):
         from repro.service import encode_frame
         fids, pids, hops, digs = batch(n)
-        return encode_frame(fids, pids, hops, digs, 1.0, 0)
+        return encode_frame(fids, pids, hops, digs, 1.0, 0, reliable=True)
 
     def test_corrupted_frame_counted_not_folded(self):
         plan = FaultPlan([corrupt_frame(1)])
@@ -193,7 +192,7 @@ class TestServerFrameFaults:
     def test_stall_queue_delays_but_never_drops(self):
         plan = FaultPlan([stall_queue(1, 0.2)])
         with CollectorServer(make_collector(), faults=plan) as srv:
-            with UDPSender("127.0.0.1", srv.udp_port) as tx:
+            with ReliableUDPSender("127.0.0.1", srv.udp_port) as tx:
                 tx.send_batch(*batch(50), now=1.0)
             srv.wait_for_records(50, timeout=10)
             assert ("stall_queue", "queue", 1) in plan.fired
@@ -307,7 +306,7 @@ class TestServerCheckpoint:
         path = str(tmp_path / "srv.ckpt")
         original = make_collector()
         with CollectorServer(original) as srv:
-            with UDPSender("127.0.0.1", srv.udp_port) as tx:
+            with ReliableUDPSender("127.0.0.1", srv.udp_port) as tx:
                 tx.send_batch(*batch(120), now=1.0)
             srv.wait_for_records(120, timeout=10)
             srv.save_checkpoint(path)

@@ -3,9 +3,10 @@
 Covers the PR-6 contract: the binary frame layout is pinned byte for
 byte (golden vectors) and version-checked before anything else is
 trusted; malformed input of every shape is rejected with typed errors
-and counted per reason, never crashed on; the admission queue drops
-fire-and-forget overload but parks reliable frames unacked; the
-seq/ACK/RTO sender delivers exactly once under heavy simulated loss;
+and counted per reason, never crashed on; the server admits only
+reliable frames and parks them unacked on a full queue; the
+seq/ACK/RTO sender delivers exactly once under heavy simulated loss,
+and a flushed sender's batches are already folded;
 fragment reassembly keeps wire-fed collectors bit-identical to
 in-process ingest (snapshots and per-flow answers alike, including
 through ``ReplayDriver(transport=...)``); and both collector
@@ -49,14 +50,12 @@ from repro.service import (
     ReliableUDPSender,
     ServiceError,
     TruncatedFrameError,
-    UDPSender,
     WireError,
     decode_frame,
     decode_frames,
     encode_ack,
     encode_frame,
     encode_frames,
-    make_sender,
 )
 from repro.service import wire
 from repro.service.client import _InFlight
@@ -285,15 +284,20 @@ class TestAdmissionPolicy:
         kw.setdefault("queue_frames", 2)
         return CollectorServer(make_collector(), **kw)
 
-    def test_fire_and_forget_drops_on_full_queue(self):
+    def test_unreliable_frame_refused_as_bad_frame(self):
+        # Without FLAG_RELIABLE there is no seq stream to dedup, order
+        # or ACK: the frame is a bad frame, never queued, never ACKed.
         srv = self.make_server(queue_frames=2)
         addr = ("127.0.0.1", 9)
         for seq in range(3):
             srv._admit(data_frame(seq), addr)
         stats = srv.service_stats()
-        assert stats.frames_received == 3
-        assert stats.dropped_queue_full == 1
-        assert srv._queue.qsize() == 2
+        assert stats.dropped_bad_frame == 3
+        assert stats.frames_received == 0
+        assert stats.dropped_queue_full == 0
+        assert stats.acks_sent == 0
+        assert srv._queue.qsize() == 0
+        assert srv._peers == {}
 
     def test_garbage_datagram_counted_as_bad_frame(self):
         srv = self.make_server()
@@ -355,16 +359,21 @@ class TestAdmissionPolicy:
         assert set(srv._peers) == {a, b}
         assert srv.service_stats().duplicate_frames == 0
 
-    def test_fire_and_forget_keeps_no_peer_state(self):
-        # No seq tracking without FLAG_RELIABLE: a repeated seq is
-        # queued again and no per-peer state is kept.
+    def test_unreliable_frame_leaves_no_peer_state(self):
+        # A refused frame touches no seq space: its source gets no
+        # peer entry, and a reliable seq 0 from the same address
+        # afterwards is a new frame, not a duplicate.
         srv = self.make_server(queue_frames=4)
         addr = ("127.0.0.1", 9)
         srv._admit(data_frame(0), addr)
-        srv._admit(data_frame(0), addr)
-        assert srv._queue.qsize() == 2
+        srv._admit(data_frame(0, more=True), addr)
         assert srv._peers == {}
-        assert srv.service_stats().duplicate_frames == 0
+        srv._admit(data_frame(0, reliable=True), addr)
+        assert srv._queue.qsize() == 1
+        assert srv._peers[addr].expected == 1
+        stats = srv.service_stats()
+        assert stats.duplicate_frames == 0
+        assert stats.dropped_bad_frame == 2
 
     def test_invalid_config_rejected(self):
         with pytest.raises(ValueError):
@@ -505,26 +514,67 @@ class TestLoopbackService:
                 tx.flush(timeout=10.0)
             tx.sock.close()
 
-    def test_fire_and_forget_udp_smoke(self):
-        with CollectorServer(make_collector()) as srv:
-            with UDPSender("127.0.0.1", srv.udp_port) as tx:
-                tx.send_batch(*batch(50), now=1.0)
-            srv.wait_for_records(50, timeout=10)
-            assert srv.service_stats().acks_sent == 0
+    def test_unreliable_datagram_refused_over_loopback(self):
+        # A frame without FLAG_RELIABLE off the wire is counted as a
+        # bad frame and never ACKed; the reliable stream beside it
+        # is folded.
+        with CollectorServer(make_collector()) as srv, socket.socket(
+            socket.AF_INET, socket.SOCK_DGRAM
+        ) as probe:
+            probe.settimeout(0.2)
+            for payload in encode_frames(*batch(50), 1.0, max_records=16):
+                probe.sendto(payload, ("127.0.0.1", srv.udp_port))
+            with ReliableUDPSender("127.0.0.1", srv.udp_port) as tx:
+                tx.send_batch(*batch(30), now=1.0)
+            stats = srv.service_stats()
+            assert stats.dropped_bad_frame == 4
+            assert stats.records_ingested == 30
+            with pytest.raises(socket.timeout):
+                probe.recvfrom(64)
+            assert len(srv._peers) == 1
+
+    def test_flush_returns_with_every_record_folded(self):
+        # One batch of 19 frames through a 4-frame window, with lost
+        # transmissions and the ingest thread stalled on the batch's
+        # last frame: the server ACKs that frame only after folding
+        # the batch, so flush() returning is the fold barrier -- no
+        # wait_for_records.
+        from repro.faults import FaultPlan, stall_queue
+
+        plan = FaultPlan([stall_queue(1, 0.1), stall_queue(19, 0.3)])
+        direct = make_collector()
+        served = make_collector()
+        with CollectorServer(served, faults=plan) as srv:
+            tx = ReliableUDPSender(
+                "127.0.0.1", srv.udp_port, max_records=16, window=4,
+                drop_fn=lambda seq, attempt: attempt == 0 and seq % 5 == 2,
+                **FAST_RTO,
+            )
+            cols = batch(300)
+            direct.ingest_batch(*cols, now=1.0)
+            sent = tx.send_batch(*cols, now=1.0)
+            tx.flush()
+            stats = srv.service_stats()
+            assert ("stall_queue", "queue", 19) in plan.fired
+            assert tx.retransmits > 0
+            assert stats.records_ingested == sent == 300
+            assert stats.batches_ingested == tx.batches_sent == 1
+            assert served.snapshot().as_dict() == direct.snapshot().as_dict()
+            tx.close()
 
     def test_bad_datagram_counted_not_fatal(self):
         with CollectorServer(make_collector()) as srv:
             probe = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
             probe.sendto(b"\xff" * 40, ("127.0.0.1", srv.udp_port))
             probe.close()
-            with UDPSender("127.0.0.1", srv.udp_port) as tx:
+            with ReliableUDPSender("127.0.0.1", srv.udp_port) as tx:
                 tx.send_batch(*batch(10), now=1.0)
             srv.wait_for_records(10, timeout=10)
             assert srv.service_stats().dropped_bad_frame == 1
 
     def test_snapshot_carries_service_stats(self):
         with CollectorServer(make_collector()) as srv:
-            with UDPSender("127.0.0.1", srv.udp_port) as tx:
+            with ReliableUDPSender("127.0.0.1", srv.udp_port) as tx:
                 tx.send_batch(*batch(30), now=1.0)
             srv.wait_for_records(30, timeout=10)
             snap = srv.snapshot()
@@ -568,18 +618,6 @@ class TestLoopbackService:
             srv.drain()
         with pytest.raises(ServiceError):
             srv.start()
-
-    def test_make_sender_dispatch(self):
-        with CollectorServer(make_collector()) as srv:
-            tx = make_sender("udp", "127.0.0.1", srv.udp_port)
-            assert isinstance(tx, ReliableUDPSender)
-            tx.sock.close()
-            tx = make_sender("udp-unreliable", "127.0.0.1", srv.udp_port)
-            assert isinstance(tx, UDPSender)
-            tx.close()
-        for transport in ("tcp", "carrier-pigeon"):
-            with pytest.raises(ValueError):
-                make_sender(transport, "127.0.0.1", 1)
 
     def test_close_while_a_connection_thread_is_starting(self, monkeypatch):
         # close() racing the query port's accept loop: a connection
@@ -755,7 +793,7 @@ class TestQueryServer:
 
     def test_server_attached_query_port(self):
         with CollectorServer(make_collector(), query_port=0) as srv:
-            with UDPSender("127.0.0.1", srv.udp_port) as tx:
+            with ReliableUDPSender("127.0.0.1", srv.udp_port) as tx:
                 tx.send_batch(*batch(30), now=1.0)
             srv.wait_for_records(30, timeout=10)
             with QueryClient("127.0.0.1", srv.query_port) as client:
@@ -833,24 +871,28 @@ class TestCLI:
         args = build_parser().parse_args(["serve"])
         assert args.scenario == "hadoop" and args.udp_port == 0
         args = build_parser().parse_args(["send", "--port", "9"])
-        assert args.transport == "udp" and args.fn.__name__ == "cmd_send"
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(
-                ["send", "--port", "9", "--transport", "tcp"]
-            )
+        assert args.fn.__name__ == "cmd_send"
         # A send from default args leaves the frame size to the sender,
         # whose default fills a datagram.
         built = []
 
         def spy(*args, **kwargs):
-            built.append(make_sender(*args, **kwargs))
+            built.append(ReliableUDPSender(*args, **kwargs))
             return built[-1]
 
-        monkeypatch.setattr(service_main, "make_sender", spy)
+        monkeypatch.setattr(service_main, "ReliableUDPSender", spy)
         with CollectorServer(make_collector()) as srv:
             assert main(["send", "--port", str(srv.udp_port),
                          "--packets", "200"]) == 0
         assert built[0].max_records == wire.MAX_UDP_RECORDS
+
+    def test_send_refuses_transport(self):
+        # Reliable UDP is the one sender; the option is gone.
+        for transport in ("udp", "udp-unreliable", "tcp"):
+            with pytest.raises(SystemExit):
+                build_parser().parse_args(
+                    ["send", "--port", "9", "--transport", transport]
+                )
 
     def test_serve_rejects_tcp_port(self):
         # UDP is the only data listener; the option is gone.
@@ -896,17 +938,12 @@ class TestCLI:
                          "--port", ports["udp"], "--loss", "0.1"]) == 0
             sent = json.loads(capsys.readouterr().out)
             assert sent["records"] == 800 and sent["acked_frames"] > 0
-            # An ACK is an admission promise, not a fold barrier:
-            # poll the query port until the ingest thread catches up.
-            deadline = time.monotonic() + 15
-            while True:
-                assert main(["query", "--port", ports["query"],
-                             "--op", "stats"]) == 0
-                stats = json.loads(capsys.readouterr().out)["stats"]
-                if stats["records_ingested"] == 800:
-                    break
-                assert time.monotonic() < deadline, stats
-                time.sleep(0.05)
+            # The server ACKs a batch's last frame only after folding
+            # it, so send returns with every record counted: no poll.
+            assert main(["query", "--port", ports["query"],
+                         "--op", "stats"]) == 0
+            stats = json.loads(capsys.readouterr().out)["stats"]
+            assert stats["records_ingested"] == 800
             assert main(["query", "--port", ports["query"],
                          "--flow-id", "0"]) == 0
             flow = json.loads(capsys.readouterr().out)
@@ -930,7 +967,7 @@ class TestObsService:
         obs = MetricsRegistry()
         coll = make_collector(obs=obs)
         with CollectorServer(coll, query_port=0, obs=obs) as srv:
-            with UDPSender("127.0.0.1", srv.udp_port) as tx:
+            with ReliableUDPSender("127.0.0.1", srv.udp_port) as tx:
                 tx.send_batch(*batch(30), now=1.0)
             srv.wait_for_records(30, timeout=10)
             srv.drain()
@@ -961,7 +998,7 @@ class TestObsService:
         coll = make_collector(obs=obs)
         with CollectorServer(coll, obs=obs, metrics_port=0) as srv:
             assert srv.metrics_port
-            with UDPSender("127.0.0.1", srv.udp_port) as tx:
+            with ReliableUDPSender("127.0.0.1", srv.udp_port) as tx:
                 tx.send_batch(*batch(20), now=1.0)
             srv.wait_for_records(20, timeout=10)
             with urllib.request.urlopen(
