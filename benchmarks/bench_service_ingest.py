@@ -53,9 +53,10 @@ def time_wire(factory, cols, batch: int, repeats: int,
     """Best-of-``repeats`` seconds for the full wire path.
 
     The server is started before the clock (a sink is a long-lived
-    service); the clock stops only after ``wait_for_records`` confirms
-    the last frame cleared socket, queue and ingest thread -- anything
-    less would time the sendto, not the work.
+    service); the clock stops when ``flush()`` returns, which is only
+    once the server has folded every batch (it ACKs a batch's last
+    frame after the fold) -- anything less would time the sendto, not
+    the work.
     """
     fids, pids, hops, digs = cols
     n = len(fids)
@@ -70,7 +71,6 @@ def time_wire(factory, cols, batch: int, repeats: int,
                     tx.send_batch(fids[lo:hi], pids[lo:hi], hops[lo:hi],
                                   digs[lo:hi])
                 tx.flush()
-                srv.wait_for_records(n, timeout=120)
                 best = min(best, time.perf_counter() - start)
             assert srv.snapshot().records == n
     return best
@@ -121,7 +121,6 @@ def bench_reliability(args) -> dict:
                 tx.send_batch(fids[lo:hi], pids[lo:hi], hops[lo:hi],
                               digs[lo:hi])
             tx.flush()
-        srv.wait_for_records(records, timeout=120)
         stats = srv.service_stats()
         assert stats.records_ingested == records, (
             f"reliable sender lost records: {stats.records_ingested} "

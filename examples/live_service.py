@@ -9,7 +9,9 @@ collector as an actual *service* on loopback sockets:
    -- through a simulated 20% per-transmission loss hook, the in-line
    stand-in for the impairment engine's network,
 3. watch the sender's retransmit machinery deliver every record
-   exactly once (the server dedups and re-ACKs),
+   exactly once (one timer resends the frame the cumulative ACK is
+   stuck on; the server holds the frames behind it, so none arrives
+   twice),
 4. query the running service over its JSON port the way an operator
    (or ``jq``) would, and
 5. shut down gracefully and compare against ground truth.
@@ -61,18 +63,17 @@ def main() -> None:
                     trace.flow_id[rows], trace.pid[rows], hop_counts[rows],
                     dataplane.encode_rows(rows), now=float(trace.ts[hi - 1]),
                 )
-            sender.flush()
-        server.wait_for_records(len(trace))
+            sender.flush()  # the fold barrier: every batch is folded
         stats = server.service_stats()
         print(f"   {sender.frames_sent} frames sent "
               f"({sender.retransmits} retransmits), "
               f"{stats.duplicate_frames} duplicates deduped server-side")
         # Karn's rule samples RTT only from the frame an ACK names, and
-        # only if it was never retransmitted: with one cumulative ACK
-        # per batch, every ACK can name a retransmit, leaving no
-        # estimate at all -- report that honestly instead of crashing.
+        # only if it was first sent after the latest resend: under
+        # heavy loss every ACK can fail that test, leaving no estimate
+        # at all -- report that honestly instead of crashing.
         srtt = (f"{sender.srtt * 1e3:.2f} ms" if sender.srtt is not None
-                else "n/a, every ACK named a retransmitted frame")
+                else "n/a, every ACK named a frame sent before a resend")
         print(f"   delivered {stats.records_ingested}/{len(trace)} records "
               f"exactly once (srtt {srtt})")
 

@@ -7,10 +7,15 @@ signature as ``Collector.ingest_batch`` -- the replay driver swaps the
 sender for the collector without touching its loop.  It is the
 SNIPPETS 1-2 idiom: seq-numbered frames, an inflight map, per-ACK RTT
 samples folded into EWMA ``srtt``/``rttvar`` (RFC 6298 shape: ``RTO =
-srtt + 4*rttvar``, clamped), retransmit on RTO expiry, a bounded send
-window for flow control, and Karn's rule (retransmitted frames
-contribute no RTT sample -- the ACK is ambiguous).  ACKs are
-cumulative: ``ACK(s)`` retires every inflight frame up to ``s``.
+srtt + 4*rttvar``, clamped), one retransmission timer (RFC 6298 section
+5), a bounded send window for flow control, and Karn's rule (an ACK
+that may have waited behind a resent frame contributes no RTT sample
+-- it is ambiguous).  ACKs are cumulative: ``ACK(s)`` retires every
+inflight frame up to ``s``.  The timer runs while any frame is
+inflight, restarts on every ACK that retires frames, and on expiry
+resends only the oldest unacked frame: the server holds the frames
+that arrived behind that hole, so one resend and one cumulative ACK
+retire them all.
 Delivery is exactly-once end to end: the server dedups on seq, ACKs a
 frame only once its ingest thread has taken it off the admission
 queue, and ACKs a batch's last frame only after folding the batch --
@@ -19,20 +24,20 @@ been folded (or refused by the collector, which the server's next
 ``drain()`` raises).
 
 ``drop_fn`` is a deterministic loss hook for tests and demos: when it
-returns True for ``(seq, attempt)``, the frame is *not* put on the
-wire (simulating network loss ahead of the sink) but stays inflight
-and retries -- this is how the lossy-loopback example drives a seeded
-:class:`~repro.replay.impair.IIDLoss`-style channel without root or
-tc.
+returns True for ``(seq, attempt)`` (``attempt`` is 0 for a first
+send, the sender's retry count for a resend), the frame is *not* put
+on the wire (simulating network loss ahead of the sink) but stays
+inflight and is resent -- this is how the lossy-loopback example
+drives a seeded :class:`~repro.replay.impair.IIDLoss`-style channel
+without root or tc.
 """
 
 from __future__ import annotations
 
-import random
 import select
 import socket
 import time
-from typing import Callable, Dict, Optional
+from typing import Callable, Dict, Optional, Tuple
 
 from repro.exceptions import ReproError
 from repro.obs.metrics import NULL_REGISTRY
@@ -48,25 +53,6 @@ class DeliveryError(ReproError):
     """A reliable send could not be completed (retries/flush exhausted)."""
 
 
-class _InFlight:
-    """One unacked frame: payload + timing for RTO and RTT sampling.
-
-    ``rto`` is this frame's *own* current timeout -- the base EWMA RTO
-    scaled exponentially by its retry count and jittered, so a burst
-    of frames lost together fans its retransmissions out instead of
-    re-colliding in lockstep every cycle.
-    """
-
-    __slots__ = ("payload", "first_sent", "last_sent", "retries", "rto")
-
-    def __init__(self, payload: bytes, now: float, rto: float) -> None:
-        self.payload = payload
-        self.first_sent = now
-        self.last_sent = now
-        self.retries = 0
-        self.rto = rto
-
-
 class ReliableUDPSender:
     """Seq/ACK/RTO reliable delivery over UDP (SNIPPETS 1-2 idiom).
 
@@ -74,7 +60,8 @@ class ReliableUDPSender:
     to ``s`` -- and a server sends one per folded batch (plus one when
     its queue runs dry mid-batch), not one per frame.  Karn's rule
     then reads: the RTT sample comes from the frame the ACK names, and
-    only if that frame was never retransmitted.
+    only if that frame was first sent after the latest retransmission
+    -- an earlier frame may have waited behind the hole at the server.
 
     Parameters
     ----------
@@ -88,24 +75,21 @@ class ReliableUDPSender:
         server ACKs a frame only once it is off that queue).  The
         default of 32 full datagrams spans about 2 MiB of payload.
     max_retries:
-        Retransmissions per frame before :class:`DeliveryError` (the
-        sink is gone; buffering forever is not reliability).
+        Resends of the oldest unacked frame before
+        :class:`DeliveryError` (the sink is gone; buffering forever is
+        not reliability).
     min_rto / max_rto / initial_rto:
         RTO bounds and the timeout before the first RTT sample
         (loopback-friendly; the EWMA gains are RFC 6298's
         :data:`RTT_ALPHA` / :data:`RTT_BETA`).
-    backoff / jitter / rto_seed:
-        Retry pacing: the ``n``-th retransmission of a frame waits
-        ``rto * backoff**n`` (capped at ``max_rto``), stretched by up
-        to ``jitter`` fraction of itself from a dedicated seeded RNG.
-        Exponential spacing stops a dead sink from being hammered at a
-        constant rate; the jitter de-synchronises frames that timed
-        out together.  ``rto_seed`` makes the jitter sequence
-        reproducible in tests.
+    backoff:
+        Retry pacing: after the ``n``-th resend of the oldest frame
+        the timer waits ``rto * backoff**n`` (capped at ``max_rto``),
+        so a dead sink is not hammered at a constant rate.
     send_timeout:
         Cap on the *total* time :meth:`send_batch` may block waiting
         for window space; past it a :class:`DeliveryError` is raised
-        even if no single frame has exhausted ``max_retries`` yet (a
+        even if the oldest frame has not exhausted ``max_retries`` (a
         stalled-but-slowly-acking sink must not wedge the caller
         forever).
     drop_fn:
@@ -132,8 +116,6 @@ class ReliableUDPSender:
         max_rto: float = 2.0,
         initial_rto: float = 0.2,
         backoff: float = 2.0,
-        jitter: float = 0.1,
-        rto_seed: Optional[int] = None,
         send_timeout: float = 60.0,
         drop_fn: Optional[Callable[[int, int], bool]] = None,
         obs=None,
@@ -163,16 +145,17 @@ class ReliableUDPSender:
         self.initial_rto = initial_rto
         if backoff < 1.0:
             raise ValueError("backoff must be >= 1.0")
-        if not 0.0 <= jitter < 1.0:
-            raise ValueError("jitter must be in [0, 1)")
         self.backoff = backoff
-        self.jitter = jitter
         self.send_timeout = send_timeout
-        self._rng = random.Random(rto_seed)
         self.drop_fn = drop_fn
         self.srtt: Optional[float] = None
         self.rttvar = 0.0
-        self.inflight: Dict[int, _InFlight] = {}
+        # seq -> (payload, first_sent), in seq order: frames enter in
+        # seq order and a resend does not re-insert.
+        self.inflight: Dict[int, Tuple[bytes, float]] = {}
+        self.retries = 0          # resends of the oldest inflight frame
+        self._expires = 0.0       # the retransmission timer's deadline
+        self._last_resend = float("-inf")
         self.sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
         self.sock.setblocking(False)
         self.obs = obs if obs is not None else NULL_REGISTRY
@@ -209,14 +192,11 @@ class ReliableUDPSender:
                    max(self.min_rto, self.srtt + 4.0 * self.rttvar))
 
     def _scaled_rto(self, retries: int) -> float:
-        """Per-transmission timeout: base RTO backed off and jittered.
+        """The timer's span after ``retries`` resends: RTO backed off."""
+        return min(self.max_rto, self.rto * self.backoff ** retries)
 
-        The cap applies to the deterministic part only; the jitter
-        then stretches it by up to ``jitter`` fraction, so even frames
-        pinned at ``max_rto`` stay de-synchronised.
-        """
-        base = min(self.max_rto, self.rto * self.backoff ** retries)
-        return base * (1.0 + self.jitter * self._rng.random())
+    def _restart_timer(self) -> None:
+        self._expires = time.monotonic() + self._scaled_rto(self.retries)
 
     def _sample_rtt(self, r: float) -> None:
         if self.srtt is None:
@@ -236,10 +216,10 @@ class ReliableUDPSender:
         """Ship one batch reliably; blocks while the window is full.
 
         The window wait is bounded by ``send_timeout`` *in total* for
-        the batch: per-frame ``max_retries`` catches a dead sink, but
-        a sink acking at a trickle can hold the window full without
-        any frame ever exhausting its retries -- the deadline catches
-        that.
+        the batch: ``max_retries`` catches a dead sink, but a sink
+        acking at a trickle can hold the window full without the
+        oldest frame ever exhausting its retries -- the deadline
+        catches that.
         """
         base_seq = self.next_seq
         frames = wire.encode_frames(
@@ -258,39 +238,35 @@ class ReliableUDPSender:
                         "sink stalled"
                     )
                 self._pump(self.rto)
-            state = _InFlight(payload, time.monotonic(),
-                              self._scaled_rto(0))
-            self.inflight[base_seq + i] = state
-            self._transmit(base_seq + i, state)
+            if not self.inflight:
+                self._restart_timer()
+            self.inflight[base_seq + i] = (payload, time.monotonic())
+            self._transmit(base_seq + i, payload, 0)
         records = wire.encoded_records(frames)
         self.records_sent += records
         if frames:
             self.batches_sent += 1
         return records
 
-    def _transmit(self, seq: int, state: _InFlight) -> None:
-        state.last_sent = time.monotonic()
+    def _transmit(self, seq: int, payload: bytes, attempt: int) -> None:
         self.frames_sent += 1
-        if self.drop_fn is not None and self.drop_fn(seq, state.retries):
+        if self.drop_fn is not None and self.drop_fn(seq, attempt):
             return  # simulated network loss: never reaches the wire
         try:
-            self.sock.sendto(state.payload, self.addr)
+            self.sock.sendto(payload, self.addr)
         except (BlockingIOError, InterruptedError):  # pragma: no cover
             pass  # RTO covers it: an unsendable frame just retries
 
     def _pump(self, max_wait: float) -> None:
-        """Receive ACKs and retransmit expired frames (one cycle).
+        """Receive ACKs and resend on timer expiry (one cycle).
 
-        Waits at most ``max_wait`` (or until the next RTO deadline,
+        Waits at most ``max_wait`` (or until the timer expires,
         whichever is sooner) for socket readability, drains every
-        pending ACK, then sweeps the inflight map for expiries.
+        pending ACK, then checks the timer.
         """
-        now = time.monotonic()
-        wait = max(0.0, min(
-            max_wait,
-            min((st.last_sent + st.rto - now
-                 for st in self.inflight.values()), default=max_wait),
-        ))
+        wait = max_wait
+        if self.inflight:
+            wait = max(0.0, min(wait, self._expires - time.monotonic()))
         readable, _, _ = select.select([self.sock], [], [], wait)
         if readable:
             while True:
@@ -306,38 +282,42 @@ class ReliableUDPSender:
                     continue  # not ours; ignore
                 if isinstance(frame, wire.AckFrame):
                     self._on_ack(frame.seq)
-        now = time.monotonic()
-        for seq, state in list(self.inflight.items()):
-            if now - state.last_sent < state.rto:
-                continue
-            if state.retries >= self.max_retries:
-                raise DeliveryError(
-                    f"frame seq={seq} unacked after {self.max_retries} "
-                    f"retransmissions (rto={state.rto:.3f}s); sink "
-                    "unreachable"
-                )
-            state.retries += 1
-            self.retransmits += 1
-            self._m_retx.inc()
-            state.rto = self._scaled_rto(state.retries)
-            self._transmit(seq, state)
+        if self.inflight and time.monotonic() >= self._expires:
+            self._resend_oldest()
+
+    def _resend_oldest(self) -> None:
+        """Timer expiry: resend the oldest unacked frame and back off."""
+        seq = next(iter(self.inflight))
+        if self.retries >= self.max_retries:
+            raise DeliveryError(
+                f"frame seq={seq} unacked after {self.max_retries} "
+                f"retransmissions (rto={self.rto:.3f}s); sink unreachable"
+            )
+        self.retries += 1
+        self.retransmits += 1
+        self._m_retx.inc()
+        self._last_resend = time.monotonic()
+        self._restart_timer()
+        self._transmit(seq, self.inflight[seq][0], self.retries)
 
     def _on_ack(self, seq: int) -> None:
-        """Retire every inflight frame with a seq up to ``seq``."""
+        """Retire every inflight frame up to ``seq``; restart the timer."""
         named = self.inflight.get(seq)
-        if named is not None and named.retries == 0:
-            # Karn's rule: only a first-transmission ACK is an
-            # unambiguous RTT sample, and only the named frame's.
-            self._sample_rtt(time.monotonic() - named.first_sent)
-        # The map is in seq order: frames enter it in seq order and a
-        # retransmit does not re-insert.
+        if named is not None and named[1] > self._last_resend:
+            # Karn's rule: a frame first sent before the latest resend
+            # is that frame or may have waited behind it at the server.
+            self._sample_rtt(time.monotonic() - named[1])
         inflight = self.inflight
+        acked = self.acked_frames
         while inflight:
             first = next(iter(inflight))
             if first > seq:
                 break
             del inflight[first]
             self.acked_frames += 1
+        if self.acked_frames != acked:
+            self.retries = 0
+            self._restart_timer()
 
     def flush(self, timeout: float = 30.0) -> None:
         """Block until every sent frame is ACKed (or raise).

@@ -28,7 +28,10 @@ admission/drop policy is part of the system, not an accident):
 
 Every source gets per-peer seq tracking: duplicates are never
 re-ingested, and out-of-order frames are held in a bounded reorder
-buffer and delivered in seq order.  ACKs are cumulative and come from
+buffer and delivered in seq order.  That buffer is what lets a sender
+resend only the frame its cumulative ACK is stuck on: once the hole
+arrives, the frames held behind it are released and one ACK retires
+them all.  ACKs are cumulative and come from
 the ingest thread, once per folded batch rather than once per frame:
 ``ACK(s)`` says every frame up to ``s`` is off the admission queue --
 folded, or held for its batch's reassembly -- which is a durability

@@ -58,7 +58,6 @@ from repro.service import (
     encode_frames,
 )
 from repro.service import wire
-from repro.service.client import _InFlight
 from repro.service.query import jsonable
 from repro.service import __main__ as service_main
 from repro.service.__main__ import build_parser, main
@@ -450,8 +449,8 @@ class TestLoopbackService:
             tx.flush()
             srv.wait_for_records(300, timeout=30)
             srv.drain()
-            # Retransmits and duplicate frames happened on the wire,
-            # yet the collector saw the batch exactly once.
+            # Frames were lost and resent on the wire, yet the
+            # collector saw the batch exactly once.
             assert tx.retransmits > 0
             assert served.snapshot().as_dict() == direct.snapshot().as_dict()
 
@@ -479,14 +478,40 @@ class TestLoopbackService:
             assert served.snapshot().as_dict() == direct.snapshot().as_dict()
             tx.close()
 
+    @pytest.mark.parametrize("holes", [{4}, {2, 4, 6}])
+    def test_one_resend_per_hole(self, holes):
+        # One timer resends only the frame the cumulative ACK is stuck
+        # on: the frames behind each hole wait in the server's reorder
+        # buffer, so none of them is resent or arrives twice.
+        with CollectorServer(make_collector()) as srv:
+            tx = ReliableUDPSender(
+                "127.0.0.1", srv.udp_port, max_records=16,
+                min_rto=0.1, initial_rto=0.3,
+                drop_fn=lambda seq, attempt: attempt == 0 and seq in holes,
+            )
+            # Warm the sink (seq 0), so its first fold does not land
+            # in the RTO; then one 8-frame batch, seqs 1..8.
+            tx.send_batch(*batch(16), now=0.0)
+            tx.flush()
+            tx.send_batch(*batch(128, base=1000), now=1.0)
+            tx.flush()
+            stats = srv.service_stats()
+            assert tx.retransmits == len(holes)
+            assert stats.duplicate_frames == 0
+            assert stats.records_ingested == 144
+            tx.close()
+
     def test_two_reliable_senders_interleaved(self):
         # Two sources, each with its own seq space starting at 0,
         # interleaved batch by batch: every record lands exactly once.
+        # No loss and an RTO well above a fold's latency, so nothing
+        # is resent and no frame arrives twice.
         direct = make_collector()
         served = make_collector()
         with CollectorServer(served) as srv:
             txs = [ReliableUDPSender("127.0.0.1", srv.udp_port,
-                                     max_records=32, **FAST_RTO)
+                                     max_records=32, min_rto=0.2,
+                                     initial_rto=0.5)
                    for _ in range(2)]
             for i in range(3):
                 for k, tx in enumerate(txs):
@@ -500,6 +525,7 @@ class TestLoopbackService:
             srv.drain()
             stats = srv.service_stats()
             assert stats.records_ingested == 600
+            assert [tx.retransmits for tx in txs] == [0, 0]
             assert stats.duplicate_frames == 0
             assert served.snapshot().as_dict() == direct.snapshot().as_dict()
 
@@ -804,12 +830,14 @@ class TestQueryServer:
 
 
 class TestCumulativeAck:
-    def make_tx(self, frames):
-        tx = ReliableUDPSender("127.0.0.1", 1)
+    def make_tx(self, frames, age=0.01):
+        # Every transmission is dropped: the sender's bookkeeping only.
+        tx = ReliableUDPSender("127.0.0.1", 1,
+                               drop_fn=lambda seq, attempt: True)
         tx.sock.close()
-        sent = time.monotonic() - 0.01
+        sent = time.monotonic() - age
         for seq in range(frames):
-            tx.inflight[seq] = _InFlight(b"", sent, 1.0)
+            tx.inflight[seq] = (b"", sent)
         return tx
 
     def test_ack_retires_every_frame_up_to_its_seq(self):
@@ -823,12 +851,49 @@ class TestCumulativeAck:
 
     def test_rtt_sample_only_from_a_fresh_named_frame(self):
         tx = self.make_tx(4)
-        tx.inflight[1].retries = 1
-        tx._on_ack(1)  # names a retransmitted frame: ambiguous
+        tx._resend_oldest()
+        tx._on_ack(0)  # names the resent frame: ambiguous
         assert tx.srtt is None
-        tx._on_ack(3)  # retires 2 and 3; samples 3 only
+        tx.inflight[4] = (b"", time.monotonic())
+        time.sleep(0.01)
+        tx._on_ack(4)  # retires 1..4; samples 4 only
         assert tx.srtt is not None and tx.srtt >= 0.01
         assert not tx.inflight
+
+    def test_no_sample_from_a_frame_sent_before_the_latest_resend(self):
+        # Frame 2 was never resent, but it went out before frame 0's
+        # resend, so it may have waited behind that hole.
+        tx = self.make_tx(4)
+        tx._resend_oldest()
+        tx._on_ack(2)
+        assert tx.srtt is None
+        assert list(tx.inflight) == [3]
+
+    def test_sample_from_a_frame_first_sent_after_the_latest_resend(self):
+        # The sample is the named frame's own round trip, not that of
+        # the older frames the same ACK retires.
+        tx = self.make_tx(2, age=1.0)
+        tx._resend_oldest()
+        tx.inflight[2] = (b"", time.monotonic())
+        time.sleep(0.01)
+        tx._on_ack(2)
+        assert tx.srtt is not None and 0.01 <= tx.srtt < 0.5
+
+    def test_expiry_resends_the_oldest_frame_and_backs_off(self):
+        tx = self.make_tx(3)
+        sent = []
+        tx.drop_fn = lambda seq, attempt: sent.append((seq, attempt)) or True
+        tx._resend_oldest()
+        tx._resend_oldest()
+        assert sent == [(0, 1), (0, 2)]
+        assert tx._expires - time.monotonic() == pytest.approx(
+            4 * tx.initial_rto, abs=0.05)
+        tx._on_ack(0)  # progress resets the retry count and the backoff
+        assert tx.retries == 0
+        assert tx._expires - time.monotonic() == pytest.approx(
+            tx.initial_rto, abs=0.05)
+        tx._resend_oldest()
+        assert sent[-1] == (1, 1)
 
 
 class TestPromptClose:
