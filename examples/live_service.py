@@ -71,7 +71,8 @@ def main() -> None:
         # Karn's rule samples RTT only from the frame an ACK names, and
         # only if it was first sent after the latest resend: under
         # heavy loss every ACK can fail that test, leaving no estimate
-        # at all -- report that honestly instead of crashing.
+        # at all (and the timer backed off, since only a sample undoes
+        # the doubling) -- report that honestly instead of crashing.
         srtt = (f"{sender.srtt * 1e3:.2f} ms" if sender.srtt is not None
                 else "n/a, every ACK named a frame sent before a resend")
         print(f"   delivered {stats.records_ingested}/{len(trace)} records "

@@ -126,8 +126,6 @@ class Collector:
         Share-nothing partitions; flows hash-route to one shard each.
     max_flows_per_shard / ttl:
         Flow-table bounds (LRU capacity, idle expiry) applied per shard.
-    router:
-        Optional :class:`ShardRouter` override (custom placement).
     obs / obs_labels:
         Optional :class:`~repro.obs.metrics.MetricsRegistry` (shared
         freely across components) and static labels distinguishing
@@ -149,21 +147,16 @@ class Collector:
         max_flows_per_shard: Optional[int] = None,
         ttl: Optional[float] = None,
         seed: int = 0,
-        router: Optional[ShardRouter] = None,
         obs=None,
         obs_labels: Optional[Dict[str, str]] = None,
     ) -> None:
-        if router is not None and router.num_shards != num_shards:
-            raise ValueError("router/num_shards mismatch")
         # Every flow of this sink is a row of one store, shared by the
         # shards and indexed by flow id: a store of its own.
         self._store, self._view = sink_store(consumer_factory)
         #: Width of the codes this sink's flows hold (None: not codes).
         self._code_bits = self._store.code_bits
-        self.router = router if router is not None else ShardRouter(
-            num_shards, seed
-        )
-        self.num_shards = self.router.num_shards
+        self.router = ShardRouter(num_shards, seed)
+        self.num_shards = num_shards
         self.max_flows_per_shard = max_flows_per_shard
         self.ttl = ttl
         self.shards: List[Shard] = [

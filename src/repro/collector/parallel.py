@@ -107,7 +107,6 @@ from repro.collector.snapshot import RecoveryStats, Snapshot
 from repro.exceptions import (
     CheckpointError,
     CollectorClosedError,
-    JournalOverflowError,
     RecoveryError,
     WorkerFailedError,
 )
@@ -129,6 +128,11 @@ from repro.obs.metrics import NULL_REGISTRY, MetricsRegistry
 _SNAPSHOT, _LEN, _EXPIRE, _EVICT, _DRAIN, _STOP, _FLOWS, _ANSWERS, \
     _CHECKPOINT, _DEGRADE = range(10)
 
+#: Per-worker restart budget of a supervised collector: one more loss
+#: raises :class:`~repro.exceptions.RecoveryError` (a worker dying in
+#: a tight loop is a bug, not an outage to paper over).
+MAX_RESTARTS = 8
+
 
 class _WorkerDied(RuntimeError):
     """Internal: a worker stopped serving its pipe (died or wedged).
@@ -148,7 +152,6 @@ def _worker_main(
     max_flows_per_shard: Optional[int],
     ttl: Optional[float],
     seed: int,
-    router: Optional[ShardRouter],
     owned: List[int],
     worker_id: int,
     obs_enabled: bool,
@@ -159,7 +162,7 @@ def _worker_main(
 ) -> None:
     """One worker: a private Collector fed by a ring, asked by a pipe.
 
-    The worker builds the *full* shard layout (same router, same shard
+    The worker builds the *full* shard layout (same seed, same shard
     ids) but is only ever fed records of its ``owned`` shards, so the
     unowned tables stay empty and cost nothing.  Keeping global shard
     ids means every table operation -- lexsort grouping, LRU walk, TTL
@@ -185,7 +188,7 @@ def _worker_main(
     single pipe message, so the journal the parent replays next lands
     on exactly the state the checkpoint captured.  A restore failure
     is deliberately fatal -- serving queries off half-installed state
-    would be worse than dying again (the parent's ``max_restarts``
+    would be worse than dying again (the parent's :data:`MAX_RESTARTS`
     bounds the retry storm).
 
     ``ring_spec`` attaches the worker to its shared-memory ring, the
@@ -203,7 +206,6 @@ def _worker_main(
         max_flows_per_shard=max_flows_per_shard,
         ttl=ttl,
         seed=seed,
-        router=router,
         obs=obs,
         obs_labels={**obs_labels, "worker": str(worker_id)},
     )
@@ -345,8 +347,7 @@ class ParallelCollector:
 
     Parameters
     ----------
-    consumer_factory, num_shards, max_flows_per_shard, ttl, seed,
-    router:
+    consumer_factory, num_shards, max_flows_per_shard, ttl, seed:
         Exactly as :class:`Collector`; the resulting state is
         bit-identical to a serial collector built from the same values.
     workers:
@@ -371,15 +372,17 @@ class ParallelCollector:
         Enables supervision: each worker is checkpointed after every
         ``checkpoint_every`` fire-and-forget messages, the parent
         journals un-checkpointed messages, and a lost worker is
-        replaced (restore + replay) instead of raised.  ``None``
-        (default) raises :class:`~repro.exceptions.WorkerFailedError`
-        when a worker is lost.
+        replaced (restore + replay) instead of raised, at most
+        :data:`MAX_RESTARTS` times per worker.  ``None`` (default)
+        raises :class:`~repro.exceptions.WorkerFailedError` when a
+        worker is lost.
     journal_batches:
         Per-worker journal capacity in messages; defaults to
         ``4 * checkpoint_every``.  With capacity >= ``checkpoint_every``
         the journal never evicts while checkpointing is healthy (the
         window arithmetic in DESIGN.md section 9); an undersized
-        journal trades memory for degraded recovery.
+        journal trades memory for degraded recovery: an overflow marks
+        the shards it touched degraded and counts the records lost.
     faults:
         Optional :class:`repro.faults.FaultPlan`; the supervisor fires
         its kill/wedge specs after the matching sends and applies its
@@ -390,15 +393,6 @@ class ParallelCollector:
         like a dead one (SIGSTOP survival when supervised, a bounded
         :class:`~repro.exceptions.WorkerFailedError` when not).
         ``None`` disables wedge detection -- death detection alone.
-    max_restarts:
-        Per-worker restart budget; exceeding it raises
-        :class:`~repro.exceptions.RecoveryError` (a worker dying in a
-        tight loop is a bug, not an outage to paper over).
-    on_data_loss:
-        ``"degrade"`` (default) marks shards degraded when a journal
-        window is exceeded and keeps going; ``"raise"`` raises
-        :class:`~repro.exceptions.JournalOverflowError` at the
-        eviction instead.
     """
 
     def __init__(
@@ -409,7 +403,6 @@ class ParallelCollector:
         max_flows_per_shard: Optional[int] = None,
         ttl: Optional[float] = None,
         seed: int = 0,
-        router: Optional[ShardRouter] = None,
         # Accepted only because bench/stageloop.py:148 (frozen) passes
         # it; delete with that call in the next benchmark PR.
         transport: str = "shm",
@@ -421,8 +414,6 @@ class ParallelCollector:
         journal_batches: Optional[int] = None,
         faults=None,
         wedge_timeout: Optional[float] = None,
-        max_restarts: int = 8,
-        on_data_loss: str = "degrade",
     ) -> None:
         if workers < 1:
             raise ValueError("workers must be >= 1")
@@ -438,13 +429,6 @@ class ParallelCollector:
             )
         if journal_batches is not None and journal_batches < 1:
             raise ValueError("journal_batches must be >= 1")
-        if on_data_loss not in ("degrade", "raise"):
-            raise ValueError(
-                f"on_data_loss must be 'degrade' or 'raise', "
-                f"got {on_data_loss!r}"
-            )
-        if router is not None and router.num_shards != num_shards:
-            raise ValueError("router/num_shards mismatch")
         if workers > num_shards:
             raise ValueError(
                 f"workers ({workers}) must not exceed num_shards "
@@ -463,12 +447,9 @@ class ParallelCollector:
             raise ValueError("ring_records must be >= 1")
         self.workers = workers
         self.num_shards = num_shards
-        self.router = router if router is not None else ShardRouter(
-            num_shards, seed
-        )
+        self.router = ShardRouter(num_shards, seed)
         self._spec = (
             consumer_factory, num_shards, max_flows_per_shard, ttl, seed,
-            router,
         )
         #: The workers' front-door code width, checked here so that no
         #: worker folds part of a batch another one refuses.
@@ -500,8 +481,6 @@ class ParallelCollector:
         )
         self._faults = faults
         self._wedge_timeout = wedge_timeout
-        self._max_restarts = max_restarts
-        self._on_data_loss = on_data_loss
         self._journals: List[BatchJournal] = (
             [BatchJournal(self._journal_batches) for _ in range(workers)]
             if checkpoint_every is not None else []
@@ -985,9 +964,9 @@ class ParallelCollector:
             )
         self._restarts[w] += 1
         self._rec["restarts"] += 1
-        if self._restarts[w] > self._max_restarts:
+        if self._restarts[w] > MAX_RESTARTS:
             raise RecoveryError(
-                f"worker {w} exceeded max_restarts={self._max_restarts} "
+                f"worker {w} exceeded MAX_RESTARTS={MAX_RESTARTS} "
                 f"(last failure: {reason}); a worker dying in a tight "
                 "loop is a bug, not an outage to paper over",
                 worker=w,
@@ -1053,9 +1032,9 @@ class ParallelCollector:
         granularity degraded marking needs.  A full journal first
         tries to make room the honest way (a checkpoint barrier:
         backpressure, not loss); only if checkpointing is itself
-        failing does the append evict, and that eviction either raises
-        (``on_data_loss="raise"``) or accrues potential loss the next
-        recovery will materialise.
+        failing does the append evict, and that eviction accrues
+        potential loss the next recovery will materialise (degraded
+        shards, records lost).
         """
         journal = self._journals[w]
         if journal.full:
@@ -1068,15 +1047,6 @@ class ParallelCollector:
         if evicted is not None:
             self._rec["journal_dropped_batches"] += 1
             self._rec["journal_dropped_records"] += evicted.records
-            if self._on_data_loss == "raise":
-                raise JournalOverflowError(
-                    f"journal for worker {w} overflowed "
-                    f"(capacity {journal.capacity} messages): "
-                    f"{evicted.records} records are no longer "
-                    "replayable; checkpointing is failing or "
-                    "checkpoint_every/journal_batches are mis-sized",
-                    worker=w,
-                )
         self._msgs_since_ckpt[w] += 1
 
     def _post(self, w: int, msg: tuple) -> None:

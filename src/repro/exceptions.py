@@ -101,11 +101,6 @@ class CheckpointVersionError(CheckpointError):
         self.version = version
 
 
-class JournalOverflowError(RecoveryError):
-    """A bounded replay journal had to drop entries while loss was
-    configured as fatal (``on_data_loss="raise"``)."""
-
-
 class RestoreError(RecoveryError):
     """A checkpoint decoded fine but could not be installed into a
     live collector (layout mismatch: shard count, clock mode, ...)."""

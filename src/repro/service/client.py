@@ -10,7 +10,8 @@ samples folded into EWMA ``srtt``/``rttvar`` (RFC 6298 shape: ``RTO =
 srtt + 4*rttvar``, clamped), one retransmission timer (RFC 6298 section
 5), a bounded send window for flow control, and Karn's rule (an ACK
 that may have waited behind a resent frame contributes no RTT sample
--- it is ambiguous).  ACKs are cumulative: ``ACK(s)`` retires every
+-- it is ambiguous -- and the backed-off timer is kept until a valid
+sample arrives).  ACKs are cumulative: ``ACK(s)`` retires every
 inflight frame up to ``s``.  The timer runs while any frame is
 inflight, restarts on every ACK that retires frames, and on expiry
 resends only the oldest unacked frame: the server holds the frames
@@ -48,6 +49,22 @@ from repro.service import wire
 RTT_ALPHA = 0.125
 RTT_BETA = 0.25
 
+#: Max unacked frames in flight: 32 full datagrams span about 2 MiB of
+#: payload.  ``send_batch`` blocks on ACK progress while the window is
+#: full -- sender-side flow control matching the server's bounded
+#: admission queue (the server ACKs a frame only once it is off that
+#: queue).
+WINDOW = 32
+
+#: Resends of the frame the cumulative ACK is stuck on before
+#: :class:`DeliveryError` (the sink is gone; buffering forever is not
+#: reliability).  ACK progress resets the count.
+MAX_RETRIES = 16
+
+#: Timer back-off per resend: RFC 6298 section 5.5's doubling, capped
+#: at ``max_rto`` and undone only by a valid RTT sample (Karn).
+BACKOFF = 2.0
+
 
 class DeliveryError(ReproError):
     """A reliable send could not be completed (retries/flush exhausted)."""
@@ -63,34 +80,26 @@ class ReliableUDPSender:
     only if that frame was first sent after the latest retransmission
     -- an earlier frame may have waited behind the hole at the server.
 
+    The send window (:data:`WINDOW`), the retry budget
+    (:data:`MAX_RETRIES`) and the timer back-off (:data:`BACKOFF`) are
+    module constants: after ``n`` resends without an RTT sample the
+    timer waits ``rto * BACKOFF**n`` (capped at ``max_rto``), so a dead
+    sink is not hammered at a constant rate.
+
     Parameters
     ----------
     max_records:
         Records per frame before a batch fragments; the default fills
         one datagram (``wire.MAX_UDP_RECORDS``).
-    window:
-        Max unacked frames in flight; :meth:`send_batch` blocks (on
-        ACK progress) when the window is full -- sender-side flow
-        control matching the server's bounded admission queue (the
-        server ACKs a frame only once it is off that queue).  The
-        default of 32 full datagrams spans about 2 MiB of payload.
-    max_retries:
-        Resends of the oldest unacked frame before
-        :class:`DeliveryError` (the sink is gone; buffering forever is
-        not reliability).
     min_rto / max_rto / initial_rto:
         RTO bounds and the timeout before the first RTT sample
         (loopback-friendly; the EWMA gains are RFC 6298's
         :data:`RTT_ALPHA` / :data:`RTT_BETA`).
-    backoff:
-        Retry pacing: after the ``n``-th resend of the oldest frame
-        the timer waits ``rto * backoff**n`` (capped at ``max_rto``),
-        so a dead sink is not hammered at a constant rate.
     send_timeout:
         Cap on the *total* time :meth:`send_batch` may block waiting
         for window space; past it a :class:`DeliveryError` is raised
-        even if the oldest frame has not exhausted ``max_retries`` (a
-        stalled-but-slowly-acking sink must not wedge the caller
+        even if the oldest frame has not exhausted :data:`MAX_RETRIES`
+        (a stalled-but-slowly-acking sink must not wedge the caller
         forever).
     drop_fn:
         Optional ``(seq, attempt) -> bool`` simulated-loss hook; True
@@ -110,12 +119,9 @@ class ReliableUDPSender:
         host: str,
         port: int,
         max_records: int = wire.MAX_UDP_RECORDS,
-        window: int = 32,
-        max_retries: int = 16,
         min_rto: float = 0.02,
         max_rto: float = 2.0,
         initial_rto: float = 0.2,
-        backoff: float = 2.0,
         send_timeout: float = 60.0,
         drop_fn: Optional[Callable[[int, int], bool]] = None,
         obs=None,
@@ -128,8 +134,6 @@ class ReliableUDPSender:
                 f"max_records {max_records} exceeds the UDP frame cap "
                 f"({wire.MAX_UDP_RECORDS})"
             )
-        if window < 1:
-            raise ValueError("window must be >= 1")
         self.addr = (host, port)
         self.max_records = max_records
         self.next_seq = 0
@@ -138,14 +142,9 @@ class ReliableUDPSender:
         self.batches_sent = 0
         self.retransmits = 0
         self.acked_frames = 0
-        self.window = window
-        self.max_retries = max_retries
         self.min_rto = min_rto
         self.max_rto = max_rto
         self.initial_rto = initial_rto
-        if backoff < 1.0:
-            raise ValueError("backoff must be >= 1.0")
-        self.backoff = backoff
         self.send_timeout = send_timeout
         self.drop_fn = drop_fn
         self.srtt: Optional[float] = None
@@ -154,6 +153,7 @@ class ReliableUDPSender:
         # seq order and a resend does not re-insert.
         self.inflight: Dict[int, Tuple[bytes, float]] = {}
         self.retries = 0          # resends of the oldest inflight frame
+        self._backoffs = 0        # timer doublings since the last sample
         self._expires = 0.0       # the retransmission timer's deadline
         self._last_resend = float("-inf")
         self.sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
@@ -191,14 +191,15 @@ class ReliableUDPSender:
         return min(self.max_rto,
                    max(self.min_rto, self.srtt + 4.0 * self.rttvar))
 
-    def _scaled_rto(self, retries: int) -> float:
-        """The timer's span after ``retries`` resends: RTO backed off."""
-        return min(self.max_rto, self.rto * self.backoff ** retries)
+    def _scaled_rto(self, n: int) -> float:
+        """The timer's span after ``n`` back-offs: RTO doubled, capped."""
+        return min(self.max_rto, self.rto * BACKOFF ** n)
 
     def _restart_timer(self) -> None:
-        self._expires = time.monotonic() + self._scaled_rto(self.retries)
+        self._expires = time.monotonic() + self._scaled_rto(self._backoffs)
 
     def _sample_rtt(self, r: float) -> None:
+        self._backoffs = 0  # Karn: a valid sample ends the back-off
         if self.srtt is None:
             self.srtt = r
             self.rttvar = r / 2.0
@@ -216,7 +217,7 @@ class ReliableUDPSender:
         """Ship one batch reliably; blocks while the window is full.
 
         The window wait is bounded by ``send_timeout`` *in total* for
-        the batch: ``max_retries`` catches a dead sink, but a sink
+        the batch: :data:`MAX_RETRIES` catches a dead sink, but a sink
         acking at a trickle can hold the window full without the
         oldest frame ever exhausting its retries -- the deadline
         catches that.
@@ -229,7 +230,7 @@ class ReliableUDPSender:
         self.next_seq += len(frames)
         deadline = time.monotonic() + self.send_timeout
         for i, payload in enumerate(frames):
-            while len(self.inflight) >= self.window:
+            while len(self.inflight) >= WINDOW:
                 if time.monotonic() >= deadline:
                     raise DeliveryError(
                         f"send window still full after "
@@ -288,12 +289,14 @@ class ReliableUDPSender:
     def _resend_oldest(self) -> None:
         """Timer expiry: resend the oldest unacked frame and back off."""
         seq = next(iter(self.inflight))
-        if self.retries >= self.max_retries:
+        if self.retries >= MAX_RETRIES:
             raise DeliveryError(
-                f"frame seq={seq} unacked after {self.max_retries} "
+                f"frame seq={seq} unacked after {MAX_RETRIES} "
                 f"retransmissions (rto={self.rto:.3f}s); sink unreachable"
             )
         self.retries += 1
+        if self._scaled_rto(self._backoffs) < self.max_rto:
+            self._backoffs += 1
         self.retransmits += 1
         self._m_retx.inc()
         self._last_resend = time.monotonic()
@@ -301,7 +304,11 @@ class ReliableUDPSender:
         self._transmit(seq, self.inflight[seq][0], self.retries)
 
     def _on_ack(self, seq: int) -> None:
-        """Retire every inflight frame up to ``seq``; restart the timer."""
+        """Retire every inflight frame up to ``seq``; restart the timer.
+
+        Progress resets the retry budget; the back-off survives it
+        unless the ACK yields an RTT sample.
+        """
         named = self.inflight.get(seq)
         if named is not None and named[1] > self._last_resend:
             # Karn's rule: a frame first sent before the latest resend

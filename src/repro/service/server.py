@@ -28,8 +28,9 @@ admission/drop policy is part of the system, not an accident):
 
 Every source gets per-peer seq tracking: duplicates are never
 re-ingested, and out-of-order frames are held in a bounded reorder
-buffer and delivered in seq order.  That buffer is what lets a sender
-resend only the frame its cumulative ACK is stuck on: once the hole
+buffer (:data:`REORDER_LIMIT`) and delivered in seq order.  That
+buffer is what lets a sender resend only the frame its cumulative ACK
+is stuck on: once the hole
 arrives, the frames held behind it are released and one ACK retires
 them all.  ACKs are cumulative and come from
 the ingest thread, once per folded batch rather than once per frame:
@@ -70,6 +71,10 @@ from repro.obs.prom import MetricsHTTPServer
 from repro.service import wire
 from repro.service.query import QueryServer, close_waking
 
+#: Frames a sender may run ahead of its first hole before the server
+#: refuses more (``dropped_window``): the reorder buffer's bound.
+REORDER_LIMIT = 4096
+
 #: Queue sentinel telling the ingest thread to exit.
 _STOP = object()
 
@@ -100,6 +105,9 @@ class _Peer:
 class CollectorServer:
     """Serve a collector over loopback/LAN sockets.
 
+    A sender may run at most :data:`REORDER_LIMIT` frames ahead of a
+    hole; further frames are refused (``dropped_window``).
+
     Parameters
     ----------
     collector:
@@ -117,11 +125,8 @@ class CollectorServer:
         overload must surface as drops/backpressure, not latency.
         A sender's frames are ACKed only once the ingest thread has
         taken them off this queue, so its send window bounds how many
-        of them sit here: one sender with ``window <= queue_frames``
-        never meets a full queue.
-    reorder_limit:
-        How far (in frames) a sender may run ahead of a hole before
-        further frames are refused (``dropped_window``).
+        of them sit here: one sender with ``WINDOW <= queue_frames``
+        (:data:`repro.service.client.WINDOW`) never meets a full queue.
     obs:
         Optional :class:`~repro.obs.metrics.MetricsRegistry`.  Every
         :class:`~repro.collector.snapshot.ServiceStats` counter is
@@ -154,7 +159,6 @@ class CollectorServer:
         tcp_port: None = None,
         query_port: Optional[int] = None,
         queue_frames: int = 256,
-        reorder_limit: int = 4096,
         obs=None,
         metrics_port: Optional[int] = None,
         faults=None,
@@ -168,14 +172,11 @@ class CollectorServer:
             raise ValueError("udp_port must be a port number (0 = ephemeral)")
         if queue_frames < 1:
             raise ValueError("queue_frames must be >= 1")
-        if reorder_limit < 1:
-            raise ValueError("reorder_limit must be >= 1")
         self.collector = collector
         self.host = host
         self.udp_port = udp_port
         self.query_port = query_port
         self.queue_frames = queue_frames
-        self.reorder_limit = reorder_limit
         self.faults = faults
 
         self._queue: "queue.Queue" = queue.Queue(maxsize=queue_frames)
@@ -534,7 +535,7 @@ class CollectorServer:
             elif frame.seq >= peer.expected:
                 self._drain_peer(peer, addr)
             return
-        if frame.seq - peer.expected > self.reorder_limit:
+        if frame.seq - peer.expected > REORDER_LIMIT:
             self._bump("dropped_window")
             return
         peer.buffer[frame.seq] = frame

@@ -1,4 +1,4 @@
-"""Knob ratchet: the constructor surfaces of the two widest classes.
+"""Knob ratchet: the constructor surfaces of the five sink classes.
 
 Every constructor parameter is a configuration axis the tests and the
 benchmark must cover, so adding one is a deliberate act: it changes
@@ -96,15 +96,51 @@ def test_sink_side_generality_without_a_caller_is_gone():
 
 
 def test_parallel_collector_constructor_knobs():
+    # The router is always ShardRouter(num_shards, seed), the restart
+    # budget is MAX_RESTARTS, and a journal overflow always degrades.
+    import repro.exceptions as exceptions
+
     assert params(ParallelCollector) == {
         "consumer_factory", "workers", "num_shards",
-        "max_flows_per_shard", "ttl", "seed", "router",
+        "max_flows_per_shard", "ttl", "seed",
         # One legal value ("shm"); kept for the frozen bench caller.
         "transport",
         "ring_slots", "ring_records", "obs", "obs_labels",
         "checkpoint_every", "journal_batches", "faults", "wedge_timeout",
-        "max_restarts", "on_data_loss",
     }
+    assert not hasattr(exceptions, "JournalOverflowError")
+
+
+def test_collector_constructor_knobs():
+    assert params(Collector) == {
+        "consumer_factory", "num_shards", "max_flows_per_shard", "ttl",
+        "seed", "obs", "obs_labels",
+    }
+
+
+def test_service_constructor_knobs():
+    # The send window, retry budget and back-off are sender constants,
+    # the reorder window a server constant.
+    from repro.service import CollectorServer, ReliableUDPSender
+
+    assert params(CollectorServer) == {
+        "collector", "host", "udp_port",
+        # Only None is legal; kept for the frozen bench caller.
+        "tcp_port",
+        "query_port", "queue_frames", "obs", "metrics_port", "faults",
+    }
+    assert params(ReliableUDPSender) == {
+        "host", "port", "max_records", "min_rto", "max_rto",
+        "initial_rto", "send_timeout", "drop_fn", "obs", "obs_labels",
+    }
+
+
+def test_sink_surface_is_54_names():
+    from repro.service import CollectorServer, ReliableUDPSender
+
+    classes = (Collector, ParallelCollector, ReplayDriver,
+               CollectorServer, ReliableUDPSender)
+    assert sum(len(params(cls)) for cls in classes) == 54
 
 
 def test_answers_is_one_signature_on_both_collectors():

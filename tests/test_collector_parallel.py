@@ -11,7 +11,6 @@ import pytest
 from repro.collector import (
     Collector,
     ParallelCollector,
-    ShardRouter,
     Snapshot,
     congestion_consumer_factory,
 )
@@ -123,9 +122,6 @@ class TestLifecycle:
             ParallelCollector(factory, workers=0, num_shards=4)
         with pytest.raises(ValueError):
             ParallelCollector(factory, workers=8, num_shards=4)
-        with pytest.raises(ValueError):
-            ParallelCollector(factory, workers=2, num_shards=4,
-                              router=ShardRouter(8, 0))
 
     def test_queries_before_first_ingest_match_serial(self):
         # The live workers answer reads on a collector that never

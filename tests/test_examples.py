@@ -94,6 +94,19 @@ class TestExamplesRun:
         assert "complete=True" in out
         assert "despite the lossy wire" in out
 
+    def test_chaos_recovery(self, capsys, monkeypatch):
+        # The one example that drives a supervised ParallelCollector
+        # through ReplayDriver; 5,000 packets still reach worker 0's
+        # eighth batch, where the starved-journal section kills it.
+        module = _load("chaos_recovery")
+        monkeypatch.setattr(module, "PACKETS", 5_000)
+        module.main()
+        out = capsys.readouterr().out
+        assert "fired: [('kill', 'worker=1', 5)]" in out
+        assert "every scored answer bit-identical" in out
+        assert "still bit-identical" in out
+        assert "records lost -- accounted on the snapshot" in out
+
     def test_obs_watch(self, capsys):
         _load("obs_watch").main()
         out = capsys.readouterr().out

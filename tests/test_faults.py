@@ -43,6 +43,7 @@ from repro.service import (
     ServiceError,
 )
 from repro.service.__main__ import main
+from repro.service.client import MAX_RETRIES, WINDOW
 
 UNIVERSE = list(range(1, 33))
 REPO = Path(__file__).resolve().parent.parent
@@ -182,7 +183,6 @@ class TestServerFrameFaults:
             tx.send_batch(*cols, now=1.0)
             tx.flush()
             tx.sock.close()
-            srv.wait_for_records(200, timeout=30)
             srv.drain()
             assert tx.retransmits >= 2
             kinds = {k for k, _, _ in plan.fired}
@@ -194,7 +194,6 @@ class TestServerFrameFaults:
         with CollectorServer(make_collector(), faults=plan) as srv:
             with ReliableUDPSender("127.0.0.1", srv.udp_port) as tx:
                 tx.send_batch(*batch(50), now=1.0)
-            srv.wait_for_records(50, timeout=10)
             assert ("stall_queue", "queue", 1) in plan.fired
             assert srv.service_stats().records_ingested == 50
 
@@ -204,14 +203,12 @@ class TestServerFrameFaults:
         # while the ingest thread stalls.  RTOs during the stall are
         # expected; queue-full drops are not.
         plan = FaultPlan([stall_queue(1, 0.3)])
-        with CollectorServer(make_collector(), queue_frames=8,
+        with CollectorServer(make_collector(), queue_frames=WINDOW,
                              faults=plan) as srv:
-            tx = ReliableUDPSender("127.0.0.1", srv.udp_port, window=8,
-                                   max_records=16)
+            tx = ReliableUDPSender("127.0.0.1", srv.udp_port, max_records=8)
             for i in range(8):
                 tx.send_batch(*batch(64, base=i * 1000), now=float(i))
             tx.flush()
-            srv.wait_for_records(512, timeout=30)
             srv.drain()
             stats = srv.service_stats()
             assert ("stall_queue", "queue", 1) in plan.fired
@@ -230,32 +227,29 @@ class TestScaledRto:
         return tx
 
     def test_backoff_is_pure_exponential(self):
-        tx = self.make_tx(backoff=2.0, initial_rto=0.1, max_rto=10.0)
+        tx = self.make_tx(initial_rto=0.1, max_rto=10.0)
         assert tx._scaled_rto(0) == pytest.approx(0.1)
         assert tx._scaled_rto(1) == pytest.approx(0.2)
         assert tx._scaled_rto(3) == pytest.approx(0.8)
 
     def test_backoff_caps_at_max_rto(self):
-        tx = self.make_tx(backoff=2.0, initial_rto=0.1, max_rto=0.5)
+        tx = self.make_tx(initial_rto=0.1, max_rto=0.5)
         assert tx._scaled_rto(10) == pytest.approx(0.5)
 
-    def test_pacing_params_validated(self):
-        with pytest.raises(ValueError):
-            self.make_tx(backoff=0.5)
-
     def test_send_deadline_caps_window_wait(self):
-        # window=1 and a black-hole drop_fn: the second frame can
-        # never enter the window; the *total* deadline fires long
-        # before max_retries would.
+        # A black-hole drop_fn: frame WINDOW can never enter the
+        # window; the *total* deadline fires long before MAX_RETRIES
+        # resends would.
         tx = ReliableUDPSender(
-            "127.0.0.1", 1, max_records=8, window=1, max_retries=10_000,
+            "127.0.0.1", 1, max_records=8,
             send_timeout=0.3, drop_fn=lambda seq, attempt: True,
             **FAST_RTO,
         )
         start = time.monotonic()
         with pytest.raises(DeliveryError, match="window still full"):
-            tx.send_batch(*batch(32), now=1.0)
+            tx.send_batch(*batch(8 * (WINDOW + 1)), now=1.0)
         assert time.monotonic() - start < 5.0
+        assert tx.retransmits < MAX_RETRIES
         tx.sock.close()
 
 
@@ -272,11 +266,9 @@ class TestReliableUDPReconnect:
         with CollectorServer(make_collector()) as srv:
             with ReliableUDPSender("127.0.0.1", srv.udp_port, **kw) as tx:
                 tx.send_batch(*batch(100), now=1.0)
-            srv.wait_for_records(100, timeout=10)
             with ReliableUDPSender("127.0.0.1", srv.udp_port,
                                    **kw) as tx2:
                 tx2.send_batch(*batch(50, base=1000), now=2.0)
-            srv.wait_for_records(150, timeout=10)
             srv.drain()
             stats = srv.service_stats()
             assert tx.retransmits == tx2.retransmits == 0
@@ -295,7 +287,6 @@ class TestServerCheckpoint:
         with CollectorServer(original) as srv:
             with ReliableUDPSender("127.0.0.1", srv.udp_port) as tx:
                 tx.send_batch(*batch(120), now=1.0)
-            srv.wait_for_records(120, timeout=10)
             srv.save_checkpoint(path)
         restored = make_collector()
         srv2 = CollectorServer(restored)

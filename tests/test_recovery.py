@@ -40,6 +40,7 @@ from repro.collector import (
     restore_collector,
     write_checkpoint,
 )
+from repro.collector.parallel import MAX_RESTARTS
 from repro.collector.recovery import (
     BatchJournal,
     decode_checkpoint,
@@ -49,7 +50,6 @@ from repro.collector.recovery import (
 from repro.exceptions import (
     CheckpointError,
     CheckpointVersionError,
-    JournalOverflowError,
     RecoveryError,
     RestoreError,
     WorkerFailedError,
@@ -538,27 +538,21 @@ class TestSupervisedRecovery:
         for fid in healthy:
             assert results[fid] == serial.result(fid)
 
-    def test_on_data_loss_raise(self):
-        cols = make_cols()
-        plan = FaultPlan([drop_checkpoint(0)])
-        with pytest.raises(JournalOverflowError) as exc:
-            run_pair(cols, faults=plan, checkpoint_every=2,
-                     journal_batches=2, on_data_loss="raise")
-        assert exc.value.worker == 0
-
     def test_max_restarts_bounds_the_retry_storm(self):
         cols = make_cols()
         plan = FaultPlan([
-            kill_worker(0, at_batch=2), kill_worker(0, at_batch=4),
+            kill_worker(0, at_batch=k) for k in range(2, MAX_RESTARTS + 3)
         ])
         par = ParallelCollector(
             FACTORIES["path"](), workers=2, num_shards=8, seed=1,
-            checkpoint_every=4, faults=plan, max_restarts=1,
+            checkpoint_every=4, faults=plan,
         )
         try:
-            with pytest.raises(RecoveryError, match="max_restarts"):
+            with pytest.raises(RecoveryError, match="MAX_RESTARTS") as exc:
                 feed(par, cols, batch=200)
                 par.drain()
+            assert exc.value.worker == 0
+            assert par.recovery_stats().restarts == MAX_RESTARTS + 1
         finally:
             # The second kill's victim is dead un-recovered, so close()
             # reports it too; that report must not mask the typed error
@@ -580,9 +574,6 @@ class TestSupervisedRecovery:
         with pytest.raises(ValueError):
             ParallelCollector(factory, workers=2, num_shards=4,
                               checkpoint_every=0)
-        with pytest.raises(ValueError, match="on_data_loss"):
-            ParallelCollector(factory, workers=2, num_shards=4,
-                              checkpoint_every=2, on_data_loss="panic")
 
     def test_recovery_stats_ride_compare_false(self):
         # A recovered run and a fault-free run with bit-identical

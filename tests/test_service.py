@@ -58,7 +58,9 @@ from repro.service import (
     encode_frames,
 )
 from repro.service import wire
+from repro.service.client import MAX_RETRIES, WINDOW
 from repro.service.query import jsonable
+from repro.service.server import REORDER_LIMIT
 from repro.service import __main__ as service_main
 from repro.service.__main__ import build_parser, main
 
@@ -330,10 +332,13 @@ class TestAdmissionPolicy:
         assert seqs == [0, 1, 2]
 
     def test_reliable_window_overflow_refused(self):
-        srv = self.make_server(queue_frames=8, reorder_limit=4)
+        srv = self.make_server(queue_frames=8)
         addr = ("127.0.0.1", 9)
-        srv._admit(data_frame(100, reliable=True), addr)
+        srv._admit(data_frame(REORDER_LIMIT + 1, reliable=True), addr)
         assert srv.service_stats().dropped_window == 1
+        srv._admit(data_frame(REORDER_LIMIT, reliable=True), addr)
+        assert srv.service_stats().dropped_window == 1
+        assert list(srv._peers[addr].buffer) == [REORDER_LIMIT]
         assert srv._queue.qsize() == 0
 
     def test_reliable_queue_full_parks_unacked(self):
@@ -404,7 +409,6 @@ class TestLoopbackService:
                 direct.ingest_batch(*cols, now=float(i))
                 tx.send_batch(*cols, now=float(i))
             tx.close()
-            srv.wait_for_records(600, timeout=10)
             srv.drain()
             assert served.snapshot().as_dict() == direct.snapshot().as_dict()
             for fid in range(17):
@@ -426,7 +430,6 @@ class TestLoopbackService:
                 sent += tx.send_batch(*batch(200, base=i * 1000),
                                       now=float(i))
             tx.flush()
-            srv.wait_for_records(sent, timeout=30)
             stats = srv.service_stats()
             # 100% delivered, exactly once, despite per-transmission loss.
             assert stats.records_ingested == sent == 800
@@ -447,7 +450,6 @@ class TestLoopbackService:
             direct.ingest_batch(*cols, now=1.0)
             tx.send_batch(*cols, now=1.0)
             tx.flush()
-            srv.wait_for_records(300, timeout=30)
             srv.drain()
             # Frames were lost and resent on the wire, yet the
             # collector saw the batch exactly once.
@@ -455,7 +457,7 @@ class TestLoopbackService:
             assert served.snapshot().as_dict() == direct.snapshot().as_dict()
 
     def test_batch_longer_than_the_window(self):
-        # 38 frames through a 4-frame window: the sender needs ACKs
+        # 38 frames through the 32-frame window: the sender needs ACKs
         # before the batch's last fragment is even sent, so the server
         # must ACK fragments it holds for reassembly once its queue
         # runs dry -- or the two wait on each other until send_timeout.
@@ -463,14 +465,14 @@ class TestLoopbackService:
         served = make_collector()
         with CollectorServer(served) as srv:
             tx = ReliableUDPSender(
-                "127.0.0.1", srv.udp_port, max_records=8, window=4,
+                "127.0.0.1", srv.udp_port, max_records=8,
                 send_timeout=5.0,
             )
             cols = batch(300)
             direct.ingest_batch(*cols, now=1.0)
             tx.send_batch(*cols, now=1.0)
             tx.flush()
-            srv.wait_for_records(300, timeout=10)
+            assert tx.frames_sent > WINDOW
             srv.drain()
             stats = srv.service_stats()
             assert stats.records_ingested == 300
@@ -521,7 +523,6 @@ class TestLoopbackService:
                     tx.flush()
             for tx in txs:
                 tx.close()
-            srv.wait_for_records(600, timeout=10)
             srv.drain()
             stats = srv.service_stats()
             assert stats.records_ingested == 600
@@ -532,12 +533,13 @@ class TestLoopbackService:
     def test_unreachable_sink_raises_delivery_error(self):
         with CollectorServer(make_collector()) as srv:
             tx = ReliableUDPSender(
-                "127.0.0.1", srv.udp_port, max_records=8, max_retries=3,
+                "127.0.0.1", srv.udp_port, max_records=8,
                 drop_fn=lambda seq, attempt: True, **FAST_RTO,
             )
             tx.send_batch(*batch(8), now=1.0)
-            with pytest.raises(DeliveryError):
+            with pytest.raises(DeliveryError, match=f"after {MAX_RETRIES} "):
                 tx.flush(timeout=10.0)
+            assert tx.retransmits == MAX_RETRIES
             tx.sock.close()
 
     def test_unreliable_datagram_refused_over_loopback(self):
@@ -560,19 +562,19 @@ class TestLoopbackService:
             assert len(srv._peers) == 1
 
     def test_flush_returns_with_every_record_folded(self):
-        # One batch of 19 frames through a 4-frame window, with lost
+        # One batch of 38 frames through the 32-frame window, with lost
         # transmissions and the ingest thread stalled on the batch's
         # last frame: the server ACKs that frame only after folding
         # the batch, so flush() returning is the fold barrier -- no
         # wait_for_records.
         from repro.faults import FaultPlan, stall_queue
 
-        plan = FaultPlan([stall_queue(1, 0.1), stall_queue(19, 0.3)])
+        plan = FaultPlan([stall_queue(1, 0.1), stall_queue(38, 0.3)])
         direct = make_collector()
         served = make_collector()
         with CollectorServer(served, faults=plan) as srv:
             tx = ReliableUDPSender(
-                "127.0.0.1", srv.udp_port, max_records=16, window=4,
+                "127.0.0.1", srv.udp_port, max_records=8,
                 drop_fn=lambda seq, attempt: attempt == 0 and seq % 5 == 2,
                 **FAST_RTO,
             )
@@ -581,7 +583,7 @@ class TestLoopbackService:
             sent = tx.send_batch(*cols, now=1.0)
             tx.flush()
             stats = srv.service_stats()
-            assert ("stall_queue", "queue", 19) in plan.fired
+            assert ("stall_queue", "queue", 38) in plan.fired
             assert tx.retransmits > 0
             assert stats.records_ingested == sent == 300
             assert stats.batches_ingested == tx.batches_sent == 1
@@ -595,14 +597,12 @@ class TestLoopbackService:
             probe.close()
             with ReliableUDPSender("127.0.0.1", srv.udp_port) as tx:
                 tx.send_batch(*batch(10), now=1.0)
-            srv.wait_for_records(10, timeout=10)
             assert srv.service_stats().dropped_bad_frame == 1
 
     def test_snapshot_carries_service_stats(self):
         with CollectorServer(make_collector()) as srv:
             with ReliableUDPSender("127.0.0.1", srv.udp_port) as tx:
                 tx.send_batch(*batch(30), now=1.0)
-            srv.wait_for_records(30, timeout=10)
             snap = srv.snapshot()
             assert snap.service is not None
             assert snap.service.records_ingested == 30
@@ -821,7 +821,6 @@ class TestQueryServer:
         with CollectorServer(make_collector(), query_port=0) as srv:
             with ReliableUDPSender("127.0.0.1", srv.udp_port) as tx:
                 tx.send_batch(*batch(30), now=1.0)
-            srv.wait_for_records(30, timeout=10)
             with QueryClient("127.0.0.1", srv.query_port) as client:
                 assert client.stats()["records_ingested"] == 30
                 snap = client.snapshot()
@@ -888,12 +887,42 @@ class TestCumulativeAck:
         assert sent == [(0, 1), (0, 2)]
         assert tx._expires - time.monotonic() == pytest.approx(
             4 * tx.initial_rto, abs=0.05)
-        tx._on_ack(0)  # progress resets the retry count and the backoff
+        tx._on_ack(0)  # progress resets the retry count
         assert tx.retries == 0
-        assert tx._expires - time.monotonic() == pytest.approx(
-            tx.initial_rto, abs=0.05)
         tx._resend_oldest()
         assert sent[-1] == (1, 1)
+
+    def test_backoff_holds_until_an_rtt_sample(self):
+        # Karn: an ACK that retires frames but yields no RTT sample
+        # keeps the backed-off timer; only a valid sample undoes it.
+        tx = self.make_tx(3)
+        tx._resend_oldest()
+        tx._resend_oldest()
+        backed_off = tx._scaled_rto(tx.retries)
+        tx._on_ack(0)  # names the resent frame: ambiguous, no sample
+        assert tx.srtt is None and tx.retries == 0
+        assert tx._expires - time.monotonic() == pytest.approx(
+            backed_off, abs=0.05)
+        tx.inflight[3] = (b"", time.monotonic())
+        tx.inflight[4] = (b"", time.monotonic())
+        time.sleep(0.01)
+        tx._on_ack(3)  # frame 3 went out after the resend: a sample
+        assert tx.srtt is not None and list(tx.inflight) == [4]
+        assert tx._scaled_rto(0) == tx.rto < backed_off - 0.2
+        assert tx._expires - time.monotonic() == pytest.approx(
+            tx.rto, abs=0.05)
+
+    def test_backoff_stops_doubling_at_max_rto(self):
+        # Every ACK is ambiguous, so the doubling is never undone, but
+        # each one resets the retry budget: past ~1,000 resends an
+        # uncapped exponent would overflow the float span.
+        tx = self.make_tx(1200)
+        for seq in range(1100):
+            tx._resend_oldest()
+            tx._on_ack(seq)
+        assert tx.srtt is None and tx.retransmits == 1100
+        assert tx._expires - time.monotonic() == pytest.approx(
+            tx.max_rto, abs=0.05)
 
 
 class TestPromptClose:
@@ -1034,7 +1063,6 @@ class TestObsService:
         with CollectorServer(coll, query_port=0, obs=obs) as srv:
             with ReliableUDPSender("127.0.0.1", srv.udp_port) as tx:
                 tx.send_batch(*batch(30), now=1.0)
-            srv.wait_for_records(30, timeout=10)
             srv.drain()
             with QueryClient("127.0.0.1", srv.query_port) as client:
                 fams = client.metrics()["families"]
@@ -1065,7 +1093,6 @@ class TestObsService:
             assert srv.metrics_port
             with ReliableUDPSender("127.0.0.1", srv.udp_port) as tx:
                 tx.send_batch(*batch(20), now=1.0)
-            srv.wait_for_records(20, timeout=10)
             with urllib.request.urlopen(
                 f"http://127.0.0.1:{srv.metrics_port}/metrics", timeout=5
             ) as resp:
@@ -1086,7 +1113,6 @@ class TestObsService:
             )
             tx.send_batch(*batch(300), now=1.0)
             tx.flush()
-            srv.wait_for_records(300, timeout=30)
             fams = obs.as_dict()["families"]
             assert fams["pint_sender_srtt_seconds"][
                 "samples"][0]["value"] > 0.0
@@ -1224,6 +1250,5 @@ class TestHopCountOverTheWire:
             assert served.snapshot().records == 20
             with ReliableUDPSender("127.0.0.1", srv.udp_port) as tx:
                 tx.send_batch(*batch(15, base=200), now=3.0)
-            srv.wait_for_records(35, timeout=10)
             srv.drain()
             assert served.snapshot().records == 35
