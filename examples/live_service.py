@@ -68,13 +68,10 @@ def main() -> None:
         print(f"   {sender.frames_sent} frames sent "
               f"({sender.retransmits} retransmits), "
               f"{stats.duplicate_frames} duplicates deduped server-side")
-        # Karn's rule samples RTT only from the frame an ACK names, and
-        # only if it was first sent after the latest resend: under
-        # heavy loss every ACK can fail that test, leaving no estimate
-        # at all (and the timer backed off, since only a sample undoes
-        # the doubling) -- report that honestly instead of crashing.
-        srtt = (f"{sender.srtt * 1e3:.2f} ms" if sender.srtt is not None
-                else "n/a, every ACK named a frame sent before a resend")
+        # Every ACK echoes the send stamp of the latest transmission it
+        # retires, resends included, so each one is an RTT sample even
+        # when every batch lost a frame.
+        srtt = f"{sender.srtt * 1e3:.2f} ms"
         print(f"   delivered {stats.records_ingested}/{len(trace)} records "
               f"exactly once (srtt {srtt})")
 

@@ -30,21 +30,23 @@ as it was and handed back to the caller, who replays the records
 through the scalar reference (Basil's execute / validate / re-run,
 PAPERS.md).  :class:`RowStore` is what any per-sink store shares:
 rows recycled behind a per-row epoch, the shards' bookkeeping as
-three columns of the same rows, and the flow-id index that finds a
-batch's *steady* flows -- those whose records fold without grouping
-the batch by flow.
+columns of the same rows, and the sink's one flow index
+(:class:`~repro.coding.flowindex.FlowIndex`), which finds every
+record's row in a batch pass -- and with it the batch's *steady* flows,
+those whose records fold without grouping the batch by flow.
 """
 
 from __future__ import annotations
 
 import hashlib
-from typing import Any, Dict, Iterable, List, Optional, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Tuple, Union
 
 import numpy as np
 
 from repro.coding.context import PathQueryContext
 from repro.coding.decoder import HashDecoder, RawDecoder, _PeelingDecoder
 from repro.coding.encoder import HASH, unpack_reps_array
+from repro.coding.flowindex import FlowIndex
 from repro.coding.peel import CONFLICT_REASONS, TABLE_BLOCK, FixpointPeel
 from repro.exceptions import RestoreError
 
@@ -57,13 +59,8 @@ FALLBACK_REASONS = tuple(CONFLICT_REASONS.values())
 #: or congestion consumer was when the accounting was pinned.
 OBJECT_BYTES = 56
 
-#: Columns start at ``_FIRST`` entries and grow by ``_GROWTH``.  The
-#: flow-id index has at least ``_BUCKETS`` buckets, ``_SPARSE`` per
-#: entry; ``_SPREAD`` (2^64 / golden ratio, odd) is the multiplier whose
-#: top bits spread a flow id over them.
+#: Columns start at ``_FIRST`` entries and grow by ``_GROWTH``.
 _FIRST, _GROWTH = 16, 2
-_BUCKETS, _SPARSE = 4096, 8
-_SPREAD = np.uint64(0x9E3779B97F4A7C15)
 
 
 def spans(starts: np.ndarray, sizes: np.ndarray) -> np.ndarray:
@@ -87,29 +84,32 @@ class RowStore:
 
     A row is the whole of a flow's place in its sink: beside the
     per-row columns the subclass names (:attr:`ROW_COLUMNS`) it carries
-    the shard's bookkeeping -- ``last_seen``, ``flow_records``
-    (records the shard accounted to the flow) and ``generation`` --
-    which the sink's shards write and nobody else.  A
-    released row keeps its place in the columns; :attr:`epoch` is what
-    makes reuse safe -- every allocation stamps the row with a number
-    never used before and a release zeroes it, so whoever still holds
-    ``(row, epoch)`` of an evicted flow can tell the row is no longer
-    theirs.  To the array passes a released row simply reads as not
-    steady.
+    the shards' bookkeeping, which the sink's shards write and nobody
+    else -- ``last_seen``, ``flow_records`` (records the shard
+    accounted to the flow), ``generation``, the ``shard`` that admitted
+    the flow (-1: no shard holds the row, a lone decoder's for one) and
+    the flow's touch ``stamp``.  Stamps come from one counter per store,
+    so a shard's flows by ascending stamp are its LRU order
+    (:meth:`shard_rows`).  A released row keeps its place in the
+    columns; :attr:`epoch` is what makes reuse safe -- every allocation
+    stamps the row with a number never used before and a release zeroes
+    it, so whoever still holds ``(row, epoch)`` of an evicted flow can
+    tell the row is no longer theirs.  To the array passes a released
+    row simply reads as not steady.
 
-    The flow-id index (:meth:`steady_rows`) exists once somebody asks
-    and is kept incrementally: a direct-mapped table from a hash of
-    the flow id to the row that last became steady there.  Entries are
-    never removed, only validated on the way out (a recycled or
-    released row no longer matches), and a flow that lost its bucket
-    to another merely reads as not steady -- always a safe answer.
+    :attr:`index` is the sink's one flow index: it maps the flow id of
+    every row a shard admitted (:meth:`admit`, :meth:`enter`) to that
+    row, exactly, until :meth:`release` takes the row back.
     """
 
     ROW_COLUMNS: Tuple[str, ...] = ()
     #: Width of the codes the rows hold, which the sink's front door
     #: range-checks; None for a store whose digests are not codes.
     code_bits: Optional[int] = None
-    _OWN = ("flow_id", "epoch", "last_seen", "flow_records", "generation")
+    _OWN = (
+        "flow_id", "epoch", "last_seen", "flow_records", "generation",
+        "shard", "stamp",
+    )
 
     def __init__(self) -> None:
         #: High-water mark: rows ``[0, rows)`` are live or on the free list.
@@ -119,11 +119,12 @@ class RowStore:
         self.last_seen = np.zeros(0, dtype=np.float64)
         self.flow_records = np.zeros(0, dtype=np.int64)
         self.generation = np.zeros(0, dtype=np.int64)
+        self.shard = np.zeros(0, dtype=np.int64)
+        self.stamp = np.zeros(0, dtype=np.int64)
+        self.index = FlowIndex()
         self._epochs = 0
+        self._stamps = 0
         self._free: List[int] = []
-        self._index: Optional[np.ndarray] = None
-        self._indexed = 0
-        self._index_new: List[int] = []
 
     def _fit(self, names: Iterable[str], need: int) -> None:
         """Grow the columns ``names`` to hold ``need`` leading entries."""
@@ -150,6 +151,7 @@ class RowStore:
         self._epochs = self.epoch[row] = self._epochs + 1
         self.flow_id[row] = flow_id
         self.flow_records[row] = 0
+        self.shard[row] = -1
         return row
 
     def alloc_many(self, flow_ids: np.ndarray) -> np.ndarray:
@@ -170,18 +172,68 @@ class RowStore:
         self._epochs += count
         self.flow_id[rows] = flow_ids
         self.flow_records[rows] = 0
+        self.shard[rows] = -1
         return rows
+
+    # -- the shards' side ----------------------------------------------------
+
+    def admit(
+        self, flow_ids: np.ndarray, shards: Union[int, np.ndarray]
+    ) -> np.ndarray:
+        """Rows for flows the index lacks (distinct), allocated in
+        :meth:`alloc_many` order and indexed under ``shards`` (one shard
+        id, or one per flow)."""
+        rows = self.alloc_many(flow_ids)
+        self.enter(rows, shards)
+        return rows
+
+    def admit_one(self, flow_id: int, shard: int) -> int:
+        """Scalar :meth:`admit`."""
+        row = self.alloc(flow_id)
+        self.shard[row] = shard
+        self.index.insert_one(flow_id, row)
+        return row
+
+    def enter(self, rows: np.ndarray, shards: Union[int, np.ndarray]) -> None:
+        """Index allocated ``rows`` under ``shards``; the flows they
+        hold must be new to the index."""
+        self.shard[rows] = shards
+        self.index.insert(self.flow_id[rows], rows)
+
+    def restamp(self, rows: np.ndarray) -> None:
+        """Mark ``rows`` touched in array order (the last, most recently)."""
+        count = rows.shape[0]
+        self.stamp[rows] = np.arange(self._stamps + 1, self._stamps + count + 1)
+        self._stamps += count
+
+    def restamp_one(self, row: int) -> int:
+        """Scalar :meth:`restamp`; returns the row's new stamp."""
+        self._stamps = stamp = self._stamps + 1
+        self.stamp[row] = stamp
+        return stamp
+
+    def shard_rows(self, shard: int) -> np.ndarray:
+        """The rows ``shard`` holds, least recently touched first."""
+        held = np.flatnonzero(self.shard[:self.rows] == shard)
+        return held[np.argsort(self.stamp[held])]
 
     def release(self, row: int) -> None:
         """Return ``row`` and everything it holds; it reads clean again."""
+        if self.shard[row] >= 0:
+            self.index.remove_one(self.flow_id.item(row))
         self._clear(row)
-        self.epoch[row] = 0
+        self.epoch[row] = self.stamp[row] = 0
+        self.shard[row] = -1
         self._free.append(row)
 
-    def release_many(self, rows: List[int]) -> None:
+    def release_many(self, rows: np.ndarray) -> None:
         """:meth:`release` for every row of ``rows`` (an expiry sweep)."""
-        for row in rows:
-            self.release(row)
+        self.index.remove(self.flow_id[rows[self.shard[rows] >= 0]])
+        for row in rows.tolist():
+            self._clear(row)
+        self.epoch[rows] = self.stamp[rows] = 0
+        self.shard[rows] = -1
+        self._free.extend(rows.tolist())
 
     def _clear(self, row: int) -> None:
         raise NotImplementedError
@@ -219,54 +271,31 @@ class RowStore:
 
     def _adopt_rows(self, count: int) -> None:
         """Start a bulk load: rows ``[0, count)`` are live and zeroed,
-        on fresh epochs (every earlier handle is stale), nothing is
-        indexed."""
+        on fresh epochs (every earlier handle is stale), and no shard
+        holds them yet."""
         self._fit(self._OWN + self.ROW_COLUMNS, count)
         for name in self.ROW_COLUMNS:
             getattr(self, name)[:] = 0
         self.rows = count
         self._free = []
-        self.epoch[:] = 0
+        self.epoch[:] = self.stamp[:] = 0
         self.epoch[:count] = np.arange(self._epochs + 1, self._epochs + 1 + count)
         self._epochs += count
-        self._index = None
+        self.shard[:] = -1
+        self.index.clear()
 
     def _steady(self, rows: np.ndarray) -> np.ndarray:
         """Which of ``rows`` are steady (a released row never is)."""
         raise NotImplementedError
 
-    def _index_add(self, rows: Iterable[int]) -> None:
-        """``rows`` just became steady (no-op until the index is in use)."""
-        if self._index is not None:
-            self._index_new.extend(rows)
-
-    def steady_rows(self, fids: np.ndarray) -> Optional[np.ndarray]:
-        """Per record, the row of its flow if the index knows that flow
-        as steady now, else -1; None when that is no record at all."""
-        index = self._index
-        new: Any = self._index_new
-        if index is None or (self._indexed + len(new)) * _SPARSE > index.shape[0]:
-            new = np.flatnonzero(self._steady(np.arange(self.rows)))
-            size = max(_BUCKETS, 1 << (_SPARSE * int(new.size)).bit_length())
-            self._index = index = np.zeros(size, dtype=np.int64)
-            self._indexed = 0
-        shift = np.uint64(65 - index.shape[0].bit_length())
-        if len(new):
-            new = np.asarray(new, dtype=np.int64)
-            spread = self.flow_id[new].view(np.uint64) * _SPREAD
-            index[spread >> shift] = new
-            self._indexed += int(new.size)
-            self._index_new = []
-        if not self._indexed:
-            return None
-        # An empty bucket reads row 0, which is validated like any other.
-        rows = index[(fids.view(np.uint64) * _SPREAD) >> shift]
-        ok = self.flow_id[rows] == fids
-        ok &= self._steady(rows)
-        if not ok.any():
-            return None
-        rows[~ok] = -1
-        return rows
+    def steady(self, rows: np.ndarray) -> np.ndarray:
+        """Which of ``rows`` (-1: no row) hold a steady flow: one whose
+        records fold where they stand, without grouping by flow."""
+        held = rows >= 0
+        if held.all():
+            return self._steady(rows)
+        held[held] = self._steady(rows[held])
+        return held
 
 
 class PathStateStore(RowStore):
@@ -585,7 +614,6 @@ class PathStateStore(RowStore):
             )
             parked = np.bincount(flows, minlength=rows.shape[0])
             self.pending[rows[clean]] = parked[clean]
-        self._index_add(rows[(gained > 0) & (self.known[rows] == ks)].tolist())
         return peel.conflict
 
     # -- the bridge ----------------------------------------------------------
@@ -682,8 +710,6 @@ class PathStateStore(RowStore):
                 todo,
             )
             self.pending[row] = len(parked)
-        if hops.size == new_k:
-            self._index_add((row,))
 
     # -- reads ---------------------------------------------------------------
 

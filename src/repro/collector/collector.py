@@ -50,16 +50,10 @@ from repro.collector.records import (
     check_record,
     normalize_batch,
 )
-from repro.collector.shard import Shard, ShardRouter
+from repro.collector.shard import Shard, ShardRouter, touch_flows
 from repro.collector.snapshot import Snapshot
 from repro.exceptions import CollectorClosedError, RestoreError
 from repro.obs.metrics import NULL_REGISTRY, SIZE_BUCKETS
-
-
-#: A batch of at most this many flows touches them one at a time:
-#: below it, grouping flows by shard for :meth:`Shard.touch_many`
-#: costs more than the loop it replaces.
-_FEW_FLOWS = 64
 
 
 class IngestClock:
@@ -319,17 +313,22 @@ class Collector:
         steady = None
         if not bounded:
             with self._sp_consume:
-                steady = self._fold_steady(fids, ps, digs)
-            if steady is not None:
-                rest = steady[0]
-                fids, ps, hops, digs = fids[rest], ps[rest], hops[rest], digs[rest]
+                # The batch's one index pass: every record's row (-1: a
+                # flow to admit), which also says which flows are steady.
+                owners = self._store.index.find(fids)
+                steady = self._fold_steady(owners, ps, digs)
         with self._sp_group:
             # Stable grouping by flow (a flow has one shard): ties keep
             # batch order so per-flow streams stay sequential.  Group
             # keys are pulled out as Python lists in one shot:
             # per-group NumPy scalar indexing would cost more than the
-            # group body.
-            order = np.argsort(fids, kind="stable")
+            # group body.  Records of steady flows are already folded:
+            # only the rest are sorted, gathered straight from the batch.
+            if steady is None:
+                order = np.argsort(fids, kind="stable")
+            else:
+                rest = steady[0]
+                order = rest[np.argsort(fids[rest], kind="stable")]
             sfids = fids[order]
             sps = ps[order]
             shops = hops[order]
@@ -356,15 +355,17 @@ class Collector:
             # order per shard whichever way its records were folded --
             # LRU order is what the coverage sum and a checkpoint read.
             sizes = counts = np.diff(bounds)
+            rows = owners[order[starts]]
             grouped = None
             if steady is not None:
                 group_fids = np.concatenate((steady[1], group_fids))
                 merged = np.argsort(group_fids, kind="stable")
                 group_fids = group_fids[merged]
-                counts = np.concatenate((steady[2], counts))[merged]
+                rows = np.concatenate((steady[2], rows))[merged]
+                counts = np.concatenate((steady[3], counts))[merged]
                 # Merging kept the groups in their sorted order.
                 grouped = merged >= steady[1].size
-            rows, touched = self._touch_flows(group_fids, counts, t)
+            rows, touched = self._touch_flows(group_fids, rows, counts, t)
             if grouped is not None:
                 rows = rows[grouped]
             if rows.size:
@@ -376,67 +377,50 @@ class Collector:
                 shard.maybe_expire(t)
         return n
 
-    def _touch_flows(self, fids: np.ndarray, counts: np.ndarray, t: float):
-        """Touch a batch's flows (ascending, unique; ``counts[i]``
-        records each) in their shards and count the batch on
-        those shards.  Returns the flows' rows, in the order given,
-        and the shards touched."""
-        shards = self.shards
+    def _touch_flows(
+        self, fids: np.ndarray, rows: np.ndarray, counts: np.ndarray, t: float
+    ):
+        """Touch a batch's flows (ascending, unique; ``rows`` from the
+        index, -1 to admit; ``counts[i]`` records each) in their shards
+        and count the batch on those shards.  Returns the flows' rows,
+        in the order given, and the shards touched."""
         sids = (
             self.router.shard_of_array(fids) if self.num_shards > 1
             else np.zeros(fids.shape[0], dtype=np.int64)
         )
-        if fids.shape[0] <= _FEW_FLOWS:
-            rows = np.asarray([
-                shards[sid].touch_row(fid, t)
-                for fid, sid in zip(fids.tolist(), sids.tolist())
-            ], dtype=np.int64)
-            self._store.flow_records[rows] += counts
-        else:
-            # Shard-major, ascending flow id within a shard.
-            order = np.argsort(sids, kind="stable")
-            cuts = np.searchsorted(
-                sids[order], np.arange(self.num_shards + 1)
-            ).tolist()
-            sorted_fids, sorted_counts = fids[order], counts[order]
-            sorted_rows = np.empty_like(order)
-            for shard, lo, hi in zip(shards, cuts, cuts[1:]):
-                if hi > lo:
-                    sorted_rows[lo:hi] = shard.touch_many(
-                        sorted_fids[lo:hi], sorted_counts[lo:hi], t
-                    )
-            rows = np.empty_like(order)
-            rows[order] = sorted_rows
+        rows = touch_flows(self.shards, fids, sids, rows, counts, t)
         touched = []
         records = np.bincount(sids, counts, self.num_shards).tolist()
-        for shard, count in zip(shards, records):
+        for shard, count in zip(self.shards, records):
             if count:
                 shard.records += int(count)
                 shard.batches += 1
                 touched.append(shard)
         return rows, touched
 
-    def _fold_steady(self, fids, ps, digs):
+    def _fold_steady(self, owners, ps, digs):
         """Fold the records of steady flows where they stand.
 
-        A flow is steady or not as of the batch's start (what the
-        store's ``steady_rows`` answers); its records need no
-        grouping, so they never reach the sort.  Returns None when no
-        record's flow is steady, else ``(mask of the records left,
-        steady flow ids, records each received)``.
+        ``owners`` holds each record's row (-1: none yet).  A flow is
+        steady or not as of the batch's start (what the store's
+        ``steady`` answers); its records need no grouping, so they
+        never reach the sort.  Returns None when no record's flow is
+        steady, else ``(positions of the records left, steady flow
+        ids, their rows, records each received)``.
         """
         store = self._store
-        owners = store.steady_rows(fids)
-        if owners is None:
-            return None
-        rest = owners < 0
-        if rest.any():
-            hit = ~rest
-            seen = store.verify(owners[hit], ps[hit], digs[hit])
-        else:
+        steady = store.steady(owners)
+        if steady.all():
             seen = store.verify(owners, ps, digs)
+            rest = np.zeros(0, dtype=np.int64)
+        else:
+            hit = np.flatnonzero(steady)
+            if not hit.size:
+                return None
+            seen = store.verify(owners[hit], ps[hit], digs[hit])
+            rest = np.flatnonzero(~steady)
         rows = np.flatnonzero(seen)
-        return rest, store.flow_id[rows], seen[rows]
+        return rest, store.flow_id[rows], rows, seen[rows]
 
     def _ingest_batch_lru(
         self,
@@ -464,13 +448,15 @@ class Collector:
         a consumer that is then discarded, so skipping the fold is
         state-identical and strictly cheaper.
 
-        The walk costs one dict touch per record (instead of one per
-        flow group), which is the price of exact LRU semantics; shards
+        The walk costs one scalar index probe per record (instead of
+        one batch pass per batch), which is the price of exact LRU semantics; shards
         without ``max_flows`` keep the per-group fast path.
         """
         slice_of = {}
         by_shard: dict = {}
-        groups = []
+        #: records of each flow seen before its live incarnation was
+        #: (re-)created -- those belong to evicted consumers.
+        start_at: dict = {}
         for idx, fid in enumerate(group_fids):
             slice_of[fid] = (bounds[idx], bounds[idx + 1])
             by_shard.setdefault(group_sids[idx], []).append(fid)
@@ -489,12 +475,9 @@ class Collector:
                 int(ssids[a]): fids[so[a:b]]
                 for a, b in zip(seg_lo, seg_hi)
             }
-        for sid, flows in by_shard.items():
+        for sid in by_shard:
             shard = self.shards[sid]
             sub = shard_stream[sid]
-            #: records of each flow seen before its live incarnation
-            #: was (re-)created -- those belong to evicted consumers.
-            start_at: dict = {}
             seen: dict = {}
             for f in sub.tolist():
                 created_before = shard.created
@@ -503,15 +486,21 @@ class Collector:
                     start_at[f] = seen.get(f, 0)
                 seen[f] = seen.get(f, 0) + 1
                 shard.maybe_expire(t)
+            shard.records += int(sub.shape[0])
+            shard.batches += 1
+        # Which flows survived the walk: one index pass.
+        row_of = dict(zip(group_fids, self._store.index.find(
+            np.asarray(group_fids, dtype=np.int64)
+        ).tolist()))
+        groups = []
+        for flows in by_shard.values():
             for f in flows:
-                row = shard.index.get(f)
-                if row is None:
+                row = row_of[f]
+                if row < 0:
                     continue  # evicted after its last record
                 lo, hi = slice_of[f]
                 lo += start_at.get(f, 0)
                 groups.append((row, lo, hi - lo))
-            shard.records += int(sub.shape[0])
-            shard.batches += 1
         if groups:
             # A surviving incarnation is accounted the records it folds.
             rows, starts, sizes = np.asarray(groups, dtype=np.int64).T
@@ -526,18 +515,11 @@ class Collector:
     def flow(self, flow_id: int) -> Optional[DigestConsumer]:
         """The flow's live consumer (for a row of a column store, a
         handle built on demand), or None if absent/evicted."""
-        shard = self.shards[self.router.shard_of(flow_id)]
-        row = shard.index.get(flow_id)
-        return None if row is None else self._view(row)
-
-    def _rows_of(self, fids: np.ndarray) -> List[int]:
-        """Each flow's row (-1: not live), routed with one hash pass."""
-        indexes = [shard.index for shard in self.shards]
-        sids = self.router.shard_of_array(fids).tolist()
-        return [indexes[sid].get(fid, -1) for fid, sid in zip(fids.tolist(), sids)]
+        row = self._store.index.find_one(flow_id)
+        return None if row < 0 else self._view(row)
 
     def flows(self, flow_ids) -> List[Optional[DigestConsumer]]:
-        """Bulk :meth:`flow`, in input order, routed with one hash pass.
+        """Bulk :meth:`flow`, in input order: one index pass.
 
         Callers scoring many flows can treat serial and parallel
         collectors alike (the parallel bulk form batches one RPC per
@@ -548,7 +530,8 @@ class Collector:
             return []
         view = self._view
         return [
-            view(row) if row >= 0 else None for row in self._rows_of(fids)
+            view(row) if row >= 0 else None
+            for row in self._store.index.find(fids).tolist()
         ]
 
     def result(self, flow_id: int):
@@ -576,9 +559,9 @@ class Collector:
                 rows = store.live_rows()
                 rows = rows[np.argsort(store.flow_id[rows])]
             else:
-                rows = np.asarray(self._rows_of(
+                rows = store.index.find(
                     np.unique(np.asarray(flow_ids, dtype=np.int64))
-                ), dtype=np.int64)
+                )
                 rows = rows[rows >= 0]
             table = answer_rows(store, rows)
         self._m_answer_rows.inc(len(table))
@@ -586,7 +569,7 @@ class Collector:
 
     def __len__(self) -> int:
         """Live flows across all shards."""
-        return sum(len(s) for s in self.shards)
+        return sum(s.flows for s in self.shards)
 
     # -- operations --------------------------------------------------------
 

@@ -730,7 +730,6 @@ class CongestionStore(RowStore):
         can conflict."""
         codes = digests[spans(starts, sizes)] + 1
         ends = np.cumsum(sizes)
-        self._index_add(rows[self.records[rows] == 0].tolist())
         self.top[rows] = np.maximum(
             self.top[rows], np.maximum.reduceat(codes, ends - sizes)
         )
@@ -836,9 +835,9 @@ class ConsumerRows(RowStore):
     def _clear(self, row: int) -> None:
         self.consumers[row] = None
 
-    def steady_rows(self, fids: np.ndarray) -> None:
+    def _steady(self, rows: np.ndarray) -> np.ndarray:
         """No flow folds without its group: objects take slices."""
-        return None
+        return np.zeros(rows.shape[0], dtype=bool)
 
     def of(self, rows: np.ndarray) -> List[DigestConsumer]:
         held = self.consumers

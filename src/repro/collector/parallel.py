@@ -294,7 +294,7 @@ def _worker_main(
                     metrics=obs.as_dict() if obs is not None else None,
                 )
             elif op == _FLOWS:
-                reply = [col.flow(fid) for fid in msg[1]]
+                reply = col.flows(msg[1])
             elif op == _ANSWERS:
                 reply = col.answers(msg[1])
             elif op == _LEN:

@@ -8,16 +8,15 @@ nothing but their sink's store, so a deployment can pin them to worker
 threads/processes and scale to millions of flows with O(1) lookups per
 shard.
 
-A shard is a bounded index from a flow id to that flow's row in the
-sink's store (:class:`repro.coding.store.RowStore`), and the single
-place flows are admitted and evicted.  A production sink cannot keep
-state for every flow it ever saw; the paper's storage argument (O(1)
-digests per packet, bounded per-flow state) only pays off if the
-collector also *bounds the number of live flows*.  Two orthogonal
-limits:
+A shard is the bounded share of a sink's flows that one partition
+holds, and the single place flows are admitted and evicted.  A
+production sink cannot keep state for every flow it ever saw; the
+paper's storage argument (O(1) digests per packet, bounded per-flow
+state) only pays off if the collector also *bounds the number of live
+flows*.  Two orthogonal limits:
 
 * ``max_flows`` -- hard capacity; admitting past it evicts the least
-  recently touched flow (LRU, via ``OrderedDict`` move-to-end);
+  recently touched flow (LRU);
 * ``ttl`` -- idle expiry; a periodic sweep evicts flows whose last
   record is older than ``ttl`` on the caller's clock (sim seconds when
   driven from the DES, ingested-record count when free-running).
@@ -27,10 +26,18 @@ store): PINT's decoders are rebuildable from future packets of the
 same flow (every packet re-selects its layer and carrier by global
 hash), so eviction costs extra packets, not correctness -- the same
 trade BASEL makes between buffer occupancy and admission (PAPERS.md).
+
 Most flows of a real trace are a packet or two long, so a shard mostly
-*admits* flows and keeps no object per flow: the bookkeeping is three
-columns of the store, and the shard is one ordered map ``flow_id ->
-row`` -- the single source of LRU order -- plus its counters.
+*admits* flows and keeps no object per flow, nor a map of its own:
+the sink's store (:class:`repro.coding.store.RowStore`) holds the one
+flow index and, per row, the bookkeeping -- the admitting shard's id
+and a touch stamp among them.  A shard's LRU order is its rows by
+stamp (:meth:`Shard.rows`), which snapshots, checkpoints and TTL
+sweeps read; a shard with ``max_flows`` also keeps an oldest-first
+queue of ``(stamp, row)`` touches whose stale entries are skipped as
+they surface, so picking a capacity victim never scans the shard.
+:func:`touch_flows` admits and touches a whole batch's flows across a
+sink's shards in array passes.
 
 The router's scalar and vectorised paths agree bit-for-bit (they reuse
 :class:`repro.hashing.GlobalHash`'s paired APIs), so a record routed
@@ -40,9 +47,8 @@ the same shard.
 
 from __future__ import annotations
 
-from collections import OrderedDict, deque
-from itertools import repeat
-from typing import Any, Dict, List, Optional, Tuple
+from collections import deque
+from typing import Any, Deque, Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -71,8 +77,8 @@ class ShardRouter:
 
 
 class Shard:
-    """One share-nothing partition: an LRU/TTL-bounded map of flow_id ->
-    row of the sink's ``store``, plus its counters."""
+    """One share-nothing partition: the LRU/TTL bounds and counters of
+    the flows it holds, which are rows of the sink's ``store``."""
 
     def __init__(
         self,
@@ -90,12 +96,15 @@ class Shard:
         self.store = store
         self.max_flows = max_flows
         self.ttl = ttl
-        #: flow_id -> row, least recently touched first.
-        self.index: "OrderedDict[int, int]" = OrderedDict()
+        self.flows = 0
         self.created = 0
         self.lru_evictions = 0
         self.ttl_evictions = 0
         self._last_sweep = float("-inf")
+        #: With ``max_flows``: ``(stamp, row)`` per touch, oldest first,
+        #: an entry stale once its row's stamp moved on; None until an
+        #: eviction needs it (or after a touch it did not see).
+        self._lru: Optional[Deque[Tuple[int, int]]] = None
         self.records = 0
         #: ingest_batch calls that touched this shard (records/batches
         #: is the snapshot's amortisation metric; the front door bumps
@@ -110,7 +119,7 @@ class Shard:
         self.records_lost = 0
 
     def __len__(self) -> int:
-        return len(self.index)
+        return self.flows
 
     def mark_degraded(self, records_lost: int) -> None:
         """Record unreplayable loss against this shard."""
@@ -126,90 +135,71 @@ class Shard:
         number as its ``generation``: a flow re-admitted after eviction
         always reads a higher one than its predecessor.
         """
-        index, store = self.index, self.store
-        row = index.get(flow_id)
-        if row is not None:
-            index.move_to_end(flow_id)
-        else:
+        store = self.store
+        row = store.index.find_one(flow_id)
+        if row < 0:
             self.created += 1
-            index[flow_id] = row = store.alloc(flow_id)
+            self.flows += 1
+            row = store.admit_one(flow_id, self.shard_id)
             store.generation[row] = self.created
-            if self.max_flows is not None:
-                while len(index) > self.max_flows:
-                    store.release(index.popitem(last=False)[1])
-                    self.lru_evictions += 1
+        stamp = store.restamp_one(row)
         store.last_seen[row] = now
+        if self.max_flows is not None:
+            lru = self._lru
+            if lru is not None:
+                lru.append((stamp, row))
+                if len(lru) > 2 * self.flows + 64:
+                    stamps = store.stamp
+                    self._lru = deque(
+                        entry for entry in lru if stamps[entry[1]] == entry[0]
+                    )
+            while self.flows > self.max_flows:
+                self._evict_oldest()
         return row
 
-    def touch_many(
-        self, flow_ids: np.ndarray, counts: np.ndarray, now: float
-    ) -> np.ndarray:
-        """Touch a batch's flows, ``counts[i]`` records each; return rows.
-
-        ``flow_ids`` must ascend without repeats: the shard ends up
-        where touching them one by one in that order (``records +=
-        count`` after each) leaves it, and that order has to be one
-        every replay of the batch reproduces -- LRU order is what
-        eviction, the coverage sum and a checkpoint read.  Misses take
-        their rows in one allocation, the columns are written once,
-        and order maintenance is one C-level pass over the map.  Only
-        a batch that overflows ``max_flows`` is order-sensitive
-        *within* itself (an early flow may be a later one's victim):
-        it goes one flow at a time, and a flow the batch itself
-        evicted again comes back as row -1.
-        """
-        index, store = self.index, self.store
-        ids = flow_ids.tolist()
-        found = list(map(index.get, ids, repeat(-1)))
-        misses = found.count(-1)
-        if self.max_flows is not None and len(index) + misses > self.max_flows:
-            for flow_id, count in zip(ids, counts.tolist()):
-                row = self.touch_row(flow_id, now)
-                store.flow_records[row] += count
-            found = list(map(index.get, ids, repeat(-1)))
-            return np.asarray(found, dtype=np.int64)
-        rows = np.asarray(found, dtype=np.int64)
-        if misses:
-            new = np.flatnonzero(rows < 0)
-            rows[new] = fresh = store.alloc_many(flow_ids[new])
-            store.generation[fresh] = np.arange(
-                self.created + 1, self.created + misses + 1
-            )
-            self.created += misses
-            index.update(zip(flow_ids[new].tolist(), fresh.tolist()))
-        if misses < len(ids):
-            # New flows are at the end by now; moving every flow there
-            # in turn leaves the batch in ascending order.
-            deque(map(index.move_to_end, ids), maxlen=0)
-        store.last_seen[rows] = now
-        store.flow_records[rows] += counts
-        return rows
+    def _evict_oldest(self) -> None:
+        """Drop the least recently touched flow (capacity pressure)."""
+        store = self.store
+        if self._lru is None:
+            rows = self.rows()
+            self._lru = deque(zip(store.stamp[rows].tolist(), rows.tolist()))
+        lru, stamps = self._lru, store.stamp
+        while True:
+            stamp, row = lru.popleft()
+            if stamps.item(row) == stamp:
+                break
+        store.release(row)
+        self.flows -= 1
+        self.lru_evictions += 1
 
     # -- eviction ----------------------------------------------------------
 
-    def _drop(self, flow_ids: List[int]) -> int:
-        """Forget ``flow_ids`` (all live) and free their rows."""
-        self.store.release_many([self.index.pop(fid) for fid in flow_ids])
-        return len(flow_ids)
+    def _drop(self, rows: np.ndarray) -> int:
+        """Forget the flows in ``rows`` (all this shard's), free the rows."""
+        self.store.release_many(rows)
+        self.flows -= rows.shape[0]
+        return int(rows.shape[0])
 
     def evict(self, flow_id: int) -> bool:
         """Drop one flow's state explicitly (e.g. on flow FIN)."""
-        return flow_id in self.index and self._drop([flow_id]) == 1
+        store = self.store
+        row = store.index.find_one(flow_id)
+        if row < 0 or store.shard[row] != self.shard_id:
+            return False
+        store.release(row)
+        self.flows -= 1
+        return True
 
     def expire(self, now: float) -> int:
         """Sweep out flows idle for longer than ``ttl``; return count."""
         if self.ttl is None:
             return 0
-        deadline = now - self.ttl
-        last_seen = self.store.last_seen
-        dead: List[int] = []
-        # The map is LRU-ordered, so expiry stops at the first keeper.
-        for flow_id, row in self.index.items():
-            if last_seen[row] > deadline:
-                break
-            dead.append(flow_id)
-        self.ttl_evictions += self._drop(dead)
-        return len(dead)
+        rows = self.rows()
+        # LRU order: expiry takes the prefix up to the first keeper.
+        keep = self.store.last_seen[rows] > now - self.ttl
+        dead = self._drop(rows[:int(keep.argmax()) if keep.any() else rows.size])
+        self.ttl_evictions += dead
+        return dead
 
     def maybe_expire(self, now: float) -> int:
         """Amortised expiry: sweep at most every ``ttl / 4`` clock units."""
@@ -222,15 +212,14 @@ class Shard:
 
     def clear(self) -> None:
         """Drop every flow (counters stay): the first half of a restore."""
-        self._drop(list(self.index))
+        self._drop(self.rows())
+        self._lru = None
 
     # -- accounting --------------------------------------------------------
 
     def rows(self) -> np.ndarray:
         """The live flows' rows, LRU-oldest first."""
-        return np.fromiter(
-            self.index.values(), dtype=np.int64, count=len(self.index)
-        )
+        return self.store.shard_rows(self.shard_id)
 
     def accounting(self) -> Tuple[int, float, int]:
         """(completed flows, coverage sum, state bytes), in one pass.
@@ -247,12 +236,12 @@ class Shard:
         (tested invariant).  The index's own overhead is a
         *content-based* estimate (base plus a per-entry slot cost,
         pinned when a flow was a dict slot and an entry object), never
-        ``sys.getsizeof`` of the dict: a dict's allocated size depends
-        on its insertion/deletion history, and a checkpoint-restored
-        shard must report byte-identical snapshots (the
+        the allocated size of a table: that depends on its
+        insertion/deletion history, and a checkpoint-restored shard
+        must report byte-identical snapshots (the
         ``restore(checkpoint(c)) == c`` property).
         """
-        n = len(self.index)
+        n = self.flows
         done, coverage, nbytes = (
             self.store.account(self.rows()) if n else (0, 0.0, 0)
         )
@@ -264,7 +253,7 @@ class Shard:
         completed, coverage_sum, state_bytes = self.accounting()
         return ShardStats(
             shard_id=self.shard_id,
-            flows=len(self.index),
+            flows=self.flows,
             records=self.records,
             batches=self.batches,
             created=self.created,
@@ -280,7 +269,7 @@ class Shard:
     # -- checkpoint/restore ------------------------------------------------
 
     def state_dict(self) -> Dict[str, Any]:
-        """Everything needed to rebuild this shard's index bit-for-bit.
+        """Everything needed to rebuild this shard's flows bit-for-bit.
 
         Flows are captured in LRU order (oldest first) with their
         generations, so a restored shard evicts the same victims in
@@ -313,10 +302,10 @@ class Shard:
         """Install a :meth:`state_dict` capture, replacing live flows.
 
         Counters are restored verbatim (``created`` keeps generation
-        numbering continuous across the restart) and flows are
-        reinserted in captured LRU order into a fresh map.  ``rows``
-        are the store rows already holding the captured flows' state
-        (a collector loads its column store first); without them the
+        numbering continuous across the restart) and the flows are
+        indexed and stamped in captured LRU order.  ``rows`` are the
+        store rows already holding the captured flows' state (a
+        collector loads its column store first); without them the
         captured consumer objects get rows here.
         """
         self.clear()
@@ -331,8 +320,60 @@ class Shard:
         store.last_seen[rows] = state["last_seen"]
         store.flow_records[rows] = state["records"]
         store.generation[rows] = state["generation"]
-        self.index = OrderedDict(zip(flow_ids.tolist(), rows.tolist()))
+        store.enter(rows, self.shard_id)
+        store.restamp(rows)
+        self.flows = int(rows.shape[0])
         self.created = state["created"]
         self.lru_evictions = state["lru_evictions"]
         self.ttl_evictions = state["ttl_evictions"]
         self._last_sweep = state["last_sweep"]
+
+
+def touch_flows(
+    shards: Sequence[Shard],
+    flow_ids: np.ndarray,
+    shard_ids: np.ndarray,
+    rows: np.ndarray,
+    counts: np.ndarray,
+    now: float,
+) -> np.ndarray:
+    """Touch a batch's flows across a sink's shards; return their rows.
+
+    ``flow_ids`` ascend without repeats, ``shard_ids`` route them,
+    ``rows`` are what the store's index answered (-1: a flow to admit;
+    filled in here) and ``counts`` the records each flow gets.  The shards end up where
+    touching the flows one by one -- shard-major, then by ascending
+    flow id, ``records += count`` after each -- leaves them, and that
+    order has to be one every replay of the batch reproduces: LRU order
+    is what the coverage sum, a checkpoint and a TTL sweep read.
+    Within a shard that order is ascending flow id, so one stamp pass
+    in array order writes it.  The misses are admitted as one
+    allocation, shard-major, and the columns are written once.
+    Capacity eviction is order-sensitive within a batch (an early flow
+    may be a later one's victim), so the shards must be unbounded; a
+    bounded sink walks its records one by one instead.
+    """
+    store = shards[0].store
+    miss = np.flatnonzero(rows < 0)
+    if miss.size:
+        sids = shard_ids[miss]
+        # Shard ids are small: a stable sort on a narrow type is a
+        # radix sort.
+        order = np.argsort(
+            sids.astype(np.min_scalar_type(len(shards) - 1)), kind="stable"
+        )
+        miss, sids = miss[order], sids[order]
+        per_shard = np.bincount(sids, minlength=len(shards))
+        created = np.asarray([shard.created for shard in shards], dtype=np.int64)
+        # Each shard numbers its new flows on from its own count.
+        rank = np.arange(miss.shape[0]) - (np.cumsum(per_shard) - per_shard)[sids]
+        rows[miss] = fresh = store.admit(flow_ids[miss], sids)
+        store.generation[fresh] = created[sids] + rank + 1
+        for shard, new in zip(shards, per_shard.tolist()):
+            if new:
+                shard.created += new
+                shard.flows += new
+    store.restamp(rows)
+    store.last_seen[rows] = now
+    store.flow_records[rows] += counts
+    return rows

@@ -8,11 +8,14 @@ sender for the collector without touching its loop.  It is the
 SNIPPETS 1-2 idiom: seq-numbered frames, an inflight map, per-ACK RTT
 samples folded into EWMA ``srtt``/``rttvar`` (RFC 6298 shape: ``RTO =
 srtt + 4*rttvar``, clamped), one retransmission timer (RFC 6298 section
-5), a bounded send window for flow control, and Karn's rule (an ACK
-that may have waited behind a resent frame contributes no RTT sample
--- it is ambiguous -- and the backed-off timer is kept until a valid
-sample arrives).  ACKs are cumulative: ``ACK(s)`` retires every
-inflight frame up to ``s``.  The timer runs while any frame is
+5) and a bounded send window for flow control.  Every transmission
+carries the sender's send stamp and every ACK echoes the latest stamp
+it retires (:mod:`repro.service.wire`, RFC 7323's timestamps), so each
+ACK is one unambiguous RTT sample -- Karn's rule, which must discard
+any ACK that may have waited behind a resent frame, has nothing left
+to discard; the back-off it protects still holds until a sample
+arrives.  ACKs are cumulative: ``ACK(s)`` retires every inflight frame
+up to ``s``.  The timer runs while any frame is
 inflight, restarts on every ACK that retires frames, and on expiry
 resends only the oldest unacked frame: the server holds the frames
 that arrived behind that hole, so one resend and one cumulative ACK
@@ -38,11 +41,22 @@ from __future__ import annotations
 import select
 import socket
 import time
-from typing import Callable, Dict, Optional, Tuple
+from typing import Callable, Dict, Optional
 
 from repro.exceptions import ReproError
 from repro.obs.metrics import NULL_REGISTRY
 from repro.service import wire
+
+
+#: The send stamp's clock: microseconds of ``time.monotonic``, modulo
+#: 2^32 (it wraps every ~71 minutes; a round trip never comes close).
+_STAMP_HZ = 1e6
+_STAMP_MASK = 0xFFFFFFFF
+
+
+def _stamp() -> int:
+    """The send-stamp clock now."""
+    return int(time.monotonic() * _STAMP_HZ) & _STAMP_MASK
 
 
 #: RFC 6298's EWMA gains for the smoothed RTT and its deviation.
@@ -62,7 +76,7 @@ WINDOW = 32
 MAX_RETRIES = 16
 
 #: Timer back-off per resend: RFC 6298 section 5.5's doubling, capped
-#: at ``max_rto`` and undone only by a valid RTT sample (Karn).
+#: at ``max_rto`` and undone only by an RTT sample.
 BACKOFF = 2.0
 
 
@@ -75,10 +89,11 @@ class ReliableUDPSender:
 
     ACKs are cumulative -- ``ACK(s)`` retires every inflight frame up
     to ``s`` -- and a server sends one per folded batch (plus one when
-    its queue runs dry mid-batch), not one per frame.  Karn's rule
-    then reads: the RTT sample comes from the frame the ACK names, and
-    only if that frame was first sent after the latest retransmission
-    -- an earlier frame may have waited behind the hole at the server.
+    its queue runs dry mid-batch), not one per frame.  Each echoes the
+    send stamp of the latest transmission it retires, so the RTT
+    sample is ``now - echo`` on every ACK, a resend's round trip
+    included -- under per-batch loss, where every ACK retires a
+    resent frame, the estimate still converges.
 
     The send window (:data:`WINDOW`), the retry budget
     (:data:`MAX_RETRIES`) and the timer back-off (:data:`BACKOFF`) are
@@ -149,13 +164,12 @@ class ReliableUDPSender:
         self.drop_fn = drop_fn
         self.srtt: Optional[float] = None
         self.rttvar = 0.0
-        # seq -> (payload, first_sent), in seq order: frames enter in
-        # seq order and a resend does not re-insert.
-        self.inflight: Dict[int, Tuple[bytes, float]] = {}
+        # seq -> payload, in seq order: frames enter in seq order and
+        # a resend does not re-insert.
+        self.inflight: Dict[int, bytearray] = {}
         self.retries = 0          # resends of the oldest inflight frame
         self._backoffs = 0        # timer doublings since the last sample
         self._expires = 0.0       # the retransmission timer's deadline
-        self._last_resend = float("-inf")
         self.sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
         self.sock.setblocking(False)
         self.obs = obs if obs is not None else NULL_REGISTRY
@@ -199,7 +213,7 @@ class ReliableUDPSender:
         self._expires = time.monotonic() + self._scaled_rto(self._backoffs)
 
     def _sample_rtt(self, r: float) -> None:
-        self._backoffs = 0  # Karn: a valid sample ends the back-off
+        self._backoffs = 0  # a sample ends the back-off
         if self.srtt is None:
             self.srtt = r
             self.rttvar = r / 2.0
@@ -241,15 +255,16 @@ class ReliableUDPSender:
                 self._pump(self.rto)
             if not self.inflight:
                 self._restart_timer()
-            self.inflight[base_seq + i] = (payload, time.monotonic())
-            self._transmit(base_seq + i, payload, 0)
+            frame = self.inflight[base_seq + i] = bytearray(payload)
+            self._transmit(base_seq + i, frame, 0)
         records = wire.encoded_records(frames)
         self.records_sent += records
         if frames:
             self.batches_sent += 1
         return records
 
-    def _transmit(self, seq: int, payload: bytes, attempt: int) -> None:
+    def _transmit(self, seq: int, payload: bytearray, attempt: int) -> None:
+        wire.stamp_frame(payload, _stamp())
         self.frames_sent += 1
         if self.drop_fn is not None and self.drop_fn(seq, attempt):
             return  # simulated network loss: never reaches the wire
@@ -282,7 +297,7 @@ class ReliableUDPSender:
                 except wire.WireError:
                     continue  # not ours; ignore
                 if isinstance(frame, wire.AckFrame):
-                    self._on_ack(frame.seq)
+                    self._on_ack(frame.seq, frame.echo)
         if self.inflight and time.monotonic() >= self._expires:
             self._resend_oldest()
 
@@ -295,25 +310,23 @@ class ReliableUDPSender:
                 f"retransmissions (rto={self.rto:.3f}s); sink unreachable"
             )
         self.retries += 1
-        if self._scaled_rto(self._backoffs) < self.max_rto:
-            self._backoffs += 1
+        # At most MAX_RETRIES doublings: every ACK ends the back-off.
+        self._backoffs += 1
         self.retransmits += 1
         self._m_retx.inc()
-        self._last_resend = time.monotonic()
         self._restart_timer()
-        self._transmit(seq, self.inflight[seq][0], self.retries)
+        self._transmit(seq, self.inflight[seq], self.retries)
 
-    def _on_ack(self, seq: int) -> None:
-        """Retire every inflight frame up to ``seq``; restart the timer.
+    def _on_ack(self, seq: int, echo: int) -> None:
+        """Take the RTT sample ``echo`` gives, retire every inflight
+        frame up to ``seq`` and restart the timer.
 
-        Progress resets the retry budget; the back-off survives it
-        unless the ACK yields an RTT sample.
+        The echo is the send stamp of the latest transmission the ACK
+        retires, so the sample is that transmission's own round trip
+        whether or not it was a resend.  Progress resets the retry
+        budget.
         """
-        named = self.inflight.get(seq)
-        if named is not None and named[1] > self._last_resend:
-            # Karn's rule: a frame first sent before the latest resend
-            # is that frame or may have waited behind it at the server.
-            self._sample_rtt(time.monotonic() - named[1])
+        self._sample_rtt(((_stamp() - echo) & _STAMP_MASK) / _STAMP_HZ)
         inflight = self.inflight
         acked = self.acked_frames
         while inflight:

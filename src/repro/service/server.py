@@ -39,7 +39,12 @@ folded, or held for its batch's reassembly -- which is a durability
 promise, not a reception note.  A batch's last frame is ACKed only
 after the batch is folded, so a sender whose every frame is ACKed has
 every batch in the collector (see :meth:`CollectorServer._ingest_loop`
-for when an ACK is sent).
+for when an ACK is sent).  An ACK echoes the latest send stamp among
+the transmissions that released the frames it retires -- a frame's
+own, or for a frame held behind a hole the one that filled it (RFC
+7323's rule; a re-ACK echoes the duplicate's own) -- so the sender
+times every ACK, resent frames included, and never the wait behind a
+hole.
 Fragment runs (``FLAG_MORE``) are reassembled per source before
 ingesting, so the wrapped collector sees exactly the logical batches
 the sender encoded and every batch-granular snapshot counter matches
@@ -184,9 +189,9 @@ class CollectorServer:
         self._peers: Dict[Tuple, _Peer] = {}
         #: Reassembly state: source -> frames of the open batch.
         self._pending: Dict[Tuple, List[wire.DataFrame]] = {}
-        #: Ingest thread only: source -> highest seq taken off the
-        #: queue and not yet ACKed.
-        self._unacked: Dict[Tuple, int] = {}
+        #: Ingest thread only: source -> (highest seq taken off the
+        #: queue and not yet ACKed, latest send stamp among those).
+        self._unacked: Dict[Tuple, Tuple[int, int]] = {}
         #: Guards the wrapped collector (ingest thread vs query port).
         self._lock = threading.RLock()
         #: Guards the counters below.
@@ -531,21 +536,27 @@ class CollectorServer:
             # queue is ACKed when the ingest thread takes it.
             self._bump("duplicate_frames")
             if frame.seq < peer.acked:
-                self._send_ack(addr, frame.seq)
+                self._send_ack(addr, frame.seq, frame.stamp)
             elif frame.seq >= peer.expected:
-                self._drain_peer(peer, addr)
+                self._drain_peer(peer, addr, frame.stamp)
             return
         if frame.seq - peer.expected > REORDER_LIMIT:
             self._bump("dropped_window")
             return
         peer.buffer[frame.seq] = frame
-        self._drain_peer(peer, addr)
+        self._drain_peer(peer, addr, frame.stamp)
 
-    def _drain_peer(self, peer: _Peer, addr) -> None:
-        """Hand the peer's in-order prefix to the queue (unACKed)."""
+    def _drain_peer(self, peer: _Peer, addr, stamp: int) -> None:
+        """Hand the peer's in-order prefix to the queue (unACKed).
+
+        Every frame released carries ``stamp``, the send stamp of the
+        transmission that released it: a frame that waited behind a
+        hole is answered as of the transmission that filled the hole
+        (RFC 7323's rule), so its ACK does not time the wait.
+        """
         while peer.expected in peer.buffer:
             frame = peer.buffer[peer.expected]
-            if not self._enqueue(frame, addr):
+            if not self._enqueue(frame, addr, stamp):
                 # Queue full: park (still buffered, still unacked) --
                 # the retransmit will re-offer it.  Counted as a
                 # backpressure event, not a loss.
@@ -554,21 +565,21 @@ class CollectorServer:
             del peer.buffer[peer.expected]
             peer.expected += 1
 
-    def _enqueue(self, frame: wire.DataFrame, addr) -> bool:
+    def _enqueue(self, frame: wire.DataFrame, addr, stamp: int) -> bool:
         """Hand one frame to the ingest queue; False when it is full.
 
         Never blocks: a full queue answers at once, so the listener
         keeps the socket drained.
         """
         try:
-            self._queue.put_nowait((addr, frame))
+            self._queue.put_nowait((addr, frame, stamp))
             return True
         except queue.Full:
             return False
 
-    def _send_ack(self, addr, seq: int) -> None:
+    def _send_ack(self, addr, seq: int, echo: int) -> None:
         try:
-            self._udp_sock.sendto(wire.encode_ack(seq), addr)
+            self._udp_sock.sendto(wire.encode_ack(seq, echo), addr)
             self._bump("acks_sent")
         except OSError:  # pragma: no cover - racing close()
             pass
@@ -607,14 +618,17 @@ class CollectorServer:
             if item is _STOP:
                 self._queue.task_done()
                 break
-            addr, frame = item
+            addr, frame, stamp = item
             if self.faults is not None:
                 # Injected ingest-thread stall: the queue keeps
                 # admitting (or backpressuring) while the fold lags.
                 delay = self.faults.stall_seconds()
                 if delay > 0.0:
                     time.sleep(delay)
-            self._unacked[addr] = frame.seq
+            taken = self._unacked.get(addr)
+            if taken is not None:
+                stamp = wire.latest_stamp(taken[1], stamp)
+            self._unacked[addr] = (frame.seq, stamp)
             run = self._pending.setdefault(addr, [])
             run.append(frame)
             if not frame.more:  # the batch's terminating fragment
@@ -626,10 +640,11 @@ class CollectorServer:
             self._queue.task_done()
 
     def _ack_taken(self) -> None:
-        """One cumulative ACK per source with frames taken but unACKed."""
-        for addr, seq in self._unacked.items():
+        """One cumulative ACK per source with frames taken but unACKed,
+        echoing the latest send stamp that released one of them."""
+        for addr, (seq, echo) in self._unacked.items():
             self._peers[addr].acked = seq + 1
-            self._send_ack(addr, seq)
+            self._send_ack(addr, seq, echo)
         self._unacked.clear()
 
     def _ingest_run(self, run: List[wire.DataFrame]) -> None:

@@ -11,10 +11,10 @@ payload bytes).
 Layout (all little-endian, no padding)::
 
     common   magic:u16 = 0x4950 ("PI")   version:u8   ftype:u8
-    DATA     seq:u32  count:u32  flags:u8  now:f64
+    DATA     seq:u32  count:u32  flags:u8  now:f64  stamp:u32
              flow_id[count]:i64  pid[count]:i64
              hop_count[count]:i64  digest[count]:i64
-    ACK      seq:u32
+    ACK      seq:u32  echo:u32
 
 ACKs are cumulative: ``ACK(s)`` acknowledges every frame with a seq up
 to ``s``.  A server only ever ACKs the in-order prefix of a stream, so
@@ -22,6 +22,16 @@ one ACK per folded batch retires all its frames, and a re-ACK of a
 single duplicate under its own seq is still a valid cumulative ACK.
 Acknowledged means taken off the server's admission queue: folded, or
 held for its batch's reassembly.
+
+``stamp`` is the sender's clock (microseconds, modulo 2^32) when *this
+transmission* of the frame left -- a resend carries a new one
+(:func:`stamp_frame` rewrites it in place) -- and an ACK's ``echo`` is
+the latest stamp among the transmissions that released the frames it
+retires: a frame's own, or for a frame held behind a hole the one that
+filled it (RFC 7323's timestamp echo; "latest" modulo 2^32,
+:func:`latest_stamp`).  Every ACK is then one unambiguous round-trip
+sample, even one that retires a resent frame, which is what Karn's
+rule otherwise has to discard.
 
 ``version`` is checked before anything else in the frame is trusted:
 a frame from a newer protocol is rejected as
@@ -66,8 +76,9 @@ from repro.exceptions import ReproError
 
 #: First two bytes of every frame: ``b"PI"`` read as a little-endian u16.
 MAGIC = 0x4950
-#: Current protocol version; bump on any layout change.
-VERSION = 1
+#: Current protocol version; bump on any layout change (2: the send
+#: stamp and its echo).
+VERSION = 2
 
 FT_DATA = 1
 FT_ACK = 2
@@ -78,8 +89,12 @@ FLAG_NO_TIME = 0x04
 _KNOWN_FLAGS = FLAG_RELIABLE | FLAG_MORE | FLAG_NO_TIME
 
 _COMMON = struct.Struct("<HBB")
-_DATA_HDR = struct.Struct("<HBBIIBd")
-_ACK = struct.Struct("<HBBI")
+_DATA_HDR = struct.Struct("<HBBIIBdI")
+_ACK = struct.Struct("<HBBII")
+#: The send stamp: the data header's last field.
+_STAMP = struct.Struct("<I")
+_STAMP_AT = _DATA_HDR.size - _STAMP.size
+_STAMP_MASK = 0xFFFFFFFF
 
 #: Hard per-frame record cap: a count field beyond this is corruption,
 #: not a big batch, and must not drive a gigabyte allocation.
@@ -129,6 +144,8 @@ class DataFrame:
     reliable: bool
     #: True when this frame is a non-final fragment of a logical batch.
     more: bool
+    #: The sender's clock when this transmission left (see module doc).
+    stamp: int
     flow_ids: np.ndarray
     pids: np.ndarray
     hop_counts: np.ndarray
@@ -144,6 +161,8 @@ class AckFrame:
     """Server acknowledgement of every reliable data frame up to ``seq``."""
 
     seq: int
+    #: The latest send stamp among the transmissions this ACK retires.
+    echo: int
 
 
 Frame = Union[DataFrame, AckFrame]
@@ -162,7 +181,8 @@ def encode_frame(
     reliable: bool = False,
     more: bool = False,
 ) -> bytes:
-    """Pack one data frame (zero-record frames are legal keepalives)."""
+    """Pack one data frame (zero-record frames are legal keepalives),
+    stamped 0: a sender stamps each transmission (:func:`stamp_frame`)."""
     fids, ps, hops, digs = normalize_batch(flow_ids, pids, hop_counts, digests)
     n = int(fids.shape[0])
     if n > MAX_FRAME_RECORDS:
@@ -179,7 +199,7 @@ def encode_frame(
         flags |= FLAG_NO_TIME
         now = 0.0
     header = _DATA_HDR.pack(
-        MAGIC, VERSION, FT_DATA, seq & 0xFFFFFFFF, n, flags, float(now)
+        MAGIC, VERSION, FT_DATA, seq & 0xFFFFFFFF, n, flags, float(now), 0
     )
     return b"".join((
         header,
@@ -227,9 +247,19 @@ def encode_frames(
     return out
 
 
-def encode_ack(seq: int) -> bytes:
-    """Pack one ACK frame."""
-    return _ACK.pack(MAGIC, VERSION, FT_ACK, seq & 0xFFFFFFFF)
+def encode_ack(seq: int, echo: int) -> bytes:
+    """Pack one ACK frame echoing the send stamp ``echo``."""
+    return _ACK.pack(MAGIC, VERSION, FT_ACK, seq & 0xFFFFFFFF, echo & _STAMP_MASK)
+
+
+def stamp_frame(frame: bytearray, stamp: int) -> None:
+    """Rewrite an encoded data frame's send stamp in place."""
+    _STAMP.pack_into(frame, _STAMP_AT, stamp & _STAMP_MASK)
+
+
+def latest_stamp(a: int, b: int) -> int:
+    """The later of two send stamps on the wrapping 32-bit clock."""
+    return b if (b - a) & _STAMP_MASK < 1 << 31 else a
 
 
 # -- decoding --------------------------------------------------------------
@@ -261,7 +291,9 @@ def _decode_at(buf: bytes, offset: int) -> Tuple[Frame, int]:
     elif len(buf) - offset < _DATA_HDR.size:
         length = _DATA_HDR.size  # the header itself is cut short
     else:
-        _, _, _, seq, count, flags, now = _DATA_HDR.unpack_from(buf, offset)
+        _, _, _, seq, count, flags, now, stamp = _DATA_HDR.unpack_from(
+            buf, offset
+        )
         if count > MAX_FRAME_RECORDS:
             raise BadFrameError(
                 f"frame claims {count} records "
@@ -276,8 +308,8 @@ def _decode_at(buf: bytes, offset: int) -> Tuple[Frame, int]:
             f"({len(buf) - offset} bytes available)"
         )
     if ftype == FT_ACK:
-        seq = _ACK.unpack_from(buf, offset)[3]
-        return AckFrame(seq=seq), offset + length
+        seq, echo = _ACK.unpack_from(buf, offset)[3:]
+        return AckFrame(seq=seq, echo=echo), offset + length
     base = offset + _DATA_HDR.size
     cols = [
         np.frombuffer(buf, dtype="<i8", count=count,
@@ -289,6 +321,7 @@ def _decode_at(buf: bytes, offset: int) -> Tuple[Frame, int]:
         now=None if flags & FLAG_NO_TIME else now,
         reliable=bool(flags & FLAG_RELIABLE),
         more=bool(flags & FLAG_MORE),
+        stamp=stamp,
         flow_ids=cols[0], pids=cols[1], hop_counts=cols[2], digests=cols[3],
     )
     return frame, offset + length

@@ -233,12 +233,18 @@ class TestSubsetsAndEviction:
             )
             for sink in (serial, par, reference):
                 feed(sink, cols, 256, hi=half)
-            before = [list(shard.index) for shard in serial.shards]
+            before = [
+                shard.store.flow_id[shard.rows()].tolist()
+                for shard in serial.shards
+            ]
             for sink in (serial, par):
                 table = sink.answers()
                 assert len(table) == len(serial) <= 32
                 sink.answers(table.flow_id[::2])
-            assert before == [list(shard.index) for shard in serial.shards]
+            assert before == [
+                shard.store.flow_id[shard.rows()].tolist()
+                for shard in serial.shards
+            ]
             # Same victims afterwards as a sink that was never read.
             for sink in (serial, par, reference):
                 feed(sink, cols, 256, lo=half)

@@ -211,26 +211,40 @@ def test_bench_calls_into_the_sink_keep_working():
     assert cong.flow(3).max_code == 38 and cong.flow(3).result() is not None
 
 
-def test_shard_is_a_row_index_behind_two_entry_points():
+def test_shard_is_bounds_and_counters_over_the_sinks_one_index():
     # A shard is built from its sink's store and two bounds, nothing
     # else: how flows are stored is not a mode.  `touch_row` (one flow)
-    # and `touch_many` (a batch) are its entry points and hand rows
-    # back; no second flow view and no table object sit behind it.
+    # and `touch_flows` (a batch, across a sink's shards) are its entry
+    # points and hand rows back.  The flow index is the store's, one
+    # per sink: the shard keeps no map, no table object and no second
+    # flow view, and LRU order is its rows by touch stamp.
     import repro.collector as collector
+    import repro.coding.store as store_module
+    from repro.coding.flowindex import FlowIndex
     from repro.collector import Shard
     from repro.collector.consumers import ConsumerRows
+    from repro.collector.shard import touch_flows
 
     def names(fn) -> list:
         return list(inspect.signature(fn).parameters)
 
     assert params(Shard) == {"shard_id", "store", "max_flows", "ttl"}
     assert names(Shard.touch_row) == ["self", "flow_id", "now"]
-    assert names(Shard.touch_many) == ["self", "flow_ids", "counts", "now"]
+    assert names(touch_flows) == [
+        "shards", "flow_ids", "shard_ids", "rows", "counts", "now",
+    ]
+    assert not hasattr(Shard, "touch_many")
     assert not {"FlowTable", "FlowEntry"} & set(dir(collector))
+    # The lossy direct-mapped index that found steady flows is gone.
+    assert not {"_BUCKETS", "_SPARSE", "_SPREAD"} & set(dir(store_module))
+    assert not hasattr(store_module.RowStore, "steady_rows")
     shard = Shard(0, ConsumerRows(lambda fid: object()), max_flows=2)
     row = shard.touch_row(5, 1.5)
     assert not hasattr(shard, "table") and not hasattr(Shard, "touch_group")
-    assert shard.index == {5: row} and len(shard) == 1
+    assert not hasattr(shard, "index")
+    assert isinstance(shard.store.index, FlowIndex)
+    assert shard.store.index.find_one(5) == row and len(shard) == 1
+    assert shard.rows().tolist() == [row]
     assert shard.store.last_seen[row] == 1.5
 
 

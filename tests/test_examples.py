@@ -6,6 +6,7 @@ parameters where needed; each still exercises its full code path.
 """
 
 import importlib.util
+import re
 import sys
 from pathlib import Path
 
@@ -91,6 +92,8 @@ class TestExamplesRun:
         out = capsys.readouterr().out
         assert "json query port" in out
         assert "exactly once" in out
+        # Every ACK is an RTT sample, even with a resend in every batch.
+        assert re.search(r"\(srtt \d+\.\d+ ms\)", out)
         assert "complete=True" in out
         assert "despite the lossy wire" in out
 

@@ -88,7 +88,8 @@ def flow_states(collector):
     """flow id -> answers and full decoder state, for every live flow."""
     out = {}
     for shard in collector.shards:
-        for fid, row in shard.index.items():
+        rows = shard.rows()
+        for fid, row in zip(shard.store.flow_id[rows].tolist(), rows.tolist()):
             c = collector.flow(fid)
             out[fid] = (
                 c.result(), c.partial_path(), c.decode_errors, c.progress,
@@ -101,8 +102,10 @@ def flow_states(collector):
 def table_order(collector):
     """Per shard, (flow id, generation) in LRU order."""
     return [
-        [(fid, int(shard.store.generation[row]))
-         for fid, row in shard.index.items()]
+        list(zip(
+            shard.store.flow_id[shard.rows()].tolist(),
+            shard.store.generation[shard.rows()].tolist(),
+        ))
         for shard in collector.shards
     ]
 

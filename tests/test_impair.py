@@ -291,7 +291,8 @@ class TestFlowTableAccountingUnderImpairment:
         col.ingest_batch(fids, pids, hops, digs)
         total = 0
         for shard in col.shards:
-            for fid, row in shard.index.items():
+            rows = shard.rows()
+            for fid, row in zip(shard.store.flow_id[rows].tolist(), rows.tolist()):
                 records = int(shard.store.flow_records[row])
                 assert records == int((fids == fid).sum())
                 total += records
@@ -382,7 +383,8 @@ class TestDecodeUnderLoss:
                          trace.hop_counts[rows], digests[rows])
         snap = col.snapshot()
         per_flow = [
-            col.flow(fid).coverage for shard in col.shards for fid in shard.index
+            col.flow(fid).coverage for shard in col.shards
+            for fid in shard.store.flow_id[shard.rows()].tolist()
         ]
         assert snap.coverage_sum == pytest.approx(sum(per_flow))
         assert 0.0 < snap.mean_coverage <= 1.0

@@ -256,17 +256,17 @@ class TestSteadyPass:
         grouped = sink(universe, kwargs)
         # The same sink with a store that calls no flow steady:
         # everything is grouped.
-        grouped._store.steady_rows = lambda fids: None
+        grouped._store.steady = lambda rows: np.zeros(rows.shape[0], bool)
         seen = []
-        real = PathStateStore.steady_rows
-        plain._store.steady_rows = lambda fids: (
-            lambda rows: (seen.append(rows), rows)[1]
-        )(real(plain._store, fids))
+        real = PathStateStore.steady
+        plain._store.steady = lambda rows: (
+            lambda mask: (seen.append(mask), mask)[1]
+        )(real(plain._store, rows))
         for lo in range(0, len(cols[0]), 2048):
             part = tuple(c[lo:lo + 2048] for c in cols)
             plain.ingest_batch(*part)
             grouped.ingest_batch(*part)
-        steady = sum(int((r >= 0).sum()) for r in seen if r is not None)
+        steady = sum(int(mask.sum()) for mask in seen)
         assert steady > 5000
         states = flow_states(plain)
         assert states == flow_states(grouped)
@@ -281,10 +281,12 @@ class TestSteadyPass:
         batched, scalar = sink(universe, kwargs), sink(universe, kwargs)
         batched.ingest_batch(*(c[:3] for c in cols))
         assert not batched.flow(1).is_complete
-        assert batched._store.steady_rows(cols[0][3:]) is None
+        store = batched._store
+        assert not store.steady(store.index.find(cols[0][3:])).any()
         batched.ingest_batch(*(c[3:90] for c in cols))
         assert batched.flow(1).is_complete
-        owners = batched._store.steady_rows(cols[0][90:])
+        owners = store.index.find(cols[0][90:])
+        assert store.steady(owners).all()
         assert owners.tolist() == [batched.flow(1).row] * 30
         batched.ingest_batch(*(c[90:] for c in cols))
         feed_scalar(scalar, cols)
@@ -439,7 +441,7 @@ class TestCheckpoint:
         assert sum(s.ttl_evictions for s in snap.shards) > 0
         assert store.live_rows().size == len(bounded) == snap.flows
         assert store.rows < 3 * len(bounded)      # rows are recycled
-        gone = list(bounded.shards[0].index)[:5]
+        gone = store.flow_id[bounded.shards[0].rows()].tolist()[:5]
         assert all(bounded.evict(fid) for fid in gone)
         assert store.live_rows().size == len(bounded) > 0
         blob = capture_checkpoint(bounded)

@@ -57,7 +57,7 @@ from repro.service import (
     encode_frame,
     encode_frames,
 )
-from repro.service import wire
+from repro.service import client, wire
 from repro.service.client import MAX_RETRIES, WINDOW
 from repro.service.query import jsonable
 from repro.service.server import REORDER_LIMIT
@@ -89,16 +89,21 @@ def batch(n, base=0):
 FAST_RTO = dict(min_rto=0.005, initial_rto=0.02, max_rto=0.1)
 
 
+def stamp_ago(seconds):
+    """The send stamp a transmission ``seconds`` ago carried."""
+    return (client._stamp() - int(seconds * 1e6)) % 2**32
+
+
 # -- wire: golden layout ----------------------------------------------------
 
 class TestWireGolden:
     def test_data_frame_bytes_pinned(self):
         # One record (1, 2, 3, 4), now=1.5, seq=7: the exact wire
         # image, pinned so any layout change is a deliberate VERSION
-        # bump, not an accident.
+        # bump, not an accident.  Encoded unsent: send stamp 0.
         got = encode_frame([1], [2], [3], [4], 1.5, 7)
         assert got.hex() == (
-            "50490101070000000100000000000000000000f83f"
+            "50490201070000000100000000000000000000f83f00000000"
             "0100000000000000020000000000000003000000000000000400000000000000"
         )
 
@@ -109,15 +114,23 @@ class TestWireGolden:
 
     def test_empty_no_time_frame_bytes_pinned(self):
         got = encode_frame([], [], [], [], None, 0)
-        assert got.hex() == "504901010000000000000000040000000000000000"
+        assert got.hex() == "50490201000000000000000004000000000000000000000000"
 
     def test_ack_bytes_pinned(self):
-        assert encode_ack(9).hex() == "5049010209000000"
+        assert encode_ack(9, 0x01020304).hex() == "504902020900000004030201"
+
+    def test_send_stamp_bytes_pinned(self):
+        frame = bytearray(encode_frame([1], [2], [3], [4], 1.5, 7))
+        wire.stamp_frame(frame, 0x0A0B0C0D)
+        assert frame[21:25].hex() == "0d0c0b0a"
+        assert decode_frame(bytes(frame)).stamp == 0x0A0B0C0D
 
     def test_header_sizes(self):
-        # 21-byte data header + 32 bytes per record; 8-byte ACK.
-        assert len(encode_frame([1], [2], [3], [4], 0.0, 0)) == 21 + 32
-        assert len(encode_ack(0)) == 8
+        # 25-byte data header + 32 bytes per record; 12-byte ACK; a
+        # full datagram still carries 2046 records.
+        assert len(encode_frame([1], [2], [3], [4], 0.0, 0)) == 25 + 32
+        assert len(encode_ack(0, 0)) == 12
+        assert wire.MAX_UDP_RECORDS == 2046
 
 
 # -- wire: round trips ------------------------------------------------------
@@ -148,8 +161,15 @@ class TestWireRoundTrip:
         np.testing.assert_array_equal(frame.digests, vals)
 
     def test_ack_round_trip(self):
-        frame = decode_frame(encode_ack(41))
+        frame = decode_frame(encode_ack(41, 2**32 - 1))
         assert isinstance(frame, AckFrame) and frame.seq == 41
+        assert frame.echo == 2**32 - 1
+
+    def test_latest_stamp_wraps(self):
+        assert wire.latest_stamp(5, 9) == 9 and wire.latest_stamp(9, 5) == 9
+        # Just past the wrap is later than just before it.
+        assert wire.latest_stamp(2**32 - 3, 4) == 4
+        assert wire.latest_stamp(4, 2**32 - 3) == 4
 
     def test_fragmentation_flags_and_seqs(self):
         fids, pids, hops, digs = batch(10)
@@ -169,7 +189,7 @@ class TestWireRoundTrip:
     def test_decode_frames_buffer(self):
         fids, pids, hops, digs = batch(6)
         buf = b"".join(encode_frames(fids, pids, hops, digs, 1.0,
-                                     max_records=2)) + encode_ack(3)
+                                     max_records=2)) + encode_ack(3, 0)
         frames = decode_frames(buf)
         assert len(frames) == 4
         assert sum(f.count for f in frames[:-1]) == 6
@@ -224,7 +244,7 @@ class TestWireMalformed:
         with pytest.raises(TruncatedFrameError):
             decode_frame(frame[:10])
         with pytest.raises(TruncatedFrameError):
-            decode_frames(encode_ack(0) + frame[:10])
+            decode_frames(encode_ack(0, 0) + frame[:10])
 
     def test_truncated_columns(self):
         frame = encode_frame([1], [2], [3], [4], 0.0, 0)
@@ -233,10 +253,10 @@ class TestWireMalformed:
 
     def test_bad_magic(self):
         with pytest.raises(BadMagicError):
-            decode_frame(b"XX" + encode_ack(0)[2:])
+            decode_frame(b"XX" + encode_ack(0, 0)[2:])
 
     def test_bad_version_carries_version(self):
-        frame = bytearray(encode_ack(0))
+        frame = bytearray(encode_ack(0, 0))
         frame[2] = 99
         with pytest.raises(BadVersionError) as err:
             decode_frame(bytes(frame))
@@ -249,17 +269,17 @@ class TestWireMalformed:
 
     def test_trailing_bytes_rejected(self):
         with pytest.raises(BadFrameError):
-            decode_frame(encode_ack(0) + b"\x00")
+            decode_frame(encode_ack(0, 0) + b"\x00")
 
     def test_absurd_count_rejected_without_allocation(self):
-        bad = struct.pack("<HBBIIBd", wire.MAGIC, wire.VERSION, wire.FT_DATA,
-                          0, 2**31, 0, 0.0)
+        bad = struct.pack("<HBBIIBdI", wire.MAGIC, wire.VERSION, wire.FT_DATA,
+                          0, 2**31, 0, 0.0, 0)
         with pytest.raises(BadFrameError):
             decode_frame(bad)
 
     def test_unknown_flag_bits_rejected(self):
-        bad = struct.pack("<HBBIIBd", wire.MAGIC, wire.VERSION, wire.FT_DATA,
-                          0, 0, 0x80, 0.0)
+        bad = struct.pack("<HBBIIBdI", wire.MAGIC, wire.VERSION, wire.FT_DATA,
+                          0, 0, 0x80, 0.0, 0)
         with pytest.raises(BadFrameError):
             decode_frame(bad)
 
@@ -304,6 +324,18 @@ class TestAdmissionPolicy:
         srv = self.make_server()
         srv._on_datagram(b"not a frame at all", ("127.0.0.1", 9))
         assert srv.service_stats().dropped_bad_frame == 1
+
+    def test_version_1_frame_refused(self):
+        # Version 1 frames had no send stamp: a v2 sink refuses them
+        # as a version, never misparses them.
+        srv = self.make_server()
+        frame = bytearray(encode_frame([1], [2], [3], [4], 0.0, 0))
+        frame[2] = 1
+        with pytest.raises(BadVersionError) as err:
+            decode_frame(bytes(frame))
+        assert err.value.version == 1
+        srv._on_datagram(bytes(frame), ("127.0.0.1", 9))
+        assert srv.service_stats().dropped_bad_version == 1
 
     def test_future_version_counted_separately(self):
         srv = self.make_server()
@@ -501,6 +533,29 @@ class TestLoopbackService:
             assert tx.retransmits == len(holes)
             assert stats.duplicate_frames == 0
             assert stats.records_ingested == 144
+            tx.close()
+
+    def test_rtt_sampled_under_per_batch_loss(self):
+        # Every batch loses the first transmission of its first frame,
+        # so every ACK retires a resent frame.  Timing a frame from its
+        # first send, Karn's rule refused each such ACK: no sample ever
+        # came and the back-off doubled on (srtt None, 3.2 s to flush).
+        # The echoed send stamp makes every ACK a sample.
+        with CollectorServer(make_collector()) as srv:
+            tx = ReliableUDPSender(
+                "127.0.0.1", srv.udp_port, max_records=16,
+                min_rto=0.01, initial_rto=0.05,
+                drop_fn=lambda seq, attempt: attempt == 0 and seq % 4 == 0,
+            )
+            start = time.perf_counter()
+            for i in range(6):
+                tx.send_batch(*batch(64, base=1000 * i), now=float(i))
+            tx.flush()
+            elapsed = time.perf_counter() - start
+            assert tx.retransmits >= 6
+            assert srv.service_stats().records_ingested == 6 * 64
+            assert tx.srtt is not None
+            assert elapsed < 1.0
             tx.close()
 
     def test_two_reliable_senders_interleaved(self):
@@ -829,54 +884,48 @@ class TestQueryServer:
 
 
 class TestCumulativeAck:
-    def make_tx(self, frames, age=0.01):
+    def make_tx(self, frames):
         # Every transmission is dropped: the sender's bookkeeping only.
         tx = ReliableUDPSender("127.0.0.1", 1,
                                drop_fn=lambda seq, attempt: True)
         tx.sock.close()
-        sent = time.monotonic() - age
         for seq in range(frames):
-            tx.inflight[seq] = (b"", sent)
+            tx.inflight[seq] = bytearray(encode_frame([], [], [], [], 0.0, seq))
         return tx
 
     def test_ack_retires_every_frame_up_to_its_seq(self):
         tx = self.make_tx(5)
-        tx._on_ack(2)
+        tx._on_ack(2, stamp_ago(0.0))
         assert list(tx.inflight) == [3, 4]
         assert tx.acked_frames == 3
-        tx._on_ack(2)  # a re-ACK of a retired frame changes nothing
+        tx._on_ack(2, stamp_ago(0.0))  # a re-ACK of a retired frame
         assert list(tx.inflight) == [3, 4]
         assert tx.acked_frames == 3
 
-    def test_rtt_sample_only_from_a_fresh_named_frame(self):
+    def test_every_ack_samples_its_echo(self):
+        # The sample is now minus the echoed send stamp -- also for an
+        # ACK that retires a resent frame, which Karn's rule refused
+        # while the sender timed a frame's first send.
         tx = self.make_tx(4)
         tx._resend_oldest()
-        tx._on_ack(0)  # names the resent frame: ambiguous
-        assert tx.srtt is None
-        tx.inflight[4] = (b"", time.monotonic())
-        time.sleep(0.01)
-        tx._on_ack(4)  # retires 1..4; samples 4 only
-        assert tx.srtt is not None and tx.srtt >= 0.01
-        assert not tx.inflight
-
-    def test_no_sample_from_a_frame_sent_before_the_latest_resend(self):
-        # Frame 2 was never resent, but it went out before frame 0's
-        # resend, so it may have waited behind that hole.
-        tx = self.make_tx(4)
-        tx._resend_oldest()
-        tx._on_ack(2)
-        assert tx.srtt is None
+        tx._on_ack(2, stamp_ago(0.05))
+        assert tx.srtt == pytest.approx(0.05, abs=0.02)
         assert list(tx.inflight) == [3]
 
-    def test_sample_from_a_frame_first_sent_after_the_latest_resend(self):
-        # The sample is the named frame's own round trip, not that of
-        # the older frames the same ACK retires.
-        tx = self.make_tx(2, age=1.0)
+    def test_sample_across_the_stamp_wrap(self, monkeypatch):
+        tx = self.make_tx(1)
+        monkeypatch.setattr(client, "_stamp", lambda: 4_000)
+        tx._on_ack(0, 2**32 - 6_000)  # sent 10 ms before the wrap
+        assert tx.srtt == pytest.approx(0.01)
+
+    def test_transmissions_carry_the_send_stamp(self):
+        sent = []
+        tx = self.make_tx(2)
+        tx.drop_fn = lambda seq, attempt: sent.append(
+            decode_frame(bytes(tx.inflight[seq])).stamp) or True
+        before = stamp_ago(0.0)
         tx._resend_oldest()
-        tx.inflight[2] = (b"", time.monotonic())
-        time.sleep(0.01)
-        tx._on_ack(2)
-        assert tx.srtt is not None and 0.01 <= tx.srtt < 0.5
+        assert (sent[0] - before) % 2**32 < 1_000_000
 
     def test_expiry_resends_the_oldest_frame_and_backs_off(self):
         tx = self.make_tx(3)
@@ -887,40 +936,33 @@ class TestCumulativeAck:
         assert sent == [(0, 1), (0, 2)]
         assert tx._expires - time.monotonic() == pytest.approx(
             4 * tx.initial_rto, abs=0.05)
-        tx._on_ack(0)  # progress resets the retry count
+        tx._on_ack(0, stamp_ago(0.0))  # progress resets the retry count
         assert tx.retries == 0
         tx._resend_oldest()
         assert sent[-1] == (1, 1)
 
     def test_backoff_holds_until_an_rtt_sample(self):
-        # Karn: an ACK that retires frames but yields no RTT sample
-        # keeps the backed-off timer; only a valid sample undoes it.
+        # The doubled timer stays doubled while no ACK comes back; the
+        # first ACK's sample undoes it.
         tx = self.make_tx(3)
         tx._resend_oldest()
         tx._resend_oldest()
         backed_off = tx._scaled_rto(tx.retries)
-        tx._on_ack(0)  # names the resent frame: ambiguous, no sample
-        assert tx.srtt is None and tx.retries == 0
+        assert backed_off == pytest.approx(4 * tx.initial_rto)
         assert tx._expires - time.monotonic() == pytest.approx(
             backed_off, abs=0.05)
-        tx.inflight[3] = (b"", time.monotonic())
-        tx.inflight[4] = (b"", time.monotonic())
-        time.sleep(0.01)
-        tx._on_ack(3)  # frame 3 went out after the resend: a sample
-        assert tx.srtt is not None and list(tx.inflight) == [4]
+        tx._on_ack(0, stamp_ago(0.01))
+        assert tx.srtt is not None and tx.retries == 0
+        assert list(tx.inflight) == [1, 2]
         assert tx._scaled_rto(0) == tx.rto < backed_off - 0.2
         assert tx._expires - time.monotonic() == pytest.approx(
             tx.rto, abs=0.05)
 
-    def test_backoff_stops_doubling_at_max_rto(self):
-        # Every ACK is ambiguous, so the doubling is never undone, but
-        # each one resets the retry budget: past ~1,000 resends an
-        # uncapped exponent would overflow the float span.
-        tx = self.make_tx(1200)
-        for seq in range(1100):
+    def test_backoff_stops_at_max_rto(self):
+        tx = self.make_tx(1)
+        for _ in range(MAX_RETRIES):
             tx._resend_oldest()
-            tx._on_ack(seq)
-        assert tx.srtt is None and tx.retransmits == 1100
+        assert tx.srtt is None and tx.retransmits == MAX_RETRIES
         assert tx._expires - time.monotonic() == pytest.approx(
             tx.max_rto, abs=0.05)
 

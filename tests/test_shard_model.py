@@ -1,13 +1,15 @@
-"""A shard's flow index against a naive model (ROADMAP item 4 tail).
+"""A shard's flows against a naive model (ROADMAP item 4 tail).
 
-A hypothesis state machine drives ``touch_row`` / ``touch_many`` /
+A hypothesis state machine drives ``touch_row`` / ``touch_flows`` /
 ``evict`` / ``expire`` / ``maybe_expire`` on a :class:`Shard` -- one
 over a store of consumer objects or one over a column store -- and on
 a plain insertion-ordered dict that re-derives every decision the slow
 way (full scans, no early stop, no ``move_to_end``, a batch one flow
-at a time); after every step the two must agree on LRU order,
-``last_seen``, ``records``, generations and all three counters, and
-the store must hold exactly the shard's rows.  Clock steps and ``ttl``
+at a time); after every step the two must agree on LRU order (the
+shard's rows by touch stamp), ``last_seen``, ``records``, generations
+and all three counters, the store must hold exactly the shard's rows,
+and the store's flow index must find exactly the model's flows, each
+at a row holding it.  Clock steps and ``ttl``
 are whole numbers, so the ``last_seen == now - ttl`` boundary
 (evicted: only entries *strictly* newer than the deadline survive) is
 hit constantly, not by luck.
@@ -37,8 +39,11 @@ from repro.collector import (
     path_consumer_factory,
 )
 from repro.collector.consumers import ConsumerRows, sink_store
+from repro.collector.shard import touch_flows
 
 FLOW_IDS = st.integers(min_value=0, max_value=7)
+#: Every flow id a step can name.
+UNIVERSE = np.arange(12, dtype=np.int64)
 #: An ascending set of flow ids with a record count each -- long enough
 #: to overflow every ``max_flows`` the machine draws.
 BATCHES = st.dictionaries(
@@ -59,10 +64,18 @@ def as_batch(batch):
     )
 
 
+def touch_batch(shard, ids, counts, now):
+    """:func:`touch_flows` on a lone shard: rows from its store's index."""
+    found = shard.store.index.find(ids)
+    return touch_flows(
+        [shard], ids, np.zeros(ids.shape[0], dtype=np.int64), found, counts, now
+    )
+
+
 def entries(shard):
     """``(flow_id, (last_seen, generation, records))``, LRU-oldest first."""
     store, rows = shard.store, shard.rows()
-    return list(zip(shard.index, zip(
+    return list(zip(store.flow_id[rows].tolist(), zip(
         store.last_seen[rows].tolist(), store.generation[rows].tolist(),
         store.flow_records[rows].tolist(),
     )))
@@ -106,19 +119,16 @@ class ShardMachine(RuleBasedStateMachine):
         assert self.shard.store.generation[row] == self._model_touch(fid)
         assert self.shard.store.last_seen[row] == self.now
 
+    @precondition(lambda self: self.max_flows is None)
     @rule(batch=BATCHES)
-    def touch_many(self, batch):
+    def touch_batch(self, batch):
+        # Capacity eviction is order-sensitive within a batch: only an
+        # unbounded shard takes a batch at once.
         ids, counts = as_batch(batch)
-        rows = self.shard.touch_many(ids, counts, self.now)
+        rows = touch_batch(self.shard, ids, counts, self.now)
         for fid, count in zip(ids.tolist(), counts.tolist()):
             self._model_touch(fid, count)
-        # A flow the batch's own capacity evictions dropped has no row.
-        assert rows.tolist() == [
-            self.shard.index.get(fid, -1) for fid in ids.tolist()
-        ]
-        assert [r >= 0 for r in rows.tolist()] == [
-            fid in self.model for fid in ids.tolist()
-        ]
+        assert rows.tolist() == self.shard.store.index.find(ids).tolist()
 
     @rule(fid=FLOW_IDS)
     def evict(self, fid):
@@ -154,8 +164,20 @@ class ShardMachine(RuleBasedStateMachine):
     def agrees_with_model(self):
         assert entries(self.shard) == list(self.model.items())
         assert len(self.shard) == len(self.model)
+        store = self.shard.store
         # Every way out of the shard gave the row back.
-        assert self.shard.store.live_rows().size == len(self.model)
+        assert store.live_rows().size == len(self.model)
+        # The index finds exactly the live flows, each at its own row.
+        found = store.index.find(UNIVERSE)
+        assert [fid for fid, row in zip(UNIVERSE.tolist(), found.tolist())
+                if row >= 0] == sorted(self.model)
+        assert len(store.index) == len(self.model)
+        held = found[found >= 0]
+        assert store.flow_id[held].tolist() == sorted(self.model)
+        assert sorted(held.tolist()) == sorted(self.shard.rows().tolist())
+        assert [store.index.find_one(fid) for fid in UNIVERSE.tolist()] == (
+            found.tolist()
+        )
         assert self.shard.created == self.created
         assert self.shard.lru_evictions == self.lru_evictions
         assert self.shard.ttl_evictions == self.ttl_evictions
@@ -168,20 +190,17 @@ ShardMachine.TestCase.settings = settings(
 TestShardModel = ShardMachine.TestCase
 
 
-# -- touch_many == touch, one by one ------------------------------------------
+# -- touch_flows == touch, one by one -----------------------------------------
 
 @pytest.mark.parametrize("kind", sorted(STORES))
-@given(
-    batches=st.lists(BATCHES, min_size=1, max_size=6),
-    max_flows=st.none() | st.integers(min_value=1, max_value=6),
-)
+@given(batches=st.lists(BATCHES, min_size=1, max_size=6))
 @settings(max_examples=60, deadline=None, derandomize=True)
-def test_touch_many_is_touch_one_by_one(kind, batches, max_flows):
-    many = Shard(0, STORES[kind](), max_flows=max_flows)
-    single = Shard(0, STORES[kind](), max_flows=max_flows)
+def test_touch_flows_is_touch_one_by_one(kind, batches):
+    many = Shard(0, STORES[kind]())
+    single = Shard(0, STORES[kind]())
     for now, batch in enumerate(batches):
         ids, counts = as_batch(batch)
-        many.touch_many(ids, counts, float(now))
+        touch_batch(many, ids, counts, float(now))
         for fid, count in zip(ids.tolist(), counts.tolist()):
             row = single.touch_row(fid, float(now))
             single.store.flow_records[row] += count
