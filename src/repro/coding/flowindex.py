@@ -10,7 +10,7 @@ times the entries (load <= 1/4).  A flow id's home slot is the top bits of its p
 :data:`SPREAD` (2^64 / golden ratio, odd), so consecutive ids land far
 apart.
 
-Every operation comes in a batch form run as rounds over the lanes
+Lookup and insertion come in a batch form run as rounds over the lanes
 still unresolved -- a round is one gather per array, and the load bound
 keeps the rounds few -- and a scalar form for record-at-a-time
 callers:
@@ -20,13 +20,12 @@ callers:
 * :meth:`FlowIndex.insert` / :meth:`FlowIndex.insert_one` -- new,
   distinct flows; a batch claims free slots by writing its rows and
   reading them back, so two lanes probing one slot cannot both win;
-* :meth:`FlowIndex.remove` / :meth:`FlowIndex.remove_one` -- deletion
-  without tombstones.  The scalar form is the classic backward shift:
-  every entry of the run behind the freed slot that may move back
-  toward its home does.  The batch form frees every slot, then lifts
-  the runs that followed the freed slots out and inserts them again,
-  which leaves the same invariant: no entry's probe path crosses an
-  empty slot.
+* :meth:`FlowIndex.remove_one` -- deletion without tombstones, the
+  classic backward shift: every entry of the run behind the freed slot
+  that may move back toward its home does, so no entry's probe path
+  crosses an empty slot.  Flows leave a sink one at a time (an
+  eviction, or a release whose row is cleared in a Python loop
+  anyway), so removal has no batch form.
 
 Which slot an entry ends up in depends on the order of operations and
 is never read by anything but the index itself.
@@ -170,58 +169,30 @@ class FlowIndex:
 
     # -- removal -------------------------------------------------------------
 
-    def remove(self, flow_ids: np.ndarray) -> None:
-        """Drop distinct flows the index holds."""
-        if not flow_ids.shape[0]:
-            return
-        table = self.rows
-        mask = table.shape[0] - 1
-        freed = self._probe(flow_ids)[0]
-        table[freed] = -1
-        self.size -= freed.shape[0]
-        # The run behind each freed slot, up to the next empty one:
-        # exactly the entries whose probe path may cross a freed slot.
-        runs: list[np.ndarray] = []
-        pos = (freed + 1) & mask
-        while pos.size:
-            pos = pos[table[pos] >= 0]
-            runs.append(pos)
-            pos = (pos + 1) & mask
-        lifted = np.concatenate(runs)
-        if lifted.size:
-            keys, rows = self.keys[lifted], table[lifted]
-            table[lifted] = -1
-            self.size -= lifted.shape[0]
-            self._place(keys, rows)
-
     def remove_one(self, flow_id: int) -> None:
-        """Scalar :meth:`remove`: a backward-shift delete."""
+        """Drop a flow the index holds: a backward-shift delete."""
+        flow_id = int(flow_id)
         keys, table = self.keys, self.rows
-        mask = table.shape[0] - 1
-        hole = self._slot_one(int(flow_id))
+        mask, shift = table.shape[0] - 1, self._shift
+        hole = ((flow_id * SPREAD) & _MASK64) >> shift
+        while True:
+            if table.item(hole) < 0:
+                raise KeyError(flow_id)
+            if keys.item(hole) == flow_id:
+                break
+            hole = (hole + 1) & mask
         slot = hole
         while True:
             slot = (slot + 1) & mask
-            row = table.item(slot)
+            row: int = table.item(slot)
             if row < 0:
                 break
             # Moves back unless its home lies cyclically in (hole, slot].
-            home = self._home_one(keys.item(slot))
+            key: int = keys.item(slot)
+            home = ((key * SPREAD) & _MASK64) >> shift
             if (slot - home) & mask >= (slot - hole) & mask:
-                keys[hole] = keys[slot]
+                keys[hole] = key
                 table[hole] = row
                 hole = slot
         table[hole] = -1
         self.size -= 1
-
-    def _slot_one(self, flow_id: int) -> int:
-        keys, rows = self.keys, self.rows
-        mask = rows.shape[0] - 1
-        slot = self._home_one(flow_id)
-        while keys.item(slot) != flow_id:
-            if rows.item(slot) < 0:
-                raise KeyError(flow_id)
-            slot = (slot + 1) & mask
-        if rows.item(slot) < 0:
-            raise KeyError(flow_id)
-        return slot

@@ -226,15 +226,6 @@ class RowStore:
         self.shard[row] = -1
         self._free.append(row)
 
-    def release_many(self, rows: np.ndarray) -> None:
-        """:meth:`release` for every row of ``rows`` (an expiry sweep)."""
-        self.index.remove(self.flow_id[rows[self.shard[rows] >= 0]])
-        for row in rows.tolist():
-            self._clear(row)
-        self.epoch[rows] = self.stamp[rows] = 0
-        self.shard[rows] = -1
-        self._free.extend(rows.tolist())
-
     def _clear(self, row: int) -> None:
         raise NotImplementedError
 

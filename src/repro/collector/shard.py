@@ -32,10 +32,12 @@ Most flows of a real trace are a packet or two long, so a shard mostly
 the sink's store (:class:`repro.coding.store.RowStore`) holds the one
 flow index and, per row, the bookkeeping -- the admitting shard's id
 and a touch stamp among them.  A shard's LRU order is its rows by
-stamp (:meth:`Shard.rows`), which snapshots, checkpoints and TTL
-sweeps read; a shard with ``max_flows`` also keeps an oldest-first
-queue of ``(stamp, row)`` touches whose stale entries are skipped as
-they surface, so picking a capacity victim never scans the shard.
+stamp (:meth:`Shard.rows`), which snapshots and checkpoints read; a
+TTL sweep drops the rows stamped before the first keeper without
+ordering the rest.  A shard with ``max_flows`` also keeps an
+oldest-first queue of ``(stamp, row)`` touches whose stale entries are
+skipped as they surface, so picking a capacity victim never scans the
+shard.
 :func:`touch_flows` admits and touches a whole batch's flows across a
 sink's shards in array passes.
 
@@ -102,9 +104,10 @@ class Shard:
         self.ttl_evictions = 0
         self._last_sweep = float("-inf")
         #: With ``max_flows``: ``(stamp, row)`` per touch, oldest first,
-        #: an entry stale once its row's stamp moved on; None until an
-        #: eviction needs it (or after a touch it did not see).
-        self._lru: Optional[Deque[Tuple[int, int]]] = None
+        #: an entry stale once its row's stamp moved on (stamps are
+        #: never reused).  A bounded shard is only touched by
+        #: :meth:`touch_row` and :meth:`load_state`, which both feed it.
+        self._lru: Deque[Tuple[int, int]] = deque()
         self.records = 0
         #: ingest_batch calls that touched this shard (records/batches
         #: is the snapshot's amortisation metric; the front door bumps
@@ -146,13 +149,12 @@ class Shard:
         store.last_seen[row] = now
         if self.max_flows is not None:
             lru = self._lru
-            if lru is not None:
-                lru.append((stamp, row))
-                if len(lru) > 2 * self.flows + 64:
-                    stamps = store.stamp
-                    self._lru = deque(
-                        entry for entry in lru if stamps[entry[1]] == entry[0]
-                    )
+            lru.append((stamp, row))
+            if len(lru) > 2 * self.flows + 64:
+                stamps = store.stamp
+                self._lru = deque(
+                    entry for entry in lru if stamps[entry[1]] == entry[0]
+                )
             while self.flows > self.max_flows:
                 self._evict_oldest()
         return row
@@ -160,9 +162,6 @@ class Shard:
     def _evict_oldest(self) -> None:
         """Drop the least recently touched flow (capacity pressure)."""
         store = self.store
-        if self._lru is None:
-            rows = self.rows()
-            self._lru = deque(zip(store.stamp[rows].tolist(), rows.tolist()))
         lru, stamps = self._lru, store.stamp
         while True:
             stamp, row = lru.popleft()
@@ -176,7 +175,9 @@ class Shard:
 
     def _drop(self, rows: np.ndarray) -> int:
         """Forget the flows in ``rows`` (all this shard's), free the rows."""
-        self.store.release_many(rows)
+        release = self.store.release
+        for row in rows.tolist():
+            release(row)
         self.flows -= rows.shape[0]
         return int(rows.shape[0])
 
@@ -194,10 +195,18 @@ class Shard:
         """Sweep out flows idle for longer than ``ttl``; return count."""
         if self.ttl is None:
             return 0
-        rows = self.rows()
-        # LRU order: expiry takes the prefix up to the first keeper.
-        keep = self.store.last_seen[rows] > now - self.ttl
-        dead = self._drop(rows[:int(keep.argmax()) if keep.any() else rows.size])
+        store = self.store
+        held = np.flatnonzero(store.shard[:store.rows] == self.shard_id)
+        stamps = store.stamp[held]
+        # Expiry takes the LRU prefix up to the first keeper: the flows
+        # touched before every keeper.  Only those are put in order.
+        keep = store.last_seen[held] > now - self.ttl
+        if keep.any():
+            gone = stamps < stamps[keep].min()
+            if not gone.any():
+                return 0
+            held, stamps = held[gone], stamps[gone]
+        dead = self._drop(held[np.argsort(stamps)])
         self.ttl_evictions += dead
         return dead
 
@@ -213,7 +222,7 @@ class Shard:
     def clear(self) -> None:
         """Drop every flow (counters stay): the first half of a restore."""
         self._drop(self.rows())
-        self._lru = None
+        self._lru.clear()
 
     # -- accounting --------------------------------------------------------
 
@@ -322,6 +331,8 @@ class Shard:
         store.generation[rows] = state["generation"]
         store.enter(rows, self.shard_id)
         store.restamp(rows)
+        if self.max_flows is not None:
+            self._lru.extend(zip(store.stamp[rows].tolist(), rows.tolist()))
         self.flows = int(rows.shape[0])
         self.created = state["created"]
         self.lru_evictions = state["lru_evictions"]

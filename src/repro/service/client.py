@@ -9,13 +9,15 @@ SNIPPETS 1-2 idiom: seq-numbered frames, an inflight map, per-ACK RTT
 samples folded into EWMA ``srtt``/``rttvar`` (RFC 6298 shape: ``RTO =
 srtt + 4*rttvar``, clamped), one retransmission timer (RFC 6298 section
 5) and a bounded send window for flow control.  Every transmission
-carries the sender's send stamp and every ACK echoes the latest stamp
-it retires (:mod:`repro.service.wire`, RFC 7323's timestamps), so each
-ACK is one unambiguous RTT sample -- Karn's rule, which must discard
-any ACK that may have waited behind a resent frame, has nothing left
-to discard; the back-off it protects still holds until a sample
-arrives.  ACKs are cumulative: ``ACK(s)`` retires every inflight frame
-up to ``s``.  The timer runs while any frame is
+carries the sender's send stamp and every ACK echoes the earliest
+stamp it retires (:mod:`repro.service.wire`, RFC 7323's timestamps), so
+each ACK that retires frames is one unambiguous RTT sample -- Karn's
+rule, which must discard any ACK that may have waited behind a resent
+frame, has nothing left to discard; the back-off it protects still
+holds until a sample arrives.  An ACK that retires nothing (a re-ACK,
+or one overtaken by a later ACK) is no sample (RFC 7323 section 4.1).
+ACKs are cumulative: ``ACK(s)`` retires every inflight frame up to
+``s``.  The timer runs while any frame is
 inflight, restarts on every ACK that retires frames, and on expiry
 resends only the oldest unacked frame: the server holds the frames
 that arrived behind that hole, so one resend and one cumulative ACK
@@ -90,10 +92,10 @@ class ReliableUDPSender:
     ACKs are cumulative -- ``ACK(s)`` retires every inflight frame up
     to ``s`` -- and a server sends one per folded batch (plus one when
     its queue runs dry mid-batch), not one per frame.  Each echoes the
-    send stamp of the latest transmission it retires, so the RTT
-    sample is ``now - echo`` on every ACK, a resend's round trip
-    included -- under per-batch loss, where every ACK retires a
-    resent frame, the estimate still converges.
+    send stamp of the earliest transmission it retires, so the RTT
+    sample is ``now - echo`` on every ACK that retires frames, a
+    resend's round trip included -- under per-batch loss, where every
+    ACK retires a resent frame, the estimate still converges.
 
     The send window (:data:`WINDOW`), the retry budget
     (:data:`MAX_RETRIES`) and the timer back-off (:data:`BACKOFF`) are
@@ -310,7 +312,8 @@ class ReliableUDPSender:
                 f"retransmissions (rto={self.rto:.3f}s); sink unreachable"
             )
         self.retries += 1
-        # At most MAX_RETRIES doublings: every ACK ends the back-off.
+        # At most MAX_RETRIES doublings: an ACK that retires frames
+        # ends the back-off.
         self._backoffs += 1
         self.retransmits += 1
         self._m_retx.inc()
@@ -318,15 +321,15 @@ class ReliableUDPSender:
         self._transmit(seq, self.inflight[seq], self.retries)
 
     def _on_ack(self, seq: int, echo: int) -> None:
-        """Take the RTT sample ``echo`` gives, retire every inflight
-        frame up to ``seq`` and restart the timer.
+        """Retire every inflight frame up to ``seq``; if that retired
+        any, take the RTT sample ``echo`` gives and restart the timer.
 
-        The echo is the send stamp of the latest transmission the ACK
+        The echo is the send stamp of the earliest transmission the ACK
         retires, so the sample is that transmission's own round trip
-        whether or not it was a resend.  Progress resets the retry
-        budget.
+        whether or not it was a resend.  An ACK that retires nothing is
+        stale and neither samples nor ends the back-off.  Progress
+        resets the retry budget.
         """
-        self._sample_rtt(((_stamp() - echo) & _STAMP_MASK) / _STAMP_HZ)
         inflight = self.inflight
         acked = self.acked_frames
         while inflight:
@@ -336,6 +339,7 @@ class ReliableUDPSender:
             del inflight[first]
             self.acked_frames += 1
         if self.acked_frames != acked:
+            self._sample_rtt(((_stamp() - echo) & _STAMP_MASK) / _STAMP_HZ)
             self.retries = 0
             self._restart_timer()
 

@@ -39,12 +39,12 @@ folded, or held for its batch's reassembly -- which is a durability
 promise, not a reception note.  A batch's last frame is ACKed only
 after the batch is folded, so a sender whose every frame is ACKed has
 every batch in the collector (see :meth:`CollectorServer._ingest_loop`
-for when an ACK is sent).  An ACK echoes the latest send stamp among
+for when an ACK is sent).  An ACK echoes the earliest send stamp among
 the transmissions that released the frames it retires -- a frame's
 own, or for a frame held behind a hole the one that filled it (RFC
 7323's rule; a re-ACK echoes the duplicate's own) -- so the sender
-times every ACK, resent frames included, and never the wait behind a
-hole.
+times every ACK, resent frames included, never the wait behind a
+hole, and always the wait of the frame the ACK held back longest.
 Fragment runs (``FLAG_MORE``) are reassembled per source before
 ingesting, so the wrapped collector sees exactly the logical batches
 the sender encoded and every batch-granular snapshot counter matches
@@ -190,7 +190,7 @@ class CollectorServer:
         #: Reassembly state: source -> frames of the open batch.
         self._pending: Dict[Tuple, List[wire.DataFrame]] = {}
         #: Ingest thread only: source -> (highest seq taken off the
-        #: queue and not yet ACKed, latest send stamp among those).
+        #: queue and not yet ACKed, earliest send stamp among those).
         self._unacked: Dict[Tuple, Tuple[int, int]] = {}
         #: Guards the wrapped collector (ingest thread vs query port).
         self._lock = threading.RLock()
@@ -627,7 +627,7 @@ class CollectorServer:
                     time.sleep(delay)
             taken = self._unacked.get(addr)
             if taken is not None:
-                stamp = wire.latest_stamp(taken[1], stamp)
+                stamp = wire.earliest_stamp(taken[1], stamp)
             self._unacked[addr] = (frame.seq, stamp)
             run = self._pending.setdefault(addr, [])
             run.append(frame)
@@ -641,7 +641,7 @@ class CollectorServer:
 
     def _ack_taken(self) -> None:
         """One cumulative ACK per source with frames taken but unACKed,
-        echoing the latest send stamp that released one of them."""
+        echoing the earliest send stamp that released one of them."""
         for addr, (seq, echo) in self._unacked.items():
             self._peers[addr].acked = seq + 1
             self._send_ack(addr, seq, echo)

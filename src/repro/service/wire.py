@@ -26,12 +26,14 @@ held for its batch's reassembly.
 ``stamp`` is the sender's clock (microseconds, modulo 2^32) when *this
 transmission* of the frame left -- a resend carries a new one
 (:func:`stamp_frame` rewrites it in place) -- and an ACK's ``echo`` is
-the latest stamp among the transmissions that released the frames it
-retires: a frame's own, or for a frame held behind a hole the one that
-filled it (RFC 7323's timestamp echo; "latest" modulo 2^32,
-:func:`latest_stamp`).  Every ACK is then one unambiguous round-trip
+the earliest stamp among the transmissions that released the frames
+it retires: a frame's own, or for a frame held behind a hole the one
+that filled it (RFC 7323's timestamp echo; "earliest" modulo 2^32,
+:func:`earliest_stamp`).  Every ACK is then one unambiguous round-trip
 sample, even one that retires a resent frame, which is what Karn's
-rule otherwise has to discard.
+rule otherwise has to discard; and an ACK delayed over several frames
+times the one that waited longest, so the sample covers the delay the
+sender's timer has to outlast.
 
 ``version`` is checked before anything else in the frame is trusted:
 a frame from a newer protocol is rejected as
@@ -161,7 +163,7 @@ class AckFrame:
     """Server acknowledgement of every reliable data frame up to ``seq``."""
 
     seq: int
-    #: The latest send stamp among the transmissions this ACK retires.
+    #: The earliest send stamp among the transmissions this ACK retires.
     echo: int
 
 
@@ -257,9 +259,9 @@ def stamp_frame(frame: bytearray, stamp: int) -> None:
     _STAMP.pack_into(frame, _STAMP_AT, stamp & _STAMP_MASK)
 
 
-def latest_stamp(a: int, b: int) -> int:
-    """The later of two send stamps on the wrapping 32-bit clock."""
-    return b if (b - a) & _STAMP_MASK < 1 << 31 else a
+def earliest_stamp(a: int, b: int) -> int:
+    """The earlier of two send stamps on the wrapping 32-bit clock."""
+    return a if (b - a) & _STAMP_MASK < 1 << 31 else b
 
 
 # -- decoding --------------------------------------------------------------

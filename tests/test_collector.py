@@ -440,6 +440,17 @@ class TestShardTTLBoundaries:
         assert shard.expire(now=10.0) == 1
         assert flow_order(shard) == [2]
 
+    def test_expire_stops_at_the_first_keeper(self):
+        # A sweep drops the LRU prefix up to the first keeper: a flow
+        # touched later, at an earlier clock reading, waits for it.
+        shard = lone_shard(ttl=10.0)
+        shard.touch_row(1, now=10.0)
+        shard.touch_row(2, now=5.0)
+        assert shard.expire(now=17.0) == 0
+        assert flow_order(shard) == [1, 2]
+        assert shard.expire(now=20.0) == 2
+        assert flow_order(shard) == []
+
     def test_maybe_expire_amortisation_window(self):
         shard = lone_shard(ttl=8.0)
         shard.touch_row(1, now=0.0)

@@ -1,7 +1,7 @@
 """The sink's flow index against a ``dict`` model.
 
 A hypothesis state machine drives one :class:`FlowIndex` through batch
-and scalar inserts, lookups and removals -- enough of them that the
+and scalar inserts and lookups and scalar removals -- enough that the
 table grows several times from its smallest size -- and re-inserts
 removed flows at recycled rows, the way a store hands an evicted
 flow's row to the next one.  Flow ids are drawn from a few clusters
@@ -99,12 +99,16 @@ class FlowIndexMachine(RuleBasedStateMachine):
             self.free.append(self.model.pop(fid))
 
     @rule(data=st.data())
-    def remove(self, data):
+    def remove_many(self, data):
+        # Any held flows, batch-inserted ones included, one at a time
+        # in a drawn order: runs lose several entries between checks.
         if not self.model:
             return
-        gone = data.draw(st.sets(st.sampled_from(sorted(self.model))))
-        self.index.remove(np.asarray(sorted(gone), dtype=np.int64))
+        gone = data.draw(
+            st.lists(st.sampled_from(sorted(self.model)), unique=True)
+        )
         for fid in gone:
+            self.index.remove_one(fid)
             self.free.append(self.model.pop(fid))
 
     @rule()

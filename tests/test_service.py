@@ -13,6 +13,7 @@ through ``ReplayDriver(transport=...)``); and both collector
 implementations refuse post-close ingest with the same typed error.
 """
 
+import dataclasses
 import json
 import signal
 import socket
@@ -60,7 +61,7 @@ from repro.service import (
 from repro.service import client, wire
 from repro.service.client import MAX_RETRIES, WINDOW
 from repro.service.query import jsonable
-from repro.service.server import REORDER_LIMIT
+from repro.service.server import _STOP, REORDER_LIMIT
 from repro.service import __main__ as service_main
 from repro.service.__main__ import build_parser, main
 
@@ -165,11 +166,12 @@ class TestWireRoundTrip:
         assert isinstance(frame, AckFrame) and frame.seq == 41
         assert frame.echo == 2**32 - 1
 
-    def test_latest_stamp_wraps(self):
-        assert wire.latest_stamp(5, 9) == 9 and wire.latest_stamp(9, 5) == 9
-        # Just past the wrap is later than just before it.
-        assert wire.latest_stamp(2**32 - 3, 4) == 4
-        assert wire.latest_stamp(4, 2**32 - 3) == 4
+    def test_earliest_stamp_wraps(self):
+        assert wire.earliest_stamp(5, 9) == 5
+        assert wire.earliest_stamp(9, 5) == 5
+        # Just before the wrap is earlier than just past it.
+        assert wire.earliest_stamp(2**32 - 3, 4) == 2**32 - 3
+        assert wire.earliest_stamp(4, 2**32 - 3) == 2**32 - 3
 
     def test_fragmentation_flags_and_seqs(self):
         fids, pids, hops, digs = batch(10)
@@ -410,6 +412,36 @@ class TestAdmissionPolicy:
         stats = srv.service_stats()
         assert stats.duplicate_frames == 0
         assert stats.dropped_bad_frame == 2
+
+    def acks_of(self, arrivals):
+        """The ACKs ``(seq, echo)`` an ingest thread sends for frames
+        ``(seq, more, stamp)`` that arrived in that order and were all
+        admitted before it took the first."""
+        srv = self.make_server(queue_frames=8)
+        addr = ("127.0.0.1", 9)
+        for seq, more, stamp in arrivals:
+            frame = data_frame(seq, reliable=True, more=more)
+            srv._admit(dataclasses.replace(frame, stamp=stamp), addr)
+        acks = []
+        srv._send_ack = lambda to, seq, echo: acks.append((seq, echo))
+        srv._queue.put(_STOP)
+        srv._ingest_loop()
+        return acks
+
+    def test_ack_echoes_the_earliest_releasing_stamp(self):
+        # One ACK for a batch whose frames were taken together: it
+        # times the frame that waited longest for the fold.  Frame 2
+        # waited behind the hole frame 1's resend filled, so it counts
+        # as released by that resend (300), not by its own send (150).
+        acks = self.acks_of([(0, True, 100), (2, False, 150), (1, True, 300)])
+        assert acks == [(2, 100)]
+
+    def test_hole_filler_stamp_replaces_held_frames(self):
+        # A frame held behind a hole is timed from the transmission
+        # that filled the hole: its own earlier stamp would time its
+        # wait behind the hole.
+        acks = self.acks_of([(1, False, 50), (0, True, 300)])
+        assert acks == [(1, 300)]
 
     def test_invalid_config_rejected(self):
         with pytest.raises(ValueError):
@@ -911,6 +943,18 @@ class TestCumulativeAck:
         tx._on_ack(2, stamp_ago(0.05))
         assert tx.srtt == pytest.approx(0.05, abs=0.02)
         assert list(tx.inflight) == [3]
+
+    def test_an_ack_that_retires_nothing_is_no_sample(self):
+        # A stale ACK neither samples nor ends the back-off (RFC 7323
+        # section 4.1 takes a sample only from an ACK that advances).
+        tx = self.make_tx(3)
+        tx._on_ack(0, stamp_ago(0.01))
+        srtt = tx.srtt
+        tx._resend_oldest()
+        tx._resend_oldest()
+        tx._on_ack(0, stamp_ago(1.0))
+        assert tx.srtt == srtt and tx._backoffs == 2
+        assert list(tx.inflight) == [1, 2]
 
     def test_sample_across_the_stamp_wrap(self, monkeypatch):
         tx = self.make_tx(1)
