@@ -290,11 +290,13 @@ class Collector:
           policy and PINT state is always rebuildable -- and it buys
           the per-group fast path;
         * ``max_flows_per_shard`` set -- capacity eviction *is*
-          order-sensitive and observable, so the front door switches
-          to a record-faithful walk (:meth:`_ingest_batch_lru`) whose
-          eviction victims, counters and surviving consumer state are
-          exactly those of a record-at-a-time replay (TTL sweeps
-          included: the walk re-checks them per record).
+          order-sensitive and observable, so flows are admitted by a
+          walk over the records in batch order
+          (:meth:`_admit_records`, TTL sweeps included) whose eviction
+          victims and counters are exactly those of a record-at-a-time
+          replay; the grouping, accounting and fold are the unbounded
+          path's, each surviving flow folding its records from its
+          last admission on.
         """
         self._check_open()
         with self._sp_group:
@@ -338,65 +340,90 @@ class Collector:
             ) if order.size else order
             bounds = np.append(starts, order.size)
             group_fids = sfids[starts]
-        if bounded:
-            with self._sp_consume:
-                shard_ids = None
-                group_sids = [0] * int(starts.size)
-                if self.num_shards > 1:
-                    shard_ids = self.router.shard_of_array(fids)
-                    group_sids = shard_ids[order[starts]].tolist()
-                self._ingest_batch_lru(
-                    fids, shard_ids, sps, shops, sdigs, t,
-                    group_fids.tolist(), group_sids, bounds.tolist(),
-                )
-            return n
         with self._sp_consume:
-            # Touch every flow of the batch once, in ascending flow-id
-            # order per shard whichever way its records were folded --
-            # LRU order is what the coverage sum and a checkpoint read.
             sizes = counts = np.diff(bounds)
-            rows = owners[order[starts]]
-            grouped = None
-            if steady is not None:
-                group_fids = np.concatenate((steady[1], group_fids))
-                merged = np.argsort(group_fids, kind="stable")
-                group_fids = group_fids[merged]
-                rows = np.concatenate((steady[2], rows))[merged]
-                counts = np.concatenate((steady[3], counts))[merged]
-                # Merging kept the groups in their sorted order.
-                grouped = merged >= steady[1].size
-            rows, touched = self._touch_flows(group_fids, rows, counts, t)
-            if grouped is not None:
-                rows = rows[grouped]
+            firsts = bounds[:-1]
+            if bounded:
+                # Capacity eviction and the amortised sweep are
+                # order-sensitive: admit flows record by record, in
+                # batch order (each shard sees its own records in
+                # order), then see which flows the walk left live (-1:
+                # evicted after its last record).
+                sids = self._shard_ids(fids)
+                admitted = self._admit_records(fids, sids, t)
+                sids = sids[order[starts]]
+                rows = self._store.index.find(group_fids)
+                # A group folds from its flow's last admission on:
+                # records before a mid-batch re-admission belonged to
+                # a consumer the scalar path discards.
+                firsts = np.maximum(starts, np.maximum.reduceat(
+                    np.where(admitted[order], np.arange(n), 0), starts
+                ))
+                live = rows >= 0
+                rows, firsts = rows[live], firsts[live]
+                sizes = bounds[1:][live] - firsts
+                self._store.flow_records[rows] += sizes
+            else:
+                # Touch every flow of the batch once, in ascending
+                # flow-id order per shard whichever way its records
+                # were folded -- LRU order is what the coverage sum
+                # and a checkpoint read.
+                rows = owners[order[starts]]
+                grouped = None
+                if steady is not None:
+                    group_fids = np.concatenate((steady[1], group_fids))
+                    merged = np.argsort(group_fids, kind="stable")
+                    group_fids = group_fids[merged]
+                    rows = np.concatenate((steady[2], rows))[merged]
+                    counts = np.concatenate((steady[3], counts))[merged]
+                    # Merging kept the groups in their sorted order.
+                    grouped = merged >= steady[1].size
+                sids = self._shard_ids(group_fids)
+                rows = touch_flows(
+                    self.shards, group_fids, sids, rows, counts, t
+                )
+                if grouped is not None:
+                    rows = rows[grouped]
+            touched = []
+            records = np.bincount(sids, counts, self.num_shards).tolist()
+            for shard, count in zip(self.shards, records):
+                if count:
+                    shard.records += int(count)
+                    shard.batches += 1
+                    touched.append(shard)
             if rows.size:
                 fold_rows(
-                    self._store, rows, bounds[:-1], sizes, sps, shops, sdigs,
+                    self._store, rows, firsts, sizes, sps, shops, sdigs,
                     self._m_fallbacks,
                 )
             for shard in touched:
                 shard.maybe_expire(t)
         return n
 
-    def _touch_flows(
-        self, fids: np.ndarray, rows: np.ndarray, counts: np.ndarray, t: float
-    ):
-        """Touch a batch's flows (ascending, unique; ``rows`` from the
-        index, -1 to admit; ``counts[i]`` records each) in their shards
-        and count the batch on those shards.  Returns the flows' rows,
-        in the order given, and the shards touched."""
-        sids = (
-            self.router.shard_of_array(fids) if self.num_shards > 1
-            else np.zeros(fids.shape[0], dtype=np.int64)
-        )
-        rows = touch_flows(self.shards, fids, sids, rows, counts, t)
-        touched = []
-        records = np.bincount(sids, counts, self.num_shards).tolist()
-        for shard, count in zip(self.shards, records):
-            if count:
-                shard.records += int(count)
-                shard.batches += 1
-                touched.append(shard)
-        return rows, touched
+    def _shard_ids(self, fids: np.ndarray) -> np.ndarray:
+        """Each flow id's shard."""
+        if self.num_shards > 1:
+            return self.router.shard_of_array(fids)
+        return np.zeros(fids.shape[0], dtype=np.int64)
+
+    def _admit_records(
+        self, fids: np.ndarray, sids: np.ndarray, t: float
+    ) -> np.ndarray:
+        """Touch each record's flow in batch order, as record-at-a-time
+        ingestion would (capacity eviction and the amortised TTL sweep
+        included); returns which records admitted their flow."""
+        shards = self.shards
+        fresh = []
+        for i, (fid, sid) in enumerate(zip(fids.tolist(), sids.tolist())):
+            shard = shards[sid]
+            created = shard.created
+            shard.touch_row(fid, t)
+            if shard.created != created:
+                fresh.append(i)
+            shard.maybe_expire(t)
+        admitted = np.zeros(fids.shape[0], dtype=bool)
+        admitted[fresh] = True
+        return admitted
 
     def _fold_steady(self, owners, ps, digs):
         """Fold the records of steady flows where they stand.
@@ -421,94 +448,6 @@ class Collector:
             rest = np.flatnonzero(~steady)
         rows = np.flatnonzero(seen)
         return rest, store.flow_id[rows], rows, seen[rows]
-
-    def _ingest_batch_lru(
-        self,
-        fids: np.ndarray,
-        shard_ids: Optional[np.ndarray],
-        sps: np.ndarray,
-        shops: np.ndarray,
-        sdigs: np.ndarray,
-        t: float,
-        group_fids: List[int],
-        group_sids: List[int],
-        bounds: List[int],
-    ) -> None:
-        """Record-faithful batch ingestion for LRU-bounded shards.
-
-        Replays each shard's records in original batch order for the
-        *index* operations only -- touch, capacity eviction, amortised
-        TTL sweep -- so eviction victims and counters are exactly those
-        of record-at-a-time ingestion, then folds each surviving flow
-        incarnation's contiguous slice into its row
-        (:func:`~repro.collector.consumers.fold_rows`, like the
-        per-group fast path).
-        Records that preceded a mid-batch eviction of their flow are
-        dropped without consumer work: the scalar path folds them into
-        a consumer that is then discarded, so skipping the fold is
-        state-identical and strictly cheaper.
-
-        The walk costs one scalar index probe per record (instead of
-        one batch pass per batch), which is the price of exact LRU semantics; shards
-        without ``max_flows`` keep the per-group fast path.
-        """
-        slice_of = {}
-        by_shard: dict = {}
-        #: records of each flow seen before its live incarnation was
-        #: (re-)created -- those belong to evicted consumers.
-        start_at: dict = {}
-        for idx, fid in enumerate(group_fids):
-            slice_of[fid] = (bounds[idx], bounds[idx + 1])
-            by_shard.setdefault(group_sids[idx], []).append(fid)
-        # Each shard's records in original batch order, via one stable
-        # shard-major sort (a per-shard boolean mask would rescan the
-        # whole column once per touched shard).
-        if shard_ids is None:
-            shard_stream = {0: fids}
-        else:
-            so = np.argsort(shard_ids, kind="stable")
-            ssids = shard_ids[so]
-            seg_cuts = np.flatnonzero(ssids[1:] != ssids[:-1]) + 1
-            seg_lo = np.concatenate(([0], seg_cuts)).tolist()
-            seg_hi = np.append(seg_cuts, len(so)).tolist()
-            shard_stream = {
-                int(ssids[a]): fids[so[a:b]]
-                for a, b in zip(seg_lo, seg_hi)
-            }
-        for sid in by_shard:
-            shard = self.shards[sid]
-            sub = shard_stream[sid]
-            seen: dict = {}
-            for f in sub.tolist():
-                created_before = shard.created
-                shard.touch_row(f, t)
-                if shard.created != created_before:
-                    start_at[f] = seen.get(f, 0)
-                seen[f] = seen.get(f, 0) + 1
-                shard.maybe_expire(t)
-            shard.records += int(sub.shape[0])
-            shard.batches += 1
-        # Which flows survived the walk: one index pass.
-        row_of = dict(zip(group_fids, self._store.index.find(
-            np.asarray(group_fids, dtype=np.int64)
-        ).tolist()))
-        groups = []
-        for flows in by_shard.values():
-            for f in flows:
-                row = row_of[f]
-                if row < 0:
-                    continue  # evicted after its last record
-                lo, hi = slice_of[f]
-                lo += start_at.get(f, 0)
-                groups.append((row, lo, hi - lo))
-        if groups:
-            # A surviving incarnation is accounted the records it folds.
-            rows, starts, sizes = np.asarray(groups, dtype=np.int64).T
-            self._store.flow_records[rows] += sizes
-            fold_rows(
-                self._store, rows, starts, sizes, sps, shops, sdigs,
-                self._m_fallbacks,
-            )
 
     # -- queries -----------------------------------------------------------
 

@@ -165,8 +165,9 @@ def _worker_main(
     The worker builds the *full* shard layout (same seed, same shard
     ids) but is only ever fed records of its ``owned`` shards, so the
     unowned tables stay empty and cost nothing.  Keeping global shard
-    ids means every table operation -- lexsort grouping, LRU walk, TTL
-    sweep -- runs exactly as it would in a single-process collector.
+    ids means every table operation -- grouping, a bounded sink's
+    admission walk, TTL sweep -- runs exactly as it would in a
+    single-process collector.
 
     A failure while applying a fire-and-forget batch cannot be raised
     at the sender immediately; it is parked and returned as the reply

@@ -34,10 +34,11 @@ flow index and, per row, the bookkeeping -- the admitting shard's id
 and a touch stamp among them.  A shard's LRU order is its rows by
 stamp (:meth:`Shard.rows`), which snapshots and checkpoints read; a
 TTL sweep drops the rows stamped before the first keeper without
-ordering the rest.  A shard with ``max_flows`` also keeps an
-oldest-first queue of ``(stamp, row)`` touches whose stale entries are
-skipped as they surface, so picking a capacity victim never scans the
-shard.
+ordering the rest, and one with no flow due (its deadline precedes the
+shard's lower bound on ``last_seen``) reads no column at all.  A shard
+with ``max_flows`` also keeps an oldest-first queue of ``(stamp, row)``
+touches whose stale entries are skipped as they surface, so picking a
+capacity victim never scans the shard.
 :func:`touch_flows` admits and touches a whole batch's flows across a
 sink's shards in array passes.
 
@@ -103,6 +104,10 @@ class Shard:
         self.lru_evictions = 0
         self.ttl_evictions = 0
         self._last_sweep = float("-inf")
+        #: A lower bound on the flows' ``last_seen`` (+inf: no flows,
+        #: -inf: unknown): a sweep whose deadline precedes it has
+        #: nothing to expire and reads no column.
+        self._oldest = float("inf")
         #: With ``max_flows``: ``(stamp, row)`` per touch, oldest first,
         #: an entry stale once its row's stamp moved on (stamps are
         #: never reused).  A bounded shard is only touched by
@@ -147,6 +152,8 @@ class Shard:
             store.generation[row] = self.created
         stamp = store.restamp_one(row)
         store.last_seen[row] = now
+        if now < self._oldest:
+            self._oldest = now
         if self.max_flows is not None:
             lru = self._lru
             lru.append((stamp, row))
@@ -195,14 +202,20 @@ class Shard:
         """Sweep out flows idle for longer than ``ttl``; return count."""
         if self.ttl is None:
             return 0
+        deadline = now - self.ttl
+        if deadline < self._oldest:
+            return 0
         store = self.store
         held = np.flatnonzero(store.shard[:store.rows] == self.shard_id)
         stamps = store.stamp[held]
+        seen = store.last_seen[held]
         # Expiry takes the LRU prefix up to the first keeper: the flows
         # touched before every keeper.  Only those are put in order.
-        keep = store.last_seen[held] > now - self.ttl
+        keep = seen > deadline
+        self._oldest = float("inf")
         if keep.any():
             gone = stamps < stamps[keep].min()
+            self._oldest = float(seen[~gone].min())
             if not gone.any():
                 return 0
             held, stamps = held[gone], stamps[gone]
@@ -338,6 +351,7 @@ class Shard:
         self.lru_evictions = state["lru_evictions"]
         self.ttl_evictions = state["ttl_evictions"]
         self._last_sweep = state["last_sweep"]
+        self._oldest = float("-inf")
 
 
 def touch_flows(
@@ -362,7 +376,11 @@ def touch_flows(
     allocation, shard-major, and the columns are written once.
     Capacity eviction is order-sensitive within a batch (an early flow
     may be a later one's victim), so the shards must be unbounded; a
-    bounded sink walks its records one by one instead.
+    bounded sink admits its flows with :meth:`Shard.touch_row`, record
+    by record in batch order, and shares the rest of the batch path.
+    ``now`` must not precede the flows' last touch (the collector's
+    clock never steps back): only admissions lower a shard's sweep
+    bound here.
     """
     store = shards[0].store
     miss = np.flatnonzero(rows < 0)
@@ -384,6 +402,8 @@ def touch_flows(
             if new:
                 shard.created += new
                 shard.flows += new
+                if now < shard._oldest:
+                    shard._oldest = now
     store.restamp(rows)
     store.last_seen[rows] = now
     store.flow_records[rows] += counts

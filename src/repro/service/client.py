@@ -169,8 +169,10 @@ class ReliableUDPSender:
         # seq -> payload, in seq order: frames enter in seq order and
         # a resend does not re-insert.
         self.inflight: Dict[int, bytearray] = {}
-        self.retries = 0          # resends of the oldest inflight frame
-        self._backoffs = 0        # timer doublings since the last sample
+        # Resends of the oldest inflight frame, which is also the
+        # timer's doublings: an ACK that retires frames is a sample
+        # and resets both.
+        self.retries = 0
         self._expires = 0.0       # the retransmission timer's deadline
         self.sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
         self.sock.setblocking(False)
@@ -212,10 +214,9 @@ class ReliableUDPSender:
         return min(self.max_rto, self.rto * BACKOFF ** n)
 
     def _restart_timer(self) -> None:
-        self._expires = time.monotonic() + self._scaled_rto(self._backoffs)
+        self._expires = time.monotonic() + self._scaled_rto(self.retries)
 
     def _sample_rtt(self, r: float) -> None:
-        self._backoffs = 0  # a sample ends the back-off
         if self.srtt is None:
             self.srtt = r
             self.rttvar = r / 2.0
@@ -312,9 +313,6 @@ class ReliableUDPSender:
                 f"retransmissions (rto={self.rto:.3f}s); sink unreachable"
             )
         self.retries += 1
-        # At most MAX_RETRIES doublings: an ACK that retires frames
-        # ends the back-off.
-        self._backoffs += 1
         self.retransmits += 1
         self._m_retx.inc()
         self._restart_timer()
@@ -328,7 +326,7 @@ class ReliableUDPSender:
         retires, so the sample is that transmission's own round trip
         whether or not it was a resend.  An ACK that retires nothing is
         stale and neither samples nor ends the back-off.  Progress
-        resets the retry budget.
+        resets the retry count, which is the back-off.
         """
         inflight = self.inflight
         acked = self.acked_frames

@@ -167,13 +167,15 @@ class TestBatchedEqualsScalar:
         assert rebuilt
 
     @pytest.mark.parametrize("ttl", [None, 3.0])
-    def test_lru_walk(self, ttl):
+    # Unaligned sizes put batch cuts at every offset of a flow's group.
+    @pytest.mark.parametrize("batch", [1, 7, 257, 512])
+    def test_lru_walk(self, ttl, batch):
         universe, cols, kwargs = path_stream("elephant-mice", 5000)
         bounds = dict(max_flows_per_shard=25, ttl=ttl)
         batched = sink(universe, kwargs, **bounds)
         scalar = sink(universe, kwargs, **bounds)
-        feed_batched(batched, cols, 512, clock=True)
-        feed_scalar(scalar, cols, batch=512)
+        feed_batched(batched, cols, batch, clock=True)
+        feed_scalar(scalar, cols, batch=batch)
         assert_same(batched, scalar)
         # The walk is record-faithful: same victims, same incarnations.
         assert table_order(batched) == table_order(scalar)

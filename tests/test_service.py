@@ -953,7 +953,7 @@ class TestCumulativeAck:
         tx._resend_oldest()
         tx._resend_oldest()
         tx._on_ack(0, stamp_ago(1.0))
-        assert tx.srtt == srtt and tx._backoffs == 2
+        assert tx.srtt == srtt and tx.retries == 2
         assert list(tx.inflight) == [1, 2]
 
     def test_sample_across_the_stamp_wrap(self, monkeypatch):

@@ -12,7 +12,10 @@ and the store's flow index must find exactly the model's flows, each
 at a row holding it.  Clock steps and ``ttl``
 are whole numbers, so the ``last_seen == now - ttl`` boundary
 (evicted: only entries *strictly* newer than the deadline survive) is
-hit constantly, not by luck.
+hit constantly, not by luck.  A forced ``expire`` may name any time,
+one before the last sweep included, so the shard's lower bound on its
+flows' ``last_seen`` (which lets an idle sweep read nothing) meets
+every interleaving of touches, batches, evictions and emptied shards.
 
 Below the machine: what a shard without per-flow objects promises --
 admitting flows allocates nothing per flow.
@@ -136,20 +139,24 @@ class ShardMachine(RuleBasedStateMachine):
         assert self.shard.evict(fid) is present
         self.model.pop(fid, None)
 
-    def _model_expire(self):
+    def _model_expire(self, now):
         dead = [
             fid for fid, (seen, _, _) in self.model.items()
-            if seen <= self.now - self.ttl
+            if seen <= now - self.ttl
         ]
         for fid in dead:
             del self.model[fid]
         self.ttl_evictions += len(dead)
         return len(dead)
 
-    @rule()
-    def expire(self):
-        expected = self._model_expire() if self.ttl is not None else 0
-        assert self.shard.expire(self.now) == expected
+    @rule(shift=st.integers(min_value=-9, max_value=3))
+    def expire(self, shift):
+        # A forced sweep at any time, before the last sweep included:
+        # the shard's lower bound on its flows' last_seen must hold
+        # whatever order sweeps, touches and evictions come in.
+        at = self.now + shift
+        expected = self._model_expire(at) if self.ttl is not None else 0
+        assert self.shard.expire(at) == expected
 
     @precondition(lambda self: self.ttl is not None)
     @rule()
@@ -157,7 +164,7 @@ class ShardMachine(RuleBasedStateMachine):
         expected = 0
         if self.now - self.last_sweep >= self.ttl / 4.0:
             self.last_sweep = self.now
-            expected = self._model_expire()
+            expected = self._model_expire(self.now)
         assert self.shard.maybe_expire(self.now) == expected
 
     @invariant()
@@ -184,7 +191,7 @@ class ShardMachine(RuleBasedStateMachine):
 
 
 ShardMachine.TestCase.settings = settings(
-    max_examples=60, stateful_step_count=40, deadline=None,
+    max_examples=100, stateful_step_count=40, deadline=None,
     derandomize=True,
 )
 TestShardModel = ShardMachine.TestCase
