@@ -12,16 +12,14 @@ nothing).  Last, the idle sweep: every flow of the trace held in an
 unbounded sink, then ``Collector.expire`` at a time no flow is due --
 a sweep that should read nothing.
 
-Medians of ``--repeats`` interleaved runs, same process.  Writes
+Medians of 5 interleaved runs, same process.  Writes
 machine-readable ``BENCH_bounded.json``.
 
 Run:  PYTHONPATH=src python benchmarks/bench_bounded_sink.py
-      (--quick for a small run)
 """
 
 from __future__ import annotations
 
-import argparse
 import statistics
 import time
 
@@ -38,6 +36,7 @@ MAX_FLOWS = 64
 TTL = 3.0
 SEED = 3
 SWEEPS = 200
+REPEATS = 5
 
 
 def feed(collector, cols) -> float:
@@ -51,8 +50,8 @@ def feed(collector, cols) -> float:
     return time.perf_counter() - start
 
 
-def bench_bounded(records: int, repeats: int, sweeps: int) -> dict:
-    trace = build_trace("elephant-mice", packets=records, seed=SEED)
+def bench_bounded() -> dict:
+    trace = build_trace("elephant-mice", packets=RECORDS, seed=SEED)
     dataplane = TraceDataplane(trace, digest_bits=8, num_hashes=1, seed=SEED)
     cols = (
         trace.flow_id, trace.pid, trace.hop_counts,
@@ -77,9 +76,9 @@ def bench_bounded(records: int, repeats: int, sweeps: int) -> dict:
     print(f"\nworkload: {len(trace)} elephant-mice records over {flows} "
           f"flows, batch={BATCH}, {NUM_SHARDS} shards, "
           f"max_flows_per_shard={MAX_FLOWS}, ttl={TTL} batches, "
-          f"median of {repeats}")
+          f"median of {REPEATS}")
     seconds = {name: [] for name in configs}
-    for _ in range(repeats):
+    for _ in range(REPEATS):
         for name, bounds in configs.items():
             collector = sink(**bounds)
             seconds[name].append(feed(collector, cols))
@@ -100,43 +99,30 @@ def bench_bounded(records: int, repeats: int, sweeps: int) -> dict:
     held = len(collector)
     now = collector.now
     times = []
-    for _ in range(sweeps):
+    for _ in range(SWEEPS):
         start = time.perf_counter()
         expired = collector.expire(now)
         times.append(time.perf_counter() - start)
         assert expired == 0
     idle_us = statistics.median(times) * 1e6
     print(f"idle sweep of {NUM_SHARDS} shards holding {held} flows: "
-          f"{idle_us:.2f} us (median of {sweeps})")
+          f"{idle_us:.2f} us (median of {SWEEPS})")
     out.update(idle_sweep_flows=held, idle_sweep_us=round(idle_us, 3))
     return out
 
 
 def main() -> None:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--repeats", type=int, default=5,
-                        help="interleaved timing repetitions (median)")
-    parser.add_argument("--json", default="BENCH_bounded.json",
-                        help="output path for the machine-readable results")
-    parser.add_argument("--quick", action="store_true",
-                        help="small run")
-    args = parser.parse_args()
-    records, repeats, sweeps = RECORDS, args.repeats, SWEEPS
-    if args.quick:
-        records, repeats, sweeps = 10_000, min(repeats, 3), 50
-
-    results = bench_bounded(records, repeats, sweeps)
-    write_bench_json(args.json, {
+    write_bench_json("BENCH_bounded.json", {
         "benchmark": "bounded_sink",
-        "records": records,
+        "records": RECORDS,
         "batch": BATCH,
         "num_shards": NUM_SHARDS,
         "max_flows_per_shard": MAX_FLOWS,
         "ttl_batches": TTL,
         "seed": SEED,
-        "repeats": repeats,
-        "sweeps": sweeps,
-        **results,
+        "repeats": REPEATS,
+        "sweeps": SWEEPS,
+        **bench_bounded(),
     })
 
 

@@ -378,9 +378,9 @@ def touch_flows(
     may be a later one's victim), so the shards must be unbounded; a
     bounded sink admits its flows with :meth:`Shard.touch_row`, record
     by record in batch order, and shares the rest of the batch path.
-    ``now`` must not precede the flows' last touch (the collector's
-    clock never steps back): only admissions lower a shard's sweep
-    bound here.
+    Every shard holding flows has its sweep bound lowered to ``now``
+    once: a touched shard needs it, and for the rest it is a no-op
+    unless ``now`` steps back (an empty shard's stays +inf).
     """
     store = shards[0].store
     miss = np.flatnonzero(rows < 0)
@@ -402,8 +402,9 @@ def touch_flows(
             if new:
                 shard.created += new
                 shard.flows += new
-                if now < shard._oldest:
-                    shard._oldest = now
+    for shard in shards:
+        if shard.flows and now < shard._oldest:
+            shard._oldest = now
     store.restamp(rows)
     store.last_seen[rows] = now
     store.flow_records[rows] += counts
