@@ -28,8 +28,21 @@ again with the switch universe padded to 2,000 ids, where each digest
 is matched against a 40x wider candidate table (>= 1.3x asserted: a
 large universe must not fall off a cliff).
 
-Every number here is a same-run ratio against the scalar twin; the
-whole-pipeline rate is ``bench/``'s to measure.  Writes
+A fourth case times what a parallel sink's worker folds: the
+converging ``web-search`` path batches of a whole replay, split by
+``shard % 2`` as two workers see them, folded one ``ingest_batch`` per
+batch against runs of four batches (``Collector._ingest_run``, what a
+worker does with a ring backlog).  The snapshots must be identical and
+runs >= 1.15x faster.
+
+A fifth case times 64-record batches into a small and a large sink
+(``elephant-mice`` at 20k and 1.5M packets, about 3k and 225k live
+flows, 8 shards, hash digests): a batch's cost must not grow with the
+sink (<= 1.2x asserted), because every pass of a batch works in its
+records, not in the store.
+
+Every number here is a same-run ratio; the whole-pipeline rate is
+``bench/``'s to measure.  Writes
 machine-readable ``BENCH_decode.json`` and asserts the headline claim:
 batched path decode at batch >= 1024 sustains >= 5x the scalar
 consumer rate.
@@ -224,6 +237,119 @@ def bench_converging(packets: int, batch: int, padded: int, seed: int,
     return result
 
 
+def path_batches(name: str, packets: int, seed: int, batch: int = 8192):
+    """A replay's path-sink batches of ``name`` (what ``replay()`` feeds
+    its path sink, clock readings included) and the sink's factory."""
+    trace = build_trace(name, packets=packets, seed=seed)
+    driver = ReplayDriver(batch_size=batch, seed=0)
+    rows = np.flatnonzero(driver.plan.select_array(trace.pid) == 0)
+    dataplane = TraceDataplane(
+        trace, digest_bits=driver.digest_bits, num_hashes=driver.num_hashes,
+        mode=driver.mode, seed=driver.seed,
+    )
+    cols = (
+        trace.flow_id[rows], trace.pid[rows],
+        trace.hop_counts[rows].astype(np.int64), dataplane.encode_rows(rows),
+    )
+    edges = np.searchsorted(rows, np.arange(0, len(trace) + batch, batch))
+    edges = np.unique(np.minimum(edges, len(rows)))
+    batches = [
+        (tuple(c[lo:hi] for c in cols), float(hi))
+        for lo, hi in zip(edges, edges[1:])
+    ]
+
+    def factory():
+        return path_consumer_factory(
+            trace.universe, digest_bits=driver.digest_bits,
+            num_hashes=driver.num_hashes, seed=driver.seed, mode=driver.mode,
+            value_bits=dataplane.value_bits,
+        )
+
+    return batches, factory, driver.num_shards
+
+
+def bench_runs(packets: int, run: int, seed: int, repeats: int):
+    """A worker's backlog as runs of ``run`` batches vs one call each."""
+    batches, factory, shards = path_batches("web-search", packets, seed)
+    router = Collector(factory(), num_shards=shards).router
+    halves = [[], []]
+    for columns, now in batches:
+        worker = router.shard_of_array(columns[0]) % 2
+        for w, half in enumerate(halves):
+            mask = worker == w
+            half.append((tuple(c[mask] for c in columns), now))
+
+    def fold(as_runs: bool) -> tuple:
+        best, snaps = float("inf"), None
+        for _ in range(repeats):
+            sinks = [Collector(factory(), num_shards=shards) for _ in halves]
+            start = time.perf_counter()
+            for sink, half in zip(sinks, halves):
+                if as_runs:
+                    for lo in range(0, len(half), run):
+                        sink._ingest_run(half[lo:lo + run])
+                else:
+                    for columns, now in half:
+                        sink.ingest_batch(*columns, now=now)
+            best = min(best, time.perf_counter() - start)
+            snaps = [sink.snapshot().as_dict() for sink in sinks]
+        return best, snaps
+
+    per_batch_s, per_batch = fold(False)
+    runs_s, as_runs = fold(True)
+    assert as_runs == per_batch, "a run must fold to its batches' state"
+    records = sum(c[0].shape[0] for c, _ in batches)
+    result = {
+        "records": records,
+        "batches": len(batches),
+        "run": run,
+        "per_batch_s": round(per_batch_s, 4),
+        "runs_s": round(runs_s, 4),
+        "speedup": round(per_batch_s / runs_s, 2),
+    }
+    print(
+        f"runs     {records:,} web-search path rec in {len(batches)} "
+        f"batches, split over 2 workers: runs of {run} "
+        f"{runs_s * 1e3:.1f} ms vs one call per batch "
+        f"{per_batch_s * 1e3:.1f} ms = {result['speedup']}x"
+    )
+    return result
+
+
+def bench_sink_size(small: int, large: int, batch: int, probes: int,
+                    seed: int):
+    """Per-batch cost of ``batch``-record batches into a small and a
+    large sink: each sink takes its trace but the last ``probes``
+    batches in 8,192-record batches, then those one by one (median)."""
+    result = {"batch": batch, "probes": probes}
+    for label, packets in (("small", small), ("large", large)):
+        batches, factory, shards = path_batches("elephant-mice", packets, seed)
+        cols = tuple(
+            np.concatenate([c[i] for c, _ in batches]) for i in range(4)
+        )
+        cut = cols[0].shape[0] - batch * probes
+        sink = Collector(factory(), num_shards=shards)
+        for lo in range(0, cut, 8192):
+            hi = min(lo + 8192, cut)
+            sink.ingest_batch(*(c[lo:hi] for c in cols), now=float(hi))
+        flows = len(sink)
+        costs = []
+        for lo in range(cut, cut + batch * probes, batch):
+            hi = lo + batch
+            start = time.perf_counter()
+            sink.ingest_batch(*(c[lo:hi] for c in cols), now=float(hi))
+            costs.append(time.perf_counter() - start)
+        result[f"{label}_flows"] = flows
+        result[f"{label}_batch_us"] = round(float(np.median(costs)) * 1e6, 1)
+    result["growth"] = round(result["large_batch_us"] / result["small_batch_us"], 2)
+    print(
+        f"size     {batch}-record batches: {result['small_batch_us']} us into "
+        f"{result['small_flows']:,} flows, {result['large_batch_us']} us "
+        f"into {result['large_flows']:,} = {result['growth']}x"
+    )
+    return result
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--records", type=int, default=120_000,
@@ -266,6 +392,10 @@ def main() -> None:
         ),
         "converging": bench_converging(
             60_000, 8192, 2000, args.seed, args.repeats
+        ),
+        "runs": bench_runs(300_000, 4, args.seed, args.repeats),
+        "sink_size": bench_sink_size(
+            20_000, 1_500_000, 64, 50, args.seed
         ),
     }
 
@@ -310,6 +440,18 @@ def main() -> None:
         f"({converging['padded_speedup']}x at "
         f"|V|={converging['padded_universe']})"
     )
+    runs = results["runs"]["speedup"]
+    assert runs >= 1.15, (
+        f"runs of {results['runs']['run']} batches only {runs}x one "
+        "ingest_batch per batch (a backlog must fold as one peel)"
+    )
+    print(f"OK: a worker's backlog folds as runs {runs}x faster")
+    growth = results["sink_size"]["growth"]
+    assert growth <= 1.2, (
+        f"a {results['sink_size']['batch']}-record batch costs {growth}x "
+        "more in the large sink (a batch's passes must not scan the store)"
+    )
+    print(f"OK: a batch's cost grows {growth}x from the small to the large sink")
 
 
 if __name__ == "__main__":

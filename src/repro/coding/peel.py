@@ -234,7 +234,7 @@ class FixpointPeel:
         touched = slots[run0]
         self.narrowed[touched] = True
         if self.hashed:
-            self._match(slots, pids[order], needed)
+            self._match(slots, run0, pids[order], needed)
             left = self.table[touched].sum(axis=1)
             self._flag(self.slot_flow[touched[left == 0]], EMPTY_CANDIDATES)
             fresh = touched[(left == 1) & ~self.settled[touched]]
@@ -255,8 +255,49 @@ class FixpointPeel:
         self.settled[fresh] = True
         return bool(fresh.size)
 
-    def _match(self, slots: np.ndarray, pids: np.ndarray, needed: np.ndarray) -> None:
+    def _match(
+        self, slots: np.ndarray, first: np.ndarray, pids: np.ndarray,
+        needed: np.ndarray,
+    ) -> None:
         """AND each digest's universe match into its slot's table row.
+
+        Rows arrive grouped by slot, ``first`` the start of each
+        slot's rows.  A slot's first digest is matched against the
+        whole universe; each later one only against what is left
+        standing: nothing (no change), one candidate (one hash per
+        rep, and a mismatch empties the row) or more (the whole
+        universe again).  AND is order-free, so the table ends the
+        same as matching every digest in full -- which a run of
+        batches, with many digests per slot, would otherwise pay.
+        """
+        if first.size == slots.size:
+            self._match_all(slots, pids, needed)
+            return
+        self._match_all(slots[first], pids[first], needed[first])
+        later = np.ones(slots.shape[0], dtype=bool)
+        later[first] = False
+        later_at = np.flatnonzero(later)
+        slots, pids, needed = slots[later_at], pids[later_at], needed[later_at]
+        left = self.table[slots].sum(axis=1)
+        one = np.flatnonzero(left == 1)
+        if one.size:
+            context = self.context
+            h = context.codec_for(int(self.ks[0])).h
+            member = context.universe[self.table[slots[one]].argmax(axis=1)]
+            bad = np.zeros(one.shape[0], dtype=bool)
+            for rep in range(context.num_hashes):
+                bad |= h[rep].bits_zip(
+                    context.digest_bits, pids[one], member
+                ) != needed[one, rep]
+            self.table[slots[one[bad]]] = False
+        many = np.flatnonzero(left > 1)
+        if many.size:
+            self._match_all(slots[many], pids[many], needed[many])
+
+    def _match_all(
+        self, slots: np.ndarray, pids: np.ndarray, needed: np.ndarray
+    ) -> None:
+        """AND each digest's whole-universe match into its slot's row.
 
         Row-blocked so the ``rows x |universe|`` hash matrix stays
         bounded; rows arrive grouped by slot, so one ``reduceat`` per

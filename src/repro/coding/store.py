@@ -16,8 +16,10 @@ FixpointPeel` slots:
   and, hash digests only, ``cand`` -- the row of a bit-packed
   ``|V|``-wide **pool** holding the candidates of an open hop some
   digest has narrowed (-1: the whole universe, or settled);
-* parked XOR digests are four parallel **constraint** arrays in
-  arrival order: owner row, packet id, residual per rep, todo mask.
+* parked XOR digests are four parallel **constraint** arrays: owner
+  row, packet id, residual per rep, todo mask.  A row's constraints
+  are one contiguous run in arrival order, ``pending`` long from
+  ``x_base``, so a flow's digests are found without a scan.
 
 :meth:`PathStateStore.fold` is the batched engine: decoded rows are
 checked in place (:meth:`PathStateStore.verify`), the rest go through
@@ -49,6 +51,7 @@ from repro.coding.encoder import HASH, unpack_reps_array
 from repro.coding.flowindex import FlowIndex
 from repro.coding.peel import CONFLICT_REASONS, TABLE_BLOCK, FixpointPeel
 from repro.exceptions import RestoreError
+from repro.grouping import distinct, run_starts
 
 #: Every ``reason`` label of a sink's
 #: ``pint_collector_decode_fallback_flows_total``.
@@ -303,7 +306,7 @@ class PathStateStore(RowStore):
     kind = "path"
     ROW_COLUMNS = (
         "k", "base", "known", "packets_seen", "inconsistencies",
-        "decode_errors", "pending",
+        "decode_errors", "pending", "x_base",
     )
     _SLOTS = ("settled", "values", "cand")
     _PARKED = ("x_owner", "x_pid", "x_res", "x_todo")
@@ -319,6 +322,7 @@ class PathStateStore(RowStore):
         self.inconsistencies = np.zeros(0, dtype=np.int64)
         self.decode_errors = np.zeros(0, dtype=np.int64)
         self.pending = np.zeros(0, dtype=np.int64)
+        self.x_base = np.zeros(0, dtype=np.int64)
         #: Slots ``[0, slots)`` are handed out, ``dead_slots`` of them
         #: belong to no row any more; likewise constraints ``[0, x_n)``.
         self.slots = self.dead_slots = self.x_n = self.x_dead = 0
@@ -354,10 +358,11 @@ class PathStateStore(RowStore):
             held = self.cand[lo:lo + k]
             self._pool_free.extend(held[held >= 0].tolist())
             held[:] = -1
-        if self.pending[row]:
-            mine = np.flatnonzero(self.x_owner[:self.x_n] == row)
-            self.x_owner[mine] = -1
-            self.x_dead += int(mine.size)
+        count = int(self.pending[row])
+        if count:
+            lo = int(self.x_base[row])
+            self.x_owner[lo:lo + count] = -1
+            self.x_dead += count
             self.pending[row] = 0
 
     def _clear(self, row: int) -> None:
@@ -390,7 +395,8 @@ class PathStateStore(RowStore):
         self, owner: np.ndarray, pids: np.ndarray, residuals: np.ndarray,
         todo: np.ndarray,
     ) -> None:
-        """Append constraints (arrival order is array order)."""
+        """Append constraints (arrival order is array order), grouped
+        by owner: each owner's run starts its ``x_base``."""
         lo = self.x_n
         self.x_n = hi = lo + owner.shape[0]
         wider = todo.shape[1] - self.x_todo.shape[1]
@@ -402,6 +408,8 @@ class PathStateStore(RowStore):
         self.x_res[lo:hi] = residuals
         self.x_todo[lo:hi] = False
         self.x_todo[lo:hi, :todo.shape[1]] = todo
+        first = np.flatnonzero(run_starts(owner))
+        self.x_base[owner[first]] = lo + first
 
     def _compact(self) -> None:
         """Squeeze out dead slots / constraints once they are the majority."""
@@ -414,9 +422,13 @@ class PathStateStore(RowStore):
             self.base[live] = np.cumsum(ks) - ks
             self.slots, self.dead_slots = int(src.shape[0]), 0
         if self.x_dead > self.x_n - self.x_dead:
-            keep = np.flatnonzero(self.x_owner[:self.x_n] >= 0)
+            alive = self.x_owner[:self.x_n] >= 0
+            keep = np.flatnonzero(alive)
             for name in self._PARKED:
                 getattr(self, name)[:keep.shape[0]] = getattr(self, name)[keep]
+            # A run moves whole: its first constraint's new place.
+            held = np.flatnonzero(self.pending[:self.rows])
+            self.x_base[held] = (np.cumsum(alive) - 1)[self.x_base[held]]
             self.x_n, self.x_dead = int(keep.shape[0]), 0
 
     def _steady(self, rows: np.ndarray) -> np.ndarray:
@@ -425,13 +437,13 @@ class PathStateStore(RowStore):
 
     def _parked(self, rows: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         """The constraints the flows ``rows`` hold and, for each, its
-        owner's position in ``rows``; one lookup marks them all (the
-        extra last entry is where dead constraints, owner -1, land)."""
-        local = np.full(self.rows + 1, -1, dtype=np.int64)
-        local[rows] = np.arange(rows.shape[0])
-        owner = local[self.x_owner[:self.x_n]]
-        held = np.flatnonzero(owner >= 0)
-        return held, owner[held]
+        owner's position in ``rows``: each row's run, in ``rows``
+        order (work in the rows asked, not in the store)."""
+        counts = self.pending[rows]
+        return (
+            spans(self.x_base[rows], counts),
+            np.repeat(np.arange(rows.shape[0]), counts),
+        )
 
     # -- the batched engine --------------------------------------------------
 
@@ -500,7 +512,7 @@ class PathStateStore(RowStore):
 
     def verify(
         self, owners: np.ndarray, pids: np.ndarray, digests: np.ndarray
-    ) -> np.ndarray:
+    ) -> Tuple[np.ndarray, np.ndarray]:
         """Check records of decoded flows against their paths, in place.
 
         Record ``i`` belongs to the (complete) row ``owners[i]``; the
@@ -509,7 +521,9 @@ class PathStateStore(RowStore):
         raw digests, re-hashed under every rep for hash digests -- and
         counts one inconsistency on its row otherwise, exactly like
         ``observe`` on a decoded hop; XOR records are no-ops.  Returns
-        the records each row of the store received (``(rows,)``).
+        the rows that received records, ascending, and how many each
+        (:func:`~repro.grouping.distinct`): the work is in the records,
+        whatever the store's size.
         """
         context = self.context
         upids = pids.astype(np.uint64)
@@ -530,13 +544,11 @@ class PathStateStore(RowStore):
                 bad |= hashed != got[:, rep]
         else:
             bad = got[:, 0] != expected
-        seen = np.bincount(owners, minlength=self.rows)
-        self.packets_seen[:self.rows] += seen
+        rows, seen = distinct(owners, self.rows)
+        self.packets_seen[rows] += seen
         if bad.any():
-            self.inconsistencies[:self.rows] += np.bincount(
-                flow[bad], minlength=self.rows
-            )
-        return seen
+            np.add.at(self.inconsistencies, flow[bad], 1)
+        return rows, seen
 
     def _peel(
         self, rows: np.ndarray, ks: np.ndarray, starts: np.ndarray,
@@ -598,6 +610,8 @@ class PathStateStore(RowStore):
             self.x_owner[dead] = -1
             self.x_dead += int(dead.size)
             still = np.flatnonzero(peel.xor_open & clean[peel.xor_flow])
+            # Each flow's run: its old digests, then this batch's.
+            still = still[np.argsort(peel.xor_flow[still], kind="stable")]
             flows = peel.xor_flow[still]
             self._pend(
                 rows[flows], peel.xor_pids[still], peel.xor_residual[still],
@@ -644,12 +658,12 @@ class PathStateStore(RowStore):
                 ).view(bool)]
                 for hop in np.flatnonzero(cand >= 0).tolist()
             }
-        if self.pending[row]:
-            for i in np.flatnonzero(self.x_owner[:self.x_n] == row).tolist():
-                decoder._park(
-                    int(self.x_pid[i]), self.x_res[i].tolist(),
-                    set((np.flatnonzero(self.x_todo[i]) + 1).tolist()),
-                )
+        lo = int(self.x_base[row])
+        for i in range(lo, lo + int(self.pending[row])):
+            decoder._park(
+                int(self.x_pid[i]), self.x_res[i].tolist(),
+                set((np.flatnonzero(self.x_todo[i]) + 1).tolist()),
+            )
 
     def absorb(
         self, row: int, decoder: Optional[_PeelingDecoder], decode_errors: int
@@ -774,8 +788,6 @@ class PathStateStore(RowStore):
         cand = self.cand[src]
         narrowed = np.flatnonzero(cand >= 0)
         held, owner = self._parked(rows)
-        order = np.argsort(owner, kind="stable")
-        held, owner = held[order], owner[order]
         # As wide as the longest flow with a parked digest, whatever
         # wider flows this store has seen and forgotten.
         width = int(ks[owner].max()) if owner.size else 0

@@ -18,7 +18,9 @@ Two ingestion paths:
   counters are per-*flow* work, which is where its throughput over the
   scalar loop comes from (``benchmarks/bench_decode_throughput.py``
   asserts >=5x; mirrors the vectorised-encoder work on the switch
-  side).
+  side).  Batches that wait together -- a parallel worker's ring
+  backlog -- fold as one run (:meth:`Collector._ingest_run`): one
+  grouping and one peel, each batch's bookkeeping its own.
 
 Time: every ingest accepts an optional ``now`` (sim seconds when driven
 from the DES).  When omitted the collector free-runs on a logical clock
@@ -53,6 +55,7 @@ from repro.collector.records import (
 from repro.collector.shard import Shard, ShardRouter, touch_flows
 from repro.collector.snapshot import Snapshot
 from repro.exceptions import CollectorClosedError, RestoreError
+from repro.grouping import distinct, run_starts, stable_order
 from repro.obs.metrics import NULL_REGISTRY, SIZE_BUCKETS
 
 
@@ -175,19 +178,26 @@ class Collector:
         )
         self._m_batches = obs.counter(
             "pint_collector_batches_total",
-            "ingest_batch calls applied", labels,
+            "Batches applied (each batch of a run counts)", labels,
         )
         self._m_batch_size = obs.histogram(
             "pint_collector_batch_records",
-            "Records per ingest_batch call", labels, buckets=SIZE_BUCKETS,
+            "Records per batch", labels, buckets=SIZE_BUCKETS,
+        )
+        self._m_run_batches = obs.histogram(
+            "pint_collector_run_batches",
+            "Batches per fold: above 1 when a backlog is folded as one "
+            "run", labels, buckets=tuple(float(2 ** i) for i in range(7)),
         )
         self._sp_group = obs.span(
             "pint_collector_group_seconds",
-            "Per-batch normalize + route + lexsort grouping time", labels,
+            "Per-batch normalize + check + tick, and per-fold grouping "
+            "time", labels,
         )
         self._sp_consume = obs.span(
             "pint_collector_consume_seconds",
-            "Per-batch flow-table touch + consumer dispatch time", labels,
+            "Per-fold index pass, flow-table touches and consumer "
+            "dispatch time", labels,
         )
         self._sp_answers = obs.span(
             "pint_collector_answers_seconds",
@@ -202,7 +212,8 @@ class Collector:
             reason: obs.counter(
                 "pint_collector_decode_fallback_flows_total",
                 "Converging flows the batched peel handed to the scalar "
-                "decoder, by reason",
+                "decoder, by reason; counted once per fold (a run of "
+                "batches is one fold)",
                 {**labels, "reason": reason},
             )
             for reason in FALLBACK_REASONS
@@ -272,10 +283,10 @@ class Collector:
     ) -> int:
         """Fold a columnar batch; returns the number of records.
 
-        Records of the same flow are applied in their batch order;
-        ordering *across* flows is unspecified.  Decoding state never
-        notices (flows are independent problems).  Table semantics at
-        batch granularity:
+        A batch is a run of one (:meth:`_ingest_run`).  Records of the
+        same flow are applied in their batch order; ordering *across*
+        flows is unspecified.  Decoding state never notices (flows are
+        independent problems).  Table semantics at batch granularity:
 
         * unbounded, no TTL -- recency order among same-batch flows is
           group order rather than record order, which nothing
@@ -297,51 +308,119 @@ class Collector:
           replay; the grouping, accounting and fold are the unbounded
           path's, each surviving flow folding its records from its
           last admission on.
+
+        A run of several batches keeps all of this per batch: each
+        batch is checked and ticks the clock on its own, counts in the
+        batch metrics, touches its own distinct flows with its own
+        ``now`` and counts (admissions, generations, stamps,
+        ``last_seen``, ``flow_records``) after the batches before it,
+        and bumps its shards' ``records`` and ``batches``.  Only the
+        decoding is the run's: one index pass, one steadiness read,
+        one stable grouping by flow and one fold.
+        """
+        return self._ingest_run([((flow_ids, pids, hop_counts, digests), now)])
+
+    def _ingest_run(self, batches, park=None) -> int:
+        """Fold ``(columns, now)`` batches as one run; returns the records.
+
+        The state is bit-identical to one :meth:`ingest_batch` per
+        batch, in order.  A flow that decodes mid-run peels its later
+        records instead of verifying them, which batch-size
+        independence makes exact.  A sink whose admission or sweeps
+        are order-sensitive within a run (``max_flows_per_shard``,
+        ``ttl``), or whose flows are the caller's objects (their
+        factory and methods may raise part-way), folds the run one
+        batch at a time.  ``park`` is called inside the ``except``
+        block of a batch that fails (or, for a whole run, a fold that
+        fails) and the rest go on; without it the failure raises.
+        A batch that fails its checks leaves no trace but its clock
+        tick, like the :meth:`ingest_batch` call that raises.
         """
         self._check_open()
+
+        def guarded(step, *args):
+            try:
+                return step(*args)
+            except Exception:
+                if park is None:
+                    raise
+                park()
+                return None
+
+        run = [
+            batch for batch in (
+                guarded(self._prepare, columns, now)
+                for columns, now in batches
+            ) if batch is not None
+        ]
+        if not run:
+            return 0
+        whole = (
+            self.max_flows_per_shard is None and self.ttl is None
+            and not isinstance(self._store, ConsumerRows)
+        )
+        for part in [run] if whole else [[batch] for batch in run]:
+            self._m_run_batches.observe(len(part))
+            guarded(self._fold, part)
+        return sum(int(batch[0].shape[0]) for batch in run)
+
+    def _prepare(self, columns, now: Optional[float]):
+        """Check one batch and tick the clock for it: ``(fids, pids,
+        hops, digests, t)``, or None for an empty batch."""
         with self._sp_group:
-            fids, ps, hops, digs = normalize_batch(
-                flow_ids, pids, hop_counts, digests
-            )
+            fids, ps, hops, digs = normalize_batch(*columns)
             n = int(fids.shape[0])
             if n == 0:
-                return 0
+                return None
             check_batch(hops, digs, self._code_bits)
             t = self._tick(now, n)
         self._m_batch_size.observe(n)
         self._m_records.inc(n)
         self._m_batches.inc()
+        return fids, ps, hops, digs, t
+
+    def _fold(self, run) -> None:
+        """Fold prepared batches, in order, as one run (see
+        :meth:`_ingest_run`; a bounded sink's run is one batch)."""
+        store = self._store
+        if len(run) == 1:
+            fids, ps, hops, digs, t = run[0]
+        else:
+            fids, ps, hops, digs = (
+                np.concatenate(column) for column in list(zip(*run))[:4]
+            )
+            t = run[-1][4]
         bounded = self.max_flows_per_shard is not None
-        steady = None
+        rest = owners = hit = seen = None
         if not bounded:
             with self._sp_consume:
-                # The batch's one index pass: every record's row (-1: a
-                # flow to admit), which also says which flows are steady.
-                owners = self._store.index.find(fids)
-                steady = self._fold_steady(owners, ps, digs)
+                # The run's one index pass: every record's row (-1: a
+                # flow to admit), which also says which flows are
+                # steady as of the run's start.  Their records (``hit``)
+                # are folded where they stand and never reach the sort.
+                owners = store.index.find(fids)
+                steady = store.steady(owners)
+                if steady.all():
+                    hit, rest = slice(None), np.zeros(0, dtype=np.int64)
+                elif steady.any():
+                    hit, rest = np.flatnonzero(steady), np.flatnonzero(~steady)
+                if hit is not None:
+                    seen = store.verify(owners[hit], ps[hit], digs[hit])
         with self._sp_group:
             # Stable grouping by flow (a flow has one shard): ties keep
-            # batch order so per-flow streams stay sequential.  Group
-            # keys are pulled out as Python lists in one shot:
-            # per-group NumPy scalar indexing would cost more than the
-            # group body.  Records of steady flows are already folded:
-            # only the rest are sorted, gathered straight from the batch.
-            if steady is None:
-                order = np.argsort(fids, kind="stable")
+            # run order so per-flow streams stay sequential.
+            if rest is None:
+                order = stable_order(fids)
             else:
-                rest = steady[0]
-                order = rest[np.argsort(fids[rest], kind="stable")]
+                order = rest[stable_order(fids[rest])]
             sfids = fids[order]
             sps = ps[order]
             shops = hops[order]
             sdigs = digs[order]
-            starts = np.flatnonzero(
-                np.concatenate(([True], sfids[1:] != sfids[:-1]))
-            ) if order.size else order
+            starts = np.flatnonzero(run_starts(sfids))
             bounds = np.append(starts, order.size)
-            group_fids = sfids[starts]
         with self._sp_consume:
-            sizes = counts = np.diff(bounds)
+            sizes = np.diff(bounds)
             firsts = bounds[:-1]
             if bounded:
                 # Capacity eviction and the amortised sweep are
@@ -352,57 +431,128 @@ class Collector:
                 sids = self._shard_ids(fids)
                 admitted = self._admit_records(fids, sids, t)
                 sids = sids[order[starts]]
-                rows = self._store.index.find(group_fids)
+                touched = self._account(sids, sizes)
+                rows = store.index.find(sfids[starts])
                 # A group folds from its flow's last admission on:
                 # records before a mid-batch re-admission belonged to
                 # a consumer the scalar path discards.
                 firsts = np.maximum(starts, np.maximum.reduceat(
-                    np.where(admitted[order], np.arange(n), 0), starts
+                    np.where(admitted[order], np.arange(order.size), 0),
+                    starts,
                 ))
                 live = rows >= 0
                 rows, firsts = rows[live], firsts[live]
                 sizes = bounds[1:][live] - firsts
-                self._store.flow_records[rows] += sizes
+                store.flow_records[rows] += sizes
             else:
-                # Touch every flow of the batch once, in ascending
-                # flow-id order per shard whichever way its records
-                # were folded -- LRU order is what the coverage sum
-                # and a checkpoint read.
-                rows = owners[order[starts]]
-                grouped = None
-                if steady is not None:
-                    group_fids = np.concatenate((steady[1], group_fids))
-                    merged = np.argsort(group_fids, kind="stable")
-                    group_fids = group_fids[merged]
-                    rows = np.concatenate((steady[2], rows))[merged]
-                    counts = np.concatenate((steady[3], counts))[merged]
-                    # Merging kept the groups in their sorted order.
-                    grouped = merged >= steady[1].size
-                sids = self._shard_ids(group_fids)
-                rows = touch_flows(
-                    self.shards, group_fids, sids, rows, counts, t
+                rows, touched = self._touch_run(
+                    run, owners, hit, seen, order, sfids, starts
                 )
-                if grouped is not None:
-                    rows = rows[grouped]
-            touched = []
-            records = np.bincount(sids, counts, self.num_shards).tolist()
-            for shard, count in zip(self.shards, records):
-                if count:
-                    shard.records += int(count)
-                    shard.batches += 1
-                    touched.append(shard)
             if rows.size:
                 fold_rows(
-                    self._store, rows, firsts, sizes, sps, shops, sdigs,
+                    store, rows, firsts, sizes, sps, shops, sdigs,
                     self._m_fallbacks,
                 )
             for shard in touched:
                 shard.maybe_expire(t)
-        return n
+
+    def _touch_run(self, run, owners, hit, seen, order, sfids, starts):
+        """Touch each batch's distinct flows, batch by batch; returns
+        the rows of the run's flow groups and the shards touched.
+
+        A batch's flows are its (batch, flow) pairs: runs of the
+        grouping (which keeps run order inside a flow) for the records
+        left to fold, and for the steady records ``hit`` (None: there
+        are none) the distinct (batch, row) keys -- in a run of one,
+        the rows ``verify`` saw.  Ordered batch-major and by ascending
+        flow id inside a batch, each batch's pairs are one
+        :func:`touch_flows` call -- LRU order is what the coverage sum
+        and a checkpoint read -- which admits the flows new to the
+        sink.  A later batch of the run looks its new flows up again:
+        an earlier batch may have admitted them.
+        """
+        store = self._store
+        many = len(run) > 1
+        pairs, bid = starts, None
+        if many:
+            # Each record's batch.
+            bid = np.repeat(
+                np.arange(len(run)), [batch[0].shape[0] for batch in run]
+            )
+            pairs = np.flatnonzero(run_starts(sfids) | run_starts(bid[order]))
+        fid, row = sfids[pairs], owners[order[pairs]]
+        sids = self._shard_ids(fid)
+        counts = np.diff(np.append(pairs, order.size))
+        pair_bid = bid[order[pairs]] if many else None
+        grouped = None
+        if hit is not None:
+            held, held_counts = seen
+            if many:
+                stride = np.int64(store.rows)
+                keys, held_counts = distinct(
+                    owners[hit] + stride * bid[hit], len(run) * store.rows
+                )
+                held = keys % stride
+                pair_bid = np.concatenate((keys // stride, pair_bid))
+            fid = np.concatenate((store.flow_id[held], fid))
+            merged = np.argsort(fid, kind="stable")
+            fid = fid[merged]
+            row = np.concatenate((held, row))[merged]
+            # A held row's shard is the one that admitted it.
+            sids = np.concatenate((store.shard[held], sids))[merged]
+            counts = np.concatenate((held_counts, counts))[merged]
+            if many:
+                pair_bid = pair_bid[merged]
+            # Merging keeps the groups in their order.
+            grouped = merged >= held.shape[0]
+        edges = [0, fid.shape[0]]
+        if pair_bid is not None:
+            # Batch-major (a stable sort on a narrow type: one radix pass).
+            by_batch = np.argsort(
+                pair_bid.astype(np.min_scalar_type(len(run) - 1)),
+                kind="stable",
+            )
+            fid, row, sids, counts = (
+                fid[by_batch], row[by_batch], sids[by_batch],
+                counts[by_batch],
+            )
+            edges = np.searchsorted(
+                pair_bid[by_batch], np.arange(len(run) + 1)
+            ).tolist()
+        touched: List[Shard] = []
+        for b, batch in enumerate(run):
+            lo, hi = edges[b], edges[b + 1]
+            rows = row[lo:hi]
+            if b:
+                miss = np.flatnonzero(rows < 0)
+                if miss.size:
+                    rows[miss] = store.index.find(fid[lo:hi][miss])
+            touch_flows(
+                self.shards, fid[lo:hi], sids[lo:hi], rows, counts[lo:hi],
+                batch[4],
+            )
+            touched += self._account(sids[lo:hi], counts[lo:hi])
+        if not many:
+            return row if grouped is None else row[grouped], touched
+        group_rows = owners[order[starts]]
+        new = np.flatnonzero(group_rows < 0)
+        group_rows[new] = store.index.find(sfids[starts[new]])
+        return group_rows, touched
+
+    def _account(self, sids: np.ndarray, counts: np.ndarray) -> List[Shard]:
+        """Count one batch's records on its shards; returns those shards."""
+        touched = []
+        records = np.bincount(sids, counts, self.num_shards).tolist()
+        for shard, count in zip(self.shards, records):
+            if count:
+                shard.records += int(count)
+                shard.batches += 1
+                touched.append(shard)
+        return touched
 
     def _shard_ids(self, fids: np.ndarray) -> np.ndarray:
         """Each flow id's shard."""
-        if self.num_shards > 1:
+        if self.num_shards > 1 and fids.shape[0]:
             return self.router.shard_of_array(fids)
         return np.zeros(fids.shape[0], dtype=np.int64)
 
@@ -424,30 +574,6 @@ class Collector:
         admitted = np.zeros(fids.shape[0], dtype=bool)
         admitted[fresh] = True
         return admitted
-
-    def _fold_steady(self, owners, ps, digs):
-        """Fold the records of steady flows where they stand.
-
-        ``owners`` holds each record's row (-1: none yet).  A flow is
-        steady or not as of the batch's start (what the store's
-        ``steady`` answers); its records need no grouping, so they
-        never reach the sort.  Returns None when no record's flow is
-        steady, else ``(positions of the records left, steady flow
-        ids, their rows, records each received)``.
-        """
-        store = self._store
-        steady = store.steady(owners)
-        if steady.all():
-            seen = store.verify(owners, ps, digs)
-            rest = np.zeros(0, dtype=np.int64)
-        else:
-            hit = np.flatnonzero(steady)
-            if not hit.size:
-                return None
-            seen = store.verify(owners[hit], ps[hit], digs[hit])
-            rest = np.flatnonzero(~steady)
-        rows = np.flatnonzero(seen)
-        return rest, store.flow_id[rows], rows, seen[rows]
 
     # -- queries -----------------------------------------------------------
 

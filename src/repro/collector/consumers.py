@@ -65,6 +65,7 @@ from repro.coding.store import (
 )
 from repro.collector.answers import CONGESTION, PATH, AnswerTable
 from repro.exceptions import DecodingError
+from repro.grouping import distinct
 from repro.hashing import GlobalHash, reservoir_carrier
 
 #: A factory a sink calls to build one consumer per live flow.
@@ -737,15 +738,16 @@ class CongestionStore(RowStore):
         self.records[rows] += sizes
         return []
 
-    def verify(self, owners, pids, digests) -> np.ndarray:
+    def verify(self, owners, pids, digests) -> tuple:
         """Fold ungrouped records, ``owners[i]`` the row of record
-        ``i``; returns the records each row received."""
+        ``i``; returns the rows that received records, ascending, and
+        how many each (work in the records, whatever the store's size)."""
         np.maximum.at(self.top, owners, digests + 1)
         # A repeated index keeps its last assignment: arrival order.
         self.last[owners] = digests + 1
-        seen = np.bincount(owners, minlength=self.rows)
-        self.records[:self.rows] += seen
-        return seen
+        rows, seen = distinct(owners, self.rows)
+        self.records[rows] += seen
+        return rows, seen
 
     def answers(self, rows: np.ndarray) -> tuple:
         top = self.top[rows] - 1

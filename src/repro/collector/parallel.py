@@ -21,7 +21,10 @@ Data flow::
       into the worker's shared-memory ring -- one slot (zero-copy
       on the far side), or a run of continued slots when larger
             ▼
-      worker w: Collector.ingest_batch(sub-columns, now=t)
+      worker w: takes every whole message waiting in its ring (at
+      most ring_slots, the one-slot views copied) and folds them as
+      one run, Collector._ingest_run: one grouping and one peel for
+      the run, each batch's clock, touches and shard counters its own
       (full shard layout, only owned shards ever fed)
             ▼
       queries: answers() merges one AnswerTable per worker (columns,
@@ -30,20 +33,22 @@ Data flow::
 
 Equivalence: the parent ticks the same :class:`~repro.collector.
 collector.IngestClock` a serial collector would and hands workers an
-explicit ``now``, each worker re-runs the *same* lexsort grouping over
+explicit ``now``, each worker re-runs the *same* stable grouping over
 its sub-columns (sub-columns preserve batch order, and a flow's
 records all land on one worker), and each shard sees exactly the
-record stream it would have seen in-process.  Merged snapshots and
-per-flow query answers are therefore bit-identical to a single-process
-collector fed the same batches -- the ``workers`` and ``ring`` axes of
-``tests/equivalence.py``, across all replay scenarios.
+record stream it would have seen in-process.  A run of several
+messages folds to the state of folding them one by one.  Merged
+snapshots and per-flow query answers are therefore bit-identical to a
+single-process collector fed the same batches -- the ``workers`` and
+``ring`` axes of ``tests/equivalence.py``, across all replay scenarios.
 
 Transport: the collector takes batches only.  Every record -- from
 ``ingest_batch`` or a journal replay, of any size -- travels one
 per-worker :class:`~repro.collector.shm.ShmRing` shared-memory ring
-and is folded by ``Collector.ingest_batch``: one vectorised column
+and is folded by the worker's ``Collector``: one vectorised column
 copy parent-side, zero-copy ``np.ndarray`` views worker-side for a
-message that fits a slot.  The duplex pipe carries only sync RPCs.
+message that fits a slot, copied only when a later message joins its
+run.  The duplex pipe carries only sync RPCs.
 Workers are forked, so consumer factories may be closures (the idiom
 throughout :mod:`repro.collector.consumers`).
 
@@ -179,8 +184,8 @@ def _worker_main(
     ``{"worker": str(worker_id)}``; the registry dump rides back on
     every partial snapshot (live registries never cross the pipe) and
     :meth:`Snapshot.merged` folds the per-worker families.  ``applied``
-    is a lock-free shared counter bumped after every fire-and-forget
-    message is folded -- the parent's backlog gauge reads it without a
+    is a lock-free shared counter bumped by the messages of every run
+    folded -- the parent's backlog gauge reads it without a
     barrier, which a pipe RPC could never do (the RPC reply itself
     drains the backlog it would be measuring).
 
@@ -193,7 +198,8 @@ def _worker_main(
     bounds the retry storm).
 
     ``ring_spec`` attaches the worker to its shared-memory ring, the
-    only carrier of data.  The worker folds ring messages eagerly and
+    only carrier of data.  The worker folds ring messages eagerly --
+    all the whole ones waiting, up to a ring's worth, as one run -- and
     polls the pipe only when no whole message is ready; a sync command
     is held until the ring is empty again, which is what makes "a sync
     reply proves all earlier data was applied" true (the parent sent
@@ -234,21 +240,38 @@ def _worker_main(
         suppressed_errors = 0
         return text
 
-    def fold(data) -> None:
-        """Apply one fire-and-forget message, parking any failure."""
+    def park() -> None:
+        """Keep the failure being handled for the next sync reply."""
         nonlocal suppressed_errors
+        if len(pending_errors) < 8:
+            pending_errors.append(traceback.format_exc())
+        else:
+            suppressed_errors += 1
+
+    def fold(data) -> None:
+        """Fold ``data`` and every whole message behind it as one run.
+
+        Takes at most a ring's worth of messages: the single-slot
+        zero-copy views of each are copied before the next ``take()``
+        releases them, so a run holds at most one ring's bytes.
+        """
+        run = [(data.columns, data.t)]
+        while len(run) < ring.slots:
+            columns, t = run[-1]
+            run[-1] = (tuple(column.copy() for column in columns), t)
+            data = ring.take()
+            if data is None:
+                break
+            run.append((data.columns, data.t))
         try:
-            col.ingest_batch(*data.columns, now=data.t)
+            col._ingest_run(run, park)
         except Exception:
-            if len(pending_errors) < 8:
-                pending_errors.append(traceback.format_exc())
-            else:
-                suppressed_errors += 1
+            park()
         finally:
             # Count attempts, not successes: the parent's sent
             # counter has no idea a batch failed, and the backlog
             # gauge must return to zero either way.
-            applied.value += 1
+            applied.value += len(run)
 
     ring = ShmRing.attach(*ring_spec)
     #: A sync command read off the pipe, held until the ring is empty.
@@ -259,6 +282,7 @@ def _worker_main(
         data = ring.take()
         if data is not None:
             fold(data)
+            data = None
             continue
         if held is None:
             try:

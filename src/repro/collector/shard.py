@@ -114,9 +114,10 @@ class Shard:
         #: :meth:`touch_row` and :meth:`load_state`, which both feed it.
         self._lru: Deque[Tuple[int, int]] = deque()
         self.records = 0
-        #: ingest_batch calls that touched this shard (records/batches
-        #: is the snapshot's amortisation metric; the front door bumps
-        #: this once per batch, not once per flow group).
+        #: Batches that touched this shard, each batch of a run on its
+        #: own (records/batches is the snapshot's amortisation metric;
+        #: the front door bumps this once per batch, not once per flow
+        #: group).
         self.batches = 0
         #: Set by the supervisor when recovery could not replay every
         #: lost message for this shard (journal window exceeded): the

@@ -2,7 +2,9 @@
 
 Scoring a replay groups whole-trace columns by flow id: the congestion
 truth per flow, the set of path-query flows, and the per-flow reorder
-count of a delivery schedule.  A comparison sort of a million-row
+count of a delivery schedule.  A sink groups every batch (or run of
+batches) it folds by flow id too, and counts the distinct rows its
+records name (:func:`distinct`).  A comparison sort of a million-row
 flow-id column costs tens of milliseconds; the flow ids of a trace
 span few distinct values, so a radix sort over 16-bit digits -- which
 NumPy's stable argsort already is for 16-bit dtypes -- does the same
@@ -10,6 +12,8 @@ work in one or two linear passes.
 """
 
 from __future__ import annotations
+
+from typing import Tuple
 
 import numpy as np
 
@@ -53,3 +57,21 @@ def sorted_distinct(keys: np.ndarray) -> np.ndarray:
     """``np.unique(keys)`` for an int64 column: the runs of its order."""
     ordered = np.asarray(keys, dtype=np.int64)[stable_order(keys)]
     return ordered[run_starts(ordered)]
+
+
+def distinct(keys: np.ndarray, span: int) -> Tuple[np.ndarray, np.ndarray]:
+    """The distinct values of an int64 column of values in ``[0, span)``,
+    ascending, and how many times each occurs.
+
+    Counted in one pass over ``span`` when that is within a few times
+    the column's length, else found by one sort: either way the work is
+    in the keys, not in whatever range they index (a sink's records
+    name rows of a store that may hold far more flows than a batch).
+    """
+    if span <= 8 * keys.shape[0]:
+        counts = np.bincount(keys, minlength=span)
+        values = np.flatnonzero(counts)
+        return values, counts[values]
+    ordered = np.sort(keys)
+    first = np.flatnonzero(run_starts(ordered))
+    return ordered[first], np.diff(np.append(first, ordered.shape[0]))

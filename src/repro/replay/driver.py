@@ -44,7 +44,7 @@ from repro.core.values import MetadataType
 from repro.hashing import GlobalHash, global_hash, lane_blocks
 from repro.obs.metrics import NULL_REGISTRY, StageTimes
 from repro.replay.dataplane import TraceDataplane, compress_utilizations
-from repro.replay.grouping import run_starts, sorted_distinct, stable_order
+from repro.grouping import run_starts, sorted_distinct, stable_order
 from repro.replay.impair import (
     DeliverySummary,
     ImpairmentModel,

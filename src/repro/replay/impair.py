@@ -51,7 +51,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.replay.grouping import run_starts, stable_order
+from repro.grouping import run_starts, stable_order
 
 #: Domain-separation constant folded into every model's RNG seed so an
 #: impairment stream can never collide with a workload generator that
@@ -356,7 +356,7 @@ def _count_reordered(rows: np.ndarray, fids: np.ndarray) -> int:
     later record of the same flow (vectorised per-flow running max).
 
     Flows are grouped with one linear-time stable sort
-    (:func:`~repro.replay.grouping.stable_order`: delivery order is
+    (:func:`~repro.grouping.stable_order`: delivery order is
     kept inside each group); the per-group running max runs as a single
     ``maximum.accumulate`` over group-offset values, the contiguous-
     groups trick that avoids both a per-flow loop and a segmented

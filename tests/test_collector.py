@@ -1,7 +1,10 @@
 """Tests for the sink-side streaming collector (repro.collector)."""
 
+import functools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.coding import (
     DistributedMessage,
@@ -657,3 +660,135 @@ class TestHopCountFrontDoor:
     def test_empty_batch_still_a_noop(self):
         sink, _ = self._half_converged()
         assert sink.ingest_batch([], [], [], []) == 0
+
+
+@functools.lru_cache(maxsize=None)
+def run_stream(sink: str, packets: int = 1200):
+    """Columns of a scenario prefix for one sink kind, and its factory.
+
+    Path sinks read ``path-churn`` (flows that decode, reroute and
+    conflict) under 10 % loss and 2 % duplication, so runs meet
+    converging, decoded, reset and out-of-order flows alike.
+    """
+    from repro.replay import Duplicate, IIDLoss, TraceDataplane, plan_delivery
+    from repro.replay.scenarios import build_trace
+
+    trace = build_trace("path-churn", packets=packets, seed=5)
+    rows = plan_delivery(
+        [IIDLoss(0.1, seed=6), Duplicate(0.02, lag=8, seed=7)],
+        len(trace), trace.flow_id,
+    )
+    fids, pids = trace.flow_id[rows], trace.pid[rows]
+    hops = trace.hop_counts[rows].astype(np.int64)
+    if sink == "congestion":
+        digs = np.random.default_rng(8).integers(0, 256, rows.shape[0])
+        return (fids, pids, hops, digs), congestion_consumer_factory
+    mode, num_hashes = {
+        "hash": ("hash", 1), "hash2": ("hash", 2), "raw": ("raw", 1),
+        "fragment": ("fragment", 1),
+    }[sink]
+    dataplane = TraceDataplane(
+        trace, digest_bits=8, num_hashes=num_hashes, mode=mode, seed=0
+    )
+
+    def factory():
+        return path_consumer_factory(
+            trace.universe, digest_bits=8, num_hashes=num_hashes, seed=0,
+            mode=mode, value_bits=dataplane.value_bits,
+        )
+
+    return (fids, pids, hops, dataplane.encode_rows(rows)), factory
+
+
+class TestIngestRun:
+    """A run of batches folds to exactly the state of folding its
+    batches one ``ingest_batch`` at a time: snapshot, checkpoint bytes
+    and answers.  The run shares one grouping and one peel; per-batch
+    clock readings, touches, stamps and shard counters must survive."""
+
+    @pytest.mark.parametrize("bounds", [
+        {}, {"ttl": 30.0}, {"max_flows_per_shard": 12},
+    ], ids=["unbounded", "ttl", "lru"])
+    @pytest.mark.parametrize(
+        "sink", ["hash", "hash2", "raw", "fragment", "congestion"]
+    )
+    @settings(max_examples=8, deadline=None)
+    @given(data=st.data())
+    def test_run_equals_sequential_batches(self, sink, bounds, data):
+        from repro.collector.recovery import capture_checkpoint
+
+        cols, factory = run_stream(sink)
+        n = cols[0].shape[0]
+        cuts = data.draw(st.lists(
+            st.integers(1, n - 1), min_size=1, max_size=14, unique=True,
+        ))
+        edges = [0] + sorted(cuts) + [n]
+        steps = data.draw(st.lists(
+            st.sampled_from([0.0, 1.0, 2.5, 7.0]),
+            min_size=len(edges) - 1, max_size=len(edges) - 1,
+        ))
+        nows = np.cumsum(steps).tolist()
+        batches = [
+            (tuple(c[lo:hi] for c in cols), now)
+            for lo, hi, now in zip(edges, edges[1:], nows)
+        ]
+        lengths = data.draw(st.lists(
+            st.integers(1, 6), min_size=len(batches), max_size=len(batches),
+        ))
+        make = lambda: Collector(factory(), num_shards=4, seed=3, **bounds)
+        one, runs = make(), make()
+        for columns, now in batches:
+            one.ingest_batch(*columns, now=now)
+        lo = 0
+        for length in lengths:
+            if lo < len(batches):
+                runs._ingest_run(batches[lo:lo + length])
+            lo += length
+        assert runs.snapshot().as_dict() == one.snapshot().as_dict()
+        assert capture_checkpoint(runs) == capture_checkpoint(one)
+        got, want = runs.answers(), one.answers()
+        assert got.columns.keys() == want.columns.keys()
+        for name in ("flow_id", "offsets", "values"):
+            assert np.array_equal(getattr(got, name), getattr(want, name))
+        for name, column in want.columns.items():
+            if column.dtype == object:
+                assert got.columns[name].tolist() == column.tolist(), name
+            else:
+                assert np.array_equal(
+                    got.columns[name], column, equal_nan=True
+                ), name
+
+    def test_a_run_counts_each_batch_and_its_own_clock(self):
+        # Flow 1 only in the first batch, flow 2 in all three: a run
+        # that touched its flows once, at the last clock reading, or
+        # counted one batch per shard would read differently.
+        sink = Collector(congestion_consumer_factory(), num_shards=1)
+        sink._ingest_run([
+            (([1, 2], [1, 2], [3, 3], [5, 6]), 1.0),
+            (([2], [3], [3], [7]), 2.0),
+            (([2, 3], [4, 5], [3, 3], [8, 9]), 4.0),
+        ])
+        shard, store = sink.shards[0], sink._store
+        assert shard.batches == 3 and shard.records == 5
+        rows = shard.rows()
+        assert store.flow_id[rows].tolist() == [1, 2, 3]
+        assert store.last_seen[rows].tolist() == [1.0, 4.0, 4.0]
+        assert store.flow_records[rows].tolist() == [1, 3, 1]
+        assert store.generation[rows].tolist() == [1, 2, 3]
+
+    def test_a_failing_batch_is_parked_and_the_rest_fold(self):
+        sink = Collector(congestion_consumer_factory(), num_shards=1)
+        parked = []
+        assert sink._ingest_run([
+            (([1], [1], [3], [5]), 1.0),
+            (([2], [2], [0], [5]), 2.0),  # hop count out of range
+            (([3], [3], [3], [5]), 3.0),
+        ], park=lambda: parked.append(1)) == 2
+        assert parked == [1]
+        shard, store = sink.shards[0], sink._store
+        assert shard.batches == 2 and shard.records == 2
+        rows = shard.rows()
+        assert store.flow_id[rows].tolist() == [1, 3]
+        assert store.last_seen[rows].tolist() == [1.0, 3.0]
+        # Its clock tick is all a refused batch leaves.
+        assert sink.now == 3.0

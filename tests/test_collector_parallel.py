@@ -1,6 +1,8 @@
 """Tests for the multi-process parallel collector (repro.collector.parallel)."""
 
 import multiprocessing
+import os
+import signal
 import threading
 from multiprocessing import shared_memory
 from unittest import mock
@@ -529,3 +531,120 @@ class TestHopCountFrontDoor:
                                     now=2.0) == 2
             par.drain()
             assert par.snapshot().records == snap["records"] + 2
+
+
+def backlog_batches(count=6, packets=3000):
+    """``count`` timed batches of web-search path records, and the
+    factory of their sink: converging flows recur across batches."""
+    from repro.collector import path_consumer_factory
+    from repro.replay import TraceDataplane
+
+    trace = build_trace("web-search", packets=packets, seed=4)
+    dataplane = TraceDataplane(
+        trace, digest_bits=8, num_hashes=1, mode="hash", seed=0
+    )
+    rows = np.arange(len(trace), dtype=np.int64)
+    cols = (
+        trace.flow_id, trace.pid, trace.hop_counts.astype(np.int64),
+        dataplane.encode_rows(rows),
+    )
+    edges = np.linspace(0, len(trace), count + 1).astype(int)
+    batches = [
+        (tuple(c[lo:hi] for c in cols), 1.0 + 2.0 * i)
+        for i, (lo, hi) in enumerate(zip(edges, edges[1:]))
+    ]
+
+    def factory():
+        return path_consumer_factory(
+            trace.universe, digest_bits=8, num_hashes=1, seed=0,
+            mode="hash", value_bits=dataplane.value_bits,
+        )
+
+    return batches, factory
+
+
+class TestBacklogRuns:
+    """A worker folds what waits in its ring as one run, and the run
+    leaves every shard exactly as one fold per batch would."""
+
+    WORKERS, SHARDS = 2, 4
+
+    def _reference(self, factory, batches):
+        """The serial sink, and per worker a serial sink fed only the
+        worker's share of every batch (what its checkpoint holds)."""
+        serial = Collector(factory(), num_shards=self.SHARDS, seed=1)
+        shares = [
+            Collector(factory(), num_shards=self.SHARDS, seed=1)
+            for _ in range(self.WORKERS)
+        ]
+        for columns, now in batches:
+            serial.ingest_batch(*columns, now=now)
+            wids = serial.router.shard_of_array(columns[0]) % self.WORKERS
+            for w, share in enumerate(shares):
+                mask = wids == w
+                if mask.any():
+                    share.ingest_batch(*(c[mask] for c in columns), now=now)
+        return serial, shares
+
+    def _stopped_backlog(self, par, batches):
+        """Push ``batches`` while worker 0 is stopped, then let it go."""
+        par.ingest_batch(*batches[0][0], now=batches[0][1])
+        par.drain()
+        os.kill(par._procs[0].pid, signal.SIGSTOP)
+        try:
+            for columns, now in batches[1:]:
+                par.ingest_batch(*columns, now=now)
+        finally:
+            os.kill(par._procs[0].pid, signal.SIGCONT)
+
+    def _assert_same_state(self, par, serial, shares):
+        from repro.collector.parallel import _CHECKPOINT
+        from repro.collector.recovery import (
+            capture_checkpoint,
+            decode_checkpoint,
+            encode_checkpoint,
+        )
+
+        assert par.snapshot().as_dict() == serial.snapshot().as_dict()
+        for w, share in enumerate(shares):
+            state = decode_checkpoint(par._call(w, (_CHECKPOINT,)))
+            blob = encode_checkpoint({**state, "metrics": None})
+            assert blob == capture_checkpoint(share, worker=w), w
+
+    def test_stopped_worker_folds_its_backlog_as_one_run(self):
+        from repro.obs import MetricsRegistry
+
+        batches, factory = backlog_batches()
+        serial, shares = self._reference(factory, batches)
+        with ParallelCollector(
+            factory(), workers=self.WORKERS, num_shards=self.SHARDS, seed=1,
+            obs=MetricsRegistry(),
+        ) as par:
+            self._stopped_backlog(par, batches)
+            par.drain()
+            fams = par.snapshot().metrics["families"]
+            runs = {
+                s["labels"]["worker"]: s
+                for s in fams["pint_collector_run_batches"]["samples"]
+            }
+            # Worker 0 met its five waiting batches as one run.
+            assert runs["0"]["sum"] == len(batches)
+            assert runs["0"]["count"] < len(batches)
+            assert runs["0"]["buckets"][0][1] < runs["0"]["count"]
+            self._assert_same_state(par, serial, shares)
+
+    def test_kill_during_the_run_recovers_the_same_state(self):
+        batches, factory = backlog_batches()
+        serial, shares = self._reference(factory, batches)
+        with ParallelCollector(
+            factory(), workers=self.WORKERS, num_shards=self.SHARDS, seed=1,
+            checkpoint_every=100,
+        ) as par:
+            self._stopped_backlog(par, batches)
+            # Killed wherever it is in the run it just resumed: the
+            # checkpoint and journal rebuild the run's batches.
+            os.kill(par._procs[0].pid, signal.SIGKILL)
+            par.drain()
+            assert par._restarts == [1, 0]
+            assert par.snapshot().recovery.records_lost == 0
+            self._assert_same_state(par, serial, shares)

@@ -1,10 +1,11 @@
-"""``stable_order``: the linear-time grouping replay scoring runs on."""
+"""``stable_order``: the linear-time grouping replay scoring and the sink's
+fold run on."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.replay.grouping import sorted_distinct, stable_order
+from repro.grouping import sorted_distinct, stable_order
 
 I64 = np.iinfo(np.int64)
 
