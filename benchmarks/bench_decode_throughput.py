@@ -31,11 +31,18 @@ large universe must not fall off a cliff).
 A fourth case times what a parallel sink's worker folds: the
 converging ``web-search`` path batches of a whole replay, split by
 ``shard % 2`` as two workers see them, folded one ``ingest_batch`` per
-batch against runs of four batches (``Collector._ingest_run``, what a
+batch against runs of four batches (``Collector.ingest_run``, what a
 worker does with a ring backlog).  The snapshots must be identical and
 runs >= 1.15x faster.
 
-A fifth case times 64-record batches into a small and a large sink
+A fifth case, ``serial_runs``, times what a serial replay's path sink
+folds: the ``elephant-mice`` path batches of a ``mice-inproc``-sized
+replay (150k packets), one ``ingest_batch`` per batch against one
+``ingest_run`` per row block (four 8,192-record batches, as
+``ReplayDriver.replay`` hands them over).  The snapshots must be
+identical and block runs >= 1.1x faster.
+
+A sixth case times 64-record batches into a small and a large sink
 (``elephant-mice`` at 20k and 1.5M packets, about 3k and 225k live
 flows, 8 shards, hash digests): a batch's cost must not grow with the
 sink (<= 1.2x asserted), because every pass of a batch works in its
@@ -268,6 +275,38 @@ def path_batches(name: str, packets: int, seed: int, batch: int = 8192):
     return batches, factory, driver.num_shards
 
 
+def runs_vs_batches(parts, factory, shards: int, run: int, repeats: int):
+    """Fold each of ``parts`` (one list of ``(columns, now)`` batches
+    per sink) into a fresh sink one ``ingest_batch`` per batch and as
+    runs of ``run`` batches: best-of-``repeats`` seconds of each, the
+    sinks' snapshots asserted equal."""
+    seconds, snaps = [], []
+    for length in (1, run):
+        best = float("inf")
+        for _ in range(repeats):
+            sinks = [Collector(factory(), num_shards=shards) for _ in parts]
+            start = time.perf_counter()
+            for sink, batches in zip(sinks, parts):
+                for lo in range(0, len(batches), length):
+                    if length == 1:
+                        columns, now = batches[lo]
+                        sink.ingest_batch(*columns, now=now)
+                    else:
+                        sink.ingest_run(batches[lo:lo + length])
+            best = min(best, time.perf_counter() - start)
+        seconds.append(best)
+        snaps.append([sink.snapshot().as_dict() for sink in sinks])
+    assert snaps[0] == snaps[1], "a run must fold to its batches' state"
+    return {
+        "records": sum(c[0].shape[0] for part in parts for c, _ in part),
+        "batches": len(parts[0]),
+        "run": run,
+        "per_batch_s": round(seconds[0], 4),
+        "runs_s": round(seconds[1], 4),
+        "speedup": round(seconds[0] / seconds[1], 2),
+    }
+
+
 def bench_runs(packets: int, run: int, seed: int, repeats: int):
     """A worker's backlog as runs of ``run`` batches vs one call each."""
     batches, factory, shards = path_batches("web-search", packets, seed)
@@ -278,40 +317,28 @@ def bench_runs(packets: int, run: int, seed: int, repeats: int):
         for w, half in enumerate(halves):
             mask = worker == w
             half.append((tuple(c[mask] for c in columns), now))
-
-    def fold(as_runs: bool) -> tuple:
-        best, snaps = float("inf"), None
-        for _ in range(repeats):
-            sinks = [Collector(factory(), num_shards=shards) for _ in halves]
-            start = time.perf_counter()
-            for sink, half in zip(sinks, halves):
-                if as_runs:
-                    for lo in range(0, len(half), run):
-                        sink._ingest_run(half[lo:lo + run])
-                else:
-                    for columns, now in half:
-                        sink.ingest_batch(*columns, now=now)
-            best = min(best, time.perf_counter() - start)
-            snaps = [sink.snapshot().as_dict() for sink in sinks]
-        return best, snaps
-
-    per_batch_s, per_batch = fold(False)
-    runs_s, as_runs = fold(True)
-    assert as_runs == per_batch, "a run must fold to its batches' state"
-    records = sum(c[0].shape[0] for c, _ in batches)
-    result = {
-        "records": records,
-        "batches": len(batches),
-        "run": run,
-        "per_batch_s": round(per_batch_s, 4),
-        "runs_s": round(runs_s, 4),
-        "speedup": round(per_batch_s / runs_s, 2),
-    }
+    result = runs_vs_batches(halves, factory, shards, run, repeats)
     print(
-        f"runs     {records:,} web-search path rec in {len(batches)} "
-        f"batches, split over 2 workers: runs of {run} "
-        f"{runs_s * 1e3:.1f} ms vs one call per batch "
-        f"{per_batch_s * 1e3:.1f} ms = {result['speedup']}x"
+        f"runs     {result['records']:,} web-search path rec in "
+        f"{result['batches']} batches, split over 2 workers: runs of {run} "
+        f"{result['runs_s'] * 1e3:.1f} ms vs one call per batch "
+        f"{result['per_batch_s'] * 1e3:.1f} ms = {result['speedup']}x"
+    )
+    return result
+
+
+def bench_serial_runs(packets: int, seed: int, repeats: int):
+    """A serial replay's path batches as one run per row block vs one
+    call each."""
+    batches, factory, shards = path_batches("elephant-mice", packets, seed)
+    driver = ReplayDriver(batch_size=8192, seed=0)
+    run = driver._block_rows() // driver.batch_size
+    result = runs_vs_batches([batches], factory, shards, run, repeats)
+    print(
+        f"serial   {result['records']:,} elephant-mice path rec in "
+        f"{result['batches']} batches: one run per {run}-batch block "
+        f"{result['runs_s'] * 1e3:.1f} ms vs one call per batch "
+        f"{result['per_batch_s'] * 1e3:.1f} ms = {result['speedup']}x"
     )
     return result
 
@@ -394,6 +421,7 @@ def main() -> None:
             60_000, 8192, 2000, args.seed, args.repeats
         ),
         "runs": bench_runs(300_000, 4, args.seed, args.repeats),
+        "serial_runs": bench_serial_runs(150_000, args.seed, args.repeats),
         "sink_size": bench_sink_size(
             20_000, 1_500_000, 64, 50, args.seed
         ),
@@ -446,6 +474,12 @@ def main() -> None:
         "ingest_batch per batch (a backlog must fold as one peel)"
     )
     print(f"OK: a worker's backlog folds as runs {runs}x faster")
+    serial = results["serial_runs"]["speedup"]
+    assert serial >= 1.1, (
+        f"one run per row block only {serial}x one ingest_batch per "
+        "batch (a replay block must fold as one peel)"
+    )
+    print(f"OK: a serial replay's blocks fold as runs {serial}x faster")
     growth = results["sink_size"]["growth"]
     assert growth <= 1.2, (
         f"a {results['sink_size']['batch']}-record batch costs {growth}x "

@@ -5,7 +5,7 @@
 hook, or in columnar batches from a capture pipeline -- and query
 per-flow answers and operational metrics back out.
 
-Two ingestion paths:
+Three ingestion paths:
 
 * :meth:`ingest` -- scalar; routes with one hash, touches one flow
   table entry, dispatches one consumer call.  Per-record Python
@@ -18,9 +18,10 @@ Two ingestion paths:
   counters are per-*flow* work, which is where its throughput over the
   scalar loop comes from (``benchmarks/bench_decode_throughput.py``
   asserts >=5x; mirrors the vectorised-encoder work on the switch
-  side).  Batches that wait together -- a parallel worker's ring
-  backlog -- fold as one run (:meth:`Collector._ingest_run`): one
-  grouping and one peel, each batch's bookkeeping its own.
+  side).
+* :meth:`ingest_run` -- batches that wait together (a replay's row
+  block, a parallel worker's ring backlog) fold as one run: one index
+  pass, one grouping and one peel, each batch's bookkeeping its own.
 
 Time: every ingest accepts an optional ``now`` (sim seconds when driven
 from the DES).  When omitted the collector free-runs on a logical clock
@@ -32,6 +33,7 @@ counts added to a seconds clock would TTL-evict everything).
 from __future__ import annotations
 
 import sys
+import time
 from typing import Dict, List, Optional
 
 import numpy as np
@@ -129,7 +131,8 @@ class Collector:
         this collector's series (e.g. ``{"sink": "path"}``).  Omitted,
         all instrumentation collapses to shared no-ops; enabled, the
         hot path pays per-*batch* work only -- batch-size histogram,
-        two stage spans, per-batch counter bumps -- while
+        two stage spans (each timed in wall and in thread CPU time),
+        per-batch counter bumps -- while
         eviction/creation totals and the live-flow gauge are read
         straight off the shards at export time.  Either way the
         ingested state is bit-identical (metrics observe, they never
@@ -198,6 +201,19 @@ class Collector:
             "pint_collector_consume_seconds",
             "Per-fold index pass, flow-table touches and consumer "
             "dispatch time", labels,
+        )
+        # The same two stages in this thread's CPU time: a stage whose
+        # wall time runs far above its CPU time was waiting (a worker
+        # descheduled on a busy box), not working.
+        self._cpu_group = obs.span(
+            "pint_collector_group_cpu_seconds",
+            "Thread CPU time of pint_collector_group_seconds", labels,
+            clock=time.thread_time,
+        )
+        self._cpu_consume = obs.span(
+            "pint_collector_consume_cpu_seconds",
+            "Thread CPU time of pint_collector_consume_seconds", labels,
+            clock=time.thread_time,
         )
         self._sp_answers = obs.span(
             "pint_collector_answers_seconds",
@@ -283,7 +299,7 @@ class Collector:
     ) -> int:
         """Fold a columnar batch; returns the number of records.
 
-        A batch is a run of one (:meth:`_ingest_run`).  Records of the
+        A batch is a run of one (:meth:`ingest_run`).  Records of the
         same flow are applied in their batch order; ordering *across*
         flows is unspecified.  Decoding state never notices (flows are
         independent problems).  Table semantics at batch granularity:
@@ -318,23 +334,27 @@ class Collector:
         decoding is the run's: one index pass, one steadiness read,
         one stable grouping by flow and one fold.
         """
-        return self._ingest_run([((flow_ids, pids, hop_counts, digests), now)])
+        return self.ingest_run([((flow_ids, pids, hop_counts, digests), now)])
 
-    def _ingest_run(self, batches, park=None) -> int:
+    def ingest_run(self, batches, park=None) -> int:
         """Fold ``(columns, now)`` batches as one run; returns the records.
 
-        The state is bit-identical to one :meth:`ingest_batch` per
-        batch, in order.  A flow that decodes mid-run peels its later
-        records instead of verifying them, which batch-size
-        independence makes exact.  A sink whose admission or sweeps
-        are order-sensitive within a run (``max_flows_per_shard``,
-        ``ttl``), or whose flows are the caller's objects (their
-        factory and methods may raise part-way), folds the run one
-        batch at a time.  ``park`` is called inside the ``except``
-        block of a batch that fails (or, for a whole run, a fold that
-        fails) and the rest go on; without it the failure raises.
-        A batch that fails its checks leaves no trace but its clock
-        tick, like the :meth:`ingest_batch` call that raises.
+        Each of ``batches`` is what one :meth:`ingest_batch` call takes:
+        ``((flow_ids, pids, hop_counts, digests), now)``.  The state is
+        bit-identical to one :meth:`ingest_batch` per batch, in order.
+        A flow that decodes mid-run peels its later records instead of
+        verifying them, which batch-size independence makes exact.  A
+        sink whose admission or sweeps are order-sensitive within a run
+        (``max_flows_per_shard``, ``ttl``), or whose flows are the
+        caller's objects (their factory and methods may raise
+        part-way), folds the run one batch at a time.
+
+        A batch that fails its checks leaves the sink as it was.
+        ``park`` is called inside the ``except`` block of a batch that
+        fails (or, for a whole run, a fold that fails) and the rest go
+        on.  Without it the failure raises once the batches before the
+        failing one are folded, as a loop of :meth:`ingest_batch` calls
+        would have left them.
         """
         self._check_open()
 
@@ -347,27 +367,28 @@ class Collector:
                 park()
                 return None
 
-        run = [
-            batch for batch in (
-                guarded(self._prepare, columns, now)
-                for columns, now in batches
-            ) if batch is not None
-        ]
-        if not run:
-            return 0
-        whole = (
-            self.max_flows_per_shard is None and self.ttl is None
-            and not isinstance(self._store, ConsumerRows)
-        )
-        for part in [run] if whole else [[batch] for batch in run]:
-            self._m_run_batches.observe(len(part))
-            guarded(self._fold, part)
+        run = []
+        try:
+            for columns, now in batches:
+                batch = guarded(self._prepare, columns, now)
+                if batch is not None:
+                    run.append(batch)
+        finally:
+            # Reached from a failing batch too: the batches before it
+            # fold before its error leaves.
+            whole = (
+                self.max_flows_per_shard is None and self.ttl is None
+                and not isinstance(self._store, ConsumerRows)
+            )
+            for part in [run] if whole and run else [[b] for b in run]:
+                self._m_run_batches.observe(len(part))
+                guarded(self._fold, part)
         return sum(int(batch[0].shape[0]) for batch in run)
 
     def _prepare(self, columns, now: Optional[float]):
         """Check one batch and tick the clock for it: ``(fids, pids,
         hops, digests, t)``, or None for an empty batch."""
-        with self._sp_group:
+        with self._sp_group, self._cpu_group:
             fids, ps, hops, digs = normalize_batch(*columns)
             n = int(fids.shape[0])
             if n == 0:
@@ -381,7 +402,7 @@ class Collector:
 
     def _fold(self, run) -> None:
         """Fold prepared batches, in order, as one run (see
-        :meth:`_ingest_run`; a bounded sink's run is one batch)."""
+        :meth:`ingest_run`; a bounded sink's run is one batch)."""
         store = self._store
         if len(run) == 1:
             fids, ps, hops, digs, t = run[0]
@@ -393,7 +414,7 @@ class Collector:
         bounded = self.max_flows_per_shard is not None
         rest = owners = hit = seen = None
         if not bounded:
-            with self._sp_consume:
+            with self._sp_consume, self._cpu_consume:
                 # The run's one index pass: every record's row (-1: a
                 # flow to admit), which also says which flows are
                 # steady as of the run's start.  Their records (``hit``)
@@ -406,7 +427,7 @@ class Collector:
                     hit, rest = np.flatnonzero(steady), np.flatnonzero(~steady)
                 if hit is not None:
                     seen = store.verify(owners[hit], ps[hit], digs[hit])
-        with self._sp_group:
+        with self._sp_group, self._cpu_group:
             # Stable grouping by flow (a flow has one shard): ties keep
             # run order so per-flow streams stay sequential.
             if rest is None:
@@ -419,7 +440,7 @@ class Collector:
             sdigs = digs[order]
             starts = np.flatnonzero(run_starts(sfids))
             bounds = np.append(starts, order.size)
-        with self._sp_consume:
+        with self._sp_consume, self._cpu_consume:
             sizes = np.diff(bounds)
             firsts = bounds[:-1]
             if bounded:
@@ -448,6 +469,9 @@ class Collector:
                 rows, touched = self._touch_run(
                     run, owners, hit, seen, order, sfids, starts
                 )
+            # The peel's temporaries set a run's peak: what only the
+            # grouping and the touches read goes first.
+            del fids, ps, hops, digs, owners, order, sfids
             if rows.size:
                 fold_rows(
                     store, rows, firsts, sizes, sps, shops, sdigs,

@@ -23,7 +23,7 @@ Data flow::
             ▼
       worker w: takes every whole message waiting in its ring (at
       most ring_slots, the one-slot views copied) and folds them as
-      one run, Collector._ingest_run: one grouping and one peel for
+      one run, Collector.ingest_run: one grouping and one peel for
       the run, each batch's clock, touches and shard counters its own
       (full shard layout, only owned shards ever fed)
             ▼
@@ -264,7 +264,7 @@ def _worker_main(
                 break
             run.append((data.columns, data.t))
         try:
-            col._ingest_run(run, park)
+            col.ingest_run(run, park)
         except Exception:
             park()
         finally:

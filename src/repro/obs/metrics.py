@@ -392,10 +392,16 @@ class MetricsRegistry:
         self, name: str, help: str = "",
         labels: Optional[Dict[str, str]] = None,
         buckets: Optional[Tuple[float, ...]] = None,
+        clock: Optional[Callable[[], float]] = None,
     ) -> Span:
-        """A stage timer whose durations land in histogram ``name``."""
+        """A stage timer whose durations land in histogram ``name``.
+
+        ``clock`` replaces the registry's own for this span, e.g.
+        ``time.thread_time`` to time a stage's CPU beside its wall.
+        """
         return Span(
-            self.histogram(name, help, labels, buckets=buckets), self.clock
+            self.histogram(name, help, labels, buckets=buckets),
+            self.clock if clock is None else clock,
         )
 
     def as_dict(self) -> dict:
@@ -452,6 +458,7 @@ class NullRegistry:
         self, name: str, help: str = "",
         labels: Optional[Dict[str, str]] = None,
         buckets: Optional[Tuple[float, ...]] = None,
+        clock: Optional[Callable[[], float]] = None,
     ) -> _NullSpan:
         return _NULL_SPAN
 

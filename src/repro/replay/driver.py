@@ -7,11 +7,15 @@ vectorised plan-selection hash (§3.4).  It then walks the delivered
 stream in row blocks of a few batches: per block and plan entry, one
 gather per column and one encode call -- path digests from the
 :class:`~repro.replay.dataplane.TraceDataplane`, congestion codes from
-:func:`~repro.replay.dataplane.compress_utilizations`.  Each batch
-hands its sinks' :meth:`Collector.ingest_batch` read-only slices of
-those columns.  The switch side keys on per-packet hashes only, so the
-block size moves no answer; the sinks see exactly the batches a
-batch-at-a-time loop would make.
+:func:`~repro.replay.dataplane.compress_utilizations`.  Each sink then
+takes the block's batches -- read-only slices of those columns, each
+with its own ``now`` -- at once: an in-process serial sink folds them
+as one run (:meth:`Collector.ingest_run`: one index pass, one grouping
+and one peel per block, each batch's bookkeeping its own), a parallel
+sink or a wire sender takes them one batch at a time.  The switch side
+keys on per-packet hashes only, so the block size moves no answer; the
+sinks see exactly the batches a batch-at-a-time loop would make, and
+fold them to the same state.
 
 After the stream drains, the driver scores the sink against the
 trace's ground truth: which flows' paths decoded, whether they decoded
@@ -125,12 +129,13 @@ class ScenarioReport:
     #: (select / encode / ingest / transport / decode, plus impair
     #: when models ran).  ``select`` is one whole-trace draw of the
     #: execution plan, made once before the loop.  ``encode`` is timed
-    #: per row block: the block's gathers, its congestion truth and
-    #: its two encode calls.  ``ingest`` is timed per batch: the sink
-    #: calls alone.  The stages run one after another and never
-    #: overlap, so the ``ingest`` share alone says whether the sink is
-    #: the bottleneck.  Always measured -- two clock reads per stage
-    #: per block or batch.
+    #: per row block: the block's gathers, its congestion truth, its
+    #: two encode calls and its batches' clock readings.  ``ingest`` is
+    #: timed per row block and sink: the sink calls alone (one
+    #: ``ingest_run`` per block on an in-process serial sink).  The
+    #: stages run one after another and never overlap, so the
+    #: ``ingest`` share alone says whether the sink is the bottleneck.
+    #: Always measured -- two clock reads per stage per block.
     stage_seconds: Tuple[Tuple[str, float], ...] = ()
 
     @property
@@ -223,21 +228,39 @@ class ScenarioReport:
         return "stages: " + "  ".join(parts)
 
 
+#: One batch as a sink takes it: ``((flow_ids, pids, hop_counts,
+#: digests), now)``.
+Batch = Tuple[Tuple[np.ndarray, ...], float]
+
+
 @dataclass
 class _Sink:
     """One sink as :meth:`ReplayDriver.replay` drives it.
 
-    ``ingest`` is the collector's own ``ingest_batch`` or -- behind a
-    wire transport -- the sender's ``send_batch`` (same signature by
-    design, so the replay loop never asks which); ``server``/``tx``
-    are set only on the wire path.
+    ``ingest`` takes one row block's batches, in order: an in-process
+    serial collector folds them as one run
+    (:meth:`Collector.ingest_run`), while a parallel collector (whose
+    workers fold their own backlogs as runs) and a wire sender take
+    them one ``ingest_batch`` / ``send_batch`` call each.  The replay
+    loop never asks which; ``server``/``tx`` are set only on the wire
+    path.
     """
 
     collector: Union[Collector, ParallelCollector]
-    ingest: Callable[..., object]
+    ingest: Callable[[List[Batch]], object]
     server: Optional[CollectorServer] = None
     tx: Optional[ReliableUDPSender] = None
     records: int = 0
+
+
+def _batch_by_batch(ingest: Callable[..., object]):
+    """A run of batches as one ``ingest(*columns, now=now)`` call each."""
+
+    def each(run: List[Batch]) -> None:
+        for columns, now in run:
+            ingest(*columns, now=now)
+
+    return each
 
 
 class ReplayDriver:
@@ -249,9 +272,11 @@ class ReplayDriver:
         Path-query encoder configuration; the sink consumers derive
         the matching decoders from the same values.
     batch_size:
-        Records per columnar batch -- what one sink call receives.
-        The switch side encodes row blocks of whole batches (about
-        half a ``GRID_BLOCK`` of rows, at least one batch).
+        Records per columnar batch: the unit of a sink's clock and
+        counters.  The switch side encodes row blocks of whole batches
+        (about half a ``GRID_BLOCK`` of rows, at least one batch), and
+        an in-process serial sink folds each block's batches as one
+        run.
     num_shards:
         Collector sharding (both sinks).
     workers:
@@ -479,7 +504,10 @@ class ReplayDriver:
             )
         stack.callback(collector.close)
         if self.transport is None:
-            return _Sink(collector, collector.ingest_batch)
+            return _Sink(collector, (
+                collector.ingest_run if workers is None
+                else _batch_by_batch(collector.ingest_batch)
+            ))
         server = CollectorServer(collector).start()
         stack.callback(server.close)
         tx = ReliableUDPSender(
@@ -489,7 +517,7 @@ class ReplayDriver:
         # already, and an error path must not spend a flush timeout
         # re-offering frames nobody will score.
         stack.callback(tx.sock.close)
-        return _Sink(collector, tx.send_batch, server, tx)
+        return _Sink(collector, _batch_by_batch(tx.send_batch), server, tx)
 
     def replay(self, trace: Trace) -> ScenarioReport:
         """Stream one trace end-to-end; return its report."""
@@ -518,9 +546,9 @@ class ReplayDriver:
                 "congestion", None,
             )
             sinks = [path, cong]
-            # Stage accounting: two clock reads per section per block
-            # or batch, cheap enough to leave on unconditionally, so
-            # *every* report can say where its wall time went.
+            # Stage accounting: two clock reads per section per block,
+            # cheap enough to leave on unconditionally, so *every*
+            # report can say where its wall time went.
             stages = StageTimes()
             sp_encode = stages.span("encode")
             sp_ingest = stages.span("ingest")
@@ -557,27 +585,34 @@ class ReplayDriver:
                     columns = self._encode_block(
                         trace, dataplane, entry, rows, edges
                     )
-                    clock = trace.ts.take(rows)
-                for j in range(len(edges) - 1):
-                    first, last = edges[j], edges[j + 1]
                     # Delivered order is not time order under reorder;
-                    # the clock advances to the newest send stamp seen
+                    # a batch's clock is the newest send stamp it holds
                     # (IngestClock is monotone anyway).
-                    now = float(
-                        clock[last - 1] if delivery is None
-                        else clock[first:last].max()
-                    )
-                    for sink, (bounds, cols) in zip(sinks, columns):
-                        a, b = bounds[j], bounds[j + 1]
-                        if a == b:
-                            continue
+                    clock = trace.ts.take(rows)
+                    nows = [
+                        float(
+                            clock[last - 1] if delivery is None
+                            else clock[first:last].max()
+                        )
+                        for first, last in zip(edges, edges[1:])
+                    ]
+                # Freed before the sinks fold the block: a fold's
+                # temporaries, not these, set the loop's peak.
+                del rows, clock
+                for sink, (bounds, cols) in zip(sinks, columns):
+                    run = [
+                        (tuple(c[a:b] for c in cols), now)
+                        for a, b, now in zip(bounds, bounds[1:], nows)
+                        if a != b
+                    ]
+                    if run:
                         with sp_ingest:
-                            sink.ingest(*(c[a:b] for c in cols), now=now)
-                        sink.records += b - a
-                    batches += 1
+                            sink.ingest(run)
+                    sink.records += bounds[-1] - bounds[0]
+                batches += len(edges) - 1
                 # Freed before the next block is built, so a replay
                 # holds one block's columns at a time, not two.
-                del rows, columns, clock
+                del columns, run
             with stages.span("transport"):
                 # Wire path: flush the retransmit queues -- the server
                 # ACKs a batch's last frame only after folding it, so a

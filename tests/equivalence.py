@@ -490,11 +490,13 @@ def supervision(fault: str, messages: int) -> dict:
     )
 
 
-def scalar_ingest(collector, fids, pids, hops, digests, now):
-    for record in zip(
-        fids.tolist(), pids.tolist(), hops.tolist(), digests.tolist()
-    ):
-        collector.ingest(*record, now=now)
+def scalar_ingest(collector, run):
+    """A replay block's batches, one scalar ``ingest`` per record."""
+    for (fids, pids, hops, digests), now in run:
+        for record in zip(
+            fids.tolist(), pids.tolist(), hops.tolist(), digests.tolist()
+        ):
+            collector.ingest(*record, now=now)
 
 
 def object_factory(factory):

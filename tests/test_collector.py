@@ -742,7 +742,7 @@ class TestIngestRun:
         lo = 0
         for length in lengths:
             if lo < len(batches):
-                runs._ingest_run(batches[lo:lo + length])
+                runs.ingest_run(batches[lo:lo + length])
             lo += length
         assert runs.snapshot().as_dict() == one.snapshot().as_dict()
         assert capture_checkpoint(runs) == capture_checkpoint(one)
@@ -763,7 +763,7 @@ class TestIngestRun:
         # that touched its flows once, at the last clock reading, or
         # counted one batch per shard would read differently.
         sink = Collector(congestion_consumer_factory(), num_shards=1)
-        sink._ingest_run([
+        sink.ingest_run([
             (([1, 2], [1, 2], [3, 3], [5, 6]), 1.0),
             (([2], [3], [3], [7]), 2.0),
             (([2, 3], [4, 5], [3, 3], [8, 9]), 4.0),
@@ -776,10 +776,48 @@ class TestIngestRun:
         assert store.flow_records[rows].tolist() == [1, 3, 1]
         assert store.generation[rows].tolist() == [1, 2, 3]
 
+    @pytest.mark.parametrize("sink", ["hash", "congestion"])
+    def test_a_failing_batch_raises_after_the_batches_before_it(self, sink):
+        # Without park, a run stops where a loop of ingest_batch calls
+        # stops: the batches before the failing one are folded, ticked
+        # and counted, the failing one and those after it are not.
+        from repro.collector.recovery import capture_checkpoint
+        from repro.obs import MetricsRegistry
+
+        cols, factory = run_stream(sink)
+        batches = [
+            (tuple(c[lo:lo + 100] for c in cols), float(lo))
+            for lo in range(0, 500, 100)
+        ]
+        (fids, pids, hops, digs), now = batches[2]
+        batches[2] = ((fids, pids, np.where(hops == hops[0], 0, hops),
+                       digs), now)
+
+        def fed(feed):
+            obs = MetricsRegistry()
+            sink = Collector(factory(), num_shards=4, seed=3, obs=obs)
+            with pytest.raises(ValueError, match="hop counts"):
+                feed(sink)
+            return sink, obs.as_dict()["families"]
+
+        loop, loop_metrics = fed(lambda sink: [
+            sink.ingest_batch(*columns, now=now) for columns, now in batches
+        ])
+        run, run_metrics = fed(lambda sink: sink.ingest_run(batches))
+        assert loop.snapshot().records == 200 and loop.now == 100.0
+        assert run.now == loop.now
+        assert run.snapshot().as_dict() == loop.snapshot().as_dict()
+        assert capture_checkpoint(run) == capture_checkpoint(loop)
+        for name in (
+            "pint_collector_records_total", "pint_collector_batches_total",
+            "pint_collector_batch_records",
+        ):
+            assert run_metrics[name] == loop_metrics[name], name
+
     def test_a_failing_batch_is_parked_and_the_rest_fold(self):
         sink = Collector(congestion_consumer_factory(), num_shards=1)
         parked = []
-        assert sink._ingest_run([
+        assert sink.ingest_run([
             (([1], [1], [3], [5]), 1.0),
             (([2], [2], [0], [5]), 2.0),  # hop count out of range
             (([3], [3], [3], [5]), 3.0),

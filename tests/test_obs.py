@@ -208,6 +208,61 @@ class TestSpans:
         assert st.span("encode") is st.span("encode")
 
 
+    def test_span_takes_its_own_clock(self):
+        wall, cpu = FakeClock(), FakeClock()
+        reg = MetricsRegistry(clock=wall)
+        with reg.span("busy_seconds", clock=cpu):
+            wall.advance(2.0)
+            cpu.advance(0.5)
+        assert reg.histogram("busy_seconds").sum == pytest.approx(0.5)
+
+
+class TestCollectorCpuSpans:
+    """A collector times its group and consume stages twice: wall time,
+    and this thread's CPU time, so a slow fold tells working from
+    waiting.  A bare collector reads neither clock."""
+
+    @staticmethod
+    def _ingest(obs):
+        sink = Collector(
+            path_consumer_factory(
+                range(16), digest_bits=8, num_hashes=1, seed=0, mode="hash",
+                value_bits=4,
+            ),
+            num_shards=2, obs=obs,
+        )
+        cols = ([1, 2, 1, 3], [1, 2, 3, 4], [4, 4, 4, 4], [9, 8, 7, 6])
+        sink.ingest_batch(*cols, now=1.0)
+        sink.ingest_run([(cols, 2.0), (cols, 3.0)])
+        return sink
+
+    @pytest.mark.parametrize("stage", ["group", "consume"])
+    def test_cpu_span_beside_each_wall_span(self, stage):
+        obs = MetricsRegistry()
+        self._ingest(obs)
+        fams = obs.as_dict()["families"]
+        wall = fams[f"pint_collector_{stage}_seconds"]["samples"][0]
+        cpu = fams[f"pint_collector_{stage}_cpu_seconds"]["samples"][0]
+        assert cpu["count"] == wall["count"] > 0
+        assert 0.0 <= cpu["sum"]
+
+    def test_the_cpu_clock_is_read_only_when_enabled(self, monkeypatch):
+        import time
+
+        reads = []
+        real = time.thread_time
+
+        def thread_time():
+            reads.append(1)
+            return real()
+
+        monkeypatch.setattr(time, "thread_time", thread_time)
+        self._ingest(None)
+        assert reads == []
+        self._ingest(MetricsRegistry())
+        assert reads
+
+
 class TestNullRegistry:
     def test_everything_is_a_noop(self):
         assert NULL_REGISTRY.enabled is False

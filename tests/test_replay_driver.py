@@ -411,8 +411,9 @@ def reference_calls(driver, trace):
     split by the plan with digests from the scalar switch chain and
     codes from :func:`compress_utilizations` over
     :meth:`ReplayDriver.utilizations` -- nothing shared with the block
-    loop it checks.  Returns ``(entry, columns, now)`` per call, in
-    call order (path sink before congestion sink within a batch).
+    loop it checks.  Returns ``(entry, batch, columns, now)`` per
+    non-empty sink batch, in batch order (path sink before congestion
+    sink within a batch).
     """
     dataplane = TraceDataplane(
         trace, digest_bits=driver.digest_bits, num_hashes=driver.num_hashes,
@@ -425,7 +426,7 @@ def reference_calls(driver, trace):
     utils = driver.utilizations(trace)
     hops = trace.hop_counts
     calls = []
-    for lo in range(0, stream.size, driver.batch_size):
+    for batch, lo in enumerate(range(0, stream.size, driver.batch_size)):
         rows = stream[lo:lo + driver.batch_size]
         now = float(
             trace.ts[rows].max() if driver.impairments else trace.ts[rows[-1]]
@@ -442,14 +443,116 @@ def reference_calls(driver, trace):
                 )
             )
             cols = (trace.flow_id[mine], trace.pid[mine], hops[mine], values)
-            calls.append((index, cols, now))
+            calls.append((index, batch, cols, now))
     return calls
 
 
+class _Sinks(ReplayDriver):
+    """A driver that reads both sinks before they close; with
+    ``per_batch`` its serial in-process sinks take one ``ingest_batch``
+    per batch instead of one ``ingest_run`` per block."""
+
+    per_batch = False
+
+    def _make_sink(self, stack, consumer_factory, sink_label, workers):
+        sink = super()._make_sink(
+            stack, consumer_factory, sink_label, workers
+        )
+        if self.per_batch and isinstance(sink.collector, Collector):
+            sink.ingest = driver_module._batch_by_batch(
+                sink.collector.ingest_batch
+            )
+        return sink
+
+    def _score(self, trace, path, cong, *rest):
+        from repro.collector.recovery import capture_checkpoint
+
+        self.sinks = {}
+        for name, sink in (("path", path), ("congestion", cong)):
+            collector = sink.collector
+            self.sinks[name] = (
+                collector.snapshot().as_dict(), collector.answers(),
+                capture_checkpoint(collector)
+                if isinstance(collector, Collector) else None,
+            )
+        return super()._score(trace, path, cong, *rest)
+
+
+class TestBlockRuns:
+    """A serial replay hands each in-process sink a row block's batches
+    as one run: the ``pint_collector_run_batches`` histogram holds one
+    observation per block, and reports, snapshots (shard ``records``
+    and ``batches`` included), checkpoints and answers equal those of
+    the same batches fed one ``ingest_batch`` at a time."""
+
+    REORDER = (Reorder(depth=64, prob=0.5, seed=2), Duplicate(prob=0.05, seed=3))
+
+    @staticmethod
+    def _fields(report):
+        """The report minus its clock readings, NaN as None."""
+        timing = {"seconds", "stage_seconds", "records_per_sec"}
+        return {
+            k: None if isinstance(v, float) and math.isnan(v) else v
+            for k, v in report.as_dict().items() if k not in timing
+        }
+
+    @pytest.mark.parametrize("packets, batch_size, impaired, workers", [
+        (40_000, 8192, False, None),
+        (40_000, 8192, True, None),
+        (40_000, 64, False, None),  # a block of 512 batches
+        (40_000, 8192, False, 2),
+    ], ids=["unimpaired", "reorder-duplicate", "batch64", "workers2"])
+    def test_runs_are_blocks_and_fold_like_batches(
+        self, packets, batch_size, impaired, workers
+    ):
+        from repro.obs import MetricsRegistry
+
+        trace = build_trace("path-churn", packets=packets, seed=3)
+        knobs = dict(
+            batch_size=batch_size, workers=workers,
+            impairments=list(self.REORDER) if impaired else None,
+        )
+        obs = MetricsRegistry()
+        runs = _Sinks(obs=obs, **knobs)
+        report = runs.replay(trace)
+        one = _Sinks(**knobs)
+        one.per_batch = True
+        want = one.replay(trace)
+        assert self._fields(report) == self._fields(want)
+        for name, (snap, answers, blob) in runs.sinks.items():
+            snap_want, answers_want, blob_want = one.sinks[name]
+            assert snap == snap_want, name
+            assert blob == blob_want, name
+            for field in ("flow_id", "offsets", "values"):
+                assert np.array_equal(
+                    getattr(answers, field), getattr(answers_want, field)
+                ), (name, field)
+            for column, values in answers_want.columns.items():
+                assert np.array_equal(
+                    answers.columns[column], values, equal_nan=True
+                ), (name, column)
+        # One run per block and in-process sink; a parallel path sink's
+        # runs are its workers', in their own registries.
+        per_block = runs._block_rows() // batch_size
+        blocks = -(-report.batches // per_block)
+        fams = obs.as_dict()["families"]["pint_collector_run_batches"]
+        observed = {s["labels"]["sink"]: s for s in fams["samples"]}
+        assert set(observed) == (
+            {"congestion"} if workers else {"path", "congestion"}
+        )
+        assert blocks > 1 and report.batches > blocks
+        for name, sample in observed.items():
+            # Every batch of this trace holds records of both queries.
+            assert sample["count"] == blocks, name
+            assert sample["sum"] == report.batches, name
+
+
 class TestBlockLoopContract:
-    """The row-block loop hands every sink exactly the per-batch calls
-    of a batch-at-a-time replay: same rows, order, ``now`` and count,
-    as read-only views."""
+    """The row-block loop hands every sink exactly the batches of a
+    batch-at-a-time replay: same rows, order, ``now`` and count, as
+    read-only views.  A serial in-process sink takes each block's
+    batches as one run; a parallel sink and a wire sender take them one
+    call each."""
 
     MODELS = (
         GilbertElliott(p_bad=0.05, p_good=0.2, seed=1),
@@ -457,17 +560,32 @@ class TestBlockLoopContract:
     )
 
     @staticmethod
-    def _spy(monkeypatch, cls, name, calls):
-        real = getattr(cls, name)
+    def _copy(cols, now):
+        return (
+            tuple(np.array(c) for c in cols),
+            [c.flags.writeable for c in cols], now,
+        )
+
+    @classmethod
+    def _spy(cls, monkeypatch, owner, name, calls):
+        """Record each ``name(*cols, now=)`` call as a run of one."""
+        real = getattr(owner, name)
 
         def record(sink, *cols, now=None):
-            calls.append((
-                sink, tuple(np.array(c) for c in cols),
-                [c.flags.writeable for c in cols], now,
-            ))
+            calls.append((sink, [cls._copy(cols, now)]))
             return real(sink, *cols, now=now)
 
-        monkeypatch.setattr(cls, name, record)
+        monkeypatch.setattr(owner, name, record)
+
+    @classmethod
+    def _spy_runs(cls, monkeypatch, calls):
+        real = Collector.ingest_run
+
+        def record(sink, batches, park=None):
+            calls.append((sink, [cls._copy(*batch) for batch in batches]))
+            return real(sink, batches, park)
+
+        monkeypatch.setattr(Collector, "ingest_run", record)
 
     @pytest.mark.parametrize("grid, batch_size", [
         (None, 512),   # one partial block of the default size
@@ -490,32 +608,44 @@ class TestBlockLoopContract:
         want = reference_calls(driver, trace)
         if grid is not None:
             monkeypatch.setattr(global_hash, "GRID_BLOCK", grid)
+        per_block = driver._block_rows() // batch_size
         calls = []
         if sink == "udp":
             # The server's own ingest calls are the wire's, not the loop's.
             self._spy(monkeypatch, ReliableUDPSender, "send_batch", calls)
         else:
-            self._spy(monkeypatch, Collector, "ingest_batch", calls)
+            self._spy_runs(monkeypatch, calls)
             self._spy(monkeypatch, ParallelCollector, "ingest_batch", calls)
         report = driver.replay(trace)
         assert report.batches == -(-report.records // batch_size)
-        assert len(calls) == len(want)
-        receivers = ({}, {})
-        for (target, cols, writeable, now), (index, ref, ref_now) in zip(
-            calls, want
-        ):
-            receivers[index][id(target)] = target
-            assert now == ref_now
-            for got, expect in zip(cols, ref):
-                assert np.array_equal(got, expect)
-            if sink != "udp":
-                assert writeable == [False] * 4
-        # One sink object per plan entry, the path sink parallel when
-        # workers are set.
-        path, cong = (list(r.values()) for r in receivers)
-        assert len(path) == len(cong) == 1 and path[0] is not cong[0]
+        # One sink object per plan entry, the path sink first in every
+        # block, and parallel when workers are set.
+        targets = []
+        for target, _ in calls:
+            if all(target is not seen for seen in targets):
+                targets.append(target)
+        assert len(targets) == 2
         if sink == "workers2":
-            assert isinstance(path[0], ParallelCollector)
+            assert isinstance(targets[0], ParallelCollector)
+        for index, target in enumerate(targets):
+            runs = [run for to, run in calls if to is target]
+            ref = [call for call in want if call[0] == index]
+            got = [batch for run in runs for batch in run]
+            assert len(got) == len(ref)
+            for (cols, writeable, now), (_, _, expect, ref_now) in zip(
+                got, ref
+            ):
+                assert now == ref_now
+                for column, column_ref in zip(cols, expect):
+                    assert np.array_equal(column, column_ref)
+                if sink != "udp":
+                    assert writeable == [False] * 4
+            blocks = [batch // per_block for _, batch, _, _ in ref]
+            lengths = (
+                [blocks.count(b) for b in sorted(set(blocks))]
+                if isinstance(target, Collector) else [1] * len(ref)
+            )
+            assert [len(run) for run in runs] == lengths
 
     def test_one_encode_and_one_compress_call_per_block(self, monkeypatch):
         trace = build_trace("incast", packets=6000, seed=1)
