@@ -48,12 +48,7 @@ from repro.collector.consumers import (
     fold_rows,
     sink_store,
 )
-from repro.collector.records import (
-    Column,
-    check_batch,
-    check_record,
-    normalize_batch,
-)
+from repro.collector.records import Column, admit_batch, check_record
 from repro.collector.shard import Shard, ShardRouter, touch_flows
 from repro.collector.snapshot import Snapshot
 from repro.exceptions import CollectorClosedError, RestoreError
@@ -256,10 +251,6 @@ class Collector:
 
     # -- clock -------------------------------------------------------------
 
-    def _tick(self, now: Optional[float], records: int) -> float:
-        """Advance the collector clock (caller time wins when given)."""
-        return self.clock.tick(now, records)
-
     @property
     def now(self) -> float:
         """The collector's current clock reading."""
@@ -280,7 +271,7 @@ class Collector:
         flow_id, pid, hop_count, digest = check_record(
             flow_id, pid, hop_count, digest, self._code_bits
         )
-        t = self._tick(now, 1)
+        t = self.clock.tick(now, 1)
         shard = self.shards[self.router.shard_of(flow_id)]
         row = shard.touch_row(flow_id, t)
         self._store.flow_records[row] += 1
@@ -389,16 +380,13 @@ class Collector:
         """Check one batch and tick the clock for it: ``(fids, pids,
         hops, digests, t)``, or None for an empty batch."""
         with self._sp_group, self._cpu_group:
-            fids, ps, hops, digs = normalize_batch(*columns)
-            n = int(fids.shape[0])
-            if n == 0:
-                return None
-            check_batch(hops, digs, self._code_bits)
-            t = self._tick(now, n)
-        self._m_batch_size.observe(n)
-        self._m_records.inc(n)
-        self._m_batches.inc()
-        return fids, ps, hops, digs, t
+            batch = admit_batch(columns, self._code_bits, self.clock, now)
+        if batch is not None:
+            n = int(batch[0].shape[0])
+            self._m_batch_size.observe(n)
+            self._m_records.inc(n)
+            self._m_batches.inc()
+        return batch
 
     def _fold(self, run) -> None:
         """Fold prepared batches, in order, as one run (see

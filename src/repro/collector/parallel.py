@@ -22,7 +22,7 @@ Data flow::
       on the far side), or a run of continued slots when larger
             ▼
       worker w: takes every whole message waiting in its ring (at
-      most ring_slots, the one-slot views copied) and folds them as
+      most RING_SLOTS, the one-slot views copied) and folds them as
       one run, Collector.ingest_run: one grouping and one peel for
       the run, each batch's clock, touches and shard counters its own
       (full shard layout, only owned shards ever fed)
@@ -99,7 +99,7 @@ from repro.collector.consumers import (
     DigestConsumer,
     sink_store,
 )
-from repro.collector.records import Column, check_batch, normalize_batch
+from repro.collector.records import Column, admit_batch
 from repro.collector.recovery import (
     BatchJournal,
     capture_checkpoint,
@@ -112,6 +112,7 @@ from repro.collector.snapshot import RecoveryStats, Snapshot
 from repro.exceptions import (
     CheckpointError,
     CollectorClosedError,
+    DeferredFailures,
     RecoveryError,
     WorkerFailedError,
 )
@@ -137,6 +138,44 @@ _SNAPSHOT, _LEN, _EXPIRE, _EVICT, _DRAIN, _STOP, _FLOWS, _ANSWERS, \
 #: raises :class:`~repro.exceptions.RecoveryError` (a worker dying in
 #: a tight loop is a bug, not an outage to paper over).
 MAX_RESTARTS = 8
+
+#: Every worker ring's slots and records per slot (checked by
+#: :meth:`ShmRing.create`): one slot holds a worker's share of any
+#: replay batch, so a message is copied out only when a run needs it.
+RING_SLOTS = 8
+RING_RECORDS = 16384
+
+
+def check_settings(
+    workers: Optional[int],
+    num_shards: int,
+    checkpoint_every: Optional[int] = None,
+    journal_batches: Optional[int] = None,
+    faults=None,
+) -> None:
+    """The settings rules of a parallel sink, for every caller that
+    builds one (``workers=None``: a serial sink, whose supervision
+    settings must still agree with each other)."""
+    for name, value in (
+        ("workers", workers), ("checkpoint_every", checkpoint_every),
+        ("journal_batches", journal_batches),
+    ):
+        if value is not None and value < 1:
+            raise ValueError(f"{name} must be >= 1")
+    if checkpoint_every is None and (
+        journal_batches is not None or faults is not None
+    ):
+        raise ValueError(
+            "journal_batches/faults require checkpoint_every "
+            "(supervision): without checkpoints there is nothing "
+            "to recover a worker to"
+        )
+    if workers is not None and workers > num_shards:
+        raise ValueError(
+            f"workers ({workers}) must not exceed num_shards "
+            f"({num_shards}): a worker with no shard never sees a "
+            "record"
+        )
 
 
 class _WorkerDied(RuntimeError):
@@ -174,10 +213,8 @@ def _worker_main(
     admission walk, TTL sweep -- runs exactly as it would in a
     single-process collector.
 
-    A failure while applying a fire-and-forget batch cannot be raised
-    at the sender immediately; it is parked and returned as the reply
-    to the next synchronous command, so no error is ever silent past a
-    ``drain()``.
+    A fire-and-forget batch's failure is parked in a
+    :class:`DeferredFailures` ledger and is the next sync reply.
 
     Observability: with ``obs_enabled`` the worker runs its private
     collector over a private :class:`MetricsRegistry` labelled
@@ -219,34 +256,7 @@ def _worker_main(
     if restore is not None:
         restore_collector(col, restore, worker=worker_id)
     owned_set = frozenset(owned)
-    # Every fire-and-forget failure is parked (bounded: distinct root
-    # causes matter, the ten-thousandth repeat does not) and the whole
-    # batch is delivered at the next sync command, so fixing the first
-    # error never hides that later batches failed differently.
-    pending_errors: List[str] = []
-    suppressed_errors = 0
-
-    def pop_errors() -> Optional[str]:
-        nonlocal suppressed_errors
-        if not pending_errors:
-            return None
-        text = "\n".join(pending_errors)
-        if suppressed_errors:
-            text += (
-                f"\n... and {suppressed_errors} further ingest "
-                "failure(s) suppressed"
-            )
-        pending_errors.clear()
-        suppressed_errors = 0
-        return text
-
-    def park() -> None:
-        """Keep the failure being handled for the next sync reply."""
-        nonlocal suppressed_errors
-        if len(pending_errors) < 8:
-            pending_errors.append(traceback.format_exc())
-        else:
-            suppressed_errors += 1
+    failures = DeferredFailures("deferred ingest failure(s) in worker")
 
     def fold(data) -> None:
         """Fold ``data`` and every whole message behind it as one run.
@@ -264,9 +274,9 @@ def _worker_main(
                 break
             run.append((data.columns, data.t))
         try:
-            col.ingest_run(run, park)
+            col.ingest_run(run, failures.park)
         except Exception:
-            park()
+            failures.park()
         finally:
             # Count attempts, not successes: the parent's sent
             # counter has no idea a batch failed, and the backlog
@@ -304,11 +314,7 @@ def _worker_main(
             # Parked batch failures ride the next sync reply -- the
             # stop reply included: it is the last chance to surface
             # them before they die with the worker.
-            err = pop_errors()
-            if err is not None:
-                raise WorkerFailedError(
-                    f"deferred ingest failure(s) in worker:\n{err}"
-                )
+            failures.raise_pending()
             if op == _SNAPSHOT:
                 reply = Snapshot(
                     taken_at=col.now,
@@ -378,13 +384,9 @@ class ParallelCollector:
     workers:
         Worker process count; shards are assigned round-robin
         (``shard_id % workers``), so ``workers`` must not exceed
-        ``num_shards`` (an idle worker would own nothing).
-    ring_slots / ring_records:
-        Shm-ring geometry: slots per ring (>= 2; generalised double
-        buffering) and records per slot.  A sub-batch over
-        ``ring_records`` records spans several slots and is copied out
-        on the worker -- size it to the scatter's per-worker sub-batch
-        (``batch / workers``-ish) to keep every message zero-copy.
+        ``num_shards`` (an idle worker would own nothing).  Each
+        worker's ring has the module's :data:`RING_SLOTS` x
+        :data:`RING_RECORDS` geometry.
     obs:
         Optional :class:`~repro.obs.metrics.MetricsRegistry`.  The
         parent registers scatter/drain spans, per-worker sent-batch
@@ -431,8 +433,6 @@ class ParallelCollector:
         # Accepted only because bench/stageloop.py:148 (frozen) passes
         # it; delete with that call in the next benchmark PR.
         transport: str = "shm",
-        ring_slots: int = 8,
-        ring_records: int = 16384,
         obs=None,
         obs_labels: Optional[dict] = None,
         checkpoint_every: Optional[int] = None,
@@ -440,36 +440,15 @@ class ParallelCollector:
         faults=None,
         wedge_timeout: Optional[float] = None,
     ) -> None:
-        if workers < 1:
-            raise ValueError("workers must be >= 1")
-        if checkpoint_every is not None and checkpoint_every < 1:
-            raise ValueError("checkpoint_every must be >= 1")
-        if checkpoint_every is None and (
-            journal_batches is not None or faults is not None
-        ):
-            raise ValueError(
-                "journal_batches/faults require checkpoint_every "
-                "(supervision): without checkpoints there is nothing "
-                "to recover a worker to"
-            )
-        if journal_batches is not None and journal_batches < 1:
-            raise ValueError("journal_batches must be >= 1")
-        if workers > num_shards:
-            raise ValueError(
-                f"workers ({workers}) must not exceed num_shards "
-                f"({num_shards}): a worker with no shard never sees a "
-                "record"
-            )
+        check_settings(
+            workers, num_shards, checkpoint_every, journal_batches, faults
+        )
         if transport != "shm":
             raise ValueError(
                 f"transport must be 'shm', got {transport!r}: the pipe "
                 "data plane was removed in PR 14 (the ring is the only "
                 "carrier of batch data)"
             )
-        if ring_slots < 2:
-            raise ValueError("ring_slots must be >= 2 (double buffering)")
-        if ring_records < 1:
-            raise ValueError("ring_records must be >= 1")
         self.workers = workers
         self.num_shards = num_shards
         self.router = ShardRouter(num_shards, seed)
@@ -480,8 +459,6 @@ class ParallelCollector:
         #: worker folds part of a batch another one refuses.
         self._code_bits = sink_store(consumer_factory)[0].code_bits
         self._ctx = mp.get_context("fork")
-        self._ring_slots = ring_slots
-        self._ring_records = ring_records
         #: One ShmRing per worker, created with it.
         self._rings: List[ShmRing] = []
         self.clock = IngestClock()
@@ -615,7 +592,7 @@ class ParallelCollector:
         process, ring, applied counter)`` for the caller to install; a
         fork that fails unlinks the fresh ring before raising.
         """
-        ring = ShmRing.create(self._ring_slots, self._ring_records)
+        ring = ShmRing.create(RING_SLOTS, RING_RECORDS)
         try:
             parent_conn, child_conn = self._ctx.Pipe(duplex=True)
             counter = self._ctx.Value("L", applied, lock=False)
@@ -623,7 +600,8 @@ class ParallelCollector:
                 target=_worker_main,
                 args=(
                     child_conn, *self._spec,
-                    list(range(w, self.num_shards, self.workers)),
+                    [s for s in range(self.num_shards)
+                     if self._worker_of(s) == w],
                     w, self.obs.enabled, counter, self._obs_labels,
                     restore, ring.spec(),
                 ),
@@ -903,8 +881,10 @@ class ParallelCollector:
         requests = dict.fromkeys(range(self.workers), msg)
         return list(self._gather(requests).values())
 
-    def _owner(self, flow_id: int) -> int:
-        return self.router.shard_of(flow_id) % self.workers
+    def _worker_of(self, shard_ids):
+        """The worker owning each shard (one id or an array of them):
+        round-robin, the one ownership rule."""
+        return shard_ids % self.workers
 
     # -- worker loss: recover or raise -------------------------------------
 
@@ -1145,18 +1125,17 @@ class ParallelCollector:
         supervised.
         """
         self._check_open()
-        fids, ps, hops, digs = normalize_batch(
-            flow_ids, pids, hop_counts, digests
+        batch = admit_batch(
+            (flow_ids, pids, hop_counts, digests), self._code_bits,
+            self.clock, now,
         )
-        n = int(fids.shape[0])
-        if n == 0:
+        if batch is None:
             return 0
-        check_batch(hops, digs, self._code_bits)
-        t = self.clock.tick(now, n)
+        fids, ps, hops, digs, t = batch
         with self._sp_scatter:
             self._reap()
             sids = self.router.shard_of_array(fids)
-            wids = sids % self.workers
+            wids = self._worker_of(sids)
             for w in range(self.workers):
                 mask = wids == w
                 if not mask.any():
@@ -1165,7 +1144,7 @@ class ParallelCollector:
                 if self._supervised:
                     self._journal(w, msg, sids[mask])
                 self._post(w, msg)
-        return n
+        return int(fids.shape[0])
 
     # -- queries -----------------------------------------------------------
 
@@ -1187,7 +1166,7 @@ class ParallelCollector:
                 )
             else:
                 ids = np.unique(np.asarray(flow_ids, dtype=np.int64))
-                owners = self.router.shard_of_array(ids) % self.workers
+                owners = self._worker_of(self.router.shard_of_array(ids))
                 requests = {
                     w: (_ANSWERS, ids[owners == w])
                     for w in np.unique(owners).tolist()
@@ -1222,7 +1201,7 @@ class ParallelCollector:
         if not ids:
             return out
         by_worker: Dict[int, list] = {}
-        owners = self.router.shard_of_array(np.asarray(ids)) % self.workers
+        owners = self._worker_of(self.router.shard_of_array(np.asarray(ids)))
         for pos, (fid, w) in enumerate(zip(ids, owners.tolist())):
             by_worker.setdefault(w, []).append((pos, fid))
         replies = self._gather({
@@ -1255,7 +1234,8 @@ class ParallelCollector:
     def evict(self, flow_id: int) -> bool:
         """Drop one flow's state on its owner worker."""
         self._check_open()
-        return self._call(self._owner(flow_id), (_EVICT, flow_id))
+        w = self._worker_of(self.router.shard_of(flow_id))
+        return self._call(w, (_EVICT, flow_id))
 
     def snapshot(self) -> Snapshot:
         """Point-in-time metrics, merged across all workers.

@@ -59,57 +59,35 @@ def check_record(
 ) -> Tuple[int, int, int, int]:
     """One scalar record through the front door: every field a 64-bit
     integer (:func:`int64_field`), then the range rules of
-    :func:`check_batch`.  Returns the fields as ``int``."""
+    :func:`check_ranges`.  Returns the fields as ``int``."""
     fid, p, hops, dig = (
         int64_field(value, name) for value, name in
         zip((flow_id, pid, hop_count, digest), TelemetryRecord._fields)
     )
-    check_hop_range(hops, hops)
-    if code_bits is not None:
-        check_code_range(dig, dig, code_bits)
+    check_ranges(hops, hops, dig, dig, code_bits)
     return fid, p, hops, dig
 
 
-def check_batch(
-    hop_counts: np.ndarray, digests: np.ndarray, code_bits: Optional[int]
+def check_ranges(
+    hop_lo: int, hop_hi: int, code_lo: int, code_hi: int,
+    code_bits: Optional[int],
 ) -> None:
-    """The range rules of a normalised, non-empty batch: hop counts in
-    ``[1, MAX_HOPS]`` and, on a sink whose flows hold ``code_bits``-bit
-    codes, every digest a code.  Run before the clock ticks or any
-    table is touched, so a rejected batch leaves the sink as it was."""
-    check_hop_range(int(hop_counts.min()), int(hop_counts.max()))
-    if code_bits is not None:
-        check_code_range(int(digests.min()), int(digests.max()), code_bits)
-
-
-def check_hop_range(lowest: int, highest: int) -> None:
-    """Reject hop counts outside ``[1, MAX_HOPS]`` at the front door.
-
-    Called with the extremes of a batch's hop column (or one record's
-    count twice) before the clock ticks or any table is touched, so a
-    rejected batch leaves the sink exactly as it was.  Not part of
-    :func:`normalize_batch`: the wire codec shares that and carries
-    arbitrary ``int64`` columns.
-    """
-    if lowest < 1 or highest > MAX_HOPS:
+    """The front door's range rules, on the extremes of a batch's
+    columns (or one record's fields twice), before the clock ticks:
+    hop counts in ``[1, MAX_HOPS]`` and, on a sink whose flows hold
+    ``code_bits``-bit codes, every digest an exponent of its codec
+    grid (one past the top decodes beyond ``max_util``).  Not in
+    :func:`normalize_batch`, which the wire codec shares for arbitrary
+    ``int64`` columns."""
+    if hop_lo < 1 or hop_hi > MAX_HOPS:
         raise ValueError(
             f"hop counts must lie in [1, {MAX_HOPS}], got "
-            f"{lowest}..{highest}: batch rejected"
+            f"{hop_lo}..{hop_hi}: batch rejected"
         )
-
-
-def check_code_range(lowest: int, highest: int, bits: int) -> None:
-    """Reject congestion codes outside ``[0, 2**bits)`` at the front door.
-
-    A code is an exponent of the sink's codec grid; one past the top
-    would decode to a utilisation beyond ``max_util`` (and, far enough
-    out, overflow the decode).  Called like :func:`check_hop_range`,
-    before the clock ticks, on a sink whose flows hold codes.
-    """
-    if lowest < 0 or highest >= 1 << bits:
+    if code_bits is not None and (code_lo < 0 or code_hi >= 1 << code_bits):
         raise ValueError(
-            f"congestion codes must lie in [0, {(1 << bits) - 1}], got "
-            f"{lowest}..{highest}: batch rejected"
+            f"congestion codes must lie in [0, {(1 << code_bits) - 1}], "
+            f"got {code_lo}..{code_hi}: batch rejected"
         )
 
 
@@ -153,3 +131,23 @@ def normalize_batch(
             f"shapes {fids.shape}/{ps.shape}/{hops.shape}/{digs.shape}"
         )
     return fids, ps, hops, digs
+
+
+def admit_batch(columns, code_bits: Optional[int], clock, now):
+    """One columnar batch through the front door of either collector.
+
+    Normalises ``columns`` (:func:`normalize_batch`), drops an empty
+    batch (None: the clock does not tick), range-checks the rest
+    (:func:`check_ranges`) and only then ticks ``clock`` (an
+    :class:`~repro.collector.collector.IngestClock`) for its records.
+    Returns ``(fids, pids, hops, digests, t)``.
+    """
+    fids, ps, hops, digs = normalize_batch(*columns)
+    n = int(fids.shape[0])
+    if n == 0:
+        return None
+    codes = (0, 0) if code_bits is None else (
+        int(digs.min()), int(digs.max())
+    )
+    check_ranges(int(hops.min()), int(hops.max()), *codes, code_bits)
+    return fids, ps, hops, digs, clock.tick(now, n)

@@ -34,20 +34,22 @@ One writer per field, int64 stores are single machine words on every
 platform we run on, and the seq/consumed pair brackets every payload
 access, so no torn read is ever acted on.
 
-Messages and the continuation rule: a message is one columnar batch
-for ``Collector.ingest_batch``, carried as a run of consecutive slots,
-every slot but the last flagged ``more``, each repeating the message's
-clock stamp ``t``.  :meth:`ShmRing.push` splits a message longer than
-a slot into such a run; :meth:`ShmRing.take` hands back whole
-messages only.  One producer writes one slot sequence, so messages
-arrive in push order with nothing able to overtake them.
+Messages and the continuation rule: a message is one columnar batch,
+folded by the worker as one batch of a ``Collector.ingest_run`` run,
+and carried as a run of consecutive slots, every slot but the last
+flagged ``more``, each repeating the message's clock stamp ``t``.
+:meth:`ShmRing.push` splits a message longer than a slot into such a
+run; :meth:`ShmRing.take` hands back whole messages only.  One
+producer writes one slot sequence, so messages arrive in push order
+with nothing able to overtake them.
 
 Zero-copy safety: a single-slot message comes back as views over its
-slot, released at the next ``take()``; consumers never retain batch
-views past ``Collector.ingest_batch`` (its lexsort grouping gathers
-with fancy indexing, which copies).  A longer message is copied out
-slot by slot, each slot released as soon as it is copied, so a
-message larger than the whole ring still flows under back-pressure.
+slot, released at the next ``take()``, so the worker copies it before
+taking the next message of its run; the fold retains no view (its
+:func:`repro.grouping.stable_order` grouping gathers with fancy
+indexing, which copies).  A longer message is copied out slot by
+slot, each slot released as soon as it is copied, so a message larger
+than the whole ring still flows under back-pressure.
 
 This is the only module allowed to *create* shared-memory segments
 (lint rule R008 confines ``SharedMemory(create=True)`` here): one
@@ -152,7 +154,7 @@ class ShmRing:
     # -- construction ------------------------------------------------------
 
     @classmethod
-    def create(cls, slots: int = 8, slot_records: int = 16384) -> "ShmRing":
+    def create(cls, slots: int, slot_records: int) -> "ShmRing":
         """Parent side: allocate a fresh segment (auto-named)."""
         if slots < 2:
             # Two slots is the double-buffering floor: the producer

@@ -1,6 +1,8 @@
 """Exception hierarchy for the PINT reproduction library."""
 
-from typing import Optional
+import threading
+import traceback
+from typing import List, Optional
 
 
 class ReproError(Exception):
@@ -104,3 +106,46 @@ class CheckpointVersionError(CheckpointError):
 class RestoreError(RecoveryError):
     """A checkpoint decoded fine but could not be installed into a
     live collector (layout mismatch: shard count, clock mode, ...)."""
+
+
+class DeferredFailures:
+    """Failures of fire-and-forget work, held for the next sync point.
+
+    A front door that takes batches without waiting (a parallel
+    collector's worker, the service's ingest thread) cannot raise a
+    batch's failure at its sender: it parks it here and raises it at
+    the next barrier, so no error is silent past a ``drain()``.  The
+    first :attr:`LIMIT` are kept whole -- fixing the first never hides
+    that later batches failed differently -- and the rest counted.
+    Parking and raising may run on two threads: both hold the lock.
+    """
+
+    LIMIT = 8
+
+    def __init__(self, prefix: str) -> None:
+        #: The owner's first line of every raised error.
+        self.prefix = prefix
+        self._lock = threading.Lock()
+        self._texts: List[str] = []
+        self._suppressed = 0
+
+    def park(self, text: Optional[str] = None) -> None:
+        """Keep one failure: ``text``, or the exception being handled."""
+        with self._lock:
+            if len(self._texts) < self.LIMIT:
+                self._texts.append(text or traceback.format_exc())
+            else:
+                self._suppressed += 1
+
+    def raise_pending(self) -> None:
+        """Raise every parked failure as one :class:`WorkerFailedError`
+        and empty the ledger (nothing to raise: return)."""
+        with self._lock:
+            texts, suppressed = self._texts, self._suppressed
+            self._texts, self._suppressed = [], 0
+        if suppressed:
+            texts.append(
+                f"... and {suppressed} further ingest failure(s) suppressed"
+            )
+        if texts:
+            raise WorkerFailedError(f"{self.prefix}:\n" + "\n".join(texts))

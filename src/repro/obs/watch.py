@@ -201,19 +201,18 @@ class Watcher:
                 "  queue depth "
                 f"{depth['samples'][0]['value']:>12,.0f} frames"
             )
-        spans = families.get("pint_collector_consume_seconds")
-        group = families.get("pint_collector_group_seconds")
-        if spans or group:
-            parts = []
-            for label, fam in (("group", group), ("consume", spans)):
-                if not fam:
-                    continue
+        # Per batch, not per span: one run of several batches enters
+        # each stage a number of times that follows neither count.
+        batches = families.get("pint_collector_batches_total")
+        n = sum(s["value"] for s in batches["samples"]) if batches else 0
+        parts = []
+        for label in ("group", "consume"):
+            fam = families.get(f"pint_collector_{label}_seconds")
+            if fam and n:
                 total = sum(s["sum"] for s in fam["samples"])
-                n = sum(s["count"] for s in fam["samples"])
-                if n:
-                    parts.append(f"{label} {total / n * 1e3:.2f}ms/batch")
-            if parts:
-                lines.append("  stages: " + "  ".join(parts))
+                parts.append(f"{label} {total / n * 1e3:.2f}ms/batch")
+        if parts:
+            lines.append("  stages: " + "  ".join(parts))
         return lines
 
     # -- the loop ----------------------------------------------------------

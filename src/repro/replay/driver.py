@@ -42,6 +42,7 @@ from repro.collector import (
     congestion_consumer_factory,
     path_consumer_factory,
 )
+from repro.collector.parallel import check_settings
 from repro.core.plan import ExecutionPlan, PlanEntry
 from repro.core.query import AggregationType, Query
 from repro.core.values import MetadataType
@@ -362,14 +363,6 @@ class ReplayDriver:
         self.impairments: List[ImpairmentModel] = (
             list(impairments) if impairments is not None else []
         )
-        if workers is not None and workers < 1:
-            raise ValueError("workers must be >= 1 (or None for serial)")
-        if workers is not None and workers > num_shards:
-            raise ValueError(
-                f"workers ({workers}) must not exceed num_shards "
-                f"({num_shards}): a worker owns at least one shard"
-            )
-        self.workers = workers
         if workers is None and (
             checkpoint_every is not None or faults is not None
         ):
@@ -378,14 +371,10 @@ class ReplayDriver:
                 "and worker fault injection only exist on the "
                 "ParallelCollector path sink"
             )
-        if checkpoint_every is None and (
-            journal_batches is not None or faults is not None
-        ):
-            raise ValueError(
-                "journal_batches/faults require checkpoint_every "
-                "(supervision): without checkpoints there is nothing "
-                "to recover a worker to"
-            )
+        check_settings(
+            workers, num_shards, checkpoint_every, journal_batches, faults
+        )
+        self.workers = workers
         self.checkpoint_every = checkpoint_every
         self.journal_batches = journal_batches
         self.faults = faults

@@ -70,7 +70,7 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.collector.snapshot import ServiceStats, Snapshot
-from repro.exceptions import ReproError, WorkerFailedError
+from repro.exceptions import DeferredFailures, ReproError
 from repro.obs.metrics import NULL_REGISTRY, SIZE_BUCKETS, merge_metrics
 from repro.obs.prom import MetricsHTTPServer
 from repro.service import wire
@@ -198,8 +198,8 @@ class CollectorServer:
         self._stats_lock = threading.Lock()
         self._counters = {f.name: 0 for f in
                           dataclasses.fields(ServiceStats)}
-        self._ingest_errors: List[str] = []
-        self._suppressed_errors = 0
+        #: Batches the collector refused, raised at the next barrier.
+        self._failures = DeferredFailures("service ingest failed")
 
         self._stopping = threading.Event()
         self._started = False
@@ -359,7 +359,7 @@ class CollectorServer:
             deadline.sleep()
         with self._lock:
             self.collector.drain()
-        self._raise_ingest_errors()
+        self._failures.raise_pending()
 
     def wait_for_records(self, n: int, timeout: float = 30.0) -> None:
         """Block until ``n`` records have been ingested (or time out).
@@ -375,7 +375,7 @@ class CollectorServer:
         self._check_open()
         deadline = _Deadline(timeout)
         while True:
-            self._raise_ingest_errors()
+            self._failures.raise_pending()
             with self._stats_lock:
                 got = self._counters["records_ingested"]
             if got >= n:
@@ -386,7 +386,7 @@ class CollectorServer:
                     "arrived (lost datagrams, or a stalled sender)"
                 )
             deadline.sleep()
-        self._raise_ingest_errors()
+        self._failures.raise_pending()
 
     def close(self, close_collector: bool = False, timeout: float = 30.0) -> None:
         """Graceful drain-then-close (idempotent).
@@ -394,7 +394,8 @@ class CollectorServer:
         Stops accepting new frames (the data socket is shut down,
         which wakes the listener blocked on it), folds everything
         already admitted, joins the threads, and re-raises any
-        deferred ingest failure -- nothing admitted is ever silently
+        deferred ingest failure, the collector's own drain and close
+        failures included -- nothing admitted is ever silently
         discarded.  The
         wrapped collector is left open unless ``close_collector`` is
         set (the caller may still be scoring its flows).
@@ -418,11 +419,19 @@ class CollectorServer:
             self._query_server.close()
         if self._metrics_server is not None:
             self._metrics_server.close()
+        # A collector that fails its drain is still closed when asked
+        # (a parallel one's workers must not outlive the server), and
+        # its failure joins the server's own in one error.
+        steps = [self.collector.drain]
+        if close_collector:
+            steps.append(self.collector.close)
         with self._lock:
-            self.collector.drain()
-            if close_collector:
-                self.collector.close()
-        self._raise_ingest_errors()
+            for step in steps:
+                try:
+                    step()
+                except Exception as exc:
+                    self._failures.park(f"{type(exc).__name__}: {exc}")
+        self._failures.raise_pending()
 
     # -- checkpoint/restore ------------------------------------------------
 
@@ -481,18 +490,6 @@ class CollectorServer:
             raise ServiceError("server is closed")
         if not self._started:
             raise ServiceError("server is not started (call start())")
-
-    def _raise_ingest_errors(self) -> None:
-        with self._stats_lock:
-            if not self._ingest_errors:
-                return
-            text = "\n".join(self._ingest_errors)
-            if self._suppressed_errors:
-                text += (f"\n... and {self._suppressed_errors} further "
-                         "ingest failure(s) suppressed")
-            self._ingest_errors = []
-            self._suppressed_errors = 0
-        raise WorkerFailedError(f"service ingest failed:\n{text}")
 
     def __enter__(self) -> "CollectorServer":
         return self.start()
@@ -664,13 +661,7 @@ class CollectorServer:
                     fids, pids, hops, digs, now=last.now
                 )
         except Exception as exc:
-            with self._stats_lock:
-                if len(self._ingest_errors) < 8:
-                    self._ingest_errors.append(
-                        f"{type(exc).__name__}: {exc}"
-                    )
-                else:
-                    self._suppressed_errors += 1
+            self._failures.park(f"{type(exc).__name__}: {exc}")
             return
         with self._stats_lock:
             self._counters["records_ingested"] += int(n)

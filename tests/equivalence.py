@@ -69,7 +69,9 @@ from repro.collector import (
     congestion_consumer_factory,
     path_consumer_factory,
 )
+from repro.collector import parallel as parallel_module
 from repro.collector.answers import PATH
+from repro.collector.shm import ShmRing
 from repro.faults import FaultPlan, drop_checkpoint, kill_worker, wedge_worker
 from repro.obs import MetricsRegistry
 from repro.replay import driver as driver_module
@@ -129,8 +131,10 @@ PACKETS = {8192: 9_600, 64: 2_560}
 
 #: ``ring="tiny"``: two slots put back-pressure on every push, and a
 #: 48-record slot splits any larger sub-batch into a run of continued
-#: slots that the worker reassembles.
-TINY_RING = dict(ring_slots=2, ring_records=48)
+#: slots that the worker reassembles.  Values of
+#: :mod:`repro.collector.parallel`'s geometry constants, patched in
+#: before the sinks fork.
+TINY_RING = dict(RING_SLOTS=2, RING_RECORDS=48)
 
 #: Records per UDP frame: every batch fragments into ``FLAG_MORE`` runs.
 UDP_FRAME_RECORDS = 32
@@ -565,15 +569,29 @@ def run(config: Config) -> dict:
     driver.scalar = config.scalar
     # What the driver has no knob for goes in through the constructors
     # it calls.  A wedge is noticed by timeout only.
-    sink_kwargs = dict(TINY_RING if config.ring == "tiny" else {})
+    sink_kwargs = {}
     if config.fault == "wedge":
         sink_kwargs["wedge_timeout"] = 0.25
+    geometry = TINY_RING if config.ring == "tiny" else dict(
+        RING_SLOTS=parallel_module.RING_SLOTS,
+        RING_RECORDS=parallel_module.RING_RECORDS,
+    )
+    #: ``(slots, slot_records, records)`` of every message pushed.
+    pushes = []
+
+    def push(ring, fids, *rest):
+        pushes.append((ring.slots, ring.slot_records, int(fids.shape[0])))
+        return ring_push(ring, fids, *rest)
+
+    ring_push = ShmRing.push
     with mock.patch.object(
         driver_module, "ParallelCollector",
         partial(ParallelCollector, **sink_kwargs),
     ), mock.patch.object(
         driver_module, "ReliableUDPSender",
         partial(ReliableUDPSender, max_records=UDP_FRAME_RECORDS),
+    ), mock.patch.multiple(parallel_module, **geometry), mock.patch.object(
+        ShmRing, "push", push,
     ):
         report = asdict(driver.replay(trace))
     for clock in CLOCKS:
@@ -590,6 +608,17 @@ def run(config: Config) -> dict:
         sent = report["wire_frames"] - report["wire_retransmits"]
         assert sent > driver.shipped, config.name
     assert bool(report["impairments"]) == bool(models), config.name
+    # Every message crossed a ring of the configured geometry (a sink
+    # built with its own would override the patch above without a
+    # word), and where a worker's share of a batch outgrows the whole
+    # ring, some message did: it spanned every slot and flowed only as
+    # the worker freed them.
+    slots, records = geometry["RING_SLOTS"], geometry["RING_RECORDS"]
+    assert {push[:2] for push in pushes} == (
+        {(slots, records)} if config.workers else set()
+    ), config.name
+    if config.workers and config.batch // config.workers > slots * records:
+        assert max(n for *_, n in pushes) > slots * records, config.name
     if config.obs:
         assert "pint_replay_stage_seconds" in driver.obs.as_dict()["families"]
     if knobs:

@@ -98,6 +98,7 @@ def test_sink_side_generality_without_a_caller_is_gone():
 def test_parallel_collector_constructor_knobs():
     # The router is always ShardRouter(num_shards, seed), the restart
     # budget is MAX_RESTARTS, and a journal overflow always degrades.
+    import repro.collector.parallel as parallel
     import repro.exceptions as exceptions
 
     assert params(ParallelCollector) == {
@@ -105,10 +106,12 @@ def test_parallel_collector_constructor_knobs():
         "max_flows_per_shard", "ttl", "seed",
         # One legal value ("shm"); kept for the frozen bench caller.
         "transport",
-        "ring_slots", "ring_records", "obs", "obs_labels",
+        "obs", "obs_labels",
         "checkpoint_every", "journal_batches", "faults", "wedge_timeout",
     }
     assert not hasattr(exceptions, "JournalOverflowError")
+    # Ring geometry is the module's RING_SLOTS x RING_RECORDS.
+    assert (parallel.RING_SLOTS, parallel.RING_RECORDS) == (8, 16384)
 
 
 def test_collector_constructor_knobs():
@@ -135,12 +138,12 @@ def test_service_constructor_knobs():
     }
 
 
-def test_sink_surface_is_54_names():
+def test_sink_surface_is_52_names():
     from repro.service import CollectorServer, ReliableUDPSender
 
     classes = (Collector, ParallelCollector, ReplayDriver,
                CollectorServer, ReliableUDPSender)
-    assert sum(len(params(cls)) for cls in classes) == 54
+    assert sum(len(params(cls)) for cls in classes) == 52
 
 
 def test_answers_is_one_signature_on_both_collectors():

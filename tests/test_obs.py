@@ -536,6 +536,39 @@ class TestWatcher:
         assert "stages:" in out.getvalue()
         assert "consume" in out.getvalue()
 
+    def test_stage_timings_are_per_batch(self):
+        # One run of four batches enters the group stage five times
+        # (each batch's check, then the run's grouping) and the consume
+        # stage twice: "ms/batch" divides by the batches counted.
+        obs = MetricsRegistry()
+        trace = build_trace("hadoop", packets=20_000, seed=3)
+        coll = Collector(
+            path_consumer_factory(trace.universe, digest_bits=8,
+                                  num_hashes=1, seed=3),
+            num_shards=2, seed=3, obs=obs,
+        )
+        from repro.replay import TraceDataplane
+        import numpy as np
+        dp = TraceDataplane(trace, digest_bits=8, num_hashes=1, seed=3)
+        digests = dp.encode_rows(np.arange(len(trace), dtype=np.int64))
+        quarter = len(trace) // 4
+        coll.ingest_run([
+            ((trace.flow_id[lo:lo + quarter], trace.pid[lo:lo + quarter],
+              trace.hop_counts[lo:lo + quarter], digests[lo:lo + quarter]),
+             float(i + 1))
+            for i, lo in enumerate(range(0, 4 * quarter, quarter))
+        ])
+        metrics = obs.as_dict()
+        families = metrics["families"]
+        assert families["pint_collector_batches_total"]["samples"][0][
+            "value"] == 4
+        text = "\n".join(Watcher(interval=1.0)._metric_lines(metrics))
+        for label in ("group", "consume"):
+            samples = families[f"pint_collector_{label}_seconds"]["samples"]
+            assert sum(s["count"] for s in samples) != 4
+            total = sum(s["sum"] for s in samples)
+            assert f"{label} {total / 4 * 1e3:.2f}ms/batch" in text
+
     def test_bare_collector_omits_wire_lines(self):
         qs = _watch_fixture()  # no stats_fn, no metrics_fn
         out = io.StringIO()

@@ -40,6 +40,7 @@ from repro.collector import (
     restore_collector,
     write_checkpoint,
 )
+from repro.collector import parallel
 from repro.collector.parallel import MAX_RESTARTS
 from repro.collector.recovery import (
     BatchJournal,
@@ -604,7 +605,7 @@ class TestSupervisedRecovery:
 def owned_flow(par, worker, start=1):
     """The first flow id >= ``start`` that ``worker`` owns."""
     fid = start
-    while par._owner(fid) != worker:
+    while par._worker_of(par.router.shard_of(fid)) != worker:
         fid += 1
     return fid
 
@@ -683,13 +684,14 @@ class TestWorkerLossMidRpc:
             par.close(timeout=5.0)
         assert time.monotonic() - start < 10.0
 
-    def test_unsupervised_wedge_timeout_bounds_every_wait(self):
+    def test_unsupervised_wedge_timeout_bounds_every_wait(self, monkeypatch):
         # The bug: a SIGSTOPped worker is alive, so a blocking recv (or
         # a full-ring spin) waited on it forever.  wedge_timeout alone
         # now bounds drain(), flows() and the push, and names the worker.
+        monkeypatch.setattr(parallel, "RING_SLOTS", 2)
         par = ParallelCollector(
             congestion_consumer_factory(), workers=2, num_shards=4,
-            wedge_timeout=0.5, ring_slots=2,
+            wedge_timeout=0.5,
         ).start()
         victim = par._procs[0]
         fid = owned_flow(par, 0)
@@ -710,13 +712,16 @@ class TestWorkerLossMidRpc:
             os.kill(victim.pid, signal.SIGCONT)
             par.close(timeout=5.0)
 
-    def test_unsupervised_wedge_timeout_bounds_a_batch_larger_than_the_ring(self):
+    def test_unsupervised_wedge_timeout_bounds_a_batch_larger_than_the_ring(
+        self, monkeypatch
+    ):
         # 20,000 records are 20 slots of a 8 x 1,024-record ring, and
         # would pickle to more than a pipe buffer holds: the push must
         # give up on the stopped worker after wedge_timeout, not block.
+        monkeypatch.setattr(parallel, "RING_RECORDS", 1024)
         par = ParallelCollector(
             congestion_consumer_factory(), workers=1, num_shards=1,
-            ring_records=1024, wedge_timeout=1.0,
+            wedge_timeout=1.0,
         ).start()
         victim = par._procs[0]
         n = 20_000

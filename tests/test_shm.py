@@ -34,6 +34,7 @@ from repro.collector import (
     congestion_consumer_factory,
     path_consumer_factory,
 )
+from repro.collector import parallel
 from repro.collector.shm import PeerGoneError, RingMessage, ShmRing
 from repro.faults import FaultPlan, kill_worker
 
@@ -241,19 +242,27 @@ class TestShmRing:
 
     def test_create_validation(self):
         with pytest.raises(ValueError):
-            ShmRing.create(slots=1)
+            ShmRing.create(slots=1, slot_records=4)
         with pytest.raises(ValueError):
-            ShmRing.create(slot_records=0)
+            ShmRing.create(slots=2, slot_records=0)
 
 
 # -- transport equivalence ---------------------------------------------------
 
-def run_equivalence(factory, cols, batch=333, **par_kw):
+def ring_geometry(monkeypatch, slots=None, records=None):
+    """Give the rings of collectors built from here on this geometry."""
+    if slots is not None:
+        monkeypatch.setattr(parallel, "RING_SLOTS", slots)
+    if records is not None:
+        monkeypatch.setattr(parallel, "RING_RECORDS", records)
+
+
+def run_equivalence(factory, cols, batch=333):
     serial = Collector(factory(), num_shards=8, seed=1)
     fids, pids, hops, digs = cols
     now = 0.0
     with ParallelCollector(
-        factory(), workers=2, num_shards=8, seed=1, **par_kw
+        factory(), workers=2, num_shards=8, seed=1,
     ) as par:
         for lo in range(0, len(fids), batch):
             hi = min(lo + batch, len(fids))
@@ -273,34 +282,31 @@ def run_equivalence(factory, cols, batch=333, **par_kw):
 
 
 class TestShmTransportEquivalence:
-    def test_tiny_ring_forces_fallback_everywhere(self):
+    def test_tiny_ring_forces_fallback_everywhere(self, monkeypatch):
         # slot_records=16 < every sub-batch: every message of the
         # stream spans slots and is reassembled on the worker, in order.
-        run_equivalence(
-            congestion_factory, make_cols(n=2000), ring_records=16,
-        )
+        ring_geometry(monkeypatch, records=16)
+        run_equivalence(congestion_factory, make_cols(n=2000))
 
-    def test_sub_batch_larger_than_the_whole_ring(self):
+    def test_sub_batch_larger_than_the_whole_ring(self, monkeypatch):
         # 2 slots x 64 records hold 128 records; each worker's share of
         # a 3,000-record batch is ~1,500, so every message outgrows the
         # ring and flows only because the worker frees slots as it
         # copies them out.
-        snap = run_equivalence(
-            path_factory, make_cols(), batch=3000,
-            ring_slots=2, ring_records=64,
-        )
+        ring_geometry(monkeypatch, slots=2, records=64)
+        snap = run_equivalence(path_factory, make_cols(), batch=3000)
         assert all(shard.batches == 1 for shard in snap.shards
                    if shard.records)
 
-    def test_mixed_fit_and_fallback_batches(self):
+    def test_mixed_fit_and_fallback_batches(self, monkeypatch):
         # Alternate batches above/below slot capacity so single-slot
         # and multi-slot messages interleave within one stream.
         factory = congestion_factory
         serial = Collector(factory(), num_shards=8, seed=1)
         fids, pids, hops, digs = make_cols(n=4000)
+        ring_geometry(monkeypatch, records=256)
         with ParallelCollector(
             factory(), workers=2, num_shards=8, seed=1,
-            ring_records=256,
         ) as par:
             lo, now, step = 0, 0.0, 0
             while lo < len(fids):
@@ -337,12 +343,6 @@ class TestShmTransportEquivalence:
         with pytest.raises(ValueError, match="removed in PR 14"):
             ParallelCollector(factory(), workers=2, num_shards=4,
                               transport="pipe")
-        with pytest.raises(ValueError):
-            ParallelCollector(factory(), workers=2, num_shards=4,
-                              ring_slots=1)
-        with pytest.raises(ValueError):
-            ParallelCollector(factory(), workers=2, num_shards=4,
-                              ring_records=0)
 
 
 # -- failure hygiene ---------------------------------------------------------
@@ -382,15 +382,18 @@ class TestShmFailureHygiene:
         finally:
             par.close()
 
-    def test_kill_replays_multi_slot_messages_into_fresh_ring(self):
+    def test_kill_replays_multi_slot_messages_into_fresh_ring(
+        self, monkeypatch
+    ):
         # 16-record slots: every journaled sub-batch (~150 records)
         # spans about ten slots, live and on replay after the kill.
         fids, pids, hops, digs = make_cols()
         serial = Collector(path_factory(), num_shards=8, seed=1)
         plan = FaultPlan([kill_worker(1, at_batch=3)])
+        ring_geometry(monkeypatch, slots=2, records=16)
         with ParallelCollector(
             path_factory(), workers=2, num_shards=8, seed=1,
-            checkpoint_every=4, faults=plan, ring_slots=2, ring_records=16,
+            checkpoint_every=4, faults=plan,
         ) as par:
             for i, lo in enumerate(range(0, len(fids), 300)):
                 hi = lo + 300
@@ -400,6 +403,9 @@ class TestShmFailureHygiene:
                                  digs[lo:hi], now=float(i + 1))
             snap = par.snapshot()
             got = par.answers()
+            # The replacement's fresh ring has the patched geometry too.
+            ring = par._rings[1]
+            assert (ring.slots, ring.slot_records) == (2, 16)
         assert plan.fired == [("kill", "worker=1", 3)]
         assert snap.recovery.restarts == 1
         assert snap.recovery.replayed_batches > 0
