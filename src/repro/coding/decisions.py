@@ -22,11 +22,12 @@ are a pure function of ``(seed, scheme_for(k))``.
 
 from __future__ import annotations
 
-from typing import Callable, List, Tuple
+from typing import Callable, List, Tuple, Union
 
 import numpy as np
 
 from repro.coding.schemes import BASELINE, CodingScheme
+from repro.grouping import distinct
 from repro.hashing import (
     GlobalHash,
     acting_grid,
@@ -79,6 +80,17 @@ class DecisionReplay:
         #: past the slot's own path length.
         self._salt = np.empty((0, 0), dtype=np.uint64)
         self._act = np.empty((0, 0), dtype=np.uint64)
+        #: Per slot: its path length and its layer's index.
+        self._k = np.empty(0, dtype=np.int64)
+        self._layer = np.empty(0, dtype=np.int64)
+        #: The layer indices some slot's Baseline layer sits at.
+        self._base_layers: List[int] = []
+        #: Per (hop - 1, layer index): the fold salt of the layer hash
+        #: at that hop, every hop of the tallest length -- the column a
+        #: reservoir grid broadcasts over all its lanes.
+        self._layer_salt = np.empty((0, 0), dtype=np.uint64)
+        #: Per hop - 1: the reservoir threshold ``1/h``.
+        self._write = np.empty((0, 1), dtype=np.uint64)
 
     # -- tables --------------------------------------------------------------
 
@@ -105,9 +117,17 @@ class DecisionReplay:
         self._first_slot[k] = self.baseline.shape[0]
         self._salt = np.concatenate((self._salt, salt), axis=1)
         self._act = np.concatenate((self._act, act), axis=1)
-        self.baseline = np.concatenate(
-            (self.baseline, [layer.kind == BASELINE for layer in layers])
+        kinds = [layer.kind == BASELINE for layer in layers]
+        self.baseline = np.concatenate((self.baseline, kinds))
+        self._k = np.concatenate((self._k, np.full(len(layers), k)))
+        self._layer = np.concatenate((self._layer, np.arange(len(layers))))
+        self._base_layers = sorted(set(self._base_layers).union(
+            idx for idx, base in enumerate(kinds) if base
+        ))
+        self._layer_salt = np.stack(
+            [g.hop_salts(height) for g in self._g], axis=1
         )
+        self._write = unit_threshold(1.0 / np.arange(1, height + 1))[:, None]
         # The last layer saturates (the scalar walk's fallback), so
         # only the first L-1 partial sums cut.
         cuts = cumulative_thresholds(scheme.shares[:-1])
@@ -132,7 +152,8 @@ class DecisionReplay:
             )
         first = self._first_slot.take(ks)
         if int(first.min()) < 0:
-            for k in np.unique(ks[first < 0]).tolist():
+            missing = distinct(ks[first < 0], self._first_slot.shape[0])[0]
+            for k in missing.tolist():
                 self._tabulate(k)
             first = self._first_slot.take(ks)
         return first
@@ -173,12 +194,47 @@ class DecisionReplay:
         self, pids: np.ndarray, slots: np.ndarray, top: int
     ) -> np.ndarray:
         """The reservoir carrier of every (Baseline) row: the last hop
-        that wrote, as :func:`~repro.hashing.reservoir_carrier`."""
-        out = np.empty(pids.shape[0], dtype=np.int64)
-        for lanes in lane_blocks(pids.shape[0], top):
-            out[lanes] = last_acting(
-                self.acting(pids[lanes], slots[lanes], top)
-            )
+        that wrote, as :func:`~repro.hashing.reservoir_carrier`.
+
+        Hop 1 always writes (its threshold ``2**53`` is above every
+        draw), so the grid holds hops ``2..top`` only, and a lane none
+        of whose later hops writes carries hop 1.  A Baseline layer's
+        salts and its ``1/h`` thresholds are the same in every lane, so
+        the grid broadcasts one column of each -- one per Baseline
+        layer index among the rows, should a scheme place it elsewhere
+        than layer 0 -- and cuts each lane off at its slot's path
+        length.
+        """
+        out = np.ones(pids.shape[0], dtype=np.int64)
+        if top < 2 or not pids.shape[0]:
+            return out
+        pids = pids.astype(np.uint64, copy=False)
+        # The narrowest dtype the hops hold: the cut is a byte compare.
+        narrow = np.min_scalar_type(top)
+        ks = self._k.take(slots).astype(narrow)
+        groups: List[Tuple[int, Union[slice, np.ndarray]]]
+        if len(self._base_layers) == 1:
+            groups = [(self._base_layers[0], slice(None))]
+        else:
+            layer = self._layer.take(slots)
+            groups = [
+                (idx, np.flatnonzero(layer == idx))
+                for idx in self._base_layers
+            ]
+        hops = np.arange(2, top + 1, dtype=narrow)[:, None]
+        for idx, rows in groups:
+            at, lens = pids[rows], ks[rows]
+            if not at.shape[0]:
+                continue
+            salts = self._layer_salt[1:top, idx:idx + 1]
+            cut = int(lens.min()) < top
+            carried = np.ones(at.shape[0], dtype=np.int64)
+            for lanes in lane_blocks(at.shape[0], top - 1):
+                grid = acting_grid(salts, at[lanes], self._write[1:top])
+                if cut:
+                    grid &= hops <= lens[lanes]
+                carried[lanes] += last_acting(grid)
+            out[rows] = carried
         return out
 
     def pairs(

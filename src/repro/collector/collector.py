@@ -52,7 +52,7 @@ from repro.collector.records import Column, admit_batch, check_record
 from repro.collector.shard import Shard, ShardRouter, touch_flows
 from repro.collector.snapshot import Snapshot
 from repro.exceptions import CollectorClosedError, RestoreError
-from repro.grouping import distinct, run_starts, stable_order
+from repro.grouping import distinct, run_starts, sorted_distinct, stable_order
 from repro.obs.metrics import NULL_REGISTRY, SIZE_BUCKETS
 
 
@@ -636,9 +636,7 @@ class Collector:
                 rows = store.live_rows()
                 rows = rows[np.argsort(store.flow_id[rows])]
             else:
-                rows = store.index.find(
-                    np.unique(np.asarray(flow_ids, dtype=np.int64))
-                )
+                rows = store.index.find(sorted_distinct(flow_ids))
                 rows = rows[rows >= 0]
             table = answer_rows(store, rows)
         self._m_answer_rows.inc(len(table))

@@ -88,6 +88,7 @@ import multiprocessing as mp
 import os
 import time
 import traceback
+from multiprocessing.util import Finalize
 from typing import Dict, List, Optional
 
 import numpy as np
@@ -116,6 +117,7 @@ from repro.exceptions import (
     RecoveryError,
     WorkerFailedError,
 )
+from repro.grouping import distinct, sorted_distinct
 from repro.obs.metrics import NULL_REGISTRY, MetricsRegistry
 
 #: Pipe commands.  Data never travels the pipe: a data message is a
@@ -364,6 +366,21 @@ def _worker_main(
     conn.close()
 
 
+def _reap_at_exit(procs: List) -> None:
+    """SIGKILL and reap the workers of a collector still open at exit.
+
+    multiprocessing's own exit hook SIGTERMs its daemonic children and
+    then joins each one with no timeout; a SIGSTOPped worker never acts
+    on the SIGTERM, so that join would wait for it forever.  Every
+    collector registers this (:class:`multiprocessing.util.Finalize`,
+    exit priority 0), which runs before that hook; on a closed
+    collector's joined workers it is a no-op.
+    """
+    for proc in procs:
+        proc.kill()
+        proc.join(timeout=5.0)
+
+
 class ParallelCollector:
     """Scatter-by-shard multi-process front door over N Collectors.
 
@@ -464,6 +481,7 @@ class ParallelCollector:
         self.clock = IngestClock()
         self._conns: List = []
         self._procs: List = []
+        Finalize(self, _reap_at_exit, args=(self._procs,), exitpriority=0)
         #: The one lifecycle flag: open (workers up) until close().
         self._closed = False
         self.obs = obs if obs is not None else NULL_REGISTRY
@@ -1044,7 +1062,7 @@ class ParallelCollector:
         journal = self._journals[w]
         if journal.full:
             self._checkpoint_worker(w)
-        uniq, counts = np.unique(shard_ids, return_counts=True)
+        uniq, counts = distinct(shard_ids, self.num_shards)
         evicted = journal.append(
             msg, int(shard_ids.shape[0]),
             dict(zip(uniq.tolist(), counts.tolist())),
@@ -1165,11 +1183,11 @@ class ParallelCollector:
                     range(self.workers), (_ANSWERS, None)
                 )
             else:
-                ids = np.unique(np.asarray(flow_ids, dtype=np.int64))
+                ids = sorted_distinct(flow_ids)
                 owners = self._worker_of(self.router.shard_of_array(ids))
                 requests = {
                     w: (_ANSWERS, ids[owners == w])
-                    for w in np.unique(owners).tolist()
+                    for w in distinct(owners, self.workers)[0].tolist()
                 }
             table = AnswerTable.concat(self._gather(requests).values())
         self._m_answer_rows.inc(len(table))

@@ -1,10 +1,11 @@
 """repro.lint -- AST-level invariant checker for this repository.
 
-``python -m repro.lint src benchmarks examples`` runs ~8 repo-specific
+``python -m repro.lint src benchmarks examples`` runs 9 repo-specific
 rules (seeded RNGs, injectable clocks, validated unpickling, sidecar
 dataclass hygiene, typed raises, lock discipline, bounded frombuffer,
-fork safety) plus a mypy ratchet over ``typed_modules.txt``.  See
-DESIGN.md SS10 for the rule catalogue and suppression policy.
+fork safety, no hashed ``np.unique``) plus a mypy ratchet over
+``typed_modules.txt``.  See DESIGN.md SS10 for the rule catalogue and
+suppression policy.
 """
 
 from .config import LintConfig, load_config

@@ -105,6 +105,7 @@ def _load_rule_modules() -> None:
     from . import (  # noqa: F401
         rules_concurrency,
         rules_determinism,
+        rules_performance,
         rules_serialization,
         rules_structure,
     )

@@ -47,6 +47,7 @@ from repro.coding import (
     pack_reps,
     pack_reps_array,
 )
+from repro.grouping import distinct
 from repro.replay.trace import Trace
 
 class TraceDataplane:
@@ -157,7 +158,8 @@ class TraceDataplane:
             self._representation.fill(0)
         found = self._representation.take(path_ids)
         if found.min() < 0:
-            for path_id in np.unique(path_ids[found < 0]).tolist():
+            missing = distinct(path_ids[found < 0], len(self.trace.paths))[0]
+            for path_id in missing.tolist():
                 enc = self.encoder(path_id)
                 key = (enc.mode, enc.num_fragments)
                 self._representations.setdefault(key, enc)

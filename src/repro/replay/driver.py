@@ -49,7 +49,7 @@ from repro.core.values import MetadataType
 from repro.hashing import GlobalHash, global_hash, lane_blocks
 from repro.obs.metrics import NULL_REGISTRY, StageTimes
 from repro.replay.dataplane import TraceDataplane, compress_utilizations
-from repro.grouping import run_starts, sorted_distinct, stable_order
+from repro.grouping import run_starts, stable_order
 from repro.replay.impair import (
     DeliverySummary,
     ImpairmentModel,
@@ -668,15 +668,15 @@ class ReplayDriver:
         utilisation the network never carried to it.  ``entry`` is the
         plan column the replay drew over the offered trace; congestion
         truth is redrawn (:meth:`utilizations`) at the rows it groups.
+        Path truth is two sets, counted rather than sorted while their
+        keys are dense (:meth:`Trace.path_pairs`,
+        :meth:`Trace.distinct_flows`): the (flow, path) pairs and the
+        flows with path rows.
         """
-        # The truth as columns: every (flow, path) pair of the trace.
+        # The truth as two counted sets: every (flow, path) pair of the
+        # trace, and the flows with path rows.
         pairs = trace.path_pairs()
-        # Each block's distinct path flows, then one distinct of those:
-        # no whole-trace gather of the path rows' flow ids.
-        path_flows = sorted_distinct(np.concatenate([np.zeros(0, np.int64)] + [
-            sorted_distinct(trace.flow_id[block][entry[block] == 0])
-            for block in lane_blocks(len(trace), 1)
-        ]))
+        path_flows = trace.distinct_flows(entry == 0)
         summary: Optional[DeliverySummary] = None
         delivered_rows: Optional[np.ndarray] = None
         dropped_flows = np.zeros(0, dtype=np.int64)
@@ -686,8 +686,7 @@ class ReplayDriver:
                 len(trace), delivery, trace.flow_id, delivered
             )
             delivered_rows = np.flatnonzero(delivered)
-            dropped_path = np.flatnonzero((entry == 0) & ~delivered)
-            dropped_flows = np.unique(trace.flow_id[dropped_path])
+            dropped_flows = trace.distinct_flows((entry == 0) & ~delivered)
         # The sink's answers as columns (one small RPC per worker on a
         # parallel sink); flows it holds no state for have no row and
         # are skipped.  ``path_flows`` ascends, so every reduction
@@ -751,7 +750,7 @@ class ReplayDriver:
             records=(
                 len(trace) if delivery is None else int(delivery.shape[0])
             ),
-            flows=int(np.unique(pairs[0]).size),
+            flows=int(np.count_nonzero(run_starts(pairs[0]))),
             batches=batches,
             seconds=seconds,
             path_records=path.records,

@@ -51,7 +51,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.grouping import run_starts, stable_order
+from repro.grouping import distinct, stable_order
 
 #: Domain-separation constant folded into every model's RNG seed so an
 #: impairment stream can never collide with a workload generator that
@@ -245,7 +245,12 @@ class Reorder(ImpairmentModel):
         if self.prob < 1.0:
             jitter *= rng.random(m) < self.prob
         keys = np.arange(m, dtype=np.float64) + jitter
-        order = np.argsort(keys, kind="stable")
+        # Sorts differ only in how they order equal keys: the default
+        # one is taken unless the sorted keys show a tie.
+        order = np.argsort(keys)
+        ranked = keys[order]
+        if (ranked[1:] == ranked[:-1]).any():
+            order = np.argsort(keys, kind="stable")
         return rows[order]
 
     def describe(self) -> str:
@@ -356,29 +361,34 @@ def _count_reordered(rows: np.ndarray, fids: np.ndarray) -> int:
     later record of the same flow (vectorised per-flow running max).
 
     Flows are grouped with one linear-time stable sort
-    (:func:`~repro.grouping.stable_order`: delivery order is
-    kept inside each group); the per-group running max runs as a single
-    ``maximum.accumulate`` over group-offset values, the contiguous-
-    groups trick that avoids both a per-flow loop and a segmented
-    scan.
+    (:func:`~repro.grouping.stable_order`: delivery order is kept
+    inside each group, and groups come in ascending flow order), so a
+    count of the flow ids (:func:`~repro.grouping.distinct`) gives
+    every group's size without gathering the ids in that order.  The
+    per-group running max runs as a single ``maximum.accumulate`` over
+    group-offset values, the contiguous-groups trick that avoids both
+    a per-flow loop and a segmented scan.
     """
     m = rows.shape[0]
     if m < 2:
         return 0
+    fids = np.asarray(fids, dtype=np.int64)
     order = stable_order(fids)
-    r = rows[order]
-    starts = run_starts(fids[order])
-    group = np.cumsum(starts) - 1
+    # The same unsigned offsets stable_order ranks by.
+    offset = (fids - fids.min()).view(np.uint64)
+    sizes = distinct(offset, int(offset.max()) + 1)[1]
     # Offset each group into its own disjoint value range so one global
     # cummax cannot leak across the boundary.
     span = np.int64(m) + np.int64(rows.max()) + 2
-    shifted = r + group * span
+    shifted = rows[order] + np.repeat(
+        np.arange(sizes.shape[0], dtype=np.int64) * span, sizes
+    )
     cummax = np.maximum.accumulate(shifted)
     # A delivery is reordered when a *previous* same-flow delivery had
     # a larger original index: compare against the exclusive cummax.
-    inv = np.zeros(m, dtype=bool)
-    inv[1:] = (shifted[1:] < cummax[:-1]) & ~starts[1:]
-    return int(inv.sum())
+    # A group's first delivery is never counted: it is above every
+    # value of the groups before it.
+    return int(np.count_nonzero(shifted[1:] < cummax[:-1]))
 
 
 def delivered_mask(n: int, rows: np.ndarray) -> np.ndarray:

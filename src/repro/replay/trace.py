@@ -38,6 +38,7 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.grouping import distinct_blocks
 from repro.hashing import lane_blocks
 
 #: The narrow columns' dtypes: ``path_id`` indexes the path table and
@@ -140,7 +141,33 @@ class Trace:
     @property
     def num_flows(self) -> int:
         """Distinct flows in the trace."""
-        return int(np.unique(self.flow_id).size)
+        return int(self.distinct_flows().size)
+
+    def distinct_flows(self, where: Optional[np.ndarray] = None) -> np.ndarray:
+        """The distinct flow ids, ascending, of the rows where the
+        boolean column ``where`` holds (every row when it is None).
+
+        Counted a row block at a time over the ids' range
+        (:func:`~repro.grouping.distinct_blocks`): no whole-trace
+        gather, and no sort while the ids are dense.
+        """
+        if not len(self):
+            return np.zeros(0, dtype=np.int64)
+        low, span = self._flow_range()
+        fid = self.flow_id
+        return low + distinct_blocks((
+            (fid[b] if where is None else fid[b][where[b]]) - low
+            for b in lane_blocks(len(self), 1)
+        ), span, len(self))
+
+    def _flow_range(self) -> Tuple[int, int]:
+        """What flow ids are counted from, and the span of the counts
+        (a non-empty trace): the least id, or 0 when ids spanning
+        ``2**63`` or more would wrap as offsets -- a span no table
+        takes, so only a sort of the ids themselves ever sees it."""
+        low = int(self.flow_id.min())
+        span = int(self.flow_id.max()) - low + 1
+        return (low, span) if span < 1 << 63 else (0, span)
 
     @property
     def hop_counts(self) -> np.ndarray:
@@ -157,16 +184,20 @@ class Trace:
         return self.paths[int(self.path_id[row])]
 
     def flow_paths(self) -> Dict[int, Tuple[int, ...]]:
-        """flow_id -> the distinct path ids the flow traversed, in order.
+        """flow_id -> the distinct path ids the flow traversed, in order
+        of first appearance.
 
         Most flows use one path; churned flows list every path they
         rotated through.  This is the ground truth the replay driver
         scores decoded paths against: any traversed path is a correct
         answer to "which path did this flow take", while a path the
-        flow never used is a decode error.
+        flow never used is a decode error.  The order is what the sieve
+        (:meth:`_pair_first_rows`) keeps; scoring needs only the set,
+        :meth:`path_pairs`.
         """
         out: Dict[int, List[int]] = {}
-        flows, path_ids = self.path_pairs()
+        rows = self._pair_first_rows()
+        flows, path_ids = self.flow_id[rows], self.path_id[rows]
         for fid, pid in zip(flows.tolist(), path_ids.tolist()):
             lst = out.setdefault(fid, [])
             if pid not in lst:
@@ -174,15 +205,36 @@ class Trace:
         return {fid: tuple(lst) for fid, lst in out.items()}
 
     def path_pairs(self) -> Tuple[np.ndarray, np.ndarray]:
-        """:meth:`flow_paths` as two columns, ``(flow_id, path_id)``.
+        """Every ``(flow_id, path_id)`` pair of the trace once, as two
+        int64 columns ascending by flow, then by path.
 
-        Every pair of the trace is there, in order of first
-        appearance; a pair may be there more than once (the rows are
-        the sieve's, :meth:`_pair_first_rows`) -- fine for membership
-        tests and for counting flows, which is what scoring does.
+        The set of :meth:`flow_paths`, without its order: each pair is
+        coded as ``flow offset * paths + path id`` and the codes are
+        counted a row block at a time
+        (:func:`~repro.grouping.distinct_blocks`: a mark table while
+        they span a few times the rows, else sorted).  Flow ids too
+        sparse to code beside a path id in 63 bits are ranked first.
         """
-        rows = self._pair_first_rows()
-        return self.flow_id[rows], self.path_id[rows]
+        width = len(self.paths)
+        if not len(self):
+            return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
+        low, span = self._flow_range()
+        fid, pid = self.flow_id, self.path_id
+        ranks: Optional[np.ndarray] = None
+        if span * width >= 1 << 63:
+            ranks = self.distinct_flows()
+            low, span = 0, int(ranks.shape[0])
+        blocks = (
+            (
+                fid[b] - low if ranks is None
+                else np.searchsorted(ranks, fid[b])
+            ) * width + pid[b]
+            for b in lane_blocks(len(self), 1)
+        )
+        flows, path_ids = np.divmod(
+            distinct_blocks(blocks, span * width, len(self)), width
+        )
+        return (flows + low if ranks is None else ranks[flows]), path_ids
 
     def traversed(
         self,
@@ -221,9 +273,9 @@ class Trace:
     def _pair_first_rows(self) -> np.ndarray:
         """Ascending rows holding every first (flow, path) appearance.
 
-        A vectorised sieve in front of :meth:`flow_paths`' exact loop
-        and :meth:`path_pairs`, which only rows that
-        *introduce* a (flow_id, path_id) pair can change: pairs are hashed into ``_SIEVE_SLOTS`` slots, each
+        A vectorised sieve in front of :meth:`flow_paths`' exact loop,
+        which only rows that *introduce* a (flow_id, path_id) pair can
+        change: pairs are hashed into ``_SIEVE_SLOTS`` slots, each
         slot's first row is kept, and so is every row whose pair
         differs from its slot's first (a collision -- possibly a first
         appearance).  A later repeat of its slot's first pair is never a

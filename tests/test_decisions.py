@@ -22,7 +22,7 @@ from repro.coding import (
 )
 from repro.coding.context import PathQueryContext
 from repro.coding.decisions import DecisionReplay
-from repro.coding.schemes import BASELINE
+from repro.coding.schemes import BASELINE, XOR, CodingScheme, Layer
 from repro.hashing import (
     GlobalHash,
     lane_blocks,
@@ -124,6 +124,18 @@ def assert_matches_scalar(replay, scheme_for, pids, ks, rows=None):
 
 MIXED_KS = (1, 2, 3, 5, 12, 59)
 
+#: A scheme whose Baseline layer is not layer 0: its reservoir coins
+#: hash under ``g-layer1``.
+BASELINE_SECOND = CodingScheme(
+    (Layer(XOR, 0.3), Layer(BASELINE)), (0.4, 0.6), name="xor-then-baseline"
+)
+
+
+def baseline_moves(k):
+    """Baseline at layer 0 on short paths, at layer 1 on long ones: one
+    column's reservoir lanes hash under two layer salts."""
+    return hybrid_scheme(8) if k < 6 else BASELINE_SECOND
+
 
 class TestDecisionReplay:
     @pytest.mark.parametrize("dtype", [np.int64, np.uint64])
@@ -149,13 +161,26 @@ class TestDecisionReplay:
 
     @pytest.mark.parametrize("scheme", [
         baseline_scheme(), xor_scheme(0.25), xor_scheme(1.0),
-        hybrid_scheme(8), hybrid_scheme(40),
+        hybrid_scheme(8), hybrid_scheme(40), BASELINE_SECOND,
     ], ids=lambda s: s.name)
     def test_pinned_scheme_matches_scalar(self, scheme):
         pids = odd_pids(700, seed=3)
-        ks = np.random.default_rng(3).choice(MIXED_KS, size=pids.size)
+        rng = np.random.default_rng(3)
+        ks = rng.choice(MIXED_KS, size=pids.size)
         replay = DecisionReplay(SEED, lambda k: scheme)
         assert_matches_scalar(replay, lambda k: scheme, pids, ks)
+        # Every length 1..12 in one column: lanes cut off at their own.
+        ks = rng.integers(1, 13, size=pids.size)
+        assert_matches_scalar(replay, lambda k: scheme, pids, ks)
+
+    def test_baseline_at_two_layer_indices_in_one_column(self):
+        pids = odd_pids(900, seed=7)
+        ks = np.random.default_rng(7).integers(1, 13, size=pids.size)
+        replay = DecisionReplay(SEED, baseline_moves)
+        slots, carriers, _ = decide(replay, pids, ks)
+        base = replay.baseline[slots]
+        assert (base & (ks < 6)).any() and (base & (ks >= 6)).any()
+        assert_matches_scalar(replay, baseline_moves, pids, ks)
 
     def test_new_length_mid_stream_keeps_earlier_answers(self):
         pids = odd_pids(900, seed=4)

@@ -38,7 +38,8 @@ from repro.replay import (
     summarize_delivery,
 )
 
-from repro.replay.impair import delivered_mask
+from repro.replay import impair
+from repro.replay.impair import _count_reordered, delivered_mask
 
 
 def models_all(seed=0):
@@ -210,6 +211,93 @@ class TestDeliverySummary:
         assert s.delivered - s.duplicated == s.unique_delivered
         assert s.reordered == reordered_by_loop(rows, fids)
         assert summarize_delivery(n, rows, fids, delivered) == s
+
+
+class TestReorderCounting:
+    """``_count_reordered`` numbers its groups from a count of the flow
+    ids, not from the ids gathered in group order."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(st.integers(0, 39), min_size=0, max_size=300),
+        st.sampled_from(["dense", "narrow", "sparse", "wide", "one"]),
+        st.integers(0, 2**31 - 1),
+    )
+    def test_matches_the_per_flow_loop(self, rows, ids, seed):
+        rows = np.asarray(rows, dtype=np.int64)
+        rng = np.random.default_rng(seed)
+        fids = {
+            "dense": rng.integers(0, 6, 40),
+            "narrow": rng.integers(-3, 3, 40).astype(np.int32),
+            # ~2**40 apart, negatives too: too wide to count, sorted.
+            "sparse": rng.integers(-3, 4, 40) << 40,
+            # Spanning past 2**63: the offsets wrap, ranked unsigned.
+            "wide": rng.integers(-3, 4, 40) << 61,
+            "one": np.full(40, 2**40 + 3),
+        }[ids]
+        assert _count_reordered(rows, fids[rows]) == reordered_by_loop(
+            rows, fids
+        )
+
+    def test_sparse_ids_take_the_sort(self, monkeypatch):
+        spans = []
+        counted = impair.distinct
+
+        def spy(keys, span):
+            spans.append(span)
+            return counted(keys, span)
+
+        monkeypatch.setattr(impair, "distinct", spy)
+        fids = (np.arange(50) % 5) << 40
+        rows = np.random.default_rng(1).permutation(50)
+        assert _count_reordered(rows, fids[rows]) == reordered_by_loop(
+            rows, fids
+        )
+        assert spans == [(4 << 40) + 1]
+
+
+class IntegerJitter:
+    """A generator whose jitters are whole positions: sort keys tie."""
+
+    def __init__(self, seed):
+        self._rng = np.random.default_rng(seed)
+
+    def uniform(self, low, high, size):
+        return np.floor(self._rng.uniform(low, high, size))
+
+    def random(self, size):
+        return self._rng.random(size)
+
+
+class TestReorderTies:
+    """Equal sort keys are the one place a stable and a default argsort
+    part ways: ``Reorder`` must keep the stable order there."""
+
+    def test_forced_ties_keep_the_stable_order(self, monkeypatch):
+        monkeypatch.setattr(
+            Reorder, "_rng", lambda self, stage: IntegerJitter(stage)
+        )
+        m = 5000
+        rows = np.arange(m, dtype=np.int64) * 3
+        rng = IntegerJitter(0)
+        jitter = rng.uniform(0.0, 6.0, size=m)
+        jitter *= rng.random(m) < 0.5
+        keys = np.arange(m, dtype=np.float64) + jitter
+        assert np.unique(keys).size < m  # ties, many of them
+        want = rows[np.argsort(keys, kind="stable")]
+        model = Reorder(depth=6, prob=0.5, seed=3)
+        assert np.array_equal(model.apply(rows, None, 0), want)
+
+    def test_untied_keys_match_the_stable_order(self):
+        model = Reorder(depth=64, prob=0.5, seed=4)
+        m = 20_000
+        rows = np.arange(m, dtype=np.int64)
+        rng = model._rng(0)
+        jitter = rng.uniform(0.0, 64.0, size=m)
+        jitter *= rng.random(m) < 0.5
+        keys = np.arange(m, dtype=np.float64) + jitter
+        want = rows[np.argsort(keys, kind="stable")]
+        assert np.array_equal(model.apply(rows, None, 0), want)
 
 
 def reordered_by_loop(rows, fids):

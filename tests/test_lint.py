@@ -47,8 +47,8 @@ def run_cli(*args, cwd=REPO):
 
 # -- registry ----------------------------------------------------------------
 
-def test_registry_has_the_eight_rules():
-    assert RULE_IDS == [f"R00{i}" for i in range(1, 9)]
+def test_registry_has_the_nine_rules():
+    assert RULE_IDS == [f"R00{i}" for i in range(1, 10)]
 
 
 def test_rules_have_docs_and_domains():
@@ -59,7 +59,9 @@ def test_rules_have_docs_and_domains():
 # -- corpus: every rule has a bad and a good fixture -------------------------
 
 #: Rules whose fixtures lint meaningfully under the committed config.
-PLAIN_RULES = ["R001", "R002", "R003", "R004", "R005", "R006", "R007"]
+PLAIN_RULES = [
+    "R001", "R002", "R003", "R004", "R005", "R006", "R007", "R009",
+]
 
 
 @pytest.mark.parametrize("rule", PLAIN_RULES)
@@ -113,6 +115,21 @@ def test_r008_shm_create_allowed_inside_shm_modules():
     cfg = dataclasses.replace(
         CONFIG, shm_modules=("lint_corpus/bad_r008_shm.py",))
     assert corpus_findings("bad_r008_shm.py", config=cfg) == []
+
+
+def test_r009_flags_every_np_unique_and_its_import():
+    findings = corpus_findings("bad_r009.py")
+    text = (CORPUS / "bad_r009.py").read_text().splitlines()
+    assert len(findings) == 2
+    for f in findings:
+        assert "repro.grouping" in f.message
+        assert "unique" in text[f.line - 1] and "# bad" in text[f.line - 1]
+
+
+def test_r009_silent_outside_the_library():
+    for domain in ("bench", "examples", "tests"):
+        assert lint_file(CORPUS / "bad_r009.py", CONFIG, REPO,
+                         force_domain=domain) == []
 
 
 def test_bad_fixtures_carry_precise_lines():

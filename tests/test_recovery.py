@@ -20,6 +20,7 @@ Covers the PR-8 contract end to end:
 
 import os
 import signal
+import subprocess
 import sys
 import time
 import types
@@ -759,6 +760,42 @@ class TestCloseEscalation:
         assert time.monotonic() - start < 10.0
         assert not victim.is_alive()
         assert not par._procs
+
+    @pytest.mark.parametrize("sig", ["SIGSTOP", "SIGKILL"])
+    def test_exit_with_a_collector_open_reaps_its_workers(self, sig, tmp_path):
+        # multiprocessing's exit hook SIGTERMs daemonic children and
+        # joins them with no timeout: a stopped worker used to hang
+        # the interpreter there (a failing test that kept a collector
+        # alive hung the whole suite after its summary).
+        pids = tmp_path / "pids"
+        script = (
+            "import os, signal\n"
+            "from repro.collector import congestion_consumer_factory\n"
+            "from repro.collector.parallel import ParallelCollector\n"
+            "par = ParallelCollector(congestion_consumer_factory(),\n"
+            "                        workers=2, num_shards=4)\n"
+            "par.ingest_batch([1, 2], [1, 2], [3, 3], [9, 9])\n"
+            "par.drain()\n"
+            f"open({str(pids)!r}, 'w').write(\n"
+            "    ' '.join(str(p.pid) for p in par._procs))\n"
+            f"os.kill(par._procs[1].pid, signal.{sig})\n"
+        )
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        # Its own session, so a hang can be killed workers and all.
+        proc = subprocess.Popen(
+            [sys.executable, "-c", script], env=env,
+            stdout=subprocess.DEVNULL, start_new_session=True,
+        )
+        try:
+            proc.wait(timeout=30)
+        except subprocess.TimeoutExpired:
+            os.killpg(proc.pid, signal.SIGKILL)
+            proc.wait()
+            pytest.fail("the interpreter hung at exit on an open collector")
+        assert proc.returncode == 0
+        for pid in map(int, pids.read_text().split()):
+            with pytest.raises(ProcessLookupError):
+                os.kill(pid, 0)  # reaped, not left running or stopped
 
     def test_healthy_close_needs_no_escalation(self):
         par = ParallelCollector(

@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
+from repro import grouping
 from repro.hashing import global_hash
-from repro.replay import Trace, build_trace
+from repro.replay import Trace, build_trace, scenario_names
 from repro.replay import trace as trace_mod
 
 
@@ -193,6 +194,54 @@ class TestTraceBasics:
             Trace([0.0], [1], [0], [0], [9], [])
         with pytest.raises(ValueError):
             Trace([0.0], [1], [0], [0], [9], [()])
+
+
+def pair_set(t):
+    """The (flow, path) pairs of ``flow_paths``, ascending."""
+    return sorted((f, p) for f, ps in t.flow_paths().items() for p in ps)
+
+
+class TestPathPairs:
+    """``path_pairs`` counts the set the sieve's ``flow_paths`` orders."""
+
+    @pytest.mark.parametrize("count_span", [0, 1 << 40],
+                             ids=["sorted", "marked"])
+    @pytest.mark.parametrize("name", scenario_names())
+    def test_the_pair_set_of_flow_paths(self, name, count_span, monkeypatch):
+        # 0: every span is too wide to count; 2**40: none is.
+        monkeypatch.setattr(grouping, "_COUNT_SPAN", count_span)
+        t = build_trace(name, packets=3000, seed=1)
+        flows, paths = t.path_pairs()
+        assert flows.dtype == paths.dtype == np.int64
+        assert list(zip(flows.tolist(), paths.tolist())) == pair_set(t)
+        assert t.distinct_flows().tolist() == sorted(t.flow_paths())
+        path_rows = t.path_id % 2 == 0
+        assert t.distinct_flows(path_rows).tolist() == sorted(
+            set(t.flow_id[path_rows].tolist())
+        )
+
+    @pytest.mark.parametrize("pool", [
+        [-7, 5, 2**62 + 1],             # pair codes past 63 bits: ranked
+        [-(2**62), 5, 2**62 + 1],       # ids themselves span past 2**63
+        [-(2**63), 2**63 - 1],
+    ])
+    def test_wide_flow_ids(self, pool, monkeypatch):
+        rng = np.random.default_rng(8)
+        n = 3000
+        t = Trace(np.arange(n) * 1e-6,
+                  np.asarray(pool, dtype=np.int64)[rng.integers(0, len(pool), n)],
+                  np.arange(n), rng.integers(0, 4, n), np.full(n, 64),
+                  [(1,), (2,), (3,), (4,)])
+        for block in (7, 1 << 16):
+            monkeypatch.setattr(global_hash, "GRID_BLOCK", block)
+            flows, paths = t.path_pairs()
+            assert list(zip(flows.tolist(), paths.tolist())) == pair_set(t)
+            assert t.distinct_flows().tolist() == sorted(pool)
+
+    def test_empty_trace(self):
+        t = Trace([], [], [], [], [], [])
+        assert [c.tolist() for c in t.path_pairs()] == [[], []]
+        assert t.distinct_flows().tolist() == []
 
 
 class TestPersistence:
