@@ -27,9 +27,10 @@ Data flow::
       the run, each batch's clock, touches and shard counters its own
       (full shard layout, only owned shards ever fed)
             ▼
-      queries: answers() merges one AnswerTable per worker (columns,
-      not decoders); flows() fetches whole consumers (state);
-      snapshot() merges per-worker partial Snapshots by shard_id
+      queries: each a call on the worker's Collector, by name;
+      answers() merges one AnswerTable per worker (columns, not
+      decoders); flows() fetches whole consumers (state); snapshot()
+      merges each worker's owned shards by shard_id
 
 Equivalence: the parent ticks the same :class:`~repro.collector.
 collector.IngestClock` a serial collector would and hands workers an
@@ -59,11 +60,14 @@ part-way takes the workers already started down with it.  ``drain()``
 barriers until every sent batch is applied; ``close()`` stops and
 joins the workers.  The class is also a context manager.
 
-Worker loss: every sync reply is received by one pulse-watching wait
-(pipe poll + process sentinel + optional ``wedge_timeout``), and every
-full-ring push watches the same pulse, so a dead or wedged worker is
-always *noticed* in bounded time.  What happens next is policy, not a
-second code path.  Without ``checkpoint_every`` the loss is raised as
+Worker loss: every request goes through one send and every reply
+through one wait, both watching the worker's pulse (pipe readiness in
+short ticks + process sentinel + optional ``wedge_timeout``), as does
+every full-ring push, so a dead or wedged worker is always *noticed*
+in bounded time, even behind a request larger than the pipe's buffer.
+A send cut off mid-frame closes the pipe for good and counts as the
+worker's loss.  What happens next is policy, not a second code path.
+Without ``checkpoint_every`` the loss is raised as
 :class:`~repro.exceptions.WorkerFailedError` (the shard state is
 gone).  With it, every worker serialises its full collector state
 into a versioned checkpoint blob on a message cadence
@@ -86,8 +90,12 @@ from __future__ import annotations
 
 import multiprocessing as mp
 import os
+import select
+import struct
 import time
 import traceback
+from dataclasses import replace
+from multiprocessing.reduction import ForkingPickler
 from multiprocessing.util import Finalize
 from typing import Dict, List, Optional
 
@@ -98,7 +106,7 @@ from repro.collector.collector import Collector, IngestClock
 from repro.collector.consumers import (
     ConsumerFactory,
     DigestConsumer,
-    sink_store,
+    StoreFactory,
 )
 from repro.collector.records import Column, admit_batch
 from repro.collector.recovery import (
@@ -126,15 +134,15 @@ from repro.obs.metrics import NULL_REGISTRY, MetricsRegistry
 #: command is synchronous and gets exactly one ``("ok", value)`` or
 #: ``("err", message)`` reply; the worker folds its whole ring backlog
 #: before answering, so a sync reply proves all earlier data was
-#: applied -- that is the whole drain protocol.  The two reads differ
-#: in what crosses the pipe: ``_ANSWERS`` replies with the worker's
-#: :class:`~repro.collector.answers.AnswerTable` (a few arrays),
-#: ``_FLOWS`` with whole pickled consumers (decoder *state*).
-#: ``_CHECKPOINT`` replies with the worker's framed state blob;
-#: ``_DEGRADE`` installs unreplayable-loss marks after a
-#: journal-window overrun.
-_SNAPSHOT, _LEN, _EXPIRE, _EVICT, _DRAIN, _STOP, _FLOWS, _ANSWERS, \
-    _CHECKPOINT, _DEGRADE = range(10)
+#: applied -- that is the whole drain protocol.  ``(_CALL, name,
+#: *args)`` calls a method of the worker's :class:`Collector` and
+#: replies with its value: every query and operation (``"answers"``,
+#: ``"flows"``, ``"snapshot"``, ``"expire"``, ``"evict"``, ``"drain"``,
+#: ``"__len__"``) is the serial collector's own.  ``_CHECKPOINT``
+#: replies with the worker's framed state blob; ``_DEGRADE`` installs
+#: unreplayable-loss marks after a journal-window overrun; ``_STOP``
+#: replies and ends the worker.
+_CALL, _CHECKPOINT, _DEGRADE, _STOP = range(4)
 
 #: Per-worker restart budget of a supervised collector: one more loss
 #: raises :class:`~repro.exceptions.RecoveryError` (a worker dying in
@@ -198,7 +206,6 @@ def _worker_main(
     max_flows_per_shard: Optional[int],
     ttl: Optional[float],
     seed: int,
-    owned: List[int],
     worker_id: int,
     obs_enabled: bool,
     applied,
@@ -209,11 +216,13 @@ def _worker_main(
     """One worker: a private Collector fed by a ring, asked by a pipe.
 
     The worker builds the *full* shard layout (same seed, same shard
-    ids) but is only ever fed records of its ``owned`` shards, so the
-    unowned tables stay empty and cost nothing.  Keeping global shard
-    ids means every table operation -- grouping, a bounded sink's
+    ids) but is only ever fed records of the shards it owns, so the
+    others stay empty and cost nothing.  Keeping global shard ids
+    means every table operation -- grouping, a bounded sink's
     admission walk, TTL sweep -- runs exactly as it would in a
-    single-process collector.
+    single-process collector, and every query is that collector's
+    own method, called by name (``_CALL``); the parent keeps a
+    snapshot's owned shards and drops the empty rest.
 
     A fire-and-forget batch's failure is parked in a
     :class:`DeferredFailures` ledger and is the next sync reply.
@@ -221,7 +230,7 @@ def _worker_main(
     Observability: with ``obs_enabled`` the worker runs its private
     collector over a private :class:`MetricsRegistry` labelled
     ``{"worker": str(worker_id)}``; the registry dump rides back on
-    every partial snapshot (live registries never cross the pipe) and
+    every snapshot (live registries never cross the pipe) and
     :meth:`Snapshot.merged` folds the per-worker families.  ``applied``
     is a lock-free shared counter bumped by the messages of every run
     folded -- the parent's backlog gauge reads it without a
@@ -257,7 +266,6 @@ def _worker_main(
     )
     if restore is not None:
         restore_collector(col, restore, worker=worker_id)
-    owned_set = frozenset(owned)
     failures = DeferredFailures("deferred ingest failure(s) in worker")
 
     def fold(data) -> None:
@@ -317,27 +325,9 @@ def _worker_main(
             # stop reply included: it is the last chance to surface
             # them before they die with the worker.
             failures.raise_pending()
-            if op == _SNAPSHOT:
-                reply = Snapshot(
-                    taken_at=col.now,
-                    shards=[
-                        col.shards[s].stats()
-                        for s in range(num_shards) if s in owned_set
-                    ],
-                    metrics=obs.as_dict() if obs is not None else None,
-                )
-            elif op == _FLOWS:
-                reply = col.flows(msg[1])
-            elif op == _ANSWERS:
-                reply = col.answers(msg[1])
-            elif op == _LEN:
-                reply = len(col)
-            elif op == _EXPIRE:
-                reply = col.expire(now=msg[1])
-            elif op == _EVICT:
-                reply = col.evict(msg[1])
-            elif op == _DRAIN or op == _STOP:
-                reply = None
+            reply = None
+            if op == _CALL:
+                reply = getattr(col, msg[1])(*msg[2:])
             elif op == _CHECKPOINT:
                 # Sync, so it queues behind every in-flight batch: the
                 # blob always covers everything the parent sent before
@@ -354,8 +344,7 @@ def _worker_main(
                 # them so snapshots report it honestly.
                 for sid, lost in msg[1].items():
                     col.shards[sid].mark_degraded(lost)
-                reply = None
-            else:
+            elif op != _STOP:
                 raise ValueError(f"unknown collector worker op {op!r}")
             conn.send(("ok", reply))
         except Exception:
@@ -374,7 +363,8 @@ def _reap_at_exit(procs: List) -> None:
     on the SIGTERM, so that join would wait for it forever.  Every
     collector registers this (:class:`multiprocessing.util.Finalize`,
     exit priority 0), which runs before that hook; on a closed
-    collector's joined workers it is a no-op.
+    collector's joined workers it is a no-op.  A constructor that
+    fails part-way reaps the workers it started the same way.
     """
     for proc in procs:
         proc.kill()
@@ -432,9 +422,10 @@ class ParallelCollector:
         its kill/wedge specs after the matching sends and applies its
         checkpoint specs to checkpoint replies (chaos testing).
     wedge_timeout:
-        Seconds a *live* worker may leave a sync RPC unanswered, or a
-        full ring undrained, before it is declared wedged and handled
-        like a dead one (SIGSTOP survival when supervised, a bounded
+        Seconds a *live* worker may leave a sync request untaken or
+        unanswered, or a full ring undrained, before it is declared
+        wedged and handled like a dead one (SIGSTOP survival when
+        supervised, a bounded
         :class:`~repro.exceptions.WorkerFailedError` when not).
         ``None`` disables wedge detection -- death detection alone.
     """
@@ -474,7 +465,10 @@ class ParallelCollector:
         )
         #: The workers' front-door code width, checked here so that no
         #: worker folds part of a batch another one refuses.
-        self._code_bits = sink_store(consumer_factory)[0].code_bits
+        self._code_bits = (
+            consumer_factory.store.code_bits
+            if isinstance(consumer_factory, StoreFactory) else None
+        )
         self._ctx = mp.get_context("fork")
         #: One ShmRing per worker, created with it.
         self._rings: List[ShmRing] = []
@@ -617,11 +611,8 @@ class ParallelCollector:
             proc = self._ctx.Process(
                 target=_worker_main,
                 args=(
-                    child_conn, *self._spec,
-                    [s for s in range(self.num_shards)
-                     if self._worker_of(s) == w],
-                    w, self.obs.enabled, counter, self._obs_labels,
-                    restore, ring.spec(),
+                    child_conn, *self._spec, w, self.obs.enabled, counter,
+                    self._obs_labels, restore, ring.spec(),
                 ),
                 daemon=True,
                 name=f"collector-worker-{w}",
@@ -637,9 +628,7 @@ class ParallelCollector:
     def _kill_all(self) -> None:
         """Undo a constructor that failed part-way: SIGKILL and reap
         every worker spawned so far and unlink its ring."""
-        for proc in self._procs:
-            proc.kill()
-            proc.join(timeout=5.0)
+        _reap_at_exit(self._procs)
         for ring in self._rings:
             ring.close()
             ring.unlink()
@@ -664,7 +653,7 @@ class ParallelCollector:
         """
         self._check_open()
         with self._sp_drain:
-            self._broadcast((_DRAIN,))
+            self._broadcast((_CALL, "drain"))
 
     def close(self, timeout: float = 30.0) -> None:
         """Stop and join the workers (idempotent).
@@ -684,36 +673,12 @@ class ParallelCollector:
         if self._closed:
             return
         errors = []
-        # The stop itself must not block: a wedged worker stops
-        # reading its pipe, the OS buffer fills, and a blocking send
-        # would hang close() before its timeout ever applied.  The
-        # tuple is tiny, so on a healthy pipe the non-blocking send
-        # always succeeds; a full or broken pipe marks the worker
-        # wedged and it is terminated without a handshake.
-        stop_sent = []
+        # The stop must not wait on a wedged worker's full pipe: a
+        # healthy pipe takes the tiny tuple at once, and one that
+        # cannot marks its worker lost, terminated without a handshake.
+        for i in range(self.workers):
+            self._request(i, (_STOP,), 0)
         for i, conn in enumerate(self._conns):
-            ok = False
-            try:
-                fd = conn.fileno()
-                os.set_blocking(fd, False)
-                try:
-                    conn.send((_STOP,))
-                    ok = True
-                finally:
-                    os.set_blocking(fd, True)
-            except (BlockingIOError, BrokenPipeError, OSError):
-                pass
-            stop_sent.append(ok)
-        for i, conn in enumerate(self._conns):
-            if not stop_sent[i]:
-                errors.append(
-                    f"worker {i}'s pipe was full or broken at stop "
-                    "(worker wedged or dead); terminated without a "
-                    "handshake -- queued batches and any deferred "
-                    "ingest error were lost"
-                )
-                conn.close()
-                continue
             try:
                 self._reply(i, timeout)
             except _WorkerDied as exc:
@@ -793,49 +758,80 @@ class ParallelCollector:
         except PeerGoneError as exc:
             raise _WorkerDied(f"worker {w}: {exc}") from exc
 
-    def _request(self, w: int, msg: tuple) -> None:
-        """Send one sync command to worker ``w``.
+    def _pulse(self, w: int, start: float, timeout: Optional[float]) -> None:
+        """Raise :class:`_WorkerDied` if worker ``w`` is dead, or alive
+        but ``timeout`` seconds (None: never) past ``start`` without
+        serving its pipe: wedged, as SIGSTOP and infinite loops look
+        alike from the pipe, and both are cured by replacement."""
+        if not self._procs[w].is_alive():
+            raise _WorkerDied(f"worker {w} died mid-RPC")
+        if (
+            timeout is not None
+            and time.monotonic() - start >= timeout  # repro-lint: disable=R002 reason=wedge detection times a live child process, not simulated replay time
+        ):
+            raise _WorkerDied(
+                f"worker {w} wedged: pipe not served in {timeout}s with "
+                "the process alive"
+            )
 
-        A broken pipe is not raised here: the worker behind it is
-        dead, and :meth:`_reply` -- which follows every request --
-        reports exactly that.  Worker loss therefore has one detection
-        point, and a scatter can finish sending to the healthy
-        workers before it deals with the dead one.
+    def _request(self, w: int, msg: tuple, timeout: Optional[float]) -> None:
+        """Send one sync command to worker ``w``, watching its pulse.
+
+        The pipe's one writer: ``msg`` goes as ``multiprocessing``'s
+        length-prefixed frame (what the worker's ``conn.recv`` reads)
+        on a non-blocking descriptor, waiting for room in short ticks
+        as :meth:`_reply` waits for the answer.  It gives up when the
+        worker dies or -- alive -- takes no whole request within
+        ``timeout`` (``wedge_timeout``; :meth:`close` passes 0).  A
+        frame given up part-way leaves the pipe unusable, so a failed
+        send closes it, and is not raised here: :meth:`_reply`, which
+        follows every request, reports the closed pipe as the worker's
+        loss.  Worker loss therefore has one detection point, and a
+        scatter can finish sending to the healthy workers first.
         """
+        conn = self._conns[w]
+        buf = ForkingPickler.dumps(msg)
+        frame = memoryview(struct.pack("!i", len(buf)) + buf)
+        start = time.monotonic()  # repro-lint: disable=R002 reason=wedge detection times a live child process, not simulated replay time
         try:
-            self._conns[w].send(msg)
-        except (BrokenPipeError, OSError):
-            pass
+            fd = conn.fileno()
+            room = select.poll()
+            room.register(fd, select.POLLOUT)
+            os.set_blocking(fd, False)
+            try:
+                while frame:
+                    try:
+                        frame = frame[os.write(fd, frame):]
+                    except BlockingIOError:
+                        self._pulse(w, start, timeout)
+                        room.poll(50)
+            finally:
+                os.set_blocking(fd, True)
+        except (OSError, _WorkerDied):
+            conn.close()
 
     def _reply(self, w: int, timeout: Optional[float]):
         """Receive one sync reply, watching the worker's pulse.
 
         Never blocks on a corpse: it polls the pipe on a short tick
-        and checks the process sentinel in between, so a worker that
-        died mid-RPC surfaces as :class:`_WorkerDied` instead of
-        hanging the parent.  A *live* worker that stays silent past
-        ``timeout`` (``wedge_timeout`` everywhere but :meth:`close`;
-        None waits as long as the worker lives) is declared wedged --
-        SIGSTOP and infinite-loop failures look identical from the
-        pipe, and both are cured by replacement.
+        and checks the worker's pulse in between, so a worker that
+        died mid-RPC, or a live one silent past ``timeout``
+        (``wedge_timeout`` everywhere but :meth:`close`), surfaces as
+        :class:`_WorkerDied` instead of hanging the parent.  So does
+        a pipe :meth:`_request` closed.
         """
         conn = self._conns[w]
-        proc = self._procs[w]
+        if conn.closed:
+            raise _WorkerDied(
+                f"worker {w} took no whole request (dead or wedged); "
+                "its pipe is closed"
+            )
         start = time.monotonic()  # repro-lint: disable=R002 reason=wedge detection times a live child process, not simulated replay time
         while not conn.poll(0.05):
-            if not proc.is_alive():
-                # One last look: the reply may have raced the death.
-                if conn.poll(0):
-                    break
-                raise _WorkerDied(f"worker {w} died mid-RPC")
-            if (
-                timeout is not None
-                and time.monotonic() - start >= timeout  # repro-lint: disable=R002 reason=wedge detection times a live child process, not simulated replay time
-            ):
-                raise _WorkerDied(
-                    f"worker {w} wedged: no RPC reply in {timeout}s "
-                    "with the process alive"
-                )
+            # A reply may have raced the death: one last look.
+            if not self._procs[w].is_alive() and conn.poll(0):
+                break
+            self._pulse(w, start, timeout)
         try:
             tag, value = conn.recv()
         except (EOFError, OSError) as exc:
@@ -847,42 +843,35 @@ class ParallelCollector:
     def _await(self, w: int, msg: tuple):
         """The reply to ``msg``, already requested of worker ``w``.
 
-        A worker lost mid-RPC is recovered and ``msg`` re-issued to
-        its replacement (unsupervised, :meth:`_recover_worker` raises
-        instead).  The retry is safe because every sync op is
-        idempotent against restored state -- queries are read-only,
-        ``_EXPIRE``/``_EVICT`` converge to the same table either way
-        -- and the re-sent message lands *after* the journal replay
-        the recovery performed, exactly where it would have landed on
-        a healthy worker.
+        A worker lost mid-RPC -- its request or its reply -- is
+        recovered and ``msg`` re-issued to its replacement
+        (unsupervised, :meth:`_recover_worker` raises instead).  The
+        retry is safe because every command is idempotent against
+        restored state -- queries are read-only, ``expire``/``evict``
+        converge to the same table either way -- and the re-sent
+        message lands *after* the journal replay the recovery
+        performed, exactly where it would have landed on a healthy
+        worker.
         """
         while True:
             try:
                 return self._reply(w, self._wedge_timeout)
             except _WorkerDied as exc:
                 self._recover_worker(w, str(exc))
-                self._request(w, msg)
-
-    def _call(self, w: int, msg: tuple):
-        """One synchronous RPC round-trip to worker ``w``."""
-        self._request(w, msg)
-        return self._await(w, msg)
+                self._request(w, msg, self._wedge_timeout)
 
     def _gather(self, requests: Dict[int, tuple]) -> dict:
         """Sync commands to several workers: send all, then collect.
 
-        Sending to every worker before reading any reply makes the
-        wait cost the slowest worker's backlog (or its slowest reply
-        -- an ``_ANSWERS`` table is built, a ``_FLOWS`` list pickled,
-        inside the worker) instead of the sum: the workers fold, build
-        and serialise concurrently while the parent collects.  A
-        worker lost meanwhile is recovered and re-asked alone.  Every
-        reply is consumed even when one carries an error, so a failure
-        in one worker never leaves another's reply stranded in its
+        The wait then costs the slowest worker's backlog and reply,
+        not the sum: the workers fold, build and pickle concurrently
+        while the parent collects.  A worker lost meanwhile is
+        recovered and re-asked alone.  Every reply is consumed even
+        when one carries an error, so no reply is left stranded in a
         pipe to desync later RPCs.
         """
         for w, msg in requests.items():
-            self._request(w, msg)
+            self._request(w, msg, self._wedge_timeout)
         replies = {}
         errors = []
         for w, msg in requests.items():
@@ -926,14 +915,14 @@ class ParallelCollector:
         replaced, and a dropped/corrupted write -- injected or real --
         leaves the previous checkpoint and the entire journal intact:
         rejecting a checkpoint must never widen the loss window, only
-        fail to narrow it.  A worker found dead here is recovered and
-        the checkpoint attempt abandoned (the cadence retries on the
-        replacement soon enough).
+        fail to narrow it.  A worker found lost here -- its request or
+        its reply -- is recovered and the checkpoint attempt abandoned
+        (the cadence retries on the replacement soon enough).
         """
         journal = self._journals[w]
         self._ckpt_ordinal[w] += 1
         ordinal = self._ckpt_ordinal[w]
-        self._request(w, (_CHECKPOINT,))
+        self._request(w, (_CHECKPOINT,), self._wedge_timeout)
         try:
             data = self._reply(w, self._wedge_timeout)
         except _WorkerDied as exc:
@@ -1037,9 +1026,12 @@ class ParallelCollector:
         self._rec["replayed_batches"] += len(replay)
         self._rec["replayed_records"] += journal.records
         if journal.dropped_by_shard:
-            # Not _call: a retry after the recursive recovery (which
+            # Not _gather: a retry after the recursive recovery (which
             # marks for itself) would pin the same loss twice.
-            self._request(w, (_DEGRADE, dict(journal.dropped_by_shard)))
+            self._request(
+                w, (_DEGRADE, dict(journal.dropped_by_shard)),
+                self._wedge_timeout,
+            )
             try:
                 self._reply(w, self._wedge_timeout)
             except _WorkerDied:
@@ -1171,7 +1163,7 @@ class ParallelCollector:
 
         Same contract as :meth:`Collector.answers` and, for the same
         records, the same table: every worker builds the table of its
-        own shards (one ``_ANSWERS`` RPC each, all asked before any is
+        own shards (one ``answers`` call each, all asked before any is
         awaited; with ``flow_ids``, only the owners of those flows are
         asked) and the replies -- a few arrays each, no consumer --
         merge into one ascending table.
@@ -1180,13 +1172,13 @@ class ParallelCollector:
         with self._sp_answers:
             if flow_ids is None:
                 requests = dict.fromkeys(
-                    range(self.workers), (_ANSWERS, None)
+                    range(self.workers), (_CALL, "answers", None)
                 )
             else:
                 ids = sorted_distinct(flow_ids)
                 owners = self._worker_of(self.router.shard_of_array(ids))
                 requests = {
-                    w: (_ANSWERS, ids[owners == w])
+                    w: (_CALL, "answers", ids[owners == w])
                     for w in distinct(owners, self.workers)[0].tolist()
                 }
             table = AnswerTable.concat(self._gather(requests).values())
@@ -1223,7 +1215,7 @@ class ParallelCollector:
         for pos, (fid, w) in enumerate(zip(ids, owners.tolist())):
             by_worker.setdefault(w, []).append((pos, fid))
         replies = self._gather({
-            w: (_FLOWS, [fid for _, fid in pairs])
+            w: (_CALL, "flows", [fid for _, fid in pairs])
             for w, pairs in by_worker.items()
         })
         for w, pairs in by_worker.items():
@@ -1239,7 +1231,7 @@ class ParallelCollector:
     def __len__(self) -> int:
         """Live flows across all workers."""
         self._check_open()
-        return sum(self._broadcast((_LEN,)))
+        return sum(self._broadcast((_CALL, "__len__")))
 
     # -- operations --------------------------------------------------------
 
@@ -1247,18 +1239,18 @@ class ParallelCollector:
         """Force a TTL sweep on every worker; returns evicted flows."""
         self._check_open()
         t = self.clock.expire_time(now)
-        return sum(self._broadcast((_EXPIRE, t)))
+        return sum(self._broadcast((_CALL, "expire", t)))
 
     def evict(self, flow_id: int) -> bool:
         """Drop one flow's state on its owner worker."""
         self._check_open()
         w = self._worker_of(self.router.shard_of(flow_id))
-        return self._call(w, (_EVICT, flow_id))
+        return self._gather({w: (_CALL, "evict", flow_id)})[w]
 
     def snapshot(self) -> Snapshot:
         """Point-in-time metrics, merged across all workers.
 
-        Each worker reports only the shards it owns; the merge
+        Each worker's snapshot keeps only the shards it owns; the merge
         reorders them by ``shard_id`` and stamps the front door's own
         clock, so the result is field-for-field the snapshot a serial
         collector fed the same batches would take.  The per-worker
@@ -1266,7 +1258,12 @@ class ParallelCollector:
         counters always reflect every record sent before this call.
         """
         self._check_open()
-        parts = self._broadcast((_SNAPSHOT,))
+        parts = [
+            replace(part, shards=[
+                s for s in part.shards if self._worker_of(s.shard_id) == w
+            ])
+            for w, part in enumerate(self._broadcast((_CALL, "snapshot")))
+        ]
         snap = Snapshot.merged(
             parts, taken_at=self.clock.now
         ).with_metrics(self.obs.as_dict() if self.obs.enabled else None)

@@ -3,10 +3,10 @@
 The checker reads its allowlists from ``pyproject.toml`` so policy
 lives next to the ruff gate it extends.  Python 3.11+ parses TOML with
 the stdlib ``tomllib``; on 3.10 we try ``tomli`` and otherwise fall
-back to :data:`DEFAULTS`, which are kept byte-equivalent to the
-committed pyproject block (CI runs the real parse on every
-interpreter, so drift between the two fails the negative test, not
-silently changes policy).
+back to :data:`DEFAULTS`, which mirror the committed pyproject block
+entry for entry (``tests/test_lint.py::test_defaults_mirror_pyproject``
+compares the two wherever ``tomllib`` exists, so drift fails a test
+instead of silently changing policy on 3.10).
 """
 
 from __future__ import annotations

@@ -394,7 +394,7 @@ class TestTransferSize:
             factory(), workers=2, num_shards=4, seed=1
         ) as par:
             feed(par, cols, 4096)
-            reply = par._call(0, (parallel._ANSWERS, None))
+            reply = par._gather({0: (parallel._CALL, "answers", None)})[0]
             state = par.flows(reply.flow_id)
         assert isinstance(reply, AnswerTable) and len(reply) > 300
         blob = pickle.dumps(reply)
@@ -536,17 +536,21 @@ class TestQueryPort:
             request = par._request
             monkeypatch.setattr(
                 par, "_request",
-                lambda w, msg: (sent.append((w, msg[0])), request(w, msg))[1],
+                lambda w, msg, timeout: (
+                    sent.append((w, msg[:2])), request(w, msg, timeout)
+                )[1],
             )
             asked = np.unique(cols[0])[:200].tolist()
             got = self.handler(par)[0].handle(
                 {"op": "flows", "flow_ids": asked}
             )
+            requests = sorted(sent)  # close()'s stops are not the read's
             want = self.handler(serial)[0].handle(
                 {"op": "flows", "flow_ids": asked}
             )
         assert got == want
-        assert sorted(sent) == [(0, parallel._ANSWERS), (1, parallel._ANSWERS)]
+        answers = (parallel._CALL, "answers")
+        assert requests == [(0, answers), (1, answers)]
 
     def test_query_client_flows_over_the_socket(self):
         cols, factory = path_stream("web-search", "hash", 1)

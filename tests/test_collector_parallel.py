@@ -607,7 +607,7 @@ class TestBacklogRuns:
 
         assert par.snapshot().as_dict() == serial.snapshot().as_dict()
         for w, share in enumerate(shares):
-            state = decode_checkpoint(par._call(w, (_CHECKPOINT,)))
+            state = decode_checkpoint(par._gather({w: (_CHECKPOINT,)})[w])
             blob = encode_checkpoint({**state, "metrics": None})
             assert blob == capture_checkpoint(share, worker=w), w
 

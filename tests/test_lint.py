@@ -24,6 +24,7 @@ from repro.lint import (
     parse_suppressions,
     run_ratchet,
 )
+from repro.lint.config import DEFAULTS
 
 REPO = Path(__file__).resolve().parent.parent
 CORPUS = REPO / "tests" / "lint_corpus"
@@ -250,6 +251,15 @@ def test_self_check_repo_is_clean_at_head():
     proc = run_cli("src", "benchmarks", "examples")
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert "0 findings" in proc.stdout
+
+
+def test_defaults_mirror_pyproject():
+    """The fallback policy for interpreters without a TOML parser is
+    the committed ``[tool.repro-lint]`` table, entry for entry."""
+    tomllib = pytest.importorskip("tomllib")
+    with open(REPO / "pyproject.toml", "rb") as fh:
+        table = tomllib.load(fh)["tool"]["repro-lint"]
+    assert table == DEFAULTS
 
 
 def test_every_committed_suppression_carries_a_reason():

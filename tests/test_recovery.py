@@ -18,6 +18,7 @@ Covers the PR-8 contract end to end:
   reports it instead of leaking a zombie.
 """
 
+import contextlib
 import os
 import signal
 import subprocess
@@ -611,6 +612,36 @@ def owned_flow(par, worker, start=1):
     return fid
 
 
+#: Requests that outgrow a pipe's buffer (320 KB and 870 KB pickled):
+#: a sink's one worker cannot take them whole while stopped.
+LARGE_REQUESTS = {
+    "answers": lambda sink: sink.answers(np.arange(1, 40_001)),
+    "flows": lambda sink: sink.flows(list(range(1, 200_001))),
+}
+
+
+@contextlib.contextmanager
+def sigcont_watchdog(pid, after=8.0):
+    """Resume the stopped process ``pid`` after ``after`` seconds.
+
+    A wait that does not give up on a stopped worker then ends late,
+    and the test fails on its time bound instead of hanging the suite.
+    The alarm is a timer signal, not a thread: the collector under
+    test forks replacement workers.
+    """
+    def resume(signum, frame):
+        with contextlib.suppress(ProcessLookupError):
+            os.kill(pid, signal.SIGCONT)
+
+    previous = signal.signal(signal.SIGALRM, resume)
+    signal.setitimer(signal.ITIMER_REAL, after)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
 class TestWorkerLossMidRpc:
     def test_supervised_gather_recovers_only_the_dead_worker(self):
         # Worker 1 is killed with both workers' backlogs unfolded, so
@@ -736,6 +767,75 @@ class TestWorkerLossMidRpc:
         finally:
             os.kill(victim.pid, signal.SIGCONT)
             par.close(timeout=5.0)
+
+    @pytest.mark.parametrize("call", sorted(LARGE_REQUESTS))
+    def test_unsupervised_wedge_timeout_bounds_a_request_larger_than_the_pipe(
+        self, call
+    ):
+        # The request itself outgrows the pipe's buffer, so its send
+        # -- not the reply -- is what waits on the stopped worker: it
+        # must give up after wedge_timeout too, and the pipe it left
+        # half-written must not be used again by close().
+        par = ParallelCollector(
+            congestion_consumer_factory(), workers=1, num_shards=2,
+            wedge_timeout=0.5,
+        ).start()
+        procs = list(par._procs)
+        victim = procs[0]
+        fid = owned_flow(par, 0)
+        try:
+            par.ingest_batch([fid], [1], [3], [9])
+            par.drain()
+            os.kill(victim.pid, signal.SIGSTOP)
+            with sigcont_watchdog(victim.pid):
+                start = time.monotonic()
+                with pytest.raises(WorkerFailedError, match="worker 0"):
+                    LARGE_REQUESTS[call](par)
+                assert time.monotonic() - start < 5.0
+                with pytest.raises(WorkerFailedError, match="worker 0"):
+                    par.close(timeout=5.0)
+            assert not any(proc.is_alive() for proc in procs)
+        finally:
+            if victim.is_alive():
+                os.kill(victim.pid, signal.SIGCONT)
+            par.close(timeout=5.0)
+
+    @pytest.mark.parametrize("call", sorted(LARGE_REQUESTS))
+    def test_supervised_request_larger_than_the_pipe_restarts_the_worker(
+        self, call
+    ):
+        # The same stall under supervision is one restart: the request
+        # goes again to the replacement, whose answer is the serial
+        # collector's.
+        cols = make_cols()
+        factory = FACTORIES["path"]
+        serial = Collector(factory(), num_shards=8, seed=1)
+        feed(serial, cols)
+        with ParallelCollector(
+            factory(), workers=1, num_shards=8, seed=1, checkpoint_every=2,
+            wedge_timeout=0.5,
+        ) as par:
+            feed(par, cols)
+            par.drain()
+            victim = par._procs[0]
+            os.kill(victim.pid, signal.SIGSTOP)
+            with sigcont_watchdog(victim.pid):
+                start = time.monotonic()
+                got = LARGE_REQUESTS[call](par)
+                elapsed = time.monotonic() - start
+            assert par._restarts == [1]
+        assert elapsed < 5.0
+        want = LARGE_REQUESTS[call](serial)
+        if call == "flows":
+            assert [c and c.result() for c in got] == [
+                c and c.result() for c in want
+            ]
+        else:
+            assert np.array_equal(got.flow_id, want.flow_id)
+            assert np.array_equal(got.offsets, want.offsets)
+            assert np.array_equal(got.values, want.values)
+            for name, column in want.columns.items():
+                assert np.array_equal(got.columns[name], column), name
 
 
 # -- close() escalation -----------------------------------------------------
