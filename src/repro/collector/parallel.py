@@ -62,15 +62,16 @@ joins the workers.  The class is also a context manager.
 
 Worker loss: every request goes through one send and every reply
 through one wait, both watching the worker's pulse (pipe readiness in
-short ticks + process sentinel + optional ``wedge_timeout``), as does
-every full-ring push, so a dead or wedged worker is always *noticed*
-in bounded time, even behind a request larger than the pipe's buffer.
-A send cut off mid-frame closes the pipe for good and counts as the
-worker's loss.  What happens next is policy, not a second code path.
-Without ``checkpoint_every`` the loss is raised as
-:class:`~repro.exceptions.WorkerFailedError` (the shard state is
-gone).  With it, every worker serialises its full collector state
-into a versioned checkpoint blob on a message cadence
+short ticks + process sentinel + optional ``wedge_timeout``), as do
+every full-ring push and the sweep at each ingest, so a dead or wedged
+worker is always *noticed* in bounded time, even behind a request
+larger than the pipe's buffer.  Each detection takes one step,
+``_lose``: close the pipe, SIGKILL and reap the worker, keep the
+reason; nothing talks to it again.  What happens next is policy, not a
+second code path.  Without ``checkpoint_every`` every later call that
+needs the worker raises :class:`~repro.exceptions.WorkerFailedError`
+with that reason (the shard state is gone).  With it, every worker
+serialises its full collector state into a versioned checkpoint blob on a message cadence
 (:mod:`repro.collector.recovery`) and the parent journals every
 message sent since the last accepted checkpoint in a bounded
 :class:`~repro.collector.recovery.BatchJournal`, so the loss is
@@ -189,7 +190,8 @@ def check_settings(
 
 
 class _WorkerDied(RuntimeError):
-    """Internal: a worker stopped serving its pipe (died or wedged).
+    """Internal: a worker was lost (died or wedged; see
+    :meth:`ParallelCollector._lose`).
 
     Distinct from the ``("err", ...)`` application replies on purpose:
     an app error is the *worker telling us* something went wrong
@@ -355,16 +357,15 @@ def _worker_main(
     conn.close()
 
 
-def _reap_at_exit(procs: List) -> None:
-    """SIGKILL and reap the workers of a collector still open at exit.
+def _kill_and_reap(procs: List) -> None:
+    """SIGKILL and reap ``procs`` (a no-op on reaped ones): the process
+    half of a worker's loss, which a SIGSTOPped worker cannot ignore.
 
-    multiprocessing's own exit hook SIGTERMs its daemonic children and
-    then joins each one with no timeout; a SIGSTOPped worker never acts
-    on the SIGTERM, so that join would wait for it forever.  Every
-    collector registers this (:class:`multiprocessing.util.Finalize`,
-    exit priority 0), which runs before that hook; on a closed
-    collector's joined workers it is a no-op.  A constructor that
-    fails part-way reaps the workers it started the same way.
+    Every collector also registers this at interpreter exit
+    (:class:`multiprocessing.util.Finalize`, exit priority 0), ahead of
+    multiprocessing's own exit hook, which SIGTERMs its daemonic
+    children and joins each one with no timeout: a stopped worker
+    never acts on the SIGTERM, so that join would wait forever.
     """
     for proc in procs:
         proc.kill()
@@ -475,7 +476,7 @@ class ParallelCollector:
         self.clock = IngestClock()
         self._conns: List = []
         self._procs: List = []
-        Finalize(self, _reap_at_exit, args=(self._procs,), exitpriority=0)
+        Finalize(self, _kill_and_reap, args=(self._procs,), exitpriority=0)
         #: The one lifecycle flag: open (workers up) until close().
         self._closed = False
         self.obs = obs if obs is not None else NULL_REGISTRY
@@ -486,6 +487,8 @@ class ParallelCollector:
         #: difference is the live backlog.
         self._sent: List[int] = [0] * workers
         self._applied: List = []
+        #: Why each worker was lost (:meth:`_lose`); None while healthy.
+        self._lost: List[Optional[str]] = [None] * workers
         # -- supervision state (journal/checkpoint parts inert when
         # checkpoint_every=None; wedge_timeout applies either way) --
         self._checkpoint_every = checkpoint_every
@@ -626,12 +629,17 @@ class ParallelCollector:
         return parent_conn, proc, ring, counter
 
     def _kill_all(self) -> None:
-        """Undo a constructor that failed part-way: SIGKILL and reap
-        every worker spawned so far and unlink its ring."""
-        _reap_at_exit(self._procs)
+        """SIGKILL and reap every worker, close its pipe, unlink its
+        ring (after the reaping: no live worker is left mapped to a
+        name-less segment): the end of :meth:`close`, and the undoing
+        of a constructor that failed part-way."""
+        _kill_and_reap(self._procs)
+        for conn in self._conns:
+            conn.close()
         for ring in self._rings:
             ring.close()
             ring.unlink()
+        self._conns, self._procs, self._rings = [], [], []
         self._closed = True
 
     def _check_open(self) -> None:
@@ -658,67 +666,45 @@ class ParallelCollector:
     def close(self, timeout: float = 30.0) -> None:
         """Stop and join the workers (idempotent).
 
-        The stop reply doubles as a final drain: it queues behind any
-        in-flight batches, and a worker carrying a deferred ingest
-        failure reports it in that reply -- ``close()`` re-raises it
-        once every worker is stopped and joined, so no error from a
-        fire-and-forget batch is ever silently discarded (the contract
-        :meth:`drain` enforces mid-flight).  A worker that fails to
-        acknowledge within ``timeout`` seconds (wedged, or still
-        folding a backlog larger than the timeout allows) is
-        terminated and *reported as an error* too, never dropped on
-        the floor; raise the timeout, or ``drain()`` first, when
-        closing behind a large fire-and-forget backlog.
+        Each worker not lost gets a STOP, whose reply doubles as a
+        final drain: it queues behind any in-flight batches, and a
+        worker carrying a deferred ingest failure reports it in that
+        reply -- ``close()`` re-raises it once every worker is gone, so
+        no error from a fire-and-forget batch is ever silently
+        discarded (the contract :meth:`drain` enforces mid-flight).
+        Only a worker that acknowledges is joined.  One that does not
+        within ``timeout`` seconds (wedged, or still folding a backlog
+        larger than the timeout allows), or does not then exit, is
+        lost (:meth:`_lose`), and every lost worker is *reported as an
+        error*, never dropped on the floor; raise the timeout, or
+        ``drain()`` first, when closing behind a large backlog.
         """
         if self._closed:
             return
+        # The STOP goes with no wait: a healthy pipe takes the tiny
+        # tuple at once, a wedged worker's full pipe loses its worker,
+        # and a lost worker's closed pipe refuses it.
+        for w in range(self.workers):
+            self._request(w, (_STOP,), 0)
         errors = []
-        # The stop must not wait on a wedged worker's full pipe: a
-        # healthy pipe takes the tiny tuple at once, and one that
-        # cannot marks its worker lost, terminated without a handshake.
-        for i in range(self.workers):
-            self._request(i, (_STOP,), 0)
-        for i, conn in enumerate(self._conns):
+        for w in range(self.workers):
             try:
-                self._reply(i, timeout)
-            except _WorkerDied as exc:
-                errors.append(
-                    f"stop not acknowledged ({exc}); the worker was "
-                    "terminated and its queued batches (and any "
-                    "deferred ingest error) were lost"
-                )
+                self._reply(w, timeout)
+            except _WorkerDied:
+                continue
             except WorkerFailedError as exc:
                 errors.append(str(exc))
-            conn.close()
-        # Escalating shutdown: cooperative join, then SIGTERM, then --
-        # for a worker that masks SIGTERM or is SIGSTOPped -- SIGKILL,
-        # which cannot be blocked.  A worker that needed the last rung
-        # is reported, never silently leaked as a zombie holding its
-        # pipe and shard state.
-        join_t = min(5.0, timeout) if timeout else 5.0
-        for i, proc in enumerate(self._procs):
-            proc.join(timeout=join_t)
-            if proc.is_alive():
-                proc.terminate()
-                proc.join(timeout=join_t)
-            if proc.is_alive():
-                proc.kill()
-                proc.join(timeout=join_t)
-                errors.append(
-                    f"worker {i} ignored SIGTERM (masked or stopped) "
-                    "and was SIGKILLed; queued batches were lost"
-                )
-        self._conns = []
-        self._procs = []
-        # Workers are joined (or killed): unmap and unlink every ring
-        # segment.  Unlink is the parent's job -- it owns the names --
-        # and running it after the joins means no live worker can be
-        # left mapped to a name-less segment.
-        for ring in self._rings:
-            ring.close()
-            ring.unlink()
-        self._rings = []
-        self._closed = True
+            self._procs[w].join(timeout)
+            if self._procs[w].is_alive():
+                self._lose(w, f"worker {w} acknowledged its stop but did "
+                              f"not exit in {timeout}s")
+        errors += [
+            f"{reason}; no stop acknowledged: the worker was SIGKILLed "
+            "and its queued batches (and any deferred ingest error) "
+            "were lost"
+            for reason in self._lost if reason is not None
+        ]
+        self._kill_all()
         if errors:
             raise WorkerFailedError(
                 "collector worker failed during ingestion:\n"
@@ -746,17 +732,33 @@ class ParallelCollector:
 
         ``msg`` is a ``(fids, pids, hops, digs, t)`` tuple -- the
         journal stores exactly these, so replay and live traffic share
-        this one path.  Raises :class:`_WorkerDied` when the worker
-        cannot take the message (dead, or -- under ``wedge_timeout`` --
-        making no progress on a full ring); callers decide what that
-        means.
+        this one path.  A worker that cannot take the message (dead,
+        or -- under ``wedge_timeout`` -- making no progress on a full
+        ring) is lost, and :class:`_WorkerDied` raised; callers decide
+        what that means.
         """
         try:
             self._rings[w].push(
                 *msg, self._procs[w].is_alive, self._wedge_timeout
             )
         except PeerGoneError as exc:
-            raise _WorkerDied(f"worker {w}: {exc}") from exc
+            raise self._lose(w, f"worker {w}: {exc}") from exc
+
+    def _lose(self, w: int, reason: str) -> _WorkerDied:
+        """Lose worker ``w``: close its pipe, SIGKILL and reap it, keep
+        ``reason`` -- the one step every detection point takes.
+
+        Nothing talks to the worker again: a stopped one could still
+        write the reply to an earlier request, which a later call would
+        read as its own.  Repeating the step is harmless and keeps the
+        first reason.  Returns the :class:`_WorkerDied` to raise; what
+        the loss means is :meth:`_recover_worker`'s decision.
+        """
+        if self._lost[w] is None:
+            self._lost[w] = reason
+        self._conns[w].close()
+        _kill_and_reap([self._procs[w]])
+        return _WorkerDied(self._lost[w])
 
     def _pulse(self, w: int, start: float, timeout: Optional[float]) -> None:
         """Raise :class:`_WorkerDied` if worker ``w`` is dead, or alive
@@ -784,10 +786,10 @@ class ParallelCollector:
         worker dies or -- alive -- takes no whole request within
         ``timeout`` (``wedge_timeout``; :meth:`close` passes 0).  A
         frame given up part-way leaves the pipe unusable, so a failed
-        send closes it, and is not raised here: :meth:`_reply`, which
-        follows every request, reports the closed pipe as the worker's
-        loss.  Worker loss therefore has one detection point, and a
-        scatter can finish sending to the healthy workers first.
+        send loses the worker (:meth:`_lose`; a lost worker's closed
+        pipe fails at once) and is not raised here: :meth:`_reply`,
+        which follows every request, reports the loss.  A scatter can
+        therefore finish sending to the healthy workers first.
         """
         conn = self._conns[w]
         buf = ForkingPickler.dumps(msg)
@@ -807,8 +809,8 @@ class ParallelCollector:
                         room.poll(50)
             finally:
                 os.set_blocking(fd, True)
-        except (OSError, _WorkerDied):
-            conn.close()
+        except (OSError, _WorkerDied) as exc:
+            self._lose(w, f"worker {w} took no whole request ({exc})")
 
     def _reply(self, w: int, timeout: Optional[float]):
         """Receive one sync reply, watching the worker's pulse.
@@ -816,26 +818,23 @@ class ParallelCollector:
         Never blocks on a corpse: it polls the pipe on a short tick
         and checks the worker's pulse in between, so a worker that
         died mid-RPC, or a live one silent past ``timeout``
-        (``wedge_timeout`` everywhere but :meth:`close`), surfaces as
-        :class:`_WorkerDied` instead of hanging the parent.  So does
-        a pipe :meth:`_request` closed.
+        (``wedge_timeout`` everywhere but :meth:`close`), is lost
+        (:meth:`_lose`) and raised as :class:`_WorkerDied` instead of
+        hanging the parent.  A worker lost earlier raises at once.
         """
         conn = self._conns[w]
-        if conn.closed:
-            raise _WorkerDied(
-                f"worker {w} took no whole request (dead or wedged); "
-                "its pipe is closed"
-            )
         start = time.monotonic()  # repro-lint: disable=R002 reason=wedge detection times a live child process, not simulated replay time
-        while not conn.poll(0.05):
-            # A reply may have raced the death: one last look.
-            if not self._procs[w].is_alive() and conn.poll(0):
-                break
-            self._pulse(w, start, timeout)
         try:
+            while not conn.poll(0.05):
+                # A reply may have raced the death: one last look.
+                if not self._procs[w].is_alive() and conn.poll(0):
+                    break
+                self._pulse(w, start, timeout)
             tag, value = conn.recv()
+        except _WorkerDied as exc:
+            raise self._lose(w, str(exc))
         except (EOFError, OSError) as exc:
-            raise _WorkerDied(f"worker {w} died mid-RPC") from exc
+            raise self._lose(w, f"worker {w} died mid-RPC") from exc
         if tag == "err":
             raise WorkerFailedError(f"collector worker failed:\n{value}")
         return value
@@ -856,8 +855,8 @@ class ParallelCollector:
         while True:
             try:
                 return self._reply(w, self._wedge_timeout)
-            except _WorkerDied as exc:
-                self._recover_worker(w, str(exc))
+            except _WorkerDied:
+                self._recover_worker(w)
                 self._request(w, msg, self._wedge_timeout)
 
     def _gather(self, requests: Dict[int, tuple]) -> dict:
@@ -906,7 +905,8 @@ class ParallelCollector:
         """
         for w, proc in enumerate(self._procs):
             if not proc.is_alive():
-                self._recover_worker(w, f"worker {w} found dead")
+                self._lose(w, f"worker {w} found dead")
+                self._recover_worker(w)
 
     def _checkpoint_worker(self, w: int) -> None:
         """One checkpoint round-trip; ACK clears the worker's journal.
@@ -925,8 +925,8 @@ class ParallelCollector:
         self._request(w, (_CHECKPOINT,), self._wedge_timeout)
         try:
             data = self._reply(w, self._wedge_timeout)
-        except _WorkerDied as exc:
-            self._recover_worker(w, str(exc))
+        except _WorkerDied:
+            self._recover_worker(w)
             return
         fate = (
             self._faults.checkpoint_fault(w, ordinal)
@@ -950,11 +950,12 @@ class ParallelCollector:
         self._msgs_since_ckpt[w] = 0
         self._rec["checkpoints_taken"] += 1
 
-    def _recover_worker(self, w: int, reason: str) -> None:
-        """A worker is lost: replace it (restore + replay), or raise.
+    def _recover_worker(self, w: int) -> None:
+        """Worker ``w`` was lost (:meth:`_lose`): replace it (restore +
+        replay), or raise.
 
         Without supervision there is no checkpoint to restore and no
-        journal to replay, so the loss is raised as
+        journal to replay, so the kept reason is raised as
         :class:`~repro.exceptions.WorkerFailedError` -- the one place
         that policy lives.  Supervised, the replacement installs the
         last validated checkpoint before reading its pipe, then the
@@ -968,6 +969,7 @@ class ParallelCollector:
         checkpoint predates the marks, so a repeat death before the
         next ACK must re-apply them after its own restore.
         """
+        reason = self._lost[w]
         if not self._supervised:
             raise WorkerFailedError(
                 f"collector worker lost ({reason}); its shard state is "
@@ -983,16 +985,6 @@ class ParallelCollector:
                 "loop is a bug, not an outage to paper over",
                 worker=w,
             )
-        try:
-            self._conns[w].close()
-        except OSError:
-            pass
-        proc = self._procs[w]
-        if proc.is_alive():
-            # Wedged (e.g. SIGSTOPped) workers ignore SIGTERM; SIGKILL
-            # cannot be blocked, caught or stopped.
-            proc.kill()
-        proc.join(timeout=5.0)
         # The dead worker's ring may hold batches it never folded (the
         # journal replays them) and its consumed index is frozen
         # mid-stream: the replacement gets a fresh segment.  The old
@@ -1011,6 +1003,7 @@ class ParallelCollector:
         ) = self._spawn(
             w, self._checkpoints[w], max(0, self._sent[w] - len(journal))
         )
+        self._lost[w] = None
         replay = journal.replay_messages()
         for m in replay:
             try:
@@ -1035,7 +1028,7 @@ class ParallelCollector:
             try:
                 self._reply(w, self._wedge_timeout)
             except _WorkerDied:
-                self._recover_worker(w, "replacement died at degrade mark")
+                self._recover_worker(w)
 
     def _journal(self, w: int, msg: tuple, shard_ids: np.ndarray) -> None:
         """Supervision's half of a send: make ``msg`` replayable first.
@@ -1076,8 +1069,8 @@ class ParallelCollector:
         self._sent[w] += 1
         try:
             self._push(w, msg)
-        except _WorkerDied as exc:
-            self._recover_worker(w, str(exc))
+        except _WorkerDied:
+            self._recover_worker(w)
             return
         if self._faults is not None:
             for spec in self._faults.worker_faults(w, self._sent[w]):

@@ -267,8 +267,8 @@ class Duplicate(ImpairmentModel):
     keeps its row index -- and therefore its packet id -- so it hashes
     identically everywhere downstream, exactly like a retransmitted or
     switch-duplicated packet; it is inserted at a uniform offset in
-    ``(0, lag]`` positions after the original (stable argsort of
-    fractional keys, originals on integer keys).
+    ``(0, lag]`` positions after the original (fractional copy keys
+    merged into the originals' integer keys, originals first on a tie).
     """
 
     name = "duplicate"
@@ -295,10 +295,11 @@ class Duplicate(ImpairmentModel):
         # integer key and original + lag, so a copy never precedes its
         # original and never outruns the lag bound.
         copy_keys = idx + rng.uniform(0.5, self.lag + 0.5, size=idx.size)
-        keys = np.concatenate([np.arange(m, dtype=np.float64), copy_keys])
-        all_rows = np.concatenate([rows, rows[idx]])
-        order = np.argsort(keys, kind="stable")
-        return all_rows[order]
+        # The originals are in key order already: each sorted copy goes
+        # after every original whose key is not above its own.
+        order = np.argsort(copy_keys, kind="stable")
+        at = np.searchsorted(np.arange(m), copy_keys[order], side="right")
+        return np.insert(rows, at, rows[idx[order]])
 
     def describe(self) -> str:
         return (

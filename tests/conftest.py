@@ -4,8 +4,10 @@ A test that fails while a :class:`ParallelCollector` it built is still
 open keeps the collector alive through its traceback, so the workers
 outlive the test (and a stopped one held the interpreter's exit).  The
 autouse fixture below closes every collector still open after a failed
-test; a passing test is left alone, so collectors shared across tests
-by a fixture keep working.
+test: ``close()`` SIGKILLs and reaps any worker that is lost or does
+not acknowledge its STOP within the timeout, and reports it.  A
+passing test is left alone, so collectors shared across tests by a
+fixture keep working.
 """
 
 import gc
@@ -34,4 +36,4 @@ def close_collectors_a_failed_test_left_open(request):
             try:
                 obj.close(timeout=1.0)
             except WorkerFailedError:
-                pass  # a dead or stopped worker: killed and reported
+                pass  # a lost worker: SIGKILLed, reaped and reported

@@ -300,6 +300,54 @@ class TestReorderTies:
         assert np.array_equal(model.apply(rows, None, 0), want)
 
 
+def duplicated_by_argsort(model, rows, stage):
+    """``Duplicate.apply`` as one stable argsort over every key: the
+    originals' integer keys, then the copies' fractional ones."""
+    rng = model._rng(stage)
+    m = rows.shape[0]
+    idx = np.flatnonzero(rng.random(m) < model.prob)
+    copy_keys = idx + rng.uniform(0.5, model.lag + 0.5, size=idx.size)
+    keys = np.concatenate([np.arange(m, dtype=np.float64), copy_keys])
+    order = np.argsort(keys, kind="stable")
+    return np.concatenate([rows, rows[idx]])[order]
+
+
+class TestDuplicateMerge:
+    """``Duplicate`` merges its sorted copies into the originals; the
+    result must be the stable argsort of all keys, ties included."""
+
+    CASES = [
+        (m, prob, lag, seed)
+        for seed, (m, prob, lag) in enumerate(
+            [(1, 1.0, 1), (2, 1.0, 3), (7, 0.5, 16), (500, 0.02, 16),
+             (500, 0.9, 2), (4000, 0.3, 40), (4000, 1.0, 1)]
+        )
+    ]
+
+    @pytest.mark.parametrize("m, prob, lag, seed", CASES)
+    def test_forced_ties_keep_the_argsort_order(
+        self, monkeypatch, m, prob, lag, seed
+    ):
+        # Whole-position jitters: copies tie with originals (a copy of
+        # an original drawn at its own key, or at a later one's) and
+        # with each other.
+        monkeypatch.setattr(
+            Duplicate, "_rng", lambda self, stage: IntegerJitter(stage)
+        )
+        model = Duplicate(prob, lag=lag, seed=seed)
+        rows = np.arange(m, dtype=np.int64) * 3 + 1
+        want = duplicated_by_argsort(model, rows, seed)
+        assert np.array_equal(model.apply(rows, None, seed), want)
+
+    @pytest.mark.parametrize("m, prob, lag, seed", CASES)
+    def test_untied_keys_match_the_argsort_order(self, m, prob, lag, seed):
+        model = Duplicate(prob, lag=lag, seed=seed)
+        rows = np.arange(m, dtype=np.int64)[::-1].copy()
+        for stage in range(3):
+            want = duplicated_by_argsort(model, rows, stage)
+            assert np.array_equal(model.apply(rows, None, stage), want)
+
+
 def reordered_by_loop(rows, fids):
     """Deliveries trailing an earlier-delivered later record of their
     flow: the per-flow running max, one delivery at a time."""

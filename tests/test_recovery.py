@@ -14,8 +14,9 @@ Covers the PR-8 contract end to end:
   a fault-free run;
 * an undersized journal degrades gracefully -- shards marked, records
   lost accounted, no exception -- or raises when configured to;
-* ``close()`` escalates SIGTERM -> SIGKILL on a stopped worker and
-  reports it instead of leaking a zombie.
+* a lost worker (dead, stopped past ``wedge_timeout``, or silent to
+  ``close()``'s STOP) is SIGKILLed and reaped at once, never asked
+  again, and reported by ``close()`` instead of leaking a zombie.
 """
 
 import contextlib
@@ -740,8 +741,11 @@ class TestWorkerLossMidRpc:
                 for pid in range(2, 6):
                     par.ingest_batch([fid], [pid], [3], [9])
             assert time.monotonic() - start < 8.0
+            with pytest.raises(WorkerFailedError, match="worker 0"):
+                par.close(timeout=5.0)
         finally:
-            os.kill(victim.pid, signal.SIGCONT)
+            if victim.is_alive():
+                os.kill(victim.pid, signal.SIGCONT)
             par.close(timeout=5.0)
 
     def test_unsupervised_wedge_timeout_bounds_a_batch_larger_than_the_ring(
@@ -764,8 +768,11 @@ class TestWorkerLossMidRpc:
             with pytest.raises(WorkerFailedError, match="worker 0.*wedged"):
                 par.ingest_batch(ids, ids, np.full(n, 3), np.full(n, 9))
             assert time.monotonic() - start < 8.0
+            with pytest.raises(WorkerFailedError, match="worker 0"):
+                par.close(timeout=5.0)
         finally:
-            os.kill(victim.pid, signal.SIGCONT)
+            if victim.is_alive():
+                os.kill(victim.pid, signal.SIGCONT)
             par.close(timeout=5.0)
 
     @pytest.mark.parametrize("call", sorted(LARGE_REQUESTS))
@@ -795,6 +802,62 @@ class TestWorkerLossMidRpc:
                 with pytest.raises(WorkerFailedError, match="worker 0"):
                     par.close(timeout=5.0)
             assert not any(proc.is_alive() for proc in procs)
+        finally:
+            if victim.is_alive():
+                os.kill(victim.pid, signal.SIGCONT)
+            par.close(timeout=5.0)
+
+    def test_unsupervised_lost_worker_is_never_asked_again(self):
+        # A stopped worker given up on could still write the reply to
+        # the request it was given up on: once it is resumed, no later
+        # call may read that reply as its own.  Each call that needs
+        # the worker raises its loss instead; the other worker serves.
+        par = ParallelCollector(
+            congestion_consumer_factory(), workers=2, num_shards=4,
+            wedge_timeout=0.5,
+        ).start()
+        victim = par._procs[0]
+        fid, survivor = owned_flow(par, 0), owned_flow(par, 1)
+        try:
+            par.ingest_batch([fid, survivor], [1, 1], [3, 3], [9, 9])
+            par.drain()
+            os.kill(victim.pid, signal.SIGSTOP)
+            with sigcont_watchdog(victim.pid):
+                with pytest.raises(WorkerFailedError, match="worker 0"):
+                    par.answers()
+                with contextlib.suppress(ProcessLookupError):
+                    os.kill(victim.pid, signal.SIGCONT)
+                time.sleep(0.3)
+                for call in (len, lambda sink: sink.answers(),
+                             lambda sink: sink.flows([fid])):
+                    with pytest.raises(WorkerFailedError, match="worker 0"):
+                        call(par)
+                assert par.flow(survivor).max_code == 9
+                with pytest.raises(WorkerFailedError, match="worker 0"):
+                    par.close(timeout=5.0)
+        finally:
+            if victim.is_alive():
+                os.kill(victim.pid, signal.SIGCONT)
+            par.close(timeout=5.0)
+
+    def test_close_after_a_loss_reports_it_at_once(self):
+        # The lost worker is already SIGKILLed and reaped: close() has
+        # nothing to stop, join or escalate for it, only a report.
+        par = ParallelCollector(
+            congestion_consumer_factory(), workers=2, num_shards=4,
+            wedge_timeout=0.5,
+        ).start()
+        victim = par._procs[0]
+        try:
+            os.kill(victim.pid, signal.SIGSTOP)
+            with sigcont_watchdog(victim.pid):
+                with pytest.raises(WorkerFailedError, match="worker 0"):
+                    par.drain()
+                start = time.monotonic()
+                with pytest.raises(WorkerFailedError, match="worker 0"):
+                    par.close(timeout=5.0)
+                assert time.monotonic() - start < 2.0
+            assert not victim.is_alive()
         finally:
             if victim.is_alive():
                 os.kill(victim.pid, signal.SIGCONT)
